@@ -8,6 +8,7 @@ rejected (they are almost always typos).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,12 +29,21 @@ def _require_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where!r} block")
 
 
-def _get_num(block: dict, key: str, default, where: str, integer: bool = False):
-    value = block.get(key, default)
-    if value is None:
-        return None
+def _number(value, where: str) -> float | int:
+    """A finite JSON number (JSON reads 1e400 as inf, and NaN is accepted)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
+        raise ConfigError(f"{where} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return value
+
+
+def _get_num(block: dict, key: str, default, where: str, integer: bool = False):
+    """block[key] as a finite number; null is accepted only where the default is."""
+    value = block.get(key, default)
+    if value is None and default is None:
+        return None
+    value = _number(value, f"{where}.{key}")
     if integer:
         if int(value) != value:
             raise ConfigError(f"{where}.{key} must be an integer")
@@ -210,12 +220,7 @@ def _default_box(objective: ObjectiveSpec) -> tuple[float, float]:
 def _parse_vector(value, where: str) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a nonempty list of numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{where} must contain numbers only")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(float(_number(v, f"{where} entry")) for v in value)
 
 
 def _parse_box(value, default: tuple[float, float], where: str) -> tuple[float, float]:
@@ -260,10 +265,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     direction = nb.get("direction")
     if direction is not None:
         direction = _parse_vector(direction, "noise.direction")
+    sigma_expr = nb.get("sigma_expr")
+    if sigma_expr is not None and not isinstance(sigma_expr, str):
+        raise ConfigError("noise.sigma_expr must be a string")
     noise = NoiseSpec(
         kind=str(nb["kind"]),
         sigma=_get_num(nb, "sigma", 0.0, "noise"),
-        sigma_expr=nb.get("sigma_expr"),
+        sigma_expr=sigma_expr,
         direction=direction,
         constants=None if constants is None else tuple(constants),
     )
@@ -280,8 +288,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     p = _get_num(sb, "p", 1, "schedule", integer=True)
     c = sb.get("c", 1.0)
     beta = sb.get("beta", 0.75)
-    c_vec = _parse_vector(c, "schedule.c") if isinstance(c, list) else (float(c),) * p
-    b_vec = _parse_vector(beta, "schedule.beta") if isinstance(beta, list) else (float(beta),) * p
+    c_vec = (_parse_vector(c, "schedule.c") if isinstance(c, list)
+             else (float(_number(c, "schedule.c")),) * p)
+    b_vec = (_parse_vector(beta, "schedule.beta") if isinstance(beta, list)
+             else (float(_number(beta, "schedule.beta")),) * p)
     if len(c_vec) != p or len(b_vec) != p:
         raise ConfigError("schedule.c and schedule.beta must have length p")
     rotation_seed = _get_num(sb, "rotation_seed", None, "schedule", integer=True)
@@ -413,6 +423,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         objective.build()  # fail fast on bad objective parameters
     except (ContractViolation, KeyError) as exc:
         raise ConfigError(f"invalid objective: {exc}") from exc
+    try:
+        noise.build(objective.dimension)  # compiles and checks sigma_expr
+    except ContractViolation as exc:
+        raise ConfigError(f"invalid noise: {exc}") from exc
 
     return ExperimentConfig(
         objective=objective,

@@ -13,6 +13,7 @@ for that case and it is needed to express constant step sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -319,122 +320,160 @@ class Trajectory:
         return self.last_k < self.horizon
 
 
+def _scalar_chunk(noise, g1, x, etas, w, r0, out):
+    """Step the 1-D recursion over one chunk of step sizes etas.
+
+    w holds the chunk's noise terms: sigma * z for additive-gaussian, the
+    signs for rademacher-radial and z for the state-dependent kind.  Accepted
+    iterates are appended to out; the first rejected one (non-finite or at
+    THETA_CAP, or below the domain floor r0) is returned, else None.  One loop
+    per noise kind keeps the kind test out of the step.
+    """
+    kind = noise.kind
+    sigma_fn = noise._sigma_fn
+    if kind == "zero":
+        for eta in etas:
+            xn = x - eta * g1(x)
+            if not (-THETA_CAP < xn < THETA_CAP) or abs(xn) < r0:
+                return xn
+            out.append(xn)
+            x = xn
+    elif kind == "additive-gaussian":
+        for eta, wj in zip(etas, w):
+            xn = x - eta * (g1(x) + wj)
+            if not (-THETA_CAP < xn < THETA_CAP) or abs(xn) < r0:
+                return xn
+            out.append(xn)
+            x = xn
+    elif kind == "rademacher-radial":
+        for eta, wj in zip(etas, w):
+            xn = x - eta * (g1(x) + abs(x) * wj)
+            if not (-THETA_CAP < xn < THETA_CAP) or abs(xn) < r0:
+                return xn
+            out.append(xn)
+            x = xn
+    else:
+        for eta, wj in zip(etas, w):
+            xn = x - eta * (g1(x) + sigma_fn(np.array([x])) * wj)
+            if not (-THETA_CAP < xn < THETA_CAP) or abs(xn) < r0:
+                return xn
+            out.append(xn)
+            x = xn
+    return None
+
+
+def _draw_noise(noise, rng, n: int, p: int | None = None):
+    """One chunk of noise draws, in the order that fixes the seed streams.
+
+    Gaussian kinds draw n normals for the scalar loop and n x p for the
+    vector loop, scaled by sigma for the additive kind; rademacher-radial
+    draws n signs of +-1.0; zero draws none.
+    """
+    kind = noise.kind
+    size = n if p is None else (n, p)
+    if kind == "additive-gaussian":
+        return noise.sigma * rng.standard_normal(size)
+    if kind == "additive-gaussian-statedep":
+        return rng.standard_normal(size)
+    if kind == "rademacher-radial":
+        return rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
+    return None
+
+
+def _stop(overflow: bool, theta_n: np.ndarray, step: int, bound: str,
+          truncate_on_domain: bool):
+    """Flags (overflow, domain_hit, violation theta) for a rejected iterate.
+
+    Overflow wins over a domain exit; a domain exit raises unless truncating.
+    """
+    if overflow:
+        return True, False, None
+    if not truncate_on_domain:
+        raise DomainError(f"iterate left the domain ({bound}) at step {step}", theta=theta_n)
+    return False, True, theta_n
+
+
 def _run_scalar_loop(g1, noise, etas, x0: float, K: int, rng, r0: float,
                      truncate_on_domain: bool):
-    """Tight 1-D loop; returns (trace array over 0..last, flags...)."""
+    """Tight 1-D loop on Python floats; returns (trace over 0..last, flags...).
+
+    Step sizes and noise are converted to lists once per chunk.  The g1
+    scalars use the math module, which keeps the iterates bitwise stable
+    (np.exp and math.exp can differ by one ulp).
+    """
     trace = np.empty(K + 1)
     trace[0] = x0
     x = x0
-    kind = noise.kind
-    sigma = noise.sigma
-    overflow = False
-    domain_hit = False
-    viol = None
-    last = K
-    k = 0
-    stop = False
-    while k < K and not stop:
+    for k in range(0, K, _CHUNK):
         n = min(_CHUNK, K - k)
-        if kind == "additive-gaussian" or kind == "additive-gaussian-statedep":
-            z = rng.standard_normal(n)
-        elif kind == "rademacher-radial":
-            z = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
-        else:
-            z = None
-        for j in range(n):
-            if kind == "zero":
-                g = g1(x)
-            elif kind == "additive-gaussian":
-                g = g1(x) + sigma * z[j]
-            elif kind == "rademacher-radial":
-                g = g1(x) + abs(x) * z[j]
-            else:
-                g = g1(x) + noise.sigma_at(np.array([x])) * z[j]
-            xn = x - etas[k + j] * g
-            if not (-THETA_CAP < xn < THETA_CAP):
-                overflow = True
-                last = k + j
-                stop = True
-                break
-            if r0 > 0.0 and abs(xn) < r0:
-                if not truncate_on_domain:
-                    raise DomainError(
-                        f"iterate left the domain (|theta| < {r0}) at step {k + j + 1}",
-                        theta=np.array([xn]),
-                    )
-                domain_hit = True
-                viol = np.array([xn])
-                last = k + j
-                stop = True
-                break
-            trace[k + j + 1] = xn
-            x = xn
-        k += n
-    return trace[: last + 1], overflow, domain_hit, viol
+        w = _draw_noise(noise, rng, n)
+        out = []
+        rejected = _scalar_chunk(noise, g1, x, etas[k:k + n].tolist(),
+                                 None if w is None else w.tolist(), r0, out)
+        trace[k + 1:k + 1 + len(out)] = out
+        if rejected is not None:
+            last = k + len(out)
+            flags = _stop(not (-THETA_CAP < rejected < THETA_CAP), np.array([rejected]),
+                          last + 1, f"|theta| < {r0}", truncate_on_domain)
+            return (trace[: last + 1], *flags)
+        x = out[-1]
+    return (trace, False, False, None)
+
+
+def _vector_sampler(noise, grad):
+    """The stochastic gradient as f(theta, norm(theta), noise term), chosen
+    once per trajectory so the step loop carries no noise-kind test."""
+    kind = noise.kind
+    if kind == "zero":
+        return lambda theta, nrm, w: grad(theta)
+    if kind == "additive-gaussian":
+        return lambda theta, nrm, w: grad(theta) + w
+    if kind == "rademacher-radial":
+        u = noise.direction
+        return lambda theta, nrm, w: grad(theta) + nrm * w * u
+    sigma_fn = noise._sigma_fn
+    return lambda theta, nrm, w: grad(theta) + sigma_fn(theta) * w
 
 
 def _run_vector_loop(objective, noise, schedule: Schedule, theta0: np.ndarray,
                      K: int, rng, truncate_on_domain: bool):
-    """General p-dimensional loop."""
+    """General p-dimensional loop.
+
+    The rotated step stays q @ (d * (q.T @ g)) per iterate: a gemm over the
+    chunk sums in another order and changes the iterates' bits.
+    """
     p = objective.dim
     r0 = objective.r0
     trace = np.empty((K + 1, p))
     trace[0] = theta0
     theta = theta0.copy()
-    grad = objective.grad
-    kind = noise.kind
-    overflow = False
-    domain_hit = False
-    viol = None
-    last = K
-    is_rotated = schedule.family == "rotated-diagonal-power"
-    q = schedule.q
-    k = 0
-    stop = False
-    while k < K and not stop:
+    nrm = math.sqrt(theta.dot(theta))
+    sample = _vector_sampler(noise, objective.grad)
+    q = schedule.q if schedule.family == "rotated-diagonal-power" else None
+    qt = None if q is None else q.T
+    for k in range(0, K, _CHUNK):
         n = min(_CHUNK, K - k)
         ks = np.arange(k, k + n, dtype=float)
         ds = schedule.c[None, :] * (ks[:, None] + schedule.k0) ** (-schedule.beta[None, :])
-        if kind == "additive-gaussian" or kind == "additive-gaussian-statedep":
-            z = rng.standard_normal((n, p))
-        elif kind == "rademacher-radial":
-            z = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
-        else:
-            z = None
-        for j in range(n):
-            g = grad(theta)
-            if kind == "additive-gaussian":
-                g = g + noise.sigma * z[j]
-            elif kind == "rademacher-radial":
-                g = g + float(np.linalg.norm(theta)) * z[j] * noise.direction
-            elif kind == "additive-gaussian-statedep":
-                g = g + noise.sigma_at(theta) * z[j]
-            if is_rotated:
-                step = q @ (ds[j] * (q.T @ g))
-            else:
-                step = ds[j] * g
-            theta_n = theta - step
-            nrm = float(np.linalg.norm(theta_n))
-            if not (nrm < THETA_CAP):
-                overflow = True
-                last = k + j
-                stop = True
-                break
-            if r0 > 0.0 and nrm < r0:
-                if not truncate_on_domain:
-                    raise DomainError(
-                        f"iterate left the domain (norm < {r0}) at step {k + j + 1}",
-                        theta=theta_n,
-                    )
-                domain_hit = True
-                viol = theta_n
-                last = k + j
-                stop = True
-                break
-            trace[k + j + 1] = theta_n
+        w = _draw_noise(noise, rng, n, p)
+        if w is None:
+            w = [None] * n
+        out = []
+        for d, wj in zip(ds, w):
+            g = sample(theta, nrm, wj)
+            theta_n = theta - (d * g if q is None else q @ (d * (qt @ g)))
+            nrm = math.sqrt(theta_n.dot(theta_n))
+            if not (nrm < THETA_CAP) or nrm < r0:
+                if out:
+                    trace[k + 1:k + 1 + len(out)] = out
+                last = k + len(out)
+                flags = _stop(not (nrm < THETA_CAP), theta_n, last + 1,
+                              f"norm < {r0}", truncate_on_domain)
+                return (trace[: last + 1], *flags)
+            out.append(theta_n)
             theta = theta_n
-        k += n
-    return trace[: last + 1], overflow, domain_hit, viol
+        trace[k + 1:k + 1 + n] = out
+    return (trace, False, False, None)
 
 
 def run_trajectory(

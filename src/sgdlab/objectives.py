@@ -60,13 +60,14 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(-x)) for x >= 0 and exp(x)/(1 + exp(x)) below, without masks.
+
+    exp(-|x|) is taken as exp(min(x, -x)), which passes a NaN through with
+    its sign and payload, as the two-branch form does.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus1(x: float) -> float:
@@ -315,6 +316,15 @@ def _exp_capped1(rho: float) -> float:
     return math.exp(rho) if rho < 690.0 else OVERFLOW_CAP
 
 
+def _pow1(rho: float, q: float) -> float:
+    """rho ** q, giving inf where Python float pow raises OverflowError
+    (as a numpy float64 does)."""
+    try:
+        return rho ** q
+    except OverflowError:
+        return math.inf
+
+
 def _exp_capped_vec(rho: np.ndarray) -> np.ndarray:
     return np.where(rho < 690.0, np.exp(np.minimum(rho, 690.0)), OVERFLOW_CAP)
 
@@ -354,8 +364,8 @@ def catalog_lookup(
         qf = float(q)
         return _make_radial(
             f"power-q(q={qf:g})", dimension, floor,
-            g1=lambda rho: rho ** qf,
-            gp1=lambda rho: qf * rho ** (qf - 1.0),
+            g1=lambda rho: _pow1(rho, qf),
+            gp1=lambda rho: qf * _pow1(rho, qf - 1.0),
             g_vec=lambda rho: rho ** qf,
             gp_vec=lambda rho: qf * rho ** (qf - 1.0),
         )
@@ -411,15 +421,16 @@ class ObjectiveSpec:
 
 NOISE_KINDS = ("zero", "additive-gaussian", "rademacher-radial", "additive-gaussian-statedep")
 
-_SIGMA_EXPR_GLOBALS = {"__builtins__": {}}
-
 
 def _compile_sigma_expr(expr: str) -> Callable[[np.ndarray], float]:
     """Compile a sigma(theta) expression over a tiny whitelisted namespace.
 
     Available names: theta (array), norm, abs, exp, log, log1p, sqrt, pi, e.
     """
-    code = compile(expr, "<sigma-expr>", "eval")
+    try:
+        code = compile(expr, "<sigma-expr>", "eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ContractViolation(f"sigma expression {expr!r} does not parse: {exc}") from exc
     base = {
         "norm": np.linalg.norm,
         "abs": np.abs,
@@ -434,10 +445,10 @@ def _compile_sigma_expr(expr: str) -> Callable[[np.ndarray], float]:
         if name not in base and name != "theta":
             raise ContractViolation(f"sigma expression uses disallowed name {name!r}")
 
+    namespace = {"__builtins__": {}, **base}
+
     def fn(theta: np.ndarray) -> float:
-        env = dict(base)
-        env["theta"] = theta
-        return float(eval(code, _SIGMA_EXPR_GLOBALS, env))
+        return float(eval(code, namespace, {"theta": theta}))
 
     return fn
 

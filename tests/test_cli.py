@@ -77,6 +77,26 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize("block,key,literal", [
+    ("run", "K", "1e400"),                                 # JSON reads it as inf
+    ("schedule", "beta", '"x"'),
+    ("noise", "sigma_expr", '"0.1*(1+norm(theta)"'),       # unclosed parenthesis
+    ("run", "K", "null"),                                  # null only where the default is
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, block, key, literal):
+    cfg = base_config(tmp_path / "out")
+    if block == "noise":
+        cfg["noise"] = {"kind": "additive-gaussian-statedep"}
+    cfg[block][key] = "@VALUE@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"@VALUE@"', literal), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("sgdlab: config error:")
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert not (tmp_path / "out").exists()
+
+
 def test_domain_violating_theta0_exits_3(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     cfg["objective"] = {"name": "loglog1p-abs"}

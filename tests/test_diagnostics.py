@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sgdlab.diagnostics import (
     CaptureConfig,
     EnsembleSpec,
+    _column_stats,
     capture_escape_frequency,
     classify_dichotomy,
     compute_stopping_times,
@@ -422,3 +423,42 @@ def test_ensemble_spec_validation():
         quad_spec(theta0=(1.0, 2.0))
     with pytest.raises(ContractViolation):
         run_ensemble(quad_spec(K=10), W=100)
+
+
+# ---------------------------------------------------------------------------
+# vectorized per-column statistics
+# ---------------------------------------------------------------------------
+
+def _reference_column_stats(matrix):
+    """The per-column loop that _column_stats vectorizes."""
+    n_cols = matrix.shape[1]
+    n_alive = np.sum(~np.isnan(matrix), axis=0).astype(int)
+    out = [np.full(n_cols, np.nan) for _ in range(5)]
+    for j in range(n_cols):
+        col = matrix[:, j]
+        col = col[~np.isnan(col)]
+        if col.size == 0:
+            continue
+        out[0][j] = np.mean(col)
+        out[1][j] = np.std(col, ddof=1) / np.sqrt(col.size) if col.size > 1 else 0.0
+        out[2][j] = np.median(col)
+        out[3][j] = np.quantile(col, 0.25)
+        out[4][j] = np.quantile(col, 0.75)
+    return (n_alive, *out)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 7, 50, 201])
+def test_column_stats_bit_equal_to_per_column_loop(n_rows):
+    rng = np.random.default_rng(n_rows)
+    matrix = np.exp(3.0 * rng.standard_normal((n_rows, 40)))
+    matrix[:, 5] = matrix[0, 5]  # constant column: se is exactly 0
+    # truncated trajectories leave NaN suffixes; the last column is all NaN
+    for i in range(0, n_rows, 3):
+        matrix[i, rng.integers(10, 40):] = np.nan
+    matrix[:, -1] = np.nan
+    got = _column_stats(matrix)
+    want = _reference_column_stats(matrix)
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:]):
+        assert g.tobytes() == w.tobytes()
+    assert np.isnan(got[1][-1]) and got[0][-1] == 0

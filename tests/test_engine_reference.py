@@ -1,0 +1,254 @@
+"""Differential tests: the engine's step loops against reference copies.
+
+`_reference_scalar_loop` and `_reference_vector_loop` are the straightforward
+per-step loops that the engine's fast paths replaced, kept verbatim apart
+from reading the chunk size from the engine.  The fast paths must give the
+same iterate bits, the same overflow/domain flags and violation point, and
+the same DomainError step and message, over the whole catalog, every noise
+kind, every schedule family and p in {1, 3}.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from sgdlab import engine
+from sgdlab.engine import (
+    THETA_CAP,
+    Schedule,
+    _run_scalar_loop,
+    _run_vector_loop,
+    run_trajectory,
+)
+from sgdlab.errors import DomainError
+from sgdlab.objectives import NoiseModel, StochasticOracle, catalog_lookup
+
+# ---------------------------------------------------------------------------
+# reference loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_scalar_loop(g1, noise, etas, x0: float, K: int, rng, r0: float,
+                           truncate_on_domain: bool):
+    trace = np.empty(K + 1)
+    trace[0] = x0
+    x = x0
+    kind = noise.kind
+    sigma = noise.sigma
+    overflow = False
+    domain_hit = False
+    viol = None
+    last = K
+    k = 0
+    stop = False
+    while k < K and not stop:
+        n = min(engine._CHUNK, K - k)
+        if kind == "additive-gaussian" or kind == "additive-gaussian-statedep":
+            z = rng.standard_normal(n)
+        elif kind == "rademacher-radial":
+            z = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
+        else:
+            z = None
+        for j in range(n):
+            if kind == "zero":
+                g = g1(x)
+            elif kind == "additive-gaussian":
+                g = g1(x) + sigma * z[j]
+            elif kind == "rademacher-radial":
+                g = g1(x) + abs(x) * z[j]
+            else:
+                g = g1(x) + noise.sigma_at(np.array([x])) * z[j]
+            xn = x - etas[k + j] * g
+            if not (-THETA_CAP < xn < THETA_CAP):
+                overflow = True
+                last = k + j
+                stop = True
+                break
+            if r0 > 0.0 and abs(xn) < r0:
+                if not truncate_on_domain:
+                    raise DomainError(
+                        f"iterate left the domain (|theta| < {r0}) at step {k + j + 1}",
+                        theta=np.array([xn]),
+                    )
+                domain_hit = True
+                viol = np.array([xn])
+                last = k + j
+                stop = True
+                break
+            trace[k + j + 1] = xn
+            x = xn
+        k += n
+    return trace[: last + 1], overflow, domain_hit, viol
+
+
+def _reference_vector_loop(objective, noise, schedule, theta0, K, rng, truncate_on_domain):
+    p = objective.dim
+    r0 = objective.r0
+    trace = np.empty((K + 1, p))
+    trace[0] = theta0
+    theta = theta0.copy()
+    grad = objective.grad
+    kind = noise.kind
+    overflow = False
+    domain_hit = False
+    viol = None
+    last = K
+    is_rotated = schedule.family == "rotated-diagonal-power"
+    q = schedule.q
+    k = 0
+    stop = False
+    while k < K and not stop:
+        n = min(engine._CHUNK, K - k)
+        ks = np.arange(k, k + n, dtype=float)
+        ds = schedule.c[None, :] * (ks[:, None] + schedule.k0) ** (-schedule.beta[None, :])
+        if kind == "additive-gaussian" or kind == "additive-gaussian-statedep":
+            z = rng.standard_normal((n, p))
+        elif kind == "rademacher-radial":
+            z = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
+        else:
+            z = None
+        for j in range(n):
+            g = grad(theta)
+            if kind == "additive-gaussian":
+                g = g + noise.sigma * z[j]
+            elif kind == "rademacher-radial":
+                g = g + float(np.linalg.norm(theta)) * z[j] * noise.direction
+            elif kind == "additive-gaussian-statedep":
+                g = g + noise.sigma_at(theta) * z[j]
+            if is_rotated:
+                step = q @ (ds[j] * (q.T @ g))
+            else:
+                step = ds[j] * g
+            theta_n = theta - step
+            nrm = float(np.linalg.norm(theta_n))
+            if not (nrm < THETA_CAP):
+                overflow = True
+                last = k + j
+                stop = True
+                break
+            if r0 > 0.0 and nrm < r0:
+                if not truncate_on_domain:
+                    raise DomainError(
+                        f"iterate left the domain (norm < {r0}) at step {k + j + 1}",
+                        theta=theta_n,
+                    )
+                domain_hit = True
+                viol = theta_n
+                last = k + j
+                stop = True
+                break
+            trace[k + j + 1] = theta_n
+            theta = theta_n
+        k += n
+    return trace[: last + 1], overflow, domain_hit, viol
+
+
+# ---------------------------------------------------------------------------
+# the grid
+# ---------------------------------------------------------------------------
+
+OBJECTIVES = [
+    ("quadratic", {}),
+    ("smooth-rectifier", {}),
+    ("gauss-bump", {}),
+    ("exp-abs", {}),
+    ("power-q", {"q": 1.5}),
+    ("power-q", {"q": 4.0}),
+    ("log1p-abs", {}),
+    ("loglog1p-abs", {}),
+]
+NOISES = [
+    ("zero", {}),
+    ("additive-gaussian", {"sigma": 0.7}),
+    ("rademacher-radial", {}),
+    ("additive-gaussian-statedep", {"sigma_expr": "0.3*(1+norm(theta))"}),
+]
+FAMILIES = ("scalar-power", "diagonal-power", "rotated-diagonal-power")
+# (c, beta, |theta0|): a decaying schedule, a constant step that overflows or
+# leaves the domain quickly, and a start where the power-q(q=4) gradient
+# overflows a double at the second step.
+SETTINGS = [(0.5, 0.75, 2.0), (3.0, 0.0, 2.0), (3.0, 0.0, 1e34)]
+K = 200
+CHUNK = 64  # several chunks per run, and stops inside a chunk
+
+
+def _schedule(family, p, c, beta):
+    cs = c * np.linspace(1.0, 0.5, p)
+    bs = beta * np.linspace(1.0, 1.2, p)
+    if family == "scalar-power":
+        return Schedule.scalar(c, beta, dim=p)
+    if family == "diagonal-power":
+        return Schedule.diagonal(cs, bs)
+    return Schedule.rotated(cs, bs, rotation_seed=5)
+
+
+def _run(loop, obj, noise, sched, theta0, seed, truncate):
+    rng = np.random.default_rng(seed)
+    if loop == "fast":
+        scalar, vector = _run_scalar_loop, _run_vector_loop
+    else:
+        scalar, vector = _reference_scalar_loop, _reference_vector_loop
+    with np.errstate(all="ignore"):
+        try:
+            if obj.dim == 1:
+                etas = sched.c[0] * (np.arange(K, dtype=float) + sched.k0) ** (-sched.beta[0])
+                trace, over, dom, viol = scalar(obj.g1, noise, etas, float(theta0[0]), K,
+                                                rng, obj.r0, truncate)
+                trace = trace[:, None]
+            else:
+                trace, over, dom, viol = vector(obj, noise, sched, theta0, K, rng, truncate)
+        except DomainError as exc:
+            return ("raised", str(exc), np.asarray(exc.theta).tobytes())
+    return (trace.shape, trace.tobytes(), over, dom,
+            None if viol is None else np.asarray(viol).tobytes())
+
+
+def test_fast_loops_match_reference_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(engine, "_CHUNK", CHUNK)
+    outcomes = {"full": 0, "overflow": 0, "domain": 0, "raised": 0}
+    grid = itertools.product(OBJECTIVES, NOISES, FAMILIES, (1, 3), SETTINGS)
+    for seed, combo in enumerate(grid):
+        (name, okw), (kind, nkw), family, p, (c, beta, scale) = combo
+        obj = catalog_lookup(name, dimension=p, **okw)
+        noise = NoiseModel(kind, p, **nkw)
+        sched = _schedule(family, p, c, beta)
+        theta0 = scale * np.array([1.0, -0.6, 0.3][:p])
+        ref = _run("reference", obj, noise, sched, theta0, seed, False)
+        assert _run("fast", obj, noise, sched, theta0, seed, False) == ref, combo
+        if ref[0] == "raised":
+            outcomes["raised"] += 1
+            ref = _run("reference", obj, noise, sched, theta0, seed, True)
+            assert _run("fast", obj, noise, sched, theta0, seed, True) == ref, combo
+        outcomes["overflow" if ref[2] else "domain" if ref[3] else "full"] += 1
+    # the grid exercises every exit of the loops
+    assert all(count >= 10 for count in outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_power_q_gradient_overflow_is_flagged_as_overflow(p):
+    # theta1 ~ -1.2e103 * e1; the gradient 4 * |theta1|**3 overflows a double,
+    # which Python float pow raises on and numpy turns into inf.
+    obj = catalog_lookup("power-q", dimension=p, q=4.0)
+    sched = Schedule.scalar(3.0, 0.0, dim=p)
+    theta0 = 1e34 * np.eye(p)[0]
+    with np.errstate(all="ignore"):
+        traj = run_trajectory(StochasticOracle(obj, NoiseModel("zero", p)), sched,
+                              theta0, 10, seed=0, keep_theta_trace=True)
+        assert not np.isfinite(obj.grad(-1.2e103 * np.eye(p)[0])).all()
+    assert traj.overflow and not traj.domain_violation
+    assert traj.theta_trace.shape == (1, p)  # F(theta1) = inf cuts the records too
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_iterate_exactly_on_the_domain_floor_is_kept(p):
+    # power-q(q=2) from 2*e1 with step 0.25: theta1 = e1 sits on r0 = 1 exactly
+    # and stays; theta2 = 0.5*e1 leaves the domain.
+    obj = catalog_lookup("power-q", dimension=p, q=2.0)
+    noise = NoiseModel("zero", p)
+    sched = Schedule.scalar(0.25, 0.0, dim=p)
+    theta0 = 2.0 * np.eye(p)[0]
+    ref = _run("reference", obj, noise, sched, theta0, 0, True)
+    assert _run("fast", obj, noise, sched, theta0, 0, True) == ref
+    assert ref[0] == (2, p)
+    assert ref[3]  # domain exit at the second step

@@ -122,6 +122,29 @@ def test_softplus_stability():
     assert np.all((s >= 0.0) & (s <= 1.0))
 
 
+def _masked_sigmoid(x):
+    """The two-branch masked form that sigmoid replaces."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_equal_to_masked_form():
+    rng = np.random.default_rng(3)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF4000000000123], dtype=np.uint64).view(float)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 710.5, -710.5,
+                        745.2, -745.2, 1e308, -1e308, 5e-324, -5e-324])
+    x = np.concatenate([special, nans, 40.0 * rng.standard_normal(100_000)])
+    assert sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
+    grid = rng.standard_normal((300, 4))
+    assert sigmoid(grid).tobytes() == _masked_sigmoid(grid).tobytes()
+
+
 def test_exp_abs_value_is_capped():
     obj = catalog_lookup("exp-abs")
     f, _ = eval_objective(obj, [1000.0])

@@ -21,7 +21,6 @@ from .diagnostics import (
     EnsembleResult,
     EnsembleSpec,
     StoppingTimes,
-    capture_escape_frequency,
     classify_dichotomy,
     compute_stopping_times,
     gradient_convergence_stats,
@@ -29,13 +28,10 @@ from .diagnostics import (
     split_seed,
 )
 from .engine import (
-    LearningRateMatrix,
     Schedule,
     ScheduleReport,
     Trajectory,
     run_trajectory,
-    schedule_eigen_bounds,
-    sgd_step,
     validate_schedule,
 )
 from .errors import ConfigError, ContractViolation, DomainError, UnknownObjectiveError
@@ -46,8 +42,6 @@ from .objectives import (
     ObjectiveSpec,
     StochasticOracle,
     catalog_lookup,
-    eval_objective,
-    sample_gradient,
 )
 
 __version__ = "0.1.0"

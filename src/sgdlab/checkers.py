@@ -378,18 +378,12 @@ def check_grad_bound(
 
 def _sample_sq_norms(oracle: StochasticOracle, theta: np.ndarray,
                      rng: np.random.Generator, n: int) -> np.ndarray:
-    """n draws of ||sample||^2 at theta, vectorized per noise kind."""
+    """n draws of ||sample||^2 at theta, one sample per row of the noise block."""
     noise = oracle.noise
-    grad = oracle.objective.grad(theta)
-    if noise.kind == "zero":
-        return np.full(n, float(grad @ grad))
-    if noise.kind == "rademacher-radial":
-        signs = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
-        rho = float(np.linalg.norm(theta))
-        draws = grad[None, :] + rho * signs[:, None] * noise.direction[None, :]
-        return np.einsum("ij,ij->i", draws, draws)
-    sigma = noise.sigma_at(theta)
-    draws = grad[None, :] + sigma * rng.standard_normal((n, noise.dim))
+    w = noise.draw(rng, n)
+    draws = noise.sampler(oracle.objective.grad)(theta, float(np.linalg.norm(theta)), w)
+    if w is None:  # zero noise: every draw is the exact gradient
+        return np.full(n, float(draws @ draws))
     return np.einsum("ij,ij->i", draws, draws)
 
 
@@ -550,8 +544,9 @@ def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
     for hi in range(K_max, -1, -chunk):
         lo = max(0, hi - chunk + 1)
         ks = np.arange(lo, hi + 1)
-        lmax = schedule.lambda_max_at(ks)
-        lmin = schedule.lambda_min_at(ks)
+        d = schedule.eigenvalues(ks)
+        lmax = d.max(axis=1)
+        lmin = d.min(axis=1)
         h = lmax ** alpha * (lmax / lmin)
         ok = h <= target
         if not np.all(ok):

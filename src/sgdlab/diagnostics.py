@@ -30,7 +30,6 @@ __all__ = [
     "split_seed",
     "classify_dichotomy",
     "run_ensemble",
-    "capture_escape_frequency",
     "gradient_convergence_stats",
     "compute_stopping_times",
     "envelope_sup_over_ball",
@@ -531,7 +530,7 @@ def run_ensemble(
         n = spec.n_trajectories
         empirical = counts / n
         ks = np.arange(spec.horizon)
-        lmax = spec.schedule.lambda_max_at(ks)
+        lmax = spec.schedule.eigenvalues(ks).max(axis=1)
         tail = (capture.epsilon ** -2) * lmax ** 2 * g_r
         se = np.sqrt(empirical * (1.0 - empirical) / n)
         margin = empirical - tail - 4.0 * se
@@ -562,18 +561,6 @@ def run_ensemble(
         n_domain_violation=sum(1 for s in summaries if s.domain_violation),
         seeds=[s.seed for s in summaries],
     )
-
-
-def capture_escape_frequency(spec: EnsembleSpec, theta_bar, R: float,
-                             epsilon: float, jobs: int = 1) -> CaptureReport:
-    """Escape frequencies per step against the theoretical tail bound."""
-    capture = CaptureConfig(
-        theta_bar=tuple(float(x) for x in np.atleast_1d(theta_bar)),
-        R=float(R),
-        epsilon=float(epsilon),
-    )
-    result = run_ensemble(spec, capture=capture, jobs=jobs)
-    return result.capture
 
 
 def compute_stopping_times(traj: Trajectory) -> StoppingTimes:

@@ -54,69 +54,6 @@ def random_orthogonal(dim: int, seed: int) -> np.ndarray:
 
 
 @dataclass
-class LearningRateMatrix:
-    """Symmetric positive-definite step matrix stored by its eigensystem.
-
-    kind "scalar" and "diagonal" mean Q = I; kind "rotated" stores
-    M = Q diag(d) Q^T with Q orthogonal.  lambda_max/lambda_min/kappa are
-    exact reads of the stored eigenvalues.
-    """
-
-    kind: str
-    dim: int
-    diag: np.ndarray
-    q: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.diag = _as_vector(self.diag, self.dim, "diag")
-        if not np.all(np.isfinite(self.diag)) or np.any(self.diag <= 0.0):
-            raise ContractViolation("eigenvalues must be finite and > 0")
-        if self.kind not in ("scalar", "diagonal", "rotated"):
-            raise ContractViolation(f"unknown matrix kind {self.kind!r}")
-        if self.kind == "scalar" and not np.all(self.diag == self.diag[0]):
-            raise ContractViolation("scalar matrix requires equal eigenvalues")
-        if self.kind == "rotated":
-            if self.q is None:
-                raise ContractViolation("rotated matrix requires an orthogonal factor")
-            self.q = np.asarray(self.q, dtype=float)
-            if self.q.shape != (self.dim, self.dim):
-                raise ContractViolation("orthogonal factor has wrong shape")
-            err = float(np.max(np.abs(self.q.T @ self.q - np.eye(self.dim))))
-            if err > ORTHO_TOL:
-                raise ContractViolation(f"factor is not orthogonal (|Q^T Q - I| = {err:g})")
-
-    @property
-    def lambda_max(self) -> float:
-        return float(np.max(self.diag))
-
-    @property
-    def lambda_min(self) -> float:
-        return float(np.min(self.diag))
-
-    @property
-    def kappa(self) -> float:
-        return self.lambda_max / self.lambda_min
-
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """Matrix-vector product under the stored representation."""
-        g = _as_vector(g, self.dim, "g")
-        if self.kind == "rotated":
-            return self.q @ (self.diag * (self.q.T @ g))
-        return self.diag * g
-
-    def to_matrix(self) -> np.ndarray:
-        if self.kind == "rotated":
-            return self.q @ np.diag(self.diag) @ self.q.T
-        return np.diag(self.diag)
-
-
-def sgd_step(theta, m: LearningRateMatrix, g) -> np.ndarray:
-    """One recursion step: theta - M g, exact under the stored representation."""
-    theta = _as_vector(theta, m.dim, "theta")
-    return theta - m.apply(g)
-
-
-@dataclass
 class Schedule:
     """Power-law learning-rate schedule d_i(k) = c_i * (k + k0)^(-beta_i).
 
@@ -151,8 +88,14 @@ class Schedule:
             if self.q is None:
                 seed = 0 if self.rotation_seed is None else int(self.rotation_seed)
                 self.q = random_orthogonal(self.dim, seed)
-            else:
-                self.q = np.asarray(self.q, dtype=float)
+            self.q = np.asarray(self.q, dtype=float)
+            if self.q.shape != (self.dim, self.dim):
+                raise ContractViolation(
+                    f"orthogonal factor must have shape ({self.dim}, {self.dim}), "
+                    f"got {self.q.shape}")
+            err = float(np.max(np.abs(self.q.T @ self.q - np.eye(self.dim))))
+            if not err <= ORTHO_TOL:
+                raise ContractViolation(f"factor is not orthogonal (|Q^T Q - I| = {err:g})")
         elif self.q is not None:
             raise ContractViolation(f"{self.family} does not take an orthogonal factor")
 
@@ -182,50 +125,22 @@ class Schedule:
         extra = f",rot={self.rotation_seed}" if self.family == "rotated-diagonal-power" else ""
         return f"{self.family}(c={c},beta={b},k0={self.k0:g},p={self.dim}{extra})"
 
-    def eigenvalues(self, k: int) -> np.ndarray:
-        if k < 0:
-            raise ContractViolation("k must be >= 0")
-        return self.c * (k + self.k0) ** (-self.beta)
+    def eigenvalues(self, ks) -> np.ndarray:
+        """d_i(k) = c_i * (k + k0)^(-beta_i) at each step index in ks, shape (n, p).
 
-    def matrix_at(self, k: int) -> LearningRateMatrix:
-        d = self.eigenvalues(k)
-        if self.family == "scalar-power":
-            return LearningRateMatrix("scalar", self.dim, d)
-        if self.family == "diagonal-power":
-            return LearningRateMatrix("diagonal", self.dim, d)
-        return LearningRateMatrix("rotated", self.dim, d, q=self.q)
-
-    def eigen_bounds(self, k: int) -> tuple[float, float, float]:
-        d = self.eigenvalues(k)
-        lmin = float(np.min(d))
-        lmax = float(np.max(d))
-        return lmin, lmax, lmax / lmin
-
-    def lambda_max_at(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorized lambda_max over an array of step indices."""
+        The one definition of the step sizes: the engine's steps, the
+        summability sums, the capture tail and the eigenvalue threshold all
+        read this array (lambda_max/lambda_min are its row max/min).
+        """
         ks = np.asarray(ks, dtype=float)
-        d = self.c[None, :] * (ks[:, None] + self.k0) ** (-self.beta[None, :])
-        return d.max(axis=1)
-
-    def lambda_min_at(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=float)
-        d = self.c[None, :] * (ks[:, None] + self.k0) ** (-self.beta[None, :])
-        return d.min(axis=1)
-
-    def is_scalar_like(self) -> bool:
-        return bool(np.all(self.c == self.c[0]) and np.all(self.beta == self.beta[0]))
-
-
-def schedule_eigen_bounds(schedule: Schedule, k: int) -> tuple[float, float, float]:
-    """(lambda_min, lambda_max, kappa) of M_k, exact from the family parameters."""
-    return schedule.eigen_bounds(k)
+        return self.c[None, :] * (ks[:, None] + self.k0) ** (-self.beta[None, :])
 
 
 @dataclass
 class ScheduleReport:
     """Verdicts for the step-size summability and conditioning requirements.
 
-    For power families every verdict is analytic (an exponent comparison);
+    Every verdict is analytic (an exponent comparison of the power law);
     p2_partial_sum is the finite-horizon sum of lambda_max^(1+alpha), i.e. a
     lower estimate of its limit S.
     """
@@ -246,7 +161,7 @@ def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> Schedul
     P3: sum_k lambda_min(M_k) infinite          <=>  max(beta) <= 1.
     P4: lambda_max(M_k)^alpha * kappa(M_k) -> 0 <=>  max(beta) < (1+alpha)*min(beta).
 
-    The partial sum is accumulated to the horizon either way.
+    The partial sum is accumulated to the horizon.
     """
     if not (0.0 < alpha <= 1.0):
         raise ContractViolation("alpha must be in (0, 1]")
@@ -256,23 +171,19 @@ def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> Schedul
     total = 0.0
     for start in range(0, horizon + 1, _CHUNK):
         ks = np.arange(start, min(start + _CHUNK, horizon + 1))
-        total += float(np.sum(schedule.lambda_max_at(ks) ** (1.0 + alpha)))
+        total += float(np.sum(schedule.eigenvalues(ks).max(axis=1) ** (1.0 + alpha)))
 
-    if schedule.family in POWER_FAMILIES:
-        bmin = float(np.min(schedule.beta))
-        bmax = float(np.max(schedule.beta))
-        p2 = "pass" if bmin * (1.0 + alpha) > 1.0 else "fail"
-        p3 = "pass" if bmax <= 1.0 else "fail"
-        p4 = "pass" if bmax < (1.0 + alpha) * bmin else "fail"
-        basis = (
-            "power-family exponent tests: "
-            f"P2 iff min(beta)*(1+alpha) > 1 [{bmin * (1 + alpha):g} vs 1]; "
-            f"P3 iff max(beta) <= 1 [{bmax:g}]; "
-            f"P4 iff max(beta) < (1+alpha)*min(beta) [{bmax:g} vs {(1 + alpha) * bmin:g}]"
-        )
-    else:  # pragma: no cover - no non-power family exists yet
-        p2 = p3 = p4 = "inconclusive"
-        basis = "non-power family: sampled partial sums only"
+    bmin = float(np.min(schedule.beta))
+    bmax = float(np.max(schedule.beta))
+    p2 = "pass" if bmin * (1.0 + alpha) > 1.0 else "fail"
+    p3 = "pass" if bmax <= 1.0 else "fail"
+    p4 = "pass" if bmax < (1.0 + alpha) * bmin else "fail"
+    basis = (
+        "power-family exponent tests: "
+        f"P2 iff min(beta)*(1+alpha) > 1 [{bmin * (1 + alpha):g} vs 1]; "
+        f"P3 iff max(beta) <= 1 [{bmax:g}]; "
+        f"P4 iff max(beta) < (1+alpha)*min(beta) [{bmax:g} vs {(1 + alpha) * bmin:g}]"
+    )
 
     return ScheduleReport(
         alpha=alpha,
@@ -362,24 +273,6 @@ def _scalar_chunk(noise, g1, x, etas, w, r0, out):
     return None
 
 
-def _draw_noise(noise, rng, n: int, p: int | None = None):
-    """One chunk of noise draws, in the order that fixes the seed streams.
-
-    Gaussian kinds draw n normals for the scalar loop and n x p for the
-    vector loop, scaled by sigma for the additive kind; rademacher-radial
-    draws n signs of +-1.0; zero draws none.
-    """
-    kind = noise.kind
-    size = n if p is None else (n, p)
-    if kind == "additive-gaussian":
-        return noise.sigma * rng.standard_normal(size)
-    if kind == "additive-gaussian-statedep":
-        return rng.standard_normal(size)
-    if kind == "rademacher-radial":
-        return rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
-    return None
-
-
 def _stop(overflow: bool, theta_n: np.ndarray, step: int, bound: str,
           truncate_on_domain: bool):
     """Flags (overflow, domain_hit, violation theta) for a rejected iterate.
@@ -406,10 +299,10 @@ def _run_scalar_loop(g1, noise, etas, x0: float, K: int, rng, r0: float,
     x = x0
     for k in range(0, K, _CHUNK):
         n = min(_CHUNK, K - k)
-        w = _draw_noise(noise, rng, n)
+        w = noise.draw(rng, n)
         out = []
         rejected = _scalar_chunk(noise, g1, x, etas[k:k + n].tolist(),
-                                 None if w is None else w.tolist(), r0, out)
+                                 None if w is None else w.ravel().tolist(), r0, out)
         trace[k + 1:k + 1 + len(out)] = out
         if rejected is not None:
             last = k + len(out)
@@ -418,21 +311,6 @@ def _run_scalar_loop(g1, noise, etas, x0: float, K: int, rng, r0: float,
             return (trace[: last + 1], *flags)
         x = out[-1]
     return (trace, False, False, None)
-
-
-def _vector_sampler(noise, grad):
-    """The stochastic gradient as f(theta, norm(theta), noise term), chosen
-    once per trajectory so the step loop carries no noise-kind test."""
-    kind = noise.kind
-    if kind == "zero":
-        return lambda theta, nrm, w: grad(theta)
-    if kind == "additive-gaussian":
-        return lambda theta, nrm, w: grad(theta) + w
-    if kind == "rademacher-radial":
-        u = noise.direction
-        return lambda theta, nrm, w: grad(theta) + nrm * w * u
-    sigma_fn = noise._sigma_fn
-    return lambda theta, nrm, w: grad(theta) + sigma_fn(theta) * w
 
 
 def _run_vector_loop(objective, noise, schedule: Schedule, theta0: np.ndarray,
@@ -448,14 +326,13 @@ def _run_vector_loop(objective, noise, schedule: Schedule, theta0: np.ndarray,
     trace[0] = theta0
     theta = theta0.copy()
     nrm = math.sqrt(theta.dot(theta))
-    sample = _vector_sampler(noise, objective.grad)
+    sample = noise.sampler(objective.grad)
     q = schedule.q if schedule.family == "rotated-diagonal-power" else None
     qt = None if q is None else q.T
     for k in range(0, K, _CHUNK):
         n = min(_CHUNK, K - k)
-        ks = np.arange(k, k + n, dtype=float)
-        ds = schedule.c[None, :] * (ks[:, None] + schedule.k0) ** (-schedule.beta[None, :])
-        w = _draw_noise(noise, rng, n, p)
+        ds = schedule.eigenvalues(np.arange(k, k + n))
+        w = noise.draw(rng, n)
         if w is None:
             w = [None] * n
         out = []
@@ -512,8 +389,7 @@ def run_trajectory(
     rng = np.random.default_rng(int(seed))
 
     if objective.dim == 1 and objective.g1 is not None:
-        ks_all = np.arange(K, dtype=float)
-        etas = (schedule.c[0] * (ks_all + schedule.k0) ** (-schedule.beta[0]))
+        etas = schedule.eigenvalues(np.arange(K))[:, 0]
         trace1, overflow, domain_hit, viol = _run_scalar_loop(
             objective.g1, noise, etas, float(theta0[0]), K, rng,
             objective.r0, truncate_on_domain_error,

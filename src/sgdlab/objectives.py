@@ -70,10 +70,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _softplus1(x: float) -> float:
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-
 def _sigmoid1(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -87,7 +83,7 @@ class Objective:
 
     The callables operate on numpy arrays: ``value``/``grad`` on a single
     point of shape (p,), the ``*_batch`` variants on stacks of shape (n, p).
-    ``f1``/``g1`` are scalar fast paths, present only when ``dim == 1``.
+    ``g1`` is the scalar gradient fast path, present only when ``dim == 1``.
     """
 
     id: str
@@ -101,7 +97,6 @@ class Objective:
     value_batch: Callable[[np.ndarray], np.ndarray]
     grad_batch: Callable[[np.ndarray], np.ndarray]
     grad_norm_batch: Callable[[np.ndarray], np.ndarray]
-    f1: Callable[[float], float] | None = None
     g1: Callable[[float], float] | None = None
     radial: bool = False
 
@@ -117,17 +112,6 @@ class Objective:
                 f"got theta={np.asarray(theta).tolist()}",
                 theta=np.asarray(theta, dtype=float),
             )
-
-
-def eval_objective(obj: Objective, theta) -> tuple[float, np.ndarray]:
-    """Evaluate (F(theta), grad F(theta)); raises DomainError below the floor."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (obj.dim,):
-        raise ContractViolation(
-            f"theta has shape {theta.shape}, objective {obj.id!r} expects ({obj.dim},)"
-        )
-    obj.check_domain(theta)
-    return obj.value(theta), obj.grad(theta)
 
 
 def _norms(thetas: np.ndarray) -> np.ndarray:
@@ -168,7 +152,6 @@ def _make_quadratic(dim: int) -> Objective:
         value_batch=value_batch,
         grad_batch=grad_batch,
         grad_norm_batch=grad_norm_batch,
-        f1=(lambda x: 0.5 * x * x) if dim == 1 else None,
         g1=(lambda x: x) if dim == 1 else None,
         radial=True,
     )
@@ -210,7 +193,6 @@ def _make_smooth_rectifier(dim: int) -> Objective:
         value_batch=value_batch,
         grad_batch=grad_batch,
         grad_norm_batch=grad_norm_batch,
-        f1=_softplus1 if dim == 1 else None,
         g1=_sigmoid1 if dim == 1 else None,
     )
 
@@ -252,7 +234,6 @@ def _make_gauss_bump(dim: int) -> Objective:
         value_batch=value_batch,
         grad_batch=grad_batch,
         grad_norm_batch=grad_norm_batch,
-        f1=(lambda x: math.exp(-x * x)) if dim == 1 else None,
         g1=(lambda x: -2.0 * x * math.exp(-x * x)) if dim == 1 else None,
         radial=True,
     )
@@ -306,7 +287,6 @@ def _make_radial(
         value_batch=value_batch,
         grad_batch=grad_batch,
         grad_norm_batch=grad_norm_batch,
-        f1=(lambda x: g1(abs(x))) if dim == 1 else None,
         g1=(lambda x: gp1(abs(x)) * (1.0 if x >= 0 else -1.0)) if dim == 1 else None,
         radial=True,
     )
@@ -448,7 +428,12 @@ def _compile_sigma_expr(expr: str) -> Callable[[np.ndarray], float]:
     namespace = {"__builtins__": {}, **base}
 
     def fn(theta: np.ndarray) -> float:
-        return float(eval(code, namespace, {"theta": theta}))
+        sigma = float(eval(code, namespace, {"theta": theta}))
+        if not 0.0 <= sigma < math.inf:
+            raise ContractViolation(
+                f"sigma expression {expr!r} gave {sigma!r} at theta={theta.tolist()}; "
+                "sigma must be finite and >= 0")
+        return sigma
 
     return fn
 
@@ -553,17 +538,37 @@ class NoiseModel:
         sig = np.array([self.sigma_at(t) for t in thetas])
         return g2 + self.dim * sig ** 2
 
-    def sample(self, rng: np.random.Generator, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """One stochastic gradient draw; advances rng by exactly one step's worth."""
-        if self.kind == "zero":
-            return np.array(grad, dtype=float, copy=True)
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray | None:
+        """n steps' noise in the order that fixes the seed streams.
+
+        Gaussian kinds draw an (n, dim) block of normals, scaled by sigma for
+        the additive kind; rademacher-radial draws n fair signs as an (n, 1)
+        column; zero draws none.
+        """
         if self.kind == "additive-gaussian":
-            return grad + self.sigma * rng.standard_normal(self.dim)
+            return self.sigma * rng.standard_normal((n, self.dim))
+        if self.kind == "additive-gaussian-statedep":
+            return rng.standard_normal((n, self.dim))
         if self.kind == "rademacher-radial":
-            x = 1.0 if rng.integers(0, 2) == 1 else -1.0
-            return grad + float(np.linalg.norm(theta)) * x * self.direction
-        s = self.sigma_at(theta)
-        return grad + s * rng.standard_normal(self.dim)
+            return (rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0)[:, None]
+        return None
+
+    def sampler(self, grad: Callable[[np.ndarray], np.ndarray]) -> Callable[..., np.ndarray]:
+        """The stochastic gradient as f(theta, norm(theta), w) for noise w from draw.
+
+        w is one step's row of draw (the engine) or a whole block (one
+        sample per row).  The kind is chosen here, once, so a step loop
+        carries no kind test.
+        """
+        if self.kind == "zero":
+            return lambda theta, nrm, w: grad(theta)
+        if self.kind == "additive-gaussian":
+            return lambda theta, nrm, w: grad(theta) + w
+        if self.kind == "rademacher-radial":
+            u = self.direction
+            return lambda theta, nrm, w: grad(theta) + nrm * w * u
+        sigma_fn = self._sigma_fn
+        return lambda theta, nrm, w: grad(theta) + sigma_fn(theta) * w
 
 
 @dataclass(frozen=True)
@@ -598,7 +603,7 @@ class NoiseSpec:
 
 @dataclass
 class StochasticOracle:
-    """An objective paired with a noise model; draws unbiased gradient samples."""
+    """An objective paired with a noise model: an unbiased stochastic-gradient oracle."""
 
     objective: Objective
     noise: NoiseModel
@@ -612,13 +617,3 @@ class StochasticOracle:
     @property
     def id(self) -> str:
         return f"{self.objective.id}|{self.noise.label}"
-
-    def sample_gradient(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        self.objective.check_domain(theta)
-        return self.noise.sample(rng, theta, self.objective.grad(theta))
-
-
-def sample_gradient(oracle: StochasticOracle, theta, rng: np.random.Generator) -> np.ndarray:
-    """One stochastic gradient draw, advancing rng deterministically."""
-    return oracle.sample_gradient(theta, rng)

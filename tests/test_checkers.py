@@ -381,10 +381,12 @@ def test_threshold_satisfies_eigenvalue_lower_bound_inequality():
         sched = Schedule.scalar(1.0, beta, k0=1)
         K = find_eigenvalue_threshold(sched, c_const, alpha, 10**5)
         assert K is not None
-        lmin, lmax, _ = sched.eigen_bounds(K)
+        d = sched.eigenvalues([K])
+        lmin, lmax = d.min(), d.max()
         assert lmin - (c_const / 2.0) * lmax ** (1.0 + alpha) >= 0.5 * lmin - 1e-12
         if K > 0:
-            lmin_b, lmax_b, _ = sched.eigen_bounds(K - 1)
+            d = sched.eigenvalues([K - 1])
+            lmin_b, lmax_b = d.min(), d.max()
             assert lmin_b - (c_const / 2.0) * lmax_b ** (1.0 + alpha) < 0.5 * lmin_b
 
 

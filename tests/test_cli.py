@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgdlab.cli import main
@@ -95,6 +96,24 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, block, key, literal):
     with pytest.raises(ConfigError):
         load_config(path)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("expr", ["log(-1.0)+0*norm(theta)", "-0.5*(1+norm(theta))"])
+@pytest.mark.parametrize("argv", [["run"], ["check", "--which", "variance"]])
+def test_nonfinite_or_negative_sigma_exits_2(tmp_path, capsys, expr, argv):
+    # sigma must be finite and >= 0 where it is evaluated; a NaN would
+    # otherwise cut every trajectory at k=0 as "overflow" and exit 0
+    cfg = base_config(tmp_path / "out")
+    cfg["noise"] = {"kind": "additive-gaussian-statedep", "sigma_expr": expr}
+    cfg["objective"]["dimension"] = 2
+    cfg["schedule"]["p"] = 2
+    cfg["run"].update(theta0=[1.0, 1.0], K=200, n_trajectories=4)
+    cfg["diagnostics"] = {}
+    with np.errstate(invalid="ignore"):
+        assert main([*argv, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error: sigma expression")
+    assert "Traceback" not in err
 
 
 def test_domain_violating_theta0_exits_3(tmp_path, capsys):

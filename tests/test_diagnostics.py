@@ -12,7 +12,6 @@ from sgdlab.diagnostics import (
     CaptureConfig,
     EnsembleSpec,
     _column_stats,
-    capture_escape_frequency,
     classify_dichotomy,
     compute_stopping_times,
     envelope_sup_over_ball,
@@ -165,9 +164,13 @@ def test_split_seed_is_stable():
 # capture / escape
 # ---------------------------------------------------------------------------
 
+def capture_report(spec, theta_bar, R, epsilon):
+    return run_ensemble(spec, capture=CaptureConfig(tuple(theta_bar), R, epsilon)).capture
+
+
 def test_zero_noise_descent_never_escapes():
     spec = quad_spec(K=500, n=5, theta0=(0.9,))
-    report = capture_escape_frequency(spec, [0.0], 2.0, 0.2)
+    report = capture_report(spec, [0.0], 2.0, 0.2)
     assert report.total_escapes == 0
     assert np.all(report.empirical == 0.0)
 
@@ -176,7 +179,7 @@ def test_theoretical_tail_closed_form():
     # eta_k = (k+1)^-0.75, eps = 1, G_R = sup_{|x|<=2} x^2 = 4 (zero noise)
     spec = quad_spec(schedule=Schedule.scalar(1.0, 0.75, k0=1), K=1000, n=2,
                      theta0=(0.5,))
-    report = capture_escape_frequency(spec, [0.0], 2.0, 1.0)
+    report = capture_report(spec, [0.0], 2.0, 1.0)
     assert report.G_R == pytest.approx(4.0, rel=1e-8)
     ks = np.arange(1000)
     expected = 4.0 * (ks + 1.0) ** -1.5
@@ -205,7 +208,7 @@ def test_rademacher_counterexample_produces_escapes():
         master_seed=55,
         record_stride=100,
     )
-    report = capture_escape_frequency(spec, [0.0], 150.0, 15.0)
+    report = capture_report(spec, [0.0], 150.0, 15.0)
     assert report.total_escapes > 0
     assert report.G_R >= 150.0 ** 2
 
@@ -384,7 +387,7 @@ def test_capture_sparse_counts_reconstruct_empirical():
     spec = quad_spec(noise=NoiseSpec("additive-gaussian", sigma=1.0),
                      schedule=Schedule.scalar(1.0, 0.75, k0=1),
                      K=500, n=40, theta0=(0.5,), stride=50)
-    report = capture_escape_frequency(spec, [0.0], 1.0, 0.5)
+    report = capture_report(spec, [0.0], 1.0, 0.5)
     rebuilt = np.zeros(spec.horizon)
     for k, c in report.escape_counts.items():
         rebuilt[k] = c / report.n_trajectories

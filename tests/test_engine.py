@@ -1,4 +1,8 @@
-"""Engine tests: step arithmetic, schedules, validation, trajectory contracts."""
+"""Engine tests: step arithmetic, schedules, validation, trajectory contracts.
+
+Dense references such as q @ diag(d) @ q.T are built here from the
+schedule's eigensystem; the engine itself never forms M_k.
+"""
 
 import math
 
@@ -7,11 +11,9 @@ import pytest
 
 from sgdlab.diagnostics import split_seed
 from sgdlab.engine import (
-    LearningRateMatrix,
+    ORTHO_TOL,
     Schedule,
     run_trajectory,
-    schedule_eigen_bounds,
-    sgd_step,
     validate_schedule,
 )
 from sgdlab.errors import ContractViolation, DomainError
@@ -23,93 +25,124 @@ def make_oracle(name, noise_kind="zero", sigma=0.0, dim=1, **kw):
     return StochasticOracle(obj, NoiseModel(noise_kind, dim, sigma=sigma))
 
 
+def one_step(sched, theta0, name="quadratic"):
+    """theta_1 of a zero-noise run: theta0 - M_0 grad F(theta0)."""
+    obj = catalog_lookup(name, dimension=sched.dim)
+    traj = run_trajectory(StochasticOracle(obj, NoiseModel("zero", sched.dim)), sched,
+                          theta0, 1, seed=0)
+    return traj.thetas[1]
+
+
+def dense_matrix(sched, k):
+    """M_k as a dense matrix, built from the schedule's eigensystem."""
+    d = sched.eigenvalues([k])[0]
+    q = sched.q if sched.family == "rotated-diagonal-power" else np.eye(sched.dim)
+    return q @ np.diag(d) @ q.T
+
+
 # ---------------------------------------------------------------------------
-# sgd_step
+# the SGD step, through run_trajectory
 # ---------------------------------------------------------------------------
 
 def test_sgd_step_scalar_half_identity():
-    m = LearningRateMatrix("scalar", 2, np.array([0.5, 0.5]))
-    out = sgd_step([1.0, 1.0], m, [2.0, 0.0])
-    assert np.array_equal(out, np.array([0.0, 1.0]))
+    # quadratic: grad = theta, so a constant step of 1/2 halves the iterate
+    out = one_step(Schedule.scalar(0.5, 0.0, dim=2), [2.0, 0.0])
+    assert np.array_equal(out, np.array([1.0, 0.0]))
 
 
 def test_sgd_step_zero_gradient_is_identity():
-    m = LearningRateMatrix("diagonal", 3, np.array([0.3, 0.2, 0.9]))
-    theta = np.array([1.5, -2.0, 0.25])
-    assert np.array_equal(sgd_step(theta, m, np.zeros(3)), theta)
+    # the gauss-bump gradient underflows to (-)0 far from the origin
+    theta = np.array([30.0, -40.0, 5.0])
+    obj = catalog_lookup("gauss-bump", dimension=3)
+    assert not np.any(obj.grad(theta))
+    sched = Schedule.diagonal([0.3, 0.2, 0.9], [0.5, 0.5, 0.5])
+    traj = run_trajectory(StochasticOracle(obj, NoiseModel("zero", 3)), sched, theta, 5,
+                          seed=0)
+    assert np.array_equal(traj.thetas, np.tile(theta, (6, 1)))
 
 
 def test_sgd_step_rectifier_at_zero():
     # gradient of the softplus at 0 is exactly 1/2
-    obj = catalog_lookup("smooth-rectifier")
-    g = obj.grad(np.array([0.0]))
-    m = LearningRateMatrix("scalar", 1, np.array([0.1]))
-    out = sgd_step([0.0], m, g)
+    out = one_step(Schedule.scalar(0.1, 0.0), [0.0], name="smooth-rectifier")
     assert out[0] == pytest.approx(-0.05, abs=1e-15)
 
 
 def test_sgd_step_dimension_mismatch():
-    m = LearningRateMatrix("scalar", 2, np.array([0.5, 0.5]))
+    oracle = make_oracle("quadratic", dim=2)
     with pytest.raises(ContractViolation):
-        sgd_step([1.0, 1.0, 1.0], m, [1.0, 1.0])
+        run_trajectory(oracle, Schedule.scalar(0.5, 0.0, dim=2), [1.0, 1.0, 1.0], 1, seed=0)
     with pytest.raises(ContractViolation):
-        sgd_step([1.0, 1.0], m, [1.0, 1.0, 1.0])
+        run_trajectory(oracle, Schedule.scalar(0.5, 0.0, dim=3), [1.0, 1.0], 1, seed=0)
 
 
 @pytest.mark.parametrize("kind", ["scalar", "diagonal", "rotated"])
 def test_sgd_step_linear_in_gradient(kind):
+    # on the quadratic the step is theta - M theta, so M g = g - one_step(g)
     rng = np.random.default_rng(3)
     p = 4
     d = rng.uniform(0.1, 2.0, p)
+    zeros = np.zeros(p)
     if kind == "scalar":
-        m = LearningRateMatrix("scalar", p, np.full(p, d[0]))
+        sched = Schedule.scalar(d[0], 0.0, dim=p)
     elif kind == "diagonal":
-        m = LearningRateMatrix("diagonal", p, d)
+        sched = Schedule.diagonal(d, zeros)
     else:
         q = np.linalg.qr(rng.standard_normal((p, p)))[0]
-        m = LearningRateMatrix("rotated", p, d, q=q)
-    theta = rng.standard_normal(p)
+        sched = Schedule.rotated(d, zeros, q=q)
+
+    def apply(g):
+        return g - one_step(sched, g)
+
     g1, g2 = rng.standard_normal(p), rng.standard_normal(p)
     a, b = 0.7, -1.3
-    lhs = sgd_step(theta, m, a * g1 + b * g2)
-    rhs = theta - a * m.apply(g1) - b * m.apply(g2)
+    lhs = apply(a * g1 + b * g2)
+    rhs = a * apply(g1) + b * apply(g2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# learning-rate matrices
+# step matrices M_k
 # ---------------------------------------------------------------------------
 
 def test_matrix_rejects_nonpositive_eigenvalues():
     with pytest.raises(ContractViolation):
-        LearningRateMatrix("diagonal", 2, np.array([0.5, 0.0]))
+        Schedule.diagonal([0.5, 0.0], [0.5, 0.5])
     with pytest.raises(ContractViolation):
-        LearningRateMatrix("diagonal", 2, np.array([0.5, -1.0]))
+        Schedule.rotated([0.5, -1.0], [0.5, 0.5])
 
 
 def test_matrix_rejects_non_orthogonal_factor():
-    q = np.array([[1.0, 0.1], [0.0, 1.0]])
     with pytest.raises(ContractViolation):
-        LearningRateMatrix("rotated", 2, np.array([0.2, 0.1]), q=q)
+        Schedule.rotated([0.2, 0.1], [0.5, 0.5], q=[[1.0, 0.1], [0.0, 1.0]])
+    # a non-symmetric M would step [1, 1] to [0.125, 0.25]
+    with pytest.raises(ContractViolation, match="not orthogonal"):
+        Schedule.rotated([0.5, 0.5], [0.75, 0.75], q=[[1.0, 0.5], [0.0, 1.0]])
+    # a factor of the wrong size is refused here, not inside the step's matmul
+    with pytest.raises(ContractViolation, match="shape"):
+        Schedule.rotated([0.5, 0.5], [0.75, 0.75], q=np.eye(3))
+    # within ORTHO_TOL is accepted, and generated factors pass the same test
+    c, s = math.cos(0.3), math.sin(0.3)
+    Schedule.rotated([0.5, 0.5], [0.75, 0.75], q=[[c, -s], [s, c + 0.5 * ORTHO_TOL]])
+    Schedule.rotated(np.ones(8), np.full(8, 0.75), rotation_seed=11)
 
 
 def test_rotated_matrix_eigen_bounds_invariant():
     # eigenvalues are invariant under orthogonal conjugation
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
-    m = LearningRateMatrix("rotated", 2, np.array([0.2, 0.1]), q=q)
-    assert (m.lambda_min, m.lambda_max, m.kappa) == (0.1, 0.2, pytest.approx(2.0))
-    dense = m.to_matrix()
+    sched = Schedule.rotated([0.2, 0.1], [0.0, 0.0], q=q)
+    d = sched.eigenvalues([0])
+    assert (d.min(axis=1)[0], d.max(axis=1)[0]) == (0.1, 0.2)
+    dense = dense_matrix(sched, 0)
     assert np.max(np.abs(dense - dense.T)) <= 1e-15
-    w = np.linalg.eigvalsh(dense)
-    assert w == pytest.approx([0.1, 0.2])
+    assert np.linalg.eigvalsh(dense) == pytest.approx([0.1, 0.2])
 
 
 def test_matrix_apply_matches_dense():
     rng = np.random.default_rng(7)
     q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    m = LearningRateMatrix("rotated", 3, np.array([0.5, 0.25, 1.5]), q=q)
+    sched = Schedule.rotated([0.5, 0.25, 1.5], [0.0, 0.0, 0.0], q=q)
     g = rng.standard_normal(3)
-    assert m.apply(g) == pytest.approx(m.to_matrix() @ g, abs=1e-14)
+    assert g - one_step(sched, g) == pytest.approx(dense_matrix(sched, 0) @ g, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -118,27 +151,50 @@ def test_matrix_apply_matches_dense():
 
 def test_schedule_eigen_bounds_examples():
     s = Schedule.scalar(1.0, 0.75, k0=1)
-    assert schedule_eigen_bounds(s, 0) == (1.0, 1.0, 1.0)
-    lmin, lmax, kappa = schedule_eigen_bounds(s, 15)
-    assert lmin == pytest.approx(0.125, abs=1e-15)  # 16^0.75 = 8
-    assert lmax == pytest.approx(0.125, abs=1e-15)
-    assert kappa == 1.0
+    d = s.eigenvalues([0, 15])
+    assert d.shape == (2, 1)
+    assert d[0, 0] == 1.0
+    assert d[1, 0] == pytest.approx(0.125, abs=1e-15)  # 16^0.75 = 8
+    s2 = Schedule.diagonal([1.0, 2.0], [0.5, 1.0], k0=3)
+    assert s2.eigenvalues([1]).tolist() == [[0.5, 0.5]]
+    assert s2.eigenvalues([13]).tolist() == [[0.25, 0.125]]
 
 
 def test_scalar_schedule_kappa_is_one():
-    s = Schedule.scalar(0.3, 0.6, k0=2)
-    for k in [0, 1, 10, 1000]:
-        assert s.eigen_bounds(k)[2] == 1.0
+    s = Schedule.scalar(0.3, 0.6, k0=2, dim=3)
+    d = s.eigenvalues([0, 1, 10, 1000])
+    assert np.array_equal(d.max(axis=1) / d.min(axis=1), np.ones(4))
 
 
 def test_schedule_emits_valid_matrices():
     s = Schedule.rotated([0.5, 0.2], [0.75, 0.6], k0=1, rotation_seed=5)
+    assert np.all(s.eigenvalues([0, 3, 50]) > 0)
     for k in [0, 3, 50]:
-        m = s.matrix_at(k)
-        assert np.all(m.diag > 0)
-        dense = m.to_matrix()
+        dense = dense_matrix(s, k)
         assert np.max(np.abs(dense - dense.T)) <= 1e-12
         assert np.all(np.linalg.eigvalsh(dense) > 0)
+
+
+BETAS = (0.0, 0.5, 0.6, 0.75, 1.0, 1.2)
+
+
+@pytest.mark.parametrize("n", [200, 65536])
+@pytest.mark.parametrize("k0", [1.0, 1.5, 2.0])
+def test_eigenvalues_bit_equal_to_the_formulas_they_replace(n, k0):
+    # the 1-D step sizes of the scalar loop and the lambda_max/lambda_min
+    # scans were separate expressions; each must read the same bits from
+    # Schedule.eigenvalues
+    ks = np.arange(n)
+    kf = np.arange(n, dtype=float)
+    for beta in BETAS:
+        s = Schedule.scalar(0.7, beta, k0=k0)
+        etas = s.c[0] * (kf + s.k0) ** (-s.beta[0])
+        assert s.eigenvalues(ks)[:, 0].tobytes() == etas.tobytes(), beta
+    s = Schedule.diagonal(np.linspace(0.3, 1.1, 6), BETAS, k0=k0)
+    old = s.c[None, :] * (kf[:, None] + s.k0) ** (-s.beta[None, :])
+    d = s.eigenvalues(ks)
+    assert d.max(axis=1).tobytes() == old.max(axis=1).tobytes()
+    assert d.min(axis=1).tobytes() == old.min(axis=1).tobytes()
 
 
 def test_schedule_parameter_validation():
@@ -377,8 +433,7 @@ def test_rotated_schedule_trajectory_matches_dense_iteration():
     traj = run_trajectory(oracle, sched, [1.0, -2.0], 30, seed=0)
     theta = np.array([1.0, -2.0])
     for k in range(30):
-        m = sched.matrix_at(k).to_matrix()
-        theta = theta - m @ obj.grad(theta)
+        theta = theta - dense_matrix(sched, k) @ obj.grad(theta)
         assert traj.thetas[k + 1] == pytest.approx(theta, abs=1e-13)
 
 

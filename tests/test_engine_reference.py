@@ -192,7 +192,7 @@ def _run(loop, obj, noise, sched, theta0, seed, truncate):
     with np.errstate(all="ignore"):
         try:
             if obj.dim == 1:
-                etas = sched.c[0] * (np.arange(K, dtype=float) + sched.k0) ** (-sched.beta[0])
+                etas = sched.eigenvalues(np.arange(K))[:, 0]
                 trace, over, dom, viol = scalar(obj.g1, noise, etas, float(theta0[0]), K,
                                                 rng, obj.r0, truncate)
                 trace = trace[:, None]

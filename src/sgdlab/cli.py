@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkers, diagnostics, engine, reports
-from .config import CHECK_NAMES, ExperimentConfig, load_config
+from .config import CHECK_NAMES, MAX_SIZE, ExperimentConfig, load_config
 from .errors import ConfigError, ContractViolation, DomainError
 from .objectives import StochasticOracle
 
@@ -82,6 +82,9 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     )
     if run.jobs < 1:
         raise ConfigError("jobs must be >= 1")
+    for name in ("K", "n_trajectories", "record_stride", "jobs"):
+        if abs(getattr(run, name)) > MAX_SIZE:
+            raise ConfigError(f"run.{name} must be at most 2**53")
     output = config.output
     if args.output_dir is not None:
         output = dataclasses.replace(output, directory=args.output_dir)
@@ -310,6 +313,29 @@ def _cmd_stopping_times(config: ExperimentConfig, args) -> int:
     return 0
 
 
+def _run_command(args) -> int:
+    config = load_config(args.config)
+    config = _apply_overrides(config, args)
+    if args.command == "run":
+        return _cmd_run(config, args)
+    if args.command == "check":
+        if args.which is None:
+            which = list(config.checks.which)
+        else:
+            which = [w.strip() for w in args.which.split(",") if w.strip()]
+        for w in which:
+            if w not in CHECK_NAMES:
+                raise ConfigError(f"unknown check {w!r}; expected subset of {CHECK_NAMES}")
+        return _cmd_check(config, args, which)
+    if args.command == "probe-radial":
+        return _cmd_check(config, args, ["radial"])
+    if args.command == "validate-schedule":
+        return _cmd_check(config, args, ["p1p2p3p4"])
+    if args.command == "stopping-times":
+        return _cmd_stopping_times(config, args)
+    raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -317,26 +343,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
-        if args.command == "run":
-            return _cmd_run(config, args)
-        if args.command == "check":
-            if args.which is None:
-                which = list(config.checks.which)
-            else:
-                which = [w.strip() for w in args.which.split(",") if w.strip()]
-            for w in which:
-                if w not in CHECK_NAMES:
-                    raise ConfigError(f"unknown check {w!r}; expected subset of {CHECK_NAMES}")
-            return _cmd_check(config, args, which)
-        if args.command == "probe-radial":
-            return _cmd_check(config, args, ["radial"])
-        if args.command == "validate-schedule":
-            return _cmd_check(config, args, ["p1p2p3p4"])
-        if args.command == "stopping-times":
-            return _cmd_stopping_times(config, args)
-        raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+        # NaN and division by zero are reported by the checks that meet them
+        # (a non-finite sigma is a ContractViolation), not as numpy warnings.
+        # Entered once per command, not per step, where its ~2 us would show.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return _run_command(args)
     except ConfigError as exc:
         print(f"sgdlab: config error: {exc}", file=sys.stderr)
         return 2
@@ -346,6 +357,10 @@ def main(argv=None) -> int:
         return 3
     except ContractViolation as exc:
         print(f"sgdlab: config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"sgdlab: config error: the configured sizes do not fit in memory ({exc})",
+              file=sys.stderr)
         return 2
 
 

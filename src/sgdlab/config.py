@@ -19,6 +19,9 @@ from .errors import ConfigError, ContractViolation
 from .objectives import NOISE_KINDS, NoiseSpec, ObjectiveSpec
 
 DEFAULT_FORMATS = ("json", "csv")
+# Above 2**53 a JSON number is no longer an exact integer, and no array of
+# that many elements can be allocated.
+MAX_SIZE = 2**53
 CHECK_NAMES = ("p1p2p3p4", "descent", "variance", "gradbound", "smoothness",
                "radial", "lemma4")
 
@@ -49,6 +52,14 @@ def _get_num(block: dict, key: str, default, where: str, integer: bool = False):
             raise ConfigError(f"{where}.{key} must be an integer")
         return int(value)
     return float(value)
+
+
+def _get_size(block: dict, key: str, default, where: str):
+    """block[key] as an integer size, step count or index of at most MAX_SIZE."""
+    value = _get_num(block, key, default, where, integer=True)
+    if value is not None and abs(value) > MAX_SIZE:
+        raise ConfigError(f"{where}.{key} must be at most 2**53, got {block[key]!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -245,7 +256,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _require_keys(ob, {"name", "dimension", "q", "r0"}, "objective")
     objective = ObjectiveSpec(
         name=str(ob["name"]),
-        dimension=_get_num(ob, "dimension", 1, "objective", integer=True),
+        dimension=_get_size(ob, "dimension", 1, "objective"),
         q=_get_num(ob, "q", None, "objective"),
         r0=_get_num(ob, "r0", None, "objective"),
     )
@@ -285,7 +296,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sb.setdefault("rotation_seed", sb.pop("q_seed"))
     _require_keys(sb, {"family", "c", "beta", "k0", "p", "rotation_seed"}, "schedule")
     family = sb.get("family", "scalar-power")
-    p = _get_num(sb, "p", 1, "schedule", integer=True)
+    p = _get_size(sb, "p", 1, "schedule")
     c = sb.get("c", 1.0)
     beta = sb.get("beta", 0.75)
     c_vec = (_parse_vector(c, "schedule.c") if isinstance(c, list)
@@ -314,11 +325,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     theta0 = _parse_vector(rb.get("theta0", [1.0] * p), "run.theta0")
     run = RunBlock(
         theta0=theta0,
-        K=_get_num(rb, "K", 1000, "run", integer=True),
-        n_trajectories=_get_num(rb, "n_trajectories", 1, "run", integer=True),
+        K=_get_size(rb, "K", 1000, "run"),
+        n_trajectories=_get_size(rb, "n_trajectories", 1, "run"),
         master_seed=_get_num(rb, "master_seed", 0, "run", integer=True),
-        record_stride=_get_num(rb, "record_stride", 1, "run", integer=True),
-        jobs=_get_num(rb, "jobs", 1, "run", integer=True),
+        record_stride=_get_size(rb, "record_stride", 1, "run"),
+        jobs=_get_size(rb, "jobs", 1, "run"),
     )
     if run.K < 1:
         raise ConfigError("run.K must be >= 1")
@@ -347,7 +358,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
     gammas = db.get("gammas")
     diagnostics = DiagnosticsBlock(
-        W=_get_num(db, "W", None, "diagnostics", integer=True),
+        W=_get_size(db, "W", None, "diagnostics"),
         epsilon_conv=_get_num(db, "epsilon_conv", None, "diagnostics"),
         R_div=_get_num(db, "R_div", None, "diagnostics"),
         capture=capture,
@@ -385,22 +396,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"checks.which must be a nonempty subset of {CHECK_NAMES}")
     checks = ChecksBlock(
         alpha=_get_num(cb, "alpha", 1.0, "checks"),
-        horizon=_get_num(cb, "horizon", 100000, "checks", integer=True),
+        horizon=_get_size(cb, "horizon", 100000, "checks"),
         seed=_get_num(cb, "seed", 0, "checks", integer=True),
         which=tuple(which),
-        descent_n_pairs=_get_num(dc, "n_pairs", 10000, "checks.descent", integer=True),
+        descent_n_pairs=_get_size(dc, "n_pairs", 10000, "checks.descent"),
         descent_l_tilde=_get_num(dc, "L_tilde", None, "checks.descent"),
         descent_box=_parse_box(dc.get("box"), box_default, "checks.descent.box"),
-        variance_n_samples=_get_num(vc, "n_samples", 10000, "checks.variance", integer=True),
-        gradbound_n_points=_get_num(gc, "n_points", 1000, "checks.gradbound", integer=True),
+        variance_n_samples=_get_size(vc, "n_samples", 10000, "checks.variance"),
+        gradbound_n_points=_get_size(gc, "n_points", 1000, "checks.gradbound"),
         gradbound_box=_parse_box(gc.get("box"), box_default, "checks.gradbound.box"),
         gradbound_l=_get_num(gc, "L", None, "checks.gradbound"),
         smoothness_constants=None if sm_constants is None else tuple(sm_constants),
-        smoothness_n_points=_get_num(sc, "n_points", 10, "checks.smoothness", integer=True),
-        smoothness_n_draws=_get_num(sc, "n_draws", 10000, "checks.smoothness", integer=True),
+        smoothness_n_points=_get_size(sc, "n_points", 10, "checks.smoothness"),
+        smoothness_n_draws=_get_size(sc, "n_draws", 10000, "checks.smoothness"),
         smoothness_box=_parse_box(sc.get("box"), box_default, "checks.smoothness.box"),
         lemma4_c=_get_num(lc, "C", 1.0, "checks.lemma4"),
-        lemma4_k_max=_get_num(lc, "K_max", 100000, "checks.lemma4", integer=True),
+        lemma4_k_max=_get_size(lc, "K_max", 100000, "checks.lemma4"),
     )
 
     # output ------------------------------------------------------------------

@@ -406,7 +406,7 @@ def gradient_convergence_stats(
             powed = np.maximum(f_gap, 0.0) ** gamma
             powed[np.isnan(f_gap)] = np.nan
             _, m, *_ = _column_stats(powed)
-            gamma_moments[gamma] = [float(x) for x in m]
+            gamma_moments[gamma] = m.tolist()
 
     slope = None
     k_hi = int(ks[-1])
@@ -416,27 +416,24 @@ def gradient_convergence_stats(
         y = np.log(gn_mean[sel])
         slope = float(np.polyfit(x, y, 1)[0])
 
-    def aslist(a):
-        return [float(v) for v in a]
-
     return ConvergenceReport(
         ks=[int(k) for k in ks],
-        n_alive=[int(v) for v in n_alive],
-        f_gap_mean=aslist(fg_mean),
-        f_gap_se=aslist(fg_se),
-        f_gap_median=aslist(fg_med),
-        f_gap_q25=aslist(fg_q25),
-        f_gap_q75=aslist(fg_q75),
-        grad_norm_mean=aslist(gn_mean),
-        grad_norm_se=aslist(gn_se),
-        grad_norm_median=aslist(gn_med),
-        grad_norm_q25=aslist(gn_q25),
-        grad_norm_q75=aslist(gn_q75),
-        grad_norm_sq_mean=aslist(g2_mean),
-        grad_norm_sq_se=aslist(g2_se),
-        grad_norm_sq_median=aslist(g2_med),
-        grad_norm_sq_q25=aslist(g2_q25),
-        grad_norm_sq_q75=aslist(g2_q75),
+        n_alive=n_alive.tolist(),
+        f_gap_mean=fg_mean.tolist(),
+        f_gap_se=fg_se.tolist(),
+        f_gap_median=fg_med.tolist(),
+        f_gap_q25=fg_q25.tolist(),
+        f_gap_q75=fg_q75.tolist(),
+        grad_norm_mean=gn_mean.tolist(),
+        grad_norm_se=gn_se.tolist(),
+        grad_norm_median=gn_med.tolist(),
+        grad_norm_q25=gn_q25.tolist(),
+        grad_norm_q75=gn_q75.tolist(),
+        grad_norm_sq_mean=g2_mean.tolist(),
+        grad_norm_sq_se=g2_se.tolist(),
+        grad_norm_sq_median=g2_med.tolist(),
+        grad_norm_sq_q25=g2_q25.tolist(),
+        grad_norm_sq_q75=g2_q75.tolist(),
         f_lim_estimates=[float(x) for x in f_lim_estimates],
         sup_mean_f=sup_mean_f,
         sup_mean_f_k=sup_k,

@@ -59,7 +59,9 @@ class Schedule:
 
     k0 >= 1 keeps k = 0 well defined.  The rotated family conjugates the
     diagonal by a fixed orthogonal factor built from rotation_seed (or given
-    explicitly), which changes eigenvectors but not eigenvalues.
+    explicitly), which changes eigenvectors but not eigenvalues.  An explicit
+    factor sets rotation_seed to None, and the label names it by the first
+    12 hex digits of the sha256 of its bytes (`rot=q:<hex>`).
     """
 
     family: str
@@ -85,7 +87,8 @@ class Schedule:
             if not (np.all(self.c == self.c[0]) and np.all(self.beta == self.beta[0])):
                 raise ContractViolation("scalar-power requires one (c, beta) pair")
         if self.family == "rotated-diagonal-power":
-            if self.q is None:
+            explicit = self.q is not None
+            if not explicit:
                 seed = 0 if self.rotation_seed is None else int(self.rotation_seed)
                 self.q = random_orthogonal(self.dim, seed)
             self.q = np.asarray(self.q, dtype=float)
@@ -96,6 +99,14 @@ class Schedule:
             err = float(np.max(np.abs(self.q.T @ self.q - np.eye(self.dim))))
             if not err <= ORTHO_TOL:
                 raise ContractViolation(f"factor is not orthogonal (|Q^T Q - I| = {err:g})")
+            # An explicit factor is named by its bytes; no seed produced it.
+            if explicit:
+                import hashlib  # here, not at the top: it adds ~7 ms to every CLI start
+
+                self.rotation_seed = None
+                self._rotation = "q:" + hashlib.sha256(self.q.tobytes()).hexdigest()[:12]
+            else:
+                self._rotation = str(self.rotation_seed)
         elif self.q is not None:
             raise ContractViolation(f"{self.family} does not take an orthogonal factor")
 
@@ -122,7 +133,7 @@ class Schedule:
     def label(self) -> str:
         c = ",".join(f"{v:g}" for v in self.c)
         b = ",".join(f"{v:g}" for v in self.beta)
-        extra = f",rot={self.rotation_seed}" if self.family == "rotated-diagonal-power" else ""
+        extra = f",rot={self._rotation}" if self.family == "rotated-diagonal-power" else ""
         return f"{self.family}(c={c},beta={b},k0={self.k0:g},p={self.dim}{extra})"
 
     def eigenvalues(self, ks) -> np.ndarray:

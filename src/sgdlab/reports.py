@@ -1,16 +1,25 @@
 """Deterministic JSON and CSV emission for reports.
 
-Same inputs produce byte-identical files: dict keys are sorted, floats use
-repr round-tripping, CSV follows RFC 4180 (CRLF line endings, header row).
-Non-finite floats serialize as null.
+This module is the one definition of report bytes.  Same inputs produce
+byte-identical files:
+
+- JSON has the layout of ``json.dumps(obj, indent=2, sort_keys=True)``:
+  dict keys become ``str(k)`` and are sorted as strings, floats are written
+  with ``float.__repr__`` (non-finite ones as null), strings are ASCII-escaped.
+- CSV follows RFC 4180 as ``csv.writer`` writes it: a header row, CRLF line
+  endings, floats as ``repr`` (non-finite ones and None as empty cells) and
+  QUOTE_MINIMAL quoting of string cells.
+
+Each report is built as one string in one pass and written with one write.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import math
+import re
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -18,95 +27,162 @@ import numpy as np
 from .diagnostics import CaptureReport, ConvergenceReport, EnsembleResult
 from .engine import Schedule
 
+_CSV_QUOTE = re.compile(r'[,"\r\n]')
 
-def to_jsonable(obj):
-    """Recursively convert dataclasses / numpy values to plain JSON types."""
+
+def _mapping(obj) -> dict | None:
+    """The dict a report object is written as; None for other values."""
     if isinstance(obj, CaptureReport):
-        d = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
-             if f.name not in ("empirical", "theoretical_tail")}
-        return to_jsonable(d)
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                if f.name not in ("empirical", "theoretical_tail")}
     if isinstance(obj, Schedule):
         return {
             "family": obj.family,
-            "c": to_jsonable(obj.c),
-            "beta": to_jsonable(obj.beta),
+            "c": obj.c,
+            "beta": obj.beta,
             "k0": obj.k0,
             "p": obj.dim,
             "rotation_seed": obj.rotation_seed,
         }
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return None
+
+
+def _emit(obj, out: list[str], level: int) -> None:
+    """Append the JSON text of obj, nested `level` deep, to out."""
+    if obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        out.append(float.__repr__(value) if math.isfinite(value) else "null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (list, tuple)):
+        _emit_list(obj, out, level)
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), out, level)
+    elif isinstance(obj, dict):
+        _emit_dict(obj, out, level)
+    elif (mapping := _mapping(obj)) is not None:
+        _emit_dict(mapping, out, level)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _emit_list(seq, out: list[str], level: int) -> None:
+    if not seq:
+        out.append("[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = "," + inner
+    out += ("[", inner)
+    kinds = set(map(type, seq))
+    if kinds == {float} and all(map(math.isfinite, seq)):
+        out.append(sep.join(map(float.__repr__, seq)))
+    elif kinds == {int}:
+        out.append(sep.join(map(int.__repr__, seq)))
+    else:
+        for i, item in enumerate(seq):
+            if i:
+                out.append(sep)
+            _emit(item, out, level + 1)
+    out += ("\n", "  " * level, "]")
+
+
+def _emit_dict(mapping: dict, out: list[str], level: int) -> None:
+    if not mapping:
+        out.append("{}")
+        return
+    inner = "\n" + "  " * (level + 1)
+    out += ("{", inner)
+    items = sorted({str(k): v for k, v in mapping.items()}.items())
+    for i, (key, value) in enumerate(items):
+        if i:
+            out += (",", inner)
+        out += (encode_basestring_ascii(key), ": ")
+        _emit(value, out, level + 1)
+    out += ("\n", "  " * level, "}")
 
 
 def dumps_json(payload) -> str:
-    return json.dumps(to_jsonable(payload), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    out: list[str] = []
+    _emit(payload, out, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path, payload) -> None:
     Path(path).write_text(dumps_json(payload), encoding="utf-8")
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return "" if not math.isfinite(value) else repr(value)
-    return str(value)
+        text = repr(value) if math.isfinite(value) else ""
+    else:
+        text = str(value)
+    if _CSV_QUOTE.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _cells(values) -> list[str]:
+    """One CSV column: each value formatted once, as csv.writer would write it."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return list(map(_cell, values))
 
 
-def checkpoint_rows(report: ConvergenceReport):
-    """Long-format rows (k, statistic, value, stderr) for plotting tools."""
-    stats = [
-        ("f_gap_mean", report.f_gap_mean, report.f_gap_se),
-        ("f_gap_median", report.f_gap_median, None),
-        ("f_gap_q25", report.f_gap_q25, None),
-        ("f_gap_q75", report.f_gap_q75, None),
-        ("grad_norm_mean", report.grad_norm_mean, report.grad_norm_se),
-        ("grad_norm_median", report.grad_norm_median, None),
-        ("grad_norm_q25", report.grad_norm_q25, None),
-        ("grad_norm_q75", report.grad_norm_q75, None),
-        ("grad_norm_sq_mean", report.grad_norm_sq_mean, report.grad_norm_sq_se),
-        ("grad_norm_sq_median", report.grad_norm_sq_median, None),
-        ("grad_norm_sq_q25", report.grad_norm_sq_q25, None),
-        ("grad_norm_sq_q75", report.grad_norm_sq_q75, None),
-        ("n_alive", report.n_alive, None),
-    ]
-    rows = []
-    for i, k in enumerate(report.ks):
-        for name, values, ses in stats:
-            rows.append((k, name, values[i], None if ses is None else ses[i]))
-        if report.gamma_moments:
-            for gamma in sorted(report.gamma_moments):
-                rows.append((k, f"f_gap_gamma_moment[{gamma:g}]",
-                             report.gamma_moments[gamma][i], None))
-    return rows
+def _write_csv(path, header, columns: list[list[str]]) -> None:
+    """Write a header and the rows of equally long formatted columns."""
+    lines = [",".join(_cells(header)), *map(",".join, zip(*columns))]
+    Path(path).write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+
+
+_CHECKPOINT_STATS = (
+    ("f_gap_mean", "f_gap_se"),
+    ("f_gap_median", None),
+    ("f_gap_q25", None),
+    ("f_gap_q75", None),
+    ("grad_norm_mean", "grad_norm_se"),
+    ("grad_norm_median", None),
+    ("grad_norm_q25", None),
+    ("grad_norm_q75", None),
+    ("grad_norm_sq_mean", "grad_norm_sq_se"),
+    ("grad_norm_sq_median", None),
+    ("grad_norm_sq_q25", None),
+    ("grad_norm_sq_q75", None),
+    ("n_alive", None),
+)
 
 
 def write_checkpoints_csv(path, report: ConvergenceReport) -> None:
-    write_csv(path, ["k", "statistic", "value", "stderr"], checkpoint_rows(report))
+    """Long-format rows (k, statistic, value, stderr) for plotting tools:
+    for each checkpoint, the statistics above and then the gamma moments."""
+    n = len(report.ks)
+    names = [name for name, _ in _CHECKPOINT_STATS]
+    values = [_cells(getattr(report, name)) for name in names]
+    errors = [[""] * n if se is None else _cells(getattr(report, se))
+              for _, se in _CHECKPOINT_STATS]
+    for gamma in sorted(report.gamma_moments or ()):
+        names.append(f"f_gap_gamma_moment[{gamma:g}]")
+        values.append(_cells(report.gamma_moments[gamma]))
+        errors.append([""] * n)
+    _write_csv(path, ("k", "statistic", "value", "stderr"), [
+        [k for k in _cells(report.ks) for _ in names],
+        _cells(names) * n,
+        list(chain.from_iterable(zip(*values))),
+        list(chain.from_iterable(zip(*errors))),
+    ])
 
 
 def ensemble_report_payload(result: EnsembleResult) -> dict:
@@ -139,25 +215,21 @@ def ensemble_report_payload(result: EnsembleResult) -> dict:
     }
 
 
-def radial_probe_rows(probe):
-    return [
-        (rec.radius, rec.grad_norm_sq, rec.L_r, rec.G_value, rec.ratio)
-        for rec in probe.records
-    ]
+_RADIAL_COLUMNS = ("radius", "grad_norm_sq", "L_r", "G_value", "ratio")
 
 
 def write_radial_csv(path, probe) -> None:
-    write_csv(path, ["radius", "grad_norm_sq", "L_r", "G_value", "ratio"],
-              radial_probe_rows(probe))
-
-
-def stopping_times_rows(all_taus):
-    rows = []
-    for i, st in enumerate(all_taus):
-        for j, tau in enumerate(st.taus):
-            rows.append((i, j, tau))
-    return rows
+    _write_csv(path, _RADIAL_COLUMNS, [
+        _cells([getattr(rec, name) for rec in probe.records]) for name in _RADIAL_COLUMNS])
 
 
 def write_stopping_times_csv(path, all_taus) -> None:
-    write_csv(path, ["trajectory", "tau_index", "tau"], stopping_times_rows(all_taus))
+    trajectory: list[int] = []
+    tau_index: list[int] = []
+    taus: list = []
+    for i, st in enumerate(all_taus):
+        trajectory += [i] * len(st.taus)
+        tau_index += range(len(st.taus))
+        taus += st.taus
+    _write_csv(path, ("trajectory", "tau_index", "tau"),
+               [_cells(trajectory), _cells(tau_index), _cells(taus)])

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, file outputs, config round-trip, overrides."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("schedule", "beta", '"x"'),
     ("noise", "sigma_expr", '"0.1*(1+norm(theta)"'),       # unclosed parenthesis
     ("run", "K", "null"),                                  # null only where the default is
+    ("run", "K", "1e300"),                                 # sizes are at most 2**53
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, block, key, literal):
     cfg = base_config(tmp_path / "out")
@@ -109,11 +111,24 @@ def test_nonfinite_or_negative_sigma_exits_2(tmp_path, capsys, expr, argv):
     cfg["schedule"]["p"] = 2
     cfg["run"].update(theta0=[1.0, 1.0], K=200, n_trajectories=4)
     cfg["diagnostics"] = {}
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
         assert main([*argv, "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sgdlab: config error: sigma expression")
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("K,flags", [(10**15, []), (500, ["--horizon", str(10**30)])])
+def test_unallocatable_size_exits_2(tmp_path, capsys, K, flags):
+    # a 10**15-step trace needs 8 PB, more than any address space, so numpy
+    # refuses it at once; a flag above 2**53 is refused like a config value
+    cfg = base_config(tmp_path / "out")
+    cfg["run"]["K"] = K
+    assert main(["run", "--config", write_config(tmp_path, cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_domain_violating_theta0_exits_3(tmp_path, capsys):

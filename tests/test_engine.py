@@ -4,6 +4,7 @@ Dense references such as q @ diag(d) @ q.T are built here from the
 schedule's eigensystem; the engine itself never forms M_k.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -124,6 +125,19 @@ def test_matrix_rejects_non_orthogonal_factor():
     c, s = math.cos(0.3), math.sin(0.3)
     Schedule.rotated([0.5, 0.5], [0.75, 0.75], q=[[c, -s], [s, c + 0.5 * ORTHO_TOL]])
     Schedule.rotated(np.ones(8), np.full(8, 0.75), rotation_seed=11)
+
+
+def test_explicit_rotation_factor_has_its_own_label():
+    t = 0.3
+    q = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    explicit = Schedule.rotated([0.5, 0.2], [0.75, 0.75], q=q)
+    seeded = Schedule.rotated([0.5, 0.2], [0.75, 0.75])
+    assert seeded.label == "rotated-diagonal-power(c=0.5,0.2,beta=0.75,0.75,k0=1,p=2,rot=0)"
+    assert explicit.label != seeded.label
+    digest = hashlib.sha256(q.tobytes()).hexdigest()[:12]
+    assert explicit.label.endswith(f",rot=q:{digest})")
+    assert explicit.rotation_seed is None
+    assert Schedule.rotated([0.5, 0.2], [0.75, 0.75], q=q.T).label != explicit.label
 
 
 def test_rotated_matrix_eigen_bounds_invariant():

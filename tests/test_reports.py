@@ -15,33 +15,32 @@ from sgdlab.checkers import (
 from sgdlab.diagnostics import EnsembleSpec, run_ensemble
 from sgdlab.engine import Schedule, validate_schedule
 from sgdlab.objectives import NoiseSpec, ObjectiveSpec, catalog_lookup
-from sgdlab.reports import (
-    checkpoint_rows,
-    dumps_json,
-    ensemble_report_payload,
-    to_jsonable,
-    write_checkpoints_csv,
-)
+from sgdlab.reports import dumps_json, ensemble_report_payload, write_checkpoints_csv
+
+
+def to_plain(obj):
+    """The report object as the JSON document the reports contain."""
+    return json.loads(dumps_json(obj))
 
 
 def test_assumption_report_fields():
     obj = catalog_lookup("quadratic")
     report = check_descent_inequality(obj, 100, 1.0, 1.0, (-2.0, 2.0))
-    doc = to_jsonable(report)
+    doc = to_plain(report)
     assert set(doc) == {"assumption_id", "verdict", "worst_violation",
                         "witness", "tolerance"}
 
 
 def test_schedule_report_fields():
     report = validate_schedule(Schedule.scalar(1.0, 0.75), 1.0, 100)
-    doc = to_jsonable(report)
+    doc = to_plain(report)
     assert set(doc) == {"alpha", "p2_partial_sum", "p2_verdict", "p3_verdict",
                         "p4_verdict", "analytic_basis", "horizon_used"}
 
 
 def test_holder_estimate_fields():
     obj = catalog_lookup("quadratic")
-    doc = to_jsonable(estimate_local_holder(obj, [1.0], 0.5, 1.0, 32))
+    doc = to_plain(estimate_local_holder(obj, [1.0], 0.5, 1.0, 32))
     assert set(doc) == {"center", "radius", "alpha", "value", "n_samples", "method"}
 
 
@@ -49,7 +48,7 @@ def test_radial_probe_fields():
     obj = catalog_lookup("quadratic")
     G = lambda th: float(th @ th)
     probe = probe_radial_conditions(obj, G, 1.0, 0.5, [10.0, 100.0], 0.25)
-    doc = to_jsonable(probe)
+    doc = to_plain(probe)
     assert set(doc) == {"radii", "records", "alpha", "r", "b_threshold",
                         "a5_trend", "a6_verdict"}
     assert set(doc["records"][0]) == {"radius", "grad_norm_sq", "L_r",
@@ -72,10 +71,10 @@ def small_result():
 
 def test_classification_and_convergence_fields():
     result = small_result()
-    cls = to_jsonable(result.classifications[0])
+    cls = to_plain(result.classifications[0])
     assert set(cls) == {"verdict", "window_length", "epsilon_conv", "R_div", "evidence"}
     assert set(cls["evidence"]) == {"window_range", "window_min"}
-    conv = to_jsonable(result.convergence)
+    conv = to_plain(result.convergence)
     for key in ("ks", "n_alive", "f_gap_mean", "f_gap_se", "grad_norm_mean",
                 "grad_norm_sq_mean", "f_lim_estimates", "sup_mean_f",
                 "gamma_moments", "final_decade_slope", "escape_total"):
@@ -97,8 +96,8 @@ def test_checkpoints_csv_round_trips(tmp_path):
     assert b"\r\n" in raw
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    expected = checkpoint_rows(result.convergence)
-    assert len(rows) == len(expected)
+    conv = result.convergence
+    assert len(rows) == len(conv.ks) * (13 + len(conv.gamma_moments))
     # spot-parse: values written with repr round-trip exactly
     mean_rows = [r for r in rows if r["statistic"] == "f_gap_mean"]
     for row, k, value in zip(mean_rows, result.convergence.ks,
@@ -108,6 +107,6 @@ def test_checkpoints_csv_round_trips(tmp_path):
 
 
 def test_numpy_scalars_and_arrays_serialize():
-    doc = to_jsonable({"a": np.float64(1.5), "b": np.int64(3),
+    doc = to_plain({"a": np.float64(1.5), "b": np.int64(3),
                        "c": np.array([1.0, float("nan")]), "d": float("inf")})
     assert doc == {"a": 1.5, "b": 3, "c": [1.0, None], "d": None}

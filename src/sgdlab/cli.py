@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: run, check, probe-radial, validate-schedule, stopping-times.
-All take a JSON experiment config (--config); a few common values can be
-overridden by flags, and SGDLAB_SEED overrides the master seed (flag wins
-over the environment, which wins over the file).
+All take a JSON experiment config (--config).  A few common values can be
+set by flags, and SGDLAB_SEED sets the master seed; both are laid over the
+file's JSON before the config is validated (flag wins over the environment,
+which wins over the file).
 
 Exit codes: 0 success, 1 a selected check failed, 2 configuration problem,
 3 domain violation (the offending point is printed to stderr).
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkers, diagnostics, engine, reports
-from .config import CHECK_NAMES, MAX_SIZE, ExperimentConfig, load_config
+from .config import CHECK_REPORTS, ExperimentConfig, load_config
 from .errors import ConfigError, ContractViolation, DomainError
 from .objectives import StochasticOracle
 
@@ -52,52 +53,36 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="run assumption / schedule checkers")
     add_common(check_p)
     check_p.add_argument("--which", default=None,
-                         help=f"comma subset of {','.join(CHECK_NAMES)} (checks.which)")
+                         help=f"comma subset of {','.join(CHECK_REPORTS)} (checks.which)")
     add_common(sub.add_parser("probe-radial", help="probe the radial growth balance"))
     add_common(sub.add_parser("validate-schedule", help="validate the step-size schedule"))
     add_common(sub.add_parser("stopping-times", help="objective threshold-crossing times"))
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    run = config.run
-    seed = run.master_seed
-    env_seed = os.environ.get("SGDLAB_SEED")
-    if env_seed is not None:
+def _split(text: str | None) -> list[str] | None:
+    return None if text is None else [t.strip() for t in text.split(",") if t.strip()]
+
+
+def _overrides(args) -> dict:
+    """The flags and SGDLAB_SEED as config blocks, to be laid over the file's."""
+    seed = os.environ.get("SGDLAB_SEED")
+    if seed is not None:
         try:
-            seed = int(env_seed)
+            seed = int(seed)
         except ValueError as exc:
-            raise ConfigError(f"SGDLAB_SEED must be an integer, got {env_seed!r}") from exc
+            raise ConfigError(f"SGDLAB_SEED must be an integer, got {seed!r}") from exc
     if args.master_seed is not None:
         seed = args.master_seed
-    run = dataclasses.replace(
-        run,
-        master_seed=seed,
-        K=run.K if args.horizon is None else args.horizon,
-        n_trajectories=(run.n_trajectories if args.n_trajectories is None
-                        else args.n_trajectories),
-        record_stride=(run.record_stride if args.record_stride is None
-                       else args.record_stride),
-        jobs=run.jobs if args.jobs is None else args.jobs,
-    )
-    if run.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    for name in ("K", "n_trajectories", "record_stride", "jobs"):
-        if abs(getattr(run, name)) > MAX_SIZE:
-            raise ConfigError(f"run.{name} must be at most 2**53")
-    output = config.output
-    if args.output_dir is not None:
-        output = dataclasses.replace(output, directory=args.output_dir)
-    if args.force is not None:
-        output = dataclasses.replace(output, force=True)
-    if args.formats is not None:
-        formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-        if not formats or any(f not in ("json", "csv") for f in formats):
-            raise ConfigError("--formats must be a comma subset of json,csv")
-        output = dataclasses.replace(output, formats=formats)
-    config.run = run
-    config.output = output
-    return config
+    blocks = {
+        "run": {"K": args.horizon, "n_trajectories": args.n_trajectories,
+                "record_stride": args.record_stride, "jobs": args.jobs, "master_seed": seed},
+        "output": {"directory": args.output_dir, "force": args.force,
+                   "formats": _split(args.formats)},
+        "checks": {"which": _split(getattr(args, "which", None))},
+    }
+    return {name: {key: value for key, value in block.items() if value is not None}
+            for name, block in blocks.items()}
 
 
 def _prepare_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]:
@@ -112,22 +97,7 @@ def _prepare_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path
     return paths
 
 
-def _ensemble_spec(config: ExperimentConfig, record_stride: int | None = None
-                   ) -> diagnostics.EnsembleSpec:
-    run = config.run
-    return diagnostics.EnsembleSpec(
-        objective=config.objective,
-        noise=config.noise,
-        schedule=config.schedule,
-        theta0=run.theta0,
-        horizon=run.K,
-        n_trajectories=run.n_trajectories,
-        master_seed=run.master_seed,
-        record_stride=run.record_stride if record_stride is None else record_stride,
-    )
-
-
-def _cmd_run(config: ExperimentConfig, args) -> int:
+def _cmd_run(config: ExperimentConfig) -> int:
     formats = config.output.formats
     names = []
     if "json" in formats:
@@ -137,21 +107,14 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
     paths = _prepare_paths(config, names)
 
     diag = config.diagnostics
-    capture = None
-    if diag.capture is not None:
-        capture = diagnostics.CaptureConfig(
-            theta_bar=diag.capture.theta_bar,
-            R=diag.capture.R,
-            epsilon=diag.capture.epsilon,
-        )
     result = diagnostics.run_ensemble(
-        _ensemble_spec(config),
+        config.run,
         W=diag.W,
         epsilon_conv=diag.epsilon_conv,
         R_div=diag.R_div,
-        gammas=None if diag.gammas is None else list(diag.gammas),
-        capture=capture,
-        jobs=config.run.jobs,
+        gammas=diag.gammas,
+        capture=diag.capture,
+        jobs=config.jobs,
     )
     if "json" in formats:
         reports.write_json(paths["ensemble_report.json"],
@@ -223,35 +186,23 @@ def _run_check(config: ExperimentConfig, name: str):
         failed = probe.a6_verdict == "violated-at-horizon"
         return ({"report": probe}, failed,
                 lambda path: reports.write_radial_csv(path, probe))
-    if name == "lemma4":
-        threshold = checkers.find_eigenvalue_threshold(
-            config.schedule, checks.lemma4_c, checks.alpha, checks.lemma4_k_max)
-        body = {"report": {
-            "C": checks.lemma4_c,
-            "alpha": checks.alpha,
-            "K_max": checks.lemma4_k_max,
-            "threshold": threshold,
-        }}
-        return body, threshold is None, None
-    raise ConfigError(f"unknown check {name!r}; expected subset of {CHECK_NAMES}")
+    # lemma4
+    threshold = checkers.find_eigenvalue_threshold(
+        config.schedule, checks.lemma4_c, checks.alpha, checks.lemma4_k_max)
+    body = {"report": {
+        "C": checks.lemma4_c,
+        "alpha": checks.alpha,
+        "K_max": checks.lemma4_k_max,
+        "threshold": threshold,
+    }}
+    return body, threshold is None, None
 
 
-_CHECK_FILES = {
-    "p1p2p3p4": "schedule_report",
-    "descent": "descent_report",
-    "variance": "variance_report",
-    "gradbound": "gradbound_report",
-    "smoothness": "smoothness_report",
-    "radial": "radial_probe",
-    "lemma4": "lemma4_report",
-}
-
-
-def _cmd_check(config: ExperimentConfig, args, which: list[str]) -> int:
+def _cmd_check(config: ExperimentConfig, which) -> int:
     formats = config.output.formats
     names = []
     for check in which:
-        stem = _CHECK_FILES[check]
+        stem = CHECK_REPORTS[check]
         if "json" in formats:
             names.append(f"{stem}.json")
         if "csv" in formats and check == "radial":
@@ -262,7 +213,7 @@ def _cmd_check(config: ExperimentConfig, args, which: list[str]) -> int:
     for check in which:
         body, failed, csv_writer = _run_check(config, check)
         any_failed |= failed
-        stem = _CHECK_FILES[check]
+        stem = CHECK_REPORTS[check]
         if "json" in formats:
             reports.write_json(paths[f"{stem}.json"], {"check": check, **body})
         if "csv" in formats and csv_writer is not None:
@@ -270,7 +221,7 @@ def _cmd_check(config: ExperimentConfig, args, which: list[str]) -> int:
     return 1 if any_failed else 0
 
 
-def _cmd_stopping_times(config: ExperimentConfig, args) -> int:
+def _cmd_stopping_times(config: ExperimentConfig) -> int:
     formats = config.output.formats
     names = []
     if "json" in formats:
@@ -279,7 +230,7 @@ def _cmd_stopping_times(config: ExperimentConfig, args) -> int:
         names.append("stopping_times.csv")
     paths = _prepare_paths(config, names)
 
-    spec = _ensemble_spec(config, record_stride=1)
+    spec = dataclasses.replace(config.run, record_stride=1)
     oracle = spec.build()
     entries = []
     all_taus = []
@@ -314,26 +265,13 @@ def _cmd_stopping_times(config: ExperimentConfig, args) -> int:
 
 
 def _run_command(args) -> int:
-    config = load_config(args.config)
-    config = _apply_overrides(config, args)
+    config = load_config(args.config, _overrides(args))
     if args.command == "run":
-        return _cmd_run(config, args)
-    if args.command == "check":
-        if args.which is None:
-            which = list(config.checks.which)
-        else:
-            which = [w.strip() for w in args.which.split(",") if w.strip()]
-        for w in which:
-            if w not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {w!r}; expected subset of {CHECK_NAMES}")
-        return _cmd_check(config, args, which)
-    if args.command == "probe-radial":
-        return _cmd_check(config, args, ["radial"])
-    if args.command == "validate-schedule":
-        return _cmd_check(config, args, ["p1p2p3p4"])
+        return _cmd_run(config)
     if args.command == "stopping-times":
-        return _cmd_stopping_times(config, args)
-    raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+        return _cmd_stopping_times(config)
+    return _cmd_check(config, {"check": config.checks.which, "probe-radial": ["radial"],
+                               "validate-schedule": ["p1p2p3p4"]}[args.command])
 
 
 def main(argv=None) -> int:
@@ -343,10 +281,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        # NaN and division by zero are reported by the checks that meet them
-        # (a non-finite sigma is a ContractViolation), not as numpy warnings.
-        # Entered once per command, not per step, where its ~2 us would show.
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # Overflow, NaN and division by zero are reported by the code that
+        # meets them (a diverging trajectory counts in n_overflow, a non-finite
+        # sigma is a ContractViolation), not as numpy warnings.  Entered once
+        # per command, not per step, where its ~2 us would show.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _run_command(args)
     except ConfigError as exc:
         print(f"sgdlab: config error: {exc}", file=sys.stderr)

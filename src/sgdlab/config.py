@@ -1,8 +1,9 @@
-"""Experiment configuration: JSON schema, defaults, and lossless round-trip.
+"""Experiment configuration: the JSON schema, its defaults and its one validator.
 
-The canonical form materializes every default, so parse -> serialize ->
-parse is the identity on the normalized dictionary.  Unknown keys are
-rejected (they are almost always typos).
+`load_config` reads a JSON file and merges command-line overrides into it
+block by block; `config_from_dict` then checks every value once and builds
+the objects that run.  Unknown keys are rejected (they are almost always
+typos).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import CaptureConfig, EnsembleSpec
 from .engine import Schedule
 from .errors import ConfigError, ContractViolation
 from .objectives import NOISE_KINDS, NoiseSpec, ObjectiveSpec
@@ -22,74 +24,68 @@ DEFAULT_FORMATS = ("json", "csv")
 # Above 2**53 a JSON number is no longer an exact integer, and no array of
 # that many elements can be allocated.
 MAX_SIZE = 2**53
-CHECK_NAMES = ("p1p2p3p4", "descent", "variance", "gradbound", "smoothness",
-               "radial", "lemma4")
+# Each check and the stem of the report file it writes.
+CHECK_REPORTS = {
+    "p1p2p3p4": "schedule_report",
+    "descent": "descent_report",
+    "variance": "variance_report",
+    "gradbound": "gradbound_report",
+    "smoothness": "smoothness_report",
+    "radial": "radial_probe",
+    "lemma4": "lemma4_report",
+}
+CHECK_NAMES = tuple(CHECK_REPORTS)
 
 
-def _require_keys(block: dict, allowed: set[str], where: str) -> None:
-    unknown = set(block) - allowed
+def _block(value, allowed: set[str], where: str) -> dict:
+    """A config object that has no keys but the allowed ones."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where!r} block must be a JSON object")
+    unknown = set(value) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where!r} block")
-
-
-def _number(value, where: str) -> float | int:
-    """A finite JSON number (JSON reads 1e400 as inf, and NaN is accepted)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 
-def _get_num(block: dict, key: str, default, where: str, integer: bool = False):
+def _number(value, where: str, integer: bool = False) -> float | int:
+    """A finite JSON number as a float, or as an int (JSON reads 1e400 as inf)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if integer:
+        if int(value) != value:
+            raise ConfigError(f"{where} must be an integer")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is beyond the float64 range") from None
+
+
+def _get(block: dict, key: str, default, where: str, integer: bool = False):
     """block[key] as a finite number; null is accepted only where the default is."""
     value = block.get(key, default)
     if value is None and default is None:
         return None
-    value = _number(value, f"{where}.{key}")
-    if integer:
-        if int(value) != value:
-            raise ConfigError(f"{where}.{key} must be an integer")
-        return int(value)
-    return float(value)
+    return _number(value, f"{where}.{key}", integer)
 
 
 def _get_size(block: dict, key: str, default, where: str):
-    """block[key] as an integer size, step count or index of at most MAX_SIZE."""
-    value = _get_num(block, key, default, where, integer=True)
-    if value is not None and abs(value) > MAX_SIZE:
-        raise ConfigError(f"{where}.{key} must be at most 2**53, got {block[key]!r}")
+    """block[key] as an integer size, count or horizon from 1 to MAX_SIZE."""
+    value = _get(block, key, default, where, integer=True)
+    if value is not None and not 1 <= value <= MAX_SIZE:
+        raise ConfigError(f"{where}.{key} must be an integer from 1 to 2**53, "
+                          f"got {block[key]!r}")
     return value
 
 
-@dataclass(frozen=True)
-class CaptureBlock:
-    theta_bar: tuple[float, ...]
-    R: float
-    epsilon: float
-
-    def to_dict(self) -> dict:
-        return {"theta_bar": list(self.theta_bar), "R": self.R, "epsilon": self.epsilon}
-
-
-@dataclass(frozen=True)
-class RunBlock:
-    theta0: tuple[float, ...]
-    K: int
-    n_trajectories: int
-    master_seed: int
-    record_stride: int
-    jobs: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "theta0": list(self.theta0),
-            "K": self.K,
-            "n_trajectories": self.n_trajectories,
-            "master_seed": self.master_seed,
-            "record_stride": self.record_stride,
-            "jobs": self.jobs,
-        }
+def _get_seed(block: dict, key: str, default, where: str):
+    """block[key] as a seed numpy's SeedSequence accepts: an integer >= 0."""
+    value = _get(block, key, default, where, integer=True)
+    if value is not None and value < 0:
+        raise ConfigError(f"{where}.{key} must be an integer >= 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,25 +93,12 @@ class DiagnosticsBlock:
     W: int | None
     epsilon_conv: float | None
     R_div: float | None
-    capture: CaptureBlock | None
+    capture: CaptureConfig | None
     gammas: tuple[float, ...] | None
     radii: tuple[float, ...]
     alpha: float
     r: float
     b_threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "W": self.W,
-            "epsilon_conv": self.epsilon_conv,
-            "R_div": self.R_div,
-            "capture": None if self.capture is None else self.capture.to_dict(),
-            "gammas": None if self.gammas is None else list(self.gammas),
-            "radii": list(self.radii),
-            "alpha": self.alpha,
-            "r": self.r,
-            "b_threshold": self.b_threshold,
-        }
 
 
 @dataclass(frozen=True)
@@ -138,33 +121,6 @@ class ChecksBlock:
     lemma4_c: float
     lemma4_k_max: int
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "which": list(self.which),
-            "descent": {
-                "n_pairs": self.descent_n_pairs,
-                "L_tilde": self.descent_l_tilde,
-                "box": list(self.descent_box),
-            },
-            "variance": {"n_samples": self.variance_n_samples},
-            "gradbound": {
-                "n_points": self.gradbound_n_points,
-                "box": list(self.gradbound_box),
-                "L": self.gradbound_l,
-            },
-            "smoothness": {
-                "constants": None if self.smoothness_constants is None
-                else list(self.smoothness_constants),
-                "n_points": self.smoothness_n_points,
-                "n_draws": self.smoothness_n_draws,
-                "box": list(self.smoothness_box),
-            },
-            "lemma4": {"C": self.lemma4_c, "K_max": self.lemma4_k_max},
-        }
-
 
 @dataclass(frozen=True)
 class OutputBlock:
@@ -172,49 +128,17 @@ class OutputBlock:
     formats: tuple[str, ...]
     force: bool = False
 
-    def to_dict(self) -> dict:
-        return {"directory": self.directory, "formats": list(self.formats),
-                "force": self.force}
 
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     objective: ObjectiveSpec
     noise: NoiseSpec
     schedule: Schedule
-    run: RunBlock
+    run: EnsembleSpec
+    jobs: int
     diagnostics: DiagnosticsBlock
     checks: ChecksBlock
     output: OutputBlock
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": {
-                "name": self.objective.name,
-                "dimension": self.objective.dimension,
-                "q": self.objective.q,
-                "r0": self.objective.r0,
-            },
-            "noise": {
-                "kind": self.noise.kind,
-                "sigma": self.noise.sigma,
-                "sigma_expr": self.noise.sigma_expr,
-                "direction": None if self.noise.direction is None else list(self.noise.direction),
-                "constants": None if self.noise.constants is None else list(self.noise.constants),
-            },
-            "schedule": {
-                "family": self.schedule.family,
-                "c": [float(v) for v in self.schedule.c],
-                "beta": [float(v) for v in self.schedule.beta],
-                "k0": self.schedule.k0,
-                "p": self.schedule.dim,
-                "rotation_seed": self.schedule.rotation_seed,
-            },
-            "run": self.run.to_dict(),
-            "diagnostics": self.diagnostics.to_dict(),
-            "checks": self.checks.to_dict(),
-            "output": self.output.to_dict(),
-        }
 
 
 def _default_box(objective: ObjectiveSpec) -> tuple[float, float]:
@@ -231,7 +155,7 @@ def _default_box(objective: ObjectiveSpec) -> tuple[float, float]:
 def _parse_vector(value, where: str) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a nonempty list of numbers")
-    return tuple(float(_number(v, f"{where} entry")) for v in value)
+    return tuple(_number(v, f"{where} entry") for v in value)
 
 
 def _parse_box(value, default: tuple[float, float], where: str) -> tuple[float, float]:
@@ -244,28 +168,25 @@ def _parse_box(value, default: tuple[float, float], where: str) -> tuple[float, 
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _require_keys(raw, {"objective", "noise", "schedule", "run", "diagnostics",
-                        "checks", "output"}, "config")
+    _block(raw, {"objective", "noise", "schedule", "run", "diagnostics", "checks",
+                 "output"}, "config")
 
     # objective -------------------------------------------------------------
-    ob = raw.get("objective")
-    if not isinstance(ob, dict) or "name" not in ob:
+    ob = _block(raw.get("objective", {}), {"name", "dimension", "q", "r0"}, "objective")
+    if "name" not in ob:
         raise ConfigError("config needs an objective block with a name")
-    _require_keys(ob, {"name", "dimension", "q", "r0"}, "objective")
     objective = ObjectiveSpec(
         name=str(ob["name"]),
         dimension=_get_size(ob, "dimension", 1, "objective"),
-        q=_get_num(ob, "q", None, "objective"),
-        r0=_get_num(ob, "r0", None, "objective"),
+        q=_get(ob, "q", None, "objective"),
+        r0=_get(ob, "r0", None, "objective"),
     )
 
     # noise -----------------------------------------------------------------
-    nb = raw.get("noise", {"kind": "zero"})
-    if not isinstance(nb, dict) or "kind" not in nb:
+    nb = _block(raw.get("noise", {"kind": "zero"}),
+                {"kind", "sigma", "sigma_expr", "direction", "constants"}, "noise")
+    if "kind" not in nb:
         raise ConfigError("noise block needs a kind")
-    _require_keys(nb, {"kind", "sigma", "sigma_expr", "direction", "constants"}, "noise")
     if nb["kind"] not in NOISE_KINDS:
         raise ConfigError(f"unknown noise kind {nb['kind']!r}; expected one of {NOISE_KINDS}")
     constants = nb.get("constants")
@@ -280,111 +201,95 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if sigma_expr is not None and not isinstance(sigma_expr, str):
         raise ConfigError("noise.sigma_expr must be a string")
     noise = NoiseSpec(
-        kind=str(nb["kind"]),
-        sigma=_get_num(nb, "sigma", 0.0, "noise"),
+        kind=nb["kind"],
+        sigma=_get(nb, "sigma", 0.0, "noise"),
         sigma_expr=sigma_expr,
         direction=direction,
-        constants=None if constants is None else tuple(constants),
+        constants=constants,
     )
 
     # schedule ----------------------------------------------------------------
-    sb = raw.get("schedule")
-    if not isinstance(sb, dict):
+    if "schedule" not in raw:
         raise ConfigError("config needs a schedule block")
-    sb = dict(sb)
+    sb = dict(_block(raw["schedule"], {"family", "c", "beta", "k0", "p", "rotation_seed",
+                                       "q_seed"}, "schedule"))
     if "q_seed" in sb:  # accepted alias for rotation_seed
         sb.setdefault("rotation_seed", sb.pop("q_seed"))
-    _require_keys(sb, {"family", "c", "beta", "k0", "p", "rotation_seed"}, "schedule")
-    family = sb.get("family", "scalar-power")
     p = _get_size(sb, "p", 1, "schedule")
     c = sb.get("c", 1.0)
     beta = sb.get("beta", 0.75)
     c_vec = (_parse_vector(c, "schedule.c") if isinstance(c, list)
-             else (float(_number(c, "schedule.c")),) * p)
+             else (_number(c, "schedule.c"),) * p)
     b_vec = (_parse_vector(beta, "schedule.beta") if isinstance(beta, list)
-             else (float(_number(beta, "schedule.beta")),) * p)
+             else (_number(beta, "schedule.beta"),) * p)
     if len(c_vec) != p or len(b_vec) != p:
         raise ConfigError("schedule.c and schedule.beta must have length p")
-    rotation_seed = _get_num(sb, "rotation_seed", None, "schedule", integer=True)
     try:
         schedule = Schedule(
-            family=family,
+            family=sb.get("family", "scalar-power"),
             c=np.asarray(c_vec),
             beta=np.asarray(b_vec),
-            k0=_get_num(sb, "k0", 1.0, "schedule"),
+            k0=_get(sb, "k0", 1.0, "schedule"),
             dim=p,
-            rotation_seed=rotation_seed,
+            rotation_seed=_get_seed(sb, "rotation_seed", None, "schedule"),
         )
     except ContractViolation as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
 
     # run ---------------------------------------------------------------------
-    rb = raw.get("run", {})
-    _require_keys(rb, {"theta0", "K", "n_trajectories", "master_seed",
-                       "record_stride", "jobs"}, "run")
-    theta0 = _parse_vector(rb.get("theta0", [1.0] * p), "run.theta0")
-    run = RunBlock(
-        theta0=theta0,
-        K=_get_size(rb, "K", 1000, "run"),
-        n_trajectories=_get_size(rb, "n_trajectories", 1, "run"),
-        master_seed=_get_num(rb, "master_seed", 0, "run", integer=True),
-        record_stride=_get_size(rb, "record_stride", 1, "run"),
-        jobs=_get_size(rb, "jobs", 1, "run"),
-    )
-    if run.K < 1:
-        raise ConfigError("run.K must be >= 1")
-    if run.n_trajectories < 1:
-        raise ConfigError("run.n_trajectories must be >= 1")
-    if run.record_stride < 1:
-        raise ConfigError("run.record_stride must be >= 1")
-    if run.jobs < 1:
-        raise ConfigError("run.jobs must be >= 1")
-    if len(theta0) != objective.dimension:
-        raise ConfigError("run.theta0 length must equal objective.dimension")
+    rb = _block(raw.get("run", {}), {"theta0", "K", "n_trajectories", "master_seed",
+                                     "record_stride", "jobs"}, "run")
+    jobs = _get_size(rb, "jobs", 1, "run")
+    try:
+        run = EnsembleSpec(
+            objective=objective,
+            noise=noise,
+            schedule=schedule,
+            theta0=_parse_vector(rb.get("theta0", [1.0] * p), "run.theta0"),
+            horizon=_get_size(rb, "K", 1000, "run"),
+            n_trajectories=_get_size(rb, "n_trajectories", 1, "run"),
+            master_seed=_get_seed(rb, "master_seed", 0, "run"),
+            record_stride=_get_size(rb, "record_stride", 1, "run"),
+        )
+    except ContractViolation as exc:
+        raise ConfigError(f"invalid run block: {exc}") from exc
 
     # diagnostics ---------------------------------------------------------------
-    db = raw.get("diagnostics", {})
-    _require_keys(db, {"W", "epsilon_conv", "R_div", "capture", "gammas",
-                       "radii", "alpha", "r", "b_threshold"}, "diagnostics")
-    cap = db.get("capture")
+    db = _block(raw.get("diagnostics", {}), {"W", "epsilon_conv", "R_div", "capture", "gammas",
+                                             "radii", "alpha", "r", "b_threshold"}, "diagnostics")
     capture = None
-    if cap is not None:
-        _require_keys(cap, {"theta_bar", "R", "epsilon"}, "diagnostics.capture")
-        cap_r = _get_num(cap, "R", 1.0, "capture")
-        capture = CaptureBlock(
+    if db.get("capture") is not None:
+        cap = _block(db["capture"], {"theta_bar", "R", "epsilon"}, "diagnostics.capture")
+        cap_r = _get(cap, "R", 1.0, "capture")
+        capture = CaptureConfig(
             theta_bar=_parse_vector(cap.get("theta_bar", [0.0] * p), "capture.theta_bar"),
             R=cap_r,
-            epsilon=_get_num(cap, "epsilon", 0.1 * cap_r, "capture"),  # default 0.1 R
+            epsilon=_get(cap, "epsilon", 0.1 * cap_r, "capture"),  # default 0.1 R
         )
     gammas = db.get("gammas")
     diagnostics = DiagnosticsBlock(
         W=_get_size(db, "W", None, "diagnostics"),
-        epsilon_conv=_get_num(db, "epsilon_conv", None, "diagnostics"),
-        R_div=_get_num(db, "R_div", None, "diagnostics"),
+        epsilon_conv=_get(db, "epsilon_conv", None, "diagnostics"),
+        R_div=_get(db, "R_div", None, "diagnostics"),
         capture=capture,
         gammas=None if gammas is None else _parse_vector(gammas, "diagnostics.gammas"),
         radii=_parse_vector(db.get("radii", [1e1, 1e2, 1e3, 1e4, 1e5, 1e6]),
                             "diagnostics.radii"),
-        alpha=_get_num(db, "alpha", 1.0, "diagnostics"),
-        r=_get_num(db, "r", 0.5, "diagnostics"),
-        b_threshold=_get_num(db, "b_threshold", 0.25, "diagnostics"),
+        alpha=_get(db, "alpha", 1.0, "diagnostics"),
+        r=_get(db, "r", 0.5, "diagnostics"),
+        b_threshold=_get(db, "b_threshold", 0.25, "diagnostics"),
     )
 
     # checks ----------------------------------------------------------------
-    cb = raw.get("checks", {})
-    _require_keys(cb, {"alpha", "horizon", "seed", "which", "descent", "variance",
-                       "gradbound", "smoothness", "lemma4"}, "checks")
+    cb = _block(raw.get("checks", {}), {"alpha", "horizon", "seed", "which", "descent",
+                                        "variance", "gradbound", "smoothness", "lemma4"}, "checks")
     box_default = _default_box(objective)
-    dc = cb.get("descent", {})
-    _require_keys(dc, {"n_pairs", "L_tilde", "box"}, "checks.descent")
-    vc = cb.get("variance", {})
-    _require_keys(vc, {"n_samples"}, "checks.variance")
-    gc = cb.get("gradbound", {})
-    _require_keys(gc, {"n_points", "box", "L"}, "checks.gradbound")
-    sc = cb.get("smoothness", {})
-    _require_keys(sc, {"constants", "n_points", "n_draws", "box"}, "checks.smoothness")
-    lc = cb.get("lemma4", {})
-    _require_keys(lc, {"C", "K_max"}, "checks.lemma4")
+    dc = _block(cb.get("descent", {}), {"n_pairs", "L_tilde", "box"}, "checks.descent")
+    vc = _block(cb.get("variance", {}), {"n_samples"}, "checks.variance")
+    gc = _block(cb.get("gradbound", {}), {"n_points", "box", "L"}, "checks.gradbound")
+    sc = _block(cb.get("smoothness", {}), {"constants", "n_points", "n_draws", "box"},
+                "checks.smoothness")
+    lc = _block(cb.get("lemma4", {}), {"C", "K_max"}, "checks.lemma4")
     sm_constants = sc.get("constants")
     if sm_constants is not None:
         sm_constants = _parse_vector(sm_constants, "checks.smoothness.constants")
@@ -395,40 +300,38 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             or any(w not in CHECK_NAMES for w in which)):
         raise ConfigError(f"checks.which must be a nonempty subset of {CHECK_NAMES}")
     checks = ChecksBlock(
-        alpha=_get_num(cb, "alpha", 1.0, "checks"),
+        alpha=_get(cb, "alpha", 1.0, "checks"),
         horizon=_get_size(cb, "horizon", 100000, "checks"),
-        seed=_get_num(cb, "seed", 0, "checks", integer=True),
+        seed=_get_seed(cb, "seed", 0, "checks"),
         which=tuple(which),
         descent_n_pairs=_get_size(dc, "n_pairs", 10000, "checks.descent"),
-        descent_l_tilde=_get_num(dc, "L_tilde", None, "checks.descent"),
+        descent_l_tilde=_get(dc, "L_tilde", None, "checks.descent"),
         descent_box=_parse_box(dc.get("box"), box_default, "checks.descent.box"),
         variance_n_samples=_get_size(vc, "n_samples", 10000, "checks.variance"),
         gradbound_n_points=_get_size(gc, "n_points", 1000, "checks.gradbound"),
         gradbound_box=_parse_box(gc.get("box"), box_default, "checks.gradbound.box"),
-        gradbound_l=_get_num(gc, "L", None, "checks.gradbound"),
-        smoothness_constants=None if sm_constants is None else tuple(sm_constants),
+        gradbound_l=_get(gc, "L", None, "checks.gradbound"),
+        smoothness_constants=sm_constants,
         smoothness_n_points=_get_size(sc, "n_points", 10, "checks.smoothness"),
         smoothness_n_draws=_get_size(sc, "n_draws", 10000, "checks.smoothness"),
         smoothness_box=_parse_box(sc.get("box"), box_default, "checks.smoothness.box"),
-        lemma4_c=_get_num(lc, "C", 1.0, "checks.lemma4"),
+        lemma4_c=_get(lc, "C", 1.0, "checks.lemma4"),
         lemma4_k_max=_get_size(lc, "K_max", 100000, "checks.lemma4"),
     )
 
     # output ------------------------------------------------------------------
-    out = raw.get("output", {})
-    _require_keys(out, {"directory", "formats", "force"}, "output")
+    out = _block(raw.get("output", {}), {"directory", "formats", "force"}, "output")
     formats = out.get("formats", list(DEFAULT_FORMATS))
     if (not isinstance(formats, list) or not formats
             or any(f not in DEFAULT_FORMATS for f in formats)):
         raise ConfigError("output.formats must be a nonempty subset of ['json', 'csv']")
+    directory = out.get("directory", "sgdlab-out")
+    if not isinstance(directory, str):
+        raise ConfigError("output.directory must be a string")
     force = out.get("force", False)
     if not isinstance(force, bool):
         raise ConfigError("output.force must be a boolean")
-    output = OutputBlock(
-        directory=str(out.get("directory", "sgdlab-out")),
-        formats=tuple(formats),
-        force=force,
-    )
+    output = OutputBlock(directory=directory, formats=tuple(formats), force=force)
 
     try:
         objective.build()  # fail fast on bad objective parameters
@@ -444,19 +347,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         noise=noise,
         schedule=schedule,
         run=run,
+        jobs=jobs,
         diagnostics=diagnostics,
         checks=checks,
         output=output,
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Read the JSON file, lay each block of overrides over its block, validate."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int beyond the digit limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    for key, values in (overrides or {}).items():
+        if values and isinstance(raw, dict) and isinstance(raw.get(key, {}), dict):
+            raw[key] = {**raw.get(key, {}), **values}
     return config_from_dict(raw)

@@ -59,9 +59,10 @@ class Schedule:
 
     k0 >= 1 keeps k = 0 well defined.  The rotated family conjugates the
     diagonal by a fixed orthogonal factor built from rotation_seed (or given
-    explicitly), which changes eigenvectors but not eigenvalues.  An explicit
-    factor sets rotation_seed to None, and the label names it by the first
-    12 hex digits of the sha256 of its bytes (`rot=q:<hex>`).
+    explicitly), which changes eigenvectors but not eigenvalues.  No seed
+    means seed 0, and is recorded as 0.  An explicit factor sets rotation_seed
+    to None, and the label names it by the first 12 hex digits of the sha256
+    of its bytes (`rot=q:<hex>`).
     """
 
     family: str
@@ -89,8 +90,9 @@ class Schedule:
         if self.family == "rotated-diagonal-power":
             explicit = self.q is not None
             if not explicit:
-                seed = 0 if self.rotation_seed is None else int(self.rotation_seed)
-                self.q = random_orthogonal(self.dim, seed)
+                if self.rotation_seed is None:  # seed 0 builds it, so seed 0 names it
+                    self.rotation_seed = 0
+                self.q = random_orthogonal(self.dim, int(self.rotation_seed))
             self.q = np.asarray(self.q, dtype=float)
             if self.q.shape != (self.dim, self.dim):
                 raise ContractViolation(

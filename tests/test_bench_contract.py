@@ -11,8 +11,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
+import sgdlab.cli
 from sgdlab.config import load_config
-from sgdlab.engine import run_trajectory
+from sgdlab.engine import Schedule, run_trajectory
 from sgdlab.objectives import NoiseModel, Objective, catalog_lookup
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -45,3 +48,15 @@ def test_names_used_by_the_micro_timings_resolve():
     assert callable(rect1.g1) and callable(rect1.grad) and callable(rect4.grad)
     assert callable(noise4.sigma_at) and callable(noise4.envelope_batch)
     assert "record_stride" in inspect.signature(run_trajectory).parameters
+
+
+@pytest.mark.parametrize("workload", sorted(p.stem for p in (BENCH / "configs").glob("*.json")))
+def test_config_surface_used_by_the_runner_resolves(workload):
+    # SETUP_CODE calls sgdlab.cli.load_config(path) with one argument, and
+    # micro_timings reads objective, noise, schedule and run.theta0
+    cfg = sgdlab.cli.load_config(BENCH / "configs" / f"{workload}.json")
+    obj = cfg.objective.build()
+    assert callable(obj.grad)
+    assert callable(cfg.noise.build(obj.dim).sigma_at)
+    assert isinstance(cfg.schedule, Schedule)
+    assert len(list(cfg.run.theta0)) == obj.dim

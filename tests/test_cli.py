@@ -1,11 +1,18 @@
-"""CLI tests: exit codes, file outputs, config round-trip, overrides."""
+"""CLI tests: exit codes, file outputs, config validation, overrides."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlab.cli import main
 from sgdlab.config import config_from_dict, load_config
@@ -129,6 +136,115 @@ def test_unallocatable_size_exits_2(tmp_path, capsys, K, flags):
     err = capsys.readouterr().err
     assert err.startswith("sgdlab: config error:")
     assert len(err.splitlines()) == 1
+
+
+LONG_INT = "1" + "0" * 399  # beyond float64, so math.isfinite would overflow on it
+
+
+@pytest.mark.parametrize("where,literal,message", [
+    pytest.param("run", "5", "'run' block must be a JSON object", id="run"),
+    pytest.param("output", "3", "'output' block must be a JSON object", id="output"),
+    pytest.param("diagnostics", '"x"', "'diagnostics' block must be a JSON object",
+                 id="diagnostics"),
+    pytest.param("diagnostics.capture", "1", "'diagnostics.capture' block must be a JSON object",
+                 id="diagnostics.capture"),
+    pytest.param("checks", "[]", "'checks' block must be a JSON object", id="checks"),
+    pytest.param("checks.descent", "1", "'checks.descent' block must be a JSON object",
+                 id="checks.descent"),
+    pytest.param("output.directory", "null", "output.directory must be a string",
+                 id="output.directory-null"),  # was written to a directory named None
+    pytest.param("run.K", LONG_INT, "run.K must be an integer from 1 to 2**53",
+                 id="run.K-400-digits"),
+    # sizes, counts and horizons are >= 1: n_pairs 0 or -1 crashed `check` in numpy,
+    # and smoothness over 0 points passed
+    pytest.param("checks.descent.n_pairs", "0", "checks.descent.n_pairs must be an integer",
+                 id="checks.descent.n_pairs-0"),
+    pytest.param("checks.variance.n_samples", "-1", "checks.variance.n_samples must be an",
+                 id="checks.variance.n_samples-negative"),
+    pytest.param("checks.smoothness.n_points", "0", "checks.smoothness.n_points must be an",
+                 id="checks.smoothness.n_points-0"),
+    pytest.param("noise.sigma", LONG_INT, "noise.sigma is beyond the float64 range",
+                 id="noise.sigma-400-digits"),
+    pytest.param("schedule.c", LONG_INT, "schedule.c is beyond the float64 range",
+                 id="schedule.c-400-digits"),
+    pytest.param("run.theta0", f"[{LONG_INT}]", "run.theta0 entry is beyond the float64",
+                 id="run.theta0-400-digits"),
+    # beyond Python's int-digit limit, so json.loads raises a plain ValueError
+    pytest.param("run.K", "1" * 5000, "malformed JSON", id="run.K-5000-digits"),
+    pytest.param("run.theta0", "[" * 100000 + "]" * 100000, "malformed JSON",
+                 id="run.theta0-nested-1e5-deep"),
+])
+def test_malformed_config_block_exits_2(tmp_path, capsys, where, literal, message):
+    # the value at the dotted path `where` (a block or a field) becomes `literal`
+    cfg = base_config(tmp_path / "out")
+    *parents, key = where.split(".")
+    block = cfg
+    for name in parents:
+        block = block.setdefault(name, {})
+    block[key] = "@VALUE@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"@VALUE@"', literal), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error:") and message in err
+    assert len(err.splitlines()) == 1
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"objective": {"name": "\xff"}}')
+    assert main(["run", "--config", str(path)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("source", ["file", "SGDLAB_SEED", "--master-seed", "checks.seed"])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, command, source):
+    # numpy's SeedSequence takes integers >= 0, wherever the seed comes from
+    cfg = base_config(tmp_path / "out")
+    flags = ["--which", "variance"] if command == "check" else []
+    if source == "file":
+        cfg["run"]["master_seed"] = -1
+    elif source == "SGDLAB_SEED":
+        monkeypatch.setenv("SGDLAB_SEED", "-5")
+    elif source == "--master-seed":
+        flags += ["--master-seed", "-3"]
+    else:
+        cfg["checks"] = {"seed": -2}
+    assert main([command, "--config", write_config(tmp_path, cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error:") and "seed must be an integer >= 0" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("objective,noise,schedule,theta0", [
+    pytest.param({"name": "power-q", "q": 3.0}, {"kind": "zero"},
+                 {"family": "scalar-power", "c": 1.0, "beta": 0.75, "p": 1}, [5.0],
+                 id="power-q-p1"),
+    pytest.param({"name": "power-q", "q": 3.0, "dimension": 2}, {"kind": "zero"},
+                 {"family": "scalar-power", "c": 1.0, "beta": 0.75, "p": 2}, [5.0, 5.0],
+                 id="power-q-p2"),
+    pytest.param({"name": "quadratic"}, {"kind": "additive-gaussian", "sigma": 1e149},
+                 {"family": "scalar-power", "c": 2.0, "beta": 0.0, "p": 1}, [1.0],
+                 id="quadratic-sigma-1e149"),
+])
+def test_diverging_run_prints_no_warnings(tmp_path, capsys, objective, noise, schedule,
+                                          theta0):
+    # divergence is an outcome the report counts (n_overflow), not a numpy warning
+    cfg = base_config(tmp_path / "out", objective=objective, noise=noise, schedule=schedule,
+                      diagnostics={})
+    cfg["run"] = {"theta0": theta0, "K": 100, "n_trajectories": 6, "master_seed": 3,
+                  "record_stride": 10}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "ensemble_report.json").read_text())
+    assert report["n_overflow"] == 6
 
 
 def test_domain_violating_theta0_exits_3(tmp_path, capsys):
@@ -290,20 +406,8 @@ def test_stopping_times_subcommand(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# config round-trip
+# config parsing
 # ---------------------------------------------------------------------------
-
-def test_config_round_trip_is_lossless(tmp_path):
-    cfg = base_config(tmp_path / "out")
-    cfg["schedule"] = {"family": "rotated-diagonal-power", "c": [0.5, 0.2],
-                       "beta": [0.75, 0.8], "k0": 2, "p": 2, "rotation_seed": 9}
-    cfg["objective"] = {"name": "power-q", "q": 3.0, "dimension": 2}
-    cfg["run"]["theta0"] = [2.0, 2.0]
-    parsed = config_from_dict(cfg)
-    normalized = parsed.to_dict()
-    reparsed = config_from_dict(json.loads(json.dumps(normalized)))
-    assert reparsed.to_dict() == normalized
-
 
 def test_config_accepts_q_seed_alias(tmp_path):
     cfg = base_config(tmp_path / "out")
@@ -313,7 +417,21 @@ def test_config_accepts_q_seed_alias(tmp_path):
     cfg["run"]["theta0"] = [1.0, 1.0]
     parsed = config_from_dict(cfg)
     assert parsed.schedule.rotation_seed == 4
-    assert parsed.to_dict()["schedule"]["rotation_seed"] == 4
+
+
+def test_unseeded_rotation_reports_seed_0(tmp_path):
+    # the factor of an unseeded rotated schedule is built from seed 0 and named so
+    outputs = []
+    for name, extra in (("none", {}), ("zero", {"rotation_seed": 0})):
+        cfg = base_config(tmp_path / name, objective={"name": "quadratic", "dimension": 2},
+                          diagnostics={})
+        cfg["schedule"] = {"family": "rotated-diagonal-power", "c": [0.5, 0.2],
+                           "beta": [0.75, 0.8], "p": 2, **extra}
+        cfg["run"].update(theta0=[1.0, -1.0], K=100, record_stride=10)
+        assert main(["run", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+        outputs.append((tmp_path / name / "ensemble_report.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"rot=0)" in outputs[0] and b'"rotation_seed": 0' in outputs[0]
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -354,3 +472,112 @@ def test_load_config_missing_file():
 
 def test_cli_help_does_not_crash():
     assert main(["--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer
+# ---------------------------------------------------------------------------
+
+FUZZ_BASES = (
+    {   # 1-D quadratic, scalar schedule, capture and moments
+        "objective": {"name": "quadratic"},
+        "noise": {"kind": "additive-gaussian", "sigma": 1.0},
+        "schedule": {"family": "scalar-power", "c": 1.0, "beta": 0.75, "k0": 1, "p": 1},
+        "run": {"theta0": [1.0], "K": 60, "n_trajectories": 3, "master_seed": 11,
+                "record_stride": 10, "jobs": 1},
+        "diagnostics": {"W": 6, "epsilon_conv": 0.1, "R_div": 1e3,
+                        "capture": {"theta_bar": [0.0], "R": 1.0, "epsilon": 0.5},
+                        "gammas": [0.0, 0.5]},
+        "checks": {"seed": 0, "horizon": 100, "which": ["p1p2p3p4", "variance", "lemma4"],
+                   "variance": {"n_samples": 50}, "lemma4": {"C": 1.0, "K_max": 100}},
+        "output": {"directory": "out", "formats": ["json", "csv"], "force": True},
+    },
+    {   # p=2 rectifier, state-dependent noise, rotated schedule
+        "objective": {"name": "smooth-rectifier", "dimension": 2},
+        "noise": {"kind": "additive-gaussian-statedep", "sigma_expr": "0.1*(1+norm(theta))"},
+        "schedule": {"family": "rotated-diagonal-power", "c": [1.0, 0.5], "beta": [0.6, 0.8],
+                     "k0": 1, "p": 2, "rotation_seed": 7},
+        "run": {"theta0": [0.5, -0.5], "K": 40, "n_trajectories": 2, "master_seed": 5,
+                "record_stride": 1},
+        "diagnostics": {"radii": [10.0, 100.0]},
+        "checks": {"seed": 3, "horizon": 100, "which": ["descent", "gradbound", "smoothness"],
+                   "descent": {"n_pairs": 10, "box": [-2.0, 2.0]},
+                   "gradbound": {"n_points": 10}, "smoothness": {"n_points": 2, "n_draws": 20}},
+        "output": {"directory": "out", "force": True},
+    },
+)
+
+# Every JSON value but a valid size or worker count above 200: drawn configs
+# stay tiny and never start a second process.
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(0, 200), st.integers(-(10**6), -1),
+    st.sampled_from([2**53 + 1, 10**30, 10**400, 1e308, 0.5, -0.0]),
+    st.sampled_from(["", "x", "a\nb", "quadratic", "1e3"]),
+)
+_json_values = st.one_of(
+    _scalars,
+    st.lists(_scalars, max_size=3),
+    st.dictionaries(st.sampled_from(["", "x", "K", "name", "kind"]), _scalars, max_size=2),
+)
+_bad_ints = st.sampled_from([0, -1, -(10**30), 2**53 + 1, 10**30])
+
+
+def _paths(config):
+    """Every block and every value inside a block, as key tuples."""
+    for block, body in config.items():
+        yield (block,)
+        for key, value in body.items():
+            yield (block, key)
+            if isinstance(value, dict):
+                yield from ((block, key, sub) for sub in value)
+
+
+@st.composite
+def _fuzzed_invocations(draw):
+    base = draw(st.sampled_from(FUZZ_BASES))
+    config = json.loads(json.dumps(base))
+    path = draw(st.sampled_from(sorted(_paths(base))))
+    value = draw(_json_values)
+    if path[-1] == "jobs" and type(value) is int and value > 1:
+        value = 1
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    flags, env = [], {}
+    extra = draw(st.sampled_from([None, "--master-seed", "--horizon", "--jobs", "SGDLAB_SEED"]))
+    if extra == "--master-seed":
+        flags += [extra, str(draw(st.integers(0, 99) | _bad_ints))]
+    elif extra == "--horizon":
+        flags += [extra, str(draw(st.integers(1, 200) | _bad_ints))]
+    elif extra == "--jobs":
+        flags += [extra, str(draw(st.just(1) | _bad_ints))]
+    elif extra == "SGDLAB_SEED":
+        env[extra] = draw(st.sampled_from(["0", "17", "-5", "", "x", " 3 ", str(10**30)]))
+    command = draw(st.sampled_from(["run", "stopping-times", "check", "probe-radial"]))
+    return command, config, flags, env
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_fuzzed_invocations())
+def test_fuzzed_config_exits_cleanly(invocation):
+    # any one value or block of a tiny config replaced by any JSON value, with
+    # or without flags and SGDLAB_SEED: an exit code, never a traceback, and a
+    # config error is one line
+    command, config, flags, env = invocation
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        if not env:
+            os.environ.pop("SGDLAB_SEED", None)
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", "config.json", *flags])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -21,6 +21,8 @@ from .objectives import Objective, StochasticOracle
 
 ZERO_CLAMP = 1e-300
 DEFAULT_TOL = 1e-9
+# Ball samples per local Hölder estimate of probe_radial_conditions.
+PROBE_HOLDER_SAMPLES = 512
 
 Verdict = Literal["pass", "fail", "inconclusive"]
 
@@ -105,18 +107,16 @@ def _van_der_corput(n: int) -> np.ndarray:
     return out
 
 
-def _ball_points(phi: np.ndarray, r: float, n: int, method: str, seed: int) -> np.ndarray:
+def _ball_points(phi: np.ndarray, r: float, n: int, seed: int) -> np.ndarray:
     """Nested sample sequence in the closed ball around phi.
 
     grid (1-D): both endpoints first, then bit-reversal points of the
-    interval.  pair-sampling (any p): alternating sphere/interior points from
+    interval.  pair-sampling (p > 1): alternating sphere/interior points from
     a seeded stream, one fixed draw count per point.  Either way the first n
     points of a longer sequence coincide with the shorter one.
     """
     p = phi.shape[0]
-    if method == "grid":
-        if p != 1:
-            raise ContractViolation("grid method is one-dimensional")
+    if p == 1:
         pts = np.empty((n, 1))
         pts[0, 0] = phi[0] + r
         if n > 1:
@@ -125,8 +125,6 @@ def _ball_points(phi: np.ndarray, r: float, n: int, method: str, seed: int) -> n
             v = _van_der_corput(n - 2)
             pts[2:, 0] = phi[0] + (2.0 * v - 1.0) * r
         return pts
-    if method != "pair-sampling":
-        raise ContractViolation(f"unknown sampling method {method!r}")
     rng = np.random.default_rng(seed)
     pts = np.empty((n, p))
     for i in range(n):
@@ -146,10 +144,13 @@ def estimate_local_holder(
     r: float,
     alpha: float,
     n_samples: int,
-    method: str | None = None,
     seed: int = 0,
 ) -> HolderEstimate:
-    """Sampled L_r(phi): max gradient-difference ratio over the closed ball."""
+    """Sampled L_r(phi): max gradient-difference ratio over the closed ball.
+
+    The ball is sampled on a grid in 1-D and by pair-sampling for p > 1
+    (_ball_points).
+    """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if r <= 0.0:
         raise ContractViolation("radius r must be > 0")
@@ -161,10 +162,7 @@ def estimate_local_holder(
             f"norm < {obj.r0}",
             theta=phi,
         )
-    if method is None:
-        method = "grid" if obj.dim == 1 else "pair-sampling"
-
-    pts = _ball_points(phi, r, n_samples, method, seed)
+    pts = _ball_points(phi, r, n_samples, seed)
     diffs = pts - phi[None, :]
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     keep = dists > 0.0
@@ -175,7 +173,7 @@ def estimate_local_holder(
     value = float(np.max(ratios)) if ratios.size else 0.0
     return HolderEstimate(
         center=phi, radius=r, alpha=alpha, value=value,
-        n_samples=n_samples, method=method,
+        n_samples=n_samples, method="grid" if phi.shape[0] == 1 else "pair-sampling",
     )
 
 
@@ -191,7 +189,7 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
         raise ContractViolation("box must satisfy hi > lo")
     if obj.dim == 1:
         xs = np.linspace(lo, hi, n_grid)[:, None]
-        _check_in_domain(obj, xs)
+        obj.check_domain(xs)
         g = obj.grad_batch(xs)[:, 0]
         dx = np.abs(xs[:, 0][None, :] - xs[:, 0][:, None])
         dg = np.abs(g[None, :] - g[:, None])
@@ -200,26 +198,14 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
     rng = np.random.default_rng(seed)
     a = rng.uniform(lo, hi, size=(n_grid, obj.dim))
     b = rng.uniform(lo, hi, size=(n_grid, obj.dim))
-    _check_in_domain(obj, a)
-    _check_in_domain(obj, b)
+    obj.check_domain(a)
+    obj.check_domain(b)
     diff = b - a
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     keep = dist > 0
     gd = obj.grad_batch(b[keep]) - obj.grad_batch(a[keep])
     num = np.sqrt(np.einsum("ij,ij->i", gd, gd))
     return float(np.max(num / dist[keep] ** alpha))
-
-
-def _check_in_domain(obj: Objective, pts: np.ndarray) -> None:
-    if obj.r0 <= 0.0:
-        return
-    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    bad = norms < obj.r0
-    if np.any(bad):
-        theta = pts[int(np.argmax(bad))]
-        raise DomainError(
-            f"sample point violates the domain floor norm >= {obj.r0}", theta=theta
-        )
 
 
 def _uniform_box(rng: np.random.Generator, n: int, box: tuple[float, float],
@@ -253,8 +239,8 @@ def check_descent_inequality(
     rng = np.random.default_rng(seed)
     thetas = _uniform_box(rng, n_pairs, box, obj.dim)
     phis = _uniform_box(rng, n_pairs, box, obj.dim)
-    _check_in_domain(obj, thetas)
-    _check_in_domain(obj, phis)
+    obj.check_domain(thetas)
+    obj.check_domain(phis)
 
     f_t = obj.value_batch(thetas)
     f_p = obj.value_batch(phis)
@@ -277,18 +263,6 @@ def check_descent_inequality(
         worst_violation=worst,
         witness=witness,
         tolerance=tol,
-    )
-
-
-def descent_lhs(obj: Objective, theta, phi, L_tilde: float, alpha: float) -> float:
-    """Re-evaluate the descent-inequality left-hand side at one pair."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    diff = theta - phi
-    dist = float(np.linalg.norm(diff))
-    return (
-        obj.value(theta) - obj.value(phi) - float(obj.grad(phi) @ diff)
-        - (L_tilde / (1.0 + alpha)) * dist ** (1.0 + alpha)
     )
 
 
@@ -355,7 +329,7 @@ def check_grad_bound(
         )
     rng = np.random.default_rng(seed)
     pts = _uniform_box(rng, n_points, box, obj.dim)
-    _check_in_domain(obj, pts)
+    obj.check_domain(pts)
     f = obj.value_batch(pts) - obj.f_lb
     gsq = obj.grad_norm_batch(pts) ** 2
     bound = (L ** (1.0 / alpha) * (1.0 + alpha) / alpha * f) ** (2.0 * alpha / (1.0 + alpha))
@@ -421,7 +395,7 @@ def check_expected_smoothness(
     obj = oracle.objective
     rng = np.random.default_rng(seed)
     pts = _uniform_box(rng, n_points, box, obj.dim)
-    _check_in_domain(obj, pts)
+    obj.check_domain(pts)
 
     worst = -np.inf
     witness = None
@@ -458,11 +432,9 @@ def probe_radial_conditions(
     r: float,
     radii,
     b_threshold: float,
-    direction=None,
-    n_holder_samples: int = 512,
     seed: int = 0,
 ) -> RadialProbe:
-    """Probe the gradient-energy / noise balance along a fixed direction.
+    """Probe the gradient-energy / noise balance along the first axis.
 
     Verdicts are horizon-bound: satisfied-at-horizon means the ratio clears
     b_threshold at the largest probed radii, violated-at-horizon means it is
@@ -476,20 +448,15 @@ def probe_radial_conditions(
     if any(rho < obj.r0 + r for rho in radii):
         raise ContractViolation(f"all radii must be >= r0 + r = {obj.r0 + r}")
 
-    if direction is None:
-        u = np.zeros(obj.dim)
-        u[0] = 1.0
-    else:
-        u = np.asarray(direction, dtype=float)
-        u = u / float(np.linalg.norm(u))
-
+    u = np.zeros(obj.dim)
+    u[0] = 1.0
     records = []
     f_values = []
     for rho in radii:
         phi = rho * u
         g = obj.grad(phi)
         gns = float(g @ g)
-        est = estimate_local_holder(obj, phi, r, alpha, n_holder_samples, seed=seed)
+        est = estimate_local_holder(obj, phi, r, alpha, PROBE_HOLDER_SAMPLES, seed=seed)
         l_r = est.value if est.value >= ZERO_CLAMP else 0.0
         g_val = float(G_fn(phi))
         g_val = g_val if g_val >= ZERO_CLAMP else 0.0

@@ -7,7 +7,8 @@ file's JSON before the config is validated (flag wins over the environment,
 which wins over the file).
 
 Exit codes: 0 success, 1 a selected check failed, 2 configuration problem,
-3 domain violation (the offending point is printed to stderr).
+3 a theta0 or sample point below the objective's domain floor (the offending
+point is printed to stderr).
 """
 
 from __future__ import annotations
@@ -86,8 +87,12 @@ def _overrides(args) -> dict:
 
 
 def _prepare_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]:
+    """The report paths, refused before any compute if one exists and force is off.
+
+    The directory is made only by _make_dir, just before the first report is
+    written, so a command that fails earlier leaves none behind.
+    """
     outdir = Path(config.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name in names:
         path = outdir / name
@@ -95,6 +100,10 @@ def _prepare_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path
             raise ConfigError(f"refusing to overwrite {path}; pass --force to allow")
         paths[name] = path
     return paths
+
+
+def _make_dir(config: ExperimentConfig) -> None:
+    Path(config.output.directory).mkdir(parents=True, exist_ok=True)
 
 
 def _cmd_run(config: ExperimentConfig) -> int:
@@ -116,6 +125,7 @@ def _cmd_run(config: ExperimentConfig) -> int:
         capture=diag.capture,
         jobs=config.jobs,
     )
+    _make_dir(config)
     if "json" in formats:
         reports.write_json(paths["ensemble_report.json"],
                            reports.ensemble_report_payload(result))
@@ -214,6 +224,7 @@ def _cmd_check(config: ExperimentConfig, which) -> int:
         body, failed, csv_writer = _run_check(config, check)
         any_failed |= failed
         stem = CHECK_REPORTS[check]
+        _make_dir(config)
         if "json" in formats:
             reports.write_json(paths[f"{stem}.json"], {"check": check, **body})
         if "csv" in formats and csv_writer is not None:
@@ -238,7 +249,7 @@ def _cmd_stopping_times(config: ExperimentConfig) -> int:
         seed = diagnostics.split_seed(spec.master_seed, i)
         traj = engine.run_trajectory(
             oracle, spec.schedule, np.asarray(spec.theta0, dtype=float),
-            spec.horizon, seed, record_stride=1, truncate_on_domain_error=True)
+            spec.horizon, seed, record_stride=1)
         st = diagnostics.compute_stopping_times(traj)
         all_taus.append(st)
         entries.append({
@@ -251,6 +262,7 @@ def _cmd_stopping_times(config: ExperimentConfig) -> int:
             "domain_violation": traj.domain_violation,
             "last_k": traj.last_k,
         })
+    _make_dir(config)
     if "json" in formats:
         reports.write_json(paths["stopping_times.json"], {
             "objective_id": spec.objective_id,

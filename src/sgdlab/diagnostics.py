@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Schedule, Trajectory, run_trajectory
+from .engine import Schedule, Trajectory, record_points, run_trajectory
 from .errors import ContractViolation
 from .objectives import NoiseSpec, ObjectiveSpec, StochasticOracle
 
@@ -34,6 +34,10 @@ __all__ = [
     "compute_stopping_times",
     "envelope_sup_over_ball",
 ]
+
+
+# Points of the grid that envelope_sup_over_ball maximizes over.
+ENVELOPE_GRID = 8193
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -83,10 +87,7 @@ class EnsembleSpec:
         return self.schedule.label
 
     def checkpoints(self) -> np.ndarray:
-        cps = np.arange(0, self.horizon + 1, self.record_stride)
-        if cps[-1] != self.horizon:
-            cps = np.append(cps, self.horizon)
-        return cps
+        return record_points(self.horizon, self.record_stride)
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,18 @@ class CaptureConfig:
     theta_bar: tuple[float, ...]
     R: float
     epsilon: float
-    n_grid: int = 8193
 
 
 @dataclass
 class DichotomyClassification:
     """Finite-horizon verdict on the iterate norms over the final window.
 
-    converged-like: window range < epsilon_conv and window max < R_div.
-    diverging-like: window min > R_div.  Anything else is undecided.  The
-    evidence dict carries the window range and window min that the rules
-    used, so a verdict can be re-derived from the classification alone.
+    truncated: the run left the domain, so it shows neither outcome; the
+    evidence is its last recorded step (last_k) and no window is read.  Otherwise converged-like: window range < epsilon_conv and window
+    max < R_div; diverging-like: window min > R_div; anything else is
+    undecided, and the evidence carries the window range and window min that
+    the rules used, so a verdict can be re-derived from the classification
+    alone.  An overflowed run keeps the verdict of its window.
     """
 
     verdict: str
@@ -190,6 +192,7 @@ class EnsembleResult:
     n_overflow: int
     n_domain_violation: int
     seeds: list[int]
+    last_ks: list[int]  # a trajectory with last_k < horizon was truncated
 
 
 @dataclass
@@ -224,8 +227,16 @@ def default_r_div(theta0) -> float:
     return 1e3 * (1.0 + float(np.linalg.norm(theta0)))
 
 
-def _classify_window(window: np.ndarray, W: int, epsilon_conv: float,
-                     R_div: float) -> DichotomyClassification:
+def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
+                       R_div: float) -> DichotomyClassification:
+    """Classify a trajectory from its per-step norms over its final W steps."""
+    if W < 1 or W > traj.horizon:
+        raise ContractViolation("window W must satisfy 1 <= W <= horizon")
+    if traj.domain_violation:
+        return DichotomyClassification(
+            verdict="truncated", window_length=W, epsilon_conv=epsilon_conv, R_div=R_div,
+            evidence={"last_k": traj.last_k})
+    window = traj.norms()[-W:]
     wmin = float(np.min(window))
     wmax = float(np.max(window))
     wrange = wmax - wmin
@@ -242,24 +253,6 @@ def _classify_window(window: np.ndarray, W: int, epsilon_conv: float,
         R_div=R_div,
         evidence={"window_range": wrange, "window_min": wmin},
     )
-
-
-def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
-                       R_div: float) -> DichotomyClassification:
-    """Classify a trajectory from the norms over its final W steps.
-
-    Uses the per-step norm trace when the trajectory carries one, otherwise
-    the norms of the recorded iterates that fall inside the window.
-    """
-    if W < 1 or W > traj.horizon:
-        raise ContractViolation("window W must satisfy 1 <= W <= horizon")
-    if traj.norm_trace is not None:
-        window = traj.norm_trace[-min(W, len(traj.norm_trace)):]
-    else:
-        sel = traj.ks > (traj.last_k - W)
-        thetas = traj.thetas[sel]
-        window = np.sqrt(np.einsum("ij,ij->i", thetas, thetas))
-    return _classify_window(window, W, epsilon_conv, R_div)
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +276,23 @@ def _summarize_one(spec: EnsembleSpec, index: int, W: int, epsilon_conv: float,
                    R_div: float, capture: CaptureConfig | None) -> _TrajectorySummary:
     oracle = spec.build()
     seed = split_seed(spec.master_seed, index)
-    traj = run_trajectory(
-        oracle,
-        spec.schedule,
-        np.asarray(spec.theta0, dtype=float),
-        spec.horizon,
-        seed,
-        record_stride=spec.record_stride,
-        keep_norm_trace=True,
-        keep_theta_trace=capture is not None,
-        truncate_on_domain_error=True,
-    )
+    traj = run_trajectory(oracle, spec.schedule, np.asarray(spec.theta0, dtype=float),
+                          spec.horizon, seed, record_stride=spec.record_stride)
+    # The run's records are the first n checkpoints: both grids are
+    # record_points with one stride, and the run's grid stops at its last_k.
     cps = spec.checkpoints()
+    n = int(np.searchsorted(cps, traj.last_k, side="right"))
     f_gap = np.full(len(cps), np.nan)
     grad_norm = np.full(len(cps), np.nan)
-    pos = np.searchsorted(traj.ks, cps)
-    ok = pos < len(traj.ks)
-    ok[ok] &= traj.ks[pos[ok]] == cps[ok]
-    f_gap[ok] = traj.f_values[pos[ok]] - oracle.objective.f_lb
-    grad_norm[ok] = traj.grad_norms[pos[ok]]
+    f_gap[:n] = traj.f_values[:n] - oracle.objective.f_lb
+    grad_norm[:n] = traj.grad_norms[:n]
 
     classification = classify_dichotomy(traj, W, epsilon_conv, R_div)
 
     escape_ks = None
     if capture is not None:
         tb = np.asarray(capture.theta_bar, dtype=float)
-        diff = traj.theta_trace - tb[None, :]
+        diff = traj.trace - tb[None, :]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         inside = dist[:-1] <= capture.R
         jumped = dist[1:] >= capture.R + capture.epsilon
@@ -443,8 +427,7 @@ def gradient_convergence_stats(
     )
 
 
-def envelope_sup_over_ball(spec: EnsembleSpec, theta_bar, R: float,
-                           n_grid: int = 8193) -> float:
+def envelope_sup_over_ball(spec: EnsembleSpec, theta_bar, R: float) -> float:
     """Grid maximization of the declared envelope G over the closed ball.
 
     Exact up to grid resolution for 1-D problems; radial problems reduce to a
@@ -459,7 +442,7 @@ def envelope_sup_over_ball(spec: EnsembleSpec, theta_bar, R: float,
         raise ContractViolation("R must be >= 0")
     if obj.dim == 1:
         lo, hi = tb[0] - R, tb[0] + R
-        xs = np.linspace(lo, hi, n_grid)
+        xs = np.linspace(lo, hi, ENVELOPE_GRID)
         if obj.r0 > 0.0:
             xs = xs[np.abs(xs) >= obj.r0]
             if xs.size == 0:
@@ -469,7 +452,7 @@ def envelope_sup_over_ball(spec: EnsembleSpec, theta_bar, R: float,
         nb = float(np.linalg.norm(tb))
         lo = max(obj.r0, max(0.0, nb - R))
         hi = nb + R
-        rhos = np.linspace(lo, hi, n_grid)
+        rhos = np.linspace(lo, hi, ENVELOPE_GRID)
         pts = np.zeros((len(rhos), obj.dim))
         pts[:, 0] = rhos
     else:
@@ -501,6 +484,9 @@ def run_ensemble(
     R_div = default_r_div(spec.theta0) if R_div is None else float(R_div)
     if W > spec.horizon:
         raise ContractViolation("window W must be <= horizon")
+    # Before any trajectory runs: a capture block the envelope cannot handle
+    # is a config error that should cost nothing.
+    g_r = None if capture is None else envelope_sup_over_ball(spec, capture.theta_bar, capture.R)
 
     args = [(spec, i, W, epsilon_conv, R_div, capture) for i in range(spec.n_trajectories)]
     if jobs > 1:
@@ -520,7 +506,6 @@ def run_ensemble(
 
     capture_report = None
     if capture is not None:
-        g_r = envelope_sup_over_ball(spec, capture.theta_bar, capture.R, capture.n_grid)
         counts = np.zeros(spec.horizon, dtype=np.int64)
         for s in summaries:
             counts[s.escape_ks] += 1
@@ -557,6 +542,7 @@ def run_ensemble(
         n_overflow=sum(1 for s in summaries if s.overflow),
         n_domain_violation=sum(1 for s in summaries if s.domain_violation),
         seeds=[s.seed for s in summaries],
+        last_ks=[s.last_k for s in summaries],
     )
 
 

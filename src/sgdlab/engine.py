@@ -19,7 +19,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation
 from .objectives import OVERFLOW_CAP, StochasticOracle
 
 # Iterates at or beyond this magnitude are treated as numeric overflow;
@@ -209,31 +209,36 @@ def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> Schedul
     )
 
 
+def record_points(last: int, stride: int) -> np.ndarray:
+    """The record grid 0, s, 2s, ... up to last, plus last itself."""
+    points = np.arange(0, last + 1, stride)
+    return points if points[-1] == last else np.append(points, last)
+
+
 @dataclass
 class Trajectory:
-    """A recorded SGD run.
+    """A recorded SGD run: the iterate trace and F and the gradient norm on its grid.
 
-    Steps are recorded at indices 0, s, 2s, ... plus the final index, where s
-    is the record stride; with s = 1 the records cover 0..K contiguously.  On
-    numeric overflow the run is truncated at the last finite iterate and
-    flagged rather than raised, since divergence is an expected outcome.
+    trace holds every iterate 0..last_k as a (last_k + 1, p) array; F and the
+    gradient norm are recorded at the stride points ks (record_points).  A run
+    that overflows, or whose next iterate leaves the domain, is truncated at
+    its last good iterate and flagged rather than raised: divergence and a
+    domain exit are outcomes.  violation_theta is the iterate that left.
     """
 
     ks: np.ndarray
-    thetas: np.ndarray
+    trace: np.ndarray
     f_values: np.ndarray
     grad_norms: np.ndarray
     seed: int
-    schedule_id: str
-    objective_id: str
-    oracle_id: str
     horizon: int
     record_stride: int = 1
     overflow: bool = False
-    domain_violation: bool = False
     violation_theta: np.ndarray | None = None
-    norm_trace: np.ndarray | None = None
-    theta_trace: np.ndarray | None = None
+
+    @property
+    def thetas(self) -> np.ndarray:
+        return self.trace[self.ks]
 
     @property
     def last_k(self) -> int:
@@ -242,6 +247,16 @@ class Trajectory:
     @property
     def truncated(self) -> bool:
         return self.last_k < self.horizon
+
+    @property
+    def domain_violation(self) -> bool:
+        return self.violation_theta is not None
+
+    def norms(self) -> np.ndarray:
+        """||theta_k|| for k = 0..last_k: |theta| in 1-D, row norms for p > 1."""
+        if self.trace.shape[1] == 1:
+            return np.abs(self.trace[:, 0])
+        return np.sqrt(np.einsum("ij,ij->i", self.trace, self.trace))
 
 
 def _scalar_chunk(noise, g1, x, etas, w, r0, out):
@@ -286,22 +301,9 @@ def _scalar_chunk(noise, g1, x, etas, w, r0, out):
     return None
 
 
-def _stop(overflow: bool, theta_n: np.ndarray, step: int, bound: str,
-          truncate_on_domain: bool):
-    """Flags (overflow, domain_hit, violation theta) for a rejected iterate.
-
-    Overflow wins over a domain exit; a domain exit raises unless truncating.
-    """
-    if overflow:
-        return True, False, None
-    if not truncate_on_domain:
-        raise DomainError(f"iterate left the domain ({bound}) at step {step}", theta=theta_n)
-    return False, True, theta_n
-
-
-def _run_scalar_loop(g1, noise, etas, x0: float, K: int, rng, r0: float,
-                     truncate_on_domain: bool):
-    """Tight 1-D loop on Python floats; returns (trace over 0..last, flags...).
+def _run_scalar_loop(g1, noise, etas, x0: float, K: int, rng, r0: float):
+    """Tight 1-D loop on Python floats; returns (trace over 0..last, overflow,
+    the iterate that left the domain or None).
 
     Step sizes and noise are converted to lists once per chunk.  The g1
     scalars use the math module, which keeps the iterates bitwise stable
@@ -318,17 +320,14 @@ def _run_scalar_loop(g1, noise, etas, x0: float, K: int, rng, r0: float,
                                  None if w is None else w.ravel().tolist(), r0, out)
         trace[k + 1:k + 1 + len(out)] = out
         if rejected is not None:
-            last = k + len(out)
-            flags = _stop(not (-THETA_CAP < rejected < THETA_CAP), np.array([rejected]),
-                          last + 1, f"|theta| < {r0}", truncate_on_domain)
-            return (trace[: last + 1], *flags)
+            overflow = not (-THETA_CAP < rejected < THETA_CAP)
+            return trace[: k + len(out) + 1], overflow, None if overflow else np.array([rejected])
         x = out[-1]
-    return (trace, False, False, None)
+    return trace, False, None
 
 
-def _run_vector_loop(objective, noise, schedule: Schedule, theta0: np.ndarray,
-                     K: int, rng, truncate_on_domain: bool):
-    """General p-dimensional loop.
+def _run_vector_loop(objective, noise, schedule: Schedule, theta0: np.ndarray, K: int, rng):
+    """General p-dimensional loop; returns what _run_scalar_loop returns.
 
     The rotated step stays q @ (d * (q.T @ g)) per iterate: a gemm over the
     chunk sums in another order and changes the iterates' bits.
@@ -356,14 +355,12 @@ def _run_vector_loop(objective, noise, schedule: Schedule, theta0: np.ndarray,
             if not (nrm < THETA_CAP) or nrm < r0:
                 if out:
                     trace[k + 1:k + 1 + len(out)] = out
-                last = k + len(out)
-                flags = _stop(not (nrm < THETA_CAP), theta_n, last + 1,
-                              f"norm < {r0}", truncate_on_domain)
-                return (trace[: last + 1], *flags)
+                overflow = not (nrm < THETA_CAP)
+                return trace[: k + len(out) + 1], overflow, None if overflow else theta_n
             out.append(theta_n)
             theta = theta_n
         trace[k + 1:k + 1 + n] = out
-    return (trace, False, False, None)
+    return trace, False, None
 
 
 def run_trajectory(
@@ -373,16 +370,14 @@ def run_trajectory(
     K: int,
     seed: int,
     record_stride: int = 1,
-    keep_norm_trace: bool = False,
-    keep_theta_trace: bool = False,
-    truncate_on_domain_error: bool = False,
 ) -> Trajectory:
     """Run the recursion for K steps from theta0, one oracle draw per step.
 
     Deterministic given seed: the noise stream is consumed in a fixed chunked
     order, so re-running with identical arguments reproduces every recorded
     field bit for bit.  F and the gradient norm are recorded at every stride
-    point plus the final index.
+    point plus the final index.  A theta0 outside the domain raises
+    DomainError; a later iterate outside it ends the run (Trajectory).
     """
     objective = oracle.objective
     noise = oracle.noise
@@ -403,53 +398,33 @@ def run_trajectory(
 
     if objective.dim == 1 and objective.g1 is not None:
         etas = schedule.eigenvalues(np.arange(K))[:, 0]
-        trace1, overflow, domain_hit, viol = _run_scalar_loop(
-            objective.g1, noise, etas, float(theta0[0]), K, rng,
-            objective.r0, truncate_on_domain_error,
-        )
-        trace = trace1[:, None]
-        norm_trace = np.abs(trace1)
+        trace, overflow, viol = _run_scalar_loop(
+            objective.g1, noise, etas, float(theta0[0]), K, rng, objective.r0)
+        trace = trace[:, None]
     else:
-        trace, overflow, domain_hit, viol = _run_vector_loop(
-            objective, noise, schedule, theta0, K, rng, truncate_on_domain_error,
-        )
-        norm_trace = np.sqrt(np.einsum("ij,ij->i", trace, trace))
+        trace, overflow, viol = _run_vector_loop(objective, noise, schedule, theta0, K, rng)
 
-    last = trace.shape[0] - 1
-    rec = np.arange(0, last + 1, record_stride)
-    if rec[-1] != last:
-        rec = np.append(rec, last)
-    thetas = trace[rec]
+    ks = record_points(trace.shape[0] - 1, record_stride)
+    thetas = trace[ks]
     f_values = np.asarray(objective.value_batch(thetas), dtype=float)
     grad_norms = np.asarray(objective.grad_norm_batch(thetas), dtype=float)
 
     # F at or beyond the cap is numeric overflow: truncate at the last good record.
     bad = ~np.isfinite(f_values) | (f_values >= OVERFLOW_CAP)
     if np.any(bad):
-        cut = int(np.argmax(bad))
-        cut = max(cut, 1)
-        rec = rec[:cut]
-        thetas = thetas[:cut]
-        f_values = f_values[:cut]
-        grad_norms = grad_norms[:cut]
-        norm_trace = norm_trace[: int(rec[-1]) + 1]
-        trace = trace[: int(rec[-1]) + 1]
+        cut = max(int(np.argmax(bad)), 1)
+        ks, f_values, grad_norms = ks[:cut], f_values[:cut], grad_norms[:cut]
+        trace = trace[: int(ks[-1]) + 1]
         overflow = True
 
     return Trajectory(
-        ks=rec.astype(np.int64),
-        thetas=thetas,
+        ks=ks,
+        trace=trace,
         f_values=f_values,
         grad_norms=grad_norms,
         seed=int(seed),
-        schedule_id=schedule.label,
-        objective_id=objective.id,
-        oracle_id=oracle.id,
         horizon=K,
         record_stride=record_stride,
         overflow=overflow,
-        domain_violation=domain_hit,
         violation_theta=viol,
-        norm_trace=norm_trace if (keep_norm_trace or keep_theta_trace) else None,
-        theta_trace=trace[: int(rec[-1]) + 1] if keep_theta_trace else None,
     )

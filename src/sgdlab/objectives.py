@@ -100,17 +100,21 @@ class Objective:
     g1: Callable[[float], float] | None = None
     radial: bool = False
 
-    def in_domain(self, theta: np.ndarray) -> bool:
-        if self.r0 <= 0.0:
-            return True
-        return float(np.linalg.norm(theta)) >= self.r0
+    def check_domain(self, thetas: np.ndarray) -> None:
+        """Raise DomainError at the first point below the floor r0.
 
-    def check_domain(self, theta: np.ndarray) -> None:
-        if not self.in_domain(theta):
+        thetas is one point of shape (p,) or a stack of shape (n, p).
+        """
+        if self.r0 <= 0.0:
+            return
+        pts = np.asarray(thetas, dtype=float).reshape(-1, self.dim)
+        bad = _norms(pts) < self.r0
+        if np.any(bad):
+            theta = pts[int(np.argmax(bad))]
             raise DomainError(
                 f"objective {self.id!r} requires norm(theta) >= {self.r0}; "
-                f"got theta={np.asarray(theta).tolist()}",
-                theta=np.asarray(theta, dtype=float),
+                f"got theta={theta.tolist()}",
+                theta=theta,
             )
 
 
@@ -487,16 +491,6 @@ class NoiseModel:
             elif self.kind == "additive-gaussian":
                 self.constants = (self.dim * self.sigma ** 2, 0.0, 1.0)
 
-    @property
-    def label(self) -> str:
-        if self.kind == "zero":
-            return "zero"
-        if self.kind == "additive-gaussian":
-            return f"additive-gaussian(sigma={self.sigma:g})"
-        if self.kind == "rademacher-radial":
-            return "rademacher-radial"
-        return f"additive-gaussian-statedep(sigma={self.sigma_expr})"
-
     def sigma_at(self, theta: np.ndarray) -> float:
         if self.kind == "additive-gaussian":
             return self.sigma
@@ -613,7 +607,3 @@ class StochasticOracle:
             raise ContractViolation(
                 f"objective dimension {self.objective.dim} != noise dimension {self.noise.dim}"
             )
-
-    @property
-    def id(self) -> str:
-        return f"{self.objective.id}|{self.noise.label}"

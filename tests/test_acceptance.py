@@ -16,7 +16,6 @@ from sgdlab.checkers import (
     check_descent_inequality,
     check_grad_bound,
     check_variance_control,
-    descent_lhs,
     estimate_local_holder,
     find_eigenvalue_threshold,
     holder_sup_on_box,
@@ -97,7 +96,10 @@ def test_criterion_02_descent_suite():
     assert under.verdict == "fail"
     theta = np.asarray(under.witness["theta"])
     phi = np.asarray(under.witness["phi"])
-    assert descent_lhs(catalog_lookup("quadratic"), theta, phi, 0.9, 1.0) > 1e-9
+    quad = catalog_lookup("quadratic")
+    lhs = (quad.value(theta) - quad.value(phi) - float(quad.grad(phi) @ (theta - phi))
+           - 0.9 / 2.0 * float(np.linalg.norm(theta - phi)) ** 2)
+    assert lhs > 1e-9
     announce(2, "descent-lemma suite", started, 30.0,
              "7 objectives x 10^4 pairs + verified witness")
 
@@ -248,8 +250,7 @@ def test_criterion_06_dichotomy_demonstration():
     rect = catalog_lookup("smooth-rectifier")
     traj = run_trajectory(
         StochasticOracle(rect, NoiseModel("zero", 1)),
-        Schedule.scalar(1.0, 0.75, k0=1), [-1.0], 10**4, seed=0,
-        keep_norm_trace=True)
+        Schedule.scalar(1.0, 0.75, k0=1), [-1.0], 10**4, seed=0)
     verdict_b = classify_dichotomy(traj, 1000, 0.002, 2.0)  # pilot-pinned R_div
     assert verdict_b.verdict == "diverging-like"
     assert traj.grad_norms[-1] < 0.05
@@ -348,9 +349,8 @@ def test_criterion_08_radial_classification():
 def _f_traj(f_values):
     f = np.asarray(f_values, dtype=float)
     return Trajectory(
-        ks=np.arange(len(f)), thetas=np.zeros((len(f), 1)), f_values=f,
-        grad_norms=np.zeros(len(f)), seed=0, schedule_id="s", objective_id="o",
-        oracle_id="so", horizon=len(f) - 1)
+        ks=np.arange(len(f)), trace=np.zeros((len(f), 1)), f_values=f,
+        grad_norms=np.zeros(len(f)), seed=0, horizon=len(f) - 1)
 
 
 def test_criterion_09_stopping_times():
@@ -371,7 +371,7 @@ def test_criterion_09_stopping_times():
     for i in range(50):
         traj = run_trajectory(
             oracle, sched, [3.0], 10**4, split_seed(90909, i),
-            record_stride=1, keep_norm_trace=True, truncate_on_domain_error=True)
+            record_stride=1)
         st_out = compute_stopping_times(traj)
         taus = st_out.taus
         assert all(b > a for a, b in zip(taus, taus[1:]))
@@ -423,8 +423,7 @@ def test_criterion_10_determinism():
     rect = catalog_lookup("smooth-rectifier")
     traj = run_trajectory(
         StochasticOracle(rect, NoiseModel("zero", 1)),
-        Schedule.scalar(1.0, 0.75, k0=1), [-1.0], 10**4, seed=0,
-        keep_norm_trace=True)
+        Schedule.scalar(1.0, 0.75, k0=1), [-1.0], 10**4, seed=0)
     verdict_b = classify_dichotomy(traj, 1000, 0.002, 2.0)
     redo_b = dumps_json({
         "classification": verdict_b, "final_grad_norm": float(traj.grad_norms[-1])})

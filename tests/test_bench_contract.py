@@ -1,9 +1,11 @@
-"""The names the benchmark reaches into sgdlab by must exist.
+"""The names the benchmark reaches into sgdlab by must exist, and its counts must hold.
 
 bench/tracing.py wraps functions by module and attribute name and skips a
 name it cannot find, so a renamed function would silently time as 0.  The
-runner's micro-timings call a few per-step callables directly.  This test
-only imports and inspects; it runs nothing.
+runner's micro-timings call a few per-step callables directly.  The
+tracer's step counts come from the Trajectory records that run_ensemble's
+run_trajectory calls return; one tiny ensemble checks them against the
+ensemble's own last_ks.
 """
 
 import importlib
@@ -15,8 +17,9 @@ import pytest
 
 import sgdlab.cli
 from sgdlab.config import load_config
+from sgdlab.diagnostics import EnsembleSpec, run_ensemble
 from sgdlab.engine import Schedule, run_trajectory
-from sgdlab.objectives import NoiseModel, Objective, catalog_lookup
+from sgdlab.objectives import NoiseModel, NoiseSpec, Objective, ObjectiveSpec, catalog_lookup
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -47,7 +50,25 @@ def test_names_used_by_the_micro_timings_resolve():
     noise4 = cfg4.noise.build(rect4.dim)
     assert callable(rect1.g1) and callable(rect1.grad) and callable(rect4.grad)
     assert callable(noise4.sigma_at) and callable(noise4.envelope_batch)
-    assert "record_stride" in inspect.signature(run_trajectory).parameters
+    assert list(inspect.signature(run_trajectory).parameters) == [
+        "oracle", "schedule", "theta0", "K", "seed", "record_stride"]
+
+
+def test_traced_step_counts_match_the_ensemble():
+    # log1p-abs from 2.0 (master seed 3): three trajectories leave the domain
+    # within 14 steps, one runs the full horizon
+    spec = EnsembleSpec(
+        objective=ObjectiveSpec("log1p-abs"), noise=NoiseSpec("additive-gaussian", sigma=1.0),
+        schedule=Schedule.scalar(0.5, 0.75), theta0=(2.0,), horizon=200, n_trajectories=4,
+        master_seed=3, record_stride=10)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        result = run_ensemble(spec)
+    assert 0 < result.n_domain_violation < spec.n_trajectories
+    assert tracer.counts["engine.steps"] == sum(result.last_ks)
+    assert tracer.counts["engine.trajectories_truncated"] == sum(
+        k < spec.horizon for k in result.last_ks)
 
 
 @pytest.mark.parametrize("workload", sorted(p.stem for p in (BENCH / "configs").glob("*.json")))

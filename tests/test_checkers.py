@@ -13,7 +13,6 @@ from sgdlab.checkers import (
     check_expected_smoothness,
     check_grad_bound,
     check_variance_control,
-    descent_lhs,
     estimate_local_holder,
     find_eigenvalue_threshold,
     holder_sup_on_box,
@@ -77,10 +76,9 @@ def test_holder_gauss_bump_matches_dense_grid_oracle():
 ])
 def test_holder_estimate_monotone_in_samples(name, phi, dim, method):
     obj = catalog_lookup(name, dimension=dim)
-    values = [
-        estimate_local_holder(obj, phi, 0.5, 1.0, n, method=method).value
-        for n in (4, 16, 64, 256, 1024)
-    ]
+    estimates = [estimate_local_holder(obj, phi, 0.5, 1.0, n) for n in (4, 16, 64, 256, 1024)]
+    assert all(est.method == method for est in estimates)  # the dimension picks it
+    values = [est.value for est in estimates]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -117,7 +115,8 @@ def test_descent_quadratic_understated_constant_fails_with_witness():
     assert report.verdict == "fail"
     theta = np.asarray(report.witness["theta"])
     phi = np.asarray(report.witness["phi"])
-    lhs = descent_lhs(obj, theta, phi, 0.9, 1.0)
+    lhs = (obj.value(theta) - obj.value(phi) - float(obj.grad(phi) @ (theta - phi))
+           - 0.9 / 2.0 * float(np.linalg.norm(theta - phi)) ** 2)
     assert lhs > report.tolerance
     assert lhs == pytest.approx(report.worst_violation, rel=1e-12)
     # analytic form of the violation: (1 - 0.9)/2 * ||theta - phi||^2

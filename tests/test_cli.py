@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdlab import diagnostics
 from sgdlab.cli import main
 from sgdlab.config import config_from_dict, load_config
 from sgdlab.errors import ConfigError
@@ -255,6 +256,45 @@ def test_domain_violating_theta0_exits_3(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     assert "0.5" in err  # offending point printed
+
+
+def test_domain_exit_is_reported_truncated_not_converged(tmp_path):
+    # Each trajectory creeps down exp-abs to its floor and steps below it near
+    # k = 1.3e5.  Its last W norms then sit at the floor with a range under
+    # epsilon_conv, which the window rules alone would call converged-like.
+    cfg = base_config(
+        tmp_path / "out",
+        objective={"name": "exp-abs", "dimension": 1, "r0": 1.0},
+        noise={"kind": "additive-gaussian", "sigma": 1e-6},
+        schedule={"family": "scalar-power", "c": 1e-4, "beta": 0.75, "k0": 1, "p": 1},
+        diagnostics={})
+    cfg["run"] = {"theta0": [1.02], "K": 200000, "n_trajectories": 4, "master_seed": 1,
+                  "record_stride": 100}
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "ensemble_report.json").read_text())
+    assert report["n_domain_violation"] == 4
+    assert report["verdict_counts"] == {"truncated": 4}
+    assert all(c["evidence"]["last_k"] < 200000 for c in report["classifications"])
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+
+
+@pytest.mark.parametrize("workload,block", [
+    ("dense-checkpoints", {"W": 800}),  # W > K = 300
+    # the capture envelope needs a 1-D or radial objective, not the p=4 rectifier
+    ("rotated-p4", {"capture": {"theta_bar": [0.0] * 4, "R": 1.0, "epsilon": 0.5}}),
+])
+def test_late_config_error_leaves_no_directory(tmp_path, capsys, workload, block):
+    cfg = json.loads((BENCH_CONFIGS / f"{workload}.json").read_text(encoding="utf-8"))
+    cfg["diagnostics"] = block
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    with mock.patch.object(diagnostics, "run_trajectory",
+                           wraps=diagnostics.run_trajectory) as run:
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    assert run.call_count == 0  # rejected before any trajectory ran
+    assert not (tmp_path / "out").exists()
+    assert "config error" in capsys.readouterr().err
 
 
 def test_jobs_flag_produces_identical_output(tmp_path):

@@ -24,20 +24,17 @@ from sgdlab.objectives import NoiseModel, NoiseSpec, ObjectiveSpec, StochasticOr
 from sgdlab.reports import dumps_json, ensemble_report_payload
 
 
-def synthetic_trajectory(norms, horizon=None):
+def synthetic_trajectory(norms, horizon=None, **flags):
     norms = np.asarray(norms, dtype=float)
     n = len(norms)
     return Trajectory(
         ks=np.arange(n),
-        thetas=norms[:, None].copy(),
+        trace=norms[:, None].copy(),
         f_values=np.zeros(n),
         grad_norms=np.zeros(n),
         seed=0,
-        schedule_id="synthetic",
-        objective_id="synthetic",
-        oracle_id="synthetic",
         horizon=n - 1 if horizon is None else horizon,
-        norm_trace=norms,
+        **flags,
     )
 
 
@@ -83,21 +80,28 @@ def test_classify_rules_are_mutually_exclusive():
                              "diverging-like" if div else "undecided")
 
 
+def test_domain_exit_is_truncated_whatever_the_window_shows():
+    # the window sits still at the floor: the window rules alone say converged-like
+    norms = np.full(100, 1.0)
+    assert classify_dichotomy(synthetic_trajectory(norms), 20, 0.5, 10.0).verdict == (
+        "converged-like")
+    traj = synthetic_trajectory(norms, horizon=500, violation_theta=np.array([0.9]))
+    c = classify_dichotomy(traj, 20, 0.5, 10.0)
+    assert c.verdict == "truncated"
+    assert c.evidence == {"last_k": 99}
+
+
+def test_overflowed_trajectory_keeps_its_window_verdict():
+    traj = synthetic_trajectory(np.arange(100, dtype=float), horizon=500, overflow=True)
+    assert classify_dichotomy(traj, 20, 0.5, 10.0).verdict == "diverging-like"
+
+
 def test_classify_window_contract():
     traj = synthetic_trajectory(np.ones(100))
     with pytest.raises(ContractViolation):
         classify_dichotomy(traj, 0, 0.1, 10.0)
     with pytest.raises(ContractViolation):
         classify_dichotomy(traj, 1000, 0.1, 10.0)
-
-
-def test_classify_without_trace_uses_recorded_steps():
-    traj = synthetic_trajectory(np.linspace(100, 200, 51))
-    traj.norm_trace = None
-    traj.ks = np.arange(0, 51) * 10  # pretend stride-10 recording
-    traj.horizon = 500
-    c = classify_dichotomy(traj, 100, 0.5, 50.0)
-    assert c.verdict == "diverging-like"
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +149,28 @@ def test_ensemble_parallel_matches_sequential():
     seq = run_ensemble(spec)
     par = run_ensemble(spec, jobs=2)
     assert dumps_json(ensemble_report_payload(seq)) == dumps_json(ensemble_report_payload(par))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_last_ks_are_each_trajectorys_last_step_in_order(jobs):
+    # log1p-abs from 3.0 with sigma 0.3: some trajectories leave the domain
+    # between checkpoints, the others run the full horizon
+    spec = EnsembleSpec(
+        objective=ObjectiveSpec("log1p-abs"), noise=NoiseSpec("additive-gaussian", sigma=0.3),
+        schedule=Schedule.scalar(0.5, 0.75), theta0=(3.0,), horizon=200, n_trajectories=8,
+        master_seed=3, record_stride=10)
+    result = run_ensemble(spec, jobs=jobs)
+    oracle = spec.build()
+    expected = [run_trajectory(oracle, spec.schedule, [3.0], 200, seed, record_stride=10).last_k
+                for seed in result.seeds]
+    assert result.last_ks == expected
+    truncated = [k < spec.horizon for k in result.last_ks]
+    assert 0 < sum(truncated) < spec.n_trajectories
+    assert result.n_domain_violation == sum(truncated)
+    assert [c.verdict == "truncated" for c in result.classifications] == truncated
+    # a trajectory counts at checkpoint k exactly while k <= its last_k
+    assert result.convergence.n_alive == [
+        sum(last >= k for last in result.last_ks) for k in result.convergence.ks]
 
 
 def test_trajectory_seeds_are_split_and_distinct():
@@ -312,13 +338,10 @@ def f_trajectory(f_values):
     n = len(f)
     return Trajectory(
         ks=np.arange(n),
-        thetas=np.zeros((n, 1)),
+        trace=np.zeros((n, 1)),
         f_values=f,
         grad_norms=np.zeros(n),
         seed=0,
-        schedule_id="synthetic",
-        objective_id="synthetic",
-        oracle_id="synthetic",
         horizon=n - 1,
     )
 
@@ -374,8 +397,7 @@ def test_stopping_times_on_counterexample_run():
     obj = catalog_lookup("loglog1p-abs")
     oracle = StochasticOracle(obj, NoiseModel("rademacher-radial", 1))
     traj = run_trajectory(oracle, Schedule.scalar(0.5, 0.6, k0=1), [100.0],
-                          5000, seed=split_seed(9, 0), record_stride=1,
-                          truncate_on_domain_error=True)
+                          5000, seed=split_seed(9, 0), record_stride=1)
     st_out = compute_stopping_times(traj)
     taus = st_out.taus
     assert all(b > a for a, b in zip(taus, taus[1:]))

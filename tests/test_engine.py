@@ -335,12 +335,12 @@ def test_run_trajectory_deterministic_replay(noise_kind, sigma, dim):
     oracle = StochasticOracle(obj, NoiseModel(noise_kind, dim, sigma=sigma))
     sched = Schedule.scalar(0.5, 0.75, k0=1, dim=dim)
     theta0 = [1.0] * dim
-    a = run_trajectory(oracle, sched, theta0, 400, seed=99, keep_norm_trace=True)
-    b = run_trajectory(oracle, sched, theta0, 400, seed=99, keep_norm_trace=True)
-    assert np.array_equal(a.thetas, b.thetas)
+    a = run_trajectory(oracle, sched, theta0, 400, seed=99)
+    b = run_trajectory(oracle, sched, theta0, 400, seed=99)
+    assert np.array_equal(a.trace, b.trace)
     assert np.array_equal(a.f_values, b.f_values)
     assert np.array_equal(a.grad_norms, b.grad_norms)
-    assert np.array_equal(a.norm_trace, b.norm_trace)
+    assert np.array_equal(a.norms(), b.norms())
     assert a.seed == b.seed
 
 
@@ -387,20 +387,10 @@ def test_overflow_truncates_with_flag():
     assert not traj.domain_violation
 
 
-def test_domain_error_raises_with_theta():
-    oracle = make_oracle("loglog1p-abs")
-    sched = Schedule.scalar(5.0, 0.0, k0=1)
-    with pytest.raises(DomainError) as err:
-        run_trajectory(oracle, sched, [1.5], 50, seed=0)
-    assert err.value.theta is not None
-    assert abs(err.value.theta[0]) < 1.0
-
-
 def test_domain_truncation_mode_flags_instead():
     oracle = make_oracle("loglog1p-abs")
     sched = Schedule.scalar(5.0, 0.0, k0=1)
-    traj = run_trajectory(oracle, sched, [1.5], 50, seed=0,
-                          truncate_on_domain_error=True)
+    traj = run_trajectory(oracle, sched, [1.5], 50, seed=0)
     assert traj.domain_violation
     assert traj.truncated
     assert traj.violation_theta is not None
@@ -422,8 +412,7 @@ def test_f_values_respect_lower_bound():
     ]:
         oracle = StochasticOracle(
             catalog_lookup(name, **kw), NoiseModel("additive-gaussian", 1, sigma=0.2))
-        traj = run_trajectory(oracle, Schedule.scalar(0.2, 0.75), theta0, 500, seed=8,
-                              truncate_on_domain_error=True)
+        traj = run_trajectory(oracle, Schedule.scalar(0.2, 0.75), theta0, 500, seed=8)
         assert np.all(traj.f_values >= oracle.objective.f_lb)
 
 

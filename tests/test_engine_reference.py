@@ -2,10 +2,11 @@
 
 `_reference_scalar_loop` and `_reference_vector_loop` are the straightforward
 per-step loops that the engine's fast paths replaced, kept verbatim apart
-from reading the chunk size from the engine.  The fast paths must give the
-same iterate bits, the same overflow/domain flags and violation point, and
-the same DomainError step and message, over the whole catalog, every noise
-kind, every schedule family and p in {1, 3}.
+from reading the chunk size from the engine.  They are run in their
+truncating mode, the engine's only behaviour: a domain exit ends the run and
+is flagged.  The fast paths must give the same iterate bits, the same
+overflow/domain flags and the same violation point over the whole catalog,
+every noise kind, every schedule family and p in {1, 3}.
 """
 
 import itertools
@@ -183,30 +184,37 @@ def _schedule(family, p, c, beta):
     return Schedule.rotated(cs, bs, rotation_seed=5)
 
 
-def _run(loop, obj, noise, sched, theta0, seed, truncate):
+def _reference(loop):
+    """A reference loop in truncating mode, returning the fast loops' triple."""
+
+    def run(*args):
+        trace, overflow, domain_hit, viol = loop(*args, True)
+        assert domain_hit == (viol is not None)
+        return trace, overflow, viol
+
+    return run
+
+
+def _run(loop, obj, noise, sched, theta0, seed):
     rng = np.random.default_rng(seed)
     if loop == "fast":
         scalar, vector = _run_scalar_loop, _run_vector_loop
     else:
-        scalar, vector = _reference_scalar_loop, _reference_vector_loop
+        scalar, vector = _reference(_reference_scalar_loop), _reference(_reference_vector_loop)
     with np.errstate(all="ignore"):
-        try:
-            if obj.dim == 1:
-                etas = sched.eigenvalues(np.arange(K))[:, 0]
-                trace, over, dom, viol = scalar(obj.g1, noise, etas, float(theta0[0]), K,
-                                                rng, obj.r0, truncate)
-                trace = trace[:, None]
-            else:
-                trace, over, dom, viol = vector(obj, noise, sched, theta0, K, rng, truncate)
-        except DomainError as exc:
-            return ("raised", str(exc), np.asarray(exc.theta).tobytes())
-    return (trace.shape, trace.tobytes(), over, dom,
+        if obj.dim == 1:
+            etas = sched.eigenvalues(np.arange(K))[:, 0]
+            trace, over, viol = scalar(obj.g1, noise, etas, float(theta0[0]), K, rng, obj.r0)
+            trace = trace[:, None]
+        else:
+            trace, over, viol = vector(obj, noise, sched, theta0, K, rng)
+    return (trace.shape, trace.tobytes(), over, viol is not None,
             None if viol is None else np.asarray(viol).tobytes())
 
 
 def test_fast_loops_match_reference_bit_for_bit(monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", CHUNK)
-    outcomes = {"full": 0, "overflow": 0, "domain": 0, "raised": 0}
+    outcomes = {"full": 0, "overflow": 0, "domain": 0}
     grid = itertools.product(OBJECTIVES, NOISES, FAMILIES, (1, 3), SETTINGS)
     for seed, combo in enumerate(grid):
         (name, okw), (kind, nkw), family, p, (c, beta, scale) = combo
@@ -214,12 +222,8 @@ def test_fast_loops_match_reference_bit_for_bit(monkeypatch):
         noise = NoiseModel(kind, p, **nkw)
         sched = _schedule(family, p, c, beta)
         theta0 = scale * np.array([1.0, -0.6, 0.3][:p])
-        ref = _run("reference", obj, noise, sched, theta0, seed, False)
-        assert _run("fast", obj, noise, sched, theta0, seed, False) == ref, combo
-        if ref[0] == "raised":
-            outcomes["raised"] += 1
-            ref = _run("reference", obj, noise, sched, theta0, seed, True)
-            assert _run("fast", obj, noise, sched, theta0, seed, True) == ref, combo
+        ref = _run("reference", obj, noise, sched, theta0, seed)
+        assert _run("fast", obj, noise, sched, theta0, seed) == ref, combo
         outcomes["overflow" if ref[2] else "domain" if ref[3] else "full"] += 1
     # the grid exercises every exit of the loops
     assert all(count >= 10 for count in outcomes.values()), outcomes
@@ -234,10 +238,10 @@ def test_power_q_gradient_overflow_is_flagged_as_overflow(p):
     theta0 = 1e34 * np.eye(p)[0]
     with np.errstate(all="ignore"):
         traj = run_trajectory(StochasticOracle(obj, NoiseModel("zero", p)), sched,
-                              theta0, 10, seed=0, keep_theta_trace=True)
+                              theta0, 10, seed=0)
         assert not np.isfinite(obj.grad(-1.2e103 * np.eye(p)[0])).all()
     assert traj.overflow and not traj.domain_violation
-    assert traj.theta_trace.shape == (1, p)  # F(theta1) = inf cuts the records too
+    assert traj.trace.shape == (1, p)  # F(theta1) = inf cuts the records too
 
 
 @pytest.mark.parametrize("p", [1, 3])
@@ -248,7 +252,7 @@ def test_iterate_exactly_on_the_domain_floor_is_kept(p):
     noise = NoiseModel("zero", p)
     sched = Schedule.scalar(0.25, 0.0, dim=p)
     theta0 = 2.0 * np.eye(p)[0]
-    ref = _run("reference", obj, noise, sched, theta0, 0, True)
-    assert _run("fast", obj, noise, sched, theta0, 0, True) == ref
+    ref = _run("reference", obj, noise, sched, theta0, 0)
+    assert _run("fast", obj, noise, sched, theta0, 0) == ref
     assert ref[0] == (2, p)
     assert ref[3]  # domain exit at the second step

@@ -123,6 +123,11 @@ def test_domain_error_below_floor():
     with pytest.raises(DomainError) as err:
         obj.check_domain(np.array([0.5]))
     assert err.value.theta is not None
+    # a stack of points: the first one below the floor is reported
+    with pytest.raises(DomainError) as err:
+        obj.check_domain(np.array([[2.0], [0.5], [0.25]]))
+    assert err.value.theta.tolist() == [0.5]
+    catalog_lookup("log1p-abs", dimension=2).check_domain(np.array([[1.0, 0.0], [0.0, -1.5]]))
 
 
 def test_softplus_stability():

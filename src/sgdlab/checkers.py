@@ -11,11 +11,11 @@ a sampled value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
-from .engine import Schedule
+from .engine import Schedule, Verdict
 from .errors import ContractViolation, DomainError
 from .objectives import Objective, StochasticOracle
 
@@ -23,8 +23,6 @@ ZERO_CLAMP = 1e-300
 DEFAULT_TOL = 1e-9
 # Ball samples per local Hölder estimate of probe_radial_conditions.
 PROBE_HOLDER_SAMPLES = 512
-
-Verdict = Literal["pass", "fail", "inconclusive"]
 
 
 @dataclass
@@ -158,8 +156,8 @@ def estimate_local_holder(
         raise ContractViolation("need at least 2 samples")
     if obj.r0 > 0.0 and float(np.linalg.norm(phi)) - r < obj.r0:
         raise DomainError(
-            f"ball of radius {r} around phi intersects the forbidden region "
-            f"norm < {obj.r0}",
+            f"ball of radius {r} around phi={phi.tolist()} intersects the "
+            f"forbidden region norm < {obj.r0}",
             theta=phi,
         )
     pts = _ball_points(phi, r, n_samples, seed)
@@ -216,6 +214,25 @@ def _uniform_box(rng: np.random.Generator, n: int, box: tuple[float, float],
     return rng.uniform(lo, hi, size=(n, dim))
 
 
+def _worst_point(assumption_id: str, violations: np.ndarray, tol: float,
+                 witness_fn: Callable[[int], dict]) -> AssumptionReport:
+    """The verdict of a sampled check from its per-point violations.
+
+    The worst point is the first maximum, as np.argmax picks it, so a NaN
+    violation is the worst and fails the check: a point whose violation
+    cannot be evaluated is never read as a pass.
+    """
+    i = int(np.argmax(violations))
+    worst = float(violations[i])
+    return AssumptionReport(
+        assumption_id=assumption_id,
+        verdict="pass" if worst <= tol else "fail",
+        worst_violation=worst,
+        witness=witness_fn(i),
+        tolerance=tol,
+    )
+
+
 def check_descent_inequality(
     obj: Objective,
     n_pairs: int,
@@ -249,21 +266,8 @@ def check_descent_inequality(
     inner = np.einsum("ij,ij->i", g_p, diff)
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     lhs = f_t - f_p - inner - (L_tilde / (1.0 + alpha)) * dist ** (1.0 + alpha)
-
-    worst_idx = int(np.argmax(lhs))
-    worst = float(lhs[worst_idx])
-    witness = {
-        "theta": thetas[worst_idx].tolist(),
-        "phi": phis[worst_idx].tolist(),
-        "lhs": worst,
-    }
-    return AssumptionReport(
-        assumption_id="descent",
-        verdict="pass" if worst <= tol else "fail",
-        worst_violation=worst,
-        witness=witness,
-        tolerance=tol,
-    )
+    return _worst_point("descent", lhs, tol, lambda i: {
+        "theta": thetas[i].tolist(), "phi": phis[i].tolist(), "lhs": float(lhs[i])})
 
 
 def check_variance_control(norm_samples, alpha: float,
@@ -334,20 +338,8 @@ def check_grad_bound(
     gsq = obj.grad_norm_batch(pts) ** 2
     bound = (L ** (1.0 / alpha) * (1.0 + alpha) / alpha * f) ** (2.0 * alpha / (1.0 + alpha))
     rel = (gsq - bound) / np.maximum(1.0, bound)
-    worst_idx = int(np.argmax(rel))
-    worst = float(rel[worst_idx])
-    witness = {
-        "phi": pts[worst_idx].tolist(),
-        "grad_norm_sq": float(gsq[worst_idx]),
-        "bound": float(bound[worst_idx]),
-    }
-    return AssumptionReport(
-        assumption_id="gradbound",
-        verdict="pass" if worst <= tol else "fail",
-        worst_violation=worst,
-        witness=witness,
-        tolerance=tol,
-    )
+    return _worst_point("gradbound", rel, tol, lambda i: {
+        "phi": pts[i].tolist(), "grad_norm_sq": float(gsq[i]), "bound": float(bound[i])})
 
 
 def _sample_sq_norms(oracle: StochasticOracle, theta: np.ndarray,
@@ -397,32 +389,20 @@ def check_expected_smoothness(
     pts = _uniform_box(rng, n_points, box, obj.dim)
     obj.check_domain(pts)
 
-    worst = -np.inf
-    witness = None
-    for theta in pts:
+    m_hat = np.empty(n_points)
+    se = np.empty(n_points)
+    bound = np.empty(n_points)
+    for i, theta in enumerate(pts):
         sq = _sample_sq_norms(oracle, theta, rng, n_draws)
-        m_hat = float(np.mean(sq))
-        se = float(np.std(sq, ddof=1) / np.sqrt(n_draws))
-        f = obj.value(theta) - obj.f_lb
-        gsq = float(obj.grad(theta) @ obj.grad(theta))
-        bound = C1 + C2 * f + C3 * gsq
-        margin = m_hat - bound - 4.0 * se
-        slack = 1e-12 * max(1.0, bound)
-        if margin - slack > worst:
-            worst = margin - slack
-            witness = {
-                "theta": theta.tolist(),
-                "empirical_second_moment": m_hat,
-                "bound": bound,
-                "stderr": se,
-            }
-    return AssumptionReport(
-        assumption_id="smoothness",
-        verdict="pass" if worst <= 0.0 else "fail",
-        worst_violation=worst,
-        witness=witness,
-        tolerance=0.0,
-    )
+        m_hat[i] = np.mean(sq)
+        se[i] = np.std(sq, ddof=1) / np.sqrt(n_draws)
+        g = obj.grad(theta)
+        bound[i] = C1 + C2 * (obj.value(theta) - obj.f_lb) + C3 * float(g @ g)
+    # 4-sigma statistical margin, then a relative slack for rounding.
+    margin = m_hat - bound - 4.0 * se - 1e-12 * np.maximum(1.0, bound)
+    return _worst_point("smoothness", margin, 0.0, lambda i: {
+        "theta": pts[i].tolist(), "empirical_second_moment": float(m_hat[i]),
+        "bound": float(bound[i]), "stderr": float(se[i])})
 
 
 def probe_radial_conditions(

@@ -86,35 +86,37 @@ def _overrides(args) -> dict:
             for name, block in blocks.items()}
 
 
-def _prepare_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]:
-    """The report paths, refused before any compute if one exists and force is off.
+def _report_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]:
+    """The paths of the named reports whose format is in output.formats.
 
-    The directory is made only by _make_dir, just before the first report is
-    written, so a command that fails earlier leaves none behind.
+    A path that exists is refused here, before any compute, unless force is on.
     """
     outdir = Path(config.output.directory)
     paths = {}
     for name in names:
         path = outdir / name
+        if path.suffix[1:] not in config.output.formats:
+            continue
         if path.exists() and not config.output.force:
             raise ConfigError(f"refusing to overwrite {path}; pass --force to allow")
         paths[name] = path
     return paths
 
 
-def _make_dir(config: ExperimentConfig) -> None:
+def _write_reports(config: ExperimentConfig, paths: dict[str, Path], writers: dict) -> None:
+    """Make the output directory and call writer(path, payload) for each path.
+
+    Each command calls this once, after all of its compute, so a command that
+    fails leaves neither a directory nor a partial set of reports behind.
+    """
     Path(config.output.directory).mkdir(parents=True, exist_ok=True)
+    for name, path in paths.items():
+        writer, payload = writers[name]
+        writer(path, payload)
 
 
 def _cmd_run(config: ExperimentConfig) -> int:
-    formats = config.output.formats
-    names = []
-    if "json" in formats:
-        names.append("ensemble_report.json")
-    if "csv" in formats:
-        names.append("checkpoints.csv")
-    paths = _prepare_paths(config, names)
-
+    paths = _report_paths(config, ["ensemble_report.json", "checkpoints.csv"])
     diag = config.diagnostics
     result = diagnostics.run_ensemble(
         config.run,
@@ -125,122 +127,95 @@ def _cmd_run(config: ExperimentConfig) -> int:
         capture=diag.capture,
         jobs=config.jobs,
     )
-    _make_dir(config)
-    if "json" in formats:
-        reports.write_json(paths["ensemble_report.json"],
-                           reports.ensemble_report_payload(result))
-    if "csv" in formats:
-        reports.write_checkpoints_csv(paths["checkpoints.csv"], result.convergence)
+    _write_reports(config, paths, {
+        "ensemble_report.json": (reports.write_json, reports.ensemble_report_payload(result)),
+        "checkpoints.csv": (reports.write_checkpoints_csv, result.convergence),
+    })
     return 0
 
 
-def _report_failed(payload) -> bool:
-    verdict = getattr(payload, "verdict", None)
-    return verdict == "fail"
-
-
-def _run_check(config: ExperimentConfig, name: str):
-    """Returns (document body for JSON, failed flag, optional csv writer).
+def _run_check(config: ExperimentConfig, oracle: StochasticOracle, name: str):
+    """Returns (document body for JSON, failed flag).
 
     The body always puts the typed report under "report"; check-specific
     context (e.g. the descent constant actually used) sits alongside it.
     """
     checks = config.checks
-    obj = config.objective.build()
+    obj = oracle.objective
     if name == "p1p2p3p4":
         report = engine.validate_schedule(config.schedule, checks.alpha, checks.horizon)
-        failed = "fail" in (report.p2_verdict, report.p3_verdict, report.p4_verdict)
-        return {"report": report}, failed, None
+        return {"report": report}, "fail" in (report.p2_verdict, report.p3_verdict,
+                                              report.p4_verdict)
+    if name == "radial":
+        diag = config.diagnostics
+        probe = checkers.probe_radial_conditions(
+            obj, oracle.noise.envelope(obj), diag.alpha, diag.r, list(diag.radii),
+            diag.b_threshold, seed=checks.seed)
+        return {"report": probe}, probe.a6_verdict == "violated-at-horizon"
+    if name == "lemma4":
+        threshold = checkers.find_eigenvalue_threshold(
+            config.schedule, checks.lemma4_c, checks.alpha, checks.lemma4_k_max)
+        return {"report": {
+            "C": checks.lemma4_c,
+            "alpha": checks.alpha,
+            "K_max": checks.lemma4_k_max,
+            "threshold": threshold,
+        }}, threshold is None
+    body = {}
     if name == "descent":
         l_tilde = checks.descent_l_tilde
         if l_tilde is None:
             l_tilde = 2.0 * checkers.holder_sup_on_box(
                 obj, checks.descent_box, checks.alpha, seed=checks.seed)
+        body["L_tilde"] = l_tilde
         report = checkers.check_descent_inequality(
             obj, checks.descent_n_pairs, l_tilde, checks.alpha,
             checks.descent_box, seed=checks.seed)
-        return {"L_tilde": l_tilde, "report": report}, _report_failed(report), None
-    if name == "variance":
-        oracle = StochasticOracle(obj, config.noise.build(obj.dim))
+    elif name == "variance":
         rng = np.random.default_rng(checks.seed)
         samples = checkers.sample_gradient_norms(
             oracle, np.asarray(config.run.theta0, dtype=float), rng,
             checks.variance_n_samples)
         report = checkers.check_variance_control(samples, checks.alpha)
-        return {"report": report}, _report_failed(report), None
-    if name == "gradbound":
+    elif name == "gradbound":
         l_const = checks.gradbound_l if checks.gradbound_l is not None else obj.l_global
         report = checkers.check_grad_bound(
             obj, l_const, checks.alpha, checks.gradbound_n_points,
             checks.gradbound_box, seed=checks.seed)
-        return {"report": report}, _report_failed(report), None
-    if name == "smoothness":
-        oracle = StochasticOracle(obj, config.noise.build(obj.dim))
+    else:  # smoothness
         constants = checks.smoothness_constants or oracle.noise.constants
         if constants is None:
             report = checkers.AssumptionReport(
                 assumption_id="smoothness", verdict="inconclusive",
                 worst_violation=0.0, witness=None, tolerance=0.0)
-            return {"report": report}, False, None
-        c1, c2, c3 = constants
-        report = checkers.check_expected_smoothness(
-            oracle, c1, c2, c3, checks.smoothness_n_points,
-            checks.smoothness_n_draws, checks.smoothness_box, seed=checks.seed)
-        return {"report": report}, _report_failed(report), None
-    if name == "radial":
-        diag = config.diagnostics
-        noise = config.noise.build(obj.dim)
-        probe = checkers.probe_radial_conditions(
-            obj, noise.envelope(obj), diag.alpha, diag.r, list(diag.radii),
-            diag.b_threshold, seed=checks.seed)
-        failed = probe.a6_verdict == "violated-at-horizon"
-        return ({"report": probe}, failed,
-                lambda path: reports.write_radial_csv(path, probe))
-    # lemma4
-    threshold = checkers.find_eigenvalue_threshold(
-        config.schedule, checks.lemma4_c, checks.alpha, checks.lemma4_k_max)
-    body = {"report": {
-        "C": checks.lemma4_c,
-        "alpha": checks.alpha,
-        "K_max": checks.lemma4_k_max,
-        "threshold": threshold,
-    }}
-    return body, threshold is None, None
+        else:
+            c1, c2, c3 = constants
+            report = checkers.check_expected_smoothness(
+                oracle, c1, c2, c3, checks.smoothness_n_points,
+                checks.smoothness_n_draws, checks.smoothness_box, seed=checks.seed)
+    body["report"] = report
+    return body, report.verdict == "fail"
 
 
 def _cmd_check(config: ExperimentConfig, which) -> int:
-    formats = config.output.formats
-    names = []
-    for check in which:
-        stem = CHECK_REPORTS[check]
-        if "json" in formats:
-            names.append(f"{stem}.json")
-        if "csv" in formats and check == "radial":
-            names.append(f"{stem}.csv")
-    paths = _prepare_paths(config, names)
-
+    stems = {check: CHECK_REPORTS[check] for check in which}
+    paths = _report_paths(config, [f"{stem}.json" for stem in stems.values()]
+                          + (["radial_probe.csv"] if "radial" in which else []))
+    oracle = config.run.build()
+    writers = {}
     any_failed = False
-    for check in which:
-        body, failed, csv_writer = _run_check(config, check)
+    for check, stem in stems.items():
+        body, failed = _run_check(config, oracle, check)
         any_failed |= failed
-        stem = CHECK_REPORTS[check]
-        _make_dir(config)
-        if "json" in formats:
-            reports.write_json(paths[f"{stem}.json"], {"check": check, **body})
-        if "csv" in formats and csv_writer is not None:
-            csv_writer(paths[f"{stem}.csv"])
+        writers[f"{stem}.json"] = (reports.write_json, {"check": check, **body})
+        if check == "radial":
+            writers[f"{stem}.csv"] = (reports.write_radial_csv, body["report"])
+    _write_reports(config, paths, writers)
     return 1 if any_failed else 0
 
 
 def _cmd_stopping_times(config: ExperimentConfig) -> int:
-    formats = config.output.formats
-    names = []
-    if "json" in formats:
-        names.append("stopping_times.json")
-    if "csv" in formats:
-        names.append("stopping_times.csv")
-    paths = _prepare_paths(config, names)
-
+    paths = _report_paths(config, ["stopping_times.json", "stopping_times.csv"])
     spec = dataclasses.replace(config.run, record_stride=1)
     oracle = spec.build()
     entries = []
@@ -262,17 +237,11 @@ def _cmd_stopping_times(config: ExperimentConfig) -> int:
             "domain_violation": traj.domain_violation,
             "last_k": traj.last_k,
         })
-    _make_dir(config)
-    if "json" in formats:
-        reports.write_json(paths["stopping_times.json"], {
-            "objective_id": spec.objective_id,
-            "noise_id": spec.noise_id,
-            "schedule_id": spec.schedule_id,
-            "horizon": spec.horizon,
-            "trajectories": entries,
-        })
-    if "csv" in formats:
-        reports.write_stopping_times_csv(paths["stopping_times.csv"], all_taus)
+    _write_reports(config, paths, {
+        "stopping_times.json": (reports.write_json, {
+            **spec.ids, "horizon": spec.horizon, "trajectories": entries}),
+        "stopping_times.csv": (reports.write_stopping_times_csv, all_taus),
+    })
     return 0
 
 
@@ -303,8 +272,7 @@ def main(argv=None) -> int:
         print(f"sgdlab: config error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
-        theta = None if exc.theta is None else np.asarray(exc.theta).tolist()
-        print(f"sgdlab: domain error: {exc} (theta={theta})", file=sys.stderr)
+        print(f"sgdlab: domain error: {exc}", file=sys.stderr)
         return 3
     except ContractViolation as exc:
         print(f"sgdlab: config error: {exc}", file=sys.stderr)

@@ -141,15 +141,9 @@ class ExperimentConfig:
     output: OutputBlock
 
 
-def _default_box(objective: ObjectiveSpec) -> tuple[float, float]:
-    from .objectives import RESTRICTED_DEFAULT_R0
-
-    r0 = objective.r0
-    if r0 is None and objective.name in ("exp-abs", "power-q", "log1p-abs", "loglog1p-abs"):
-        r0 = RESTRICTED_DEFAULT_R0
-    if r0 and r0 > 0:
-        return (float(r0), float(r0) + 9.0)
-    return (-10.0, 10.0)
+def _default_box(r0: float) -> tuple[float, float]:
+    """The checks' default sample box: above the domain floor, if there is one."""
+    return (r0, r0 + 9.0) if r0 > 0.0 else (-10.0, 10.0)
 
 
 def _parse_vector(value, where: str) -> tuple[float, ...]:
@@ -181,6 +175,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         q=_get(ob, "q", None, "objective"),
         r0=_get(ob, "r0", None, "objective"),
     )
+    try:
+        r0 = objective.build().r0  # also fails fast on bad objective parameters
+    except (ContractViolation, KeyError) as exc:
+        raise ConfigError(f"invalid objective: {exc}") from exc
 
     # noise -----------------------------------------------------------------
     nb = _block(raw.get("noise", {"kind": "zero"}),
@@ -283,7 +281,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     # checks ----------------------------------------------------------------
     cb = _block(raw.get("checks", {}), {"alpha", "horizon", "seed", "which", "descent",
                                         "variance", "gradbound", "smoothness", "lemma4"}, "checks")
-    box_default = _default_box(objective)
+    box_default = _default_box(r0)
     dc = _block(cb.get("descent", {}), {"n_pairs", "L_tilde", "box"}, "checks.descent")
     vc = _block(cb.get("variance", {}), {"n_samples"}, "checks.variance")
     gc = _block(cb.get("gradbound", {}), {"n_points", "box", "L"}, "checks.gradbound")
@@ -333,10 +331,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("output.force must be a boolean")
     output = OutputBlock(directory=directory, formats=tuple(formats), force=force)
 
-    try:
-        objective.build()  # fail fast on bad objective parameters
-    except (ContractViolation, KeyError) as exc:
-        raise ConfigError(f"invalid objective: {exc}") from exc
     try:
         noise.build(objective.dimension)  # compiles and checks sigma_expr
     except ContractViolation as exc:

@@ -75,16 +75,10 @@ class EnsembleSpec:
         return StochasticOracle(obj, self.noise.build(obj.dim))
 
     @property
-    def objective_id(self) -> str:
-        return self.objective.label
-
-    @property
-    def noise_id(self) -> str:
-        return self.noise.label
-
-    @property
-    def schedule_id(self) -> str:
-        return self.schedule.label
+    def ids(self) -> dict[str, str]:
+        """The labels that name the objective, noise and schedule in reports."""
+        return {"objective_id": self.objective.label, "noise_id": self.noise.label,
+                "schedule_id": self.schedule.label}
 
     def checkpoints(self) -> np.ndarray:
         return record_points(self.horizon, self.record_stride)

@@ -200,11 +200,7 @@ def ensemble_report_payload(result: EnsembleResult) -> dict:
             "master_seed": result.spec.master_seed,
             "record_stride": result.spec.record_stride,
         },
-        "ids": {
-            "objective_id": result.spec.objective_id,
-            "noise_id": result.spec.noise_id,
-            "schedule_id": result.spec.schedule_id,
-        },
+        "ids": result.spec.ids,
         "seeds": result.seeds,
         "n_overflow": result.n_overflow,
         "n_domain_violation": result.n_domain_violation,

@@ -84,7 +84,7 @@ def test_holder_estimate_monotone_in_samples(name, phi, dim, method):
 
 def test_holder_ball_domain_error():
     obj = catalog_lookup("loglog1p-abs")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"phi=\[1\.2\]"):
         estimate_local_holder(obj, [1.2], 0.5, 1.0, 16)
     est = estimate_local_holder(obj, [2.0], 0.5, 1.0, 16)
     assert est.value > 0.0
@@ -268,6 +268,33 @@ def test_smoothness_rademacher_on_loglog_fails_at_large_radius():
     report = check_expected_smoothness(oracle, 1.0, 1.0, 1.0, 8, 2000, (50.0, 150.0), seed=7)
     assert report.verdict == "fail"
     assert report.witness["empirical_second_moment"] > report.witness["bound"]
+
+
+def test_smoothness_nan_margins_fail():
+    # exp(700)^2 overflows: the moment and the bound are inf, each margin NaN
+    obj = catalog_lookup("exp-abs")
+    oracle = StochasticOracle(obj, NoiseModel("additive-gaussian", 1, sigma=1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_expected_smoothness(oracle, 1.0, 0.0, 1.0, 4, 100, (700.0, 710.0))
+    assert report.verdict == "fail"
+    assert math.isnan(report.worst_violation)
+    assert report.witness["theta"][0] >= 700.0
+
+
+def test_smoothness_margin_false_alarm_rate_and_power():
+    # quadratic + N(0, 1) noise: E||sample||^2 = 1 + ||grad||^2 exactly, so
+    # C = (1, 0, 1) is the true bound and each failure is a false alarm.
+    # The 4-sigma margin keeps those rare (1 in 1000 seeds measured), and a
+    # bound lowered by 0.3 is still caught (200 of 200 seeds measured).
+    oracle = StochasticOracle(catalog_lookup("quadratic"),
+                              NoiseModel("additive-gaussian", 1, sigma=1.0))
+
+    def failures(c1, seeds):
+        return sum(check_expected_smoothness(oracle, c1, 0.0, 1.0, 10, 2000, (-3.0, 3.0),
+                                             seed=seed).verdict == "fail" for seed in seeds)
+
+    assert failures(1.0, range(1000)) <= 5
+    assert failures(0.7, range(10000, 10200)) >= 195
 
 
 def test_smoothness_contracts():

@@ -255,7 +255,7 @@ def test_domain_violating_theta0_exits_3(tmp_path, capsys):
     cfg["diagnostics"] = {}
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
-    assert "0.5" in err  # offending point printed
+    assert err.count("[0.5]") == 1  # offending point printed, once
 
 
 def test_domain_exit_is_reported_truncated_not_converged(tmp_path):
@@ -421,6 +421,34 @@ def test_probe_radial_quadratic_exits_0(tmp_path):
     assert probe["report"]["a6_verdict"] == "satisfied-at-horizon"
 
 
+def test_check_that_fails_late_writes_nothing(tmp_path, capsys):
+    # the schedule check passes, then descent samples below the domain floor:
+    # no report is written, so a rerun meets the same domain error again
+    cfg = base_config(tmp_path / "out")
+    cfg["objective"] = {"name": "loglog1p-abs"}
+    cfg["run"]["theta0"] = [3.0]
+    cfg["checks"] = {"which": ["p1p2p3p4", "descent"], "horizon": 1000,
+                     "descent": {"box": [-10.0, 10.0]}}
+    cfg_path = write_config(tmp_path, cfg)
+    for _ in range(2):
+        assert main(["check", "--config", cfg_path]) == 3
+        assert not (tmp_path / "out").exists()
+        assert "domain error" in capsys.readouterr().err
+
+
+def test_check_with_nan_smoothness_margins_fails(tmp_path):
+    # exp(700)^2 overflows, so every sampled margin is inf - inf = NaN
+    cfg = base_config(tmp_path / "out")
+    cfg["objective"] = {"name": "exp-abs"}
+    cfg["run"]["theta0"] = [3.0]
+    cfg["checks"] = {"which": ["smoothness"],
+                     "smoothness": {"box": [700.0, 710.0], "n_draws": 100}}
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 1
+    report = json.loads((tmp_path / "out" / "smoothness_report.json").read_text())
+    assert report["report"]["verdict"] == "fail"
+    assert report["report"]["witness"] is not None
+
+
 def test_validate_schedule_subcommand(tmp_path):
     cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert main(["validate-schedule", "--config", cfg_path]) == 0
@@ -472,6 +500,19 @@ def test_unseeded_rotation_reports_seed_0(tmp_path):
         outputs.append((tmp_path / name / "ensemble_report.json").read_bytes())
     assert outputs[0] == outputs[1]
     assert b"rot=0)" in outputs[0] and b'"rotation_seed": 0' in outputs[0]
+
+
+@pytest.mark.parametrize("objective,box", [
+    ({"name": "quadratic"}, (-10.0, 10.0)),
+    ({"name": "quadratic", "r0": 2.0}, (-10.0, 10.0)),  # r0 of an unrestricted objective
+    ({"name": "exp-abs"}, (1.0, 10.0)),
+    ({"name": "power-q", "q": 1.5, "r0": 2.0}, (2.0, 11.0)),
+])
+def test_default_check_box_sits_above_the_domain_floor(tmp_path, objective, box):
+    parsed = config_from_dict(base_config(tmp_path / "out", objective=objective))
+    assert parsed.objective.build().r0 == max(box[0], 0.0)
+    checks = parsed.checks
+    assert checks.descent_box == checks.gradbound_box == checks.smoothness_box == box
 
 
 def test_config_rejects_bad_values(tmp_path):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Schedule, Verdict
+from .engine import _CHUNK, Schedule, Verdict
 from .errors import ContractViolation, DomainError
 from .objectives import Objective, StochasticOracle
 
@@ -91,17 +91,19 @@ class RadialProbe:
 
 
 def _van_der_corput(n: int) -> np.ndarray:
-    """First n points of the base-2 bit-reversal sequence in (0, 1)."""
-    out = np.empty(n)
-    for i in range(1, n + 1):
-        v = 0.0
-        denom = 1.0
-        x = i
-        while x:
-            denom *= 2.0
-            v += (x & 1) / denom
-            x >>= 1
-        out[i - 1] = v
+    """First n points of the base-2 bit-reversal sequence in (0, 1).
+
+    Bit j of i adds 2^-(j+1) to point i; every term and partial sum is an
+    exact dyadic fraction, so the vectorized sum has the bits of a per-point
+    loop.
+    """
+    x = np.arange(1, n + 1, dtype=np.int64)
+    out = np.zeros(n)
+    denom = 1.0
+    for _ in range(int(n).bit_length()):
+        denom *= 2.0
+        out += (x & 1) / denom
+        x >>= 1
     return out
 
 
@@ -486,15 +488,12 @@ def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
     if K_max < 1:
         raise ContractViolation("K_max must be >= 1")
     target = 1.0 / C
-    chunk = 1 << 20
+    lmax, lmin = schedule.bounds(K_max + 1)
     suffix_ok_from = None  # smallest K valid for the suffix scanned so far
-    for hi in range(K_max, -1, -chunk):
-        lo = max(0, hi - chunk + 1)
-        ks = np.arange(lo, hi + 1)
-        d = schedule.eigenvalues(ks)
-        lmax = d.max(axis=1)
-        lmin = d.min(axis=1)
-        h = lmax ** alpha * (lmax / lmin)
+    for hi in range(K_max, -1, -_CHUNK):
+        lo = max(0, hi - _CHUNK + 1)
+        top = lmax[lo:hi + 1]
+        h = top ** alpha * (top / lmin[lo:hi + 1])
         ok = h <= target
         if not np.all(ok):
             last_bad = lo + int(np.nonzero(~ok)[0][-1])

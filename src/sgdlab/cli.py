@@ -107,8 +107,11 @@ def _write_reports(config: ExperimentConfig, paths: dict[str, Path], writers: di
     """Make the output directory and call writer(path, payload) for each path.
 
     Each command calls this once, after all of its compute, so a command that
-    fails leaves neither a directory nor a partial set of reports behind.
+    fails leaves neither a directory nor a partial set of reports behind, and
+    one whose formats select no report leaves no directory.
     """
+    if not paths:
+        return
     Path(config.output.directory).mkdir(parents=True, exist_ok=True)
     for name, path in paths.items():
         writer, payload = writers[name]

@@ -505,8 +505,7 @@ def run_ensemble(
             counts[s.escape_ks] += 1
         n = spec.n_trajectories
         empirical = counts / n
-        ks = np.arange(spec.horizon)
-        lmax = spec.schedule.eigenvalues(ks).max(axis=1)
+        lmax = spec.schedule.bounds(spec.horizon)[0]
         tail = (capture.epsilon ** -2) * lmax ** 2 * g_r
         se = np.sqrt(empirical * (1.0 - empirical) / n)
         margin = empirical - tail - 4.0 * se

@@ -74,6 +74,7 @@ class Schedule:
     q: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
+        self._bounds = None  # (lambda_max, lambda_min) table, built by bounds()
         if self.family not in POWER_FAMILIES:
             raise ContractViolation(f"unknown schedule family {self.family!r}")
         self.c = _as_vector(self.c, self.dim, "c")
@@ -141,12 +142,37 @@ class Schedule:
     def eigenvalues(self, ks) -> np.ndarray:
         """d_i(k) = c_i * (k + k0)^(-beta_i) at each step index in ks, shape (n, p).
 
-        The one definition of the step sizes: the engine's steps, the
-        summability sums, the capture tail and the eigenvalue threshold all
-        read this array (lambda_max/lambda_min are its row max/min).
+        The one definition of the step sizes: the engine's steps read it
+        directly; the summability sums, the capture tail and the eigenvalue
+        threshold read its row max/min through `bounds`.
         """
         ks = np.asarray(ks, dtype=float)
         return self.c[None, :] * (ks[:, None] + self.k0) ** (-self.beta[None, :])
+
+    def bounds(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda_max, lambda_min) of M_k for k = 0..n-1, as read-only arrays.
+
+        The row max and min of `eigenvalues`, computed once in _CHUNK blocks
+        and kept on the schedule (8 bytes per index, 16 for p > 1); a later
+        call with n no larger returns a prefix of the same table.  For p = 1
+        both are the one column, the same array.
+        """
+        table = self._bounds
+        if table is None or len(table[0]) < n:
+            lmax = np.empty(n)
+            lmin = lmax if self.dim == 1 else np.empty(n)
+            for start in range(0, n, _CHUNK):
+                stop = min(start + _CHUNK, n)
+                d = self.eigenvalues(np.arange(start, stop))
+                if self.dim == 1:
+                    lmax[start:stop] = d[:, 0]
+                else:
+                    d.max(axis=1, out=lmax[start:stop])
+                    d.min(axis=1, out=lmin[start:stop])
+            lmax.flags.writeable = False
+            lmin.flags.writeable = False
+            table = self._bounds = (lmax, lmin)
+        return table[0][:n], table[1][:n]
 
 
 @dataclass
@@ -181,10 +207,10 @@ def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> Schedul
     if horizon < 1:
         raise ContractViolation("horizon must be >= 1")
 
+    lmax = schedule.bounds(horizon + 1)[0]
     total = 0.0
     for start in range(0, horizon + 1, _CHUNK):
-        ks = np.arange(start, min(start + _CHUNK, horizon + 1))
-        total += float(np.sum(schedule.eigenvalues(ks).max(axis=1) ** (1.0 + alpha)))
+        total += float(np.sum(lmax[start:start + _CHUNK] ** (1.0 + alpha)))
 
     bmin = float(np.min(schedule.beta))
     bmax = float(np.max(schedule.beta))

@@ -5,12 +5,14 @@ name it cannot find, so a renamed function would silently time as 0.  The
 runner's micro-timings call a few per-step callables directly.  The
 tracer's step counts come from the Trajectory records that run_ensemble's
 run_trajectory calls return; one tiny ensemble checks them against the
-ensemble's own last_ks.
+ensemble's own last_ks; its schedule counts come from the sizes `check`
+passes the two schedule scans.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,24 @@ def test_traced_step_counts_match_the_ensemble():
     assert tracer.counts["engine.steps"] == sum(result.last_ks)
     assert tracer.counts["engine.trajectories_truncated"] == sum(
         k < spec.horizon for k in result.last_ks)
+
+
+def test_traced_schedule_steps_match_the_check_sizes(tmp_path):
+    # check-suite's steps_per_ref counts the indices that validate_schedule and
+    # find_eigenvalue_threshold scan, from the arguments the CLI passes them
+    cfg = json.loads((BENCH / "configs" / "check-suite.json").read_text(encoding="utf-8"))
+    checks = cfg["checks"]
+    checks.update(horizon=70000, descent={"n_pairs": 50}, variance={"n_samples": 50},
+                  gradbound={"n_points": 50}, smoothness={"n_points": 2, "n_draws": 50},
+                  lemma4={"C": 4.0, "K_max": 65537})
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert sgdlab.cli.main(["check", "--config", str(path)]) == 0
+    assert tracer.counts["engine.schedule_steps"] == (70000 + 1) + (65537 + 1)
 
 
 @pytest.mark.parametrize("workload", sorted(p.stem for p in (BENCH / "configs").glob("*.json")))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdlab.checkers import (
+    _van_der_corput,
     check_descent_inequality,
     check_expected_smoothness,
     check_grad_bound,
@@ -326,6 +327,27 @@ def counterexample_envelope(obj):
         g = obj.grad(theta)
         return float(g @ g) + float(theta @ theta)
     return G
+
+
+def _reference_van_der_corput(n: int) -> np.ndarray:
+    # the per-point loop that checkers._van_der_corput vectorizes, verbatim
+    out = np.empty(n)
+    for i in range(1, n + 1):
+        v = 0.0
+        denom = 1.0
+        x = i
+        while x:
+            denom *= 2.0
+            v += (x & 1) / denom
+            x >>= 1
+        out[i - 1] = v
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 510, 4097, 100000])
+def test_van_der_corput_matches_per_point_loop(n):
+    got = _van_der_corput(n)
+    assert got.tobytes() == _reference_van_der_corput(n).tobytes()
 
 
 def test_probe_quadratic_ratio_is_half():

@@ -139,6 +139,18 @@ def test_unallocatable_size_exits_2(tmp_path, capsys, K, flags):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("checks", [{"which": ["p1p2p3p4"], "horizon": 2**53},
+                                    {"which": ["lemma4"], "lemma4": {"K_max": 2**53}}])
+def test_unallocatable_schedule_table_exits_2(tmp_path, capsys, checks):
+    # the schedule table for 2**53 indices needs 64 PB, so numpy refuses it at once
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = checks
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error:")
+    assert len(err.splitlines()) == 1
+
+
 LONG_INT = "1" + "0" * 399  # beyond float64, so math.isfinite would overflow on it
 
 
@@ -313,6 +325,15 @@ def test_formats_subset_json_only(tmp_path):
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
     assert (tmp_path / "out" / "ensemble_report.json").exists()
     assert not (tmp_path / "out" / "checkpoints.csv").exists()
+
+
+def test_formats_selecting_no_report_leave_no_directory(tmp_path):
+    # the schedule check writes only JSON, so csv alone selects nothing
+    cfg = base_config(tmp_path / "out", output={"directory": str(tmp_path / "out"),
+                                                "formats": ["csv"]})
+    cfg["checks"] = {"which": ["p1p2p3p4"], "horizon": 100}
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -336,15 +336,13 @@ def _column_stats(matrix: np.ndarray):
     mean[full] = np.mean(rows, axis=1)
     se[full] = np.std(rows, axis=1, ddof=1) / np.sqrt(n_rows) if n_rows > 1 else 0.0
     med[full] = np.median(rows, axis=1)
-    q25[full] = np.quantile(rows, 0.25, axis=1)
-    q75[full] = np.quantile(rows, 0.75, axis=1)
+    q25[full], q75[full] = np.quantile(rows, [0.25, 0.75], axis=1)
     for j in np.nonzero(~full & (n_alive > 0))[0]:
         col = matrix[~nan[:, j], j]
         mean[j] = np.mean(col)
         se[j] = np.std(col, ddof=1) / np.sqrt(col.size) if col.size > 1 else 0.0
         med[j] = np.median(col)
-        q25[j] = np.quantile(col, 0.25)
-        q75[j] = np.quantile(col, 0.75)
+        q25[j], q75[j] = np.quantile(col, [0.25, 0.75])
     return n_alive, mean, se, med, q25, q75
 
 

@@ -142,9 +142,9 @@ class Schedule:
     def eigenvalues(self, ks) -> np.ndarray:
         """d_i(k) = c_i * (k + k0)^(-beta_i) at each step index in ks, shape (n, p).
 
-        The one definition of the step sizes: the engine's steps read it
-        directly; the summability sums, the capture tail and the eigenvalue
-        threshold read its row max/min through `bounds`.
+        The one definition of the step sizes: the p > 1 steps read it
+        directly; the 1-D steps (the one column), the summability sums, the
+        capture tail and the eigenvalue threshold read it through `bounds`.
         """
         ks = np.asarray(ks, dtype=float)
         return self.c[None, :] * (ks[:, None] + self.k0) ** (-self.beta[None, :])
@@ -423,7 +423,7 @@ def run_trajectory(
     rng = np.random.default_rng(int(seed))
 
     if objective.dim == 1 and objective.g1 is not None:
-        etas = schedule.eigenvalues(np.arange(K))[:, 0]
+        etas = schedule.bounds(K)[0]
         trace, overflow, viol = _run_scalar_loop(
             objective.g1, noise, etas, float(theta0[0]), K, rng, objective.r0)
         trace = trace[:, None]

@@ -11,6 +11,10 @@ byte-identical files:
   QUOTE_MINIMAL quoting of string cells.
 
 Each report is built as one string in one pass and written with one write.
+The columns of a ConvergenceReport appear in both `run` reports; each is
+formatted once, into its JSON texts and its CSV cells together, and both
+writers read those strings, with the same bytes as formatting each report
+on its own.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from itertools import chain
+from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +35,75 @@ from .engine import Schedule
 _CSV_QUOTE = re.compile(r'[,"\r\n]')
 
 
+def _texts(values) -> tuple[list[str], list[str]] | None:
+    """(JSON texts, CSV cells) of a list of plain floats or of plain ints.
+
+    One repr per item and one kind and finiteness test per list; a
+    non-finite float is null in JSON and an empty cell in CSV.  None for any
+    other list, whose items are formatted one at a time.
+    """
+    kinds = set(map(type, values))
+    if kinds <= {int}:  # plain ints, or no items
+        texts = list(map(int.__repr__, values))
+        return texts, texts
+    if kinds != {float}:
+        return None
+    texts = list(map(float.__repr__, values))
+    finite = list(map(math.isfinite, values))
+    if all(finite):
+        return texts, texts
+    return ([t if f else "null" for t, f in zip(texts, finite)],
+            [t if f else "" for t, f in zip(texts, finite)])
+
+
+class _Column:
+    """The texts of one report column and the items they were formatted from."""
+
+    __slots__ = ("items", "json", "csv")
+
+    def __init__(self, items: tuple, texts: tuple[list[str], list[str]]):
+        self.items = items
+        self.json, self.csv = texts
+
+
+def _shared(report: ConvergenceReport, key, values) -> _Column | None:
+    """The texts of one column of a convergence report, formatted once for
+    both `run` reports.
+
+    They are kept on the report object and reused while the column holds the
+    very items they were formatted from, so a column that is replaced or
+    changed in place between the two writes is formatted again.  None for a
+    value that is not a list or tuple that _texts formats as a whole.
+    """
+    if not isinstance(values, (list, tuple)):
+        return None
+    memo = vars(report).setdefault("_texts", {})
+    column = memo.get(key)
+    if (column is not None and len(column.items) == len(values)
+            and all(map(is_, column.items, values))):
+        return column
+    if (texts := _texts(values)) is None:
+        return None
+    column = memo[key] = _Column(tuple(values), texts)
+    return column
+
+
+def _convergence_mapping(report: ConvergenceReport) -> dict:
+    """The fields of a convergence report, with its columns as shared texts."""
+    mapping = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    for name, value in mapping.items():
+        mapping[name] = _shared(report, name, value) or value
+    if isinstance(mapping["gamma_moments"], dict):
+        mapping["gamma_moments"] = {
+            gamma: _shared(report, ("gamma_moments", gamma), values) or values
+            for gamma, values in mapping["gamma_moments"].items()}
+    return mapping
+
+
 def _mapping(obj) -> dict | None:
     """The dict a report object is written as; None for other values."""
+    if isinstance(obj, ConvergenceReport):
+        return _convergence_mapping(obj)
     if isinstance(obj, CaptureReport):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
                 if f.name not in ("empirical", "theoretical_tail")}
@@ -68,29 +140,33 @@ def _emit(obj, out: list[str], level: int) -> None:
         _emit(obj.tolist(), out, level)
     elif isinstance(obj, dict):
         _emit_dict(obj, out, level)
+    elif isinstance(obj, _Column):
+        _emit_texts(obj.json, out, level)
     elif (mapping := _mapping(obj)) is not None:
         _emit_dict(mapping, out, level)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit_list(seq, out: list[str], level: int) -> None:
-    if not seq:
+def _emit_texts(texts: list[str], out: list[str], level: int) -> None:
+    """Append a JSON array of items already formatted."""
+    if not texts:
         out.append("[]")
         return
     inner = "\n" + "  " * (level + 1)
-    sep = "," + inner
+    out += ("[", inner, ("," + inner).join(texts), "\n", "  " * level, "]")
+
+
+def _emit_list(seq, out: list[str], level: int) -> None:
+    if (texts := _texts(seq)) is not None:
+        _emit_texts(texts[0], out, level)
+        return
+    inner = "\n" + "  " * (level + 1)
     out += ("[", inner)
-    kinds = set(map(type, seq))
-    if kinds == {float} and all(map(math.isfinite, seq)):
-        out.append(sep.join(map(float.__repr__, seq)))
-    elif kinds == {int}:
-        out.append(sep.join(map(int.__repr__, seq)))
-    else:
-        for i, item in enumerate(seq):
-            if i:
-                out.append(sep)
-            _emit(item, out, level + 1)
+    for i, item in enumerate(seq):
+        if i:
+            out += (",", inner)
+        _emit(item, out, level + 1)
     out += ("\n", "  " * level, "]")
 
 
@@ -134,17 +210,13 @@ def _cell(value) -> str:
 
 def _cells(values) -> list[str]:
     """One CSV column: each value formatted once, as csv.writer would write it."""
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    return list(map(_cell, values))
+    texts = _texts(values)
+    return list(map(_cell, values)) if texts is None else texts[1]
 
 
-def _write_csv(path, header, columns: list[list[str]]) -> None:
-    """Write a header and the rows of equally long formatted columns."""
-    lines = [",".join(_cells(header)), *map(",".join, zip(*columns))]
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows of formatted cells."""
+    lines = chain([",".join(_cells(header))], map(",".join, rows))
     Path(path).write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
 
 
@@ -168,21 +240,29 @@ _CHECKPOINT_STATS = (
 def write_checkpoints_csv(path, report: ConvergenceReport) -> None:
     """Long-format rows (k, statistic, value, stderr) for plotting tools:
     for each checkpoint, the statistics above and then the gamma moments."""
-    n = len(report.ks)
-    names = [name for name, _ in _CHECKPOINT_STATS]
-    values = [_cells(getattr(report, name)) for name in names]
-    errors = [[""] * n if se is None else _cells(getattr(report, se))
-              for _, se in _CHECKPOINT_STATS]
-    for gamma in sorted(report.gamma_moments or ()):
+
+    def cells(key, values):
+        column = _shared(report, key, values)
+        return _cells(values) if column is None else column.csv
+
+    blank = [""] * len(report.ks)
+    names, values, errors = [], [], []
+    for name, se in _CHECKPOINT_STATS:
+        names.append(name)
+        values.append(cells(name, getattr(report, name)))
+        errors.append(blank if se is None else cells(se, getattr(report, se)))
+    gamma_moments = report.gamma_moments or {}
+    for gamma in sorted(gamma_moments):
         names.append(f"f_gap_gamma_moment[{gamma:g}]")
-        values.append(_cells(report.gamma_moments[gamma]))
-        errors.append([""] * n)
-    _write_csv(path, ("k", "statistic", "value", "stderr"), [
-        [k for k in _cells(report.ks) for _ in names],
-        _cells(names) * n,
-        list(chain.from_iterable(zip(*values))),
-        list(chain.from_iterable(zip(*errors))),
-    ])
+        values.append(cells(("gamma_moments", gamma), gamma_moments[gamma]))
+        errors.append(blank)
+    ks = cells("ks", report.ks)
+    _write_csv(path, ("k", "statistic", "value", "stderr"), zip(
+        chain.from_iterable(map(repeat, ks, repeat(len(names)))),
+        cycle(_cells(names)),
+        chain.from_iterable(zip(*values)),
+        chain.from_iterable(zip(*errors)),
+    ))
 
 
 def ensemble_report_payload(result: EnsembleResult) -> dict:
@@ -215,8 +295,8 @@ _RADIAL_COLUMNS = ("radius", "grad_norm_sq", "L_r", "G_value", "ratio")
 
 
 def write_radial_csv(path, probe) -> None:
-    _write_csv(path, _RADIAL_COLUMNS, [
-        _cells([getattr(rec, name) for rec in probe.records]) for name in _RADIAL_COLUMNS])
+    _write_csv(path, _RADIAL_COLUMNS, zip(*[
+        _cells([getattr(rec, name) for rec in probe.records]) for name in _RADIAL_COLUMNS]))
 
 
 def write_stopping_times_csv(path, all_taus) -> None:
@@ -228,4 +308,4 @@ def write_stopping_times_csv(path, all_taus) -> None:
         tau_index += range(len(st.taus))
         taus += st.taus
     _write_csv(path, ("trajectory", "tau_index", "tau"),
-               [_cells(trajectory), _cells(tau_index), _cells(taus)])
+               zip(_cells(trajectory), _cells(tau_index), _cells(taus)))

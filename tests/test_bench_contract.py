@@ -6,7 +6,8 @@ runner's micro-timings call a few per-step callables directly.  The
 tracer's step counts come from the Trajectory records that run_ensemble's
 run_trajectory calls return; one tiny ensemble checks them against the
 ensemble's own last_ks; its schedule counts come from the sizes `check`
-passes the two schedule scans.
+passes the two schedule scans.  A traced `run` must reach each report writer
+through its traced name, so the `reports.*` spans cannot read 0.
 """
 
 import importlib
@@ -18,8 +19,9 @@ from pathlib import Path
 import pytest
 
 import sgdlab.cli
+from sgdlab import reports
 from sgdlab.config import load_config
-from sgdlab.diagnostics import EnsembleSpec, run_ensemble
+from sgdlab.diagnostics import ConvergenceReport, EnsembleSpec, run_ensemble
 from sgdlab.engine import Schedule, run_trajectory
 from sgdlab.objectives import NoiseModel, NoiseSpec, Objective, ObjectiveSpec, catalog_lookup
 
@@ -89,6 +91,34 @@ def test_traced_schedule_steps_match_the_check_sizes(tmp_path):
     with tracing.instrument(tracer):
         assert sgdlab.cli.main(["check", "--config", str(path)]) == 0
     assert tracer.counts["engine.schedule_steps"] == (70000 + 1) + (65537 + 1)
+
+
+def test_traced_run_calls_each_report_writer_once(tmp_path, monkeypatch):
+    # dense-checkpoints formats the same convergence columns for both writers;
+    # each must still be one traced call with its documented payload
+    payloads = {}
+    for name in ("write_json", "write_checkpoints_csv"):
+        def record(path, payload, _name=name, _write=getattr(reports, name)):
+            payloads.setdefault(_name, []).append(payload)
+            _write(path, payload)
+        monkeypatch.setattr(reports, name, record)
+    cfg = json.loads((BENCH / "configs" / "dense-checkpoints.json").read_text(encoding="utf-8"))
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert sgdlab.cli.main(["run", "--config", str(path)]) == 0
+    _, _, calls = tracer.summary()
+    assert calls["reports.write_json"] == 1
+    assert calls["reports.write_checkpoints_csv"] == 1
+    assert calls["reports.ensemble_report_payload"] == 1
+    [json_payload] = payloads["write_json"]
+    [csv_payload] = payloads["write_checkpoints_csv"]
+    assert isinstance(json_payload, dict)
+    assert isinstance(csv_payload, ConvergenceReport)
+    assert json_payload["convergence"] is csv_payload
 
 
 @pytest.mark.parametrize("workload", sorted(p.stem for p in (BENCH / "configs").glob("*.json")))

@@ -222,6 +222,26 @@ def test_escape_bound_holds_for_compliant_noise():
     assert result.capture.bound_margin_max <= 0.0
 
 
+def test_capture_margin_false_alarm_rate_and_power():
+    # quadratic + N(0, 1) noise: G_R = R^2 + 1 is the exact sup of E g^2 over
+    # the ball, so eps^-2 eta_k^2 G_R bounds each step's escape probability and
+    # every bound_margin_max > 0 is a false alarm (0 of 2000 seeds measured).
+    # The tail is loose (8.6x the escape frequency at k = 0, 28-93x later), so
+    # power is shown against a tail understated 30x (1999 of 2000 caught).
+    false_alarms = caught = 0
+    for seed in range(60):
+        spec = quad_spec(noise=NoiseSpec("additive-gaussian", sigma=1.0), seed=seed,
+                         schedule=Schedule.scalar(1.0, 0.6), K=10, n=100, theta0=(0.0,), stride=10)
+        cap = capture_report(spec, [0.0], 0.2, 0.5)
+        four_se = 4.0 * np.sqrt(cap.empirical * (1.0 - cap.empirical) / cap.n_trajectories)
+        margin = cap.empirical - cap.theoretical_tail - four_se
+        assert np.max(margin) == cap.bound_margin_max
+        false_alarms += cap.bound_margin_max > 0.0
+        caught += np.max(cap.empirical - cap.theoretical_tail / 30.0 - four_se) > 0.0
+    assert false_alarms <= 1
+    assert caught >= 58
+
+
 def test_rademacher_counterexample_produces_escapes():
     # pilot-pinned: the multiplicative random walk leaves a moderate ball
     spec = EnsembleSpec(
@@ -482,8 +502,29 @@ def test_column_stats_bit_equal_to_per_column_loop(n_rows):
         matrix[i, rng.integers(10, 40):] = np.nan
     matrix[:, -1] = np.nan
     got = _column_stats(matrix)
-    want = _reference_column_stats(matrix)
+    _assert_column_stats_equal(got, _reference_column_stats(matrix))
+    assert np.isnan(got[1][-1]) and got[0][-1] == 0
+
+    # more shapes and magnitudes: 1 to 61 columns, scales near
+    # both ends of float64, both signs, and small integers (ties at the
+    # quantile interpolation points), each with random NaN suffixes
+    draws = (
+        lambda size: 1e-300 * rng.standard_normal(size),
+        lambda size: 1e300 * rng.standard_normal(size),
+        lambda size: rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size),
+        lambda size: rng.integers(-3, 4, size).astype(float),
+    )
+    for n_cols in (1, 2, 13, 61):
+        for draw in draws:
+            matrix = draw((n_rows, n_cols))
+            for i in rng.choice(n_rows, size=n_rows // 2, replace=False):
+                matrix[i, rng.integers(0, n_cols + 1):] = np.nan
+            with np.errstate(over="ignore"):  # 1e300 squared: se is inf on both sides
+                got, want = _column_stats(matrix), _reference_column_stats(matrix)
+            _assert_column_stats_equal(got, want)
+
+
+def _assert_column_stats_equal(got, want):
     assert np.array_equal(got[0], want[0])
     for g, w in zip(got[1:], want[1:]):
         assert g.tobytes() == w.tobytes()
-    assert np.isnan(got[1][-1]) and got[0][-1] == 0

@@ -5,7 +5,9 @@ allow_nan=False)`, and `csv.writer(lineterminator="\\r\\n")` with
 `_reference_fmt` and the row builders, are the emitters that
 `sgdlab.reports` replaced, kept verbatim apart from their names.  Every file
 the CLI writes must have the bytes the reference writes from the same
-payload, and so must arbitrary nested payloads and CSV cells.
+payload, and so must arbitrary nested payloads and CSV cells.  The texts that
+the two `run` writers share must never be stale: not across commands, and not
+after a report column changed between the two writes.
 """
 
 import csv
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 
 from sgdlab import reports
 from sgdlab.cli import main
-from sgdlab.diagnostics import CaptureReport, ConvergenceReport
+from sgdlab.diagnostics import CaptureReport, ConvergenceReport, EnsembleSpec, run_ensemble
 from sgdlab.engine import Schedule
+from sgdlab.objectives import NoiseSpec, ObjectiveSpec
 
 # ---------------------------------------------------------------------------
 # reference emitters
@@ -202,31 +205,109 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_cli_reports_bit_equal_to_reference(tmp_path, monkeypatch, scenario):
-    argv, blocks, writers = SCENARIOS[scenario]
+def _record_writes(monkeypatch):
+    """Route the reports writers through a recorder; returns its call list."""
     calls = []
     for name in REFERENCE:
         def record(path, payload, _name=name, _write=getattr(reports, name)):
             calls.append((_name, Path(path), payload))
             _write(path, payload)
         monkeypatch.setattr(reports, name, record)
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(_config(tmp_path / "out", **blocks)), encoding="utf-8")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([*argv, "--config", str(cfg_path)]) in (0, 1)
+    return calls
 
-    assert {name for name, _, _ in calls} == writers
-    if scenario == "check-all":
-        assert len(calls) == 8  # seven JSON reports and radial_probe.csv
-    ref_dir = tmp_path / "reference"
+
+def _assert_bit_equal_to_reference(calls, ref_dir):
     ref_dir.mkdir()
     for name, path, payload in calls:
         REFERENCE[name](ref_dir / path.name, payload)
         assert path.read_bytes() == (ref_dir / path.name).read_bytes(), path.name
+
+
+def _run_cli(tmp_path, argv, cfg):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--config", str(cfg_path)]) in (0, 1)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_cli_reports_bit_equal_to_reference(tmp_path, monkeypatch, scenario):
+    argv, blocks, writers = SCENARIOS[scenario]
+    calls = _record_writes(monkeypatch)
+    _run_cli(tmp_path, argv, _config(tmp_path / "out", **blocks))
+
+    assert {name for name, _, _ in calls} == writers
+    if scenario == "check-all":
+        assert len(calls) == 8  # seven JSON reports and radial_probe.csv
+    _assert_bit_equal_to_reference(calls, tmp_path / "reference")
     if scenario == "run-truncated":
         assert b"null" in (tmp_path / "out" / "ensemble_report.json").read_bytes()
         assert b",f_gap_mean,,\r\n" in (tmp_path / "out" / "checkpoints.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# strings formatted once for both run reports
+# ---------------------------------------------------------------------------
+
+
+def test_two_runs_in_one_process_each_write_their_own_bytes(tmp_path, monkeypatch):
+    # Equal shapes, other seeds: no text formatted for the first run's report
+    # may reach the second run's files, even where the second report takes
+    # the memory the first one freed.
+    calls = _record_writes(monkeypatch)
+    for seed in (11, 12):
+        cfg = _config(tmp_path / f"out{seed}")
+        cfg["run"]["master_seed"] = seed
+        _run_cli(tmp_path, ["run"], cfg)
+        assert [name for name, _, _ in calls] == ["write_json", "write_checkpoints_csv"]
+        _assert_bit_equal_to_reference(calls, tmp_path / f"reference{seed}")
+        calls.clear()
+    for name in ("ensemble_report.json", "checkpoints.csv"):
+        assert (tmp_path / "out11" / name).read_bytes() != (tmp_path / "out12" / name).read_bytes()
+
+
+def _append_checkpoint(conv):
+    for field in dataclasses.fields(conv):
+        values = getattr(conv, field.name)
+        if isinstance(values, list) and field.name != "f_lim_estimates":
+            values.append({"ks": 10**6, "n_alive": 1}.get(field.name, 0.5))
+    for values in conv.gamma_moments.values():
+        values.append(1.5)
+
+
+# Each changes the report after its first write, in place or by replacing a
+# column; f_gap_median[1] is 0.0 at the first write.
+_CHANGES = {
+    "replace-column": lambda conv: setattr(conv, "f_gap_mean", [2.0 * x for x in conv.f_gap_mean]),
+    "set-item": lambda conv: conv.grad_norm_se.__setitem__(2, math.inf),
+    "negative-zero": lambda conv: conv.f_gap_median.__setitem__(1, -0.0),  # == 0.0
+    "int-to-float": lambda conv: conv.n_alive.__setitem__(0, float(conv.n_alive[0])),
+    "append-checkpoint": _append_checkpoint,
+    "gamma-in-place": lambda conv: conv.gamma_moments[0.5].reverse(),
+    "replace-gammas": lambda conv: setattr(conv, "gamma_moments", {0.25: list(conv.f_gap_q75)}),
+    "mixed-kinds": lambda conv: setattr(conv, "grad_norm_q25", [None, *conv.grad_norm_q25[1:]]),
+}
+
+
+@pytest.mark.parametrize("change", sorted(_CHANGES))
+def test_convergence_column_changed_between_writes_is_written_new(tmp_path, change):
+    spec = EnsembleSpec(
+        objective=ObjectiveSpec("quadratic"), noise=NoiseSpec("additive-gaussian", sigma=0.5),
+        schedule=Schedule.scalar(0.5, 0.75), theta0=(1.0,), horizon=60, n_trajectories=3,
+        master_seed=1, record_stride=10)
+    conv = run_ensemble(spec, gammas=[0.0, 0.5]).convergence
+    conv.f_gap_median[1] = 0.0
+    reports.write_json(tmp_path / "old.json", {"convergence": conv})
+
+    _CHANGES[change](conv)
+    reports.write_checkpoints_csv(tmp_path / "new.csv", conv)
+    reports.write_json(tmp_path / "new.json", {"convergence": conv})
+
+    _reference_write_checkpoints_csv(tmp_path / "ref.csv", conv)
+    _reference_write_json(tmp_path / "ref.json", {"convergence": conv})
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert (tmp_path / "new.json").read_bytes() != (tmp_path / "old.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import _CHUNK, Schedule, Verdict
 from .errors import ContractViolation, DomainError
-from .objectives import Objective, StochasticOracle
+from .objectives import Objective, StochasticOracle, _norms
 
 ZERO_CLAMP = 1e-300
 DEFAULT_TOL = 1e-9
@@ -164,11 +164,11 @@ def estimate_local_holder(
         )
     pts = _ball_points(phi, r, n_samples, seed)
     diffs = pts - phi[None, :]
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    dists = _norms(diffs)
     keep = dists > 0.0
     gphi = obj.grad(phi)
     gdiff = obj.grad_batch(pts[keep]) - gphi[None, :]
-    num = np.sqrt(np.einsum("ij,ij->i", gdiff, gdiff))
+    num = _norms(gdiff)
     ratios = num / dists[keep] ** alpha
     value = float(np.max(ratios)) if ratios.size else 0.0
     return HolderEstimate(
@@ -201,10 +201,10 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
     obj.check_domain(a)
     obj.check_domain(b)
     diff = b - a
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dist = _norms(diff)
     keep = dist > 0
     gd = obj.grad_batch(b[keep]) - obj.grad_batch(a[keep])
-    num = np.sqrt(np.einsum("ij,ij->i", gd, gd))
+    num = _norms(gd)
     return float(np.max(num / dist[keep] ** alpha))
 
 
@@ -266,7 +266,7 @@ def check_descent_inequality(
     g_p = obj.grad_batch(phis)
     diff = thetas - phis
     inner = np.einsum("ij,ij->i", g_p, diff)
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dist = _norms(diff)
     lhs = f_t - f_p - inner - (L_tilde / (1.0 + alpha)) * dist ** (1.0 + alpha)
     return _worst_point("descent", lhs, tol, lambda i: {
         "theta": thetas[i].tolist(), "phi": phis[i].tolist(), "lhs": float(lhs[i])})

@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import Schedule, Trajectory, record_points, run_trajectory
 from .errors import ContractViolation
-from .objectives import NoiseSpec, ObjectiveSpec, StochasticOracle
+from .objectives import NoiseSpec, ObjectiveSpec, StochasticOracle, _norms
 
 __all__ = [
     "EnsembleSpec",
@@ -67,6 +67,10 @@ class EnsembleSpec:
             raise ContractViolation("n_trajectories must be >= 1")
         if self.record_stride < 1:
             raise ContractViolation("record_stride must be >= 1")
+        if self.schedule.dim != self.objective.dimension:
+            raise ContractViolation(
+                f"schedule dimension {self.schedule.dim} != objective dimension "
+                f"{self.objective.dimension}")
         if len(self.theta0) != self.objective.dimension:
             raise ContractViolation("theta0 dimension does not match the objective")
 
@@ -285,9 +289,7 @@ def _summarize_one(spec: EnsembleSpec, index: int, W: int, epsilon_conv: float,
 
     escape_ks = None
     if capture is not None:
-        tb = np.asarray(capture.theta_bar, dtype=float)
-        diff = traj.trace - tb[None, :]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dist = _norms(traj.trace - np.asarray(capture.theta_bar, dtype=float)[None, :])
         inside = dist[:-1] <= capture.R
         jumped = dist[1:] >= capture.R + capture.epsilon
         escape_ks = np.nonzero(inside & jumped)[0].astype(np.int64)
@@ -319,31 +321,29 @@ def _worker(args):
 def _column_stats(matrix: np.ndarray):
     """Per-column mean/se/median/q25/q75 ignoring NaN entries.
 
-    Columns without NaN (every trajectory alive) are reduced together along
-    the rows of a contiguous transpose, which gives the same bits as the
-    per-column calls; only columns with NaN are reduced one at a time.
+    Each run of neighbouring columns with the same alive (non-NaN) rows is
+    reduced along the rows of a contiguous transpose, which gives the bits
+    of the per-column calls; NaN suffixes make at most n_rows + 1 runs.
     """
-    n_rows, n_cols = matrix.shape
-    nan = np.isnan(matrix)
-    n_alive = n_rows - np.sum(nan, axis=0)
-    mean = np.full(n_cols, np.nan)
-    se = np.full(n_cols, np.nan)
-    med = np.full(n_cols, np.nan)
-    q25 = np.full(n_cols, np.nan)
-    q75 = np.full(n_cols, np.nan)
-    full = n_alive == n_rows
-    rows = np.ascontiguousarray(matrix[:, full].T)
-    mean[full] = np.mean(rows, axis=1)
-    se[full] = np.std(rows, axis=1, ddof=1) / np.sqrt(n_rows) if n_rows > 1 else 0.0
-    med[full] = np.median(rows, axis=1)
-    q25[full], q75[full] = np.quantile(rows, [0.25, 0.75], axis=1)
-    for j in np.nonzero(~full & (n_alive > 0))[0]:
-        col = matrix[~nan[:, j], j]
-        mean[j] = np.mean(col)
-        se[j] = np.std(col, ddof=1) / np.sqrt(col.size) if col.size > 1 else 0.0
-        med[j] = np.median(col)
-        q25[j], q75[j] = np.quantile(col, [0.25, 0.75])
-    return n_alive, mean, se, med, q25, q75
+    alive = ~np.isnan(matrix)
+    n_alive = np.sum(alive, axis=0)
+    stats = np.full((5, matrix.shape[1]), np.nan)
+    edges = np.nonzero(np.any(alive[:, 1:] != alive[:, :-1], axis=0))[0] + 1
+    for lo, hi in zip([0, *edges], [*edges, matrix.shape[1]]):
+        n = int(n_alive[lo])
+        if n:
+            rows = np.ascontiguousarray(matrix[alive[:, lo], lo:hi].T)
+            mean, se, med, q25, q75 = stats[:, lo:hi]
+            mean[:] = np.mean(rows, axis=1)
+            se[:] = np.std(rows, axis=1, ddof=1) / np.sqrt(n) if n > 1 else 0.0
+            med[:] = np.median(rows, axis=1)
+            q25[:], q75[:] = np.quantile(rows, [0.25, 0.75], axis=1)
+    return (n_alive, *stats)
+
+
+def _check_gammas(gammas) -> None:
+    if gammas is not None and not all(0.0 <= gamma < 1.0 for gamma in gammas):
+        raise ContractViolation("gamma moments require gamma in [0, 1)")
 
 
 def gradient_convergence_stats(
@@ -376,9 +376,8 @@ def gradient_convergence_stats(
     gamma_moments = None
     if gammas is not None:
         gamma_moments = {}
+        _check_gammas(gammas)
         for gamma in gammas:
-            if not (0.0 <= gamma < 1.0):
-                raise ContractViolation("gamma moments require gamma in [0, 1)")
             powed = np.maximum(f_gap, 0.0) ** gamma
             powed[np.isnan(f_gap)] = np.nan
             _, m, *_ = _column_stats(powed)
@@ -474,10 +473,11 @@ def run_ensemble(
     W = default_window(spec.horizon) if W is None else int(W)
     epsilon_conv = default_epsilon_conv(spec.theta0) if epsilon_conv is None else float(epsilon_conv)
     R_div = default_r_div(spec.theta0) if R_div is None else float(R_div)
+    # Before any trajectory runs: a bad window or gamma, or a capture block
+    # the envelope cannot handle, is a config error that should cost nothing.
     if W > spec.horizon:
         raise ContractViolation("window W must be <= horizon")
-    # Before any trajectory runs: a capture block the envelope cannot handle
-    # is a config error that should cost nothing.
+    _check_gammas(gammas)
     g_r = None if capture is None else envelope_sup_over_ball(spec, capture.theta_bar, capture.R)
 
     args = [(spec, i, W, epsilon_conv, R_div, capture) for i in range(spec.n_trajectories)]

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Literal
 
 import numpy as np
 
 from .errors import ContractViolation
-from .objectives import OVERFLOW_CAP, StochasticOracle
+from .objectives import OVERFLOW_CAP, StochasticOracle, _norms
 
 # Iterates at or beyond this magnitude are treated as numeric overflow;
 # squared norms then still fit in a float64.
@@ -282,111 +283,97 @@ class Trajectory:
         """||theta_k|| for k = 0..last_k: |theta| in 1-D, row norms for p > 1."""
         if self.trace.shape[1] == 1:
             return np.abs(self.trace[:, 0])
-        return np.sqrt(np.einsum("ij,ij->i", self.trace, self.trace))
+        return _norms(self.trace)
 
 
-def _scalar_chunk(noise, g1, x, etas, w, r0, out):
-    """Step the 1-D recursion over one chunk of step sizes etas.
+def _drive(step, x0, K: int, noise, rng):
+    """Run a chunk stepper for K steps from x0; returns (trace over 0..last,
+    overflow, the iterate that left the domain or None).
 
-    w holds the chunk's noise terms: sigma * z for additive-gaussian, the
-    signs for rademacher-radial and z for the state-dependent kind.  Accepted
-    iterates are appended to out; the first rejected one (non-finite or at
-    THETA_CAP, or below the domain floor r0) is returned, else None.  One loop
-    per noise kind keeps the kind test out of the step.
+    Each chunk's noise is drawn before it is stepped, in the order that fixes
+    the seed streams.  step(x, k, n, w, out) steps from x over step indices
+    k..k+n-1 with noise w, appends the accepted iterates to out and returns
+    the first rejected one as (size, iterate), else None.  This is the one
+    place that tells the two exits apart: a size not below THETA_CAP (NaN
+    included) is overflow, any other was below the domain floor r0.
     """
-    kind = noise.kind
-    sigma_fn = noise._sigma_fn
-    if kind == "zero":
-        for eta in etas:
-            xn = x - eta * g1(x)
-            if not (-THETA_CAP < xn < THETA_CAP) or abs(xn) < r0:
-                return xn
-            out.append(xn)
-            x = xn
-    elif kind == "additive-gaussian":
-        for eta, wj in zip(etas, w):
-            xn = x - eta * (g1(x) + wj)
-            if not (-THETA_CAP < xn < THETA_CAP) or abs(xn) < r0:
-                return xn
-            out.append(xn)
-            x = xn
-    elif kind == "rademacher-radial":
-        for eta, wj in zip(etas, w):
-            xn = x - eta * (g1(x) + abs(x) * wj)
-            if not (-THETA_CAP < xn < THETA_CAP) or abs(xn) < r0:
-                return xn
-            out.append(xn)
-            x = xn
-    else:
-        for eta, wj in zip(etas, w):
-            xn = x - eta * (g1(x) + sigma_fn(np.array([x])) * wj)
-            if not (-THETA_CAP < xn < THETA_CAP) or abs(xn) < r0:
-                return xn
-            out.append(xn)
-            x = xn
-    return None
-
-
-def _run_scalar_loop(g1, noise, etas, x0: float, K: int, rng, r0: float):
-    """Tight 1-D loop on Python floats; returns (trace over 0..last, overflow,
-    the iterate that left the domain or None).
-
-    Step sizes and noise are converted to lists once per chunk.  The g1
-    scalars use the math module, which keeps the iterates bitwise stable
-    (np.exp and math.exp can differ by one ulp).
-    """
-    trace = np.empty(K + 1)
+    trace = np.empty((K + 1,) + np.shape(x0))
     trace[0] = x0
     x = x0
     for k in range(0, K, _CHUNK):
         n = min(_CHUNK, K - k)
-        w = noise.draw(rng, n)
         out = []
-        rejected = _scalar_chunk(noise, g1, x, etas[k:k + n].tolist(),
-                                 None if w is None else w.ravel().tolist(), r0, out)
-        trace[k + 1:k + 1 + len(out)] = out
+        rejected = step(x, k, n, noise.draw(rng, n), out)
+        if out:
+            trace[k + 1:k + 1 + len(out)] = out
         if rejected is not None:
-            overflow = not (-THETA_CAP < rejected < THETA_CAP)
-            return trace[: k + len(out) + 1], overflow, None if overflow else np.array([rejected])
+            size, x = rejected
+            overflow = not size < THETA_CAP
+            return trace[: k + len(out) + 1], overflow, None if overflow else np.atleast_1d(x)
         x = out[-1]
     return trace, False, None
 
 
-def _run_vector_loop(objective, noise, schedule: Schedule, theta0: np.ndarray, K: int, rng):
-    """General p-dimensional loop; returns what _run_scalar_loop returns.
+def _scalar_chunk(g1, noise, etas, r0, x, k, n, w, out):
+    """The 1-D stepper for _drive, on Python floats; etas holds every step size.
+
+    w holds the chunk's noise draws: sigma * z for additive-gaussian, and
+    for the two state-scaled kinds the signs (rademacher-radial, scaled by
+    |x|) or z (state-dependent, scaled by sigma(x)).  An iterate is accepted
+    iff r0 <= |x| < THETA_CAP.  One loop per noise form keeps the kind test
+    out of the step.  The g1 scalars use the math module, which keeps the
+    iterates bitwise stable (np.exp and math.exp can differ by one ulp).
+    """
+    etas = etas[k:k + n].tolist()
+    if w is None:
+        for eta in etas:
+            xn = x - eta * g1(x)
+            if not r0 <= abs(xn) < THETA_CAP:
+                return abs(xn), xn
+            out.append(xn)
+            x = xn
+        return None
+    w = w.ravel().tolist()
+    if noise.kind == "additive-gaussian":
+        for eta, wj in zip(etas, w):
+            xn = x - eta * (g1(x) + wj)
+            if not r0 <= abs(xn) < THETA_CAP:
+                return abs(xn), xn
+            out.append(xn)
+            x = xn
+        return None
+    if noise.kind == "rademacher-radial":
+        scale = abs
+    else:
+        sigma_fn = noise._sigma_fn
+        scale = lambda v: sigma_fn(np.array([v]))
+    for eta, wj in zip(etas, w):
+        xn = x - eta * (g1(x) + scale(x) * wj)
+        if not r0 <= abs(xn) < THETA_CAP:
+            return abs(xn), xn
+        out.append(xn)
+        x = xn
+    return None
+
+
+def _vector_chunk(sample, schedule: Schedule, r0, theta, k, n, w, out):
+    """The p-dimensional stepper for _drive; accepts iff r0 <= ||theta|| < THETA_CAP.
 
     The rotated step stays q @ (d * (q.T @ g)) per iterate: a gemm over the
     chunk sums in another order and changes the iterates' bits.
     """
-    p = objective.dim
-    r0 = objective.r0
-    trace = np.empty((K + 1, p))
-    trace[0] = theta0
-    theta = theta0.copy()
-    nrm = math.sqrt(theta.dot(theta))
-    sample = noise.sampler(objective.grad)
-    q = schedule.q if schedule.family == "rotated-diagonal-power" else None
+    q = schedule.q
     qt = None if q is None else q.T
-    for k in range(0, K, _CHUNK):
-        n = min(_CHUNK, K - k)
-        ds = schedule.eigenvalues(np.arange(k, k + n))
-        w = noise.draw(rng, n)
-        if w is None:
-            w = [None] * n
-        out = []
-        for d, wj in zip(ds, w):
-            g = sample(theta, nrm, wj)
-            theta_n = theta - (d * g if q is None else q @ (d * (qt @ g)))
-            nrm = math.sqrt(theta_n.dot(theta_n))
-            if not (nrm < THETA_CAP) or nrm < r0:
-                if out:
-                    trace[k + 1:k + 1 + len(out)] = out
-                overflow = not (nrm < THETA_CAP)
-                return trace[: k + len(out) + 1], overflow, None if overflow else theta_n
-            out.append(theta_n)
-            theta = theta_n
-        trace[k + 1:k + 1 + n] = out
-    return trace, False, None
+    nrm = math.sqrt(theta.dot(theta))
+    for d, wj in zip(schedule.eigenvalues(np.arange(k, k + n)), [None] * n if w is None else w):
+        g = sample(theta, nrm, wj)
+        theta_n = theta - (d * g if q is None else q @ (d * (qt @ g)))
+        nrm = math.sqrt(theta_n.dot(theta_n))
+        if not r0 <= nrm < THETA_CAP:
+            return nrm, theta_n
+        out.append(theta_n)
+        theta = theta_n
+    return None
 
 
 def run_trajectory(
@@ -423,12 +410,13 @@ def run_trajectory(
     rng = np.random.default_rng(int(seed))
 
     if objective.dim == 1 and objective.g1 is not None:
-        etas = schedule.bounds(K)[0]
-        trace, overflow, viol = _run_scalar_loop(
-            objective.g1, noise, etas, float(theta0[0]), K, rng, objective.r0)
-        trace = trace[:, None]
+        x0 = float(theta0[0])
+        step = partial(_scalar_chunk, objective.g1, noise, schedule.bounds(K)[0], objective.r0)
     else:
-        trace, overflow, viol = _run_vector_loop(objective, noise, schedule, theta0, K, rng)
+        x0 = theta0
+        step = partial(_vector_chunk, noise.sampler(objective.grad), schedule, objective.r0)
+    trace, overflow, viol = _drive(step, x0, K, noise, rng)
+    trace = trace.reshape(len(trace), objective.dim)
 
     ks = record_points(trace.shape[0] - 1, record_stride)
     thetas = trace[ks]

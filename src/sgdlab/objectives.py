@@ -1,10 +1,10 @@
 """Closed-form objective functions and stochastic-gradient noise models.
 
 Every objective carries exact value and gradient functions plus the declared
-constants the assumption checkers consume: a lower bound ``f_lb``, a Hölder
-exponent ``alpha`` for the gradient, an optional global Hölder constant
-``l_global``, and a domain floor ``r0`` (evaluation is restricted to
-``norm(theta) >= r0`` when ``r0 > 0``).
+constants the assumption checkers consume: a lower bound ``f_lb``, an
+optional global Hölder constant ``l_global`` for the gradient, and a domain
+floor ``r0`` (evaluation is restricted to ``norm(theta) >= r0`` when
+``r0 > 0``).
 
 The catalog:
 
@@ -89,7 +89,6 @@ class Objective:
     id: str
     dim: int
     f_lb: float
-    alpha: float
     l_global: float | None
     r0: float
     value: Callable[[np.ndarray], float]
@@ -148,7 +147,6 @@ def _make_quadratic(dim: int) -> Objective:
         id="quadratic",
         dim=dim,
         f_lb=0.0,
-        alpha=1.0,
         l_global=1.0,
         r0=0.0,
         value=value,
@@ -182,14 +180,12 @@ def _make_smooth_rectifier(dim: int) -> Objective:
         return sigmoid(np.atleast_2d(np.asarray(thetas, dtype=float)))
 
     def grad_norm_batch(thetas):
-        g = grad_batch(thetas)
-        return np.sqrt(np.einsum("ij,ij->i", g, g))
+        return _norms(grad_batch(thetas))
 
     return Objective(
         id="smooth-rectifier",
         dim=dim,
         f_lb=0.0,
-        alpha=1.0,
         l_global=0.25,
         r0=0.0,
         value=value,
@@ -230,7 +226,6 @@ def _make_gauss_bump(dim: int) -> Objective:
         id="gauss-bump",
         dim=dim,
         f_lb=0.0,
-        alpha=1.0,
         l_global=2.0,
         r0=0.0,
         value=value,
@@ -283,7 +278,6 @@ def _make_radial(
         id=name,
         dim=dim,
         f_lb=g1(r0),
-        alpha=1.0,
         l_global=None,
         r0=r0,
         value=value,

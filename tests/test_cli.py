@@ -296,6 +296,7 @@ BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
     ("dense-checkpoints", {"W": 800}),  # W > K = 300
     # the capture envelope needs a 1-D or radial objective, not the p=4 rectifier
     ("rotated-p4", {"capture": {"theta_bar": [0.0] * 4, "R": 1.0, "epsilon": 0.5}}),
+    ("dense-checkpoints", {"gammas": [0.5, 1.5]}),  # gamma moments need gamma in [0, 1)
 ])
 def test_late_config_error_leaves_no_directory(tmp_path, capsys, workload, block):
     cfg = json.loads((BENCH_CONFIGS / f"{workload}.json").read_text(encoding="utf-8"))
@@ -307,6 +308,17 @@ def test_late_config_error_leaves_no_directory(tmp_path, capsys, workload, block
     assert run.call_count == 0  # rejected before any trajectory ran
     assert not (tmp_path / "out").exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "check", "probe-radial", "validate-schedule",
+                                     "stopping-times"])
+def test_objective_schedule_dimension_mismatch_exits_2(tmp_path, capsys, command):
+    cfg = base_config(tmp_path / "out", objective={"name": "quadratic", "dimension": 2},
+                      diagnostics={})
+    cfg["run"]["theta0"] = [1.0, 1.0]
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "schedule dimension 1 != objective dimension 2" in capsys.readouterr().err
 
 
 def test_jobs_flag_produces_identical_output(tmp_path):

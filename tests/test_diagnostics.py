@@ -505,6 +505,17 @@ def test_column_stats_bit_equal_to_per_column_loop(n_rows):
     _assert_column_stats_equal(got, _reference_column_stats(matrix))
     assert np.isnan(got[1][-1]) and got[0][-1] == 0
 
+    # NaN holes: alive sets that change back and forth between neighbouring
+    # columns, and all-NaN columns between alive ones
+    holed = np.exp(3.0 * rng.standard_normal((n_rows, 40)))
+    holed[0, 3:6] = holed[0, 8] = holed[0, 12] = np.nan
+    holed[n_rows // 2, 4] = holed[n_rows // 2, 9:11] = np.nan
+    holed[:, [14, 15, 20]] = np.nan
+    holed[rng.random((n_rows, 40)) < 0.2] = np.nan
+    got = _column_stats(holed)
+    _assert_column_stats_equal(got, _reference_column_stats(holed))
+    assert got[0][14] == got[0][20] == 0 and np.isnan(got[1][15]) and any(got[0][16:20])
+
     # more shapes and magnitudes: 1 to 61 columns, scales near
     # both ends of float64, both signs, and small integers (ties at the
     # quantile interpolation points), each with random NaN suffixes

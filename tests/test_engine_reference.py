@@ -4,12 +4,14 @@
 per-step loops that the engine's fast paths replaced, kept verbatim apart
 from reading the chunk size from the engine.  They are run in their
 truncating mode, the engine's only behaviour: a domain exit ends the run and
-is flagged.  The fast paths must give the same iterate bits, the same
+is flagged.  The fast path, the chunk driver `_drive` with its 1-D or
+p-dimensional stepper, must give the same iterate bits, the same
 overflow/domain flags and the same violation point over the whole catalog,
 every noise kind, every schedule family and p in {1, 3}.
 """
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ from sgdlab import engine
 from sgdlab.engine import (
     THETA_CAP,
     Schedule,
-    _run_scalar_loop,
-    _run_vector_loop,
+    _drive,
+    _scalar_chunk,
+    _vector_chunk,
     run_trajectory,
 )
 from sgdlab.errors import DomainError
@@ -195,10 +198,25 @@ def _reference(loop):
     return run
 
 
+def _engine_loops():
+    """The engine's chunk driver with its 1-D and p-dimensional steppers,
+    called as the reference loops are."""
+
+    def scalar(g1, noise, etas, x0, K, rng, r0):
+        step = partial(_scalar_chunk, g1, noise, etas, r0)
+        return _drive(step, x0, K, noise, rng)
+
+    def vector(obj, noise, sched, theta0, K, rng):
+        step = partial(_vector_chunk, noise.sampler(obj.grad), sched, obj.r0)
+        return _drive(step, theta0, K, noise, rng)
+
+    return scalar, vector
+
+
 def _run(loop, obj, noise, sched, theta0, seed):
     rng = np.random.default_rng(seed)
     if loop == "fast":
-        scalar, vector = _run_scalar_loop, _run_vector_loop
+        scalar, vector = _engine_loops()
     else:
         scalar, vector = _reference(_reference_scalar_loop), _reference(_reference_vector_loop)
     with np.errstate(all="ignore"):
@@ -256,3 +274,39 @@ def test_iterate_exactly_on_the_domain_floor_is_kept(p):
     assert _run("fast", obj, noise, sched, theta0, 0) == ref
     assert ref[0] == (2, p)
     assert ref[3]  # domain exit at the second step
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("start", [THETA_CAP, -THETA_CAP, np.nextafter(THETA_CAP, 0.0)])
+def test_iterate_on_the_cap_is_overflow_and_just_below_it_is_kept(p, start):
+    # quadratic, zero noise, constant step 2: theta1 = -theta0 exactly, so a
+    # run from the cap overflows at the first step and one from the float
+    # just below it swings between +-theta0 for the whole horizon.
+    obj = catalog_lookup("quadratic", dimension=p)
+    noise = NoiseModel("zero", p)
+    sched = Schedule.scalar(2.0, 0.0, dim=p)
+    theta0 = start * np.eye(p)[0]
+    ref = _run("reference", obj, noise, sched, theta0, 0)
+    assert _run("fast", obj, noise, sched, theta0, 0) == ref
+    if abs(start) == THETA_CAP:
+        assert ref[0] == (1, p) and ref[2] and not ref[3]
+    else:
+        assert ref[0] == (K + 1, p) and not ref[2] and not ref[3]
+
+
+def test_nan_iterate_is_flagged_as_overflow():
+    # power-q(q=4) from 1e34 under a rotated constant step: the gradient at
+    # theta1 overflows to +-inf and the rotation sums inf with -inf, so the
+    # second iterate is NaN in every coordinate.
+    obj = catalog_lookup("power-q", dimension=3, q=4.0)
+    noise = NoiseModel("zero", 3)
+    sched = _schedule("rotated-diagonal-power", 3, 3.0, 0.0)
+    theta0 = 1e34 * np.array([1.0, -0.6, 0.3])
+    out = []
+    with np.errstate(all="ignore"):
+        size, theta2 = _vector_chunk(noise.sampler(obj.grad), sched, obj.r0, theta0, 0, K,
+                                     None, out)
+    assert len(out) == 1 and np.isnan(size) and np.isnan(theta2).all()
+    ref = _run("reference", obj, noise, sched, theta0, 0)
+    assert _run("fast", obj, noise, sched, theta0, 0) == ref
+    assert ref[0] == (2, 3) and ref[2] and not ref[3]

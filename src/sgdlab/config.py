@@ -264,6 +264,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             R=cap_r,
             epsilon=_get(cap, "epsilon", 0.1 * cap_r, "capture"),  # default 0.1 R
         )
+        try:
+            capture.check(p)
+        except ContractViolation as exc:
+            raise ConfigError(f"invalid diagnostics.capture block: {exc}") from exc
     gammas = db.get("gammas")
     diagnostics = DiagnosticsBlock(
         W=_get_size(db, "W", None, "diagnostics"),

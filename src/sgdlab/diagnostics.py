@@ -96,6 +96,18 @@ class CaptureConfig:
     R: float
     epsilon: float
 
+    def check(self, dim: int) -> None:
+        """Raise ContractViolation unless theta_bar is a point of dimension
+        dim, R is finite and >= 0 and epsilon is finite and > 0."""
+        if len(self.theta_bar) != dim:
+            raise ContractViolation(f"capture theta_bar must have p = {dim} entries, "
+                                    f"got {len(self.theta_bar)}")
+        if not 0.0 <= self.R < np.inf:
+            raise ContractViolation(f"capture R must be finite and >= 0, got {self.R!r}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ContractViolation(
+                f"capture epsilon must be finite and > 0, got {self.epsilon!r}")
+
 
 @dataclass
 class DichotomyClassification:
@@ -478,7 +490,10 @@ def run_ensemble(
     if W > spec.horizon:
         raise ContractViolation("window W must be <= horizon")
     _check_gammas(gammas)
-    g_r = None if capture is None else envelope_sup_over_ball(spec, capture.theta_bar, capture.R)
+    g_r = None
+    if capture is not None:
+        capture.check(spec.objective.dimension)
+        g_r = envelope_sup_over_ball(spec, capture.theta_bar, capture.R)
 
     args = [(spec, i, W, epsilon_conv, R_div, capture) for i in range(spec.n_trajectories)]
     if jobs > 1:

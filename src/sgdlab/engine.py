@@ -359,15 +359,17 @@ def _scalar_chunk(g1, noise, etas, r0, x, k, n, w, out):
 def _vector_chunk(sample, schedule: Schedule, r0, theta, k, n, w, out):
     """The p-dimensional stepper for _drive; accepts iff r0 <= ||theta|| < THETA_CAP.
 
-    The rotated step stays q @ (d * (q.T @ g)) per iterate: a gemm over the
-    chunk sums in another order and changes the iterates' bits.
+    The rotated step is q.dot(d * q.T.dot(g)), one gemv per product and per
+    iterate, with q.T the transposed view: it has the bits of
+    q @ (d * (q.T @ g)) in fewer calls.  A gemm over the chunk, or a
+    contiguous copy of q.T, sums in another order and changes the bits.
     """
     q = schedule.q
     qt = None if q is None else q.T
     nrm = math.sqrt(theta.dot(theta))
     for d, wj in zip(schedule.eigenvalues(np.arange(k, k + n)), [None] * n if w is None else w):
         g = sample(theta, nrm, wj)
-        theta_n = theta - (d * g if q is None else q @ (d * (qt @ g)))
+        theta_n = theta - (d * g if q is None else q.dot(d * qt.dot(g)))
         nrm = math.sqrt(theta_n.dot(theta_n))
         if not r0 <= nrm < THETA_CAP:
             return nrm, theta_n

@@ -59,15 +59,22 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
+# 0-d operands: a Python float or int operand costs a scalar conversion per call.
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1/(1 + exp(-x)) for x >= 0 and exp(x)/(1 + exp(x)) below, without masks.
 
     exp(-|x|) is taken as exp(min(x, -x)), which passes a NaN through with
-    its sign and payload, as the two-branch form does.
+    its sign and payload, as the two-branch form does.  The numerator is
+    max(e, x >= 0): e = exp(-|x|) <= 1, so it is 1 for x >= 0 and e below
+    (and NaN for NaN), the bits of np.where(x >= 0, 1.0, e).
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= _ZERO) / (_ONE + e)
 
 
 def _sigmoid1(x: float) -> float:
@@ -128,7 +135,7 @@ def _make_quadratic(dim: int) -> Objective:
     """F = 0.5*||theta||^2, grad = theta. Smooth everywhere, l_global = 1."""
 
     def value(theta):
-        return 0.5 * float(theta @ theta)
+        return 0.5 * float(theta.dot(theta))
 
     def grad(theta):
         return np.array(theta, dtype=float, copy=True)
@@ -169,9 +176,6 @@ def _make_smooth_rectifier(dim: int) -> Objective:
     def value(theta):
         return float(np.sum(softplus(theta)))
 
-    def grad(theta):
-        return sigmoid(theta)
-
     def value_batch(thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         return softplus(thetas).sum(axis=1)
@@ -189,7 +193,7 @@ def _make_smooth_rectifier(dim: int) -> Objective:
         l_global=0.25,
         r0=0.0,
         value=value,
-        grad=grad,
+        grad=sigmoid,
         value_batch=value_batch,
         grad_batch=grad_batch,
         grad_norm_batch=grad_norm_batch,
@@ -204,10 +208,10 @@ def _make_gauss_bump(dim: int) -> Objective:
     """
 
     def value(theta):
-        return math.exp(-float(theta @ theta))
+        return math.exp(-theta.dot(theta))
 
     def grad(theta):
-        return -2.0 * math.exp(-float(theta @ theta)) * np.asarray(theta, dtype=float)
+        return -2.0 * math.exp(-theta.dot(theta)) * np.asarray(theta, dtype=float)
 
     def value_batch(thetas):
         rho = _norms(thetas)
@@ -257,10 +261,10 @@ def _make_radial(
         raise ContractViolation(f"radial objective {name!r} needs a domain floor r0 > 0")
 
     def value(theta):
-        return g1(float(np.linalg.norm(theta)))
+        return g1(math.sqrt(theta.dot(theta)))
 
     def grad(theta):
-        rho = float(np.linalg.norm(theta))
+        rho = math.sqrt(theta.dot(theta))
         return (gp1(rho) / rho) * np.asarray(theta, dtype=float)
 
     def value_batch(thetas):
@@ -400,17 +404,33 @@ class ObjectiveSpec:
 NOISE_KINDS = ("zero", "additive-gaussian", "rademacher-radial", "additive-gaussian-statedep")
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _sigma_norm(x, *args, **kwargs):
+    """np.linalg.norm in fewer calls: for a contiguous 1-D float64 x alone,
+    numpy's own sqrt(x.dot(x)), as a numpy float64 so the expression's
+    arithmetic on it (1/0, overflow) stays numpy's.  A strided x would be
+    summed in another order, so it goes to np.linalg.norm like any other."""
+    if (not args and not kwargs and type(x) is np.ndarray and x.ndim == 1
+            and x.dtype == _F64 and x.flags.c_contiguous):
+        return np.float64(math.sqrt(x.dot(x)))
+    return np.linalg.norm(x, *args, **kwargs)
+
+
 def _compile_sigma_expr(expr: str) -> Callable[[np.ndarray], float]:
     """Compile a sigma(theta) expression over a tiny whitelisted namespace.
 
     Available names: theta (array), norm, abs, exp, log, log1p, sqrt, pi, e.
+    Once its names are checked, the expression is compiled again as the
+    body of a one-argument function, which is cheaper to call than eval.
     """
     try:
         code = compile(expr, "<sigma-expr>", "eval")
     except (SyntaxError, ValueError) as exc:
         raise ContractViolation(f"sigma expression {expr!r} does not parse: {exc}") from exc
     base = {
-        "norm": np.linalg.norm,
+        "norm": _sigma_norm,
         "abs": np.abs,
         "exp": np.exp,
         "log": np.log,
@@ -423,10 +443,12 @@ def _compile_sigma_expr(expr: str) -> Callable[[np.ndarray], float]:
         if name not in base and name != "theta":
             raise ContractViolation(f"sigma expression uses disallowed name {name!r}")
 
-    namespace = {"__builtins__": {}, **base}
+    # The newline keeps a trailing comment in expr from swallowing the ")".
+    sigma_of = eval(compile(f"lambda theta: ({expr}\n)", "<sigma-expr>", "eval"),
+                    {"__builtins__": {}, **base})
 
     def fn(theta: np.ndarray) -> float:
-        sigma = float(eval(code, namespace, {"theta": theta}))
+        sigma = float(sigma_of(theta))
         if not 0.0 <= sigma < math.inf:
             raise ContractViolation(
                 f"sigma expression {expr!r} gave {sigma!r} at theta={theta.tolist()}; "

@@ -179,6 +179,7 @@ CAPTURE_SEEDS = (20250808, 20250809, 20250810)
 CAPTURE_CFG = CaptureConfig(theta_bar=(0.0,), R=1.0, epsilon=0.5)
 
 
+@pytest.mark.slow
 def test_criterion_05_capture_surrogate():
     started = time.monotonic()
     late_zero_batches = 0
@@ -286,6 +287,7 @@ def _moment_spec():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_moment_surrogate():
     started = time.monotonic()
     result = run_ensemble(_moment_spec(), gammas=[0.0, 0.5])
@@ -409,6 +411,7 @@ def test_criterion_09_stopping_times():
 # 10. determinism of criteria 5-7
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_10_determinism():
     started = time.monotonic()
     for key in ("capture", "dichotomy_a", "dichotomy_b", "dichotomy_c", "moment"):

@@ -297,6 +297,13 @@ BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
     # the capture envelope needs a 1-D or radial objective, not the p=4 rectifier
     ("rotated-p4", {"capture": {"theta_bar": [0.0] * 4, "R": 1.0, "epsilon": 0.5}}),
     ("dense-checkpoints", {"gammas": [0.5, 1.5]}),  # gamma moments need gamma in [0, 1)
+    # the capture block's contract: theta_bar a point of dimension p, R >= 0,
+    # epsilon > 0 (its default 0.1 R included)
+    ("capture-1d", {"capture": {"theta_bar": [0.0, 5.0], "R": 1.0, "epsilon": 0.5}}),
+    ("capture-1d", {"capture": {"theta_bar": [0.0], "R": 1.0, "epsilon": 0.0}}),
+    ("capture-1d", {"capture": {"theta_bar": [0.0], "R": 1.0, "epsilon": -0.5}}),
+    ("capture-1d", {"capture": {"theta_bar": [0.0], "R": 0.0}}),
+    ("capture-1d", {"capture": {"theta_bar": [0.0], "R": -1.0, "epsilon": 0.5}}),
 ])
 def test_late_config_error_leaves_no_directory(tmp_path, capsys, workload, block):
     cfg = json.loads((BENCH_CONFIGS / f"{workload}.json").read_text(encoding="utf-8"))
@@ -307,7 +314,19 @@ def test_late_config_error_leaves_no_directory(tmp_path, capsys, workload, block
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     assert run.call_count == 0  # rejected before any trajectory ran
     assert not (tmp_path / "out").exists()
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("theta_bar", [[0.0], [0.0, 0.0, 0.0]])
+def test_capture_theta_bar_of_another_dimension_is_rejected(tmp_path, theta_bar):
+    # p = 2; the cases above cover p = 1 through the CLI
+    cfg = base_config(tmp_path / "out", objective={"name": "quadratic", "dimension": 2})
+    cfg["schedule"]["p"] = 2
+    cfg["run"]["theta0"] = [1.0, 1.0]
+    cfg["diagnostics"]["capture"]["theta_bar"] = theta_bar
+    with pytest.raises(ConfigError, match=f"must have p = 2 entries, got {len(theta_bar)}"):
+        config_from_dict(cfg)
 
 
 @pytest.mark.parametrize("command", ["run", "check", "probe-radial", "validate-schedule",
@@ -516,6 +535,7 @@ def test_config_accepts_q_seed_alias(tmp_path):
                        "beta": [0.75, 0.8], "k0": 1, "p": 2, "q_seed": 4}
     cfg["objective"] = {"name": "quadratic", "dimension": 2}
     cfg["run"]["theta0"] = [1.0, 1.0]
+    cfg["diagnostics"]["capture"]["theta_bar"] = [0.0, 0.0]
     parsed = config_from_dict(cfg)
     assert parsed.schedule.rotation_seed == 4
 
@@ -634,6 +654,14 @@ _json_values = st.one_of(
     st.dictionaries(st.sampled_from(["", "x", "K", "name", "kind"]), _scalars, max_size=2),
 )
 _bad_ints = st.sampled_from([0, -1, -(10**30), 2**53 + 1, 10**30])
+# Capture blocks every command must reject at config load, as (key, value)
+# laid over a valid block; a theta_bar length is drawn as an offset from p.
+_bad_captures = st.one_of(
+    st.tuples(st.just("theta_bar"), st.sampled_from([-1, 1, 2])),
+    st.tuples(st.just("R"), st.sampled_from([-1.0, -1e-300, -(10**6)])),
+    st.tuples(st.just("epsilon"), st.sampled_from([0, 0.0, -0.0, -0.5, -(10**6)])),
+    st.tuples(st.just("R"), st.just(0.0)),  # with the default epsilon 0.1 R = 0
+)
 
 
 def _paths(config):
@@ -650,14 +678,27 @@ def _paths(config):
 def _fuzzed_invocations(draw):
     base = draw(st.sampled_from(FUZZ_BASES))
     config = json.loads(json.dumps(base))
-    path = draw(st.sampled_from(sorted(_paths(base))))
-    value = draw(_json_values)
-    if path[-1] == "jobs" and type(value) is int and value > 1:
-        value = 1
-    parent = config
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    # one draw in four puts in a bad capture block instead of the random value
+    bad_capture = draw(_bad_captures) if draw(st.integers(0, 3)) == 0 else None
+    if bad_capture is None:
+        path = draw(st.sampled_from(sorted(_paths(base))))
+        value = draw(_json_values)
+        if path[-1] == "jobs" and type(value) is int and value > 1:
+            value = 1
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        p = base["schedule"]["p"]
+        key, value = bad_capture
+        capture = {"theta_bar": [0.0] * p, "R": 1.0}
+        if key == "theta_bar":
+            value = [0.0] * (p + value)  # never p entries; p - 1 may be none
+        if key != "R" or value != 0.0:
+            capture["epsilon"] = 0.5
+        capture[key] = value
+        config["diagnostics"]["capture"] = capture
     flags, env = [], {}
     extra = draw(st.sampled_from([None, "--master-seed", "--horizon", "--jobs", "SGDLAB_SEED"]))
     if extra == "--master-seed":
@@ -669,16 +710,17 @@ def _fuzzed_invocations(draw):
     elif extra == "SGDLAB_SEED":
         env[extra] = draw(st.sampled_from(["0", "17", "-5", "", "x", " 3 ", str(10**30)]))
     command = draw(st.sampled_from(["run", "stopping-times", "check", "probe-radial"]))
-    return command, config, flags, env
+    return command, config, flags, env, bad_capture is not None
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_fuzzed_invocations())
 def test_fuzzed_config_exits_cleanly(invocation):
-    # any one value or block of a tiny config replaced by any JSON value, with
-    # or without flags and SGDLAB_SEED: an exit code, never a traceback, and a
-    # config error is one line
-    command, config, flags, env = invocation
+    # any one value or block of a tiny config replaced by any JSON value, or a
+    # bad capture block put in, with or without flags and SGDLAB_SEED: an exit
+    # code, never a traceback, and a config error is one line; every command
+    # rejects a bad capture block
+    command, config, flags, env, bad_capture = invocation
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
         if not env:
@@ -693,5 +735,6 @@ def test_fuzzed_config_exits_cleanly(invocation):
             os.chdir(cwd)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert code == 2 or not bad_capture, err.getvalue()
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdlab import diagnostics
 from sgdlab.diagnostics import (
     CaptureConfig,
     EnsembleSpec,
@@ -142,6 +143,22 @@ def test_ensemble_bitwise_determinism():
     r2 = run_ensemble(spec, gammas=[0.0, 0.5],
                       capture=CaptureConfig((0.0,), 1.0, 0.5))
     assert dumps_json(ensemble_report_payload(r1)) == dumps_json(ensemble_report_payload(r2))
+
+
+@pytest.mark.parametrize("capture,message", [
+    (CaptureConfig((0.0,), 1.0, 0.0), "epsilon must be finite and > 0"),
+    (CaptureConfig((0.0,), 1.0, -0.5), "epsilon must be finite and > 0"),
+    (CaptureConfig((0.0, 5.0), 1.0, 0.5), "theta_bar must have p = 1 entries"),
+    (CaptureConfig((0.0,), -1.0, 0.5), "R must be finite and >= 0"),
+])
+def test_bad_capture_block_fails_before_any_trajectory(monkeypatch, capture, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(diagnostics, "run_trajectory", no_run)
+    with pytest.raises(ContractViolation, match=message):
+        run_ensemble(quad_spec(noise=NoiseSpec("additive-gaussian", sigma=1.0), K=50, n=2),
+                     capture=capture)
 
 
 def test_ensemble_parallel_matches_sequential():

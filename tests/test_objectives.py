@@ -15,6 +15,8 @@ from sgdlab.objectives import (
     OVERFLOW_CAP,
     NoiseModel,
     StochasticOracle,
+    _compile_sigma_expr,
+    _sigma_norm,
     catalog_lookup,
     sigmoid,
     softplus,
@@ -159,6 +161,78 @@ def test_sigmoid_bit_equal_to_masked_form():
     assert sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
     grid = rng.standard_normal((300, 4))
     assert sigmoid(grid).tobytes() == _masked_sigmoid(grid).tobytes()
+
+
+def _where_sigmoid(x):
+    """The np.where form with Python-scalar operands that sigmoid replaces."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def test_sigmoid_bit_equal_to_where_form_on_stacks_and_points():
+    rng = np.random.default_rng(4)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF4000000000123], dtype=np.uint64).view(float)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 745.2, -745.2, 746.0, -746.0,
+                        1e3, -1e3, 1e308, -1e308, 5e-324, -5e-324])
+    wide = rng.standard_normal(40_000) * 10.0 ** rng.uniform(-3.0, 3.0, 40_000)
+    x = np.concatenate([special, nans, wide, 40.0 * rng.standard_normal(60_000)])
+    assert sigmoid(x).tobytes() == _where_sigmoid(x).tobytes()
+    stack = x[: len(x) // 4 * 4].reshape(-1, 4)  # the specials sit in the first rows
+    assert sigmoid(stack).tobytes() == _where_sigmoid(stack).tobytes()
+    for point in stack[:2000]:  # one (4,) point at a time, as the engine calls it
+        assert sigmoid(point).tobytes() == _where_sigmoid(point).tobytes()
+    for v in np.concatenate([special, nans]):
+        assert sigmoid(np.array([v])).tobytes() == _where_sigmoid(np.array([v])).tobytes()
+
+
+def test_sigma_norm_is_numpy_norm_for_1d_floats():
+    rng = np.random.default_rng(5)
+    points = [rng.standard_normal(p) * 10.0 ** rng.uniform(-150.0, 150.0)
+              for p in (1, 2, 3, 4, 5, 8, 17, 33, 100) for _ in range(200)]
+    points += [np.zeros(4), np.full(4, 1e200), np.array([1e300, -1e300]),  # overflow: inf
+               np.array([np.inf, 1.0]), np.array([np.nan, 1.0]), np.array([-0.0])]
+    with np.errstate(over="ignore"):
+        for theta in points:
+            got, want = _sigma_norm(theta), np.linalg.norm(theta)
+            assert type(got) is type(want) is np.float64
+            assert got.tobytes() == want.tobytes(), theta
+        assert _sigma_norm(np.full(4, 1e200)) == np.inf
+
+
+_THETA = np.array([3.0, -4.0, 1e-3, 12.5])
+
+
+@pytest.mark.parametrize("arg,args,kwargs", [
+    (_THETA, (1,), {}), (_THETA, (), {"ord": 1}), (_THETA, (), {"ord": np.inf}),
+    (_THETA, (2,), {}), (_THETA, (), {"keepdims": True}),
+    (np.array([3, -4, 12]), (), {}),                        # integers
+    (np.array([3.0, -4.0], dtype=np.float32), (), {}),      # another float type
+    (np.array([[3.0, -4.0], [1.0, 2.0]]), (), {}),          # 2-D
+    # strided; sqrt(x.dot(x)) has other bits than np.linalg.norm on this one
+    (np.random.default_rng(4).standard_normal(300)[::3], (), {}),
+    ((np.arange(40.0) * 1.1)[::-1], (), {}),                # reversed
+    ([3.0, -4.0], (), {}),                                  # a list
+])
+def test_sigma_norm_falls_back_to_numpy_for_other_calls(arg, args, kwargs):
+    got, want = _sigma_norm(arg, *args, **kwargs), np.linalg.norm(arg, *args, **kwargs)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_sigma_expression_compiles_to_the_same_floats():
+    rng = np.random.default_rng(6)
+    for expr in ("0.1*(1+norm(theta))", "norm(theta, 1)  # a trailing comment",
+                 "sqrt(1 + norm(theta)**2)", "exp(-norm(theta))"):
+        fn = _compile_sigma_expr(expr)
+        for theta in rng.standard_normal((50, 4)):
+            want = float(eval(expr, {"__builtins__": {}, "norm": np.linalg.norm,
+                                     "sqrt": np.sqrt, "exp": np.exp}, {"theta": theta}))
+            assert fn(theta) == want
+    with pytest.raises(ContractViolation, match="gave inf"):  # numpy's 1/0, not Python's
+        with np.errstate(divide="ignore"):
+            _compile_sigma_expr("1/norm(theta)")(np.zeros(3))
 
 
 def test_exp_abs_value_is_capped():

@@ -40,7 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", default=None,
                        help="allow overwriting report files (output.force)")
         p.add_argument("--jobs", type=int, default=None,
-                       help="parallel trajectory workers (run.jobs)")
+                       help="parallel trajectory workers (run.jobs); at most the CPU "
+                            "count and the number of trajectory blocks start, and the "
+                            "reports do not depend on it")
         p.add_argument("--master-seed", type=int, default=None, help="override run.master_seed")
         p.add_argument("--horizon", type=int, default=None, help="override run.K")
         p.add_argument("--n-trajectories", type=int, default=None,
@@ -224,15 +226,12 @@ def _cmd_stopping_times(config: ExperimentConfig) -> int:
     entries = []
     all_taus = []
     for i in range(spec.n_trajectories):
-        seed = diagnostics.split_seed(spec.master_seed, i)
-        traj = engine.run_trajectory(
-            oracle, spec.schedule, np.asarray(spec.theta0, dtype=float),
-            spec.horizon, seed, record_stride=1)
+        traj = diagnostics.run_member(spec, oracle, i)
         st = diagnostics.compute_stopping_times(traj)
         all_taus.append(st)
         entries.append({
             "trajectory": i,
-            "seed": seed,
+            "seed": traj.seed,
             "taus": st.taus,
             "complete": st.complete,
             "tau_geq_k": st.tau_geq_k,

@@ -10,8 +10,10 @@ order, so results do not depend on execution interleaving.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "EnsembleResult",
     "StoppingTimes",
     "split_seed",
+    "run_member",
     "classify_dichotomy",
     "run_ensemble",
     "gradient_convergence_stats",
@@ -266,64 +269,51 @@ def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
 
 
 # ---------------------------------------------------------------------------
-# per-trajectory worker
+# block worker
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _TrajectorySummary:
-    f_gap: np.ndarray
-    grad_norm: np.ndarray
-    classification: DichotomyClassification
-    escape_ks: np.ndarray | None
-    overflow: bool
-    domain_violation: bool
-    f_lim_estimate: float
-    last_k: int
-    seed: int
-
-
-def _summarize_one(spec: EnsembleSpec, index: int, W: int, epsilon_conv: float,
-                   R_div: float, capture: CaptureConfig | None) -> _TrajectorySummary:
-    oracle = spec.build()
+def run_member(spec: EnsembleSpec, oracle: StochasticOracle, index: int) -> Trajectory:
+    """Trajectory `index` of the ensemble: run_trajectory from theta0 with the
+    seed split_seed(master_seed, index).  oracle is spec.build(), which a
+    caller running several trajectories builds once."""
     seed = split_seed(spec.master_seed, index)
-    traj = run_trajectory(oracle, spec.schedule, np.asarray(spec.theta0, dtype=float),
-                          spec.horizon, seed, record_stride=spec.record_stride)
-    # The run's records are the first n checkpoints: both grids are
-    # record_points with one stride, and the run's grid stops at its last_k.
+    return run_trajectory(oracle, spec.schedule, spec.theta0, spec.horizon, seed,
+                          spec.record_stride)
+
+
+def _run_block(spec: EnsembleSpec, indices: range, W: int, epsilon_conv: float,
+               R_div: float, capture: CaptureConfig | None):
+    """Run the trajectories `indices` of the ensemble and reduce them in order.
+
+    Returns the block's f_gap and grad_norm rows on spec.checkpoints() (NaN
+    past each run's last record on the grid), its escape counts per step (None
+    without capture) and one (classification, f_lim estimate, overflow,
+    domain_violation, last_k, seed) tuple per trajectory.
+    """
+    oracle = spec.build()
+    f_lb = oracle.objective.f_lb
     cps = spec.checkpoints()
-    n = int(np.searchsorted(cps, traj.last_k, side="right"))
-    f_gap = np.full(len(cps), np.nan)
-    grad_norm = np.full(len(cps), np.nan)
-    f_gap[:n] = traj.f_values[:n] - oracle.objective.f_lb
-    grad_norm[:n] = traj.grad_norms[:n]
-
-    classification = classify_dichotomy(traj, W, epsilon_conv, R_div)
-
-    escape_ks = None
-    if capture is not None:
-        dist = _norms(traj.trace - np.asarray(capture.theta_bar, dtype=float)[None, :])
-        inside = dist[:-1] <= capture.R
-        jumped = dist[1:] >= capture.R + capture.epsilon
-        escape_ks = np.nonzero(inside & jumped)[0].astype(np.int64)
-
-    window_sel = traj.ks > (traj.last_k - W)
-    f_lim_estimate = float(np.mean(traj.f_values[window_sel]))
-
-    return _TrajectorySummary(
-        f_gap=f_gap,
-        grad_norm=grad_norm,
-        classification=classification,
-        escape_ks=escape_ks,
-        overflow=traj.overflow,
-        domain_violation=traj.domain_violation,
-        f_lim_estimate=f_lim_estimate,
-        last_k=traj.last_k,
-        seed=seed,
-    )
-
-
-def _worker(args):
-    return _summarize_one(*args)
+    f_gap = np.full((len(indices), len(cps)), np.nan)
+    grad_norm = np.full_like(f_gap, np.nan)
+    counts = None if capture is None else np.zeros(spec.horizon, dtype=np.int64)
+    theta_bar = None if capture is None else np.asarray(capture.theta_bar, dtype=float)
+    rows = []
+    for row, index in enumerate(indices):
+        traj = run_member(spec, oracle, index)
+        # The run's records are the first n checkpoints: both grids are
+        # record_points with one stride, and the run's grid stops at its
+        # last_k, which a truncated run may reach off the stride grid.
+        n = int(np.searchsorted(cps, traj.last_k, side="right"))
+        f_gap[row, :n] = traj.f_values[:n] - f_lb
+        grad_norm[row, :n] = traj.grad_norms[:n]
+        if capture is not None:
+            dist = _norms(traj.trace - theta_bar)
+            counts[:traj.last_k] += ((dist[:-1] <= capture.R)
+                                     & (dist[1:] >= capture.R + capture.epsilon))
+        f_lim = float(np.mean(traj.f_values[traj.ks > traj.last_k - W]))
+        rows.append((classify_dichotomy(traj, W, epsilon_conv, R_div), f_lim,
+                     traj.overflow, traj.domain_violation, traj.last_k, traj.seed))
+    return f_gap, grad_norm, counts, rows
 
 
 # ---------------------------------------------------------------------------
@@ -495,28 +485,30 @@ def run_ensemble(
         capture.check(spec.objective.dimension)
         g_r = envelope_sup_over_ball(spec, capture.theta_bar, capture.R)
 
-    args = [(spec, i, W, epsilon_conv, R_div, capture) for i in range(spec.n_trajectories)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_worker, args, chunksize=max(1, len(args) // (4 * jobs))))
+    # Contiguous blocks by one rule for every jobs level; at most one worker
+    # per CPU and per block starts.  The results depend on neither.
+    n = spec.n_trajectories
+    size = max(1, n // (4 * max(jobs, 1)))
+    blocks = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    work = partial(_run_block, spec, W=W, epsilon_conv=epsilon_conv, R_div=R_div,
+                   capture=capture)
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(work, blocks))
     else:
-        summaries = [_summarize_one(*a) for a in args]
+        parts = list(map(work, blocks))
+    f_gaps, grad_norms, block_counts, block_rows = zip(*parts)
+    classifications, f_lims, overflows, domain_violations, last_ks, seeds = zip(
+        *(r for rows in block_rows for r in rows))
 
-    cps = spec.checkpoints()
-    f_gap = np.vstack([s.f_gap for s in summaries])
-    grad_norm = np.vstack([s.grad_norm for s in summaries])
     report = gradient_convergence_stats(
-        cps, f_gap, grad_norm,
-        [s.f_lim_estimate for s in summaries],
-        gammas=gammas,
-    )
+        spec.checkpoints(), np.concatenate(f_gaps), np.concatenate(grad_norms), f_lims,
+        gammas=gammas)
 
     capture_report = None
     if capture is not None:
-        counts = np.zeros(spec.horizon, dtype=np.int64)
-        for s in summaries:
-            counts[s.escape_ks] += 1
-        n = spec.n_trajectories
+        counts = sum(block_counts)
         empirical = counts / n
         lmax = spec.schedule.bounds(spec.horizon)[0]
         tail = (capture.epsilon ** -2) * lmax ** 2 * g_r
@@ -543,12 +535,12 @@ def run_ensemble(
     return EnsembleResult(
         spec=spec,
         convergence=report,
-        classifications=[s.classification for s in summaries],
+        classifications=list(classifications),
         capture=capture_report,
-        n_overflow=sum(1 for s in summaries if s.overflow),
-        n_domain_violation=sum(1 for s in summaries if s.domain_violation),
-        seeds=[s.seed for s in summaries],
-        last_ks=[s.last_k for s in summaries],
+        n_overflow=sum(overflows),
+        n_domain_violation=sum(domain_violations),
+        seeds=list(seeds),
+        last_ks=list(last_ks),
     )
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Callable
 
 import numpy as np
@@ -418,10 +419,19 @@ def _sigma_norm(x, *args, **kwargs):
     return np.linalg.norm(x, *args, **kwargs)
 
 
+def _code_names(code: CodeType):
+    """The names that code and the code nested in it (lambdas, comprehensions) read."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            yield from _code_names(const)
+
+
 def _compile_sigma_expr(expr: str) -> Callable[[np.ndarray], float]:
     """Compile a sigma(theta) expression over a tiny whitelisted namespace.
 
-    Available names: theta (array), norm, abs, exp, log, log1p, sqrt, pi, e.
+    Available names: theta (array), norm, abs, exp, log, log1p, sqrt, pi, e;
+    the code nested in the expression may read no other name either.
     Once its names are checked, the expression is compiled again as the
     body of a one-argument function, which is cheaper to call than eval.
     """
@@ -439,7 +449,7 @@ def _compile_sigma_expr(expr: str) -> Callable[[np.ndarray], float]:
         "pi": math.pi,
         "e": math.e,
     }
-    for name in code.co_names:
+    for name in _code_names(code):
         if name not in base and name != "theta":
             raise ContractViolation(f"sigma expression uses disallowed name {name!r}")
 

@@ -3,9 +3,10 @@
 bench/tracing.py wraps functions by module and attribute name and skips a
 name it cannot find, so a renamed function would silently time as 0.  The
 runner's micro-timings call a few per-step callables directly.  The
-tracer's step counts come from the Trajectory records that run_ensemble's
-run_trajectory calls return; one tiny ensemble checks them against the
-ensemble's own last_ks; its schedule counts come from the sizes `check`
+tracer's step counts come from the Trajectory records that the
+run_trajectory calls of run_ensemble and of `stopping-times` return, one
+call per trajectory; tiny runs of both check them against the trajectories'
+own last_ks.  Its schedule counts come from the sizes `check`
 passes the two schedule scans.  A traced `run` must reach each report writer
 through its traced name, so the `reports.*` spans cannot read 0.
 """
@@ -73,6 +74,40 @@ def test_traced_step_counts_match_the_ensemble():
     assert tracer.counts["engine.steps"] == sum(result.last_ks)
     assert tracer.counts["engine.trajectories_truncated"] == sum(
         k < spec.horizon for k in result.last_ks)
+    # one traced call per trajectory, each counted with its full (K+1) x (p+1) trace
+    _, _, calls = tracer.summary()
+    assert calls["engine.run_trajectory"] == spec.n_trajectories
+    assert tracer.counts["engine.trace_bytes"] == 8 * (200 + 1) * (1 + 1) * spec.n_trajectories
+
+
+def test_traced_stopping_times_run_each_trajectory_once(tmp_path, monkeypatch):
+    # stopping-times reaches run_trajectory through diagnostics.run_member,
+    # trajectory i of the ensemble, so its steps are counted like a run's
+    members = []
+
+    def record(spec, oracle, index, _run=sgdlab.diagnostics.run_member):
+        members.append(index)
+        return _run(spec, oracle, index)
+
+    monkeypatch.setattr(sgdlab.diagnostics, "run_member", record)
+    cfg = {"objective": {"name": "log1p-abs"},
+           "noise": {"kind": "additive-gaussian", "sigma": 1.0},
+           "schedule": {"family": "scalar-power", "c": 0.5, "beta": 0.75, "k0": 1, "p": 1},
+           "run": {"theta0": [2.0], "K": 200, "n_trajectories": 4, "master_seed": 3},
+           "output": {"directory": str(tmp_path / "out")}}
+    path = tmp_path / "st.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        assert sgdlab.cli.main(["stopping-times", "--config", str(path)]) == 0
+    entries = json.loads((tmp_path / "out" / "stopping_times.json").read_text())["trajectories"]
+    last_ks = [entry["last_k"] for entry in entries]
+    assert members == [0, 1, 2, 3]
+    _, _, calls = tracer.summary()
+    assert calls["engine.run_trajectory"] == 4
+    assert tracer.counts["engine.steps"] == sum(last_ks)
+    assert 0 < tracer.counts["engine.trajectories_truncated"] == sum(k < 200 for k in last_ks)
 
 
 def test_traced_schedule_steps_match_the_check_sizes(tmp_path):

@@ -127,6 +127,22 @@ def test_nonfinite_or_negative_sigma_exits_2(tmp_path, capsys, expr, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("expr", [
+    "[t.__class__.__mro__[-1].__subclasses__() for t in [theta]][0] and 0.1",
+    "(lambda: theta.__class__)() and 0.1",
+    "[*(t.__class__ for t in [theta])][0] and 0.1",
+])
+def test_sigma_expression_with_a_disallowed_nested_name_exits_2(tmp_path, capsys, expr):
+    cfg = base_config(tmp_path / "out", diagnostics={})
+    cfg["noise"] = {"kind": "additive-gaussian-statedep", "sigma_expr": expr}
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error:")
+    assert err.endswith("sigma expression uses disallowed name '__class__'\n")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("K,flags", [(10**15, []), (500, ["--horizon", str(10**30)])])
 def test_unallocatable_size_exits_2(tmp_path, capsys, K, flags):
     # a 10**15-step trace needs 8 PB, more than any address space, so numpy
@@ -341,13 +357,14 @@ def test_objective_schedule_dimension_mismatch_exits_2(tmp_path, capsys, command
 
 
 def test_jobs_flag_produces_identical_output(tmp_path):
-    cfg_path = write_config(tmp_path, base_config(tmp_path / "a"))
-    assert main(["run", "--config", cfg_path]) == 0
-    cfg_path2 = write_config(tmp_path, base_config(tmp_path / "b"), name="c2.json")
-    assert main(["run", "--config", cfg_path2, "--jobs", "2"]) == 0
-    a = (tmp_path / "a" / "ensemble_report.json").read_bytes()
-    b = (tmp_path / "b" / "ensemble_report.json").read_bytes()
-    assert a == b
+    outputs = []
+    for jobs in (1, 2, 3):
+        cfg_path = write_config(tmp_path, base_config(tmp_path / f"j{jobs}"),
+                                name=f"c{jobs}.json")
+        assert main(["run", "--config", cfg_path, "--jobs", str(jobs)]) == 0
+        outputs.append([(tmp_path / f"j{jobs}" / name).read_bytes()
+                        for name in ("ensemble_report.json", "checkpoints.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_formats_subset_json_only(tmp_path):

@@ -2,6 +2,7 @@
 tallies, convergence statistics, stopping times."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -166,6 +167,38 @@ def test_ensemble_parallel_matches_sequential():
     seq = run_ensemble(spec)
     par = run_ensemble(spec, jobs=2)
     assert dumps_json(ensemble_report_payload(seq)) == dumps_json(ensemble_report_payload(par))
+
+
+@pytest.mark.parametrize("n,jobs,cpus,workers", [
+    (2, 10**5, 8, 2),      # capped by the two one-trajectory blocks
+    (100, 10**5, 8, 8),    # capped by the CPU count
+    (100, 3, 8, 3),
+    (4, 4, None, None),    # an unknown CPU count means one worker: no pool
+])
+def test_worker_pool_is_capped_by_cpus_and_blocks(monkeypatch, n, jobs, cpus, workers):
+    # a fake pool records max_workers and maps inline: no process starts
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    spec = quad_spec(noise=NoiseSpec("additive-gaussian", sigma=0.5), K=20, n=n, stride=5)
+    serial = dumps_json(ensemble_report_payload(run_ensemble(spec)))
+    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    result = run_ensemble(spec, jobs=jobs)
+    assert started == ([] if workers is None else [workers])
+    assert dumps_json(ensemble_report_payload(result)) == serial
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

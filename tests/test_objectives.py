@@ -408,6 +408,27 @@ def test_statedep_sigma_expression_whitelist():
     assert nm.sigma_at(np.array([-2.0])) == 1.0
 
 
+# Names inside nested code: a comprehension, a lambda and a generator
+# expression, each reading an attribute that the top level never names.
+NESTED_ESCAPES = [
+    "[t.__class__.__mro__[-1].__subclasses__() for t in [theta]][0] and 0.1",
+    "(lambda: theta.__class__)() and 0.1",
+    "[*(t.__class__ for t in [theta])][0] and 0.1",
+]
+
+
+@pytest.mark.parametrize("expr", NESTED_ESCAPES)
+def test_sigma_expression_whitelist_covers_nested_code(expr):
+    with pytest.raises(ContractViolation, match="disallowed name '__class__'"):
+        NoiseModel("additive-gaussian-statedep", 2, sigma_expr=expr)
+
+
+def test_sigma_expression_nested_code_may_read_allowed_names():
+    nm = NoiseModel("additive-gaussian-statedep", 2,
+                    sigma_expr="(lambda x: 0.5 * sqrt(x))(norm(theta))")
+    assert nm.sigma_at(np.array([3.0, 4.0])) == 0.5 * np.sqrt(5.0)
+
+
 def test_noise_declared_constants():
     assert NoiseModel("zero", 2).constants == (0.0, 0.0, 1.0)
     nm = NoiseModel("additive-gaussian", 3, sigma=2.0)

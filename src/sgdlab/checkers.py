@@ -23,6 +23,8 @@ ZERO_CLAMP = 1e-300
 DEFAULT_TOL = 1e-9
 # Ball samples per local Hölder estimate of probe_radial_conditions.
 PROBE_HOLDER_SAMPLES = 512
+# Grid points (1-D) or random pairs (p > 1) of holder_sup_on_box.
+HOLDER_BOX_SAMPLES = 512
 
 
 @dataclass
@@ -178,7 +180,7 @@ def estimate_local_holder(
 
 
 def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
-                      n_grid: int = 512, seed: int = 0) -> float:
+                      seed: int = 0) -> float:
     """Grid estimate of the pairwise Hölder ratio supremum over a box.
 
     For 1-D objectives this is exact over all grid pairs; for p > 1 it falls
@@ -188,16 +190,16 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
     if not hi > lo:
         raise ContractViolation("box must satisfy hi > lo")
     if obj.dim == 1:
-        xs = np.linspace(lo, hi, n_grid)[:, None]
+        xs = np.linspace(lo, hi, HOLDER_BOX_SAMPLES)[:, None]
         obj.check_domain(xs)
         g = obj.grad_batch(xs)[:, 0]
         dx = np.abs(xs[:, 0][None, :] - xs[:, 0][:, None])
         dg = np.abs(g[None, :] - g[:, None])
-        iu = np.triu_indices(n_grid, k=1)
+        iu = np.triu_indices(HOLDER_BOX_SAMPLES, k=1)
         return float(np.max(dg[iu] / dx[iu] ** alpha))
     rng = np.random.default_rng(seed)
-    a = rng.uniform(lo, hi, size=(n_grid, obj.dim))
-    b = rng.uniform(lo, hi, size=(n_grid, obj.dim))
+    a = rng.uniform(lo, hi, size=(HOLDER_BOX_SAMPLES, obj.dim))
+    b = rng.uniform(lo, hi, size=(HOLDER_BOX_SAMPLES, obj.dim))
     obj.check_domain(a)
     obj.check_domain(b)
     diff = b - a

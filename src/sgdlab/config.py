@@ -71,6 +71,16 @@ def _get(block: dict, key: str, default, where: str, integer: bool = False):
     return _number(value, f"{where}.{key}", integer)
 
 
+def _get_positive(block: dict, key: str, default, where: str, hi: float = math.inf):
+    """block[key] as a finite number in (0, hi]; null is accepted only where
+    the default is."""
+    value = _get(block, key, default, where)
+    if value is not None and not 0.0 < value <= hi:
+        bound = "> 0" if hi == math.inf else f"in (0, {hi:g}]"
+        raise ConfigError(f"{where}.{key} must be {bound}, got {value!r}")
+    return value
+
+
 def _get_size(block: dict, key: str, default, where: str):
     """block[key] as an integer size, count or horizon from 1 to MAX_SIZE."""
     value = _get(block, key, default, where, integer=True)
@@ -271,13 +281,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     gammas = db.get("gammas")
     diagnostics = DiagnosticsBlock(
         W=_get_size(db, "W", None, "diagnostics"),
-        epsilon_conv=_get(db, "epsilon_conv", None, "diagnostics"),
-        R_div=_get(db, "R_div", None, "diagnostics"),
+        epsilon_conv=_get_positive(db, "epsilon_conv", None, "diagnostics"),
+        R_div=_get_positive(db, "R_div", None, "diagnostics"),
         capture=capture,
         gammas=None if gammas is None else _parse_vector(gammas, "diagnostics.gammas"),
         radii=_parse_vector(db.get("radii", [1e1, 1e2, 1e3, 1e4, 1e5, 1e6]),
                             "diagnostics.radii"),
-        alpha=_get(db, "alpha", 1.0, "diagnostics"),
+        alpha=_get_positive(db, "alpha", 1.0, "diagnostics", hi=1.0),
         r=_get(db, "r", 0.5, "diagnostics"),
         b_threshold=_get(db, "b_threshold", 0.25, "diagnostics"),
     )
@@ -302,7 +312,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             or any(w not in CHECK_NAMES for w in which)):
         raise ConfigError(f"checks.which must be a nonempty subset of {CHECK_NAMES}")
     checks = ChecksBlock(
-        alpha=_get(cb, "alpha", 1.0, "checks"),
+        alpha=_get_positive(cb, "alpha", 1.0, "checks", hi=1.0),
         horizon=_get_size(cb, "horizon", 100000, "checks"),
         seed=_get_seed(cb, "seed", 0, "checks"),
         which=tuple(which),

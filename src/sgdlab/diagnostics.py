@@ -41,6 +41,11 @@ __all__ = [
 
 # Points of the grid that envelope_sup_over_ball maximizes over.
 ENVELOPE_GRID = 8193
+# The per-checkpoint columns of a ConvergenceReport: each series is reduced
+# to each statistic (se is the standard error of the mean), in this order, as
+# the column f"{series}_{statistic}".
+SERIES = ("f_gap", "grad_norm", "grad_norm_sq")
+STATISTICS = ("mean", "se", "median", "q25", "q75")
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -136,9 +141,11 @@ class ConvergenceReport:
     """Per-checkpoint ensemble statistics of F - f_lb and the gradient norm.
 
     Statistics at checkpoint k are taken over the trajectories still running
-    at step k (n_alive).  sup_mean_f estimates sup_k E[F(theta_k) - f_lb];
-    final_decade_slope is the least-squares slope of log mean gradient norm
-    against log k over the last decade of checkpoints.
+    at step k (n_alive); the columns from f_gap_mean to grad_norm_sq_q75 are
+    the SERIES x STATISTICS columns, in that order.  sup_mean_f estimates
+    sup_k E[F(theta_k) - f_lb]; final_decade_slope is the least-squares slope
+    of log mean gradient norm against log k over the last decade of
+    checkpoints.
     """
 
     ks: list[int]
@@ -321,7 +328,7 @@ def _run_block(spec: EnsembleSpec, indices: range, W: int, epsilon_conv: float,
 # ---------------------------------------------------------------------------
 
 def _column_stats(matrix: np.ndarray):
-    """Per-column mean/se/median/q25/q75 ignoring NaN entries.
+    """n_alive and the per-column STATISTICS, ignoring NaN entries.
 
     Each run of neighbouring columns with the same alive (non-NaN) rows is
     reduced along the rows of a contiguous transpose, which gives the bits
@@ -329,7 +336,7 @@ def _column_stats(matrix: np.ndarray):
     """
     alive = ~np.isnan(matrix)
     n_alive = np.sum(alive, axis=0)
-    stats = np.full((5, matrix.shape[1]), np.nan)
+    stats = np.full((len(STATISTICS), matrix.shape[1]), np.nan)
     edges = np.nonzero(np.any(alive[:, 1:] != alive[:, :-1], axis=0))[0] + 1
     for lo, hi in zip([0, *edges], [*edges, matrix.shape[1]]):
         n = int(n_alive[lo])
@@ -362,30 +369,36 @@ def gradient_convergence_stats(
     trajectory's truncation point.
     """
     ks = np.asarray(ks)
-    n_alive, fg_mean, fg_se, fg_med, fg_q25, fg_q75 = _column_stats(f_gap)
-    _, gn_mean, gn_se, gn_med, gn_q25, gn_q75 = _column_stats(grad_norm)
-    _, g2_mean, g2_se, g2_med, g2_q25, g2_q75 = _column_stats(grad_norm ** 2)
+    # An overflowed run's inf or NaN entries give inf or NaN statistics (a
+    # null se in the report), not numpy warnings; the values are the same.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = [_column_stats(m) for m in (f_gap, grad_norm, grad_norm ** 2)]
+        columns = {f"{series}_{stat}": values
+                   for series, (_, *stats) in zip(SERIES, reduced)
+                   for stat, values in zip(STATISTICS, stats)}
+        gamma_moments = None
+        if gammas is not None:
+            gamma_moments = {}
+            _check_gammas(gammas)
+            for gamma in gammas:
+                powed = np.maximum(f_gap, 0.0) ** gamma
+                powed[np.isnan(f_gap)] = np.nan
+                _, m, *_ = _column_stats(powed)
+                gamma_moments[gamma] = m.tolist()
 
+    n_alive = reduced[0][0]  # of f_gap
+    fg_mean = columns["f_gap_mean"]
     valid = ~np.isnan(fg_mean)
     if np.any(valid):
         sup_idx = int(np.nanargmax(fg_mean))
         sup_mean_f = float(fg_mean[sup_idx])
         sup_k = int(ks[sup_idx])
-        sup_se = float(fg_se[sup_idx])
+        sup_se = float(columns["f_gap_se"][sup_idx])
     else:  # pragma: no cover - all trajectories dead at every checkpoint
         sup_mean_f, sup_k, sup_se = float("nan"), -1, float("nan")
 
-    gamma_moments = None
-    if gammas is not None:
-        gamma_moments = {}
-        _check_gammas(gammas)
-        for gamma in gammas:
-            powed = np.maximum(f_gap, 0.0) ** gamma
-            powed[np.isnan(f_gap)] = np.nan
-            _, m, *_ = _column_stats(powed)
-            gamma_moments[gamma] = m.tolist()
-
     slope = None
+    gn_mean = columns["grad_norm_mean"]
     k_hi = int(ks[-1])
     sel = (ks >= max(1, k_hi // 10)) & (ks >= 1) & ~np.isnan(gn_mean) & (gn_mean > 0.0)
     if np.sum(sel) >= 2:
@@ -396,21 +409,7 @@ def gradient_convergence_stats(
     return ConvergenceReport(
         ks=[int(k) for k in ks],
         n_alive=n_alive.tolist(),
-        f_gap_mean=fg_mean.tolist(),
-        f_gap_se=fg_se.tolist(),
-        f_gap_median=fg_med.tolist(),
-        f_gap_q25=fg_q25.tolist(),
-        f_gap_q75=fg_q75.tolist(),
-        grad_norm_mean=gn_mean.tolist(),
-        grad_norm_se=gn_se.tolist(),
-        grad_norm_median=gn_med.tolist(),
-        grad_norm_q25=gn_q25.tolist(),
-        grad_norm_q75=gn_q75.tolist(),
-        grad_norm_sq_mean=g2_mean.tolist(),
-        grad_norm_sq_se=g2_se.tolist(),
-        grad_norm_sq_median=g2_med.tolist(),
-        grad_norm_sq_q25=g2_q25.tolist(),
-        grad_norm_sq_q75=g2_q75.tolist(),
+        **{name: values.tolist() for name, values in columns.items()},
         f_lim_estimates=[float(x) for x in f_lim_estimates],
         sup_mean_f=sup_mean_f,
         sup_mean_f_k=sup_k,
@@ -475,10 +474,14 @@ def run_ensemble(
     W = default_window(spec.horizon) if W is None else int(W)
     epsilon_conv = default_epsilon_conv(spec.theta0) if epsilon_conv is None else float(epsilon_conv)
     R_div = default_r_div(spec.theta0) if R_div is None else float(R_div)
-    # Before any trajectory runs: a bad window or gamma, or a capture block
-    # the envelope cannot handle, is a config error that should cost nothing.
+    # Before any trajectory runs: a bad window, verdict constant or gamma, or
+    # a capture block the envelope cannot handle, is a config error that
+    # should cost nothing.
     if W > spec.horizon:
         raise ContractViolation("window W must be <= horizon")
+    if not (0.0 < epsilon_conv < np.inf and 0.0 < R_div < np.inf):
+        raise ContractViolation(f"epsilon_conv and R_div must be finite and > 0, got "
+                                f"{epsilon_conv!r} and {R_div!r}")
     _check_gammas(gammas)
     g_r = None
     if capture is not None:

@@ -503,6 +503,9 @@ class NoiseModel:
                 u = np.zeros(self.dim)
                 u[0] = 1.0
             u = np.asarray(u, dtype=float)
+            if u.shape != (self.dim,):
+                raise ContractViolation(f"rademacher direction must have p = {self.dim} "
+                                        f"entries, got {u.size}")
             nu = float(np.linalg.norm(u))
             if nu == 0.0:
                 raise ContractViolation("rademacher direction must be nonzero")

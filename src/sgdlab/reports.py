@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import CaptureReport, ConvergenceReport, EnsembleResult
+from .checkers import RadialRecord
+from .diagnostics import SERIES, STATISTICS, CaptureReport, ConvergenceReport, EnsembleResult
 from .engine import Schedule
 
 _CSV_QUOTE = re.compile(r'[,"\r\n]')
@@ -220,34 +221,20 @@ def _write_csv(path, header, rows) -> None:
     Path(path).write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
 
 
-_CHECKPOINT_STATS = (
-    ("f_gap_mean", "f_gap_se"),
-    ("f_gap_median", None),
-    ("f_gap_q25", None),
-    ("f_gap_q75", None),
-    ("grad_norm_mean", "grad_norm_se"),
-    ("grad_norm_median", None),
-    ("grad_norm_q25", None),
-    ("grad_norm_q75", None),
-    ("grad_norm_sq_mean", "grad_norm_sq_se"),
-    ("grad_norm_sq_median", None),
-    ("grad_norm_sq_q25", None),
-    ("grad_norm_sq_q75", None),
-    ("n_alive", None),
-)
-
-
 def write_checkpoints_csv(path, report: ConvergenceReport) -> None:
-    """Long-format rows (k, statistic, value, stderr) for plotting tools:
-    for each checkpoint, the statistics above and then the gamma moments."""
+    """Long-format rows (k, statistic, value, stderr) for plotting tools: for
+    each checkpoint, each series' statistics but se (the stderr of its mean
+    row), n_alive and then the gamma moments."""
 
     def cells(key, values):
         column = _shared(report, key, values)
         return _cells(values) if column is None else column.csv
 
+    stats = [(f"{series}_{stat}", f"{series}_se" if stat == "mean" else None)
+             for series in SERIES for stat in STATISTICS if stat != "se"]
     blank = [""] * len(report.ks)
     names, values, errors = [], [], []
-    for name, se in _CHECKPOINT_STATS:
+    for name, se in [*stats, ("n_alive", None)]:
         names.append(name)
         values.append(cells(name, getattr(report, name)))
         errors.append(blank if se is None else cells(se, getattr(report, se)))
@@ -270,16 +257,7 @@ def ensemble_report_payload(result: EnsembleResult) -> dict:
     for c in result.classifications:
         counts[c.verdict] = counts.get(c.verdict, 0) + 1
     return {
-        "spec": {
-            "objective": result.spec.objective,
-            "noise": result.spec.noise,
-            "schedule": result.spec.schedule,
-            "theta0": list(result.spec.theta0),
-            "horizon": result.spec.horizon,
-            "n_trajectories": result.spec.n_trajectories,
-            "master_seed": result.spec.master_seed,
-            "record_stride": result.spec.record_stride,
-        },
+        "spec": result.spec,
         "ids": result.spec.ids,
         "seeds": result.seeds,
         "n_overflow": result.n_overflow,
@@ -291,12 +269,10 @@ def ensemble_report_payload(result: EnsembleResult) -> dict:
     }
 
 
-_RADIAL_COLUMNS = ("radius", "grad_norm_sq", "L_r", "G_value", "ratio")
-
-
 def write_radial_csv(path, probe) -> None:
-    _write_csv(path, _RADIAL_COLUMNS, zip(*[
-        _cells([getattr(rec, name) for rec in probe.records]) for name in _RADIAL_COLUMNS]))
+    names = [f.name for f in dataclasses.fields(RadialRecord)]
+    _write_csv(path, names, zip(*[
+        _cells([getattr(rec, name) for rec in probe.records]) for name in names]))
 
 
 def write_stopping_times_csv(path, all_taus) -> None:

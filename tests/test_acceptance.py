@@ -87,7 +87,7 @@ def test_criterion_02_descent_suite():
     started = time.monotonic()
     for name, kw, box in CATALOG_WITH_BOXES:
         obj = catalog_lookup(name, **kw)
-        l_tilde = 2.0 * holder_sup_on_box(obj, box, 1.0, 512)
+        l_tilde = 2.0 * holder_sup_on_box(obj, box, 1.0)
         report = check_descent_inequality(obj, 10**4, l_tilde, 1.0, box, seed=202)
         assert report.verdict == "pass", (name, report.worst_violation)
         assert report.worst_violation <= 1e-9

@@ -127,7 +127,7 @@ def test_descent_quadratic_understated_constant_fails_with_witness():
 def test_descent_rectifier_quarter_curvature_passes():
     obj = catalog_lookup("smooth-rectifier")
     # grid oracle: curvature sup on the box is 1/4
-    sup = holder_sup_on_box(obj, (-10.0, 10.0), 1.0, 1024)
+    sup = holder_sup_on_box(obj, (-10.0, 10.0), 1.0)
     assert sup <= 0.25 + 1e-12
     report = check_descent_inequality(obj, 4000, 0.25, 1.0, (-10.0, 10.0), seed=2)
     assert report.verdict == "pass"
@@ -144,7 +144,7 @@ def test_descent_with_doubled_grid_sup_passes_for_all_catalog_objectives():
         ("loglog1p-abs", {}, (1.0, 10.0)),
     ]:
         obj = catalog_lookup(name, **kw)
-        l_tilde = 2.0 * holder_sup_on_box(obj, box, 1.0, 512)
+        l_tilde = 2.0 * holder_sup_on_box(obj, box, 1.0)
         report = check_descent_inequality(obj, 2000, l_tilde, 1.0, box, seed=3)
         assert report.verdict == "pass", (name, report.worst_violation)
 

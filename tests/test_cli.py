@@ -198,6 +198,19 @@ LONG_INT = "1" + "0" * 399  # beyond float64, so math.isfinite would overflow on
                  id="schedule.c-400-digits"),
     pytest.param("run.theta0", f"[{LONG_INT}]", "run.theta0 entry is beyond the float64",
                  id="run.theta0-400-digits"),
+    # verdict constants and alphas that make a verdict meaningless: with
+    # epsilon_conv -1 and R_div -5 every run read diverging-like, and checks.alpha 7
+    # ran descent and gradbound to two fail reports
+    pytest.param("diagnostics.epsilon_conv", "-1", "diagnostics.epsilon_conv must be > 0",
+                 id="diagnostics.epsilon_conv-negative"),
+    pytest.param("diagnostics.epsilon_conv", "0", "diagnostics.epsilon_conv must be > 0",
+                 id="diagnostics.epsilon_conv-0"),
+    pytest.param("diagnostics.R_div", "-5", "diagnostics.R_div must be > 0",
+                 id="diagnostics.R_div-negative"),
+    pytest.param("checks.alpha", "7", "checks.alpha must be in (0, 1]", id="checks.alpha-7"),
+    pytest.param("checks.alpha", "0", "checks.alpha must be in (0, 1]", id="checks.alpha-0"),
+    pytest.param("diagnostics.alpha", "1.5", "diagnostics.alpha must be in (0, 1]",
+                 id="diagnostics.alpha-1.5"),
     # beyond Python's int-digit limit, so json.loads raises a plain ValueError
     pytest.param("run.K", "1" * 5000, "malformed JSON", id="run.K-5000-digits"),
     pytest.param("run.theta0", "[" * 100000 + "]" * 100000, "malformed JSON",
@@ -274,6 +287,22 @@ def test_diverging_run_prints_no_warnings(tmp_path, capsys, objective, noise, sc
     assert capsys.readouterr().err == ""
     report = json.loads((tmp_path / "out" / "ensemble_report.json").read_text())
     assert report["n_overflow"] == 6
+
+
+@pytest.mark.parametrize("direction", [[1.0], [1.0, 0.0, 0.0]])
+def test_noise_direction_of_another_length_exits_2(tmp_path, capsys, direction):
+    # p = 2: [1.0] ran a noise the declared envelope does not describe, and
+    # three entries died in a numpy broadcast traceback
+    cfg = base_config(tmp_path / "out", objective={"name": "quadratic", "dimension": 2},
+                      noise={"kind": "rademacher-radial", "direction": direction},
+                      schedule={"family": "scalar-power", "c": 0.5, "beta": 0.75, "p": 2},
+                      diagnostics={})
+    cfg["run"]["theta0"] = [1.0, 1.0]
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error:") and "must have p = 2 entries" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_domain_violating_theta0_exits_3(tmp_path, capsys):
@@ -654,6 +683,19 @@ FUZZ_BASES = (
         "checks": {"seed": 3, "horizon": 100, "which": ["descent", "gradbound", "smoothness"],
                    "descent": {"n_pairs": 10, "box": [-2.0, 2.0]},
                    "gradbound": {"n_points": 10}, "smoothness": {"n_points": 2, "n_draws": 20}},
+        "output": {"directory": "out", "force": True},
+    },
+    {   # p=2 quadratic, Rademacher noise along a declared direction
+        "objective": {"name": "quadratic", "dimension": 2},
+        "noise": {"kind": "rademacher-radial", "direction": [0.6, 0.8]},
+        "schedule": {"family": "diagonal-power", "c": [0.5, 0.25], "beta": [0.75, 0.9],
+                     "k0": 1, "p": 2},
+        "run": {"theta0": [1.0, -1.0], "K": 40, "n_trajectories": 2, "master_seed": 2,
+                "record_stride": 5},
+        "diagnostics": {"W": 4, "epsilon_conv": 0.1, "R_div": 100.0, "radii": [10.0]},
+        "checks": {"seed": 1, "horizon": 100, "which": ["variance", "smoothness", "radial"],
+                   "variance": {"n_samples": 20},
+                   "smoothness": {"n_points": 2, "n_draws": 20}},
         "output": {"directory": "out", "force": True},
     },
 )

@@ -1,8 +1,10 @@
 """Diagnostics tests: classification rules, ensemble determinism, capture
 tallies, convergence statistics, stopping times."""
 
+import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +162,22 @@ def test_bad_capture_block_fails_before_any_trajectory(monkeypatch, capture, mes
     with pytest.raises(ContractViolation, match=message):
         run_ensemble(quad_spec(noise=NoiseSpec("additive-gaussian", sigma=1.0), K=50, n=2),
                      capture=capture)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"epsilon_conv": -1.0, "R_div": -5.0},  # every run would read diverging-like
+    {"epsilon_conv": 0.0},
+    {"R_div": 0.0},
+    {"epsilon_conv": float("nan")},
+    {"R_div": float("inf")},
+])
+def test_bad_verdict_constants_fail_before_any_trajectory(monkeypatch, kwargs):
+    def no_run(*args, **kw):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(diagnostics, "run_trajectory", no_run)
+    with pytest.raises(ContractViolation, match="epsilon_conv and R_div must be finite"):
+        run_ensemble(quad_spec(theta0=(0.5,), K=50, n=2), **kwargs)
 
 
 def test_ensemble_parallel_matches_sequential():
@@ -505,6 +523,24 @@ def test_report_json_survives_dead_checkpoints():
     assert "null" in text
 
 
+@pytest.mark.parametrize("spec", [
+    pytest.param(quad_spec(noise=NoiseSpec("additive-gaussian", sigma=1.0),
+                           schedule=Schedule.scalar(3.0, 0.0), K=600, n=7, stride=10),
+                 id="quadratic-c3-overflow"),
+    pytest.param(EnsembleSpec(ObjectiveSpec("exp-abs", r0=1.0), NoiseSpec("zero"),
+                              Schedule.scalar(1.0, 0.75), (400.0,), 600, 3, 0, 10),
+                 id="exp-abs-from-400"),
+])
+def test_overflowing_ensemble_statistics_emit_no_warnings(spec):
+    # outside cli.main's errstate: an overflowed run is counted, and its
+    # statistics are inf or NaN (null in the report), without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_ensemble(spec)
+    assert result.n_overflow == spec.n_trajectories
+    assert math.isnan(result.convergence.f_gap_se[-1])
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 # ---------------------------------------------------------------------------
@@ -583,6 +619,15 @@ def test_column_stats_bit_equal_to_per_column_loop(n_rows):
             with np.errstate(over="ignore"):  # 1e300 squared: se is inf on both sides
                 got, want = _column_stats(matrix), _reference_column_stats(matrix)
             _assert_column_stats_equal(got, want)
+
+
+def test_convergence_report_declares_the_derived_columns():
+    # the field declarations are the JSON keys; SERIES x STATISTICS names them
+    names = [f.name for f in dataclasses.fields(diagnostics.ConvergenceReport)]
+    derived = [f"{series}_{stat}" for series in diagnostics.SERIES
+               for stat in diagnostics.STATISTICS]
+    assert names[:2 + len(derived)] == ["ks", "n_alive", *derived]
+    assert names[2 + len(derived)] == "f_lim_estimates"
 
 
 def _assert_column_stats_equal(got, want):

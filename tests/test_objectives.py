@@ -14,6 +14,7 @@ from sgdlab.objectives import (
     CATALOG_NAMES,
     OVERFLOW_CAP,
     NoiseModel,
+    NoiseSpec,
     StochasticOracle,
     _compile_sigma_expr,
     _sigma_norm,
@@ -434,6 +435,15 @@ def test_noise_declared_constants():
     nm = NoiseModel("additive-gaussian", 3, sigma=2.0)
     assert nm.constants == (12.0, 0.0, 1.0)  # p * sigma^2
     assert NoiseModel("rademacher-radial", 2).constants is None
+
+
+@pytest.mark.parametrize("direction", [(1.0,), (1.0, 0.0, 0.0)])
+def test_rademacher_direction_must_have_p_entries(direction):
+    # [1.0] at p = 2 broadcast onto both coordinates; three entries crashed a step
+    with pytest.raises(ContractViolation, match="must have p = 2 entries"):
+        NoiseModel("rademacher-radial", 2, direction=np.array(direction))
+    with pytest.raises(ContractViolation, match="must have p = 2 entries"):
+        NoiseSpec("rademacher-radial", direction=direction).build(2)
 
 
 def test_oracle_dimension_mismatch():

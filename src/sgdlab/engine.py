@@ -31,6 +31,11 @@ ORTHO_TOL = 1e-10
 
 _CHUNK = 65536
 
+# The 1-D stepper tests its iterates once per block: each block is as long
+# as the run so far, at least _FIRST_BLOCK and at most _BLOCK iterates.
+_FIRST_BLOCK = 64
+_BLOCK = 4096
+
 Verdict = Literal["pass", "fail", "inconclusive"]
 
 POWER_FAMILIES = ("scalar-power", "diagonal-power", "rotated-diagonal-power")
@@ -291,72 +296,114 @@ def _drive(step, x0, K: int, noise, rng):
     overflow, the iterate that left the domain or None).
 
     Each chunk's noise is drawn before it is stepped, in the order that fixes
-    the seed streams.  step(x, k, n, w, out) steps from x over step indices
-    k..k+n-1 with noise w, appends the accepted iterates to out and returns
-    the first rejected one as (size, iterate), else None.  This is the one
-    place that tells the two exits apart: a size not below THETA_CAP (NaN
-    included) is overflow, any other was below the domain floor r0.
+    the seed streams.  step(x, k, n, w) steps from x over step indices
+    k..k+n-1 with noise w and returns (the accepted iterates, the first
+    rejected one as (size, iterate) or None).  This is the one place that
+    tells the two exits apart: a size not below THETA_CAP (NaN included) is
+    overflow, any other was below the domain floor r0.
     """
     trace = np.empty((K + 1,) + np.shape(x0))
     trace[0] = x0
     x = x0
     for k in range(0, K, _CHUNK):
         n = min(_CHUNK, K - k)
-        out = []
-        rejected = step(x, k, n, noise.draw(rng, n), out)
-        if out:
-            trace[k + 1:k + 1 + len(out)] = out
+        accepted, rejected = step(x, k, n, noise.draw(rng, n))
+        m = len(accepted)
+        if m:
+            trace[k + 1:k + 1 + m] = accepted
         if rejected is not None:
             size, x = rejected
             overflow = not size < THETA_CAP
-            return trace[: k + len(out) + 1], overflow, None if overflow else np.atleast_1d(x)
-        x = out[-1]
+            return trace[: k + m + 1], overflow, None if overflow else np.atleast_1d(x)
+        x = accepted[-1]
     return trace, False, None
 
 
-def _scalar_chunk(g1, noise, etas, r0, x, k, n, w, out):
-    """The 1-D stepper for _drive, on Python floats; etas holds every step size.
+def _scalar_path(g1, noise, etas, x, w):
+    """Yield the 1-D iterates after x, one per step size in etas, untested.
 
-    w holds the chunk's noise draws: sigma * z for additive-gaussian, and
-    for the two state-scaled kinds the signs (rademacher-radial, scaled by
-    |x|) or z (state-dependent, scaled by sigma(x)).  An iterate is accepted
-    iff r0 <= |x| < THETA_CAP.  One loop per noise form keeps the kind test
-    out of the step.  The g1 scalars use the math module, which keeps the
-    iterates bitwise stable (np.exp and math.exp can differ by one ulp).
+    w is None (zero noise) or the chunk's noise draws as a list: sigma * z
+    for additive-gaussian, and for the two state-scaled kinds the signs
+    (rademacher-radial, scaled by |x|) or z (state-dependent, scaled by
+    sigma(x)).  One loop per noise form keeps the kind test out of the step.
+    The g1 scalars use the math module, which keeps the iterates bitwise
+    stable (np.exp and math.exp can differ by one ulp).
     """
-    etas = etas[k:k + n].tolist()
     if w is None:
         for eta in etas:
-            xn = x - eta * g1(x)
-            if not r0 <= abs(xn) < THETA_CAP:
-                return abs(xn), xn
-            out.append(xn)
-            x = xn
-        return None
-    w = w.ravel().tolist()
-    if noise.kind == "additive-gaussian":
+            x = x - eta * g1(x)
+            yield x
+    elif noise.kind == "additive-gaussian":
         for eta, wj in zip(etas, w):
-            xn = x - eta * (g1(x) + wj)
-            if not r0 <= abs(xn) < THETA_CAP:
-                return abs(xn), xn
-            out.append(xn)
-            x = xn
-        return None
-    if noise.kind == "rademacher-radial":
-        scale = abs
+            x = x - eta * (g1(x) + wj)
+            yield x
     else:
-        sigma_fn = noise._sigma_fn
-        scale = lambda v: sigma_fn(np.array([v]))
-    for eta, wj in zip(etas, w):
-        xn = x - eta * (g1(x) + scale(x) * wj)
-        if not r0 <= abs(xn) < THETA_CAP:
-            return abs(xn), xn
-        out.append(xn)
-        x = xn
-    return None
+        if noise.kind == "rademacher-radial":
+            scale = abs
+        else:
+            sigma_fn = noise._sigma_fn
+            scale = lambda v: sigma_fn(np.array([v]))
+        for eta, wj in zip(etas, w):
+            x = x - eta * (g1(x) + scale(x) * wj)
+            yield x
 
 
-def _vector_chunk(sample, schedule: Schedule, r0, theta, k, n, w, out):
+def _accept_each(path, r0):
+    """Read a path up to its first rejected iterate, testing every step:
+    (the accepted iterates as a list, (size, iterate) or None)."""
+    out = []
+    for x in path:
+        if not r0 <= abs(x) < THETA_CAP:
+            return out, (abs(x), x)
+        out.append(x)
+    return out, None
+
+
+def _scalar_chunk(g1, noise, etas, r0, x, k, n, w):
+    """The 1-D stepper for _drive, on Python floats; etas holds every step size.
+
+    An iterate is accepted iff r0 <= |x| < THETA_CAP.  The path is read in
+    blocks by np.fromiter, and that test runs once per block on its array.
+    A block is as long as the run before it (k + start steps), at least
+    _FIRST_BLOCK and at most _BLOCK, so a run that exits at step j takes at
+    most j + min(max(j, _FIRST_BLOCK), _BLOCK) steps, about twice its own
+    for an early exit.  A step past the exit may raise (power-q with q < 1
+    divides by zero at 0): a block that raises is replayed from its first
+    iterate with the per-step test, which stops at the rejected iterate
+    before the raising step and raises only where an accepted iterate does.
+    The state-dependent kind is always read per step: its sigma is numpy,
+    which may warn or raise on a rejected iterate.
+    """
+    etas = etas[k:k + n].tolist()
+    w = None if w is None else w.ravel().tolist()
+    if noise.kind == "additive-gaussian-statedep":
+        return _accept_each(_scalar_path(g1, noise, etas, x, w), r0)
+    x = float(x)  # the previous chunk's last iterate comes back as a float64
+    path = _scalar_path(g1, noise, etas, x, w)
+    xs = np.empty(n)
+    start = 0
+    while start < n:
+        m = min(max(_FIRST_BLOCK, k + start), _BLOCK, n - start)
+        try:
+            block = np.fromiter(path, float, m)  # takes m items, not one more
+        except Exception:  # replayed below; the per-step read re-raises what it must
+            if start:
+                x = float(xs[start - 1])
+            out, rejected = _accept_each(
+                _scalar_path(g1, noise, etas[start:], x, None if w is None else w[start:]), r0)
+            xs[start:start + len(out)] = out
+            return xs[:start + len(out)], rejected
+        xs[start:start + m] = block
+        size = np.abs(block)
+        bad = ~((r0 <= size) & (size < THETA_CAP))
+        if bad.any():
+            i = int(bad.argmax())
+            return xs[:start + i], (size[i], block[i])
+        start += m
+    return xs, None
+
+
+def _vector_chunk(sample, schedule: Schedule, r0, theta, k, n, w):
     """The p-dimensional stepper for _drive; accepts iff r0 <= ||theta|| < THETA_CAP.
 
     The rotated step is q.dot(d * q.T.dot(g)), one gemv per product and per
@@ -367,15 +414,16 @@ def _vector_chunk(sample, schedule: Schedule, r0, theta, k, n, w, out):
     q = schedule.q
     qt = None if q is None else q.T
     nrm = math.sqrt(theta.dot(theta))
+    out = []
     for d, wj in zip(schedule.eigenvalues(np.arange(k, k + n)), [None] * n if w is None else w):
         g = sample(theta, nrm, wj)
         theta_n = theta - (d * g if q is None else q.dot(d * qt.dot(g)))
         nrm = math.sqrt(theta_n.dot(theta_n))
         if not r0 <= nrm < THETA_CAP:
-            return nrm, theta_n
+            return out, (nrm, theta_n)
         out.append(theta_n)
         theta = theta_n
-    return None
+    return out, None
 
 
 def run_trajectory(

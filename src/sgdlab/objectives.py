@@ -29,6 +29,7 @@ every kind implemented here).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from types import CodeType
 from typing import Callable
@@ -162,7 +163,9 @@ def _make_quadratic(dim: int) -> Objective:
         value_batch=value_batch,
         grad_batch=grad_batch,
         grad_norm_batch=grad_norm_batch,
-        g1=(lambda x: x) if dim == 1 else None,
+        # +x is the identity on floats, -0.0 and NaN included, at about half
+        # the call cost of `lambda x: x`
+        g1=operator.pos if dim == 1 else None,
         radial=True,
     )
 
@@ -506,7 +509,15 @@ class NoiseModel:
             if u.shape != (self.dim,):
                 raise ContractViolation(f"rademacher direction must have p = {self.dim} "
                                         f"entries, got {u.size}")
-            nu = float(np.linalg.norm(u))
+            if not np.all(np.isfinite(u)):
+                raise ContractViolation("rademacher direction must be finite")
+            with np.errstate(over="ignore"):
+                nu = float(np.linalg.norm(u))
+            if not 1e-150 <= nu < math.inf and np.any(u):
+                # the squared norm overflowed, or underflowed to 0 or to a
+                # subnormal with few bits: rescale by the largest entry first
+                u = u / np.max(np.abs(u))
+                nu = float(np.linalg.norm(u))
             if nu == 0.0:
                 raise ContractViolation("rademacher direction must be nonzero")
             self.direction = u / nu

@@ -93,6 +93,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("noise", "sigma_expr", '"0.1*(1+norm(theta)"'),       # unclosed parenthesis
     ("run", "K", "null"),                                  # null only where the default is
     ("run", "K", "1e300"),                                 # sizes are at most 2**53
+    ("noise", "direction", "[1e400]"),                     # entries must be finite
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, block, key, literal):
     cfg = base_config(tmp_path / "out")
@@ -303,6 +304,29 @@ def test_noise_direction_of_another_length_exits_2(tmp_path, capsys, direction):
     assert err.startswith("sgdlab: config error:") and "must have p = 2 entries" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def _rademacher_run(tmp_path, name, direction):
+    out = tmp_path / name
+    cfg = base_config(out, objective={"name": "quadratic", "dimension": 2},
+                      noise={"kind": "rademacher-radial", "direction": direction},
+                      schedule={"family": "scalar-power", "c": 0.5, "beta": 0.75, "p": 2},
+                      diagnostics={})
+    cfg["run"]["theta0"] = [1.0, 1.0]
+    return main(["run", "--config", write_config(tmp_path, cfg, f"{name}.json")]), out
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_noise_direction_of_extreme_scale_runs_as_its_unit_vector(tmp_path, capsys, scale):
+    # [1e200, 1e200] ran with zero noise and a numpy warning; [1e-200, 1e-200]
+    # exited 2 as a zero direction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _rademacher_run(tmp_path, "scaled", [scale, scale])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert _rademacher_run(tmp_path, "unit", [1.0, 1.0])[0] == 0
+    csv = (out / "checkpoints.csv").read_bytes()
+    assert csv == (tmp_path / "unit" / "checkpoints.csv").read_bytes()
 
 
 def test_domain_violating_theta0_exits_3(tmp_path, capsys):

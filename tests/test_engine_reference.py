@@ -9,10 +9,13 @@ p-dimensional stepper, must give the same iterate bits, the same
 overflow/domain flags and the same violation point over the whole catalog,
 every noise kind, every schedule family and p in {1, 3, 4}.  The reference
 loops keep the rotated step as q @ (ds[j] * (q.T @ g)), the form the
-engine's ndarray.dot gemv replaced.
+engine's ndarray.dot gemv replaced, and the 1-D reference tests every
+iterate where the engine tests a block of them at once.
 """
 
+import dataclasses
 import itertools
+import math
 from functools import partial
 
 import numpy as np
@@ -178,6 +181,9 @@ FAMILIES = ("scalar-power", "diagonal-power", "rotated-diagonal-power")
 SETTINGS = [(0.5, 0.75, 2.0), (3.0, 0.0, 2.0), (3.0, 0.0, 1e34)]
 K = 200
 CHUNK = 64  # several chunks per run, and stops inside a chunk
+# 1-D blocks of 1, 1, 2, 4, then 5 iterates: they grow, end inside the chunk
+# and at its end (64 = 8 + 11 * 5 + 1)
+FIRST_BLOCK, BLOCK = 1, 5
 
 
 def _schedule(family, p, c, beta):
@@ -235,6 +241,8 @@ def _run(loop, obj, noise, sched, theta0, seed):
 
 def test_fast_loops_match_reference_bit_for_bit(monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", CHUNK)
+    monkeypatch.setattr(engine, "_FIRST_BLOCK", FIRST_BLOCK)
+    monkeypatch.setattr(engine, "_BLOCK", BLOCK)
     outcomes = {"full": 0, "overflow": 0, "domain": 0}
     grid = itertools.product(OBJECTIVES, NOISES, FAMILIES, (1, 3, 4), SETTINGS)
     for seed, combo in enumerate(grid):
@@ -322,11 +330,130 @@ def test_nan_iterate_is_flagged_as_overflow():
     noise = NoiseModel("zero", 3)
     sched = _schedule("rotated-diagonal-power", 3, 3.0, 0.0)
     theta0 = 1e34 * np.array([1.0, -0.6, 0.3])
-    out = []
     with np.errstate(all="ignore"):
-        size, theta2 = _vector_chunk(noise.sampler(obj.grad), sched, obj.r0, theta0, 0, K,
-                                     None, out)
+        out, (size, theta2) = _vector_chunk(noise.sampler(obj.grad), sched, obj.r0, theta0, 0,
+                                            K, None)
     assert len(out) == 1 and np.isnan(size) and np.isnan(theta2).all()
     ref = _run("reference", obj, noise, sched, theta0, 0)
     assert _run("fast", obj, noise, sched, theta0, 0) == ref
     assert ref[0] == (2, 3) and ref[2] and not ref[3]
+
+
+# ---------------------------------------------------------------------------
+# the 1-D block path at its edges
+# ---------------------------------------------------------------------------
+
+# Each block is as long as the run before it, from 1 up to 4 iterates, in
+# chunks of 13: blocks hold iterates 1, 2, 3-4, 5-8, 9-12, 13 | 14-17, 18-21,
+# 22-25, 26 | ...
+SMALL_FIRST_BLOCK, SMALL_BLOCK, SMALL_CHUNK = 1, 4, 13
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(engine, "_FIRST_BLOCK", SMALL_FIRST_BLOCK)
+    monkeypatch.setattr(engine, "_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(engine, "_CHUNK", SMALL_CHUNK)
+
+
+def _both(obj, noise, sched, theta0, seed=0):
+    ref = _run("reference", obj, noise, sched, np.array([theta0]), seed)
+    assert _run("fast", obj, noise, sched, np.array([theta0]), seed) == ref
+    return ref
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("j", [1, 3, 5, 9, 14, 18,  # first iterate of a block
+                               2, 4, 8, 12, 17,  # last iterate of a block
+                               13, 26])  # last iterate of a chunk
+def test_block_exit_at_each_position_in_block_and_chunk(j):
+    noise = NoiseModel("zero", 1)
+    # overflow: quadratic, step 3, x_k = (-2)^k x0, first |x| >= THETA_CAP at j
+    over = _both(catalog_lookup("quadratic"), noise, Schedule.scalar(3.0, 0.0),
+                 1.5 * THETA_CAP * 2.0 ** -j)
+    assert over[0] == (j, 1) and over[2] and not over[3]
+    # domain exit: power-q(q=2), step 0.25, x_k = x0 / 2^k, first below r0 = 1 at j
+    dom = _both(catalog_lookup("power-q", q=2.0), noise, Schedule.scalar(0.25, 0.0),
+                1.5 * 2.0 ** (j - 1))
+    assert dom[0] == (j, 1) and not dom[2] and dom[3]
+
+
+def _quadratic_with(g1):
+    return dataclasses.replace(catalog_lookup("quadratic"), g1=g1)
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_block_nan_iterate_is_flagged_as_overflow():
+    # x halves under step 0.5; g1 is NaN at x_5 = 0.125, so iterate 6, the
+    # middle of a block, is NaN
+    obj = _quadratic_with(lambda x: x if abs(x) > 0.2 else math.nan)
+    ref = _both(obj, NoiseModel("zero", 1), Schedule.scalar(0.5, 0.0), 4.0)
+    assert ref[0] == (6, 1) and ref[2] and not ref[3]
+
+
+@pytest.mark.parametrize("blocks", ["small", "default"])
+def test_domain_exit_before_a_raising_step_is_truncated(request, blocks):
+    # power-q(q=0.5) from 1 with step 2: theta1 = 1 - 2 * 0.5 = 0 leaves the
+    # domain, and g1(0) = 0.5 * 0 ** -0.5 raises ZeroDivisionError in the
+    # step after it, which the block reads before its test runs (the small
+    # blocks' second block; the default first block of 64).
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    obj = catalog_lookup("power-q", q=0.5)
+    noise = NoiseModel("zero", 1)
+    sched = Schedule.scalar(2.0, 0.0)
+    with pytest.raises(ZeroDivisionError):
+        obj.g1(0.0)
+    ref = _both(obj, noise, sched, 1.0)
+    assert ref[0] == (1, 1) and not ref[2] and ref[3]
+    traj = run_trajectory(StochasticOracle(obj, noise), sched, [1.0], K, seed=0)
+    assert traj.domain_violation and not traj.overflow
+    assert traj.trace.shape == (1, 1) and traj.violation_theta.tolist() == [0.0]
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_g1_raising_at_an_accepted_iterate_raises_at_the_same_step():
+    # quadratic from 8 under a decaying step: g1 raises at x_19 (accepted,
+    # r0 = 0), in the step to iterate 20, the middle of the second chunk's
+    # second block.  The step sizes change with k, so a replay from the wrong
+    # iterate would raise at another x.
+    sched = Schedule.scalar(0.5, 0.5)
+    xs = [8.0]
+    for eta in sched.bounds(19)[0].tolist():
+        xs.append(xs[-1] - eta * xs[-1])
+    limit = 0.5 * (xs[18] + xs[19])
+
+    def g1(x):
+        if abs(x) < limit:
+            raise ValueError(f"g1 at {float(x)!r}")
+        return x
+
+    obj = _quadratic_with(g1)
+    for loop in ("reference", "fast"):
+        with pytest.raises(ValueError) as raised:
+            _run(loop, obj, NoiseModel("zero", 1), sched, np.array([8.0]), 0)
+        assert str(raised.value) == f"g1 at {xs[19]!r}"
+
+
+@pytest.mark.parametrize("growth, j_about", [(2.0 ** 20, 25), (1.0, 500), (0.1, 3600),
+                                             (0.01, 34700), (0.005, 69300)])
+def test_run_steps_at_most_its_own_length_past_its_exit(growth, j_about):
+    # quadratic under step 2 + growth: x_k = (-(1 + growth))^k overflows near
+    # step j_about, in the first block, the growing blocks, the full-size
+    # blocks of the first chunk and in the second chunk.
+    calls = 0
+
+    def g1(x):
+        nonlocal calls
+        calls += 1
+        return x
+
+    n = 2 * engine._CHUNK
+    noise = NoiseModel("zero", 1)
+    etas = Schedule.scalar(2.0 + growth, 0.0).bounds(n)[0]
+    step = partial(_scalar_chunk, g1, noise, etas, 0.0)
+    trace, overflow, viol = _drive(step, 1.0, n, noise, np.random.default_rng(0))
+    j = len(trace)  # the step that made the rejected iterate
+    assert overflow and viol is None and abs(j - j_about) < 0.01 * j_about + 1
+    assert j <= calls <= j + min(max(j, engine._FIRST_BLOCK), engine._BLOCK)
+    assert engine._FIRST_BLOCK <= 64 and engine._BLOCK <= 4096

@@ -5,6 +5,7 @@ against their declared means and second-moment envelopes.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -444,6 +445,27 @@ def test_rademacher_direction_must_have_p_entries(direction):
         NoiseModel("rademacher-radial", 2, direction=np.array(direction))
     with pytest.raises(ContractViolation, match="must have p = 2 entries"):
         NoiseSpec("rademacher-radial", direction=direction).build(2)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+def test_rademacher_direction_of_extreme_scale_is_normalized(scale):
+    # ||u||^2 overflows to inf (u / inf was [0, 0]), or underflows to a
+    # subnormal (u / ||u|| was 6e-6 off unit length) or to 0 (rejected as zero)
+    unit = NoiseModel("rademacher-radial", 2, direction=np.array([1.0, -1.0])).direction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nm = NoiseModel("rademacher-radial", 2, direction=np.array([scale, -scale]))
+    assert nm.direction.tolist() == unit.tolist()
+    # an ordinary direction keeps the bits of u / ||u||
+    u = np.array([0.3, 1e-3])
+    assert (NoiseModel("rademacher-radial", 2, direction=u).direction.tobytes()
+            == (u / np.linalg.norm(u)).tobytes())
+
+
+@pytest.mark.parametrize("direction", [(math.inf, 0.0), (1.0, math.nan)])
+def test_rademacher_direction_must_be_finite(direction):
+    with pytest.raises(ContractViolation, match="must be finite"):
+        NoiseModel("rademacher-radial", 2, direction=np.array(direction))
 
 
 def test_oracle_dimension_mismatch():

@@ -14,6 +14,7 @@ for that case and it is needed to express constant step sizes.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Literal
@@ -322,7 +323,7 @@ def _drive(step, x0, K: int, noise, rng):
 def _scalar_path(g1, noise, etas, x, w):
     """Yield the 1-D iterates after x, one per step size in etas, untested.
 
-    w is None (zero noise) or the chunk's noise draws as a list: sigma * z
+    w is None (zero noise) or the chunk's noise draws as a buffer: sigma * z
     for additive-gaussian, and for the two state-scaled kinds the signs
     (rademacher-radial, scaled by |x|) or z (state-dependent, scaled by
     sigma(x)).  One loop per noise form keeps the kind test out of the step.
@@ -362,6 +363,8 @@ def _accept_each(path, r0):
 def _scalar_chunk(g1, noise, etas, r0, x, k, n, w):
     """The 1-D stepper for _drive, on Python floats; etas holds every step size.
 
+    The path steps on array("d") copies of the chunk's step sizes and noise,
+    which make each float as the loop reads it (the floats of .tolist()).
     An iterate is accepted iff r0 <= |x| < THETA_CAP.  The path is read in
     blocks by np.fromiter, and that test runs once per block on its array.
     A block is as long as the run before it (k + start steps), at least
@@ -374,8 +377,8 @@ def _scalar_chunk(g1, noise, etas, r0, x, k, n, w):
     The state-dependent kind is always read per step: its sigma is numpy,
     which may warn or raise on a rejected iterate.
     """
-    etas = etas[k:k + n].tolist()
-    w = None if w is None else w.ravel().tolist()
+    etas = array("d", etas[k:k + n].tobytes())
+    w = None if w is None else array("d", w.tobytes())
     if noise.kind == "additive-gaussian-statedep":
         return _accept_each(_scalar_path(g1, noise, etas, x, w), r0)
     x = float(x)  # the previous chunk's last iterate comes back as a float64

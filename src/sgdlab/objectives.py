@@ -498,8 +498,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ContractViolation(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ContractViolation("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ContractViolation(f"sigma must be finite and >= 0, got {self.sigma!r}")
         if self.kind == "rademacher-radial":
             u = self.direction
             if u is None:

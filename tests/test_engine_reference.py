@@ -457,3 +457,84 @@ def test_run_steps_at_most_its_own_length_past_its_exit(growth, j_about):
     assert overflow and viol is None and abs(j - j_about) < 0.01 * j_about + 1
     assert j <= calls <= j + min(max(j, engine._FIRST_BLOCK), engine._BLOCK)
     assert engine._FIRST_BLOCK <= 64 and engine._BLOCK <= 4096
+
+
+# ---------------------------------------------------------------------------
+# special floats through the 1-D buffers
+# ---------------------------------------------------------------------------
+
+
+class _Normals:
+    """A stand-in generator whose standard normals are the given values, in order."""
+
+    def __init__(self, z):
+        self.z, self.used = z, 0
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        self.used += n
+        return self.z[self.used - n:self.used].reshape(shape)
+
+
+NAN_PAYLOAD = np.array([0x7FF4000000000123], dtype=np.uint64).view(np.float64)[0]
+SUBNORMAL = 5e-324
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("at, value, r0, exit_kind", [
+    (None, None, 0.0, "full"),
+    (16, math.inf, 0.0, "overflow"),
+    (25, -math.inf, 0.0, "overflow"),
+    (30, NAN_PAYLOAD, 0.0, "overflow"),
+    (20, -0.0, 1e-300, "domain"),  # a step of 1 makes x - (x + -0.0) = 0.0 < r0
+])
+def test_special_floats_pass_through_the_buffers_bit_for_bit(at, value, r0, exit_kind):
+    # Additive noise with -0.0 and the smallest subnormal among its normals,
+    # subnormal step sizes, and a last entry of +-inf, a NaN with a payload or
+    # a -0.0 that drives the run out.  The infinite iterates end a block (17)
+    # and a chunk (26); the NaN iterate 31 starts a block, whose next step
+    # raises in g1, so that block is replayed from slices of the buffers.
+    K = 40
+    etas = np.full(K, 0.5)
+    etas[7], etas[8] = SUBNORMAL, np.nextafter(np.finfo(float).tiny, 0.0)
+    z = np.random.default_rng(3).standard_normal(K)
+    z[3], z[10] = -0.0, SUBNORMAL
+    if at is not None:
+        z[at] = value
+        if exit_kind == "domain":
+            etas[at] = 1.0
+    noise = NoiseModel("additive-gaussian", 1, sigma=1.0)
+
+    def g1(x):
+        if x != x:
+            raise ValueError("g1 at NaN")
+        return x
+
+    rejected = []
+
+    def step(*args):
+        accepted, rej = _scalar_chunk(g1, noise, etas, r0, *args)
+        rejected.append(rej)
+        return accepted, rej
+
+    with np.errstate(invalid="ignore"):  # sigma * NaN_PAYLOAD quiets a signalling NaN
+        ref_trace, ref_over, ref_domain, ref_viol = _reference_scalar_loop(
+            g1, noise, etas, 0.75, K, _Normals(z), r0, True)
+        trace, over, viol = _drive(step, 0.75, K, noise, _Normals(z))
+        w = (noise.sigma * z).tolist()
+    assert trace.tobytes() == ref_trace.tobytes()
+    kind = "overflow" if over else "domain" if viol is not None else "full"
+    assert kind == exit_kind and over == ref_over and ref_domain == (viol is not None)
+    if exit_kind == "full":
+        assert len(trace) == K + 1 and rejected[-1] is None
+        return
+    # the rejected iterate, stepped on Python floats as the list-based loop did
+    j = len(trace) - 1
+    x = float(trace[-1])
+    want = x - etas.tolist()[j] * (x + w[j])
+    size, got = rejected[-1]
+    assert j == at
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert np.float64(size).tobytes() == np.float64(abs(want)).tobytes()
+    if exit_kind == "domain":
+        assert viol.tobytes() == ref_viol.tobytes() == np.array([0.0]).tobytes()

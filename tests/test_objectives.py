@@ -468,6 +468,13 @@ def test_rademacher_direction_must_be_finite(direction):
         NoiseModel("rademacher-radial", 2, direction=np.array(direction))
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0])
+def test_sigma_must_be_finite_and_nonnegative(sigma):
+    # a NaN or inf sigma built, and the run then read as overflow at step 0
+    with pytest.raises(ContractViolation, match="sigma must be finite and >= 0"):
+        NoiseModel("additive-gaussian", 1, sigma=sigma)
+
+
 def test_oracle_dimension_mismatch():
     with pytest.raises(ContractViolation):
         StochasticOracle(catalog_lookup("quadratic", dimension=2), NoiseModel("zero", 3))

@@ -86,6 +86,9 @@ class Schedule:
             raise ContractViolation(f"unknown schedule family {self.family!r}")
         self.c = _as_vector(self.c, self.dim, "c")
         self.beta = _as_vector(self.beta, self.dim, "beta")
+        for name, value in (("c", self.c), ("beta", self.beta), ("k0", self.k0)):
+            if not np.all(np.isfinite(value)):
+                raise ContractViolation(f"schedule {name} must be finite, got {value}")
         if np.any(self.c <= 0.0):
             raise ContractViolation("coefficients c must be > 0")
         if np.any(self.beta < 0.0):

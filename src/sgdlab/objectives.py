@@ -325,9 +325,13 @@ def catalog_lookup(
 
     ``q`` is required for power-q; ``r0`` overrides the default domain floor
     (1.0) of the restricted entries and is ignored for the unrestricted ones.
+    Either one, when given, must be finite.
     """
     if dimension < 1:
         raise ContractViolation("dimension must be >= 1")
+    for param, value in (("q", q), ("r0", r0)):
+        if value is not None and not math.isfinite(value):
+            raise ContractViolation(f"{param} must be finite, got {value!r}")
     if name == "quadratic":
         return _make_quadratic(dimension)
     if name == "smooth-rectifier":

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from sgdlab import diagnostics
 from sgdlab.cli import main
-from sgdlab.config import config_from_dict, load_config
+from sgdlab.config import REQUIRED, SCHEMA, config_from_dict, load_config
 from sgdlab.errors import ConfigError
 
 
@@ -610,6 +610,48 @@ def test_config_accepts_q_seed_alias(tmp_path):
     assert parsed.schedule.rotation_seed == 4
 
 
+def test_rotation_seed_and_its_alias_together_exit_2(tmp_path, capsys):
+    # q_seed was dropped without a word when rotation_seed was also given
+    cfg = base_config(tmp_path / "out", objective={"name": "quadratic", "dimension": 2},
+                      diagnostics={})
+    cfg["schedule"] = {"family": "rotated-diagonal-power", "c": [0.5, 0.2],
+                       "beta": [0.75, 0.8], "p": 2, "rotation_seed": 3, "q_seed": 4}
+    cfg["run"]["theta0"] = [1.0, 1.0]
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error:") and len(err.splitlines()) == 1
+    assert "schedule.rotation_seed" in err and "q_seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _schema_entries(fields, parent=()):
+    """Every key and block of a SCHEMA table as (path, kind, default)."""
+    for key, (kind, default) in fields.items():
+        yield (*parent, key), kind, default
+        if isinstance(kind, dict):
+            yield from _schema_entries(kind, (*parent, key))
+
+
+def test_readme_config_block_shows_the_schema_defaults():
+    # README's full config has the keys of SCHEMA at every level (the alias
+    # q_seed may be left out), each at its default; a required key may show
+    # any value
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("A full config (defaults shown", 1)[1]
+    shown = {"config": json.loads(after.split("```json\n", 1)[1].split("```", 1)[0])}
+    for path, kind, default in _schema_entries({"config": (SCHEMA, REQUIRED)}):
+        block = shown
+        for key in path[:-1]:
+            block = block[key]
+        if path[-1] == "q_seed" and path[-1] not in block:
+            continue
+        value = block[path[-1]]
+        if isinstance(kind, dict):
+            assert set(kind) - {"q_seed"} <= set(value) <= set(kind), path
+        elif default is not REQUIRED:
+            assert value == default, path
+
+
 def test_unseeded_rotation_reports_seed_0(tmp_path):
     # the factor of an unseeded rotated schedule is built from seed 0 and named so
     outputs = []
@@ -796,14 +838,10 @@ def _fuzzed_invocations(draw):
     return command, config, flags, env, bad_capture is not None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_fuzzed_invocations())
-def test_fuzzed_config_exits_cleanly(invocation):
-    # any one value or block of a tiny config replaced by any JSON value, or a
-    # bad capture block put in, with or without flags and SGDLAB_SEED: an exit
-    # code, never a traceback, and a config error is one line; every command
-    # rejects a bad capture block
-    command, config, flags, env, bad_capture = invocation
+def _invoke(command, config, flags=(), env=None):
+    """main's exit code and stderr for the command on the config, run in a
+    fresh directory with the given environment (SGDLAB_SEED unset unless given)."""
+    env = env or {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
         if not env:
@@ -816,8 +854,70 @@ def test_fuzzed_config_exits_cleanly(invocation):
                 code = main([command, "--config", "config.json", *flags])
         finally:
             os.chdir(cwd)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_fuzzed_invocations())
+def test_fuzzed_config_exits_cleanly(invocation):
+    # any one value or block of a tiny config replaced by any JSON value, or a
+    # bad capture block put in, with or without flags and SGDLAB_SEED: an exit
+    # code, never a traceback, and a config error is one line; every command
+    # rejects a bad capture block
+    command, config, flags, env, bad_capture = invocation
+    code, err = _invoke(command, config, flags, env)
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    assert code == 2 or not bad_capture, err.getvalue()
+    assert "Traceback" not in err
+    assert code == 2 or not bad_capture, err
     if code == 2:
-        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert len(err.splitlines()) == 1, err
+
+
+def _bad_values(kind, default):
+    """Values that a key or block of this kind refuses, null where the default is not."""
+    if isinstance(kind, dict):
+        values = [5, [], "x"]
+    elif isinstance(kind, tuple):  # an enum
+        values = ["no-such", 5]
+    elif isinstance(kind, list):  # a nonempty subset
+        values = [[], ["x"], kind[0]]
+    else:
+        values = {
+            "size": [0, -1, 2**53 + 1, 1.5, True, "1"],
+            "seed": [-1, 1.5, True],
+            "number": ["x", True, [1.0], 10**400],
+            "positive": [0, -1.0],
+            "unit": [0, 1.5],
+            "vector": [[], [None], [1e400], 1.0],
+            "triple": [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
+            "box": [[1.0, 1.0], [2.0, 1.0], [1.0]],
+            "numbers": ["x", [], [None]],
+            "string": [5, ["x"]],
+            "bool": [1, "true"],
+        }[kind]
+    return values + ([None] if default is not None else [])
+
+
+@st.composite
+def _schema_violations(draw):
+    path, kind, default = draw(st.sampled_from(list(_schema_entries(SCHEMA))))
+    config = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    parent = config
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {})
+    parent[path[-1]] = draw(st.sampled_from(_bad_values(kind, default)))
+    command = draw(st.sampled_from(["run", "stopping-times", "check", "probe-radial",
+                                    "validate-schedule"]))
+    return command, config
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_schema_violations())
+def test_every_schema_key_refuses_a_bad_value_of_its_kind(violation):
+    # every key of SCHEMA, present in the base config or not, with a value
+    # its kind refuses: a one-line config error for every command
+    command, config = violation
+    code, err = _invoke(command, config)
+    assert code == 2 and len(err.splitlines()) == 1, err
+    assert err.startswith("sgdlab: config error:"), err
+

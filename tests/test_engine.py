@@ -220,6 +220,25 @@ def test_schedule_parameter_validation():
         Schedule.scalar(1.0, 0.75, k0=0.5)  # k0 must be >= 1
 
 
+@pytest.mark.parametrize("build,name", [
+    pytest.param(lambda: Schedule.scalar(math.nan, 0.75), "c", id="scalar-c-nan"),
+    pytest.param(lambda: Schedule.scalar(math.inf, 0.75), "c", id="scalar-c-inf"),
+    pytest.param(lambda: Schedule.scalar(1.0, math.inf), "beta", id="scalar-beta-inf"),
+    pytest.param(lambda: Schedule.scalar(1.0, 0.75, k0=math.nan), "k0", id="scalar-k0-nan"),
+    pytest.param(lambda: Schedule.scalar(1.0, 0.75, k0=math.inf), "k0", id="scalar-k0-inf"),
+    pytest.param(lambda: Schedule.diagonal([1.0, math.nan], [0.75, 0.75]), "c",
+                 id="diagonal-c-nan"),
+    pytest.param(lambda: catalog_lookup("power-q", q=math.nan), "q", id="power-q-q-nan"),
+    pytest.param(lambda: catalog_lookup("power-q", q=math.inf), "q", id="power-q-q-inf"),
+    pytest.param(lambda: catalog_lookup("log1p-abs", r0=math.nan), "r0", id="log1p-abs-r0-nan"),
+])
+def test_nonfinite_parameter_is_refused_by_name(build, name):
+    # c = nan was refused as "scalar-power requires one (c, beta) pair"; the
+    # others built, and a run under them read as overflow or as step size 0
+    with pytest.raises(ContractViolation, match=rf"\b{name} must be finite"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # validate_schedule with an independent partial-sum oracle
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ a sampled value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,6 +93,23 @@ class RadialProbe:
     a6_verdict: str
 
 
+def _finite(**constants) -> None:
+    """Raise ContractViolation naming the first constant that is NaN or infinite."""
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            raise ContractViolation(f"{name} must be finite, got {value!r}")
+
+
+def _box_bounds(box: tuple[float, float]) -> tuple[float, float]:
+    """(lo, hi) of a box, refused unless both are finite and hi > lo."""
+    lo, hi = float(box[0]), float(box[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ContractViolation(f"box must be finite, got {tuple(box)!r}")
+    if not hi > lo:
+        raise ContractViolation("box must satisfy hi > lo")
+    return lo, hi
+
+
 def _van_der_corput(n: int) -> np.ndarray:
     """First n points of the base-2 bit-reversal sequence in (0, 1).
 
@@ -154,6 +172,7 @@ def estimate_local_holder(
     (_ball_points).
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    _finite(r=r, alpha=alpha)
     if r <= 0.0:
         raise ContractViolation("radius r must be > 0")
     if n_samples < 2:
@@ -186,9 +205,8 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
     For 1-D objectives this is exact over all grid pairs; for p > 1 it falls
     back to seeded random pairs.  A lower bound of the true sup either way.
     """
-    lo, hi = float(box[0]), float(box[1])
-    if not hi > lo:
-        raise ContractViolation("box must satisfy hi > lo")
+    _finite(alpha=alpha)
+    lo, hi = _box_bounds(box)
     if obj.dim == 1:
         xs = np.linspace(lo, hi, HOLDER_BOX_SAMPLES)[:, None]
         obj.check_domain(xs)
@@ -212,9 +230,7 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
 
 def _uniform_box(rng: np.random.Generator, n: int, box: tuple[float, float],
                  dim: int) -> np.ndarray:
-    lo, hi = float(box[0]), float(box[1])
-    if not hi > lo:
-        raise ContractViolation("box must satisfy hi > lo")
+    lo, hi = _box_bounds(box)
     return rng.uniform(lo, hi, size=(n, dim))
 
 
@@ -255,6 +271,7 @@ def check_descent_inequality(
 
     worst_violation is the largest left-hand side seen.
     """
+    _finite(L_tilde=L_tilde, alpha=alpha, tol=tol)
     if L_tilde <= 0.0:
         raise ContractViolation("L_tilde must be > 0")
     rng = np.random.default_rng(seed)
@@ -293,6 +310,7 @@ def check_variance_control(norm_samples, alpha: float,
         raise ContractViolation("samples must be finite and >= 0")
     if not (0.0 < alpha <= 1.0):
         raise ContractViolation("alpha must be in (0, 1]")
+    _finite(tol=tol)
 
     m_low = float(np.mean(s ** (1.0 + alpha)))
     m_mid = float(np.mean(s ** 2) ** ((1.0 + alpha) / 2.0))
@@ -335,6 +353,7 @@ def check_grad_bound(
             witness=None,
             tolerance=tol,
         )
+    _finite(L=L, alpha=alpha, tol=tol)
     rng = np.random.default_rng(seed)
     pts = _uniform_box(rng, n_points, box, obj.dim)
     obj.check_domain(pts)
@@ -382,6 +401,7 @@ def check_expected_smoothness(
     empirically: at each sampled theta, the mean of n_draws squared sample
     norms must not exceed the bound plus a 4-sigma statistical margin.
     """
+    _finite(C1=C1, C2=C2, C3=C3)
     if C1 < 0.0 or C2 < 0.0:
         raise ContractViolation("C1 and C2 must be >= 0")
     if C3 < 1.0:
@@ -425,6 +445,7 @@ def probe_radial_conditions(
     decreasing and below the threshold there; no claim about the true limit.
     """
     radii = [float(x) for x in radii]
+    _finite(alpha=alpha, r=r, b_threshold=b_threshold)
     if len(radii) == 0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ContractViolation("radii must be strictly increasing")
     if b_threshold <= 0.0:
@@ -485,6 +506,7 @@ def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
     The returned K is exactly the index from which the eigenvalue lower bound
     lambda_min - (C/2) lambda_max^(1+alpha) >= lambda_min/2 holds.
     """
+    _finite(C=C, alpha=alpha)
     if C <= 0.0:
         raise ContractViolation("C must be > 0")
     if K_max < 1:

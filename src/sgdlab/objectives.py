@@ -529,11 +529,17 @@ class NoiseModel:
             if not self.sigma_expr:
                 raise ContractViolation("statedep noise requires sigma_expr")
             self._sigma_fn = _compile_sigma_expr(self.sigma_expr)
-        if self.constants is None:
-            if self.kind == "zero":
-                self.constants = (0.0, 0.0, 1.0)
-            elif self.kind == "additive-gaussian":
-                self.constants = (self.dim * self.sigma ** 2, 0.0, 1.0)
+        if self.constants is not None:
+            c = tuple(self.constants)
+            if not (len(c) == 3 and all(map(math.isfinite, c))
+                    and c[0] >= 0.0 and c[1] >= 0.0 and c[2] >= 1.0):
+                raise ContractViolation(
+                    "noise constants must be three finite numbers (C1, C2, C3) with "
+                    f"C1 >= 0, C2 >= 0 and C3 >= 1, got {self.constants!r}")
+        elif self.kind == "zero":
+            self.constants = (0.0, 0.0, 1.0)
+        elif self.kind == "additive-gaussian":
+            self.constants = (self.dim * self.sigma ** 2, 0.0, 1.0)
 
     def sigma_at(self, theta: np.ndarray) -> float:
         if self.kind == "additive-gaussian":

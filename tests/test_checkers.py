@@ -444,3 +444,46 @@ def test_threshold_contracts():
         find_eigenvalue_threshold(sched, 0.0, 1.0, 100)
     with pytest.raises(ContractViolation):
         find_eigenvalue_threshold(sched, 1.0, 1.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# non-finite constants and boxes
+# ---------------------------------------------------------------------------
+
+_QUADRATIC = catalog_lookup("quadratic")
+_BOX = (-1.0, 1.0)
+# each checker with arguments it accepts, and the constants and box it must
+# refuse when one is NaN or infinite
+_CHECKERS = {
+    check_descent_inequality: (dict(obj=_QUADRATIC, n_pairs=10, L_tilde=1.0, alpha=1.0,
+                                    box=_BOX), ["L_tilde", "alpha", "tol", "box"]),
+    check_grad_bound: (dict(obj=_QUADRATIC, L=1.0, alpha=1.0, n_points=10, box=_BOX),
+                       ["L", "alpha", "tol", "box"]),
+    check_expected_smoothness: (dict(
+        oracle=StochasticOracle(_QUADRATIC, NoiseModel("zero", 1)), C1=0.0, C2=0.0, C3=1.0,
+        n_points=2, n_draws=4, box=_BOX), ["C1", "C2", "C3", "box"]),
+    check_variance_control: (dict(norm_samples=np.ones(4), alpha=1.0), ["alpha", "tol"]),
+    holder_sup_on_box: (dict(obj=_QUADRATIC, box=_BOX, alpha=1.0), ["alpha", "box"]),
+    estimate_local_holder: (dict(obj=_QUADRATIC, phi=[0.0], r=1.0, alpha=1.0, n_samples=4),
+                            ["r", "alpha"]),
+    probe_radial_conditions: (dict(obj=_QUADRATIC, G_fn=lambda theta: 1.0, alpha=1.0, r=0.5,
+                                   radii=[10.0], b_threshold=0.25), ["alpha", "r", "b_threshold"]),
+    find_eigenvalue_threshold: (dict(schedule=Schedule.scalar(1.0, 0.75), C=4.0, alpha=1.0,
+                                     K_max=10), ["C", "alpha"]),
+}
+_NONFINITE = {"value": [math.nan, math.inf, -math.inf],
+              "box": [(-math.inf, math.inf), (math.nan, 1.0), (0.0, math.inf)]}
+
+
+@pytest.mark.parametrize("checker, parameter, value", [
+    pytest.param(checker, parameter, value, id=f"{checker.__name__}-{parameter}-{value}")
+    for checker, (_, parameters) in _CHECKERS.items() for parameter in parameters
+    for value in _NONFINITE["box" if parameter == "box" else "value"]])
+def test_nonfinite_checker_constant_is_refused_by_name(checker, parameter, value):
+    # a NaN L_tilde, L or C1 gave `fail`, a NaN lemma-4 C or alpha no
+    # threshold, a NaN alpha a nan Holder estimate and a NaN b_threshold
+    # `inconclusive`; an infinite box raised numpy's OverflowError
+    kwargs = _CHECKERS[checker][0]
+    checker(**kwargs)
+    with pytest.raises(ContractViolation, match=rf"^{parameter} must be"):
+        checker(**{**kwargs, parameter: value})

@@ -329,6 +329,19 @@ def test_noise_direction_of_extreme_scale_runs_as_its_unit_vector(tmp_path, caps
     assert csv == (tmp_path / "unit" / "checkpoints.csv").read_bytes()
 
 
+@pytest.mark.parametrize("constants", [[-1.0, 0.0, 1.0], [0.0, -0.5, 1.0], [0.0, 0.0, 0.5]])
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_noise_constants_outside_their_ranges_exit_2(tmp_path, capsys, command, constants):
+    # a C1 or C2 below 0 ran, and failed only in the smoothness check
+    cfg = base_config(tmp_path / "out",
+                      noise={"kind": "additive-gaussian", "sigma": 1.0, "constants": constants})
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error:") and "noise constants must be" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_domain_violating_theta0_exits_3(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     cfg["objective"] = {"name": "loglog1p-abs"}

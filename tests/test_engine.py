@@ -211,6 +211,21 @@ def test_eigenvalues_bit_equal_to_the_formulas_they_replace(n, k0):
     assert d.min(axis=1).tobytes() == old.min(axis=1).tobytes()
 
 
+@pytest.mark.parametrize("schedule", [
+    Schedule.scalar(0.5, 0.75), Schedule.diagonal([1.0, 0.3], [0.6, 1.2], k0=1.5),
+    Schedule.rotated([0.5, 0.9], [0.0, 1.2], rotation_seed=3)], ids=lambda s: s.family)
+def test_bounds_table_is_reused_and_extended(schedule):
+    d = schedule.eigenvalues(np.arange(70000))
+    for n in (100, 70000, 50):  # shorter, then longer (rebuilt), then shorter (reused)
+        lmax, lmin = schedule.bounds(n)
+        assert np.array_equal(lmax, d[:n].max(axis=1))
+        assert np.array_equal(lmin, d[:n].min(axis=1))
+        assert not lmax.flags.writeable and not lmin.flags.writeable
+    table = schedule.bounds(70000)[0]
+    assert np.shares_memory(schedule.bounds(50)[0], table)
+    assert np.shares_memory(*schedule.bounds(10)) == (schedule.dim == 1)
+
+
 def test_schedule_parameter_validation():
     with pytest.raises(ContractViolation):
         Schedule.scalar(0.0, 0.75)  # c must be > 0

@@ -484,3 +484,14 @@ def test_catalog_names_cover_spec_set():
     for name in CATALOG_NAMES:
         kw = {"q": 2.0} if name == "power-q" else {}
         assert catalog_lookup(name, **kw).dim == 1
+
+
+@pytest.mark.parametrize("constants", [
+    (math.nan, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.0, -1e-300, 1.0), (0.0, math.inf, 1.0),
+    (0.0, 0.0, 0.5), (0.0, 0.0, -math.inf), (1.0, 0.0), (1.0, 0.0, 1.0, 2.0)])
+def test_declared_noise_constants_outside_their_ranges_are_refused(constants):
+    # C1 >= 0, C2 >= 0 and C3 >= 1, all finite, as check_expected_smoothness
+    # requires; (nan, 0, 1) and (-1, 0, 1) built
+    with pytest.raises(ContractViolation, match="noise constants must be"):
+        NoiseModel("zero", 1, constants=constants)
+    assert NoiseModel("zero", 1, constants=(0.0, 2.0, 1.0)).constants == (0.0, 2.0, 1.0)

@@ -367,10 +367,14 @@ def check_grad_bound(
 
 def _sample_sq_norms(oracle: StochasticOracle, theta: np.ndarray,
                      rng: np.random.Generator, n: int) -> np.ndarray:
-    """n draws of ||sample||^2 at theta, one sample per row of the noise block."""
+    """n draws of ||sample||^2 at theta, one sample per row of the noise block.
+
+    theta is contiguous, and its norm is the engine's sqrt(theta.dot(theta)),
+    which the state-scaled kinds read; a strided theta would sum in another order.
+    """
     noise = oracle.noise
     w = noise.draw(rng, n)
-    draws = noise.sampler(oracle.objective.grad)(theta, float(np.linalg.norm(theta)), w)
+    draws = noise.sampler(oracle.objective.grad)(theta, math.sqrt(theta.dot(theta)), w)
     if w is None:  # zero noise: every draw is the exact gradient
         return np.full(n, float(draws @ draws))
     return np.einsum("ij,ij->i", draws, draws)
@@ -379,7 +383,7 @@ def _sample_sq_norms(oracle: StochasticOracle, theta: np.ndarray,
 def sample_gradient_norms(oracle: StochasticOracle, theta, rng: np.random.Generator,
                           n: int) -> np.ndarray:
     """n draws of ||sample|| at theta (input for the variance-control check)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta = np.ascontiguousarray(theta, dtype=float)  # at least 1-D
     oracle.objective.check_domain(theta)
     return np.sqrt(_sample_sq_norms(oracle, theta, rng, n))
 

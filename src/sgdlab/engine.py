@@ -458,7 +458,9 @@ def run_trajectory(
         raise ContractViolation(
             f"objective dimension {objective.dim} != schedule dimension {schedule.dim}"
         )
-    theta0 = _as_vector(theta0, objective.dim, "theta0")
+    # contiguous: the first step's norm sqrt(theta.dot(theta)) sums a strided
+    # view in another order, and sigma_expr's norm(theta) reads that norm
+    theta0 = np.ascontiguousarray(_as_vector(theta0, objective.dim, "theta0"))
     if not np.all(np.isfinite(theta0)):
         raise ContractViolation("theta0 must be finite")
     objective.check_domain(theta0)

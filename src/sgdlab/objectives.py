@@ -28,6 +28,7 @@ every kind implemented here).
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 from dataclasses import dataclass, field
@@ -61,8 +62,7 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-# 0-d operands: a Python float or int operand costs a scalar conversion per call.
-_ZERO = np.array(0.0)
+# A 0-d operand: a Python float or int operand costs a scalar conversion per call.
 _ONE = np.array(1.0)
 
 
@@ -71,12 +71,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
     exp(-|x|) is taken as exp(min(x, -x)), which passes a NaN through with
     its sign and payload, as the two-branch form does.  The numerator is
-    max(e, x >= 0): e = exp(-|x|) <= 1, so it is 1 for x >= 0 and e below
-    (and NaN for NaN), the bits of np.where(x >= 0, 1.0, e).
+    max(e, sign(x)): e = exp(-|x|) <= 1, so it is 1 for x > 0, e = 1 for
+    x = +-0, e for x < 0 (sign -1 < e) and e's NaN for NaN, the bits of
+    np.where(x >= 0, 1.0, e) with a float-float maximum and no bool cast.
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(np.minimum(x, -x))
-    return np.maximum(e, x >= _ZERO) / (_ONE + e)
+    return np.maximum(e, np.sign(x)) / (_ONE + e)
 
 
 def _sigmoid1(x: float) -> float:
@@ -434,16 +435,43 @@ def _code_names(code: CodeType):
             yield from _code_names(const)
 
 
-def _compile_sigma_expr(expr: str) -> Callable[[np.ndarray], float]:
+# Expressions that bind a name, so that a theta inside them may be another value.
+_BINDS = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+          ast.NamedExpr)
+
+
+class _ShareNorm(ast.NodeTransformer):
+    """Rewrite each norm(theta) call (one bare argument) as the name nrm."""
+
+    shared = False
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        func, args = node.func, node.args
+        if (isinstance(func, ast.Name) and func.id == "norm" and not node.keywords
+                and len(args) == 1 and isinstance(args[0], ast.Name)
+                and args[0].id == "theta"):
+            self.shared = True
+            return ast.copy_location(ast.Name("nrm", ast.Load()), node)
+        return node
+
+
+def _compile_sigma_expr(expr: str) -> Callable[..., float]:
     """Compile a sigma(theta) expression over a tiny whitelisted namespace.
 
     Available names: theta (array), norm, abs, exp, log, log1p, sqrt, pi, e;
     the code nested in the expression may read no other name either.
     Once its names are checked, the expression is compiled again as the
-    body of a one-argument function, which is cheaper to call than eval.
+    body of a function fn(theta, nrm=None), which is cheaper to call than
+    eval.  Each norm(theta) in it reads nrm, the step's own norm
+    sqrt(theta.dot(theta)) as the engine computes it, or _sigma_norm(theta)
+    when nrm is None: the same bits for a contiguous theta, one call fewer
+    per step.  An expression that binds a name (a lambda, a comprehension,
+    :=) is compiled as it is, every norm going to _sigma_norm.
     """
     try:
-        code = compile(expr, "<sigma-expr>", "eval")
+        tree = ast.parse(expr, "<sigma-expr>", "eval")
+        code = compile(tree, "<sigma-expr>", "eval")
     except (SyntaxError, ValueError) as exc:
         raise ContractViolation(f"sigma expression {expr!r} does not parse: {exc}") from exc
     base = {
@@ -460,12 +488,18 @@ def _compile_sigma_expr(expr: str) -> Callable[[np.ndarray], float]:
         if name not in base and name != "theta":
             raise ContractViolation(f"sigma expression uses disallowed name {name!r}")
 
-    # The newline keeps a trailing comment in expr from swallowing the ")".
-    sigma_of = eval(compile(f"lambda theta: ({expr}\n)", "<sigma-expr>", "eval"),
-                    {"__builtins__": {}, **base})
+    share = _ShareNorm()
+    if not any(isinstance(node, _BINDS) for node in ast.walk(tree)):
+        tree = share.visit(tree)
+    shared = share.shared
+    function = ast.parse("lambda theta, nrm: 0", mode="eval")
+    function.body.body = tree.body
+    sigma_of = eval(compile(function, "<sigma-expr>", "eval"), {"__builtins__": {}, **base})
 
-    def fn(theta: np.ndarray) -> float:
-        sigma = float(sigma_of(theta))
+    def fn(theta: np.ndarray, nrm: float | None = None) -> float:
+        if shared:
+            nrm = _sigma_norm(theta) if nrm is None else np.float64(nrm)
+        sigma = float(sigma_of(theta, nrm))
         if not 0.0 <= sigma < math.inf:
             raise ContractViolation(
                 f"sigma expression {expr!r} gave {sigma!r} at theta={theta.tolist()}; "
@@ -497,13 +531,17 @@ class NoiseModel:
     sigma_expr: str | None = None
     direction: np.ndarray | None = None
     constants: tuple[float, float, float] | None = field(default=None)
-    _sigma_fn: Callable[[np.ndarray], float] | None = field(default=None, repr=False)
+    _sigma_fn: Callable[..., float] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ContractViolation(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.sigma < math.inf:
             raise ContractViolation(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        if self.dim * (self.sigma * self.sigma) == math.inf:
+            # Python's sigma ** 2 raises OverflowError here (sigma above about 1.34e154)
+            raise ContractViolation(
+                f"sigma must have a finite second moment dim * sigma**2, got {self.sigma!r}")
         if self.kind == "rademacher-radial":
             u = self.direction
             if u is None:
@@ -612,7 +650,7 @@ class NoiseModel:
             u = self.direction
             return lambda theta, nrm, w: grad(theta) + nrm * w * u
         sigma_fn = self._sigma_fn
-        return lambda theta, nrm, w: grad(theta) + sigma_fn(theta) * w
+        return lambda theta, nrm, w: grad(theta) + sigma_fn(theta, nrm) * w
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, file outputs, config validation, overrides."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -126,6 +127,20 @@ def test_nonfinite_or_negative_sigma_exits_2(tmp_path, capsys, expr, argv):
     err = capsys.readouterr().err
     assert err.startswith("sgdlab: config error: sigma expression")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["run"], ["check", "--which", "smoothness"]])
+def test_sigma_whose_square_overflows_exits_2(tmp_path, capsys, argv):
+    # Python's 1e200 ** 2 raised OverflowError in the noise constants: exit 1
+    cfg = base_config(tmp_path / "out", diagnostics={})
+    cfg["noise"] = {"kind": "additive-gaussian", "sigma": 1e200}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sgdlab: config error: invalid noise: sigma must have a finite")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("expr", [
@@ -582,6 +597,26 @@ def test_check_with_nan_smoothness_margins_fails(tmp_path):
     report = json.loads((tmp_path / "out" / "smoothness_report.json").read_text())
     assert report["report"]["verdict"] == "fail"
     assert report["report"]["witness"] is not None
+
+
+@pytest.mark.parametrize("noise,code,digest", [
+    ({"kind": "additive-gaussian-statedep", "sigma_expr": "0.1*(1+norm(theta))"}, 0,
+     "5d2f4c5848dfe5829fe242745979a1ff634c9e7ab6ea573d1fcf105ad99afa7a"),
+    ({"kind": "rademacher-radial"}, 1,
+     "d8b9fc3d62d43a864e09e3f86071eaf823597aaf6821d4425783877dbe4a0a2a"),
+])
+def test_state_scaled_smoothness_report_keeps_its_bytes(tmp_path, noise, code, digest):
+    # the sampled norm is the engine's sqrt(theta.dot(theta)), and statedep's
+    # norm(theta) reads it; the bytes are those of np.linalg.norm(theta)
+    cfg = {"objective": {"name": "smooth-rectifier", "dimension": 3}, "noise": noise,
+           "schedule": {"family": "scalar-power", "c": 1.0, "beta": 0.75, "p": 3},
+           "checks": {"which": ["smoothness"], "seed": 4,
+                      "smoothness": {"constants": [0.5, 0.0, 2.0], "n_points": 12,
+                                     "n_draws": 400, "box": [-3.0, 3.0]}},
+           "output": {"directory": str(tmp_path / "out")}}
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == code
+    report = (tmp_path / "out" / "smoothness_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest
 
 
 def test_validate_schedule_subcommand(tmp_path):

@@ -486,3 +486,25 @@ def test_vector_and_scalar_paths_agree():
     oracle2 = StochasticOracle(obj2, NoiseModel("additive-gaussian", 1, sigma=0.7))
     slow = run_trajectory(oracle2, sched, [1.0], 200, seed=13)
     assert np.array_equal(fast.thetas, slow.thetas)
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseModel("additive-gaussian-statedep", 4, sigma_expr="0.1*(1+norm(theta))"),
+    NoiseModel("rademacher-radial", 4),
+])
+def test_strided_theta0_runs_as_its_contiguous_copy(noise):
+    # Both kinds scale their noise by the step's norm sqrt(theta.dot(theta)),
+    # which sums a strided view in another order: theta0 is made contiguous.
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        strided = rng.standard_normal(8)[::2]
+        contiguous = strided.copy()
+        if math.sqrt(strided.dot(strided)) != math.sqrt(contiguous.dot(contiguous)):
+            break
+    else:
+        pytest.fail("no point whose strided norm has other bits")
+    oracle = StochasticOracle(catalog_lookup("smooth-rectifier", dimension=4), noise)
+    sched = Schedule.rotated([0.5, 0.4, 0.3, 0.2], [0.6, 0.65, 0.7, 0.8], rotation_seed=7)
+    a = run_trajectory(oracle, sched, strided, 40, seed=3)
+    b = run_trajectory(oracle, sched, contiguous, 40, seed=3)
+    assert a.trace.tobytes() == b.trace.tobytes()

@@ -177,7 +177,7 @@ def test_sigmoid_bit_equal_to_where_form_on_stacks_and_points():
     nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                      0xFFF4000000000123], dtype=np.uint64).view(float)
     special = np.array([0.0, -0.0, np.inf, -np.inf, 745.2, -745.2, 746.0, -746.0,
-                        1e3, -1e3, 1e308, -1e308, 5e-324, -5e-324])
+                        800.0, -800.0, 1e3, -1e3, 1e308, -1e308, 5e-324, -5e-324])
     wide = rng.standard_normal(40_000) * 10.0 ** rng.uniform(-3.0, 3.0, 40_000)
     x = np.concatenate([special, nans, wide, 40.0 * rng.standard_normal(60_000)])
     assert sigmoid(x).tobytes() == _where_sigmoid(x).tobytes()
@@ -221,6 +221,55 @@ def test_sigma_norm_falls_back_to_numpy_for_other_calls(arg, args, kwargs):
     got, want = _sigma_norm(arg, *args, **kwargs), np.linalg.norm(arg, *args, **kwargs)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# sigma expressions with a norm(theta) that reads the step's norm, and with
+# norms that do not (other arguments, keywords)
+SHARED_NORM = ["norm(theta)", "1/norm(theta)", "exp(-norm(theta))", "0.1*(1+norm(theta))"]
+OWN_NORM = ["norm(theta, 1)", "norm(theta[:2])", "norm(abs(theta))"]
+# a theta bound inside the expression is another value, so nothing is rewritten
+BINDING = {
+    "(lambda theta: norm(theta))(2*theta)": 2.0,
+    "[norm(theta) for theta in [2*theta]][0]": 2.0,
+    "0*(theta := 3*theta)[0] + norm(theta)": 3.0,
+}
+
+
+def _sigma_or_error(fn, *args):
+    try:
+        return float.hex(fn(*args))
+    except ContractViolation as exc:
+        return str(exc)
+
+
+def _sigma_points():
+    rng = np.random.default_rng(8)
+    points = [rng.standard_normal(4) * 10.0 ** rng.uniform(-100.0, 100.0) for _ in range(300)]
+    return points + [np.zeros(4), np.full(4, 1e200), np.array([1e200, 0.0, 0.0, 0.0])]
+
+
+@pytest.mark.parametrize("expr", SHARED_NORM + OWN_NORM)
+def test_shared_norm_has_the_bits_of_norm_theta(expr):
+    fn = _compile_sigma_expr(expr)
+    with np.errstate(divide="ignore", over="ignore"):  # 1/0; the square of 1e200
+        for theta in _sigma_points():
+            shared = _sigma_or_error(fn, theta, math.sqrt(theta.dot(theta)))
+            assert shared == _sigma_or_error(fn, theta), (expr, theta)
+        # the norm passed in is what norm(theta) reads, and only norm(theta)
+        theta = np.array([3.0, -4.0, 1e-3, 12.5])
+        assert (fn(theta, 7.0) == fn(np.array([7.0, 0.0, 0.0, 0.0]))) == (expr in SHARED_NORM)
+    if expr == "1/norm(theta)":  # numpy's 1/0 is inf, still refused
+        with pytest.raises(ContractViolation, match="gave inf"), np.errstate(divide="ignore"):
+            fn(np.zeros(4), 0.0)
+
+
+@pytest.mark.parametrize("expr", BINDING)
+def test_expression_that_binds_theta_is_not_rewritten(expr):
+    fn = _compile_sigma_expr(expr)
+    for theta in _sigma_points()[:50]:
+        want = float(np.linalg.norm(BINDING[expr] * theta))
+        assert float.hex(fn(theta)) == float.hex(want)
+        assert float.hex(fn(theta, 7.0)) == float.hex(want)
 
 
 def test_sigma_expression_compiles_to_the_same_floats():
@@ -473,6 +522,20 @@ def test_sigma_must_be_finite_and_nonnegative(sigma):
     # a NaN or inf sigma built, and the run then read as overflow at step 0
     with pytest.raises(ContractViolation, match="sigma must be finite and >= 0"):
         NoiseModel("additive-gaussian", 1, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma,dim", [(1e200, 1), (2e154, 1), (1e154, 2**53)])
+def test_sigma_whose_second_moment_overflows_is_refused(sigma, dim):
+    # 1e200 ** 2 raised OverflowError; 1e154 ** 2 * 2**53 gave constants of inf
+    with pytest.raises(ContractViolation, match="sigma must have a finite second moment"):
+        NoiseModel("additive-gaussian", dim, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma,dim", [(1e154, 1), (1.3e154, 1), (0.7, 3), (5e-324, 3),
+                                       (1e100, 2**20)])
+def test_valid_sigma_keeps_its_declared_constant(sigma, dim):
+    nm = NoiseModel("additive-gaussian", dim, sigma=sigma)
+    assert float.hex(nm.constants[0]) == float.hex(dim * sigma ** 2)
 
 
 def test_oracle_dimension_mismatch():

@@ -100,6 +100,13 @@ def _finite(**constants) -> None:
             raise ContractViolation(f"{name} must be finite, got {value!r}")
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ContractViolation unless the Hölder exponent alpha is in (0, 1]
+    (which refuses NaN and inf too)."""
+    if not 0.0 < alpha <= 1.0:
+        raise ContractViolation(f"alpha must be in (0, 1], got {alpha!r}")
+
+
 def _box_bounds(box: tuple[float, float]) -> tuple[float, float]:
     """(lo, hi) of a box, refused unless both are finite and hi > lo."""
     lo, hi = float(box[0]), float(box[1])
@@ -172,7 +179,8 @@ def estimate_local_holder(
     (_ball_points).
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    _finite(r=r, alpha=alpha)
+    _finite(r=r)
+    _check_alpha(alpha)
     if r <= 0.0:
         raise ContractViolation("radius r must be > 0")
     if n_samples < 2:
@@ -205,7 +213,7 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
     For 1-D objectives this is exact over all grid pairs; for p > 1 it falls
     back to seeded random pairs.  A lower bound of the true sup either way.
     """
-    _finite(alpha=alpha)
+    _check_alpha(alpha)
     lo, hi = _box_bounds(box)
     if obj.dim == 1:
         xs = np.linspace(lo, hi, HOLDER_BOX_SAMPLES)[:, None]
@@ -271,7 +279,8 @@ def check_descent_inequality(
 
     worst_violation is the largest left-hand side seen.
     """
-    _finite(L_tilde=L_tilde, alpha=alpha, tol=tol)
+    _finite(L_tilde=L_tilde, tol=tol)
+    _check_alpha(alpha)
     if L_tilde <= 0.0:
         raise ContractViolation("L_tilde must be > 0")
     rng = np.random.default_rng(seed)
@@ -308,8 +317,7 @@ def check_variance_control(norm_samples, alpha: float,
         raise ContractViolation("sample set must be nonempty")
     if np.any(s < 0.0) or not np.all(np.isfinite(s)):
         raise ContractViolation("samples must be finite and >= 0")
-    if not (0.0 < alpha <= 1.0):
-        raise ContractViolation("alpha must be in (0, 1]")
+    _check_alpha(alpha)
     _finite(tol=tol)
 
     m_low = float(np.mean(s ** (1.0 + alpha)))
@@ -345,6 +353,7 @@ def check_grad_bound(
     at sampled points, to relative tolerance tol.  Without a global constant
     the verdict is inconclusive.
     """
+    _check_alpha(alpha)
     if L is None:
         return AssumptionReport(
             assumption_id="gradbound",
@@ -353,7 +362,7 @@ def check_grad_bound(
             witness=None,
             tolerance=tol,
         )
-    _finite(L=L, alpha=alpha, tol=tol)
+    _finite(L=L, tol=tol)
     rng = np.random.default_rng(seed)
     pts = _uniform_box(rng, n_points, box, obj.dim)
     obj.check_domain(pts)
@@ -449,7 +458,8 @@ def probe_radial_conditions(
     decreasing and below the threshold there; no claim about the true limit.
     """
     radii = [float(x) for x in radii]
-    _finite(alpha=alpha, r=r, b_threshold=b_threshold)
+    _finite(r=r, b_threshold=b_threshold)
+    _check_alpha(alpha)
     if len(radii) == 0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ContractViolation("radii must be strictly increasing")
     if b_threshold <= 0.0:
@@ -510,7 +520,8 @@ def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
     The returned K is exactly the index from which the eigenvalue lower bound
     lambda_min - (C/2) lambda_max^(1+alpha) >= lambda_min/2 holds.
     """
-    _finite(C=C, alpha=alpha)
+    _finite(C=C)
+    _check_alpha(alpha)
     if C <= 0.0:
         raise ContractViolation("C must be > 0")
     if K_max < 1:

@@ -28,38 +28,38 @@ from .objectives import StochasticOracle
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The shared flags are declared once, on a parent that each subcommand
+    # copies (parents=[common]).
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to the JSON experiment config")
+    common.add_argument("--output-dir", default=None, help="override output.directory")
+    common.add_argument("--force", action="store_true", default=None,
+                        help="allow overwriting report files (output.force)")
+    common.add_argument("--jobs", type=int, default=None,
+                        help="parallel trajectory workers (run.jobs); at most the CPU "
+                             "count and the number of trajectory blocks start, and the "
+                             "reports do not depend on it")
+    common.add_argument("--master-seed", type=int, default=None, help="override run.master_seed")
+    common.add_argument("--horizon", type=int, default=None, help="override run.K")
+    common.add_argument("--n-trajectories", type=int, default=None,
+                        help="override run.n_trajectories")
+    common.add_argument("--record-stride", type=int, default=None,
+                        help="override run.record_stride")
+    common.add_argument("--formats", default=None,
+                        help="comma list from {json,csv}; overrides output.formats")
+
     parser = argparse.ArgumentParser(
         prog="sgdlab",
         description="SGD with matrix-valued learning rates: runs, checks, diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--output-dir", default=None, help="override output.directory")
-        p.add_argument("--force", action="store_true", default=None,
-                       help="allow overwriting report files (output.force)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel trajectory workers (run.jobs); at most the CPU "
-                            "count and the number of trajectory blocks start, and the "
-                            "reports do not depend on it")
-        p.add_argument("--master-seed", type=int, default=None, help="override run.master_seed")
-        p.add_argument("--horizon", type=int, default=None, help="override run.K")
-        p.add_argument("--n-trajectories", type=int, default=None,
-                       help="override run.n_trajectories")
-        p.add_argument("--record-stride", type=int, default=None,
-                       help="override run.record_stride")
-        p.add_argument("--formats", default=None,
-                       help="comma list from {json,csv}; overrides output.formats")
-
-    add_common(sub.add_parser("run", help="run an ensemble and write reports"))
-    check_p = sub.add_parser("check", help="run assumption / schedule checkers")
-    add_common(check_p)
+    sub.add_parser("run", parents=[common], help="run an ensemble and write reports")
+    check_p = sub.add_parser("check", parents=[common], help="run assumption / schedule checkers")
     check_p.add_argument("--which", default=None,
                          help=f"comma subset of {','.join(CHECK_REPORTS)} (checks.which)")
-    add_common(sub.add_parser("probe-radial", help="probe the radial growth balance"))
-    add_common(sub.add_parser("validate-schedule", help="validate the step-size schedule"))
-    add_common(sub.add_parser("stopping-times", help="objective threshold-crossing times"))
+    sub.add_parser("probe-radial", parents=[common], help="probe the radial growth balance")
+    sub.add_parser("validate-schedule", parents=[common], help="validate the step-size schedule")
+    sub.add_parser("stopping-times", parents=[common], help="objective threshold-crossing times")
     return parser
 
 

@@ -11,7 +11,6 @@ order, so results do not depend on execution interleaving.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -369,24 +368,28 @@ def gradient_convergence_stats(
     trajectory's truncation point.
     """
     ks = np.asarray(ks)
+    _check_gammas(gammas)
     # An overflowed run's inf or NaN entries give inf or NaN statistics (a
     # null se in the report), not numpy warnings; the values are the same.
     with np.errstate(over="ignore", invalid="ignore"):
-        reduced = [_column_stats(m) for m in (f_gap, grad_norm, grad_norm ** 2)]
-        columns = {f"{series}_{stat}": values
-                   for series, (_, *stats) in zip(SERIES, reduced)
-                   for stat, values in zip(STATISTICS, stats)}
-        gamma_moments = None
-        if gammas is not None:
-            gamma_moments = {}
-            _check_gammas(gammas)
-            for gamma in gammas:
-                powed = np.maximum(f_gap, 0.0) ** gamma
-                powed[np.isnan(f_gap)] = np.nan
-                _, m, *_ = _column_stats(powed)
-                gamma_moments[gamma] = m.tolist()
-
-    n_alive = reduced[0][0]  # of f_gap
+        series = [f_gap, grad_norm, grad_norm ** 2]
+        for gamma in gammas or ():
+            powed = np.maximum(f_gap, 0.0) ** gamma
+            powed[np.isnan(f_gap)] = np.nan
+            series.append(powed)
+        # One _column_stats call for every series: stacked checkpoint-major
+        # (column j * S + s is series s at checkpoint j), so one run of
+        # same-alive columns covers them all, and each column keeps its bits.
+        S = len(series)
+        stacked = np.empty((f_gap.shape[0], f_gap.shape[1] * S))
+        for s, matrix in enumerate(series):
+            stacked[:, s::S] = matrix
+        n_alive, *stats = _column_stats(stacked)
+    columns = {f"{name}_{stat}": values[s::S]
+               for s, name in enumerate(SERIES) for stat, values in zip(STATISTICS, stats)}
+    gamma_moments = None if gammas is None else {
+        gamma: stats[0][s::S].tolist() for s, gamma in enumerate(gammas, len(SERIES))}
+    n_alive = n_alive[::S]  # of f_gap
     fg_mean = columns["f_gap_mean"]
     valid = ~np.isnan(fg_mean)
     if np.any(valid):
@@ -497,6 +500,10 @@ def run_ensemble(
                    capture=capture)
     workers = min(jobs, len(blocks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: a run that starts no pool loads neither
+        # concurrent.futures nor multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, blocks))
     else:

@@ -473,7 +473,11 @@ def run_trajectory(
     else:
         x0 = theta0
         step = partial(_vector_chunk, noise.sampler(objective.grad), schedule, objective.r0)
-    trace, overflow, viol = _drive(step, x0, K, noise, rng)
+    # An iterate that overflows (its norm's dot product included) is flagged
+    # by the accept test, not warned about; entered once per trajectory, not
+    # per step, where its ~2 us would show.
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace, overflow, viol = _drive(step, x0, K, noise, rng)
     trace = trace.reshape(len(trace), objective.dim)
 
     ks = record_points(trace.shape[0] - 1, record_stride)

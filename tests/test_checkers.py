@@ -487,3 +487,16 @@ def test_nonfinite_checker_constant_is_refused_by_name(checker, parameter, value
     checker(**kwargs)
     with pytest.raises(ContractViolation, match=rf"^{parameter} must be"):
         checker(**{**kwargs, parameter: value})
+
+
+@pytest.mark.parametrize("checker", [
+    check_descent_inequality, check_grad_bound, estimate_local_holder,
+    find_eigenvalue_threshold, holder_sup_on_box, probe_radial_conditions],
+    ids=lambda checker: checker.__name__)
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
+def test_alpha_outside_unit_interval_is_refused_by_name(checker, alpha):
+    # the config refuses such an alpha; on the library path each of these
+    # ran, as a Hölder exponent of 0 or 1.5, or a negative one
+    kwargs = _CHECKERS[checker][0]
+    with pytest.raises(ContractViolation, match=r"^alpha must be in \(0, 1\]"):
+        checker(**{**kwargs, "alpha": alpha})

@@ -1,10 +1,13 @@
 """CLI tests: exit codes, file outputs, config validation, overrides."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgdlab
 from sgdlab import diagnostics
-from sgdlab.cli import main
+from sgdlab.cli import build_parser, main
 from sgdlab.config import REQUIRED, SCHEMA, config_from_dict, load_config
 from sgdlab.errors import ConfigError
 
@@ -766,6 +770,51 @@ def test_load_config_missing_file():
 
 def test_cli_help_does_not_crash():
     assert main(["--help"]) == 0
+
+
+SHARED_FLAGS = ["-h", "--help", "--config", "--output-dir", "--force", "--jobs",
+                "--master-seed", "--horizon", "--n-trajectories", "--record-stride",
+                "--formats"]
+
+
+def test_every_subcommand_takes_the_shared_flags_and_only_check_takes_which():
+    # the shared flags come from one parent parser; their order is the help's
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {name: [flag for action in parser._actions for flag in action.option_strings]
+               for name, parser in sub.choices.items()}
+    assert options == {"run": SHARED_FLAGS, "check": [*SHARED_FLAGS, "--which"],
+                       "probe-radial": SHARED_FLAGS, "validate-schedule": SHARED_FLAGS,
+                       "stopping-times": SHARED_FLAGS}
+
+
+def test_which_outside_check_exits_2_with_one_error_line(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert main(["run", "--config", cfg_path, "--which", "lemma4"]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "sgdlab: error: unrecognized arguments: --which lemma4"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_that_starts_no_pool_imports_no_pool(tmp_path):
+    # concurrent.futures and multiprocessing (with logging, socket and
+    # subprocess) load only where run_ensemble starts a pool
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
+    code = ("import sys\n"
+            "import sgdlab.cli\n"
+            "pool = {'concurrent.futures', 'multiprocessing'}\n"
+            "sgdlab.cli.load_config(sys.argv[1])\n"
+            "print(sorted(pool & set(sys.modules)))\n"
+            "assert sgdlab.cli.main(['run', '--config', sys.argv[1], '--jobs', '1']) == 0\n"
+            "print(sorted(pool & set(sys.modules)))\n")
+    src = str(Path(sgdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code, cfg_path], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "out" / "ensemble_report.json").exists()
 
 
 # ---------------------------------------------------------------------------

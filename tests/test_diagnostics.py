@@ -212,7 +212,8 @@ def test_worker_pool_is_capped_by_cpus_and_blocks(monkeypatch, n, jobs, cpus, wo
 
     spec = quad_spec(noise=NoiseSpec("additive-gaussian", sigma=0.5), K=20, n=n, stride=5)
     serial = dumps_json(ensemble_report_payload(run_ensemble(spec)))
-    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", InlinePool)
+    # run_ensemble imports the pool class where it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     result = run_ensemble(spec, jobs=jobs)
     assert started == ([] if workers is None else [workers])
@@ -634,3 +635,76 @@ def _assert_column_stats_equal(got, want):
     assert np.array_equal(got[0], want[0])
     for g, w in zip(got[1:], want[1:]):
         assert g.tobytes() == w.tobytes()
+
+
+def _per_series_stats(f_gap, grad_norm, gammas):
+    """gradient_convergence_stats' columns from one _column_stats call per
+    series: {column: values} and {gamma: moments}."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = {"f_gap": f_gap, "grad_norm": grad_norm, "grad_norm_sq": grad_norm ** 2}
+        columns = {}
+        for name, matrix in series.items():
+            n_alive, *stats = _column_stats(matrix)
+            columns.setdefault("n_alive", n_alive)  # of f_gap
+            columns.update({f"{name}_{stat}": values
+                            for stat, values in zip(diagnostics.STATISTICS, stats)})
+        moments = {}
+        for gamma in gammas:
+            powed = np.maximum(f_gap, 0.0) ** gamma
+            powed[np.isnan(f_gap)] = np.nan
+            moments[gamma] = _column_stats(powed)[1]
+    return columns, moments
+
+
+def _ensemble_rows(spec):
+    """The f_gap and grad_norm rows that run_ensemble reduces, and the
+    per-trajectory (classification, f_lim, overflow, domain_violation,
+    last_k, seed) tuples."""
+    f_gap, grad_norm, _, rows = diagnostics._run_block(
+        spec, range(spec.n_trajectories), diagnostics.default_window(spec.horizon),
+        diagnostics.default_epsilon_conv(spec.theta0), diagnostics.default_r_div(spec.theta0),
+        None)
+    return f_gap, grad_norm, rows
+
+
+def _holed_rows():
+    """f_gap and grad_norm with different NaN holes: the alive rows change
+    between the series of one checkpoint, so runs cover single columns."""
+    rng = np.random.default_rng(8)
+    f_gap = np.exp(2.0 * rng.standard_normal((9, 30))) - 1.0
+    grad_norm = np.exp(2.0 * rng.standard_normal((9, 30)))
+    f_gap[rng.random(f_gap.shape) < 0.2] = np.nan
+    grad_norm[rng.random(grad_norm.shape) < 0.2] = np.nan
+    grad_norm[:, 7] = np.nan
+    return f_gap, grad_norm, [(None, float(i), False, False, 29, 0) for i in range(9)]
+
+
+_TRUNCATED = EnsembleSpec(ObjectiveSpec("log1p-abs"), NoiseSpec("additive-gaussian", sigma=0.3),
+                          Schedule.scalar(0.5, 0.75), (3.0,), 200, 8, 3, 10)
+_OVERFLOWING = quad_spec(noise=NoiseSpec("additive-gaussian", sigma=1.0),
+                         schedule=Schedule.scalar(3.0, 0.0), K=600, n=7, stride=10)
+
+
+@pytest.mark.parametrize("rows_of, holds", [
+    # a domain exit between checkpoints ends a row off the stride grid
+    pytest.param(lambda: _ensemble_rows(_TRUNCATED),
+                 lambda rows: any(r[3] and r[4] % 10 for r in rows), id="truncated-off-grid"),
+    pytest.param(lambda: _ensemble_rows(_OVERFLOWING),
+                 lambda rows: all(r[2] for r in rows), id="all-overflow"),
+    pytest.param(lambda: _ensemble_rows(quad_spec(
+        noise=NoiseSpec("additive-gaussian", sigma=0.5), K=300, n=6, stride=7)),
+        lambda rows: all(r[4] == 300 for r in rows), id="full-horizon"),
+    pytest.param(_holed_rows, lambda rows: True, id="different-holes"),
+])
+def test_stacked_statistics_equal_one_column_stats_call_per_series(rows_of, holds):
+    f_gap, grad_norm, rows = rows_of()
+    assert holds(rows)
+    gammas = [0.0, 0.5, 0.9]
+    report = diagnostics.gradient_convergence_stats(
+        np.arange(f_gap.shape[1]), f_gap, grad_norm, [r[1] for r in rows], gammas)
+    columns, moments = _per_series_stats(f_gap, grad_norm, gammas)
+    for name, values in columns.items():
+        assert np.array(getattr(report, name)).tobytes() == values.tobytes(), name
+    assert list(report.gamma_moments) == gammas
+    for gamma, values in moments.items():
+        assert np.array(report.gamma_moments[gamma]).tobytes() == values.tobytes(), gamma

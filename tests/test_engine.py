@@ -421,6 +421,17 @@ def test_overflow_truncates_with_flag():
     assert not traj.domain_violation
 
 
+def test_vector_overflow_is_flagged_without_a_warning():
+    # the jump past 1e154 overflows the accept norm's dot product; warnings
+    # are errors in this suite, so a RuntimeWarning from it fails here
+    oracle = make_oracle("quadratic", dim=2)
+    sched = Schedule.scalar(1e60, 0.0, dim=2)
+    traj = run_trajectory(oracle, sched, [1e100, 1e100], 50, seed=0)
+    assert traj.overflow
+    assert traj.last_k == 0
+    assert not traj.domain_violation
+
+
 def test_domain_truncation_mode_flags_instead():
     oracle = make_oracle("loglog1p-abs")
     sched = Schedule.scalar(5.0, 0.0, k0=1)

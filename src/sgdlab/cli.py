@@ -14,9 +14,11 @@ point is printed to stderr).
 from __future__ import annotations
 
 import argparse
+import contextvars
 import dataclasses
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -202,15 +204,57 @@ def _run_check(config: ExperimentConfig, oracle: StochasticOracle, name: str):
     return body, report.verdict == "fail"
 
 
+# The checks that read Schedule.bounds, the one table that two checks share.
+SCHEDULE_LANE = ("p1p2p3p4", "lemma4")
+
+
+def _run_lane(config: ExperimentConfig, oracle: StochasticOracle, names, results: dict):
+    """Run the named checks in order into results[name], as (body, failed) or as
+    the exception that stopped the lane there."""
+    for name in names:
+        try:
+            results[name] = _run_check(config, oracle, name)
+        except Exception as exc:
+            results[name] = exc
+            return
+
+
 def _cmd_check(config: ExperimentConfig, which) -> int:
+    """Run the selected checks in two lanes at once: the schedule scans
+    (SCHEDULE_LANE) and the sampled checkers.
+
+    The lanes share no mutable state: each sampled check seeds its own
+    Generator from checks.seed, and the bounds table is built and read on the
+    schedule lane alone, so a new check that reads Schedule.bounds joins
+    SCHEDULE_LANE.  The schedule lane runs on a thread in a copy of this
+    context, so it keeps main's np.errstate; no thread starts when a lane is
+    empty, and --jobs does not govern the lanes.  Each lane stops at its own
+    first exception; the results are read in `which` order and the first
+    exception in that order is raised, as a serial run would raise it.
+    """
     stems = {check: CHECK_REPORTS[check] for check in which}
     paths = _report_paths(config, [f"{stem}.json" for stem in stems.values()]
                           + (["radial_probe.csv"] if "radial" in which else []))
     oracle = config.run.build()
+    schedule = [check for check in which if check in SCHEDULE_LANE]
+    sampled = [check for check in which if check not in SCHEDULE_LANE]
+    results = {}
+    if schedule and sampled:
+        # A daemon, so that an interrupt of the calling thread does not wait
+        # for the rest of a long scan; _run_lane itself raises nothing.
+        lane = threading.Thread(target=contextvars.copy_context().run, daemon=True,
+                                args=(_run_lane, config, oracle, schedule, results))
+        lane.start()
+        _run_lane(config, oracle, sampled, results)
+        lane.join()
+    else:
+        _run_lane(config, oracle, which, results)
     writers = {}
     any_failed = False
     for check, stem in stems.items():
-        body, failed = _run_check(config, oracle, check)
+        if isinstance(results[check], Exception):
+            raise results[check]
+        body, failed = results[check]
         any_failed |= failed
         writers[f"{stem}.json"] = (reports.write_json, {"check": check, **body})
         if check == "radial":

@@ -80,6 +80,11 @@ class EnsembleSpec:
                 f"{self.objective.dimension}")
         if len(self.theta0) != self.objective.dimension:
             raise ContractViolation("theta0 dimension does not match the objective")
+        if not np.isfinite(np.asarray(self.theta0, dtype=float)).all():
+            raise ContractViolation(f"theta0 entries must be finite, got {self.theta0!r}")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ContractViolation(f"master_seed must be an integer >= 0, got {seed!r}")
 
     def build(self) -> StochasticOracle:
         obj = self.objective.build()
@@ -104,11 +109,14 @@ class CaptureConfig:
     epsilon: float
 
     def check(self, dim: int) -> None:
-        """Raise ContractViolation unless theta_bar is a point of dimension
-        dim, R is finite and >= 0 and epsilon is finite and > 0."""
+        """Raise ContractViolation unless theta_bar is a finite point of
+        dimension dim, R is finite and >= 0 and epsilon is finite and > 0."""
         if len(self.theta_bar) != dim:
             raise ContractViolation(f"capture theta_bar must have p = {dim} entries, "
                                     f"got {len(self.theta_bar)}")
+        if not np.isfinite(np.asarray(self.theta_bar, dtype=float)).all():
+            raise ContractViolation(
+                f"capture theta_bar entries must be finite, got {self.theta_bar!r}")
         if not 0.0 <= self.R < np.inf:
             raise ContractViolation(f"capture R must be finite and >= 0, got {self.R!r}")
         if not 0.0 < self.epsilon < np.inf:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgdlab
-from sgdlab import diagnostics
+from sgdlab import cli, diagnostics
 from sgdlab.cli import build_parser, main
 from sgdlab.config import REQUIRED, SCHEMA, config_from_dict, load_config
 from sgdlab.errors import ConfigError
@@ -588,6 +589,126 @@ def test_check_that_fails_late_writes_nothing(tmp_path, capsys):
         assert main(["check", "--config", cfg_path]) == 3
         assert not (tmp_path / "out").exists()
         assert "domain error" in capsys.readouterr().err
+
+
+# `check` runs the schedule scans (cli.SCHEDULE_LANE) on a thread beside the
+# sampled checkers; these tests pin that the lanes change no byte and no exit.
+
+ALL_CHECKS = ["p1p2p3p4", "descent", "variance", "gradbound", "smoothness", "radial",
+              "lemma4"]
+
+
+def small_checks(which):
+    return {"which": which, "horizon": 10000, "lemma4": {"C": 4.0, "K_max": 1000},
+            "descent": {"n_pairs": 2000}, "variance": {"n_samples": 2000},
+            "gradbound": {"n_points": 2000}, "smoothness": {"n_points": 5, "n_draws": 200}}
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads that start while the test runs."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+@pytest.mark.parametrize("objective,schedule,which,checks,digests", [
+    # c = 1e200 overflows (k + k0)**-beta * c in the schedule scans: the lane
+    # thread must keep main's np.errstate, or the overflow warning raises here
+    pytest.param(
+        {"name": "quadratic"}, {"c": 1e200}, ["p1p2p3p4", "descent", "lemma4"],
+        {"lemma4": {"K_max": 1000}},
+        {"schedule_report.json":
+         "558017d5cb83c3aabbcb71027e61dc6cebcc0bb69a39a58612bd1f13281ab0b9",
+         "descent_report.json":
+         "a727beb4da543218550c79442b9c2d3e67835ec2a70b5eeef0de2f4891b406ed",
+         "lemma4_report.json":
+         "6dafa91122100c5cd24567690ab71090ed7ff517ecf974717009dff35dfc393e"},
+        id="schedule-lane-overflow"),
+    # exp(700)^2 overflows in the sampled lane, whichever thread runs it
+    pytest.param(
+        {"name": "exp-abs"}, {}, ["smoothness", "p1p2p3p4"],
+        {"smoothness": {"box": [700.0, 710.0], "n_draws": 100}},
+        {"schedule_report.json":
+         "1e06a3411140b0ab448c00c248846c550451b2b8e08dda2cb45e8dee68eb28a3",
+         "smoothness_report.json":
+         "0fb1744d69e8c965aa7770498f3d075dbe0b486919d5fe123db385558fe55888"},
+        id="sampled-lane-overflow"),
+])
+def test_check_lanes_keep_mains_errstate(tmp_path, capsys, started_threads, objective,
+                                         schedule, which, checks, digests):
+    cfg = base_config(tmp_path / "out")
+    cfg["objective"] = objective
+    cfg["schedule"].update(schedule)
+    cfg["run"]["theta0"] = [3.0]
+    cfg["checks"] = {"which": which, "horizon": 1000, **checks}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == ""
+    assert len(started_threads) == 1
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "out").iterdir()} == digests
+
+
+def test_check_over_every_check_writes_the_bytes_of_single_check_runs(
+        tmp_path, started_threads):
+    before = threading.active_count()
+    cfg = base_config(tmp_path / "all")
+    cfg["checks"] = small_checks(ALL_CHECKS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the lanes trade the interpreter as often as they can
+    try:
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started_threads) == 1
+    for check in ALL_CHECKS:
+        cfg = base_config(tmp_path / "one")
+        cfg["checks"] = small_checks([check])
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(started_threads) == 1  # a single check runs on one lane: no thread
+    assert threading.active_count() == before
+    together = sorted((tmp_path / "all").iterdir())
+    assert len(together) == 8  # seven JSON reports and the radial CSV
+    assert [path.name for path in together] == sorted(
+        path.name for path in (tmp_path / "one").iterdir())
+    for path in together:
+        assert path.read_bytes() == (tmp_path / "one" / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("which,code", [
+    # the schedule lane fails first in `which` order: MemoryError, exit 2
+    (["p1p2p3p4", "descent", "lemma4", "variance"], 2),
+    # the sampled lane fails first: descent samples below the floor, exit 3
+    (["variance", "descent", "p1p2p3p4", "lemma4"], 3),
+])
+def test_first_failure_in_which_order_decides_as_in_a_serial_run(
+        tmp_path, capsys, monkeypatch, started_threads, which, code):
+    cfg = base_config(tmp_path / "out")
+    cfg["objective"] = {"name": "loglog1p-abs"}
+    cfg["run"]["theta0"] = [3.0]
+    cfg["checks"] = {"which": which, "horizon": 2**53, "lemma4": {"K_max": 1000},
+                     "descent": {"box": [-10.0, 10.0]}}
+    cfg_path = write_config(tmp_path, cfg)
+    before = threading.active_count()
+    assert main(["check", "--config", cfg_path]) == code
+    assert len(started_threads) == 1
+    assert threading.active_count() == before
+    lanes = capsys.readouterr().err
+    assert len(lanes.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(cli, "SCHEDULE_LANE", ())  # every check on one lane, in order
+    assert main(["check", "--config", cfg_path]) == code
+    assert len(started_threads) == 1
+    assert capsys.readouterr().err == lanes
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_with_nan_smoothness_margins_fails(tmp_path):

@@ -153,6 +153,9 @@ def test_ensemble_bitwise_determinism():
     (CaptureConfig((0.0,), 1.0, -0.5), "epsilon must be finite and > 0"),
     (CaptureConfig((0.0, 5.0), 1.0, 0.5), "theta_bar must have p = 1 entries"),
     (CaptureConfig((0.0,), -1.0, 0.5), "R must be finite and >= 0"),
+    # a NaN centre ran and reported 0 escapes with G_R and bound_margin_max NaN
+    (CaptureConfig((math.nan,), 1.0, 0.5), "theta_bar entries must be finite"),
+    (CaptureConfig((-math.inf,), 1.0, 0.5), "theta_bar entries must be finite"),
 ])
 def test_bad_capture_block_fails_before_any_trajectory(monkeypatch, capture, message):
     def no_run(*args, **kwargs):
@@ -555,6 +558,23 @@ def test_ensemble_spec_validation():
         quad_spec(theta0=(1.0, 2.0))
     with pytest.raises(ContractViolation):
         run_ensemble(quad_spec(K=10), W=100)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"theta0": (math.nan,)}, "theta0 entries must be finite"),
+    ({"theta0": (math.inf,)}, "theta0 entries must be finite"),
+    # a negative seed built, and run_ensemble then died in numpy's SeedSequence
+    ({"seed": -1}, "master_seed must be an integer >= 0"),
+    ({"seed": 1.5}, "master_seed must be an integer >= 0"),
+    ({"seed": True}, "master_seed must be an integer >= 0"),
+])
+def test_nonfinite_theta0_or_bad_master_seed_is_refused_by_name(kwargs, message):
+    with pytest.raises(ContractViolation, match=message):
+        quad_spec(**kwargs)
+
+
+def test_numpy_integer_master_seed_is_accepted():
+    assert quad_spec(seed=np.int64(42)).master_seed == 42
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import _CHUNK, Schedule, Verdict
+from .engine import _CHUNK, Schedule, Verdict, _check_alpha
 from .errors import ContractViolation, DomainError
 from .objectives import Objective, StochasticOracle, _norms
 
@@ -98,13 +98,6 @@ def _finite(**constants) -> None:
     for name, value in constants.items():
         if not math.isfinite(value):
             raise ContractViolation(f"{name} must be finite, got {value!r}")
-
-
-def _check_alpha(alpha: float) -> None:
-    """Raise ContractViolation unless the Hölder exponent alpha is in (0, 1]
-    (which refuses NaN and inf too)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ContractViolation(f"alpha must be in (0, 1], got {alpha!r}")
 
 
 def _box_bounds(box: tuple[float, float]) -> tuple[float, float]:

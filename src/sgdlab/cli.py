@@ -93,7 +93,8 @@ def _overrides(args) -> dict:
 def _report_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]:
     """The paths of the named reports whose format is in output.formats.
 
-    A path that exists is refused here, before any compute, unless force is on.
+    A path that exists is refused here, before any compute, unless force is on,
+    and so is an output directory that is, or sits below, a file.
     """
     outdir = Path(config.output.directory)
     paths = {}
@@ -104,6 +105,9 @@ def _report_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]
         if path.exists() and not config.output.force:
             raise ConfigError(f"refusing to overwrite {path}; pass --force to allow")
         paths[name] = path
+    files = [p for p in (outdir, *outdir.parents) if p.exists() and not p.is_dir()]
+    if paths and files:
+        raise ConfigError(f"output.directory {str(outdir)!r}: {files[0]} is not a directory")
     return paths
 
 
@@ -134,9 +138,11 @@ def _cmd_run(config: ExperimentConfig) -> int:
         capture=diag.capture,
         jobs=config.jobs,
     )
+    # One payload for both reports: its convergence columns are formatted once.
+    payload = reports.ensemble_report_payload(result)
     _write_reports(config, paths, {
-        "ensemble_report.json": (reports.write_json, reports.ensemble_report_payload(result)),
-        "checkpoints.csv": (reports.write_checkpoints_csv, result.convergence),
+        "ensemble_report.json": (reports.write_json, payload),
+        "checkpoints.csv": (reports.write_checkpoints_csv, payload["convergence"]),
     })
     return 0
 

@@ -203,6 +203,13 @@ class ScheduleReport:
     horizon_used: int
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ContractViolation unless the Hölder exponent alpha is in (0, 1]
+    (which refuses NaN and inf too)."""
+    if not 0.0 < alpha <= 1.0:
+        raise ContractViolation(f"alpha must be in (0, 1], got {alpha!r}")
+
+
 def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> ScheduleReport:
     """Check the schedule against the three eigenvalue-sequence requirements.
 
@@ -212,8 +219,7 @@ def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> Schedul
 
     The partial sum is accumulated to the horizon.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ContractViolation("alpha must be in (0, 1]")
+    _check_alpha(alpha)
     if horizon < 1:
         raise ContractViolation("horizon must be >= 1")
 

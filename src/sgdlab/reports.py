@@ -11,10 +11,11 @@ byte-identical files:
   QUOTE_MINIMAL quoting of string cells.
 
 Each report is built as one string in one pass and written with one write.
-The columns of a ConvergenceReport appear in both `run` reports; each is
-formatted once, into its JSON texts and its CSV cells together, and both
-writers read those strings, with the same bytes as formatting each report
-on its own.
+The columns of a ConvergenceReport appear in both `run` reports.
+ensemble_report_payload formats each once, into its JSON texts and CSV cells
+together, and freezes it with them as a _Column, a tuple that cannot go
+stale; both writers read those strings, with the bytes of formatting each
+report on its own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 import re
 from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +36,25 @@ from .engine import Schedule
 _CSV_QUOTE = re.compile(r'[,"\r\n]')
 
 
+class _Column(tuple):
+    """A report column frozen as a tuple, with its _texts formatted once."""
+
+    def __new__(cls, values):
+        column = super().__new__(cls, values)
+        column.texts = _texts(values)
+        return column
+
+
 def _texts(values) -> tuple[list[str], list[str]] | None:
     """(JSON texts, CSV cells) of a list of plain floats or of plain ints.
 
     One repr per item and one kind and finiteness test per list; a
-    non-finite float is null in JSON and an empty cell in CSV.  None for any
-    other list, whose items are formatted one at a time.
+    non-finite float is null in JSON and an empty cell in CSV.  A _Column
+    gives the pair it was frozen with.  None for any other list, whose items
+    are formatted one at a time.
     """
+    if isinstance(values, _Column):
+        return values.texts
     kinds = set(map(type, values))
     if kinds <= {int}:  # plain ints, or no items
         texts = list(map(int.__repr__, values))
@@ -57,54 +69,8 @@ def _texts(values) -> tuple[list[str], list[str]] | None:
             [t if f else "" for t, f in zip(texts, finite)])
 
 
-class _Column:
-    """The texts of one report column and the items they were formatted from."""
-
-    __slots__ = ("items", "json", "csv")
-
-    def __init__(self, items: tuple, texts: tuple[list[str], list[str]]):
-        self.items = items
-        self.json, self.csv = texts
-
-
-def _shared(report: ConvergenceReport, key, values) -> _Column | None:
-    """The texts of one column of a convergence report, formatted once for
-    both `run` reports.
-
-    They are kept on the report object and reused while the column holds the
-    very items they were formatted from, so a column that is replaced or
-    changed in place between the two writes is formatted again.  None for a
-    value that is not a list or tuple that _texts formats as a whole.
-    """
-    if not isinstance(values, (list, tuple)):
-        return None
-    memo = vars(report).setdefault("_texts", {})
-    column = memo.get(key)
-    if (column is not None and len(column.items) == len(values)
-            and all(map(is_, column.items, values))):
-        return column
-    if (texts := _texts(values)) is None:
-        return None
-    column = memo[key] = _Column(tuple(values), texts)
-    return column
-
-
-def _convergence_mapping(report: ConvergenceReport) -> dict:
-    """The fields of a convergence report, with its columns as shared texts."""
-    mapping = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-    for name, value in mapping.items():
-        mapping[name] = _shared(report, name, value) or value
-    if isinstance(mapping["gamma_moments"], dict):
-        mapping["gamma_moments"] = {
-            gamma: _shared(report, ("gamma_moments", gamma), values) or values
-            for gamma, values in mapping["gamma_moments"].items()}
-    return mapping
-
-
 def _mapping(obj) -> dict | None:
     """The dict a report object is written as; None for other values."""
-    if isinstance(obj, ConvergenceReport):
-        return _convergence_mapping(obj)
     if isinstance(obj, CaptureReport):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
                 if f.name not in ("empirical", "theoretical_tail")}
@@ -141,8 +107,6 @@ def _emit(obj, out: list[str], level: int) -> None:
         _emit(obj.tolist(), out, level)
     elif isinstance(obj, dict):
         _emit_dict(obj, out, level)
-    elif isinstance(obj, _Column):
-        _emit_texts(obj.json, out, level)
     elif (mapping := _mapping(obj)) is not None:
         _emit_dict(mapping, out, level)
     else:
@@ -225,25 +189,20 @@ def write_checkpoints_csv(path, report: ConvergenceReport) -> None:
     """Long-format rows (k, statistic, value, stderr) for plotting tools: for
     each checkpoint, each series' statistics but se (the stderr of its mean
     row), n_alive and then the gamma moments."""
-
-    def cells(key, values):
-        column = _shared(report, key, values)
-        return _cells(values) if column is None else column.csv
-
     stats = [(f"{series}_{stat}", f"{series}_se" if stat == "mean" else None)
              for series in SERIES for stat in STATISTICS if stat != "se"]
     blank = [""] * len(report.ks)
     names, values, errors = [], [], []
     for name, se in [*stats, ("n_alive", None)]:
         names.append(name)
-        values.append(cells(name, getattr(report, name)))
-        errors.append(blank if se is None else cells(se, getattr(report, se)))
+        values.append(_cells(getattr(report, name)))
+        errors.append(blank if se is None else _cells(getattr(report, se)))
     gamma_moments = report.gamma_moments or {}
     for gamma in sorted(gamma_moments):
         names.append(f"f_gap_gamma_moment[{gamma:g}]")
-        values.append(cells(("gamma_moments", gamma), gamma_moments[gamma]))
+        values.append(_cells(gamma_moments[gamma]))
         errors.append(blank)
-    ks = cells("ks", report.ks)
+    ks = _cells(report.ks)
     _write_csv(path, ("k", "statistic", "value", "stderr"), zip(
         chain.from_iterable(map(repeat, ks, repeat(len(names)))),
         cycle(_cells(names)),
@@ -253,9 +212,22 @@ def write_checkpoints_csv(path, report: ConvergenceReport) -> None:
 
 
 def ensemble_report_payload(result: EnsembleResult) -> dict:
+    """The ensemble_report.json payload.
+
+    Its "convergence" entry is a copy of result.convergence whose list
+    columns and gamma moments are _Columns, formatted once here for both
+    `run` reports.  The copy is a snapshot: later changes to
+    result.convergence, which is left as it is, do not reach it.
+    """
     counts: dict[str, int] = {}
     for c in result.classifications:
         counts[c.verdict] = counts.get(c.verdict, 0) + 1
+    conv = result.convergence
+    columns = {f.name: _Column(value) for f in dataclasses.fields(conv)
+               if isinstance(value := getattr(conv, f.name), list)}
+    if isinstance(conv.gamma_moments, dict):
+        columns["gamma_moments"] = {
+            gamma: _Column(values) for gamma, values in conv.gamma_moments.items()}
     return {
         "spec": result.spec,
         "ids": result.spec.ids,
@@ -264,7 +236,7 @@ def ensemble_report_payload(result: EnsembleResult) -> dict:
         "n_domain_violation": result.n_domain_violation,
         "verdict_counts": counts,
         "classifications": result.classifications,
-        "convergence": result.convergence,
+        "convergence": dataclasses.replace(conv, **columns),
         "capture": result.capture,
     }
 

@@ -2,8 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Thresholds marked
 "pilot-pinned" were frozen from pilot runs before this suite was written;
-exact values are stated next to each assertion.  Criteria 5-7 stash their
-serialized reports so criterion 10 can re-run them and compare bytes.
+exact values are stated next to each assertion.  The first runs of criteria
+5-7 are module-scoped fixtures, computed once whichever tests are selected:
+criteria 5-7 assert on them, and criterion 10 re-runs each and compares
+report bytes.
 """
 
 import math
@@ -33,7 +35,22 @@ from sgdlab.engine import Schedule, Trajectory, run_trajectory, validate_schedul
 from sgdlab.objectives import NoiseModel, NoiseSpec, ObjectiveSpec, StochasticOracle, catalog_lookup
 from sgdlab.reports import dumps_json, ensemble_report_payload
 
-_ARTIFACTS: dict[str, str] = {}
+
+class FirstRun:
+    """A criterion's first run: its result, its report text and its seconds,
+    which count in that criterion's budget.  run and report redo both."""
+
+    def __init__(self, run, report):
+        self.run, self.report = run, report
+        started = time.monotonic()
+        self.result = run()
+        self.text = report(self.result)
+        self.seconds = time.monotonic() - started
+
+
+def _ensemble_text(result):
+    return dumps_json(ensemble_report_payload(result))
+
 
 CATALOG_WITH_BOXES = [
     ("quadratic", {}, (-10.0, 10.0)),
@@ -179,19 +196,26 @@ CAPTURE_SEEDS = (20250808, 20250809, 20250810)
 CAPTURE_CFG = CaptureConfig(theta_bar=(0.0,), R=1.0, epsilon=0.5)
 
 
+def _capture_run(seed):
+    return run_ensemble(_capture_spec(seed), capture=CAPTURE_CFG)
+
+
+@pytest.fixture(scope="module")
+def first_capture():
+    return FirstRun(lambda: _capture_run(CAPTURE_SEEDS[0]), _ensemble_text)
+
+
 @pytest.mark.slow
-def test_criterion_05_capture_surrogate():
-    started = time.monotonic()
+def test_criterion_05_capture_surrogate(first_capture):
+    started = time.monotonic() - first_capture.seconds
     late_zero_batches = 0
     for i, seed in enumerate(CAPTURE_SEEDS):
-        result = run_ensemble(_capture_spec(seed), capture=CAPTURE_CFG)
+        result = first_capture.result if i == 0 else _capture_run(seed)
         cap = result.capture
         # per-k Markov-bound check: empirical <= tail + 4 binomial sigma
         assert cap.bound_margin_max <= 0.0, seed
         late = sum(c for k, c in cap.escape_counts.items() if k >= 10**3)
         late_zero_batches += late == 0
-        if i == 0:
-            _ARTIFACTS["capture"] = dumps_json(ensemble_report_payload(result))
     # pilot-pinned: zero late escapes in at least 95% of batches (here: all)
     assert late_zero_batches / len(CAPTURE_SEEDS) >= 0.95
     announce(5, "capture surrogate", started, 300.0,
@@ -237,34 +261,56 @@ def _frac(classifications, verdict):
     return sum(c.verdict == verdict for c in classifications) / len(classifications)
 
 
-def test_criterion_06_dichotomy_demonstration():
-    started = time.monotonic()
+def _dichotomy_b():
+    """The rectifier's deterministic slide and its verdict."""
+    traj = run_trajectory(
+        StochasticOracle(catalog_lookup("smooth-rectifier"), NoiseModel("zero", 1)),
+        Schedule.scalar(1.0, 0.75, k0=1), [-1.0], 10**4, seed=0)
+    return traj, classify_dichotomy(traj, 1000, 0.002, 2.0)  # pilot-pinned R_div
+
+
+def _dichotomy_b_text(run):
+    traj, verdict = run
+    return dumps_json({"classification": verdict, "final_grad_norm": float(traj.grad_norms[-1])})
+
+
+@pytest.fixture(scope="module")
+def first_dichotomy_a():
+    return FirstRun(lambda: run_ensemble(_dichotomy_spec_a(), **DICHO_KW), _ensemble_text)
+
+
+@pytest.fixture(scope="module")
+def first_dichotomy_b():
+    return FirstRun(_dichotomy_b, _dichotomy_b_text)
+
+
+@pytest.fixture(scope="module")
+def first_dichotomy_c():
+    return FirstRun(lambda: run_ensemble(_dichotomy_spec_c(), **DICHO_KW), _ensemble_text)
+
+
+def test_criterion_06_dichotomy_demonstration(first_dichotomy_a, first_dichotomy_b,
+                                              first_dichotomy_c):
+    started = time.monotonic() - (first_dichotomy_a.seconds + first_dichotomy_b.seconds
+                                  + first_dichotomy_c.seconds)
     # (a) additive noise on a coercive bowl: converged-like in norm
-    res_a = run_ensemble(_dichotomy_spec_a(), **DICHO_KW)
+    res_a = first_dichotomy_a.result
     frac_conv = _frac(res_a.classifications, "converged-like")
     assert frac_conv >= 0.95
     assert res_a.convergence.grad_norm_median[-1] < 0.05
-    _ARTIFACTS["dichotomy_a"] = dumps_json(ensemble_report_payload(res_a))
 
     # (b) deterministic slide down the flat shoulder of the softplus:
     # iterate norm grows without bound while the gradient vanishes
-    rect = catalog_lookup("smooth-rectifier")
-    traj = run_trajectory(
-        StochasticOracle(rect, NoiseModel("zero", 1)),
-        Schedule.scalar(1.0, 0.75, k0=1), [-1.0], 10**4, seed=0)
-    verdict_b = classify_dichotomy(traj, 1000, 0.002, 2.0)  # pilot-pinned R_div
+    traj, verdict_b = first_dichotomy_b.result
     assert verdict_b.verdict == "diverging-like"
     assert traj.grad_norms[-1] < 0.05
-    _ARTIFACTS["dichotomy_b"] = dumps_json({
-        "classification": verdict_b, "final_grad_norm": float(traj.grad_norms[-1])})
 
     # (c) the heavy radial-noise counterexample: strictly more diverging-like
     # verdicts than (a) at the same horizon (sign-only criterion)
-    res_c = run_ensemble(_dichotomy_spec_c(), **DICHO_KW)
+    res_c = first_dichotomy_c.result
     frac_div_c = _frac(res_c.classifications, "diverging-like")
     frac_div_a = _frac(res_a.classifications, "diverging-like")
     assert frac_div_c > frac_div_a
-    _ARTIFACTS["dichotomy_c"] = dumps_json(ensemble_report_payload(res_c))
     announce(6, "dichotomy demonstration", started, 600.0,
              f"(a) {frac_conv:.0%} converged-like; (b) diverging-like with "
              f"grad {traj.grad_norms[-1]:.3f}; (c) {frac_div_c:.0%} > {frac_div_a:.0%}")
@@ -287,11 +333,15 @@ def _moment_spec():
     )
 
 
+@pytest.fixture(scope="module")
+def first_moment():
+    return FirstRun(lambda: run_ensemble(_moment_spec(), gammas=[0.0, 0.5]), _ensemble_text)
+
+
 @pytest.mark.slow
-def test_criterion_07_moment_surrogate():
-    started = time.monotonic()
-    result = run_ensemble(_moment_spec(), gammas=[0.0, 0.5])
-    rep = result.convergence
+def test_criterion_07_moment_surrogate(first_moment):
+    started = time.monotonic() - first_moment.seconds
+    rep = first_moment.result.convergence
     ks = np.array(rep.ks)
     means = np.array(rep.f_gap_mean)
     ses = np.array(rep.f_gap_se)
@@ -302,7 +352,6 @@ def test_criterion_07_moment_surrogate():
     assert sup_1e5 - sup_1e4 <= 4.0 * ses[idx_1e5] + 1e-12
     assert rep.final_decade_slope is not None
     assert rep.final_decade_slope < 0.0
-    _ARTIFACTS["moment"] = dumps_json(ensemble_report_payload(result))
     announce(7, "expected-smoothness moment surrogate", started, 300.0,
              f"sup stable ({sup_1e4:.6f} -> {sup_1e5:.6f}); "
              f"final-decade slope {rep.final_decade_slope:.3f} < 0")
@@ -412,30 +461,11 @@ def test_criterion_09_stopping_times():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(first_capture, first_dichotomy_a, first_dichotomy_b,
+                                  first_dichotomy_c, first_moment):
     started = time.monotonic()
-    for key in ("capture", "dichotomy_a", "dichotomy_b", "dichotomy_c", "moment"):
-        assert key in _ARTIFACTS, "criteria 5-7 must run before criterion 10"
-
-    redo_cap = run_ensemble(_capture_spec(CAPTURE_SEEDS[0]), capture=CAPTURE_CFG)
-    assert dumps_json(ensemble_report_payload(redo_cap)) == _ARTIFACTS["capture"]
-
-    redo_a = run_ensemble(_dichotomy_spec_a(), **DICHO_KW)
-    assert dumps_json(ensemble_report_payload(redo_a)) == _ARTIFACTS["dichotomy_a"]
-
-    rect = catalog_lookup("smooth-rectifier")
-    traj = run_trajectory(
-        StochasticOracle(rect, NoiseModel("zero", 1)),
-        Schedule.scalar(1.0, 0.75, k0=1), [-1.0], 10**4, seed=0)
-    verdict_b = classify_dichotomy(traj, 1000, 0.002, 2.0)
-    redo_b = dumps_json({
-        "classification": verdict_b, "final_grad_norm": float(traj.grad_norms[-1])})
-    assert redo_b == _ARTIFACTS["dichotomy_b"]
-
-    redo_c = run_ensemble(_dichotomy_spec_c(), **DICHO_KW)
-    assert dumps_json(ensemble_report_payload(redo_c)) == _ARTIFACTS["dichotomy_c"]
-
-    redo_m = run_ensemble(_moment_spec(), gammas=[0.0, 0.5])
-    assert dumps_json(ensemble_report_payload(redo_m)) == _ARTIFACTS["moment"]
+    for first in (first_capture, first_dichotomy_a, first_dichotomy_b, first_dichotomy_c,
+                  first_moment):
+        assert first.report(first.run()) == first.text
     announce(10, "determinism", started, 300.0,
              "criteria 5-7 reports byte-identical on re-run")

@@ -20,7 +20,7 @@ from sgdlab.checkers import (
     probe_radial_conditions,
     sample_gradient_norms,
 )
-from sgdlab.engine import Schedule
+from sgdlab.engine import Schedule, validate_schedule
 from sgdlab.errors import ContractViolation, DomainError
 from sgdlab.objectives import NoiseModel, StochasticOracle, catalog_lookup
 
@@ -470,6 +470,8 @@ _CHECKERS = {
                                    radii=[10.0], b_threshold=0.25), ["alpha", "r", "b_threshold"]),
     find_eigenvalue_threshold: (dict(schedule=Schedule.scalar(1.0, 0.75), C=4.0, alpha=1.0,
                                      K_max=10), ["C", "alpha"]),
+    validate_schedule: (dict(schedule=Schedule.scalar(1.0, 0.75), alpha=1.0, horizon=10),
+                        ["alpha"]),
 }
 _NONFINITE = {"value": [math.nan, math.inf, -math.inf],
               "box": [(-math.inf, math.inf), (math.nan, 1.0), (0.0, math.inf)]}
@@ -491,12 +493,12 @@ def test_nonfinite_checker_constant_is_refused_by_name(checker, parameter, value
 
 @pytest.mark.parametrize("checker", [
     check_descent_inequality, check_grad_bound, estimate_local_holder,
-    find_eigenvalue_threshold, holder_sup_on_box, probe_radial_conditions],
+    find_eigenvalue_threshold, holder_sup_on_box, probe_radial_conditions, validate_schedule],
     ids=lambda checker: checker.__name__)
 @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
 def test_alpha_outside_unit_interval_is_refused_by_name(checker, alpha):
-    # the config refuses such an alpha; on the library path each of these
+    # the config refuses such an alpha; on the library path most of these
     # ran, as a Hölder exponent of 0 or 1.5, or a negative one
     kwargs = _CHECKERS[checker][0]
-    with pytest.raises(ContractViolation, match=r"^alpha must be in \(0, 1\]"):
+    with pytest.raises(ContractViolation, match=rf"^alpha must be in \(0, 1\], got {alpha!r}$"):
         checker(**{**kwargs, "alpha": alpha})

@@ -470,6 +470,24 @@ def test_formats_selecting_no_report_leave_no_directory(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_output_directory_that_is_or_sits_below_a_file_exits_2(tmp_path, capsys, command,
+                                                                 below):
+    blocker = tmp_path / "notadir"
+    blocker.write_bytes(b"keep")
+    cfg = base_config(blocker / below)
+    cfg["checks"] = small_checks(["p1p2p3p4", "variance"])
+    with mock.patch.object(diagnostics, "run_ensemble", wraps=diagnostics.run_ensemble) as ens, \
+            mock.patch.object(cli, "_run_lane", wraps=cli._run_lane) as lane:
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert ens.call_count == lane.call_count == 0  # refused before any compute
+    assert blocker.read_bytes() == b"keep"
+    err = capsys.readouterr().err
+    assert err == f"sgdlab: config error: output.directory {str(blocker / below)!r}: " \
+                  f"{blocker} is not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # overrides and environment
 # ---------------------------------------------------------------------------

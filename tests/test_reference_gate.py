@@ -620,7 +620,9 @@ def _append_checkpoint(conv):
 
 
 # Each changes the report after its first write, in place or by replacing a
-# column; f_gap_median[1] is 0.0 at the first write.
+# column; f_gap_median[1] is 0.0 at the first write.  The writers are called
+# on the plain report, as a library caller would, so each formats its columns
+# afresh and no text from the first write may reach the second.
 _CHANGES = {
     "replace-column": lambda conv: setattr(conv, "f_gap_mean", [2.0 * x for x in conv.f_gap_mean]),
     "set-item": lambda conv: conv.grad_norm_se.__setitem__(2, math.inf),

@@ -2,11 +2,16 @@
 fields, CSV emission is RFC 4180 and parses back to the same values."""
 
 import csv
+import dataclasses
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from sgdlab import cli, diagnostics, reports
 from sgdlab.checkers import (
     check_descent_inequality,
     estimate_local_holder,
@@ -110,3 +115,93 @@ def test_numpy_scalars_and_arrays_serialize():
     doc = to_plain({"a": np.float64(1.5), "b": np.int64(3),
                        "c": np.array([1.0, float("nan")]), "d": float("inf")})
     assert doc == {"a": 1.5, "b": 3, "c": [1.0, None], "d": None}
+
+
+# ---------------------------------------------------------------------------
+# the run payload: each convergence column formatted once, as a snapshot
+# ---------------------------------------------------------------------------
+
+DENSE_CHECKPOINTS = Path(__file__).resolve().parent.parent / "bench" / "configs" / \
+    "dense-checkpoints.json"
+
+
+def _cli_run(tmp_path, monkeypatch):
+    """Run dense-checkpoints' config through the CLI; the EnsembleResult it made."""
+    results = []
+
+    def record(*args, **kwargs):
+        results.append(run_ensemble(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(diagnostics, "run_ensemble", record)
+    cfg = json.loads(DENSE_CHECKPOINTS.read_text(encoding="utf-8"))
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == 0
+    [result] = results
+    return result
+
+
+def _columns(conv):
+    """The list columns of a convergence report and its gamma moments."""
+    columns = {f.name: getattr(conv, f.name) for f in dataclasses.fields(conv)
+               if isinstance(getattr(conv, f.name), list)}
+    columns.update({("gamma_moments", g): v for g, v in conv.gamma_moments.items()})
+    return columns
+
+
+def test_cli_run_leaves_only_the_dataclass_fields_on_the_report(tmp_path, monkeypatch):
+    conv = _cli_run(tmp_path, monkeypatch).convergence
+    assert set(vars(conv)) == {f.name for f in dataclasses.fields(conv)}
+
+
+def test_cli_run_formats_each_convergence_column_at_most_once(tmp_path, monkeypatch):
+    formatted = []
+
+    def record(values):
+        if not isinstance(values, reports._Column):
+            formatted.append(list(values))
+        return texts(values)
+
+    texts = reports._texts
+    monkeypatch.setattr(reports, "_texts", record)
+    columns = _columns(_cli_run(tmp_path, monkeypatch).convergence)
+    assert len(columns) == 20
+    for name, values in columns.items():
+        assert formatted.count(values) <= 1, name
+
+
+_MUTATIONS = {
+    "set-item": lambda conv: conv.grad_norm_se.__setitem__(2, math.inf),
+    "replace-column": lambda conv: setattr(conv, "f_gap_mean", [2.0 * x for x in conv.f_gap_mean]),
+    "append": lambda conv: conv.ks.append(10**6),
+    "gamma-set-item": lambda conv: conv.gamma_moments[0.0].__setitem__(1, 2.5),
+    "replace-gammas": lambda conv: setattr(conv, "gamma_moments", {0.25: [1.0]}),
+}
+
+
+@pytest.mark.parametrize("mutate", sorted(_MUTATIONS))
+def test_payload_is_a_snapshot_of_the_convergence_report(mutate):
+    result = small_result()
+    payload = ensemble_report_payload(result)
+    _MUTATIONS[mutate](result.convergence)
+    assert dumps_json(payload) == dumps_json(ensemble_report_payload(small_result()))
+
+
+def test_payload_convergence_writes_the_bytes_of_the_plain_report(tmp_path):
+    # log1p-abs from 3.0: every trajectory leaves the domain before the
+    # horizon, so the late checkpoints' statistics are NaN
+    spec = EnsembleSpec(
+        objective=ObjectiveSpec("log1p-abs"), noise=NoiseSpec("additive-gaussian", sigma=1.0),
+        schedule=Schedule.scalar(0.5, 0.75), theta0=(3.0,), horizon=200, n_trajectories=3,
+        master_seed=3, record_stride=10)
+    result = run_ensemble(spec, gammas=[0.0, 0.5])
+    conv = result.convergence
+    assert result.n_domain_violation == 3 and conv.n_alive[-1] == 0
+    assert math.isnan(conv.f_gap_mean[-1]) and not math.isnan(conv.f_gap_mean[0])
+    frozen = ensemble_report_payload(result)["convergence"]
+    write_checkpoints_csv(tmp_path / "payload.csv", frozen)
+    write_checkpoints_csv(tmp_path / "plain.csv", conv)
+    assert (tmp_path / "payload.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert dumps_json(frozen) == dumps_json(conv)

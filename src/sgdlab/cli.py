@@ -93,8 +93,9 @@ def _overrides(args) -> dict:
 def _report_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]:
     """The paths of the named reports whose format is in output.formats.
 
-    A path that exists is refused here, before any compute, unless force is on,
-    and so is an output directory that is, or sits below, a file.
+    A path that exists is refused here, before any compute, unless force is on;
+    so is, even with force, a path that is a directory, and so is an output
+    directory that is, or sits below, a file.
     """
     outdir = Path(config.output.directory)
     paths = {}
@@ -104,6 +105,8 @@ def _report_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]
             continue
         if path.exists() and not config.output.force:
             raise ConfigError(f"refusing to overwrite {path}; pass --force to allow")
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
         paths[name] = path
     files = [p for p in (outdir, *outdir.parents) if p.exists() and not p.is_dir()]
     if paths and files:
@@ -167,36 +170,36 @@ def _run_check(config: ExperimentConfig, oracle: StochasticOracle, name: str):
         return {"report": probe}, probe.a6_verdict == "violated-at-horizon"
     if name == "lemma4":
         threshold = checkers.find_eigenvalue_threshold(
-            config.schedule, checks.lemma4_c, checks.alpha, checks.lemma4_k_max)
+            config.schedule, checks.lemma4.C, checks.alpha, checks.lemma4.K_max)
         return {"report": {
-            "C": checks.lemma4_c,
+            "C": checks.lemma4.C,
             "alpha": checks.alpha,
-            "K_max": checks.lemma4_k_max,
+            "K_max": checks.lemma4.K_max,
             "threshold": threshold,
         }}, threshold is None
     body = {}
     if name == "descent":
-        l_tilde = checks.descent_l_tilde
+        l_tilde = checks.descent.L_tilde
         if l_tilde is None:
             l_tilde = 2.0 * checkers.holder_sup_on_box(
-                obj, checks.descent_box, checks.alpha, seed=checks.seed)
+                obj, checks.descent.box, checks.alpha, seed=checks.seed)
         body["L_tilde"] = l_tilde
         report = checkers.check_descent_inequality(
-            obj, checks.descent_n_pairs, l_tilde, checks.alpha,
-            checks.descent_box, seed=checks.seed)
+            obj, checks.descent.n_pairs, l_tilde, checks.alpha,
+            checks.descent.box, seed=checks.seed)
     elif name == "variance":
         rng = np.random.default_rng(checks.seed)
         samples = checkers.sample_gradient_norms(
             oracle, np.asarray(config.run.theta0, dtype=float), rng,
-            checks.variance_n_samples)
+            checks.variance.n_samples)
         report = checkers.check_variance_control(samples, checks.alpha)
     elif name == "gradbound":
-        l_const = checks.gradbound_l if checks.gradbound_l is not None else obj.l_global
+        l_const = checks.gradbound.L if checks.gradbound.L is not None else obj.l_global
         report = checkers.check_grad_bound(
-            obj, l_const, checks.alpha, checks.gradbound_n_points,
-            checks.gradbound_box, seed=checks.seed)
+            obj, l_const, checks.alpha, checks.gradbound.n_points,
+            checks.gradbound.box, seed=checks.seed)
     else:  # smoothness
-        constants = checks.smoothness_constants or oracle.noise.constants
+        constants = checks.smoothness.constants or oracle.noise.constants
         if constants is None:
             report = checkers.AssumptionReport(
                 assumption_id="smoothness", verdict="inconclusive",
@@ -204,8 +207,8 @@ def _run_check(config: ExperimentConfig, oracle: StochasticOracle, name: str):
         else:
             c1, c2, c3 = constants
             report = checkers.check_expected_smoothness(
-                oracle, c1, c2, c3, checks.smoothness_n_points,
-                checks.smoothness_n_draws, checks.smoothness_box, seed=checks.seed)
+                oracle, c1, c2, c3, checks.smoothness.n_points,
+                checks.smoothness.n_draws, checks.smoothness.box, seed=checks.seed)
     body["report"] = report
     return body, report.verdict == "fail"
 

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def _read(value, kind, where: str):
         if (not isinstance(value, list) or not value
                 or any(not isinstance(v, str) or v not in kind for v in value)):
             raise ConfigError(f"{where} must be a nonempty subset of {kind}")
-        return tuple(value)
+        return tuple(dict.fromkeys(value))  # a repeated entry once, at its first place
     if kind in ("string", "bool"):
         if not isinstance(value, {"string": str, "bool": bool}[kind]):
             raise ConfigError(f"{where} must be a {kind}")
@@ -156,45 +157,10 @@ def _read(value, kind, where: str):
     return _number(value, where, kind)
 
 
-@dataclass(frozen=True)
-class DiagnosticsBlock:
-    W: int | None
-    epsilon_conv: float | None
-    R_div: float | None
-    capture: CaptureConfig | None
-    gammas: tuple[float, ...] | None
-    radii: tuple[float, ...]
-    alpha: float
-    r: float
-    b_threshold: float
-
-
-@dataclass(frozen=True)
-class ChecksBlock:
-    alpha: float
-    horizon: int
-    seed: int
-    which: tuple[str, ...]
-    descent_n_pairs: int
-    descent_l_tilde: float | None  # None: use 2x the grid Hölder-sup estimate
-    descent_box: tuple[float, float]
-    variance_n_samples: int
-    gradbound_n_points: int
-    gradbound_box: tuple[float, float]
-    gradbound_l: float | None  # None: use the objective's declared constant
-    smoothness_constants: tuple[float, float, float] | None
-    smoothness_n_points: int
-    smoothness_n_draws: int
-    smoothness_box: tuple[float, float]
-    lemma4_c: float
-    lemma4_k_max: int
-
-
-@dataclass(frozen=True)
-class OutputBlock:
-    directory: str
-    formats: tuple[str, ...]
-    force: bool = False
+def _namespace(block: dict) -> SimpleNamespace:
+    """A read block with each key, nested blocks too, as an attribute of its config name."""
+    return SimpleNamespace(**{key: _namespace(value) if isinstance(value, dict) else value
+                              for key, value in block.items()})
 
 
 @dataclass(frozen=True)
@@ -204,9 +170,9 @@ class ExperimentConfig:
     schedule: Schedule
     run: EnsembleSpec
     jobs: int
-    diagnostics: DiagnosticsBlock
-    checks: ChecksBlock
-    output: OutputBlock
+    diagnostics: SimpleNamespace
+    checks: SimpleNamespace
+    output: SimpleNamespace
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -252,14 +218,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         except ContractViolation as exc:
             raise ConfigError(f"invalid diagnostics.capture block: {exc}") from exc
 
-    checks = {}
-    for key, value in blocks["checks"].items():
-        if isinstance(value, dict):
-            checks.update((f"{key}_{sub.lower()}", v) for sub, v in value.items())
-        else:
-            checks[key] = value
     box = (r0, r0 + 9.0) if r0 > 0.0 else (-10.0, 10.0)  # above the domain floor, if any
-    checks.update([(key, value or box) for key, value in checks.items() if key.endswith("_box")])
+    for check in ("descent", "gradbound", "smoothness"):
+        blocks["checks"][check]["box"] = blocks["checks"][check]["box"] or box
 
     try:
         noise.build(objective.dimension)  # compiles and checks sigma_expr
@@ -268,8 +229,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         objective=objective, noise=noise, schedule=schedule, run=run, jobs=jobs,
-        diagnostics=DiagnosticsBlock(**db), checks=ChecksBlock(**checks),
-        output=OutputBlock(**blocks["output"]))
+        **{key: _namespace(blocks[key]) for key in ("diagnostics", "checks", "output")})
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

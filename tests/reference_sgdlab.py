@@ -352,7 +352,7 @@ def _schedule_checks(config) -> tuple[int, dict]:
                            alpha=alpha, p2_partial_sum=total, analytic_basis=basis,
                            horizon_used=horizon)
     # Lemma 4: the smallest K with lambda_max^alpha * kappa <= 1/C on [K, K_max]
-    C, k_max = checks.lemma4_c, checks.lemma4_k_max
+    C, k_max = checks.lemma4.C, checks.lemma4.K_max
     d = schedule.eigenvalues(np.arange(k_max + 1))
     lmax, lmin = d.max(axis=1), d.min(axis=1)
     bad = np.nonzero(~(lmax ** alpha * (lmax / lmin) <= 1.0 / C))[0]

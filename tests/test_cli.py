@@ -71,6 +71,26 @@ def test_run_refuses_overwrite_without_force(tmp_path):
     assert main(["run", "--config", cfg_path, "--force"]) == 0
 
 
+@pytest.mark.parametrize("command,which,blocked,written", [
+    pytest.param("run", [], "checkpoints.csv", "ensemble_report.json", id="run"),
+    pytest.param("check", ["--which", "descent,lemma4"], "lemma4_report.json",
+                 "descent_report.json", id="check"),
+])
+def test_force_refuses_a_report_path_that_is_a_directory(
+        tmp_path, capsys, command, which, blocked, written):
+    # a directory in a report's place is refused before any compute, with
+    # --force too: no traceback, and none of the command's reports written
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(ALL_CHECKS)
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    argv = [command, "--config", write_config(tmp_path, cfg), "--force", *which]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"sgdlab: config error: cannot write {tmp_path / 'out' / blocked}: " \
+                  "it is a directory\n"
+    assert not (tmp_path / "out" / written).exists()
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg_path = write_config(tmp_path, base_config(tmp_path / "out"))
     assert main(["run", "--config", cfg_path]) == 0
@@ -701,6 +721,30 @@ def test_check_over_every_check_writes_the_bytes_of_single_check_runs(
         assert path.read_bytes() == (tmp_path / "one" / path.name).read_bytes(), path.name
 
 
+def test_a_repeated_check_runs_once(tmp_path, monkeypatch):
+    # checks.which keeps the first place of each entry: a repeated check is
+    # neither run nor written twice, and the reports keep their bytes
+    calls = []
+
+    def counted(config, oracle, name, _run=cli._run_check):
+        calls.append(name)
+        return _run(config, oracle, name)
+
+    monkeypatch.setattr(cli, "_run_check", counted)
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(ALL_CHECKS)
+    outputs = []
+    for tag, which in (("twice", "descent,descent,lemma4,lemma4"), ("once", "descent,lemma4")):
+        argv = ["check", "--config", write_config(tmp_path, cfg), "--which", which,
+                "--output-dir", str(tmp_path / tag)]
+        assert main(argv) == 0
+        assert sorted(calls) == ["descent", "lemma4"]
+        calls.clear()
+        outputs.append({path.name: path.read_bytes() for path in (tmp_path / tag).iterdir()})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["descent_report.json", "lemma4_report.json"]
+
+
 @pytest.mark.parametrize("which,code", [
     # the schedule lane fails first in `which` order: MemoryError, exit 2
     (["p1p2p3p4", "descent", "lemma4", "variance"], 2),
@@ -843,6 +887,21 @@ def test_readme_config_block_shows_the_schema_defaults():
             assert value == default, path
 
 
+def test_loaded_config_reads_each_block_key_under_its_schema_name():
+    # every key of the diagnostics, checks and output blocks, nested ones
+    # included, is read on a loaded config under its own name, and equals its
+    # SCHEMA default where that is not null
+    loaded = config_from_dict({"objective": {"name": "quadratic"}, "schedule": {},
+                               "diagnostics": {"capture": {}}})
+    for block in ("diagnostics", "checks", "output"):
+        for path, kind, default in _schema_entries(SCHEMA[block][0], (block,)):
+            value = loaded
+            for key in path:
+                value = getattr(value, key)
+            if default is not None and not isinstance(kind, dict):
+                assert value == (tuple(default) if isinstance(default, list) else default), path
+
+
 def test_unseeded_rotation_reports_seed_0(tmp_path):
     # the factor of an unseeded rotated schedule is built from seed 0 and named so
     outputs = []
@@ -868,7 +927,7 @@ def test_default_check_box_sits_above_the_domain_floor(tmp_path, objective, box)
     parsed = config_from_dict(base_config(tmp_path / "out", objective=objective))
     assert parsed.objective.build().r0 == max(box[0], 0.0)
     checks = parsed.checks
-    assert checks.descent_box == checks.gradbound_box == checks.smoothness_box == box
+    assert checks.descent.box == checks.gradbound.box == checks.smoothness.box == box
 
 
 def test_config_rejects_bad_values(tmp_path):

@@ -101,10 +101,11 @@ def _finite(**constants) -> None:
 
 
 def _box_bounds(box: tuple[float, float]) -> tuple[float, float]:
-    """(lo, hi) of a box, refused unless both are finite and hi > lo."""
+    """(lo, hi) of a box, refused unless its width hi - lo is finite (so are
+    lo and hi) and hi > lo."""
     lo, hi = float(box[0]), float(box[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ContractViolation(f"box must be finite, got {tuple(box)!r}")
+    if not math.isfinite(hi - lo):
+        raise ContractViolation(f"box must be finite, with a finite hi - lo, got {tuple(box)!r}")
     if not hi > lo:
         raise ContractViolation("box must satisfy hi > lo")
     return lo, hi
@@ -207,9 +208,8 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
     back to seeded random pairs.  A lower bound of the true sup either way.
     """
     _check_alpha(alpha)
-    lo, hi = _box_bounds(box)
     if obj.dim == 1:
-        xs = np.linspace(lo, hi, HOLDER_BOX_SAMPLES)[:, None]
+        xs = np.linspace(*_box_bounds(box), HOLDER_BOX_SAMPLES)[:, None]
         obj.check_domain(xs)
         g = obj.grad_batch(xs)[:, 0]
         dx = np.abs(xs[:, 0][None, :] - xs[:, 0][:, None])
@@ -217,8 +217,8 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
         iu = np.triu_indices(HOLDER_BOX_SAMPLES, k=1)
         return float(np.max(dg[iu] / dx[iu] ** alpha))
     rng = np.random.default_rng(seed)
-    a = rng.uniform(lo, hi, size=(HOLDER_BOX_SAMPLES, obj.dim))
-    b = rng.uniform(lo, hi, size=(HOLDER_BOX_SAMPLES, obj.dim))
+    a = _uniform_box(rng, HOLDER_BOX_SAMPLES, box, obj.dim)
+    b = _uniform_box(rng, HOLDER_BOX_SAMPLES, box, obj.dim)
     obj.check_domain(a)
     obj.check_domain(b)
     diff = b - a
@@ -356,6 +356,8 @@ def check_grad_bound(
             tolerance=tol,
         )
     _finite(L=L, tol=tol)
+    if L <= 0.0:
+        raise ContractViolation("L must be > 0")
     rng = np.random.default_rng(seed)
     pts = _uniform_box(rng, n_points, box, obj.dim)
     obj.check_domain(pts)
@@ -521,7 +523,6 @@ def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
         raise ContractViolation("K_max must be >= 1")
     target = 1.0 / C
     lmax, lmin = schedule.bounds(K_max + 1)
-    suffix_ok_from = None  # smallest K valid for the suffix scanned so far
     for hi in range(K_max, -1, -_CHUNK):
         lo = max(0, hi - _CHUNK + 1)
         top = lmax[lo:hi + 1]
@@ -530,5 +531,4 @@ def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
         if not np.all(ok):
             last_bad = lo + int(np.nonzero(~ok)[0][-1])
             return None if last_bad == K_max else last_bad + 1
-        suffix_ok_from = lo
-    return suffix_ok_from
+    return 0

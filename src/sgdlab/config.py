@@ -43,10 +43,11 @@ _ALL_FORMATS = ["json", "csv"]
 # Every key once, as key: (kind, default); a block is ({key: ...}, value when
 # absent).  The kinds are "size" (an integer from 1 to MAX_SIZE), "seed" (an
 # integer >= 0), "number" (finite), "positive", "unit" (in (0, 1]), "vector"
-# (a nonempty list of numbers), "triple", "box" ([lo, hi] with hi > lo),
-# "numbers" (a number or a vector), "string" and "bool"; a tuple of strings
-# is an enum and a list of strings a nonempty subset.  A null default is
-# derived from other values by config_from_dict, or means "not set".
+# (a nonempty list of numbers), "triple", "box" ([lo, hi] with hi > lo and a
+# finite hi - lo), "numbers" (a number or a vector), "string" and "bool"; a
+# tuple of strings is an enum and a list of strings a nonempty subset.  A
+# null default is derived from other values by config_from_dict, or means
+# "not set".
 SCHEMA = {
     "objective": ({"name": (CATALOG_NAMES, REQUIRED), "dimension": ("size", 1),
                    "q": ("number", None), "r0": ("number", None)}, {}),
@@ -74,11 +75,11 @@ SCHEMA = {
     "checks": ({  # a null box is derived from the objective's domain floor r0
         "alpha": ("unit", 1.0), "horizon": ("size", 100000), "seed": ("seed", 0),
         "which": (_ALL_CHECKS, _ALL_CHECKS),
-        "descent": ({"n_pairs": ("size", 10000), "L_tilde": ("number", None),
+        "descent": ({"n_pairs": ("size", 10000), "L_tilde": ("positive", None),
                      "box": ("box", None)}, {}),
         "variance": ({"n_samples": ("size", 10000)}, {}),
         "gradbound": ({"n_points": ("size", 1000), "box": ("box", None),
-                       "L": ("number", None)}, {}),
+                       "L": ("positive", None)}, {}),
         "smoothness": ({"constants": ("triple", None), "n_points": ("size", 10),
                         "n_draws": ("size", 10000), "box": ("box", None)}, {}),
         "lemma4": ({"C": ("number", 1.0), "K_max": ("size", 100000)}, {}),
@@ -153,6 +154,8 @@ def _read(value, kind, where: str):
             raise ConfigError(f"{where} must be [C1, C2, C3]")
         if kind == "box" and not (len(vector) == 2 and vector[1] > vector[0]):
             raise ConfigError(f"{where} must be [lo, hi] with hi > lo")
+        if kind == "box" and not math.isfinite(vector[1] - vector[0]):
+            raise ConfigError(f"{where} must have a finite width hi - lo, got {list(vector)}")
         return vector
     return _number(value, where, kind)
 

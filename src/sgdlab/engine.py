@@ -358,17 +358,6 @@ def _scalar_path(g1, noise, etas, x, w):
             yield x
 
 
-def _accept_each(path, r0):
-    """Read a path up to its first rejected iterate, testing every step:
-    (the accepted iterates as a list, (size, iterate) or None)."""
-    out = []
-    for x in path:
-        if not r0 <= abs(x) < THETA_CAP:
-            return out, (abs(x), x)
-        out.append(x)
-    return out, None
-
-
 def _scalar_chunk(g1, noise, etas, r0, x, k, n, w):
     """The 1-D stepper for _drive, on Python floats; etas holds every step size.
 
@@ -380,31 +369,30 @@ def _scalar_chunk(g1, noise, etas, r0, x, k, n, w):
     _FIRST_BLOCK and at most _BLOCK, so a run that exits at step j takes at
     most j + min(max(j, _FIRST_BLOCK), _BLOCK) steps, about twice its own
     for an early exit.  A step past the exit may raise (power-q with q < 1
-    divides by zero at 0): a block that raises is replayed from its first
-    iterate with the per-step test, which stops at the rejected iterate
-    before the raising step and raises only where an accepted iterate does.
-    The state-dependent kind is always read per step: its sigma is numpy,
-    which may warn or raise on a rejected iterate.
+    divides by zero at 0; a state-dependent sigma may be NaN there): a block
+    that raises is read again from its first iterate in blocks of half its
+    length, halving again at each raise, so it takes O(log m) reads to stop
+    at the rejected iterate before the raising step, or to raise where a
+    block of one from an accepted iterate raises.
     """
     etas = array("d", etas[k:k + n].tobytes())
     w = None if w is None else array("d", w.tobytes())
-    if noise.kind == "additive-gaussian-statedep":
-        return _accept_each(_scalar_path(g1, noise, etas, x, w), r0)
     x = float(x)  # the previous chunk's last iterate comes back as a float64
     path = _scalar_path(g1, noise, etas, x, w)
     xs = np.empty(n)
     start = 0
+    most = _BLOCK
     while start < n:
-        m = min(max(_FIRST_BLOCK, k + start), _BLOCK, n - start)
+        m = min(max(_FIRST_BLOCK, k + start), most, n - start)
         try:
             block = np.fromiter(path, float, m)  # takes m items, not one more
-        except Exception:  # replayed below; the per-step read re-raises what it must
-            if start:
-                x = float(xs[start - 1])
-            out, rejected = _accept_each(
-                _scalar_path(g1, noise, etas[start:], x, None if w is None else w[start:]), r0)
-            xs[start:start + len(out)] = out
-            return xs[:start + len(out)], rejected
+        except Exception:
+            if m == 1:  # an accepted iterate's step raised
+                raise
+            most = m // 2
+            x = float(xs[start - 1]) if start else x
+            path = _scalar_path(g1, noise, etas[start:], x, None if w is None else w[start:])
+            continue
         xs[start:start + m] = block
         size = np.abs(block)
         bad = ~((r0 <= size) & (size < THETA_CAP))
@@ -480,9 +468,11 @@ def run_trajectory(
         x0 = theta0
         step = partial(_vector_chunk, noise.sampler(objective.grad), schedule, objective.r0)
     # An iterate that overflows (its norm's dot product included) is flagged
-    # by the accept test, not warned about; entered once per trajectory, not
-    # per step, where its ~2 us would show.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # by the accept test, not warned about; no step warns of a division by
+    # zero either, as under cli.main, kept or not (a sigma past the exit may
+    # divide by zero).  Entered once per trajectory, not per step, where its
+    # ~2 us would show.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         trace, overflow, viol = _drive(step, x0, K, noise, rng)
     trace = trace.reshape(len(trace), objective.dim)
 

@@ -230,6 +230,14 @@ def test_gradbound_understated_constant_fails():
     assert w["grad_norm_sq"] == pytest.approx(gsq, rel=1e-12)
 
 
+@pytest.mark.parametrize("L, alpha", [(-100.0, 0.5), (-2.0, 0.7), (0.0, 1.0)])
+def test_gradbound_refuses_a_nonpositive_constant(L, alpha):
+    # L = -100 at alpha 0.5 passed; L = -2 at alpha 0.7 made the bound complex
+    obj = catalog_lookup("quadratic")
+    with pytest.raises(ContractViolation, match=r"^L must be > 0$"):
+        check_grad_bound(obj, L, alpha, 100, (-10.0, 10.0))
+
+
 def test_gradbound_missing_constant_is_inconclusive():
     obj = catalog_lookup("log1p-abs")  # no declared global constant
     report = check_grad_bound(obj, obj.l_global, 1.0, 100, (1.0, 5.0))
@@ -474,7 +482,8 @@ _CHECKERS = {
                         ["alpha"]),
 }
 _NONFINITE = {"value": [math.nan, math.inf, -math.inf],
-              "box": [(-math.inf, math.inf), (math.nan, 1.0), (0.0, math.inf)]}
+              "box": [(-math.inf, math.inf), (math.nan, 1.0), (0.0, math.inf),
+                      (-1e308, 1e308)]}  # hi - lo overflows
 
 
 @pytest.mark.parametrize("checker, parameter, value", [

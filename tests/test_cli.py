@@ -629,6 +629,45 @@ def test_check_that_fails_late_writes_nothing(tmp_path, capsys):
         assert "domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check, block, p", [
+    ("gradbound", {}, 1),
+    ("smoothness", {"n_draws": 20}, 1),
+    ("descent", {"L_tilde": 2.0}, 1),
+    ("descent", {}, 2),
+    ("descent", {}, 1),  # a null L_tilde from the Hölder sup over the box
+])
+def test_check_box_whose_width_overflows_exits_2(tmp_path, capsys, check, block, p):
+    # hi - lo is inf: the draws died in rng.uniform with a traceback, and a
+    # 1-D descent with a null L_tilde read "L_tilde must be finite, got nan"
+    cfg = base_config(tmp_path / "out", objective={"name": "quadratic", "dimension": p},
+                      noise={"kind": "additive-gaussian", "sigma": 1.0},
+                      schedule={"c": 1.0, "beta": 0.75, "p": p},
+                      diagnostics={})
+    cfg["run"]["theta0"] = [1.0] * p
+    cfg["checks"] = {"which": [check], check: {**block, "box": [-1e308, 1e308]}}
+    if check == "smoothness":
+        cfg["noise"]["constants"] = [0.0, 0.0, 1.0]
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"sgdlab: config error: checks.{check}.box must have a finite width "
+                   "hi - lo, got [-1e+308, 1e+308]\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("L, alpha", [(-100.0, 0.5), (-2.0, 0.7), (0.0, 1.0)])
+def test_nonpositive_gradbound_constant_exits_2(tmp_path, capsys, L, alpha):
+    # L = -100 at alpha 0.5 passed the check; L = -2 at alpha 0.7 made the
+    # bound complex, printed two ComplexWarnings and reported its real part
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = {"which": ["gradbound"], "alpha": alpha, "gradbound": {"L": L}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"sgdlab: config error: checks.gradbound.L must be > 0, got {L!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
 # `check` runs the schedule scans (cli.SCHEDULE_LANE) on a thread beside the
 # sampled checkers; these tests pin that the lanes change no byte and no exit.
 
@@ -1185,7 +1224,7 @@ def _bad_values(kind, default):
             "unit": [0, 1.5],
             "vector": [[], [None], [1e400], 1.0],
             "triple": [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
-            "box": [[1.0, 1.0], [2.0, 1.0], [1.0]],
+            "box": [[1.0, 1.0], [2.0, 1.0], [1.0], [-1e308, 1e308]],
             "numbers": ["x", [], [None]],
             "string": [5, ["x"]],
             "bool": [1, "true"],

@@ -10,9 +10,10 @@ code.  Five named 13-trajectory `run` configs go through `cli.main` with
 `--jobs` 1, 2 and 3, so the worker pool writes the reference's bytes too.
 The hand-built edge tests below them hold the step loops to the
 reference's per-trajectory function where a drawn config would rarely land
-(special floats, exits at block and chunk edges, a raising g1, the cap, the
-floor, NaN), and the report writers to its json/csv emitters on arbitrary
-payloads, across two runs in one process and after a column changed.
+(special floats, exits at block and chunk edges, a raising g1, a sigma that
+is NaN or divides by zero past the exit, the cap, the floor, NaN), and the
+report writers to its json/csv emitters on arbitrary payloads, across two
+runs in one process and after a column changed.
 """
 
 import ast
@@ -20,6 +21,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import warnings
 from functools import cache, partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,6 +46,7 @@ from sgdlab.engine import (
     random_orthogonal,
     run_trajectory,
 )
+from sgdlab.errors import ContractViolation
 from sgdlab.objectives import NoiseModel, NoiseSpec, ObjectiveSpec, StochasticOracle, catalog_lookup
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,10 @@ def _reached(command, files) -> set:
         seen |= {("objective", spec["objective"]["name"]), ("noise", spec["noise"]["kind"]),
                  ("family", spec["schedule"]["family"]),
                  ("p", min(spec["schedule"]["p"], 2)), ("capture", report["capture"] is not None)}
+        # the 1-D state-dependent kind steps past its exit, as every 1-D kind does
+        if (spec["noise"]["kind"] == "additive-gaussian-statedep" and spec["schedule"]["p"] == 1
+                and report["n_overflow"] + report["n_domain_violation"]):
+            seen.add(("statedep-1d", "early exit"))
     if command == "stopping-times" and "stopping_times.json" in files:
         report = json.loads(files["stopping_times.json"])
         for t in report["trajectories"]:
@@ -170,6 +177,11 @@ def test_cli_reports_have_the_bytes_of_the_reference():
                    {"family": "rotated-diagonal-power", "c": [3.0, 2.25, 1.5],
                     "beta": [0.0, 0.0, 0.0], "p": 3, "rotation_seed": 5},
                    [1e34, -0.6e34, 0.3e34], 7))
+    # 1-D state-dependent noise whose sigma is NaN below the floor, where the
+    # block steps past its exit: it leaves the domain at step 3
+    @example(_edge({"name": "loglog1p-abs"}, {"c": 1.0, "beta": 0.0}, [2.0], 30,
+                   {"kind": "additive-gaussian-statedep",
+                    "sigma_expr": "0.3*sqrt(norm(theta) - 1)"}))
     # x_{k+1} = -w_k, iid N(0, 0.49): escapes at one- and two-digit steps
     @example(((5, 1, 3), {"objective": {"name": "quadratic"},
                           "noise": {"kind": "additive-gaussian", "sigma": 0.7},
@@ -190,7 +202,7 @@ def test_cli_reports_have_the_bytes_of_the_reference():
         ("noise", kind) for kind in NOISE_KINDS} | {("family", f) for f in FAMILIES} | {
         ("p", 1), ("p", 2), ("capture", True), ("capture", False), ("exit", "full"),
         ("exit", "overflow"), ("exit", "domain"), ("threshold", None), ("threshold", 0),
-        ("threshold", "inside")}
+        ("threshold", "inside"), ("statedep-1d", "early exit")}
     assert want <= reached, want - reached
 
 
@@ -452,6 +464,66 @@ def test_domain_exit_before_a_raising_step_is_truncated(request, blocks):
     assert traj.trace.shape == (1, 1) and traj.violation_theta.tolist() == [0.0]
 
 
+def test_raising_block_is_read_again_in_a_logarithmic_number_of_reads(monkeypatch):
+    # power-q(q=0.5) held at x = 1 by zero steps, then a step of 2 lands on
+    # 0.0 at iterate 4001, whose next step raises ZeroDivisionError in g1.
+    # That iterate sits 1952 deep in the block of 2048 that starts at 2048:
+    # halving the re-read stops there after 23 np.fromiter reads in all,
+    # where blocks of one would take about 1960.
+    obj = catalog_lookup("power-q", q=0.5)
+    n, j = 4500, 4000
+    etas = np.zeros(n)
+    etas[j] = 2.0
+    reads = []
+    fromiter = np.fromiter
+    monkeypatch.setattr(np, "fromiter", lambda *a: reads.append(a[2]) or fromiter(*a))
+    xs, rejected = _scalar_chunk(obj.g1, NoiseModel("zero", 1), etas, obj.r0, 1.0, 0, n, None)
+    assert xs.tolist() == [1.0] * j and rejected == (0.0, 0.0)
+    assert len(reads) < 48 and sum(reads) < 3 * j, reads
+
+
+_NAN_BELOW_1 = NoiseModel("additive-gaussian-statedep", 1,
+                          sigma_expr="0.3*sqrt(norm(theta) - 1)")
+
+
+@pytest.mark.parametrize("blocks", ["small", "default"])
+def test_statedep_sigma_nan_past_the_exit_is_read_in_blocks(request, blocks):
+    # log1p-abs from 2 under step 1: the run leaves r0 = 1 at step 3, and
+    # sigma = 0.3*sqrt(|x| - 1) is NaN at that rejected iterate, so the
+    # block's next step raises ContractViolation before its test runs and the
+    # block is read again in blocks of one
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    sched = Schedule.scalar(1.0, 0.0)
+    ref = _both(catalog_lookup("log1p-abs"), _NAN_BELOW_1, sched, 2.0)
+    assert ref[0] == (3, 1) and not ref[2] and ref[3]
+    # with the floor at 0.5 the NaN sigma falls on an accepted iterate: both raise there
+    obj = catalog_lookup("log1p-abs", r0=0.5)
+    raised = []
+    for loop in ("reference", "fast"):
+        with pytest.raises(ContractViolation, match="sigma must be finite") as error:
+            _run(loop, obj, _NAN_BELOW_1, sched, np.array([2.0]), 0)
+        raised.append(str(error.value))
+    assert raised[0] == raised[1]
+
+
+def test_statedep_sigma_dividing_by_zero_past_the_exit_warns_nothing():
+    # power-q(q=2) from 2 under step 0.5: sigma(2) = 0, so x_1 = 2 - 0.5 * 4
+    # is 0.0 exactly, below r0 = 1, and the block's next step divides by zero
+    # in sigma(0) = 2 / 0, a step that the run never keeps
+    obj = catalog_lookup("power-q", q=2.0)
+    noise = NoiseModel("additive-gaussian-statedep", 1,
+                       sigma_expr="abs(norm(theta) - 2) / norm(theta)")
+    sched = Schedule.scalar(0.5, 0.0)
+    ref = _both(obj, noise, sched, 2.0)
+    assert ref[0] == (1, 1) and ref[3] and ref[4] == np.array([0.0]).tobytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = run_trajectory(StochasticOracle(obj, noise), sched, [2.0], K, seed=0)
+    assert caught == []
+    assert traj.domain_violation and traj.violation_theta.tolist() == [0.0]
+
+
 @pytest.mark.usefixtures("small_blocks")
 def test_g1_raising_at_an_accepted_iterate_raises_at_the_same_step():
     # quadratic from 8 under a decaying step: g1 raises at x_19 (accepted,
@@ -540,7 +612,7 @@ def test_special_floats_pass_through_the_buffers_bit_for_bit(at, value, r0, exit
     # subnormal step sizes, and a last entry of +-inf, a NaN with a payload or
     # a -0.0 that drives the run out.  The infinite iterates end a block (17)
     # and a chunk (26); the NaN iterate 31 starts a block, whose next step
-    # raises in g1, so that block is replayed from slices of the buffers.
+    # raises in g1, so that block is read again from slices of the buffers.
     K = 40
     etas = np.full(K, 0.5)
     etas[7], etas[8] = SUBNORMAL, np.nextafter(np.finfo(float).tiny, 0.0)

@@ -14,6 +14,7 @@ for that case and it is needed to express constant step sizes.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -333,15 +334,19 @@ def _scalar_path(g1, noise, etas, x, w):
     """Yield the 1-D iterates after x, one per step size in etas, untested.
 
     w is None (zero noise) or the chunk's noise draws as a buffer: sigma * z
-    for additive-gaussian, and for the two state-scaled kinds the signs
-    (rademacher-radial, scaled by |x|) or z (state-dependent, scaled by
-    sigma(x)).  One loop per noise form keeps the kind test out of the step.
-    The g1 scalars use the math module, which keeps the iterates bitwise
-    stable (np.exp and math.exp can differ by one ulp).
+    for additive-gaussian (quadratic's g1, operator.pos, inlined), and for the
+    state-scaled kinds the signs (rademacher-radial, scaled by |x|) or z
+    (statedep: sigma(x), given sqrt(x * x), the bits of its norm(theta)).
+    One loop per noise form keeps the kind test out of the step.  The g1
+    scalars use the math module (np.exp and math.exp can differ by one ulp).
     """
     if w is None:
         for eta in etas:
             x = x - eta * g1(x)
+            yield x
+    elif noise.kind == "additive-gaussian" and g1 is operator.pos:
+        for eta, wj in zip(etas, w):
+            x = x - eta * (x + wj)
             yield x
     elif noise.kind == "additive-gaussian":
         for eta, wj in zip(etas, w):
@@ -352,7 +357,7 @@ def _scalar_path(g1, noise, etas, x, w):
             scale = abs
         else:
             sigma_fn = noise._sigma_fn
-            scale = lambda v: sigma_fn(np.array([v]))
+            scale = lambda v: sigma_fn(np.array([v]), math.sqrt(v * v))
         for eta, wj in zip(etas, w):
             x = x - eta * (g1(x) + scale(x) * wj)
             yield x

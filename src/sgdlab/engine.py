@@ -31,10 +31,10 @@ THETA_CAP = 1e150
 
 ORTHO_TOL = 1e-10
 
+# The block size of the step-size bounds table and of the scans over it.
 _CHUNK = 65536
 
-# The 1-D stepper tests its iterates once per block: each block is as long
-# as the run so far, at least _FIRST_BLOCK and at most _BLOCK iterates.
+# The least and the most steps of a block of _drive's step grid.
 _FIRST_BLOCK = 64
 _BLOCK = 4096
 
@@ -303,21 +303,24 @@ class Trajectory:
 
 
 def _drive(step, x0, K: int, noise, rng):
-    """Run a chunk stepper for K steps from x0; returns (trace over 0..last,
+    """Run a block stepper for K steps from x0; returns (trace over 0..last,
     overflow, the iterate that left the domain or None).
 
-    Each chunk's noise is drawn before it is stepped, in the order that fixes
-    the seed streams.  step(x, k, n, w) steps from x over step indices
-    k..k+n-1 with noise w and returns (the accepted iterates, the first
-    rejected one as (size, iterate) or None).  This is the one place that
-    tells the two exits apart: a size not below THETA_CAP (NaN included) is
-    overflow, any other was below the domain floor r0.
+    The one step grid: a block is as long as the run before it, at least
+    _FIRST_BLOCK and at most _BLOCK steps, and its noise is drawn just before
+    it is stepped (split draws have the bytes and stream of one), so a run
+    that exits at step j draws at most j + min(max(j, _FIRST_BLOCK), _BLOCK)
+    steps.  step(x, k, n, w) steps from x over step indices k..k+n-1 with
+    noise w and returns (the accepted iterates, the first rejected one as
+    (size, iterate) or None).  The one place that tells the two exits apart:
+    a size not below THETA_CAP (NaN included) is overflow, any other was
+    below the domain floor r0.
     """
     trace = np.empty((K + 1,) + np.shape(x0))
     trace[0] = x0
-    x = x0
-    for k in range(0, K, _CHUNK):
-        n = min(_CHUNK, K - k)
+    x, k = x0, 0
+    while k < K:
+        n = min(max(_FIRST_BLOCK, k), _BLOCK, K - k)
         accepted, rejected = step(x, k, n, noise.draw(rng, n))
         m = len(accepted)
         if m:
@@ -327,13 +330,14 @@ def _drive(step, x0, K: int, noise, rng):
             overflow = not size < THETA_CAP
             return trace[: k + m + 1], overflow, None if overflow else np.atleast_1d(x)
         x = accepted[-1]
+        k += n
     return trace, False, None
 
 
 def _scalar_path(g1, noise, etas, x, w):
     """Yield the 1-D iterates after x, one per step size in etas, untested.
 
-    w is None (zero noise) or the chunk's noise draws as a buffer: sigma * z
+    w is None (zero noise) or the block's noise draws as a buffer: sigma * z
     for additive-gaussian (quadratic's g1, operator.pos, inlined), and for the
     state-scaled kinds the signs (rademacher-radial, scaled by |x|) or z
     (statedep: sigma(x), given sqrt(x * x), the bits of its norm(theta)).
@@ -363,38 +367,33 @@ def _scalar_path(g1, noise, etas, x, w):
             yield x
 
 
-def _scalar_chunk(g1, noise, etas, r0, x, k, n, w):
+def _scalar_block(g1, noise, etas, r0, x, k, n, w):
     """The 1-D stepper for _drive, on Python floats; etas holds every step size.
 
-    The path steps on array("d") copies of the chunk's step sizes and noise,
+    The path steps on array("d") copies of the block's step sizes and noise,
     which make each float as the loop reads it (the floats of .tolist()).
-    An iterate is accepted iff r0 <= |x| < THETA_CAP.  The path is read in
-    blocks by np.fromiter, and that test runs once per block on its array.
-    A block is as long as the run before it (k + start steps), at least
-    _FIRST_BLOCK and at most _BLOCK, so a run that exits at step j takes at
-    most j + min(max(j, _FIRST_BLOCK), _BLOCK) steps, about twice its own
-    for an early exit.  A step past the exit may raise (power-q with q < 1
-    divides by zero at 0; a state-dependent sigma may be NaN there): a block
-    that raises is read again from its first iterate in blocks of half its
-    length, halving again at each raise, so it takes O(log m) reads to stop
-    at the rejected iterate before the raising step, or to raise where a
-    block of one from an accepted iterate raises.
+    It is read by np.fromiter and tested once, r0 <= |x| < THETA_CAP on the
+    array.  A step past the exit may raise (power-q with q < 1 divides by
+    zero at 0; a state-dependent sigma may be NaN there): a read that raises
+    is read again from its first iterate in reads of half its length,
+    halving at each raise, so it takes O(log n) reads to stop at the
+    rejected iterate before the raising step, or to raise where a read of
+    one from an accepted iterate raises.
     """
     etas = array("d", etas[k:k + n].tobytes())
     w = None if w is None else array("d", w.tobytes())
-    x = float(x)  # the previous chunk's last iterate comes back as a float64
+    x = float(x)  # the previous block's last iterate comes back as a float64
     path = _scalar_path(g1, noise, etas, x, w)
     xs = np.empty(n)
-    start = 0
-    most = _BLOCK
+    start, m = 0, n
     while start < n:
-        m = min(max(_FIRST_BLOCK, k + start), most, n - start)
+        m = min(m, n - start)
         try:
             block = np.fromiter(path, float, m)  # takes m items, not one more
         except Exception:
             if m == 1:  # an accepted iterate's step raised
                 raise
-            most = m // 2
+            m //= 2
             x = float(xs[start - 1]) if start else x
             path = _scalar_path(g1, noise, etas[start:], x, None if w is None else w[start:])
             continue
@@ -408,12 +407,12 @@ def _scalar_chunk(g1, noise, etas, r0, x, k, n, w):
     return xs, None
 
 
-def _vector_chunk(sample, schedule: Schedule, r0, theta, k, n, w):
+def _vector_block(sample, schedule: Schedule, r0, theta, k, n, w):
     """The p-dimensional stepper for _drive; accepts iff r0 <= ||theta|| < THETA_CAP.
 
     The rotated step is q.dot(d * q.T.dot(g)), one gemv per product and per
     iterate, with q.T the transposed view: it has the bits of
-    q @ (d * (q.T @ g)) in fewer calls.  A gemm over the chunk, or a
+    q @ (d * (q.T @ g)) in fewer calls.  A gemm over the block, or a
     contiguous copy of q.T, sums in another order and changes the bits.
     """
     q = schedule.q
@@ -441,11 +440,11 @@ def run_trajectory(
 ) -> Trajectory:
     """Run the recursion for K steps from theta0, one oracle draw per step.
 
-    Deterministic given seed: the noise stream is consumed in a fixed chunked
-    order, so re-running with identical arguments reproduces every recorded
-    field bit for bit.  F and the gradient norm are recorded at every stride
-    point plus the final index.  A theta0 outside the domain raises
-    DomainError; a later iterate outside it ends the run (Trajectory).
+    Deterministic given seed: the noise is drawn block by block, the draws
+    of one piece of K steps, so a rerun with identical arguments reproduces
+    every recorded field bit for bit.  F and the gradient norm are recorded
+    at every stride point plus the final index.  A theta0 outside the domain
+    raises DomainError; a later iterate outside it ends the run (Trajectory).
     """
     objective = oracle.objective
     noise = oracle.noise
@@ -468,10 +467,10 @@ def run_trajectory(
 
     if objective.dim == 1 and objective.g1 is not None:
         x0 = float(theta0[0])
-        step = partial(_scalar_chunk, objective.g1, noise, schedule.bounds(K)[0], objective.r0)
+        step = partial(_scalar_block, objective.g1, noise, schedule.bounds(K)[0], objective.r0)
     else:
         x0 = theta0
-        step = partial(_vector_chunk, noise.sampler(objective.grad), schedule, objective.r0)
+        step = partial(_vector_block, noise.sampler(objective.grad), schedule, objective.r0)
     # An iterate that overflows (its norm's dot product included) is flagged
     # by the accept test, not warned about; no step warns of a division by
     # zero either, as under cli.main, kept or not (a sigma past the exit may

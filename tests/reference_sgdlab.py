@@ -5,7 +5,7 @@ It reproduces the bytes of `sgdlab run`, `sgdlab stopping-times` and
 alone, trajectory by trajectory and step by step:
 
 - trajectory i draws from default_rng(split_seed(master_seed, i)), through
-  NoiseModel.draw, in pieces of engine._CHUNK steps;
+  NoiseModel.draw, in one piece of K steps;
 - step k takes row k of Schedule.eigenvalues as d: theta - q @ (d * (q.T @ g))
   (rotated) or theta - d * g for p > 1, with g the catalog gradient plus the
   noise term, and x - eta * (g1(x) + noise term) on Python floats for p = 1;
@@ -53,24 +53,21 @@ def iterates(objective, noise, schedule, theta0, K: int, rng):
     one_d = objective.dim == 1
     x = float(theta0[0]) if one_d else np.array(theta0, dtype=float)
     trace = [x]
-    for k in range(0, K, engine._CHUNK):
-        n = min(engine._CHUNK, K - k)
-        w = noise.draw(rng, n)
-        ds = schedule.eigenvalues(np.arange(k, k + n))
-        for j in range(n):
-            if one_d:
-                x = _step_1d(objective.g1, noise, float(ds[j, 0]), x,
-                             None if w is None else float(w[j, 0]))
-                size = abs(x)
-            else:
-                x = _step(objective.grad, noise, schedule.q, ds[j], x,
-                          None if w is None else w[j])
-                size = np.linalg.norm(x)
-            if not objective.r0 <= size < THETA_CAP:
-                overflow = not size < THETA_CAP
-                violation = None if overflow else np.atleast_1d(x)
-                return np.reshape(trace, (len(trace), -1)), overflow, violation
-            trace.append(x)
+    w = noise.draw(rng, K)
+    ds = schedule.eigenvalues(np.arange(K))
+    for k in range(K):
+        if one_d:
+            x = _step_1d(objective.g1, noise, float(ds[k, 0]), x,
+                         None if w is None else float(w[k, 0]))
+            size = abs(x)
+        else:
+            x = _step(objective.grad, noise, schedule.q, ds[k], x, None if w is None else w[k])
+            size = np.linalg.norm(x)
+        if not objective.r0 <= size < THETA_CAP:
+            overflow = not size < THETA_CAP
+            violation = None if overflow else np.atleast_1d(x)
+            return np.reshape(trace, (len(trace), -1)), overflow, violation
+        trace.append(x)
     return np.reshape(trace, (len(trace), -1)), False, None
 
 

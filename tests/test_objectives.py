@@ -487,6 +487,40 @@ def test_noise_declared_constants():
     assert NoiseModel("rademacher-radial", 2).constants is None
 
 
+# A fixed seed for the generator and the splits, as the reference gate's
+# DRAW_SEED fixes its drawn configs.
+SPLIT_SEED = 2021
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseModel("additive-gaussian", 1, sigma=0.7),
+    NoiseModel("additive-gaussian", 3, sigma=0.7),
+    NoiseModel("additive-gaussian-statedep", 3, sigma_expr="0.3*(1+norm(theta))"),
+    NoiseModel("rademacher-radial", 3),
+    NoiseModel("zero", 3),
+], ids=lambda noise: f"{noise.kind}-p{noise.dim}")
+def test_a_split_draw_has_the_bytes_and_the_stream_of_one_draw(noise):
+    # the engine draws each block's noise just before it steps the block:
+    # any split into pieces, empty ones included, must give the bytes of one
+    # draw and leave the generator where one draw leaves it
+    splits = np.random.default_rng(SPLIT_SEED)
+    empty = 0
+    for _ in range(300):
+        n = int(splits.integers(0, 400))
+        cuts = np.sort(splits.integers(0, n + 1, int(splits.integers(0, 8))))
+        sizes = np.diff([0, *cuts, n]).tolist()
+        empty += sizes.count(0)
+        one, split = np.random.default_rng(SPLIT_SEED), np.random.default_rng(SPLIT_SEED)
+        whole = noise.draw(one, n)
+        pieces = [noise.draw(split, m) for m in sizes]
+        if whole is None:
+            assert pieces == [None] * len(sizes)
+        else:
+            assert np.concatenate(pieces).tobytes() == whole.tobytes(), sizes
+        assert split.bit_generator.state == one.bit_generator.state, sizes
+    assert empty > 50
+
+
 @pytest.mark.parametrize("direction", [(1.0,), (1.0, 0.0, 0.0)])
 def test_rademacher_direction_must_have_p_entries(direction):
     # [1.0] at p = 2 broadcast onto both coordinates; three entries crashed a step

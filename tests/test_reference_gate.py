@@ -3,14 +3,14 @@
 
 Tiny configs drawn from `config.SCHEMA` (every objective, noise kind and
 schedule family, p from 1 to 4, capture on and off) run through `cli.main`
-and through the reference, with the engine's chunk and 1-D block sizes
-patched small, and every report of `run`, `stopping-times` and
-`check --which p1p2p3p4,lemma4` must have the same bytes and the same exit
-code.  Five named 13-trajectory `run` configs go through `cli.main` with
+and through the reference, with the engine's block sizes and the chunk of
+its step-size scans patched small, and every report of `run`,
+`stopping-times` and `check --which p1p2p3p4,lemma4` must have the same
+bytes and the same exit code.  Five named 13-trajectory `run` configs go through `cli.main` with
 `--jobs` 1, 2 and 3, so the worker pool writes the reference's bytes too.
 The hand-built edge tests below them hold the step loops to the
 reference's per-trajectory function where a drawn config would rarely land
-(special floats, exits at block and chunk edges, a raising g1, a sigma that
+(special floats, exits at block edges, a raising g1, a sigma that
 is NaN or divides by zero past the exit, the cap, the floor, NaN), the
 inlined quadratic step to the general 1-D loop, the 1-D norm sqrt(x * x) to
 that of a one-element array, and the report writers to its json/csv
@@ -45,8 +45,8 @@ from sgdlab.engine import (
     THETA_CAP,
     Schedule,
     _drive,
-    _scalar_chunk,
-    _vector_chunk,
+    _scalar_block,
+    _vector_block,
     random_orthogonal,
     run_trajectory,
 )
@@ -146,16 +146,14 @@ def _cli(command, config, flags=None):
 
 
 def _block_edges(sizes, K) -> set:
-    """The first and last iterate of each 1-D block of a run of K steps
-    under the (chunk, first block, block) sizes, when no step raises."""
-    chunk, first, most = sizes
-    edges = set()
-    for k in range(0, K, chunk):
-        n, start = min(chunk, K - k), 0
-        while start < n:
-            m = min(max(first, k + start), most, n - start)
-            edges |= {k + start + 1, k + start + m}
-            start += m
+    """The first and last iterate of each block of a run of K steps under
+    the (chunk, first block, block) sizes."""
+    _, first, most = sizes
+    edges, k = set(), 0
+    while k < K:
+        n = min(max(first, k), most, K - k)
+        edges |= {k + 1, k + n}
+        k += n
     return edges
 
 
@@ -248,7 +246,7 @@ def test_cli_reports_have_the_bytes_of_the_reference():
                    {"kind": "additive-gaussian-statedep",
                     "sigma_expr": "0.3*sqrt(norm(theta) - 1)"}))
     # the inlined identity step: x_k = (-2)^k x0 plus noise overflows at
-    # iterate 8, the last of the second chunk's first block
+    # iterate 8, the first of the block 8-10
     @example(_edge({"name": "quadratic"}, {"c": 3.0, "beta": 0.0},
                    [1.5 * THETA_CAP * 2.0 ** -8], 10, {"kind": "additive-gaussian", "sigma": 0.7}))
     # x_{k+1} = -w_k, iid N(0, 0.49): escapes at one- and two-digit steps
@@ -309,7 +307,7 @@ def test_check_reports_are_canonical_json_and_csv(tmp_path):
 
 
 def _ensemble(objective, noise, schedule, theta0, K, stride, seed, **diagnostics):
-    """A 13-trajectory run config at the engine's own chunk and block sizes:
+    """A 13-trajectory run config at the engine's own block sizes:
     --jobs 1 runs blocks of 3 in process, --jobs 2 and 3 blocks of 1 in a pool."""
     return {"objective": objective, "noise": noise, "schedule": schedule,
             "run": {"theta0": theta0, "K": K, "n_trajectories": 13, "record_stride": stride,
@@ -383,15 +381,21 @@ def _run(loop, obj, noise, sched, theta0, seed):
     with np.errstate(all="ignore"):
         if loop == "reference":
             trace, over, viol = reference.iterates(obj, noise, sched, theta0, K, rng)
-        elif obj.dim == 1:
-            step = partial(_scalar_chunk, obj.g1, noise, sched.bounds(K)[0], obj.r0)
-            trace, over, viol = _drive(step, float(theta0[0]), K, noise, rng)
-            trace = trace[:, None]
         else:
-            step = partial(_vector_chunk, noise.sampler(obj.grad), sched, obj.r0)
-            trace, over, viol = _drive(step, theta0, K, noise, rng)
+            trace, over, viol = _drive_engine(obj, noise, sched, theta0, K, rng)
     return (trace.shape, trace.tobytes(), over, viol is not None,
             None if viol is None else np.asarray(viol).tobytes())
+
+
+def _drive_engine(obj, noise, sched, theta0, K, rng):
+    """_drive over the stepper that run_trajectory builds for obj: the
+    trace as a (last + 1, p) array, overflow and the domain exit."""
+    if obj.dim == 1:
+        step = partial(_scalar_block, obj.g1, noise, sched.bounds(K)[0], obj.r0)
+        trace, over, viol = _drive(step, float(theta0[0]), K, noise, rng)
+        return trace[:, None], over, viol
+    step = partial(_vector_block, noise.sampler(obj.grad), sched, obj.r0)
+    return _drive(step, theta0, K, noise, rng)
 
 
 def _both(obj, noise, sched, theta0, seed=0):
@@ -465,40 +469,38 @@ def test_nan_iterate_is_flagged_as_overflow():
     sched = Schedule.rotated([3.0, 2.25, 1.5], [0.0, 0.0, 0.0], rotation_seed=5)
     theta0 = 1e34 * np.array([1.0, -0.6, 0.3])
     with np.errstate(all="ignore"):
-        out, (size, theta2) = _vector_chunk(noise.sampler(obj.grad), sched, obj.r0, theta0, 0,
+        out, (size, theta2) = _vector_block(noise.sampler(obj.grad), sched, obj.r0, theta0, 0,
                                             K, None)
     assert len(out) == 1 and np.isnan(size) and np.isnan(theta2).all()
     ref = _both(obj, noise, sched, theta0)
     assert ref[0] == (2, 3) and ref[2] and not ref[3]
 
 
-# Each block is as long as the run before it, from 1 up to 4 iterates, in
-# chunks of 13: blocks hold iterates 1, 2, 3-4, 5-8, 9-12, 13 | 14-17, 18-21,
-# 22-25, 26 | ...
-SMALL_FIRST_BLOCK, SMALL_BLOCK, SMALL_CHUNK = 1, 4, 13
+# Each block is as long as the run before it, from 1 up to 4 iterates:
+# blocks hold iterates 1, 2, 3-4, 5-8, 9-12, 13-16, 17-20, 21-24, ...
+SMALL_FIRST_BLOCK, SMALL_BLOCK = 1, 4
 
 
 @pytest.fixture
 def small_blocks(monkeypatch):
     monkeypatch.setattr(engine, "_FIRST_BLOCK", SMALL_FIRST_BLOCK)
     monkeypatch.setattr(engine, "_BLOCK", SMALL_BLOCK)
-    monkeypatch.setattr(engine, "_CHUNK", SMALL_CHUNK)
 
 
 @pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("j", [1, 3, 5, 9, 14, 18,  # first iterate of a block
-                               2, 4, 8, 12, 17,  # last iterate of a block
-                               13, 26])  # last iterate of a chunk
-def test_block_exit_at_each_position_in_block_and_chunk(j):
-    noise = NoiseModel("zero", 1)
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("j", [1, 3, 5, 9, 13, 17, 21,  # first iterate of a block
+                               2, 4, 8, 12, 16, 20])  # last iterate of a block
+def test_block_exit_at_the_first_and_last_iterate_of_a_block(j, p):
+    noise, e1 = NoiseModel("zero", p), np.eye(p)[0]
     # overflow: quadratic, step 3, x_k = (-2)^k x0, first |x| >= THETA_CAP at j
-    over = _both(catalog_lookup("quadratic"), noise, Schedule.scalar(3.0, 0.0),
-                 1.5 * THETA_CAP * 2.0 ** -j)
-    assert over[0] == (j, 1) and over[2] and not over[3]
+    over = _both(catalog_lookup("quadratic", dimension=p), noise,
+                 Schedule.scalar(3.0, 0.0, dim=p), 1.5 * THETA_CAP * 2.0 ** -j * e1)
+    assert over[0] == (j, p) and over[2] and not over[3]
     # domain exit: power-q(q=2), step 0.25, x_k = x0 / 2^k, first below r0 = 1 at j
-    dom = _both(catalog_lookup("power-q", q=2.0), noise, Schedule.scalar(0.25, 0.0),
-                1.5 * 2.0 ** (j - 1))
-    assert dom[0] == (j, 1) and not dom[2] and dom[3]
+    dom = _both(catalog_lookup("power-q", dimension=p, q=2.0), noise,
+                Schedule.scalar(0.25, 0.0, dim=p), 1.5 * 2.0 ** (j - 1) * e1)
+    assert dom[0] == (j, p) and not dom[2] and dom[3]
 
 
 def _quadratic_with(g1):
@@ -537,18 +539,20 @@ def test_domain_exit_before_a_raising_step_is_truncated(request, blocks):
 def test_raising_block_is_read_again_in_a_logarithmic_number_of_reads(monkeypatch):
     # power-q(q=0.5) held at x = 1 by zero steps, then a step of 2 lands on
     # 0.0 at iterate 4001, whose next step raises ZeroDivisionError in g1.
-    # That iterate sits 1952 deep in the block of 2048 that starts at 2048:
-    # halving the re-read stops there after 23 np.fromiter reads in all,
-    # where blocks of one would take about 1960.
+    # That iterate sits 1952 deep in the block 2049-4096: halving the re-read
+    # stops there after 23 np.fromiter reads in all, where reads of one would
+    # take about 1960.
     obj = catalog_lookup("power-q", q=0.5)
+    noise = NoiseModel("zero", 1)
     n, j = 4500, 4000
     etas = np.zeros(n)
     etas[j] = 2.0
     reads = []
     fromiter = np.fromiter
     monkeypatch.setattr(np, "fromiter", lambda *a: reads.append(a[2]) or fromiter(*a))
-    xs, rejected = _scalar_chunk(obj.g1, NoiseModel("zero", 1), etas, obj.r0, 1.0, 0, n, None)
-    assert xs.tolist() == [1.0] * j and rejected == (0.0, 0.0)
+    step = partial(_scalar_block, obj.g1, noise, etas, obj.r0)
+    trace, overflow, viol = _drive(step, 1.0, n, noise, np.random.default_rng(0))
+    assert trace.tolist() == [1.0] * (j + 1) and not overflow and viol.tolist() == [0.0]
     assert len(reads) < 48 and sum(reads) < 3 * j, reads
 
 
@@ -597,9 +601,9 @@ def test_statedep_sigma_dividing_by_zero_past_the_exit_warns_nothing():
 @pytest.mark.usefixtures("small_blocks")
 def test_g1_raising_at_an_accepted_iterate_raises_at_the_same_step():
     # quadratic from 8 under a decaying step: g1 raises at x_19 (accepted,
-    # r0 = 0), in the step to iterate 20, the middle of the second chunk's
-    # second block.  The step sizes change with k, so a replay from the wrong
-    # iterate would raise at another x.
+    # r0 = 0), in the step to iterate 20, the last of the block 17-20.  The
+    # step sizes change with k, so a replay from the wrong iterate would
+    # raise at another x.
     sched = Schedule.scalar(0.5, 0.5)
     xs = [8.0]
     for eta in sched.bounds(19)[0].tolist():
@@ -622,8 +626,8 @@ def test_g1_raising_at_an_accepted_iterate_raises_at_the_same_step():
                                              (0.01, 34700), (0.005, 69300)])
 def test_run_steps_at_most_its_own_length_past_its_exit(growth, j_about):
     # quadratic under step 2 + growth: x_k = (-(1 + growth))^k overflows near
-    # step j_about, in the first block, the growing blocks, the full-size
-    # blocks of the first chunk and in the second chunk.
+    # step j_about, in the first block, the growing blocks and the full-size
+    # blocks.
     calls = 0
 
     def g1(x):
@@ -631,10 +635,10 @@ def test_run_steps_at_most_its_own_length_past_its_exit(growth, j_about):
         calls += 1
         return x
 
-    n = 2 * engine._CHUNK
+    n = 2 ** 17
     noise = NoiseModel("zero", 1)
     etas = Schedule.scalar(2.0 + growth, 0.0).bounds(n)[0]
-    step = partial(_scalar_chunk, g1, noise, etas, 0.0)
+    step = partial(_scalar_block, g1, noise, etas, 0.0)
     trace, overflow, viol = _drive(step, 1.0, n, noise, np.random.default_rng(0))
     j = len(trace)  # the step that made the rejected iterate
     assert overflow and viol is None and abs(j - j_about) < 0.01 * j_about + 1
@@ -652,6 +656,24 @@ class _Normals:
         n = int(np.prod(shape))
         self.used += n
         return self.z[self.used - n:self.used].reshape(shape)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("growth, j_about", [(1e100, 2), (200.0, 65), (0.0715, 5000)])
+def test_run_draws_at_most_its_own_length_past_its_exit(p, growth, j_about):
+    # quadratic under step 2 + growth with N(0, 1) noise: |x_k| grows as
+    # (1 + growth)^k and overflows near step j_about of 20000; no block past
+    # the one that holds the exit has its noise drawn
+    K = 20000
+    obj = catalog_lookup("quadratic", dimension=p)
+    noise = NoiseModel("additive-gaussian", p, sigma=1.0)
+    sched = Schedule.scalar(2.0 + growth, 0.0, dim=p)
+    rng = _Normals(np.random.default_rng(7).standard_normal(K * p))
+    with np.errstate(all="ignore"):
+        trace, overflow, _ = _drive_engine(obj, noise, sched, np.ones(p), K, rng)
+    j = len(trace)  # the step that made the rejected iterate
+    assert overflow and abs(j - j_about) <= 0.01 * j_about + 1
+    assert j <= rng.used // p <= j + min(max(j, engine._FIRST_BLOCK), engine._BLOCK)
 
 
 @dataclasses.dataclass
@@ -673,16 +695,17 @@ SUBNORMAL = 5e-324
 @pytest.mark.parametrize("at, value, r0, exit_kind", [
     (None, None, 0.0, "full"),
     (16, math.inf, 0.0, "overflow"),
-    (25, -math.inf, 0.0, "overflow"),
+    (27, -math.inf, 0.0, "overflow"),
     (30, NAN_PAYLOAD, 0.0, "overflow"),
     (20, -0.0, 1e-300, "domain"),  # a step of 1 makes x - (x + -0.0) = 0.0 < r0
 ])
 def test_special_floats_pass_through_the_buffers_bit_for_bit(at, value, r0, exit_kind):
     # Additive noise with -0.0 and the smallest subnormal among its normals,
     # subnormal step sizes, and a last entry of +-inf, a NaN with a payload or
-    # a -0.0 that drives the run out.  The infinite iterates end a block (17)
-    # and a chunk (26); the NaN iterate 31 starts a block, whose next step
-    # raises in g1, so that block is read again from slices of the buffers.
+    # a -0.0 that drives the run out.  The infinite iterates start a block
+    # (17) and end one (28); the NaN iterate 31 is inside the block 29-32,
+    # whose next step raises in g1, so that block is read again from slices
+    # of the buffers.
     K = 40
     etas = np.full(K, 0.5)
     etas[7], etas[8] = SUBNORMAL, np.nextafter(np.finfo(float).tiny, 0.0)
@@ -702,7 +725,7 @@ def test_special_floats_pass_through_the_buffers_bit_for_bit(at, value, r0, exit
     rejected = []
 
     def step(*args):
-        accepted, rej = _scalar_chunk(g1, noise, etas, r0, *args)
+        accepted, rej = _scalar_block(g1, noise, etas, r0, *args)
         rejected.append(rej)
         return accepted, rej
 
@@ -736,12 +759,12 @@ IDENTITY, GENERAL = operator.pos, lambda x: +x
 
 
 def _steps_1d(g1, noise, etas, r0, x0, z):
-    """_drive over _scalar_chunk with g1 on the normals z: the trace bytes,
-    the exit and each chunk's rejected iterate and size as bytes."""
+    """_drive over _scalar_block with g1 on the normals z: the trace bytes,
+    the exit and each block's rejected iterate and size as bytes."""
     rejected = []
 
     def step(*args):
-        accepted, rej = _scalar_chunk(g1, noise, etas, r0, *args)
+        accepted, rej = _scalar_block(g1, noise, etas, r0, *args)
         rejected.append(rej and np.array(rej).tobytes())
         return accepted, rej
 
@@ -770,9 +793,9 @@ _EXITS = [(math.inf, "overflow"), (-math.inf, "overflow"), (NAN_PAYLOAD, "overfl
 
 @pytest.mark.usefixtures("small_blocks")
 @pytest.mark.parametrize("value, exit_kind", _EXITS)
-@pytest.mark.parametrize("at", [1, 2, 4, 5, 8, 12, 13, 14, 17, 26, 27])
+@pytest.mark.parametrize("at", [1, 2, 3, 4, 5, 8, 9, 12, 13, 16, 17])
 def test_identity_step_has_the_bits_of_the_general_loop_at_block_edges(at, value, exit_kind):
-    # iterate `at` is the first or last of a small block, or ends a chunk of 13
+    # iterate `at` is the first or last of a small block
     assert catalog_lookup("quadratic").g1 is IDENTITY
     noise = NoiseModel("additive-gaussian", 1, sigma=1.0)
     etas, z = _identity_case(40, at, value)
@@ -783,41 +806,46 @@ def test_identity_step_has_the_bits_of_the_general_loop_at_block_edges(at, value
     assert len(trace) == 8 * at and over == (exit_kind == "overflow") and rejected[-1]
 
 
-@pytest.mark.parametrize("at", [None, 64, 65, 4096, 4097, engine._CHUNK, engine._CHUNK + 1])
+@pytest.mark.parametrize("at", [None, 64, 65, 4096, 4097, 8192, 8193])
 def test_identity_step_has_the_bits_of_the_general_loop_at_default_sizes(at):
+    # blocks 1-64, 65-128, ..., 2049-4096, 4097-8192, 8193-8292
     noise = NoiseModel("additive-gaussian", 1, sigma=0.5)
-    etas, z = _identity_case(engine._CHUNK + 100, at, math.inf)
+    etas, z = _identity_case(2 * engine._BLOCK + 100, at, math.inf)
     identity = _steps_1d(IDENTITY, noise, etas, 0.0, 0.75, z)
     assert identity == _steps_1d(GENERAL, noise, etas, 0.0, 0.75, z)
     assert len(identity[0]) == 8 * (len(etas) + 1 if at is None else at)
 
 
 @pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("faulty_read, at", [(4, None), (8, None), (11, None), (4, 19),
-                                             (8, 19), (8, 20)])
+@pytest.mark.parametrize("first, at", [(5, None), (17, None), (25, None), (5, 19),
+                                       (17, 19), (17, 20)])
 def test_identity_step_read_again_after_a_raise_has_the_bits_of_the_general_loop(
-        monkeypatch, faulty_read, at):
-    # No identity step raises, so one np.fromiter read of a block of 4 (the
-    # 4th, 8th and 11th read: iterates 5-8, 18-21 and 27-30) takes two
-    # iterates and raises as a step would; the block is read again from its
-    # first iterate in halves.  Iterates 19 and 20 overflow in that block.
+        monkeypatch, first, at):
+    # No identity step raises, so the np.fromiter read of the block of 4 from
+    # iterate `first` (5-8, 17-20 or 25-28) takes two iterates and raises as
+    # a step would; the block is read again from its first iterate in halves.
+    # Iterates 19 and 20 overflow in the block 17-20.
     noise = NoiseModel("additive-gaussian", 1, sigma=1.0)
     etas, z = _identity_case(40, at, math.inf)
     general = _steps_1d(GENERAL, noise, etas, 0.0, 0.75, z)
-    reads = []
+    reads = []  # (the read's first iterate, its length)
+    done = 0  # the iterates of the reads that did not raise
     fromiter = np.fromiter
 
     def faulty(path, dtype, m):
-        reads.append(m)
-        if len(reads) == faulty_read:
-            assert m == SMALL_BLOCK
+        nonlocal done
+        reads.append((done + 1, m))
+        if reads[-1] == (first, SMALL_BLOCK):
             fromiter(path, dtype, 2)
             raise ArithmeticError("a step raised")
-        return fromiter(path, dtype, m)
+        block = fromiter(path, dtype, m)
+        done += m
+        return block
 
     monkeypatch.setattr(np, "fromiter", faulty)
     assert _steps_1d(IDENTITY, noise, etas, 0.0, 0.75, z) == general
-    assert len(reads) > faulty_read and reads[faulty_read] == SMALL_BLOCK // 2
+    i = reads.index((first, SMALL_BLOCK))
+    assert reads[i + 1] == (first, SMALL_BLOCK // 2), reads
 
 
 # Where x * x underflows, sqrt(x * x) is not |x|: 1e-160 squares to a

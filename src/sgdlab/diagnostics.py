@@ -128,12 +128,14 @@ class CaptureConfig:
 class DichotomyClassification:
     """Finite-horizon verdict on the iterate norms over the final window.
 
-    truncated: the run left the domain, so it shows neither outcome; the
-    evidence is its last recorded step (last_k) and no window is read.  Otherwise converged-like: window range < epsilon_conv and window
-    max < R_div; diverging-like: window min > R_div; anything else is
-    undecided, and the evidence carries the window range and window min that
-    the rules used, so a verdict can be re-derived from the classification
-    alone.  An overflowed run keeps the verdict of its window.
+    truncated: the run left the domain, or stopped (overflow included)
+    before its window held W iterates, so it shows neither outcome; the
+    evidence is its last recorded step (last_k) and no window is read.
+    Otherwise converged-like: window range < epsilon_conv and window max <
+    R_div; diverging-like: window min > R_div; anything else is undecided,
+    and the evidence carries the window range and window min that the rules
+    used, so a verdict can be re-derived from the classification alone.  An
+    overflowed run with a full window keeps the verdict of its window.
     """
 
     verdict: str
@@ -259,7 +261,7 @@ def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
     """Classify a trajectory from its per-step norms over its final W steps."""
     if W < 1 or W > traj.horizon:
         raise ContractViolation("window W must satisfy 1 <= W <= horizon")
-    if traj.domain_violation:
+    if traj.domain_violation or traj.last_k + 1 < W:
         return DichotomyClassification(
             verdict="truncated", window_length=W, epsilon_conv=epsilon_conv, R_div=R_div,
             evidence={"last_k": traj.last_k})

@@ -334,7 +334,7 @@ def _drive(step, x0, K: int, noise, rng):
     return trace, False, None
 
 
-def _scalar_path(g1, noise, etas, x, w):
+def _scalar_path(g1, noise, etas, x, w, raised):
     """Yield the 1-D iterates after x, one per step size in etas, untested.
 
     w is None (zero noise) or the block's noise draws as a buffer: sigma * z
@@ -343,28 +343,32 @@ def _scalar_path(g1, noise, etas, x, w):
     (statedep: sigma(x), given sqrt(x * x), the bits of its norm(theta)).
     One loop per noise form keeps the kind test out of the step.  The g1
     scalars use the math module (np.exp and math.exp can differ by one ulp).
+    A step that raises ends the path, and its exception goes to raised.
     """
-    if w is None:
-        for eta in etas:
-            x = x - eta * g1(x)
-            yield x
-    elif noise.kind == "additive-gaussian" and g1 is operator.pos:
-        for eta, wj in zip(etas, w):
-            x = x - eta * (x + wj)
-            yield x
-    elif noise.kind == "additive-gaussian":
-        for eta, wj in zip(etas, w):
-            x = x - eta * (g1(x) + wj)
-            yield x
-    else:
-        if noise.kind == "rademacher-radial":
-            scale = abs
+    try:
+        if w is None:
+            for eta in etas:
+                x = x - eta * g1(x)
+                yield x
+        elif noise.kind == "additive-gaussian" and g1 is operator.pos:
+            for eta, wj in zip(etas, w):
+                x = x - eta * (x + wj)
+                yield x
+        elif noise.kind == "additive-gaussian":
+            for eta, wj in zip(etas, w):
+                x = x - eta * (g1(x) + wj)
+                yield x
         else:
-            sigma_fn = noise._sigma_fn
-            scale = lambda v: sigma_fn(np.array([v]), math.sqrt(v * v))
-        for eta, wj in zip(etas, w):
-            x = x - eta * (g1(x) + scale(x) * wj)
-            yield x
+            if noise.kind == "rademacher-radial":
+                scale = abs
+            else:
+                sigma_fn = noise._sigma_fn
+                scale = lambda v: sigma_fn(np.array([v]), math.sqrt(v * v))
+            for eta, wj in zip(etas, w):
+                x = x - eta * (g1(x) + scale(x) * wj)
+                yield x
+    except Exception as error:
+        raised.append(error)
 
 
 def _scalar_block(g1, noise, etas, r0, x, k, n, w):
@@ -372,38 +376,25 @@ def _scalar_block(g1, noise, etas, r0, x, k, n, w):
 
     The path steps on array("d") copies of the block's step sizes and noise,
     which make each float as the loop reads it (the floats of .tolist()).
-    It is read by np.fromiter and tested once, r0 <= |x| < THETA_CAP on the
-    array.  A step past the exit may raise (power-q with q < 1 divides by
-    zero at 0; a state-dependent sigma may be NaN there): a read that raises
-    is read again from its first iterate in reads of half its length,
-    halving at each raise, so it takes O(log n) reads to stop at the
-    rejected iterate before the raising step, or to raise where a read of
-    one from an accepted iterate raises.
+    It is read once by np.fromiter and tested once, r0 <= |x| < THETA_CAP on
+    the array.  A step past the exit may raise (power-q with q < 1 divides
+    by zero at 0; a state-dependent sigma may be NaN there): the path ends
+    there, the iterates before it are tested, and the exception is raised
+    only if all of them are kept, so the run stops where a per-step loop
+    stops and raises only where a step from an accepted iterate raises.
     """
     etas = array("d", etas[k:k + n].tobytes())
     w = None if w is None else array("d", w.tobytes())
     x = float(x)  # the previous block's last iterate comes back as a float64
-    path = _scalar_path(g1, noise, etas, x, w)
-    xs = np.empty(n)
-    start, m = 0, n
-    while start < n:
-        m = min(m, n - start)
-        try:
-            block = np.fromiter(path, float, m)  # takes m items, not one more
-        except Exception:
-            if m == 1:  # an accepted iterate's step raised
-                raise
-            m //= 2
-            x = float(xs[start - 1]) if start else x
-            path = _scalar_path(g1, noise, etas[start:], x, None if w is None else w[start:])
-            continue
-        xs[start:start + m] = block
-        size = np.abs(block)
-        bad = ~((r0 <= size) & (size < THETA_CAP))
-        if bad.any():
-            i = int(bad.argmax())
-            return xs[:start + i], (size[i], block[i])
-        start += m
+    raised = []
+    xs = np.fromiter(_scalar_path(g1, noise, etas, x, w, raised), float)
+    size = np.abs(xs)
+    bad = ~((r0 <= size) & (size < THETA_CAP))
+    if bad.any():
+        i = int(bad.argmax())
+        return xs[:i], (size[i], xs[i])
+    if raised:
+        raise raised[0]
     return xs, None
 
 

@@ -262,7 +262,7 @@ def _capture(spec, capture, g_r: float, counts) -> dict:
 
 def _classify(t: dict, W: int, eps_conv: float, r_div: float) -> dict:
     out = {"window_length": W, "epsilon_conv": eps_conv, "R_div": r_div}
-    if t["domain_violation"]:
+    if t["domain_violation"] or t["last_k"] + 1 < W:  # left, or stopped before the window
         return {**out, "verdict": "truncated", "evidence": {"last_k": t["last_k"]}}
     trace = t["trace"]
     window = (np.abs(trace[:, 0]) if trace.shape[1] == 1 else _norms(trace))[-W:]

@@ -411,6 +411,21 @@ def test_domain_exit_is_reported_truncated_not_converged(tmp_path):
     assert all(c["evidence"]["last_k"] < 200000 for c in report["classifications"])
 
 
+def test_overflow_before_the_window_filled_is_reported_truncated(tmp_path):
+    # sigma = 1e152 passes the config (p * sigma^2 is finite) and throws each
+    # trajectory past THETA_CAP at its first step.  Its window then holds
+    # theta0 alone, of range 0, which the window rules would call converged-like.
+    cfg = base_config(tmp_path / "out", noise={"kind": "additive-gaussian", "sigma": 1e152},
+                      diagnostics={})
+    cfg["run"] = {"theta0": [0.5], "K": 1000, "n_trajectories": 4, "master_seed": 11,
+                  "record_stride": 50}
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "ensemble_report.json").read_text())
+    assert report["n_overflow"] == 4 and report["n_domain_violation"] == 0
+    assert report["verdict_counts"] == {"truncated": 4}
+    assert [c["evidence"] for c in report["classifications"]] == [{"last_k": 0}] * 4
+
+
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 

@@ -100,6 +100,31 @@ def test_overflowed_trajectory_keeps_its_window_verdict():
     assert classify_dichotomy(traj, 20, 0.5, 10.0).verdict == "diverging-like"
 
 
+@pytest.mark.parametrize("flags", [{"overflow": True}, {"violation_theta": np.array([0.5])}])
+def test_run_stopped_before_its_window_filled_is_truncated(flags):
+    # a window of W - 1 iterates is not read, whichever way the run stopped;
+    # one of W is read after an overflow, and a domain exit is truncated anyway
+    short = synthetic_trajectory(np.full(19, 20.0), horizon=500, **flags)
+    c = classify_dichotomy(short, 20, 0.5, 10.0)
+    assert c.verdict == "truncated" and c.evidence == {"last_k": 18}
+    full = synthetic_trajectory(np.full(20, 20.0), horizon=500, **flags)
+    assert classify_dichotomy(full, 20, 0.5, 10.0).verdict == (
+        "diverging-like" if "overflow" in flags else "truncated")
+
+
+def test_power_q_divergence_that_overflows_before_its_window_is_truncated():
+    # power-q(q=2) from 2 under a constant step 3: x_k = 2 * (-5)^k passes
+    # THETA_CAP at step 215 of 5000, long before the default window of 500 fills
+    spec = EnsembleSpec(objective=ObjectiveSpec("power-q", q=2.0), noise=NoiseSpec("zero"),
+                        schedule=Schedule.scalar(3.0, 0.0), theta0=(2.0,), horizon=5000,
+                        n_trajectories=4, master_seed=0)
+    result = run_ensemble(spec)
+    assert result.n_overflow == 4 and result.n_domain_violation == 0
+    assert [c.verdict for c in result.classifications] == ["truncated"] * 4
+    assert [c.evidence for c in result.classifications] == [{"last_k": 214}] * 4
+    assert result.last_ks == [214] * 4
+
+
 def test_classify_window_contract():
     traj = synthetic_trajectory(np.ones(100))
     with pytest.raises(ContractViolation):

@@ -123,9 +123,9 @@ def _setups(draw):
                    "diagnostics": diagnostics, "checks": checks, "output": output}
 
 
-def _edge(objective, schedule, theta0, K, noise=None):
+def _edge(objective, schedule, theta0, K, noise=None, sizes=(5, 1, 3)):
     """A drawn-config-shaped example for an edge no draw is likely to reach."""
-    return (5, 1, 3), {"objective": objective, "noise": noise or {"kind": "zero"},
+    return sizes, {"objective": objective, "noise": noise or {"kind": "zero"},
                        "schedule": schedule,
                        "run": {"theta0": theta0, "K": K, "n_trajectories": 1},
                        "checks": {"horizon": K, "lemma4": {"K_max": K}}}
@@ -171,6 +171,10 @@ def _reached(command, files, setup) -> set:
         if (spec["noise"]["kind"] == "additive-gaussian-statedep" and spec["schedule"]["p"] == 1
                 and report["n_overflow"] + report["n_domain_violation"]):
             seen.add(("statedep-1d", "early exit"))
+        # more truncated runs than domain exits: an overflow before the window filled
+        verdicts = [c["verdict"] for c in report["classifications"]]
+        if verdicts.count("truncated") > report["n_domain_violation"]:
+            seen.add(("overflow", "before its window filled"))
     if command == "stopping-times" and "stopping_times.json" in files:
         report = json.loads(files["stopping_times.json"])
         # quadratic's g1 is inlined in the 1-D additive-gaussian step
@@ -245,6 +249,10 @@ def test_cli_reports_have_the_bytes_of_the_reference():
     @example(_edge({"name": "loglog1p-abs"}, {"c": 1.0, "beta": 0.0}, [2.0], 30,
                    {"kind": "additive-gaussian-statedep",
                     "sigma_expr": "0.3*sqrt(norm(theta) - 1)"}))
+    # power-q(q=0.5) from 1 under step 2 lands on 0.0, below the floor, and the
+    # next step, in the same first block of 2, divides by zero in g1
+    @example(_edge({"name": "power-q", "q": 0.5}, {"c": 2.0, "beta": 0.0}, [1.0], 6,
+                   sizes=(5, 2, 3)))
     # the inlined identity step: x_k = (-2)^k x0 plus noise overflows at
     # iterate 8, the first of the block 8-10
     @example(_edge({"name": "quadratic"}, {"c": 3.0, "beta": 0.0},
@@ -270,7 +278,7 @@ def test_cli_reports_have_the_bytes_of_the_reference():
         ("p", 1), ("p", 2), ("capture", True), ("capture", False), ("exit", "full"),
         ("exit", "overflow"), ("exit", "domain"), ("threshold", None), ("threshold", 0),
         ("threshold", "inside"), ("statedep-1d", "early exit"),
-        ("identity-1d", "overflow at a block edge")}
+        ("identity-1d", "overflow at a block edge"), ("overflow", "before its window filled")}
     assert want <= reached, want - reached
 
 
@@ -520,8 +528,8 @@ def test_block_nan_iterate_is_flagged_as_overflow():
 def test_domain_exit_before_a_raising_step_is_truncated(request, blocks):
     # power-q(q=0.5) from 1 with step 2: theta1 = 1 - 2 * 0.5 = 0 leaves the
     # domain, and g1(0) = 0.5 * 0 ** -0.5 raises ZeroDivisionError in the
-    # step after it, which the block reads before its test runs (the small
-    # blocks' second block; the default first block of 64).
+    # step after it, which ends the block's path before its test runs (the
+    # small blocks' second block; the default first block of 64).
     if blocks == "small":
         request.getfixturevalue("small_blocks")
     obj = catalog_lookup("power-q", q=0.5)
@@ -536,24 +544,37 @@ def test_domain_exit_before_a_raising_step_is_truncated(request, blocks):
     assert traj.trace.shape == (1, 1) and traj.violation_theta.tolist() == [0.0]
 
 
-def test_raising_block_is_read_again_in_a_logarithmic_number_of_reads(monkeypatch):
+def test_each_block_is_one_read_the_raising_block_included(monkeypatch):
     # power-q(q=0.5) held at x = 1 by zero steps, then a step of 2 lands on
     # 0.0 at iterate 4001, whose next step raises ZeroDivisionError in g1.
-    # That iterate sits 1952 deep in the block 2049-4096: halving the re-read
-    # stops there after 23 np.fromiter reads in all, where reads of one would
-    # take about 1960.
+    # The run steps the blocks 1-64, 65-128, ..., 2049-4096, seven in all:
+    # one np.fromiter read each, the raising block included, and each step
+    # once.
     obj = catalog_lookup("power-q", q=0.5)
+    calls = 0
+
+    def g1(x):
+        nonlocal calls
+        calls += 1
+        return obj.g1(x)
+
     noise = NoiseModel("zero", 1)
     n, j = 4500, 4000
     etas = np.zeros(n)
     etas[j] = 2.0
-    reads = []
+    reads = 0
     fromiter = np.fromiter
-    monkeypatch.setattr(np, "fromiter", lambda *a: reads.append(a[2]) or fromiter(*a))
-    step = partial(_scalar_block, obj.g1, noise, etas, obj.r0)
+
+    def counted(*args, **kwargs):
+        nonlocal reads
+        reads += 1
+        return fromiter(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromiter", counted)
+    step = partial(_scalar_block, g1, noise, etas, obj.r0)
     trace, overflow, viol = _drive(step, 1.0, n, noise, np.random.default_rng(0))
     assert trace.tolist() == [1.0] * (j + 1) and not overflow and viol.tolist() == [0.0]
-    assert len(reads) < 48 and sum(reads) < 3 * j, reads
+    assert reads == 7 and calls == j + 2
 
 
 _NAN_BELOW_1 = NoiseModel("additive-gaussian-statedep", 1,
@@ -564,8 +585,8 @@ _NAN_BELOW_1 = NoiseModel("additive-gaussian-statedep", 1,
 def test_statedep_sigma_nan_past_the_exit_is_read_in_blocks(request, blocks):
     # log1p-abs from 2 under step 1: the run leaves r0 = 1 at step 3, and
     # sigma = 0.3*sqrt(|x| - 1) is NaN at that rejected iterate, so the
-    # block's next step raises ContractViolation before its test runs and the
-    # block is read again in blocks of one
+    # block's next step raises ContractViolation, which ends its path before
+    # its test runs
     if blocks == "small":
         request.getfixturevalue("small_blocks")
     sched = Schedule.scalar(1.0, 0.0)
@@ -620,6 +641,56 @@ def test_g1_raising_at_an_accepted_iterate_raises_at_the_same_step():
         with pytest.raises(ValueError) as raised:
             _run(loop, obj, NoiseModel("zero", 1), sched, np.array([8.0]), 0)
         assert str(raised.value) == f"g1 at {xs[19]!r}"
+
+
+def _raising_below_1(x):
+    if abs(x) < 1.0:
+        raise ValueError(f"g1 at {float(x)!r}")
+    return x
+
+
+# (blocks, s): the step s that raises is the first, a middle or the last step
+# of its block (small blocks 2, 5-8, 9-12; default blocks 1-64, 65-128)
+_RAISING_STEPS = [("small", 2), ("small", 5), ("small", 6), ("small", 7), ("small", 8),
+                  ("small", 9), ("small", 12), ("default", 64), ("default", 65),
+                  ("default", 100), ("default", 128)]
+# zero noise, and noise far below an ulp of the iterates, for the noisy loop
+_TINY_NOISE = [NoiseModel("zero", 1), NoiseModel("additive-gaussian", 1, sigma=1e-300)]
+
+
+def _halving_to_0_75(request, blocks, s, r0):
+    """quadratic with g1 raising below 1 and floor r0, from 1.5 * 2^(s - 2)
+    under step 0.5: iterate s - 1 is 0.75, and the step s from it raises."""
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+    obj = dataclasses.replace(_quadratic_with(_raising_below_1), r0=r0)
+    return obj, Schedule.scalar(0.5, 0.0), 1.5 * 2.0 ** (s - 2)
+
+
+@pytest.mark.parametrize("noise", _TINY_NOISE, ids=["zero", "gauss"])
+@pytest.mark.parametrize("blocks, s", _RAISING_STEPS)
+def test_a_step_raising_past_an_exit_stops_the_run_at_the_rejected_iterate(
+        request, blocks, s, noise):
+    # iterate s - 1 = 0.75 is below r0 = 1: the run stops there, whether the
+    # raising step comes later in its block or starts the next one
+    obj, sched, x0 = _halving_to_0_75(request, blocks, s, 1.0)
+    ref = _both(obj, noise, sched, x0)
+    assert ref[0] == (s - 1, 1) and not ref[2] and ref[4] == np.array([0.75]).tobytes()
+
+
+@pytest.mark.parametrize("noise", _TINY_NOISE, ids=["zero", "gauss"])
+@pytest.mark.parametrize("blocks, s", _RAISING_STEPS)
+def test_a_step_raising_from_an_accepted_iterate_raises_as_the_reference(
+        request, blocks, s, noise):
+    # r0 = 0.5 keeps iterate s - 1 = 0.75, so the step s raises, from a read
+    # that holds nothing where s is the first step of its block
+    obj, sched, x0 = _halving_to_0_75(request, blocks, s, 0.5)
+    raised = []
+    for loop in ("reference", "fast"):
+        with pytest.raises(Exception) as error:
+            _run(loop, obj, noise, sched, np.array([x0]), 0)
+        raised.append((type(error.value), str(error.value)))
+    assert raised == [(ValueError, "g1 at 0.75")] * 2
 
 
 @pytest.mark.parametrize("growth, j_about", [(2.0 ** 20, 25), (1.0, 500), (0.1, 3600),
@@ -704,8 +775,7 @@ def test_special_floats_pass_through_the_buffers_bit_for_bit(at, value, r0, exit
     # subnormal step sizes, and a last entry of +-inf, a NaN with a payload or
     # a -0.0 that drives the run out.  The infinite iterates start a block
     # (17) and end one (28); the NaN iterate 31 is inside the block 29-32,
-    # whose next step raises in g1, so that block is read again from slices
-    # of the buffers.
+    # whose next step raises in g1 and ends that block's path.
     K = 40
     etas = np.full(K, 0.5)
     etas[7], etas[8] = SUBNORMAL, np.nextafter(np.finfo(float).tiny, 0.0)
@@ -814,38 +884,6 @@ def test_identity_step_has_the_bits_of_the_general_loop_at_default_sizes(at):
     identity = _steps_1d(IDENTITY, noise, etas, 0.0, 0.75, z)
     assert identity == _steps_1d(GENERAL, noise, etas, 0.0, 0.75, z)
     assert len(identity[0]) == 8 * (len(etas) + 1 if at is None else at)
-
-
-@pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("first, at", [(5, None), (17, None), (25, None), (5, 19),
-                                       (17, 19), (17, 20)])
-def test_identity_step_read_again_after_a_raise_has_the_bits_of_the_general_loop(
-        monkeypatch, first, at):
-    # No identity step raises, so the np.fromiter read of the block of 4 from
-    # iterate `first` (5-8, 17-20 or 25-28) takes two iterates and raises as
-    # a step would; the block is read again from its first iterate in halves.
-    # Iterates 19 and 20 overflow in the block 17-20.
-    noise = NoiseModel("additive-gaussian", 1, sigma=1.0)
-    etas, z = _identity_case(40, at, math.inf)
-    general = _steps_1d(GENERAL, noise, etas, 0.0, 0.75, z)
-    reads = []  # (the read's first iterate, its length)
-    done = 0  # the iterates of the reads that did not raise
-    fromiter = np.fromiter
-
-    def faulty(path, dtype, m):
-        nonlocal done
-        reads.append((done + 1, m))
-        if reads[-1] == (first, SMALL_BLOCK):
-            fromiter(path, dtype, 2)
-            raise ArithmeticError("a step raised")
-        block = fromiter(path, dtype, m)
-        done += m
-        return block
-
-    monkeypatch.setattr(np, "fromiter", faulty)
-    assert _steps_1d(IDENTITY, noise, etas, 0.0, 0.75, z) == general
-    i = reads.index((first, SMALL_BLOCK))
-    assert reads[i + 1] == (first, SMALL_BLOCK // 2), reads
 
 
 # Where x * x underflows, sqrt(x * x) is not |x|: 1e-160 squares to a

@@ -132,10 +132,11 @@ class DichotomyClassification:
     before its window held W iterates, so it shows neither outcome; the
     evidence is its last recorded step (last_k) and no window is read.
     Otherwise converged-like: window range < epsilon_conv and window max <
-    R_div; diverging-like: window min > R_div; anything else is undecided,
-    and the evidence carries the window range and window min that the rules
-    used, so a verdict can be re-derived from the classification alone.  An
-    overflowed run with a full window keeps the verdict of its window.
+    R_div, for a run that did not overflow; diverging-like: window min >
+    R_div; anything else is undecided, and the evidence carries the window
+    range and window min that the rules used.  An overflowed run with a full
+    window is therefore diverging-like or undecided, never converged-like:
+    its window ends where the iterates left float range.
     """
 
     verdict: str
@@ -269,7 +270,7 @@ def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
     wmin = float(np.min(window))
     wmax = float(np.max(window))
     wrange = wmax - wmin
-    if wrange < epsilon_conv and wmax < R_div:
+    if wrange < epsilon_conv and wmax < R_div and not traj.overflow:
         verdict = "converged-like"
     elif wmin > R_div:
         verdict = "diverging-like"

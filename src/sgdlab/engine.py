@@ -340,7 +340,8 @@ def _scalar_path(g1, noise, etas, x, w, raised):
     w is None (zero noise) or the block's noise draws as a buffer: sigma * z
     for additive-gaussian (quadratic's g1, operator.pos, inlined), and for the
     state-scaled kinds the signs (rademacher-radial, scaled by |x|) or z
-    (statedep: sigma(x), given sqrt(x * x), the bits of its norm(theta)).
+    (statedep: scaled by sigma of the norm sqrt(x * x), the bits of its
+    norm(theta), on floats for an exact sigma_expr).
     One loop per noise form keeps the kind test out of the step.  The g1
     scalars use the math module (np.exp and math.exp can differ by one ulp).
     A step that raises ends the path, and its exception goes to raised.
@@ -358,14 +359,14 @@ def _scalar_path(g1, noise, etas, x, w, raised):
             for eta, wj in zip(etas, w):
                 x = x - eta * (g1(x) + wj)
                 yield x
-        else:
-            if noise.kind == "rademacher-radial":
-                scale = abs
-            else:
-                sigma_fn = noise._sigma_fn
-                scale = lambda v: sigma_fn(np.array([v]), math.sqrt(v * v))
+        elif noise.kind == "rademacher-radial":
             for eta, wj in zip(etas, w):
-                x = x - eta * (g1(x) + scale(x) * wj)
+                x = x - eta * (g1(x) + abs(x) * wj)
+                yield x
+        else:
+            sigma, sqrt = noise._sigma_of_norm, math.sqrt
+            for eta, wj in zip(etas, w):
+                x = x - eta * (g1(x) + sigma(sqrt(x * x), x) * wj)
                 yield x
     except Exception as error:
         raised.append(error)
@@ -463,21 +464,19 @@ def run_trajectory(
         x0 = theta0
         step = partial(_vector_block, noise.sampler(objective.grad), schedule, objective.r0)
     # An iterate that overflows (its norm's dot product included) is flagged
-    # by the accept test, not warned about; no step warns of a division by
-    # zero either, as under cli.main, kept or not (a sigma past the exit may
-    # divide by zero).  Entered once per trajectory, not per step, where its
-    # ~2 us would show.
+    # by the accept test, and an F that overflows by the cut below, not
+    # warned about; no step warns of a division by zero either, as under
+    # cli.main, kept or not (a sigma past the exit may divide by zero).
+    # Entered once per trajectory, not per step, where its ~2 us would show.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         trace, overflow, viol = _drive(step, x0, K, noise, rng)
-    trace = trace.reshape(len(trace), objective.dim)
-
-    ks = record_points(trace.shape[0] - 1, record_stride)
-    thetas = trace[ks]
-    f_values = np.asarray(objective.value_batch(thetas), dtype=float)
-    grad_norms = np.asarray(objective.grad_norm_batch(thetas), dtype=float)
-
-    # F at or beyond the cap is numeric overflow: truncate at the last good record.
-    bad = ~np.isfinite(f_values) | (f_values >= OVERFLOW_CAP)
+        trace = trace.reshape(len(trace), objective.dim)
+        ks = record_points(trace.shape[0] - 1, record_stride)
+        thetas = trace[ks]
+        f_values = np.asarray(objective.value_batch(thetas), dtype=float)
+        grad_norms = np.asarray(objective.grad_norm_batch(thetas), dtype=float)
+        # F at or beyond the cap is numeric overflow: truncate at the last good record.
+        bad = ~np.isfinite(f_values) | (f_values >= OVERFLOW_CAP)
     if np.any(bad):
         cut = max(int(np.argmax(bad)), 1)
         ks, f_values, grad_norms = ks[:cut], f_values[:cut], grad_norms[:cut]

@@ -29,6 +29,7 @@ every kind implemented here).
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -64,6 +65,7 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 # A 0-d operand: a Python float or int operand costs a scalar conversion per call.
 _ONE = np.array(1.0)
+_F64 = np.dtype(np.float64)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -75,7 +77,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x = +-0, e for x < 0 (sign -1 < e) and e's NaN for NaN, the bits of
     np.where(x >= 0, 1.0, e) with a float-float maximum and no bool cast.
     """
-    x = np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype is not _F64:  # else asarray returns x
+        x = np.asarray(x, dtype=float)
     e = np.exp(np.minimum(x, -x))
     return np.maximum(e, np.sign(x)) / (_ONE + e)
 
@@ -413,9 +416,6 @@ class ObjectiveSpec:
 NOISE_KINDS = ("zero", "additive-gaussian", "rademacher-radial", "additive-gaussian-statedep")
 
 
-_F64 = np.dtype(np.float64)
-
-
 def _sigma_norm(x, *args, **kwargs):
     """np.linalg.norm in fewer calls: for a contiguous 1-D float64 x alone,
     numpy's own sqrt(x.dot(x)), as a numpy float64 so the expression's
@@ -456,7 +456,57 @@ class _ShareNorm(ast.NodeTransformer):
         return node
 
 
-def _compile_sigma_expr(expr: str) -> Callable[..., float]:
+_EXACT_OPS = (ast.UAdd, ast.USub, ast.Add, ast.Sub, ast.Mult, ast.Div)
+
+
+def _reads_nrm(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "nrm" for n in ast.walk(node))
+
+
+def _exact(node: ast.AST) -> bool:
+    """Whether node, each norm(theta) in it read as nrm, is in the exact grammar.
+
+    The grammar: int and float literals, nrm, pi, e, unary + and -, binary
+    + - * /, and abs and sqrt of a term that reads nrm.  IEEE 754 rounds each
+    of these correctly, so a Python float, a numpy float64 and a float64
+    array give the same bits; a term of literals alone is Python arithmetic
+    in every form.  numpy's abs and sqrt of a Python int are not the
+    builtins' (int64 wraps, and an int past it has no sqrt), hence the nrm.
+    """
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Name):
+        return node.id in ("nrm", "pi", "e")
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, _EXACT_OPS) and _exact(node.operand)
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, _EXACT_OPS) and _exact(node.left) and _exact(node.right)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("abs", "sqrt") and len(node.args) == 1
+            and not node.keywords and _exact(node.args[0]) and _reads_nrm(node.args[0]))
+
+
+# The float form of an exact expression: Python raises where numpy returns
+# inf or NaN (a division by zero, sqrt of a negative, an int too large for a
+# float), and a sigma outside [0, inf) is refused, so those cases go back to
+# the numpy form, which gives today's value or ContractViolation.
+_FLOAT_FORM = """\
+def sigma(nrm, theta):
+    try:
+        s = {}
+        if 0.0 <= s < inf:
+            return s
+    except (ZeroDivisionError, ValueError, OverflowError):
+        pass
+    return hand_back(nrm, theta)
+"""
+
+
+# Cached: one command builds its noise model several times (the config, the
+# ensemble, each block), and the three forms are pure functions of expr.
+@functools.lru_cache(maxsize=64)
+def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., float],
+                                             Callable[..., np.ndarray]]:
     """Compile a sigma(theta) expression over a tiny whitelisted namespace.
 
     Available names: theta (array), norm, abs, exp, log, log1p, sqrt, pi, e;
@@ -468,6 +518,14 @@ def _compile_sigma_expr(expr: str) -> Callable[..., float]:
     when nrm is None: the same bits for a contiguous theta, one call fewer
     per step.  An expression that binds a name (a lambda, a comprehension,
     :=) is compiled as it is, every norm going to _sigma_norm.
+
+    Returns (fn, of_norm, of_norms).  of_norm(nrm, theta) is sigma at theta
+    given its norm, with theta one point or a 1-D float; of_norms(nrms,
+    thetas) is sigma of each row of thetas given the row norms.  For an
+    expression in the exact grammar (_exact) they evaluate it on Python
+    floats and on the norm array, and pass a case that raises or leaves
+    [0, inf) back to fn, so both have fn's bits or raise what fn raises; for
+    any other expression they call fn.
     """
     try:
         tree = ast.parse(expr, "<sigma-expr>", "eval")
@@ -506,7 +564,35 @@ def _compile_sigma_expr(expr: str) -> Callable[..., float]:
                 "sigma must be finite and >= 0")
         return sigma
 
-    return fn
+    def hand_back(nrm, theta):
+        return fn(theta if type(theta) is np.ndarray else np.array([theta]), nrm)
+
+    def rows_back(nrms, thetas):
+        return np.array([fn(theta) for theta in thetas])
+
+    if not (_exact(tree.body) and _reads_nrm(tree.body)):
+        return fn, hand_back, rows_back
+    body = ast.unparse(tree.body)
+    # the float form's abs and exception types are the builtins: the exact
+    # grammar lets the expression itself read no name but nrm, pi, e, abs, sqrt
+    scope = {"pi": math.pi, "e": math.e, "sqrt": math.sqrt, "inf": math.inf,
+             "hand_back": hand_back}
+    exec(compile(_FLOAT_FORM.format(body), "<sigma-expr>", "exec"), scope)
+    of_rows = eval(compile(f"lambda nrm: {body}", "<sigma-expr>", "eval"),
+                   {"__builtins__": {}, "pi": math.pi, "e": math.e, "abs": np.abs,
+                    "sqrt": np.sqrt})
+
+    def of_norms(nrms, thetas):
+        try:
+            with np.errstate(all="ignore"):
+                sigma = of_rows(nrms)
+            if ((0.0 <= sigma) & (sigma < math.inf)).all():
+                return sigma
+        except (ZeroDivisionError, ValueError, OverflowError):
+            pass
+        return rows_back(nrms, thetas)
+
+    return fn, scope["sigma"], of_norms
 
 
 @dataclass
@@ -532,6 +618,8 @@ class NoiseModel:
     direction: np.ndarray | None = None
     constants: tuple[float, float, float] | None = field(default=None)
     _sigma_fn: Callable[..., float] | None = field(default=None, repr=False)
+    _sigma_of_norm: Callable[..., float] | None = field(default=None, repr=False)
+    _sigma_of_norms: Callable[..., np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -566,7 +654,8 @@ class NoiseModel:
         if self.kind == "additive-gaussian-statedep":
             if not self.sigma_expr:
                 raise ContractViolation("statedep noise requires sigma_expr")
-            self._sigma_fn = _compile_sigma_expr(self.sigma_expr)
+            self._sigma_fn, self._sigma_of_norm, self._sigma_of_norms = (
+                _compile_sigma_expr(self.sigma_expr))
         if self.constants is not None:
             c = tuple(self.constants)
             if not (len(c) == 3 and all(map(math.isfinite, c))
@@ -617,7 +706,12 @@ class NoiseModel:
             return g2 + self.dim * self.sigma ** 2
         if self.kind == "rademacher-radial":
             return g2 + np.einsum("ij,ij->i", thetas, thetas)
-        sig = np.array([self.sigma_at(t) for t in thetas])
+        # contiguous rows: each row norm then has the bits of _sigma_norm's;
+        # a norm that overflows reaches sigma as inf, as in _sigma_norm
+        thetas = np.ascontiguousarray(thetas)
+        with np.errstate(over="ignore"):
+            nrms = np.sqrt(np.vecdot(thetas, thetas))
+        sig = self._sigma_of_norms(nrms, thetas)
         return g2 + self.dim * sig ** 2
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray | None:
@@ -649,8 +743,8 @@ class NoiseModel:
         if self.kind == "rademacher-radial":
             u = self.direction
             return lambda theta, nrm, w: grad(theta) + nrm * w * u
-        sigma_fn = self._sigma_fn
-        return lambda theta, nrm, w: grad(theta) + sigma_fn(theta, nrm) * w
+        sigma = self._sigma_of_norm
+        return lambda theta, nrm, w: grad(theta) + sigma(nrm, theta) * w
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ def _classify(t: dict, W: int, eps_conv: float, r_div: float) -> dict:
     trace = t["trace"]
     window = (np.abs(trace[:, 0]) if trace.shape[1] == 1 else _norms(trace))[-W:]
     wmin, wmax = float(np.min(window)), float(np.max(window))
-    if wmax - wmin < eps_conv and wmax < r_div:
+    if wmax - wmin < eps_conv and wmax < r_div and not t["overflow"]:
         verdict = "converged-like"
     elif wmin > r_div:
         verdict = "diverging-like"

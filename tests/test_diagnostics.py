@@ -100,6 +100,45 @@ def test_overflowed_trajectory_keeps_its_window_verdict():
     assert classify_dichotomy(traj, 20, 0.5, 10.0).verdict == "diverging-like"
 
 
+def test_overflowed_run_with_a_still_full_window_is_never_converged_like():
+    # the window rules alone say converged-like below R_div
+    still = np.full(20, 5.0)
+    assert classify_dichotomy(synthetic_trajectory(still, horizon=500), 20, 0.5,
+                              10.0).verdict == "converged-like"
+    c = classify_dichotomy(synthetic_trajectory(still, horizon=500, overflow=True), 20, 0.5, 10.0)
+    assert c.verdict == "undecided"
+    assert c.evidence == {"window_range": 0.0, "window_min": 5.0}
+    high = synthetic_trajectory(np.full(20, 50.0), horizon=500, overflow=True)
+    assert classify_dichotomy(high, 20, 0.5, 10.0).verdict == "diverging-like"
+
+
+def test_exp_abs_run_capped_at_its_first_record_reads_undecided():
+    # F(700) is OVERFLOW_CAP, so each run's records stop at theta0: a window
+    # of W = 1 iterate with range 0, below the default R_div of 1e3 * 701
+    spec = EnsembleSpec(objective=ObjectiveSpec("exp-abs"), noise=NoiseSpec("zero"),
+                        schedule=Schedule.scalar(1.0, 0.0), theta0=(700.0,), horizon=1000,
+                        n_trajectories=2, master_seed=0)
+    result = run_ensemble(spec, W=1)
+    assert result.n_overflow == 2 and result.last_ks == [0, 0]
+    assert [c.verdict for c in result.classifications] == ["undecided"] * 2
+    assert [c.evidence for c in result.classifications] == [
+        {"window_range": 0.0, "window_min": 700.0}] * 2
+
+
+def test_f_that_overflows_on_the_record_grid_warns_nothing():
+    # power-q(q=4) from 2 under step 1: the iterates stay below THETA_CAP
+    # until their F = x**4 overflows float64 on the record grid; the records
+    # are read inside run_trajectory's errstate, so a library caller sees no
+    # numpy warning (pytest turns one into an error)
+    spec = EnsembleSpec(objective=ObjectiveSpec("power-q", q=4.0), noise=NoiseSpec("zero"),
+                        schedule=Schedule.scalar(1.0, 0.0), theta0=(2.0,), horizon=1000,
+                        n_trajectories=2, master_seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_ensemble(spec)
+    assert result.n_overflow == 2 and result.n_domain_violation == 0
+
+
 @pytest.mark.parametrize("flags", [{"overflow": True}, {"violation_theta": np.array([0.5])}])
 def test_run_stopped_before_its_window_filled_is_truncated(flags):
     # a window of W - 1 iterates is not read, whichever way the run stopped;

@@ -7,9 +7,13 @@ against their declared means and second-moment envelopes.
 import math
 import warnings
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sgdlab import engine
 from sgdlab.errors import ContractViolation, DomainError, UnknownObjectiveError
 from sgdlab.objectives import (
     CATALOG_NAMES,
@@ -250,7 +254,7 @@ def _sigma_points():
 
 @pytest.mark.parametrize("expr", SHARED_NORM + OWN_NORM)
 def test_shared_norm_has_the_bits_of_norm_theta(expr):
-    fn = _compile_sigma_expr(expr)
+    fn = _compile_sigma_expr(expr)[0]
     with np.errstate(divide="ignore", over="ignore"):  # 1/0; the square of 1e200
         for theta in _sigma_points():
             shared = _sigma_or_error(fn, theta, math.sqrt(theta.dot(theta)))
@@ -265,7 +269,7 @@ def test_shared_norm_has_the_bits_of_norm_theta(expr):
 
 @pytest.mark.parametrize("expr", BINDING)
 def test_expression_that_binds_theta_is_not_rewritten(expr):
-    fn = _compile_sigma_expr(expr)
+    fn = _compile_sigma_expr(expr)[0]
     for theta in _sigma_points()[:50]:
         want = float(np.linalg.norm(BINDING[expr] * theta))
         assert float.hex(fn(theta)) == float.hex(want)
@@ -276,14 +280,140 @@ def test_sigma_expression_compiles_to_the_same_floats():
     rng = np.random.default_rng(6)
     for expr in ("0.1*(1+norm(theta))", "norm(theta, 1)  # a trailing comment",
                  "sqrt(1 + norm(theta)**2)", "exp(-norm(theta))"):
-        fn = _compile_sigma_expr(expr)
+        fn = _compile_sigma_expr(expr)[0]
         for theta in rng.standard_normal((50, 4)):
             want = float(eval(expr, {"__builtins__": {}, "norm": np.linalg.norm,
                                      "sqrt": np.sqrt, "exp": np.exp}, {"theta": theta}))
             assert fn(theta) == want
     with pytest.raises(ContractViolation, match="gave inf"):  # numpy's 1/0, not Python's
         with np.errstate(divide="ignore"):
-            _compile_sigma_expr("1/norm(theta)")(np.zeros(3))
+            _compile_sigma_expr("1/norm(theta)")[0](np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# the exact grammar of sigma_expr: float and array forms with fn's bits
+# ---------------------------------------------------------------------------
+
+# literals that round, overflow or underflow at the norms below, an int that
+# no float holds, and one past int64
+_LITERALS = ["0", "1", "2", "0.1", "0.5", "-0.0", "3e-310", "1e-160", "1.3e154", "1e308",
+             "pi", "e", "9007199254740993", "100000000000000000000000000001"]
+
+
+def _sigma_exprs():
+    """Expressions of the exact grammar, mixed with what falls outside it:
+    exp, and abs or sqrt of a term that does not read norm(theta)."""
+    leaves = st.sampled_from(["norm(theta)"] * 4 + _LITERALS)
+    return st.recursive(leaves, lambda terms: st.one_of(
+        st.builds("({1}) {0} ({2})".format, st.sampled_from("+-*/"), terms, terms),
+        st.builds("{}({})".format, st.sampled_from(["-", "+", "abs", "sqrt", "exp"]), terms),
+    ), max_leaves=8).filter(lambda expr: "norm(theta)" in expr)
+
+
+# the entries of the thetas: +-0, subnormals, 1e-160 (its square underflows),
+# 1.3e154 (its square of a 2-vector overflows), inf, NaN, and uniform floats
+# on [-20, 20] from a drawn seed, where math.exp and np.exp differ on about 4%
+_UNIFORM = st.integers(0, 2**32).map(lambda seed: np.random.default_rng(seed).uniform(-20.0, 20.0))
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, 1e-160, -1e-160, 1.3e154, -1.3e154,
+                     math.inf, -math.inf, math.nan]), _UNIFORM, _UNIFORM)
+
+
+def _outcome(f, *args):
+    """f(*args), a float as its hex bits, or the type and message of what it raises."""
+    try:
+        value = f(*args)
+    except Exception as error:  # ContractViolation, or Python's own 1/0 in a literal term
+        return type(error).__name__, str(error)
+    return float.hex(float(value)) if isinstance(value, float) else value
+
+
+def _on_floats(noise):
+    return noise._sigma_of_norm.__name__ == "sigma"
+
+
+def _check_forms(noise, thetas):
+    """Assert that the float form, the sampler and the 1-D step have fn's bits,
+    or raise fn's error, at each row of thetas; returns (on floats, p = 1,
+    fn raised) for each row."""
+    p, expr, fn = noise.dim, noise.sigma_expr, noise._sigma_fn
+    sampler = noise.sampler(lambda theta: np.full(p, -0.0))  # -0.0 + s * 1.0 is s
+    seen = set()
+    for theta in thetas:
+        nrm = math.sqrt(theta.dot(theta))
+        want = _outcome(fn, theta, nrm)
+        assert _outcome(noise._sigma_of_norm, nrm, theta) == want, (expr, theta)
+        assert _outcome(lambda: sampler(theta, nrm, np.ones(p))[-1]) == want, (expr, theta)
+        if p == 1:
+            # the 1-D step takes sigma of (sqrt(x * x), x): one step of it from x
+            x = float(theta[0])
+            assert _outcome(noise._sigma_of_norm, math.sqrt(x * x), x) == want, (expr, x)
+            raised = []
+            path = list(engine._scalar_path(lambda v: -0.0, noise, [1.0], x, [1.0], raised))
+            got = _outcome(lambda: path[0]) if path else (
+                type(raised[0]).__name__, str(raised[0]))
+            assert got == _outcome(lambda: x - 1.0 * (-0.0 + fn(np.array([x])) * 1.0)), (expr, x)
+        seen.add((_on_floats(noise), p == 1, isinstance(want, tuple)))
+    return seen
+
+
+def _check_rows(noise, thetas):
+    """Assert that the array form on envelope_batch's norms, and envelope_batch,
+    have the bits of sigma_at row by row, or raise its first error."""
+    wants = [_outcome(noise.sigma_at, theta) for theta in thetas]
+    got = _outcome(lambda: noise._sigma_of_norms(np.sqrt(np.vecdot(thetas, thetas)),
+                                                 thetas).tobytes().hex())
+    errors = [want for want in wants if isinstance(want, tuple)]
+    if errors:
+        assert got == errors[0], noise.sigma_expr
+        return
+    assert got == np.array([float.fromhex(want) for want in wants]).tobytes().hex()
+    obj = catalog_lookup("quadratic", noise.dim)
+    old = obj.grad_norm_batch(thetas) ** 2 + noise.dim * np.array(
+        [noise.sigma_at(t) for t in thetas]) ** 2
+    assert noise.envelope_batch(obj, thetas).tobytes() == old.tobytes(), noise.sigma_expr
+
+
+def test_float_and_array_forms_of_sigma_have_the_bits_of_fn():
+    seen = set()
+
+    @hypothesis.seed(2028)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        expr = data.draw(_sigma_exprs(), label="expr")
+        p = data.draw(st.sampled_from([1, 1, 2, 3, 4]), label="p")
+        special = data.draw(st.lists(st.lists(_ENTRIES, min_size=p, max_size=p),
+                                     min_size=1, max_size=6), label="thetas")
+        # and 8 plain points at a drawn scale, where most sigmas are finite
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 20.0]), label="scale")
+        plain = scale * rng.uniform(-1.0, 1.0, (8, p))
+        thetas = np.concatenate([special, plain])
+        noise = NoiseModel("additive-gaussian-statedep", p, sigma_expr=expr)
+        with np.errstate(all="ignore"):  # fn's numpy warns where the float form raises
+            seen.update(_check_forms(noise, thetas))
+            _check_rows(noise, thetas)
+            _check_rows(noise, plain)
+
+    check()
+    # (on floats, p = 1, fn raised): the float form ran at p = 1 and p > 1,
+    # to a sigma and to a hand-back that raised, and fn alone ran too
+    assert {(True, True, False), (True, False, False), (True, True, True),
+            (True, False, True), (False, True, False), (False, False, False)} <= seen, seen
+
+
+@pytest.mark.parametrize("expr", ["0.5*abs(theta[0])", "exp(-norm(theta))", "norm(theta)**2",
+                                  "(lambda x: 0.5 * sqrt(x))(norm(theta))", "sqrt(2) + norm(theta)",
+                                  "abs(-3) * norm(theta)", "log1p(norm(theta))", "0.5"])
+def test_expression_outside_the_exact_grammar_keeps_the_numpy_form(expr):
+    noise = NoiseModel("additive-gaussian-statedep", 2, sigma_expr=expr)
+    assert not _on_floats(noise)
+    theta = np.array([3.0, -4.0])
+    want = float.hex(noise.sigma_at(theta))
+    assert float.hex(noise._sigma_of_norm(5.0, theta)) == want
+    assert noise._sigma_of_norms(np.array([5.0]), theta[None]).tobytes() == (
+        np.array([noise.sigma_at(theta)]).tobytes())
 
 
 def test_exp_abs_value_is_capped():

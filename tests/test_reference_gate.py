@@ -37,7 +37,7 @@ import reference_sgdlab as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgdlab import checkers, engine, reports
+from sgdlab import checkers, engine, objectives, reports
 from sgdlab.cli import main
 from sgdlab.config import SCHEMA
 from sgdlab.diagnostics import EnsembleSpec, run_ensemble
@@ -194,6 +194,33 @@ def _reached(command, files, setup) -> set:
     return seen
 
 
+def _spied_sigma_forms(reached):
+    """Patch _compile_sigma_expr so that each float form notes in reached the
+    p it steps at and each case it passes back to fn.  The spied forms are
+    compiled afresh (past the cache), as their scope is changed below."""
+    compile_forms = objectives._compile_sigma_expr.__wrapped__
+
+    def spied(expr):
+        fn, of_norm, of_norms = compile_forms(expr)
+        if of_norm.__name__ != "sigma":  # outside the exact grammar: fn alone
+            return fn, of_norm, of_norms
+        scope = of_norm.__globals__  # the float form reads hand_back from it per call
+        hand_back = scope["hand_back"]
+
+        def passed_back(nrm, theta):
+            reached.add(("statedep float form", "passed back to fn"))
+            return hand_back(nrm, theta)
+
+        def float_form(nrm, theta):
+            reached.add(("statedep float form", "p = 1" if type(theta) is float else "p > 1"))
+            return of_norm(nrm, theta)
+
+        scope["hand_back"] = passed_back
+        return fn, float_form, of_norms
+
+    return mock.patch.object(objectives, "_compile_sigma_expr", spied)
+
+
 # A fixed seed, not derandomize=True: that seed hashes the test's source,
 # decorators included, so an edit to the @example list would draw 150 other
 # setups and could drop a coverage target the edit had nothing to do with.
@@ -266,7 +293,7 @@ def test_cli_reports_have_the_bytes_of_the_reference():
     def check(setup):
         (chunk, first_block, block), config = setup
         with mock.patch.multiple(engine, _CHUNK=chunk, _FIRST_BLOCK=first_block, _BLOCK=block), \
-                mock.patch.object(checkers, "_CHUNK", chunk):
+                mock.patch.object(checkers, "_CHUNK", chunk), _spied_sigma_forms(reached):
             for command in COMMANDS:
                 want = reference.main(command, config)
                 assert _cli(command, config) == want, command
@@ -278,7 +305,9 @@ def test_cli_reports_have_the_bytes_of_the_reference():
         ("p", 1), ("p", 2), ("capture", True), ("capture", False), ("exit", "full"),
         ("exit", "overflow"), ("exit", "domain"), ("threshold", None), ("threshold", 0),
         ("threshold", "inside"), ("statedep-1d", "early exit"),
-        ("identity-1d", "overflow at a block edge"), ("overflow", "before its window filled")}
+        ("identity-1d", "overflow at a block edge"), ("overflow", "before its window filled"),
+        ("statedep float form", "p = 1"), ("statedep float form", "p > 1"),
+        ("statedep float form", "passed back to fn")}
     assert want <= reached, want - reached
 
 

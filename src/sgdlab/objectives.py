@@ -83,6 +83,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, np.sign(x)) / (_ONE + e)
 
 
+def _sigmoid_plus(theta: np.ndarray, nrm: float, s: float, v: list | None) -> np.ndarray:
+    """sigmoid(theta) + s * v, or sigmoid(theta) for v None, on Python floats.
+
+    e is sigmoid's own np.exp(np.minimum(x, -x)), and its numerator
+    max(e, sign(x)) is 1.0 for x > 0 and e otherwise (1 at +-0, e below 0,
+    e's NaN for a NaN), so each coordinate has sigmoid's bits.
+    """
+    e = np.exp(np.minimum(theta, -theta)).tolist()
+    if v is None:
+        return np.array([(1.0 if t > 0 else ei) / (1.0 + ei)
+                         for t, ei in zip(theta.tolist(), e)])
+    return np.array([(1.0 if t > 0 else ei) / (1.0 + ei) + s * vi
+                     for t, ei, vi in zip(theta.tolist(), e, v)])
+
+
 def _sigmoid1(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -97,6 +112,16 @@ class Objective:
     The callables operate on numpy arrays: ``value``/``grad`` on a single
     point of shape (p,), the ``*_batch`` variants on stacks of shape (n, p).
     ``g1`` is the scalar gradient fast path, present only when ``dim == 1``.
+    ``grad_plus(theta, nrm, s, v)`` is the affine float form of the
+    stochastic gradient, ``grad(theta) + s * v`` at one contiguous point
+    given its norm ``nrm = math.sqrt(theta.dot(theta))``, with ``v`` a list
+    of p floats or None (no noise term, ``grad(theta)``).  It computes each
+    coordinate on Python floats with the operations ``grad`` does
+    elementwise, in the same order, so its array has ``grad``'s bits.  Every
+    catalog objective but the quadratic has one (its ``grad`` is one copy,
+    and a list of its noisy gradient costs more than numpy's two or three
+    calls from p = 6 up), and an objective without it (None) is sampled
+    through ``grad`` alone (see ``NoiseModel.sampler``).
     """
 
     id: str
@@ -111,6 +136,7 @@ class Objective:
     grad_norm_batch: Callable[[np.ndarray], np.ndarray]
     g1: Callable[[float], float] | None = None
     radial: bool = False
+    grad_plus: Callable[..., np.ndarray] | None = None
 
     def check_domain(self, thetas: np.ndarray) -> None:
         """Raise DomainError at the first point below the floor r0.
@@ -135,6 +161,15 @@ def _norms(thetas: np.ndarray) -> np.ndarray:
     if thetas.ndim == 1:
         thetas = thetas[:, None]
     return np.sqrt(np.einsum("ij,ij->i", thetas, thetas))
+
+
+def _scaled_plus(c: float, theta: np.ndarray, s: float, v: list) -> np.ndarray:
+    """c * theta + s * v as one list of Python floats made into a float64
+    array: numpy's elementwise c * theta, then its + s * w, each correctly
+    rounded, in one pass over the coordinates.  The float form of a gradient
+    c * theta (gauss-bump, the radial objectives); with no noise term their
+    array c * theta is cheaper than a list."""
+    return np.array([c * t + s * vi for t, vi in zip(theta.tolist(), v)])
 
 
 def _make_quadratic(dim: int) -> Objective:
@@ -206,6 +241,7 @@ def _make_smooth_rectifier(dim: int) -> Objective:
         grad_batch=grad_batch,
         grad_norm_batch=grad_norm_batch,
         g1=_sigmoid1 if dim == 1 else None,
+        grad_plus=_sigmoid_plus,
     )
 
 
@@ -220,6 +256,10 @@ def _make_gauss_bump(dim: int) -> Objective:
 
     def grad(theta):
         return -2.0 * math.exp(-theta.dot(theta)) * np.asarray(theta, dtype=float)
+
+    def grad_plus(theta, nrm, s, v):
+        c = -2.0 * math.exp(-theta.dot(theta))
+        return c * theta if v is None else _scaled_plus(c, theta, s, v)
 
     def value_batch(thetas):
         rho = _norms(thetas)
@@ -247,6 +287,7 @@ def _make_gauss_bump(dim: int) -> Objective:
         grad_norm_batch=grad_norm_batch,
         g1=(lambda x: -2.0 * x * math.exp(-x * x)) if dim == 1 else None,
         radial=True,
+        grad_plus=grad_plus,
     )
 
 
@@ -275,6 +316,10 @@ def _make_radial(
         rho = math.sqrt(theta.dot(theta))
         return (gp1(rho) / rho) * np.asarray(theta, dtype=float)
 
+    def grad_plus(theta, nrm, s, v):
+        c = gp1(nrm) / nrm  # grad's factor: nrm is its rho, the same sqrt of the same dot
+        return c * theta if v is None else _scaled_plus(c, theta, s, v)
+
     def value_batch(thetas):
         return g_vec(_norms(thetas))
 
@@ -299,6 +344,7 @@ def _make_radial(
         grad_norm_batch=grad_norm_batch,
         g1=(lambda x: gp1(abs(x)) * (1.0 if x >= 0 else -1.0)) if dim == 1 else None,
         radial=True,
+        grad_plus=grad_plus,
     )
 
 
@@ -729,13 +775,35 @@ class NoiseModel:
             return (rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0)[:, None]
         return None
 
-    def sampler(self, grad: Callable[[np.ndarray], np.ndarray]) -> Callable[..., np.ndarray]:
+    def sampler(self, grad: Callable[[np.ndarray], np.ndarray],
+                grad_plus: Callable[..., np.ndarray] | None = None) -> Callable[..., np.ndarray]:
         """The stochastic gradient as f(theta, norm(theta), w) for noise w from draw.
 
-        w is one step's row of draw (the engine) or a whole block (one
-        sample per row).  The kind is chosen here, once, so a step loop
-        carries no kind test.
+        Two forms, with the same bits.  Given only grad (the array form), w
+        is one step's row of draw or a whole block (one sample per row):
+        the expected-smoothness checker samples blocks, and the engine
+        steps this form at p >= engine._FLOAT_P or for an objective without
+        grad_plus.  Given an objective's grad_plus (the float form, which
+        the engine steps for 1 < p < _FLOAT_P), w is one step's row, and
+        the noise term goes to grad_plus as (s, v): (nrm * w[0], u) for
+        rademacher-radial (numpy's (nrm * w) * u) and (sigma(theta), w) for
+        the state-dependent kind, with sigma read before the gradient and w
+        a list of floats.  Zero noise passes no term, and additive-gaussian
+        adds its row, an array, to that gradient with numpy, as the array
+        form does (the noise in the list cost gauss-bump, whose array
+        gradient is two calls, 6-26% per step at p = 2-6).  The kind is
+        chosen here, once, so a step loop carries no kind test.
         """
+        if grad_plus is not None:
+            if self.kind == "zero":
+                return lambda theta, nrm, w: grad_plus(theta, nrm, 0.0, None)
+            if self.kind == "additive-gaussian":
+                return lambda theta, nrm, w: grad_plus(theta, nrm, 0.0, None) + w
+            if self.kind == "rademacher-radial":
+                u = self.direction.tolist()
+                return lambda theta, nrm, w: grad_plus(theta, nrm, nrm * w[0], u)
+            sigma = self._sigma_of_norm
+            return lambda theta, nrm, w: grad_plus(theta, nrm, sigma(nrm, theta), w)
         if self.kind == "zero":
             return lambda theta, nrm, w: grad(theta)
         if self.kind == "additive-gaussian":

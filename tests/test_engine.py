@@ -4,6 +4,7 @@ Dense references such as q @ diag(d) @ q.T are built here from the
 schedule's eigensystem; the engine itself never forms M_k.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -12,8 +13,10 @@ import pytest
 
 from sgdlab.diagnostics import split_seed
 from sgdlab.engine import (
+    _FLOAT_P,
     ORTHO_TOL,
     Schedule,
+    random_orthogonal,
     run_trajectory,
     validate_schedule,
 )
@@ -138,6 +141,22 @@ def test_explicit_rotation_factor_has_its_own_label():
     assert explicit.label.endswith(f",rot=q:{digest})")
     assert explicit.rotation_seed is None
     assert Schedule.rotated([0.5, 0.2], [0.75, 0.75], q=q.T).label != explicit.label
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, lambda q: np.ascontiguousarray(q.T).T],
+                         ids=["fortran", "transposed"])
+def test_rotation_factor_layout_changes_neither_label_nor_run(layout):
+    # the label hashes the factor's C-order bytes, and the step's gemvs sum
+    # in the order of its layout: one factor, one label, one run
+    q = random_orthogonal(4, 3)
+    oracle = StochasticOracle(catalog_lookup("quadratic", 4),
+                              NoiseModel("additive-gaussian", 4, sigma=0.5))
+    runs = []
+    for factor in (q, layout(q)):
+        sched = Schedule.rotated([0.5, 0.4, 0.3, 0.2], [0.6] * 4, q=factor)
+        traj = run_trajectory(oracle, sched, [1.0, -2.0, 0.5, 3.0], 1000, seed=7)
+        runs.append((sched.label, traj.trace.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_rotated_matrix_eigen_bounds_invariant():
@@ -519,3 +538,42 @@ def test_strided_theta0_runs_as_its_contiguous_copy(noise):
     a = run_trajectory(oracle, sched, strided, 40, seed=3)
     b = run_trajectory(oracle, sched, contiguous, 40, seed=3)
     assert a.trace.tobytes() == b.trace.tobytes()
+
+
+def _spied(obj):
+    """obj with grad and grad_plus counting their calls, and the counts."""
+    calls = {"grad": 0, "grad_plus": 0}
+
+    def spy(name, form):
+        def counted(*args):
+            calls[name] += 1
+            return form(*args)
+        return None if form is None else counted
+
+    return dataclasses.replace(obj, grad=spy("grad", obj.grad),
+                               grad_plus=spy("grad_plus", obj.grad_plus)), calls
+
+
+@pytest.mark.parametrize("make, p, form", [
+    (lambda p: catalog_lookup("smooth-rectifier", p), _FLOAT_P - 1, "grad_plus"),
+    (lambda p: catalog_lookup("smooth-rectifier", p), _FLOAT_P, "grad"),
+    (lambda p: dataclasses.replace(catalog_lookup("power-q", p, q=1.5), grad_plus=None),
+     3, "grad"),
+    (lambda p: catalog_lookup("quadratic", p), 3, "grad"),
+], ids=["float-form-below-crossover", "array-form-at-crossover", "no-float-form",
+        "quadratic"])
+@pytest.mark.parametrize("kind", ["zero", "additive-gaussian", "rademacher-radial",
+                                  "additive-gaussian-statedep"])
+def test_each_step_samples_with_the_form_of_its_dimension(make, p, form, kind):
+    K = 50
+    noise = NoiseModel(kind, p, sigma=0.1, sigma_expr="0.1*(1+norm(theta))")
+    obj, calls = _spied(make(p))
+    sched = Schedule.rotated(np.full(p, 0.05), np.full(p, 0.7))
+    theta0 = np.linspace(1.0, 2.0, p)
+    traj = run_trajectory(StochasticOracle(obj, noise), sched, theta0, K, seed=4)
+    assert traj.last_k == K
+    assert calls == {"grad": 0, "grad_plus": 0, form: K}
+    # and the array form alone runs the same bytes
+    plain = run_trajectory(StochasticOracle(dataclasses.replace(obj, grad_plus=None), noise),
+                           sched, theta0, K, seed=4)
+    assert plain.trace.tobytes() == traj.trace.tobytes()

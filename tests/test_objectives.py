@@ -4,13 +4,14 @@ Gradients are validated against central finite differences, noise samplers
 against their declared means and second-moment envelopes.
 """
 
+import itertools
 import math
 import warnings
 
 import hypothesis
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgdlab import engine
@@ -472,6 +473,94 @@ def test_f_lb_holds_on_dense_grid():
         xs = np.linspace(lo, 30.0, 20001)[:, None]
         vals = obj.value_batch(xs)
         assert np.min(vals) >= obj.f_lb - 1e-12, name
+
+
+# ---------------------------------------------------------------------------
+# the sampler's float form (Objective.grad_plus) against its array form
+# ---------------------------------------------------------------------------
+
+# every catalog objective with a float form: all but the quadratic, whose
+# array gradient is one copy
+FLOAT_FORM_SPECS = [spec for spec in ALL_SPECS + [("power-q", {"q": 1.5})]
+                    if catalog_lookup(spec[0], 2, **spec[1]).grad_plus is not None]
+
+# every noise kind; statedep with an exact, a non-exact and two raising
+# sigma_exprs (negative below norm 2 on floats, NaN or negative in numpy)
+GATE_NOISES = [
+    {"kind": "zero"},
+    {"kind": "additive-gaussian", "sigma": 0.7},
+    {"kind": "additive-gaussian", "sigma": 1e149},
+    {"kind": "rademacher-radial"},
+    {"kind": "rademacher-radial", "direction": [1.0, -2.0, 0.5, 3.0, -0.25, 1.5, 0.75]},
+    {"kind": "additive-gaussian-statedep", "sigma_expr": "0.3*(1+norm(theta))"},
+    # a noise term small enough that a subnormal gradient's bits still show
+    {"kind": "additive-gaussian-statedep", "sigma_expr": "1e-320*norm(theta)"},
+    {"kind": "additive-gaussian-statedep", "sigma_expr": "0.5*exp(-norm(theta))"},
+    {"kind": "additive-gaussian-statedep", "sigma_expr": "norm(theta) - 2"},
+    {"kind": "additive-gaussian-statedep", "sigma_expr": "log(norm(theta) - 2)"},
+]
+
+# +-0, subnormals, rectifier coordinates whose exp(-|x|) is 0, coordinates
+# near 26.6, where gauss-bump's exp(-||theta||^2) * theta_i is subnormal,
+# and plain ones
+_GATE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -800.0, 800.0, 26.5, -26.9]),
+    st.floats(-5.0, 5.0))
+
+
+def _sample_outcome(sample, theta, nrm, w):
+    """The sample's dtype, shape and bytes, or the type and message of what it raises."""
+    try:
+        g = sample(theta, nrm, w)
+    except Exception as error:  # ContractViolation from a raising sigma
+        return type(error).__name__, str(error)
+    return g.dtype.str, g.shape, g.tobytes()
+
+
+def test_float_form_of_the_sampler_has_the_bits_of_the_array_form():
+    seen = set()
+
+    @hypothesis.seed(2029)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(2, engine._FLOAT_P - 1), st.sampled_from([1.0, 1e140]),
+           st.lists(_GATE_ENTRIES, min_size=7, max_size=7), st.integers(0, 2**32),
+           st.booleans())
+    @example(3, 1.0, [2.5, -1.0, 0.5] + [0.0] * 4, 0, False)  # in every domain
+    # gauss-bump where -2.0 * exp(-d) * theta_i is subnormal: -2.0 * (exp(-d) * t)
+    # rounds there at another place
+    @example(2, 1.0, [-26.9, -1.5] + [0.0] * 5, 0, False)
+    def check(p, scale, coords, seed, normal_w):
+        theta = scale * np.array(coords[:p])
+        nrm = math.sqrt(theta.dot(theta))
+        for (name, kw), noise_spec in itertools.product(FLOAT_FORM_SPECS, GATE_NOISES):
+            obj = catalog_lookup(name, p, **kw)
+            if nrm < obj.r0:  # the engine samples at accepted iterates
+                continue
+            if "direction" in noise_spec:
+                noise_spec = {**noise_spec, "direction": noise_spec["direction"][:p]}
+            noise = NoiseModel(dim=p, **noise_spec)
+            rng = np.random.default_rng(seed)
+            w = noise.draw(rng, 1)
+            if w is not None and normal_w:
+                # any float, not a draw's: the sign of a rademacher draw, 1 or
+                # -1, multiplies exactly, so only other values tell the orders apart
+                w = rng.standard_normal(w.shape)
+            # the float form's row as the engine gives it: a list, or the
+            # array row that additive noise adds in numpy
+            row = None if w is None else w[0] if noise.kind == "additive-gaussian" else (
+                w.tolist()[0])
+            with np.errstate(all="ignore"):  # numpy's sigma warns where it gives NaN
+                want = _sample_outcome(noise.sampler(obj.grad), theta, nrm,
+                                       None if w is None else w[0])
+                got = _sample_outcome(noise.sampler(obj.grad, obj.grad_plus), theta, nrm, row)
+            assert got == want, (obj.id, noise_spec, theta.tolist())
+            seen.add((name, noise.kind, len(want) == 2))
+
+    check()
+    # each objective under each kind gave a sample, and a raising sigma raised
+    kinds = {spec["kind"] for spec in GATE_NOISES}
+    assert {(name, kind, False) for name, _ in FLOAT_FORM_SPECS for kind in kinds} <= seen
+    assert any(raised for _, _, raised in seen)
 
 
 # ---------------------------------------------------------------------------

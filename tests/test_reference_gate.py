@@ -46,6 +46,7 @@ from sgdlab.engine import (
     Schedule,
     _drive,
     _scalar_block,
+    _stepper,
     _vector_block,
     random_orthogonal,
     run_trajectory,
@@ -284,6 +285,28 @@ def test_cli_reports_have_the_bytes_of_the_reference():
     # iterate 8, the first of the block 8-10
     @example(_edge({"name": "quadratic"}, {"c": 3.0, "beta": 0.0},
                    [1.5 * THETA_CAP * 2.0 ** -8], 10, {"kind": "additive-gaussian", "sigma": 0.7}))
+    # either side of engine._FLOAT_P = 8: the float form at p = 2 and 7, the
+    # array form at p = 8, under rademacher and state-dependent noise
+    @example(_edge({"name": "gauss-bump", "dimension": 2},
+                   {"family": "diagonal-power", "c": [0.5, 0.25], "beta": [0.6, 0.7], "p": 2},
+                   [0.3, -1.0], 20, {"kind": "rademacher-radial", "direction": [1.0, -2.0]}))
+    @example(_edge({"name": "smooth-rectifier", "dimension": 7},
+                   {"family": "rotated-diagonal-power", "c": [1.0] * 7, "beta": [0.6] * 7,
+                    "p": 7, "rotation_seed": 3},
+                   [0.5, -0.5, 1.0, 0.0, -800.0, 2.0, -1.0], 20,
+                   {"kind": "additive-gaussian-statedep", "sigma_expr": "0.1*(1+norm(theta))"}))
+    @example(_edge({"name": "power-q", "q": 1.5, "dimension": 7},
+                   {"family": "rotated-diagonal-power", "c": [0.05] * 7, "beta": [0.7] * 7,
+                    "p": 7}, [2.0, -1.0, 0.5, 1.5, -0.5, 1.0, 0.25], 20,
+                   {"kind": "rademacher-radial"}))
+    @example(_edge({"name": "power-q", "q": 1.5, "dimension": 8},
+                   {"family": "rotated-diagonal-power", "c": [0.05] * 8, "beta": [0.7] * 8,
+                    "p": 8}, [2.0, -1.0, 0.5, 1.5, -0.5, 1.0, 0.25, -2.0], 20,
+                   {"kind": "additive-gaussian-statedep", "sigma_expr": "0.1*(1+norm(theta))"}))
+    @example(_edge({"name": "smooth-rectifier", "dimension": 8},
+                   {"family": "diagonal-power", "c": [0.5] * 8, "beta": [0.6] * 8, "p": 8},
+                   [0.5, -0.5, 1.0, 0.0, -800.0, 2.0, -1.0, 0.25], 20,
+                   {"kind": "rademacher-radial"}))
     # x_{k+1} = -w_k, iid N(0, 0.49): escapes at one- and two-digit steps
     @example(((5, 1, 3), {"objective": {"name": "quadratic"},
                           "noise": {"kind": "additive-gaussian", "sigma": 0.7},
@@ -427,11 +450,10 @@ def _run(loop, obj, noise, sched, theta0, seed):
 def _drive_engine(obj, noise, sched, theta0, K, rng):
     """_drive over the stepper that run_trajectory builds for obj: the
     trace as a (last + 1, p) array, overflow and the domain exit."""
+    step = _stepper(obj, noise, sched, K)
     if obj.dim == 1:
-        step = partial(_scalar_block, obj.g1, noise, sched.bounds(K)[0], obj.r0)
         trace, over, viol = _drive(step, float(theta0[0]), K, noise, rng)
         return trace[:, None], over, viol
-    step = partial(_vector_block, noise.sampler(obj.grad), sched, obj.r0)
     return _drive(step, theta0, K, noise, rng)
 
 

@@ -83,13 +83,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, np.sign(x)) / (_ONE + e)
 
 
+# From this p up, sigmoid's array calls cost less than _sigmoid_plus's list
+# without a noise term: at p = 6 the list made rectifier steps with zero and
+# additive noise 3-5% slower (in-process A/B, least per-step CPU time).
+_SIGMOID_LIST_P = 5
+
+
 def _sigmoid_plus(theta: np.ndarray, nrm: float, s: float, v: list | None) -> np.ndarray:
-    """sigmoid(theta) + s * v, or sigmoid(theta) for v None, on Python floats.
+    """sigmoid(theta) + s * v, or sigmoid(theta) for v None, on Python floats
+    (sigmoid itself for v None from p = _SIGMOID_LIST_P).
 
     e is sigmoid's own np.exp(np.minimum(x, -x)), and its numerator
     max(e, sign(x)) is 1.0 for x > 0 and e otherwise (1 at +-0, e below 0,
     e's NaN for a NaN), so each coordinate has sigmoid's bits.
     """
+    if v is None and theta.shape[0] >= _SIGMOID_LIST_P:
+        return sigmoid(theta)
     e = np.exp(np.minimum(theta, -theta)).tolist()
     if v is None:
         return np.array([(1.0 if t > 0 else ei) / (1.0 + ei)

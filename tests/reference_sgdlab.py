@@ -1,8 +1,8 @@
 """A reference sgdlab: from a config to report bytes in the plainest code.
 
 It reproduces the bytes of `sgdlab run`, `sgdlab stopping-times` and
-`sgdlab check --which p1p2p3p4,lemma4` from the definitions of the spec
-alone, trajectory by trajectory and step by step:
+`sgdlab check` (all seven checks) from the definitions of the spec alone,
+trajectory by trajectory, step by step and sampled point by sampled point:
 
 - trajectory i draws from default_rng(split_seed(master_seed, i)), through
   NoiseModel.draw, in one piece of K steps;
@@ -17,11 +17,16 @@ alone, trajectory by trajectory and step by step:
 - each checkpoint column is reduced over the trajectories alive there with
   np.mean, np.std, np.median and np.quantile, and the reports are
   json.dumps(indent=2, sort_keys=True) of plain values (keys str'd,
-  non-finite floats null) and csv.writer rows.
+  non-finite floats null) and csv.writer rows;
+- each sampled check seeds one default_rng(checks.seed), draws its points
+  whole (the descent check all its thetas, then all its phis), evaluates
+  them one at a time, and reports the first maximum of its violations as
+  the worst point, the first NaN before any number.
 
 It reads the configs through `config.config_from_dict` and otherwise uses the
 catalog objectives, NoiseModel, Schedule, split_seed, the spec labels and the
-constants; no stepper, ensemble worker, aggregation or report writer of the
+constants (the checkers' sample counts and tolerances among them); no
+stepper, ensemble worker, aggregation, checker or report writer of the
 package.  `main` returns the exit code and the bytes of every report file.
 """
 
@@ -35,11 +40,11 @@ import math
 
 import numpy as np
 
-from sgdlab import engine
+from sgdlab import checkers, engine
 from sgdlab.config import CHECK_REPORTS, config_from_dict
 from sgdlab.diagnostics import ENVELOPE_GRID, split_seed
 from sgdlab.engine import THETA_CAP
-from sgdlab.errors import DomainError
+from sgdlab.errors import ContractViolation, DomainError
 from sgdlab.objectives import OVERFLOW_CAP, _norms
 
 # ---------------------------------------------------------------------------
@@ -81,7 +86,8 @@ def _step_1d(g1, noise, eta: float, x: float, w: float | None) -> float:
     return x - eta * (g1(x) + noise.sigma_at(np.array([x])) * w)
 
 
-def _step(grad, noise, q, d, theta, w):
+def _sample(grad, noise, theta, w):
+    """One draw of the stochastic gradient at theta for the noise row w."""
     g = grad(theta)
     if noise.kind == "additive-gaussian":
         g = g + w
@@ -89,6 +95,11 @@ def _step(grad, noise, q, d, theta, w):
         g = g + np.linalg.norm(theta) * w * noise.direction
     elif noise.kind == "additive-gaussian-statedep":
         g = g + noise.sigma_at(theta) * w
+    return g
+
+
+def _step(grad, noise, q, d, theta, w):
+    g = _sample(grad, noise, theta, w)
     return theta - (d * g if q is None else q @ (d * (q.T @ g)))
 
 
@@ -329,8 +340,7 @@ def _stopping_times(config) -> tuple[int, dict]:
                "stopping_times.csv": csv_text(("trajectory", "tau_index", "tau"), rows)}
 
 
-def _schedule_checks(config) -> tuple[int, dict]:
-    """The p1p2p3p4 and lemma4 reports of `check`."""
+def _p1p2p3p4(config, objective, noise) -> tuple[dict, bool]:
     schedule, checks = config.schedule, config.checks
     alpha, horizon = checks.alpha, checks.horizon
     total = 0.0
@@ -345,29 +355,305 @@ def _schedule_checks(config) -> tuple[int, dict]:
              f"P2 iff min(beta)*(1+alpha) > 1 [{bmin * (1 + alpha):g} vs 1]; "
              f"P3 iff max(beta) <= 1 [{bmax:g}]; "
              f"P4 iff max(beta) < (1+alpha)*min(beta) [{bmax:g} vs {(1 + alpha) * bmin:g}]")
-    schedule_report = dict(zip(("p2_verdict", "p3_verdict", "p4_verdict"), verdicts),
-                           alpha=alpha, p2_partial_sum=total, analytic_basis=basis,
-                           horizon_used=horizon)
-    # Lemma 4: the smallest K with lambda_max^alpha * kappa <= 1/C on [K, K_max]
-    C, k_max = checks.lemma4.C, checks.lemma4.K_max
-    d = schedule.eigenvalues(np.arange(k_max + 1))
+    report = dict(zip(("p2_verdict", "p3_verdict", "p4_verdict"), verdicts), alpha=alpha,
+                  p2_partial_sum=total, analytic_basis=basis, horizon_used=horizon)
+    return {"report": report}, "fail" in verdicts
+
+
+def _lemma4(config, objective, noise) -> tuple[dict, bool]:
+    """The smallest K with lambda_max^alpha * kappa <= 1/C on [K, K_max]."""
+    alpha, C, k_max = config.checks.alpha, config.checks.lemma4.C, config.checks.lemma4.K_max
+    d = config.schedule.eigenvalues(np.arange(k_max + 1))
     lmax, lmin = d.max(axis=1), d.min(axis=1)
     bad = np.nonzero(~(lmax ** alpha * (lmax / lmin) <= 1.0 / C))[0]
     threshold = 0 if len(bad) == 0 else None if bad[-1] == k_max else int(bad[-1]) + 1
-    failed = "fail" in verdicts or threshold is None
-    return int(failed), {
-        f"{CHECK_REPORTS['p1p2p3p4']}.json": json_text(
-            {"check": "p1p2p3p4", "report": schedule_report}),
-        f"{CHECK_REPORTS['lemma4']}.json": json_text({"check": "lemma4", "report": {
-            "C": C, "alpha": alpha, "K_max": k_max, "threshold": threshold}})}
+    return {"report": {"C": C, "alpha": alpha, "K_max": k_max, "threshold": threshold}}, \
+        threshold is None
 
 
-COMMANDS = {"run": _run, "stopping-times": _stopping_times, "check": _schedule_checks}
+# The sampled checks.  Each seeds one default_rng(checks.seed) and draws its
+# points whole, in the order the spec gives; then it visits the points one at
+# a time, evaluating each on a one-row array (the catalog's batch functions,
+# and numpy's power, have the same bits on one row as on many).
+
+
+def _worst(values: list[float]) -> int:
+    """The index of the worst value: the first NaN, else the first maximum."""
+    worst = 0
+    for i, value in enumerate(values):
+        if math.isnan(value):
+            return i
+        if value > values[worst]:
+            worst = i
+    return worst
+
+
+def _assumption(assumption_id: str, values: list[float], tol: float, witnesses) -> tuple:
+    """The report of a sampled check at its worst point, and whether it failed."""
+    i = _worst(values)
+    verdict = "pass" if values[i] <= tol else "fail"
+    return {"report": {"assumption_id": assumption_id, "verdict": verdict,
+                       "worst_violation": values[i], "witness": witnesses[i],
+                       "tolerance": tol}}, verdict == "fail"
+
+
+def _inconclusive(assumption_id: str, tol: float) -> tuple:
+    return {"report": {"assumption_id": assumption_id, "verdict": "inconclusive",
+                       "worst_violation": 0.0, "witness": None, "tolerance": tol}}, False
+
+
+def _box(rng, n: int, box, p: int) -> np.ndarray:
+    return rng.uniform(box[0], box[1], size=(n, p))
+
+
+def _sq_norms(objective, noise, theta, rng, n: int) -> np.ndarray:
+    """n draws of ||sample||^2 at theta, one noise row each.  Zero noise
+    draws the exact gradient n times, whose square is g @ g."""
+    w = noise.draw(rng, n)
+    if w is None:
+        g = objective.grad(theta)
+        return np.full(n, float(g @ g))
+    rows = [_sample(objective.grad, noise, theta, w[j])[None, :] for j in range(n)]
+    return np.array([np.einsum("ij,ij->i", row, row)[0] for row in rows])
+
+
+def _holder_sup(objective, box, alpha: float, seed: int) -> float:
+    """The largest |grad(x) - grad(y)| / |x - y|^alpha over the pairs at a
+    positive distance, NaN if any ratio is NaN: every pair of the
+    HOLDER_BOX_SAMPLES-point grid in 1-D, HOLDER_BOX_SAMPLES random pairs
+    (all the x's drawn, then all the y's) for p > 1."""
+    n = checkers.HOLDER_BOX_SAMPLES
+    ratios = []
+    if objective.dim == 1:
+        xs = np.linspace(box[0], box[1], n)[:, None]
+        objective.check_domain(xs)
+        g = [objective.grad_batch(xs[i:i + 1])[0] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist = np.abs(xs[j] - xs[i])
+                if dist[0] > 0.0:
+                    ratios.append(float((np.abs(g[j] - g[i]) / dist ** alpha)[0]))
+        return float(np.max(ratios))
+    rng = np.random.default_rng(seed)
+    xs = _box(rng, n, box, objective.dim)
+    ys = _box(rng, n, box, objective.dim)
+    objective.check_domain(xs)
+    objective.check_domain(ys)
+    for i in range(n):
+        x, y = xs[i:i + 1], ys[i:i + 1]
+        dist = _norms(y - x)
+        if dist[0] > 0.0:
+            num = _norms(objective.grad_batch(y) - objective.grad_batch(x))
+            ratios.append(float((num / dist ** alpha)[0]))
+    return float(np.max(ratios))
+
+
+def _descent(config, objective, noise) -> tuple[dict, bool]:
+    checks, descent = config.checks, config.checks.descent
+    alpha, tol = checks.alpha, checkers.DEFAULT_TOL
+    l_tilde = descent.L_tilde
+    if l_tilde is None:
+        l_tilde = 2.0 * _holder_sup(objective, descent.box, alpha, checks.seed)
+    if not (math.isfinite(l_tilde) and l_tilde > 0.0):
+        raise ContractViolation(f"L_tilde must be finite and > 0, got {l_tilde!r}")
+    rng = np.random.default_rng(checks.seed)
+    thetas = _box(rng, descent.n_pairs, descent.box, objective.dim)
+    phis = _box(rng, descent.n_pairs, descent.box, objective.dim)
+    objective.check_domain(thetas)
+    objective.check_domain(phis)
+    lhs, witnesses = [], []
+    for i in range(descent.n_pairs):
+        theta, phi = thetas[i:i + 1], phis[i:i + 1]
+        diff = theta - phi
+        inner = np.einsum("ij,ij->i", objective.grad_batch(phi), diff)
+        value = float((objective.value_batch(theta) - objective.value_batch(phi) - inner
+                       - (l_tilde / (1.0 + alpha)) * _norms(diff) ** (1.0 + alpha))[0])
+        lhs.append(value)
+        witnesses.append({"theta": theta[0].tolist(), "phi": phi[0].tolist(), "lhs": value})
+    body, failed = _assumption("descent", lhs, tol, witnesses)
+    return {"L_tilde": l_tilde, **body}, failed
+
+
+def _variance(config, objective, noise) -> tuple[dict, bool]:
+    """The two-link moment chain on the norms of n_samples draws at theta0."""
+    alpha = config.checks.alpha
+    theta = np.asarray(config.run.theta0, dtype=float)
+    objective.check_domain(theta)
+    rng = np.random.default_rng(config.checks.seed)
+    s = np.sqrt(_sq_norms(objective, noise, theta, rng, config.checks.variance.n_samples))
+    if not all(math.isfinite(v) for v in s):
+        raise ContractViolation("samples must be finite and >= 0")
+    m_low = float(np.mean(s ** (1.0 + alpha)))
+    m_mid = float(np.mean(s ** 2) ** ((1.0 + alpha) / 2.0))
+    m_young = float((1.0 + alpha) / 2.0 * np.mean(s ** 2) + (1.0 - alpha) / 2.0)
+    worst = max((m_low - m_mid) / max(1.0, abs(m_mid)),
+                (m_mid - m_young) / max(1.0, abs(m_young)))
+    return _assumption("variance", [worst], 1e-12, [{"chain": [m_low, m_mid, m_young],
+                                                     "alpha": alpha}])
+
+
+def _gradbound(config, objective, noise) -> tuple[dict, bool]:
+    checks, gb = config.checks, config.checks.gradbound
+    alpha, tol = checks.alpha, checkers.DEFAULT_TOL
+    L = gb.L if gb.L is not None else objective.l_global
+    if L is None:
+        return _inconclusive("gradbound", tol)
+    rng = np.random.default_rng(checks.seed)
+    pts = _box(rng, gb.n_points, gb.box, objective.dim)
+    objective.check_domain(pts)
+    rel, witnesses = [], []
+    for i in range(gb.n_points):
+        phi = pts[i:i + 1]
+        f = objective.value_batch(phi) - objective.f_lb
+        gsq = objective.grad_norm_batch(phi) ** 2
+        bound = (L ** (1.0 / alpha) * (1.0 + alpha) / alpha * f) ** (2.0 * alpha / (1.0 + alpha))
+        rel.append(float(((gsq - bound) / np.maximum(1.0, bound))[0]))
+        witnesses.append({"phi": phi[0].tolist(), "grad_norm_sq": float(gsq[0]),
+                          "bound": float(bound[0])})
+    return _assumption("gradbound", rel, tol, witnesses)
+
+
+def _smoothness(config, objective, noise) -> tuple[dict, bool]:
+    """E||sample||^2 <= C1 + C2 (F - f_lb) + C3 ||grad||^2 at each point,
+    with a 4-sigma margin on the mean of n_draws draws and a 1e-12 relative slack."""
+    checks, sm = config.checks, config.checks.smoothness
+    constants = sm.constants or noise.constants
+    if constants is None:
+        return _inconclusive("smoothness", 0.0)
+    C1, C2, C3 = constants
+    if C1 < 0.0 or C2 < 0.0 or C3 < 1.0 or sm.n_draws < 2:
+        raise ContractViolation("C1, C2 >= 0, C3 >= 1 and n_draws >= 2")
+    rng = np.random.default_rng(checks.seed)
+    pts = _box(rng, sm.n_points, sm.box, objective.dim)
+    objective.check_domain(pts)
+    margins, witnesses = [], []
+    for theta in pts:  # each point's draws after the last point's
+        sq = _sq_norms(objective, noise, theta, rng, sm.n_draws)
+        m_hat = np.mean(sq)
+        se = np.std(sq, ddof=1) / np.sqrt(sm.n_draws)
+        g = objective.grad(theta)
+        bound = C1 + C2 * (objective.value(theta) - objective.f_lb) + C3 * float(g @ g)
+        margins.append(float(m_hat - bound - 4.0 * se - 1e-12 * np.maximum(1.0, bound)))
+        witnesses.append({"theta": theta.tolist(), "empirical_second_moment": float(m_hat),
+                          "bound": float(bound), "stderr": float(se)})
+    return _assumption("smoothness", margins, 0.0, witnesses)
+
+
+def _ball(phi: np.ndarray, r: float, n: int, seed: int) -> list[np.ndarray]:
+    """The n ball points of the local Hölder estimate: in 1-D phi + r, phi - r,
+    then phi + (2 v_i - 1) r for the bit-reversal points v_i = 1/2, 1/4, 3/4, ...;
+    for p > 1 from default_rng(seed), per point a normal direction and then,
+    at odd points, a radius r * u^(1/p)."""
+    p = phi.shape[0]
+    if p == 1:
+        points = [phi + r, phi - r]
+        for i in range(1, n - 1):
+            v, bit, j = 0.0, 0.5, i
+            while j:
+                v += bit * (j & 1)
+                bit, j = bit / 2.0, j >> 1
+            points.append(phi + (2.0 * v - 1.0) * r)
+        return points[:n]
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(n):
+        d = rng.standard_normal(p)
+        rad = r if i % 2 == 0 else r * rng.random() ** (1.0 / p)
+        points.append(phi + (rad / float(np.linalg.norm(d))) * d)
+    return points
+
+
+def _local_holder(objective, phi, r: float, alpha: float, seed: int) -> float:
+    """max over the ball points at a positive distance of
+    |grad(x) - grad(phi)| / |x - phi|^alpha (NaN if any is NaN), 0 if none."""
+    if objective.r0 > 0.0 and float(np.linalg.norm(phi)) - r < objective.r0:
+        raise DomainError("the ball leaves the domain", theta=phi)
+    g_phi = objective.grad(phi)
+    ratios = []
+    for x in _ball(phi, r, checkers.PROBE_HOLDER_SAMPLES, seed):
+        dist = _norms(x[None, :] - phi[None, :])
+        if dist[0] > 0.0:
+            num = _norms(objective.grad_batch(x[None, :]) - g_phi[None, :])
+            ratios.append(float((num / dist ** alpha)[0]))
+    return float(np.max(ratios)) if ratios else 0.0
+
+
+def _radial(config, objective, noise) -> tuple[dict, bool]:
+    diag = config.diagnostics
+    alpha, r, radii, b = diag.alpha, diag.r, list(diag.radii), diag.b_threshold
+    if (any(y <= x for x, y in zip(radii, radii[1:])) or b <= 0.0 or r <= 0.0
+            or any(rho < objective.r0 + r for rho in radii)):
+        raise ContractViolation("bad radial probe parameters")
+    G = noise.envelope(objective)
+    clamp = checkers.ZERO_CLAMP
+    records, f = [], []
+    for rho in radii:
+        phi = np.zeros(objective.dim)
+        phi[0] = rho
+        g = objective.grad(phi)
+        l_r = _local_holder(objective, phi, r, alpha, config.checks.seed)
+        l_r = l_r if l_r >= clamp else 0.0
+        g_val = float(G(phi))
+        g_val = g_val if g_val >= clamp else 0.0
+        denom = (l_r if l_r else 1.0) * (g_val ** ((1.0 + alpha) / 2.0) + (0.0 if g_val else 1.0))
+        gns = float(g @ g)
+        records.append({"radius": rho, "grad_norm_sq": gns, "L_r": l_r, "G_value": g_val,
+                        "ratio": gns / denom})
+        f.append(objective.value(phi))
+    steps = [y - x for x, y in zip(f, f[1:])]
+    if steps and all(s > 0.0 for s in steps):
+        a5 = "increasing-unbounded"
+    elif steps and all(s <= 0.0 for s in steps) and any(s < 0.0 for s in steps):
+        a5 = "decreasing"
+    else:
+        a5 = "bounded"
+    tail = [rec["ratio"] for rec in records[-3:]]
+    if all(x >= b for x in tail):
+        a6 = "satisfied-at-horizon"
+    elif all(y < x for x, y in zip(tail, tail[1:])) and all(x < b for x in tail):
+        a6 = "violated-at-horizon"
+    else:
+        a6 = "inconclusive"
+    return {"report": {"radii": radii, "records": records, "alpha": alpha, "r": r,
+                       "b_threshold": b, "a5_trend": a5, "a6_verdict": a6}}, \
+        a6 == "violated-at-horizon"
+
+
+CHECKS = {"p1p2p3p4": _p1p2p3p4, "descent": _descent, "variance": _variance,
+          "gradbound": _gradbound, "smoothness": _smoothness, "radial": _radial,
+          "lemma4": _lemma4}
+
+
+def _check(config) -> tuple[int, dict]:
+    """Each check of checks.which in turn.  The first that raises sets the exit
+    code (3 for a point below the domain floor, 2 for a refused constant) and
+    no report is written; else the code is 1 if any check failed."""
+    objective = config.run.objective.build()
+    noise = config.run.noise.build(objective.dim)
+    files, failed = {}, False
+    for name in config.checks.which:
+        try:
+            body, fail = CHECKS[name](config, objective, noise)
+        except DomainError:
+            return 3, {}
+        except ContractViolation:
+            return 2, {}
+        failed |= fail
+        stem = CHECK_REPORTS[name]
+        files[f"{stem}.json"] = json_text({"check": name, **body})
+        if name == "radial":
+            records = body["report"]["records"]
+            files[f"{stem}.csv"] = csv_text(list(records[0]),
+                                            [list(rec.values()) for rec in records])
+    return int(failed), files
+
+
+COMMANDS = {"run": _run, "stopping-times": _stopping_times, "check": _check}
 
 
 def main(command: str, raw: dict) -> tuple[int, dict[str, bytes]]:
     """The exit code and the report files {name: bytes} of `sgdlab <command>`
-    on the config dict raw (`check` as --which p1p2p3p4,lemma4)."""
+    on the config dict raw (`check` runs the checks of checks.which)."""
     config = config_from_dict(raw)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as cli.main
         code, files = COMMANDS[command](config)

@@ -1,15 +1,19 @@
 """Checker tests: each expected value is either exact arithmetic or frozen
 from an independent brute-force oracle that the test re-runs."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdlab import checkers, reports
 from sgdlab.checkers import (
     _van_der_corput,
+    _worst_point,
     check_descent_inequality,
     check_expected_smoothness,
     check_grad_bound,
@@ -89,6 +93,42 @@ def test_holder_ball_domain_error():
         estimate_local_holder(obj, [1.2], 0.5, 1.0, 16)
     est = estimate_local_holder(obj, [2.0], 0.5, 1.0, 16)
     assert est.value > 0.0
+
+
+def _every_grid_pair(obj, box, alpha) -> float:
+    """The Hölder sup by brute force: the max over the pairs i < j of the
+    distinct grid points, in one array."""
+    xs = np.unique(np.linspace(*box, checkers.HOLDER_BOX_SAMPLES))
+    g = obj.grad_batch(xs[:, None])[:, 0]
+    i, j = np.triu_indices(len(xs), k=1)
+    return float(np.max(np.abs(g[j] - g[i]) / np.abs(xs[j] - xs[i]) ** alpha))
+
+
+# power-q(4)'s gradient 4 x^3 overflows from about 3.56e102: one grid point
+# (inf ratios), then many (inf - inf, NaN ratios)
+_P4 = catalog_lookup("power-q", q=4.0)
+_THRESHOLD = float(np.nextafter((np.finfo(float).max / 4.0) ** (1.0 / 3.0), 0.0))
+
+
+@pytest.mark.parametrize("obj, box, alpha, expect", [
+    (catalog_lookup("quadratic"), (-10.0, 10.0), 1.0, 1.0),
+    (catalog_lookup("smooth-rectifier"), (-10.0, 10.0), 0.5, None),
+    (catalog_lookup("gauss-bump"), (-3.0, 3.0), 0.7, None),
+    (_P4, (1e102, _THRESHOLD * 1.001), 1.0, math.inf),
+    (_P4, (2e102, 3e103), 1.0, math.nan),
+    (_P4, (1.0, 1.0000000000000004), 1.0, None),  # 3 distinct grid points
+], ids=["quadratic", "rectifier", "gauss-bump", "one-inf-gradient", "nan-ratios", "narrow"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 512, 10**6])
+def test_holder_sup_in_blocks_of_grid_rows_is_the_max_over_every_pair(
+        monkeypatch, obj, box, alpha, expect, rows):
+    # a block of grid rows reads each pair (i, j > i), a pair of two of its
+    # rows twice and its diagonal as 0; the max has the brute force's bits
+    monkeypatch.setattr(checkers, "_ROWS", rows)
+    with np.errstate(all="ignore"):  # the gradient's own overflow
+        want = _every_grid_pair(obj, box, alpha)
+        assert repr(holder_sup_on_box(obj, box, alpha)) == repr(want)
+    if expect is not None:
+        assert repr(want) == repr(expect)
 
 
 def test_holder_contracts():
@@ -452,6 +492,96 @@ def test_threshold_contracts():
         find_eigenvalue_threshold(sched, 0.0, 1.0, 100)
     with pytest.raises(ContractViolation):
         find_eigenvalue_threshold(sched, 1.0, 1.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the sampled checkers in blocks of rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("values", [
+    [math.nan, 1.0, 5.0, math.nan, 7.0],  # a NaN in the first block
+    [0.0, 1.0, 3.0, math.nan, 3.0, math.nan],  # NaNs after the first maximum
+    [1.0, 2.0, 2.0, 2.0, 0.0, 2.0, 2.0],  # ties across every block edge
+    [-math.inf, -math.inf, -math.inf],
+    [1.0, math.inf, 0.0, math.inf, math.nan],
+    [-3.0, -1.0, -2.0, -1.0, -1.0],
+], ids=["nan-first-block", "nans-after-max", "ties", "all-minus-inf", "inf-ties-then-nan",
+        "negative-ties"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 1000])
+def test_worst_point_across_blocks_is_argmax_of_the_whole_sample(monkeypatch, values, rows):
+    # the first maximum, and the first NaN before any number, as np.argmax
+    # picks them on the whole array; the witness is read from its own row
+    monkeypatch.setattr(checkers, "_ROWS", rows)
+    values = np.array(values)
+    blocks = []
+
+    def block(rows: slice):
+        blocks.append(rows.start)
+        return values[rows], lambda j, start=rows.start: start + j
+
+    report = _worst_point("x", len(values), 0.0, block)
+    i = int(np.argmax(values))
+    assert report.witness == i
+    assert report.worst_violation == values[i] or math.isnan(values[i])
+    assert report.verdict == ("pass" if values[i] <= 0.0 else "fail")
+    # the scan stops at the block of the first NaN
+    assert blocks == list(range(0, i + 1 if math.isnan(values[i]) else len(values), rows))
+
+
+_POWER4 = catalog_lookup("power-q", q=4.0)
+_BLOCK_CASES = {
+    # F overflows in some points of this box and not in others: NaN, inf and
+    # finite violations, with a NaN in the first block of 2 and 3 rows
+    "descent-nan": (check_descent_inequality, dict(
+        obj=_POWER4, n_pairs=13, L_tilde=1.0, alpha=1.0, box=(1e76, 4e77), seed=3)),
+    "gradbound-nan": (check_grad_bound, dict(
+        obj=_POWER4, L=1.0, alpha=1.0, n_points=13, box=(1e76, 4e77), seed=5)),
+    # far out, the rectifier's every relative gradbound violation is -1.0: ties
+    "gradbound-ties": (check_grad_bound, dict(
+        obj=catalog_lookup("smooth-rectifier", 2), L=0.25, alpha=1.0, n_points=13,
+        box=(1e76, 4e77), seed=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_blocked_checkers_report_the_point_of_one_block(monkeypatch, case):
+    checker, kwargs = _BLOCK_CASES[case]
+    with np.errstate(all="ignore"):
+        whole = reports.dumps_json(checker(**kwargs))  # 13 rows: one block
+        for rows in (1, 2, 3, 5, 12):
+            monkeypatch.setattr(checkers, "_ROWS", rows)
+            assert reports.dumps_json(checker(**kwargs)) == whole, rows
+    report = json.loads(whole)
+    if case.endswith("nan"):
+        assert report["worst_violation"] is None and report["verdict"] == "fail"
+    else:
+        assert report["worst_violation"] == -1.0
+        assert report["witness"]["phi"] == np.random.default_rng(1).uniform(
+            1e76, 4e77, (1, 2))[0].tolist()
+
+
+def _peak_bytes(fn) -> int:
+    fn()  # numpy's and the objective's one-time allocations
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("checker, points, kwargs", [
+    (check_descent_inequality, 2, dict(n_pairs=200000, L_tilde=2.0)),
+    (check_grad_bound, 1, dict(L=1.0, n_points=200000)),
+], ids=["descent", "gradbound"])
+def test_blocked_checkers_hold_their_points_and_a_few_blocks(checker, points, kwargs):
+    # the points drawn (thetas and phis, or the gradbound points) and at most
+    # 12 blocks of rows beside them; whole-sample temporaries peaked at
+    # 15.3 MB (descent) and 9.2 MB (gradbound)
+    n = next(v for k, v in kwargs.items() if k.startswith("n_"))
+    peak = _peak_bytes(lambda: checker(obj=catalog_lookup("quadratic"), alpha=1.0,
+                                       box=(-10.0, 10.0), **kwargs))
+    assert peak < points * n * 8 + 12 * checkers._ROWS * 8
 
 
 # ---------------------------------------------------------------------------

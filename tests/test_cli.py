@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -669,6 +670,20 @@ def test_check_box_whose_width_overflows_exits_2(tmp_path, capsys, check, block,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("box", [[1.0, 1.0000000000000002], [-5e-324, 5e-324]])
+def test_descent_box_narrower_than_the_grid_runs(tmp_path, capsys, box):
+    # 512 grid points on a box a few floats wide repeat; their zero-distance
+    # pairs made the 1-D Hölder sup 0/0, and a null L_tilde exited 2 with
+    # "L_tilde must be finite, got nan", a value the config never set
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = {"which": ["descent"], "descent": {"n_pairs": 100, "box": box}}
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "descent_report.json").read_text())
+    # the quadratic's gradient is the identity: every pair's ratio is 1
+    assert report["L_tilde"] == 2.0 and report["report"]["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("L, alpha", [(-100.0, 0.5), (-2.0, 0.7), (0.0, 1.0)])
 def test_nonpositive_gradbound_constant_exits_2(tmp_path, capsys, L, alpha):
     # L = -100 at alpha 0.5 passed the check; L = -2 at alpha 0.7 made the
@@ -698,7 +713,9 @@ def small_checks(which):
 
 @pytest.fixture
 def started_threads(monkeypatch):
-    """The threads that start while the test runs."""
+    """The threads that start while the test runs, from a process whose
+    schedule-lane worker has not started."""
+    monkeypatch.setattr(cli, "_LANE", [])
     started = []
 
     class Counted(threading.Thread):
@@ -766,7 +783,12 @@ def test_check_over_every_check_writes_the_bytes_of_single_check_runs(
         cfg["checks"] = small_checks([check])
         assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
     assert len(started_threads) == 1  # a single check runs on one lane: no thread
-    assert threading.active_count() == before
+    # the lane worker stays, idle, and the next two-lane check reuses it
+    assert threading.active_count() == before + 1
+    cfg = base_config(tmp_path / "again")
+    cfg["checks"] = small_checks(ALL_CHECKS)
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(started_threads) == 1 and threading.active_count() == before + 1
     together = sorted((tmp_path / "all").iterdir())
     assert len(together) == 8  # seven JSON reports and the radial CSV
     assert [path.name for path in together] == sorted(
@@ -799,6 +821,24 @@ def test_a_repeated_check_runs_once(tmp_path, monkeypatch):
     assert sorted(outputs[0]) == ["descent_report.json", "lemma4_report.json"]
 
 
+def test_the_idle_lane_worker_holds_no_bounds_table(tmp_path, monkeypatch, started_threads):
+    # the worker drops each job's arguments before it waits for the next, so
+    # a command's schedule and its 16 MB table die with the command
+    schedules = []
+
+    def loaded(*args, _load=cli.load_config):
+        config = _load(*args)
+        schedules.append(weakref.ref(config.schedule))
+        return config
+
+    monkeypatch.setattr(cli, "load_config", loaded)
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(ALL_CHECKS)
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(started_threads) == 1 and started_threads[0].is_alive()
+    assert len(schedules) == 1 and schedules[0]() is None
+
+
 @pytest.mark.parametrize("which,code", [
     # the schedule lane fails first in `which` order: MemoryError, exit 2
     (["p1p2p3p4", "descent", "lemma4", "variance"], 2),
@@ -816,7 +856,7 @@ def test_first_failure_in_which_order_decides_as_in_a_serial_run(
     before = threading.active_count()
     assert main(["check", "--config", cfg_path]) == code
     assert len(started_threads) == 1
-    assert threading.active_count() == before
+    assert threading.active_count() == before + 1  # the lane worker, kept idle
     lanes = capsys.readouterr().err
     assert len(lanes.splitlines()) == 1
     assert not (tmp_path / "out").exists()

@@ -6,8 +6,11 @@ schedule family, p from 1 to 4, capture on and off) run through `cli.main`
 and through the reference, with the engine's block sizes and the chunk of
 its step-size scans patched small, and every report of `run`,
 `stopping-times` and `check --which p1p2p3p4,lemma4` must have the same
-bytes and the same exit code.  Five named 13-trajectory `run` configs go through `cli.main` with
-`--jobs` 1, 2 and 3, so the worker pool writes the reference's bytes too.
+bytes and the same exit code.  Tiny `check` configs, drawn apart, run all
+seven checks in a drawn order with the sampled checkers' block of rows and
+sample counts patched small, against the same reference.  Five named
+13-trajectory `run` configs go through `cli.main` with `--jobs` 1, 2 and 3,
+so the worker pool writes the reference's bytes too.
 The hand-built edge tests below them hold the step loops to the
 reference's per-trajectory function where a drawn config would rarely land
 (special floats, exits at block edges, a raising g1, a sigma that
@@ -68,7 +71,7 @@ from sgdlab.objectives import (
 OBJECTIVES = SCHEMA["objective"][0]["name"][0]
 NOISE_KINDS = SCHEMA["noise"][0]["kind"][0]
 FAMILIES = SCHEMA["schedule"][0]["family"][0]
-COMMANDS = {"run": [], "stopping-times": [], "check": ["--which", "p1p2p3p4,lemma4"]}
+COMMANDS = ("run", "stopping-times", "check")
 
 
 @st.composite
@@ -132,16 +135,14 @@ def _edge(objective, schedule, theta0, K, noise=None, sizes=(5, 1, 3)):
                        "checks": {"horizon": K, "lemma4": {"K_max": K}}}
 
 
-def _cli(command, config, flags=None):
-    """main's exit code and report files for the command on the config, with
-    the command's flags in COMMANDS unless others are given."""
+def _cli(command, config, flags=()):
+    """main's exit code and report files for the command on the config."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps({**config, "output": {**config.get("output", {}),
                                                          "directory": str(out)}}))
-        code = main([command, "--config", str(path),
-                     *(COMMANDS[command] if flags is None else flags)])
+        code = main([command, "--config", str(path), *flags])
         files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
     return code, files
 
@@ -315,6 +316,9 @@ def test_cli_reports_have_the_bytes_of_the_reference():
                           "diagnostics": {"capture": {"R": 0.5, "epsilon": 0.25}}}))
     def check(setup):
         (chunk, first_block, block), config = setup
+        # `check` runs the two schedule scans here, and all seven checks below
+        config = {**config, "checks": {**config.get("checks", {}),
+                                       "which": ["p1p2p3p4", "lemma4"]}}
         with mock.patch.multiple(engine, _CHUNK=chunk, _FIRST_BLOCK=first_block, _BLOCK=block), \
                 mock.patch.object(checkers, "_CHUNK", chunk), _spied_sigma_forms(reached):
             for command in COMMANDS:
@@ -335,35 +339,185 @@ def test_cli_reports_have_the_bytes_of_the_reference():
 
 
 def test_the_reference_reads_only_the_definitions_of_the_spec():
-    # no stepper, `_drive`, ensemble worker, aggregation or report writer
+    # no stepper, `_drive`, ensemble worker, aggregation, checker or report
+    # writer: of engine the chunk, of checkers the sample counts and constants
     tree = ast.parse(Path(reference.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module.startswith("sgdlab") for alias in node.names}
-    from_engine = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                   and isinstance(node.value, ast.Name) and node.value.id == "engine"}
-    assert imported == {"engine", "CHECK_REPORTS", "config_from_dict", "ENVELOPE_GRID",
-                        "split_seed", "THETA_CAP", "DomainError", "OVERFLOW_CAP", "_norms"}
-    assert from_engine == {"_CHUNK"}
+
+    def attributes(module):
+        return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == module}
+
+    assert imported == {"engine", "checkers", "CHECK_REPORTS", "config_from_dict",
+                        "ENVELOPE_GRID", "split_seed", "THETA_CAP", "ContractViolation",
+                        "DomainError", "OVERFLOW_CAP", "_norms"}
+    assert attributes("engine") == {"_CHUNK"}
+    assert attributes("checkers") == {"HOLDER_BOX_SAMPLES", "PROBE_HOLDER_SAMPLES",
+                                      "DEFAULT_TOL", "ZERO_CLAMP"}
 
 
-def test_check_reports_are_canonical_json_and_csv(tmp_path):
-    # the sampled checkers have no reference yet: every file `check` writes
-    # must at least be its own json.dumps / csv.writer round trip
-    config = {"objective": {"name": "smooth-rectifier"},
-              "schedule": {"c": 0.5}, "diagnostics": {"radii": [10.0, 100.0, 1000.0]},
-              "checks": {"horizon": 100, "descent": {"n_pairs": 50},
-                         "variance": {"n_samples": 50}, "gradbound": {"n_points": 50},
-                         "smoothness": {"n_points": 3, "n_draws": 50},
-                         "lemma4": {"K_max": 100}}}
-    code, files = _cli("check", config, flags=[])
-    assert code in (0, 1) and len(files) == 8
+# ---------------------------------------------------------------------------
+# drawn `check` configs, all seven checks, against the reference
+# ---------------------------------------------------------------------------
+
+CHECKS = tuple(SCHEMA["checks"][0]["which"][1])
+def _boxes(p: int) -> list:
+    """The sampled checks' boxes at dimension p: the default one (above the
+    domain floor), one below every floor but zero (exit 3 where there is
+    one), one above every floor, one two floats wide, which the 1-D Hölder
+    grid repeats, and one whose points' squared norms run from 1e308 to
+    2.56e308, past the float range in some points and not in others, so that
+    NaN, infinite and finite violations mix."""
+    edge = 1e154 / math.sqrt(p)
+    return [None, None, [-3.0, 2.0], [2.0, 5.5], [1.5, 1.5000000000000002], [edge, 1.6 * edge]]
+
+
+@st.composite
+def _check_setups(draw):
+    """(rows, grid, ball) sizes, to patch checkers._ROWS, HOLDER_BOX_SAMPLES
+    and PROBE_HOLDER_SAMPLES with, and a `check` config whose samples end
+    inside a block of rows and at its edges."""
+    rows = draw(st.sampled_from([1, 2, 3, 5]))
+    sizes = (rows, draw(st.sampled_from([2, 5, 16])), draw(st.sampled_from([2, 5, 9])))
+    n = st.sampled_from([1, rows, rows + 1, 2 * rows, 3 * rows + 2])
+    p = draw(st.sampled_from([1, 2, 3, 4]))
+    objective = {"name": draw(st.sampled_from(OBJECTIVES)), "dimension": p}
+    if objective["name"] == "power-q":
+        objective["q"] = draw(st.sampled_from([0.5, 1.5, 4.0]))
+    if ObjectiveSpec(**objective).build().r0 > 0.0 and draw(st.booleans()):
+        objective["r0"] = draw(st.sampled_from([0.5, 1.5]))
+    noise = {"kind": draw(st.sampled_from(NOISE_KINDS))}
+    if noise["kind"] == "additive-gaussian":
+        noise["sigma"] = draw(st.sampled_from([0.7, 3.0]))
+    elif noise["kind"] == "additive-gaussian-statedep":
+        noise["sigma_expr"] = draw(st.sampled_from(["0.3*(1+norm(theta))",
+                                                    "0.5*exp(-norm(theta))"]))
+    elif p > 1 and draw(st.booleans()):
+        noise["direction"] = [1.0, -2.0, 0.5, 3.0][:p]
+    family = draw(st.sampled_from(FAMILIES))
+    schedule = {"family": family, "p": p, "c": 0.5, "beta": draw(st.sampled_from([0.6, 1.2]))}
+    if family != "scalar-power":
+        schedule["c"] = [0.5 * (1.0 - 0.2 * i) for i in range(p)]
+        schedule["beta"] = [schedule["beta"] * (1.0 + 0.1 * i) for i in range(p)]
+    order = draw(st.permutations(CHECKS))
+    boxes = st.sampled_from(_boxes(p))
+    checks = {
+        "alpha": draw(st.sampled_from([1.0, 0.5])), "horizon": 7,
+        "seed": draw(st.integers(0, 2**40)),
+        "which": list(order[:draw(st.sampled_from([2, 7, 7]))]),
+        "descent": {"n_pairs": draw(n), "box": draw(boxes),
+                    "L_tilde": draw(st.sampled_from([None, None, 0.05, 100.0]))},
+        "variance": {"n_samples": draw(n)},
+        "gradbound": {"n_points": draw(n), "box": draw(boxes),
+                      "L": draw(st.sampled_from([None, 0.05, 4.0]))},
+        "smoothness": {"n_points": draw(n), "n_draws": draw(st.sampled_from([2, 5])),
+                       "box": draw(boxes),
+                       "constants": draw(st.sampled_from(
+                           [None, None, [0.0, 0.0, 1.0], [1.0, 2.0, 3.0]]))},
+        "lemma4": {"C": draw(st.sampled_from([0.5, 100.0])), "K_max": 9}}
+    for block in ("descent", "gradbound", "smoothness"):  # null is the default box
+        checks[block] = {k: v for k, v in checks[block].items() if v is not None}
+    diagnostics = {"alpha": draw(st.sampled_from([1.0, 0.5])),
+                   "r": draw(st.sampled_from([0.5, 0.25])),
+                   "b_threshold": draw(st.sampled_from([0.25, 1e-6, 50.0])),
+                   "radii": draw(st.sampled_from([[2.0, 5.0, 40.0], [3.0],
+                                                  [10.0, 1e3, 1e5, 1e7]]))}
+    run = {"theta0": [draw(st.sampled_from([1.0, 3.0])) * v for v in [1.5, -0.5, 2.0, 0.7][:p]]}
+    output = {"formats": draw(st.sampled_from([["json", "csv"], ["json"], ["csv"]]))}
+    return sizes, {"objective": objective, "noise": noise, "schedule": schedule, "run": run,
+                   "diagnostics": diagnostics, "checks": checks, "output": output}
+
+
+def _check_edge(rows, checks, objective=None, noise=None):
+    """A drawn-check-shaped example on the 1-D quadratic."""
+    return (rows, 16, 5), {"objective": objective or {"name": "quadratic"},
+                           "noise": noise or {"kind": "zero"}, "schedule": {"c": 0.5},
+                           "checks": {"horizon": 7, "lemma4": {"K_max": 9}, **checks}}
+
+
+def _spied_assumptions(seen: list):
+    """Patch the reference's _assumption to note (check, violations) in seen."""
+    assumption = reference._assumption
+
+    def spied(assumption_id, values, tol, witnesses):
+        seen.append((assumption_id, list(values)))
+        return assumption(assumption_id, values, tol, witnesses)
+
+    return mock.patch.object(reference, "_assumption", spied)
+
+
+def _reached_checks(setup, code, files, seen) -> set:
+    """What the drawn check reached, for the coverage count."""
+    (rows, grid, _), config = setup
+    reached = {("exit", code)}
+    for assumption_id, values in seen:
+        i = reference._worst(values)
+        if math.isnan(values[i]):
+            reached.add(("worst", "NaN"))
+        if rows > 1 and len(values) > rows and i % rows in (0, rows - 1):
+            reached.add(("worst", "at a block edge"))
+        if assumption_id == "smoothness":
+            reached.add(("smoothness", config["noise"]["kind"]))
     for name, data in files.items():
-        if name.endswith(".json"):
-            assert data.decode() == reference.json_text(json.loads(data)), name
-        else:
-            header, *rows = [line.split(",") for line in data.decode().split("\r\n")[:-1]]
-            rows = [[float(v) if v else None for v in row] for row in rows]
-            assert data.decode() == reference.csv_text(header, rows), name
+        if name.endswith(".json") and b'"verdict": "fail"' in data:
+            reached.add(("verdict", "fail"))
+    descent = config["checks"].get("descent", {})
+    if (config["objective"].get("dimension", 1) == 1 and "L_tilde" not in descent
+            and "descent_report.json" in files
+            and len(np.unique(np.linspace(*descent.get("box", (-10.0, 10.0)), grid))) < grid):
+        reached.add(("Hölder grid", "repeats a point"))
+    return reached
+
+
+def test_check_reports_have_the_bytes_of_the_reference():
+    reached = set()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.seed(DRAW_SEED)
+    @given(_check_setups())
+    # an inf in the first block of 2, and a NaN, the worst, in the second
+    @example(_check_edge(2, {"which": ["descent"], "seed": 1,
+                             "descent": {"n_pairs": 7, "box": [1e154, 1.6e154]}}))
+    # a 2-float box: the 1-D Hölder grid repeats its points
+    @example(_check_edge(5, {"which": ["descent"], "descent": {"box": [1.0, 1.0000000000000002]}}))
+    # n_draws 1, C3 below 1 and radii out of order are refused (exit 2)
+    @example(_check_edge(2, {"which": ["smoothness"], "smoothness": {"n_draws": 1}}))
+    @example(((2, 16, 5), {**_check_edge(2, {"which": ["radial", "descent"]})[1],
+                           "diagnostics": {"radii": [4.0, 2.5]}}))
+    @example(_check_edge(2, {"which": ["variance", "smoothness"],
+                             "smoothness": {"constants": [0.0, 0.0, 0.5]}}))
+    def check(setup):
+        (rows, grid, ball), config = setup
+        seen = []
+        with mock.patch.multiple(checkers, _ROWS=rows, HOLDER_BOX_SAMPLES=grid,
+                                 PROBE_HOLDER_SAMPLES=ball), _spied_assumptions(seen):
+            want = reference.main("check", config)
+            assert _cli("check", config) == want
+        reached.update(_reached_checks(setup, *want, seen))
+
+    check()
+    want = {("exit", code) for code in (0, 1, 2, 3)} | {
+        ("smoothness", kind) for kind in NOISE_KINDS} | {
+        ("worst", "NaN"), ("worst", "at a block edge"), ("verdict", "fail"),
+        ("Hölder grid", "repeats a point")}
+    assert want <= reached, want - reached
+
+
+def test_check_reports_have_the_bytes_of_the_reference_at_the_default_sizes():
+    # the drawn checks patch the grid, ball and block sizes small; here every
+    # check runs at its own, on one config of each dimension kind
+    for objective in ({"name": "smooth-rectifier"}, {"name": "gauss-bump", "dimension": 3}):
+        config = {"objective": objective, "schedule": {"c": 0.5, "p": objective.get("dimension", 1)},
+                  "noise": {"kind": "additive-gaussian", "sigma": 0.5},
+                  "diagnostics": {"radii": [10.0, 100.0, 1000.0]},
+                  "checks": {"horizon": 100, "descent": {"n_pairs": 50},
+                             "variance": {"n_samples": 50}, "gradbound": {"n_points": 50},
+                             "smoothness": {"n_points": 3, "n_draws": 50},
+                             "lemma4": {"K_max": 100}}}
+        code, files = _cli("check", config)
+        assert code in (0, 1) and len(files) == 8
+        assert (code, files) == reference.main("check", config)
 
 
 def _ensemble(objective, noise, schedule, theta0, K, stride, seed, **diagnostics):

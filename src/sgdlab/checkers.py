@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import _CHUNK, Schedule, Verdict, _check_alpha
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation, DomainError, numeric_policy
 from .objectives import Objective, StochasticOracle, _norms
 
 ZERO_CLAMP = 1e-300
@@ -101,10 +101,11 @@ class RadialProbe:
     a6_verdict: str
 
 
-def _finite(**constants) -> None:
-    """Raise ContractViolation naming the first constant that is NaN or infinite."""
-    for name, value in constants.items():
-        if not math.isfinite(value):
+def _finite(**values) -> None:
+    """Raise ContractViolation naming the first value (a number, or a point or
+    list of numbers) that is or holds a NaN or an infinity."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
             raise ContractViolation(f"{name} must be finite, got {value!r}")
 
 
@@ -167,6 +168,7 @@ def _ball_points(phi: np.ndarray, r: float, n: int, seed: int) -> np.ndarray:
     return pts
 
 
+@numeric_policy
 def estimate_local_holder(
     obj: Objective,
     phi,
@@ -181,7 +183,7 @@ def estimate_local_holder(
     (_ball_points).
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    _finite(r=r)
+    _finite(phi=phi.tolist(), r=r)
     _check_alpha(alpha)
     if r <= 0.0:
         raise ContractViolation("radius r must be > 0")
@@ -208,6 +210,7 @@ def estimate_local_holder(
     )
 
 
+@numeric_policy
 def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
                       seed: int = 0) -> float:
     """Grid estimate of the pairwise Hölder ratio supremum over a box.
@@ -286,6 +289,7 @@ def _worst_point(assumption_id: str, n: int, tol: float,
     )
 
 
+@numeric_policy
 def check_descent_inequality(
     obj: Objective,
     n_pairs: int,
@@ -330,6 +334,7 @@ def check_descent_inequality(
     return _worst_point("descent", n_pairs, tol, block)
 
 
+@numeric_policy
 def check_variance_control(norm_samples, alpha: float,
                            tol: float = 1e-12) -> AssumptionReport:
     """Check the two-link moment chain on nonnegative samples s:
@@ -367,6 +372,7 @@ def check_variance_control(norm_samples, alpha: float,
     )
 
 
+@numeric_policy
 def check_grad_bound(
     obj: Objective,
     L: float | None,
@@ -435,6 +441,7 @@ def _sample_sq_norms(oracle: StochasticOracle, theta: np.ndarray,
     return sq
 
 
+@numeric_policy
 def sample_gradient_norms(oracle: StochasticOracle, theta, rng: np.random.Generator,
                           n: int) -> np.ndarray:
     """n draws of ||sample|| at theta (input for the variance-control check)."""
@@ -443,6 +450,7 @@ def sample_gradient_norms(oracle: StochasticOracle, theta, rng: np.random.Genera
     return np.sqrt(_sample_sq_norms(oracle, theta, rng, n))
 
 
+@numeric_policy
 def check_expected_smoothness(
     oracle: StochasticOracle,
     C1: float,
@@ -492,6 +500,7 @@ def check_expected_smoothness(
     return _worst_point("smoothness", n_points, 0.0, block)
 
 
+@numeric_policy
 def probe_radial_conditions(
     obj: Objective,
     G_fn: Callable[[np.ndarray], float],
@@ -508,7 +517,7 @@ def probe_radial_conditions(
     decreasing and below the threshold there; no claim about the true limit.
     """
     radii = [float(x) for x in radii]
-    _finite(r=r, b_threshold=b_threshold)
+    _finite(r=r, b_threshold=b_threshold, radii=radii)
     _check_alpha(alpha)
     if len(radii) == 0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ContractViolation("radii must be strictly increasing")
@@ -562,6 +571,7 @@ def probe_radial_conditions(
     )
 
 
+@numeric_policy
 def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
                               K_max: int) -> int | None:
     """Smallest K with lambda_max(M_k)^alpha * kappa(M_k) <= 1/C for all

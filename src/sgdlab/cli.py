@@ -14,7 +14,6 @@ point is printed to stderr).
 from __future__ import annotations
 
 import argparse
-import contextvars
 import dataclasses
 import os
 import queue
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import checkers, diagnostics, engine, reports
 from .config import CHECK_REPORTS, ExperimentConfig, load_config
-from .errors import ConfigError, ContractViolation, DomainError
+from .errors import ConfigError, ContractViolation, DomainError, numeric_policy
 from .objectives import StochasticOracle
 
 
@@ -272,9 +271,10 @@ def _cmd_check(config: ExperimentConfig, which) -> int:
     The lanes share no mutable state: each sampled check seeds its own
     Generator from checks.seed, and the bounds table is built and read on the
     schedule lane alone, so a new check that reads Schedule.bounds joins
-    SCHEDULE_LANE.  The schedule lane runs on the lane worker (_lane_jobs) in
-    a copy of this context, so it keeps main's np.errstate; the worker is
-    not used when a lane is empty, and --jobs does not govern the lanes.
+    SCHEDULE_LANE.  The schedule lane runs on the lane worker (_lane_jobs),
+    where its two checks, validate_schedule and find_eigenvalue_threshold,
+    carry errors.numeric_policy themselves; the worker is not used when a
+    lane is empty, and --jobs does not govern the lanes.
     Each lane stops at its own first exception; the results are read in
     `which` order and the first exception in that order is raised, as a
     serial run would raise it.
@@ -288,8 +288,7 @@ def _cmd_check(config: ExperimentConfig, which) -> int:
     results = {}
     if schedule and sampled:
         done = threading.Event()
-        _lane_jobs().put((contextvars.copy_context().run,
-                          (_run_lane, config, oracle, schedule, results), done))
+        _lane_jobs().put((_run_lane, (config, oracle, schedule, results), done))
         _run_lane(config, oracle, sampled, results)
         done.wait()
     else:
@@ -346,6 +345,7 @@ def _run_command(args) -> int:
                                "validate-schedule": ["p1p2p3p4"]}[args.command])
 
 
+@numeric_policy
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -353,21 +353,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        # Overflow, NaN and division by zero are reported by the code that
-        # meets them (a diverging trajectory counts in n_overflow, a non-finite
-        # sigma is a ContractViolation), not as numpy warnings.  Entered once
-        # per command, not per step, where its ~2 us would show.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _run_command(args)
-    except ConfigError as exc:
+        return _run_command(args)
+    except (ConfigError, ContractViolation) as exc:
         print(f"sgdlab: config error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"sgdlab: domain error: {exc}", file=sys.stderr)
         return 3
-    except ContractViolation as exc:
-        print(f"sgdlab: config error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         print(f"sgdlab: config error: the configured sizes do not fit in memory ({exc})",
               file=sys.stderr)

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .engine import Schedule, Trajectory, record_points, run_trajectory
-from .errors import ContractViolation
+from .errors import ContractViolation, numeric_policy
 from .objectives import NoiseSpec, ObjectiveSpec, StochasticOracle, _norms
 
 __all__ = [
@@ -47,6 +47,7 @@ SERIES = ("f_gap", "grad_norm", "grad_norm_sq")
 STATISTICS = ("mean", "se", "median", "q25", "q75")
 
 
+@numeric_policy
 def split_seed(master_seed: int, index: int) -> int:
     """Hash-split the master seed: trajectory seeds are reproducible and do
     not change when the ensemble is extended."""
@@ -257,6 +258,7 @@ def default_r_div(theta0) -> float:
     return 1e3 * (1.0 + float(np.linalg.norm(theta0)))
 
 
+@numeric_policy
 def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
                        R_div: float) -> DichotomyClassification:
     """Classify a trajectory from its per-step norms over its final W steps."""
@@ -298,6 +300,7 @@ def run_member(spec: EnsembleSpec, oracle: StochasticOracle, index: int) -> Traj
                           spec.record_stride)
 
 
+@numeric_policy
 def _run_block(spec: EnsembleSpec, indices: range, W: int, epsilon_conv: float,
                R_div: float, capture: CaptureConfig | None):
     """Run the trajectories `indices` of the ensemble and reduce them in order.
@@ -365,6 +368,7 @@ def _check_gammas(gammas) -> None:
         raise ContractViolation("gamma moments require gamma in [0, 1)")
 
 
+@numeric_policy
 def gradient_convergence_stats(
     ks: np.ndarray,
     f_gap: np.ndarray,
@@ -381,21 +385,20 @@ def gradient_convergence_stats(
     ks = np.asarray(ks)
     _check_gammas(gammas)
     # An overflowed run's inf or NaN entries give inf or NaN statistics (a
-    # null se in the report), not numpy warnings; the values are the same.
-    with np.errstate(over="ignore", invalid="ignore"):
-        series = [f_gap, grad_norm, grad_norm ** 2]
-        for gamma in gammas or ():
-            powed = np.maximum(f_gap, 0.0) ** gamma
-            powed[np.isnan(f_gap)] = np.nan
-            series.append(powed)
-        # One _column_stats call for every series: stacked checkpoint-major
-        # (column j * S + s is series s at checkpoint j), so one run of
-        # same-alive columns covers them all, and each column keeps its bits.
-        S = len(series)
-        stacked = np.empty((f_gap.shape[0], f_gap.shape[1] * S))
-        for s, matrix in enumerate(series):
-            stacked[:, s::S] = matrix
-        n_alive, *stats = _column_stats(stacked)
+    # null se in the report).
+    series = [f_gap, grad_norm, grad_norm ** 2]
+    for gamma in gammas or ():
+        powed = np.maximum(f_gap, 0.0) ** gamma
+        powed[np.isnan(f_gap)] = np.nan
+        series.append(powed)
+    # One _column_stats call for every series: stacked checkpoint-major
+    # (column j * S + s is series s at checkpoint j), so one run of
+    # same-alive columns covers them all, and each column keeps its bits.
+    S = len(series)
+    stacked = np.empty((f_gap.shape[0], f_gap.shape[1] * S))
+    for s, matrix in enumerate(series):
+        stacked[:, s::S] = matrix
+    n_alive, *stats = _column_stats(stacked)
     columns = {f"{name}_{stat}": values[s::S]
                for s, name in enumerate(SERIES) for stat, values in zip(STATISTICS, stats)}
     gamma_moments = None if gammas is None else {
@@ -433,6 +436,7 @@ def gradient_convergence_stats(
     )
 
 
+@numeric_policy
 def envelope_sup_over_ball(spec: EnsembleSpec, theta_bar, R: float) -> float:
     """Grid maximization of the declared envelope G over the closed ball.
 
@@ -469,6 +473,7 @@ def envelope_sup_over_ball(spec: EnsembleSpec, theta_bar, R: float) -> float:
     return float(np.max(g_vals))
 
 
+@numeric_policy
 def run_ensemble(
     spec: EnsembleSpec,
     *,
@@ -565,6 +570,7 @@ def run_ensemble(
     )
 
 
+@numeric_policy
 def compute_stopping_times(traj: Trajectory) -> StoppingTimes:
     """Scan the recorded objective values for +1 threshold crossings.
 

@@ -22,7 +22,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, numeric_policy
 from .objectives import OVERFLOW_CAP, StochasticOracle, _norms
 
 # Iterates at or beyond this magnitude are treated as numeric overflow;
@@ -88,6 +88,7 @@ class Schedule:
     rotation_seed: int | None = None
     q: np.ndarray | None = field(default=None)
 
+    @numeric_policy
     def __post_init__(self):
         self._bounds = None  # (lambda_max, lambda_min) table, built by bounds()
         if self.family not in POWER_FAMILIES:
@@ -220,6 +221,7 @@ def _check_alpha(alpha: float) -> None:
         raise ContractViolation(f"alpha must be in (0, 1], got {alpha!r}")
 
 
+@numeric_policy
 def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> ScheduleReport:
     """Check the schedule against the three eigenvalue-sequence requirements.
 
@@ -449,6 +451,7 @@ def _stepper(objective, noise, schedule: Schedule, K: int) -> partial:
     return partial(_vector_block, sample, schedule, objective.r0, lists=lists)
 
 
+@numeric_policy
 def run_trajectory(
     oracle: StochasticOracle,
     schedule: Schedule,
@@ -487,19 +490,15 @@ def run_trajectory(
     step = _stepper(objective, noise, schedule, K)
     x0 = float(theta0[0]) if step.func is _scalar_block else theta0
     # An iterate that overflows (its norm's dot product included) is flagged
-    # by the accept test, and an F that overflows by the cut below, not
-    # warned about; no step warns of a division by zero either, as under
-    # cli.main, kept or not (a sigma past the exit may divide by zero).
-    # Entered once per trajectory, not per step, where its ~2 us would show.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        trace, overflow, viol = _drive(step, x0, K, noise, rng)
-        trace = trace.reshape(len(trace), objective.dim)
-        ks = record_points(trace.shape[0] - 1, record_stride)
-        thetas = trace[ks]
-        f_values = np.asarray(objective.value_batch(thetas), dtype=float)
-        grad_norms = np.asarray(objective.grad_norm_batch(thetas), dtype=float)
-        # F at or beyond the cap is numeric overflow: truncate at the last good record.
-        bad = ~np.isfinite(f_values) | (f_values >= OVERFLOW_CAP)
+    # by the accept test, and an F that overflows by the cut below.
+    trace, overflow, viol = _drive(step, x0, K, noise, rng)
+    trace = trace.reshape(len(trace), objective.dim)
+    ks = record_points(trace.shape[0] - 1, record_stride)
+    thetas = trace[ks]
+    f_values = np.asarray(objective.value_batch(thetas), dtype=float)
+    grad_norms = np.asarray(objective.grad_norm_batch(thetas), dtype=float)
+    # F at or beyond the cap is numeric overflow: truncate at the last good record.
+    bad = ~np.isfinite(f_values) | (f_values >= OVERFLOW_CAP)
     if np.any(bad):
         cut = max(int(np.argmax(bad)), 1)
         ks, f_values, grad_norms = ks[:cut], f_values[:cut], grad_norms[:cut]

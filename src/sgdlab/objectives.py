@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, UnknownObjectiveError
+from .errors import ContractViolation, DomainError, UnknownObjectiveError, numeric_policy
 
 # Values are capped here instead of overflowing to inf; the trajectory runner
 # treats any F at or above the cap as overflow.
@@ -374,6 +374,7 @@ def _exp_capped_vec(rho: np.ndarray) -> np.ndarray:
     return np.where(rho < 690.0, np.exp(np.minimum(rho, 690.0)), OVERFLOW_CAP)
 
 
+@numeric_policy
 def catalog_lookup(
     name: str,
     dimension: int = 1,
@@ -639,8 +640,7 @@ def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., 
 
     def of_norms(nrms, thetas):
         try:
-            with np.errstate(all="ignore"):
-                sigma = of_rows(nrms)
+            sigma = of_rows(nrms)
             if ((0.0 <= sigma) & (sigma < math.inf)).all():
                 return sigma
         except (ZeroDivisionError, ValueError, OverflowError):
@@ -676,6 +676,7 @@ class NoiseModel:
     _sigma_of_norm: Callable[..., float] | None = field(default=None, repr=False)
     _sigma_of_norms: Callable[..., np.ndarray] | None = field(default=None, repr=False)
 
+    @numeric_policy
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ContractViolation(f"unknown noise kind {self.kind!r}")
@@ -696,8 +697,7 @@ class NoiseModel:
                                         f"entries, got {u.size}")
             if not np.all(np.isfinite(u)):
                 raise ContractViolation("rademacher direction must be finite")
-            with np.errstate(over="ignore"):
-                nu = float(np.linalg.norm(u))
+            nu = float(np.linalg.norm(u))
             if not 1e-150 <= nu < math.inf and np.any(u):
                 # the squared norm overflowed, or underflowed to 0 or to a
                 # subnormal with few bits: rescale by the largest entry first
@@ -723,6 +723,7 @@ class NoiseModel:
         elif self.kind == "additive-gaussian":
             self.constants = (self.dim * self.sigma ** 2, 0.0, 1.0)
 
+    @numeric_policy
     def sigma_at(self, theta: np.ndarray) -> float:
         if self.kind == "additive-gaussian":
             return self.sigma
@@ -730,6 +731,7 @@ class NoiseModel:
             return self._sigma_fn(np.asarray(theta, dtype=float))
         return 0.0
 
+    @numeric_policy
     def second_moment(self, theta: np.ndarray, grad: np.ndarray) -> float:
         """Exact E||sample||^2 at theta given grad = gradF(theta)."""
         g2 = float(grad @ grad)
@@ -751,6 +753,7 @@ class NoiseModel:
 
         return G
 
+    @numeric_policy
     def envelope_batch(self, objective: Objective, thetas: np.ndarray) -> np.ndarray:
         """Vectorized declared envelope over a stack of points."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -764,8 +767,7 @@ class NoiseModel:
         # contiguous rows: each row norm then has the bits of _sigma_norm's;
         # a norm that overflows reaches sigma as inf, as in _sigma_norm
         thetas = np.ascontiguousarray(thetas)
-        with np.errstate(over="ignore"):
-            nrms = np.sqrt(np.vecdot(thetas, thetas))
+        nrms = np.sqrt(np.vecdot(thetas, thetas))
         sig = self._sigma_of_norms(nrms, thetas)
         return g2 + self.dim * sig ** 2
 

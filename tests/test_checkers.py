@@ -126,7 +126,7 @@ def test_holder_sup_in_blocks_of_grid_rows_is_the_max_over_every_pair(
     monkeypatch.setattr(checkers, "_ROWS", rows)
     with np.errstate(all="ignore"):  # the gradient's own overflow
         want = _every_grid_pair(obj, box, alpha)
-        assert repr(holder_sup_on_box(obj, box, alpha)) == repr(want)
+    assert repr(holder_sup_on_box(obj, box, alpha)) == repr(want)
     if expect is not None:
         assert repr(want) == repr(expect)
 
@@ -137,6 +137,14 @@ def test_holder_contracts():
         estimate_local_holder(obj, [0.0], 0.0, 1.0, 16)
     with pytest.raises(ContractViolation):
         estimate_local_holder(obj, [0.0], 0.5, 1.0, 1)
+
+
+@pytest.mark.parametrize("phi", [[math.nan], [math.inf], [1.0, -math.inf]])
+def test_holder_refuses_a_non_finite_center(phi):
+    # no pair of the ball keeps a positive distance: the estimate read 0.0
+    obj = catalog_lookup("quadratic", len(phi))
+    with pytest.raises(ContractViolation, match=r"^phi must be finite"):
+        estimate_local_holder(obj, phi, 0.5, 1.0, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +331,7 @@ def test_smoothness_nan_margins_fail():
     # exp(700)^2 overflows: the moment and the bound are inf, each margin NaN
     obj = catalog_lookup("exp-abs")
     oracle = StochasticOracle(obj, NoiseModel("additive-gaussian", 1, sigma=1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = check_expected_smoothness(oracle, 1.0, 0.0, 1.0, 4, 100, (700.0, 710.0))
+    report = check_expected_smoothness(oracle, 1.0, 0.0, 1.0, 4, 100, (700.0, 710.0))
     assert report.verdict == "fail"
     assert math.isnan(report.worst_violation)
     assert report.witness["theta"][0] >= 700.0
@@ -452,6 +459,15 @@ def test_probe_contracts():
         probe_radial_conditions(obj, G, 1.0, 0.5, [10.0], 0.0)  # b must be > 0
 
 
+@pytest.mark.parametrize("radii", [[math.nan], [10.0, math.nan], [math.nan, 10.0],
+                                   [10.0, math.inf]])
+def test_probe_refuses_non_finite_radii(radii):
+    # NaN passes the increasing and floor tests; the probe read inconclusive
+    obj = catalog_lookup("loglog1p-abs")
+    with pytest.raises(ContractViolation, match=r"^radii must be finite"):
+        probe_radial_conditions(obj, counterexample_envelope(obj), 1.0, 0.5, radii, 0.25)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue threshold (step-size settling index)
 # ---------------------------------------------------------------------------
@@ -546,11 +562,10 @@ _BLOCK_CASES = {
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_blocked_checkers_report_the_point_of_one_block(monkeypatch, case):
     checker, kwargs = _BLOCK_CASES[case]
-    with np.errstate(all="ignore"):
-        whole = reports.dumps_json(checker(**kwargs))  # 13 rows: one block
-        for rows in (1, 2, 3, 5, 12):
-            monkeypatch.setattr(checkers, "_ROWS", rows)
-            assert reports.dumps_json(checker(**kwargs)) == whole, rows
+    whole = reports.dumps_json(checker(**kwargs))  # 13 rows: one block
+    for rows in (1, 2, 3, 5, 12):
+        monkeypatch.setattr(checkers, "_ROWS", rows)
+        assert reports.dumps_json(checker(**kwargs)) == whole, rows
     report = json.loads(whole)
     if case.endswith("nan"):
         assert report["worst_violation"] is None and report["verdict"] == "fail"

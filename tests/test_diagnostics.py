@@ -128,8 +128,8 @@ def test_exp_abs_run_capped_at_its_first_record_reads_undecided():
 def test_f_that_overflows_on_the_record_grid_warns_nothing():
     # power-q(q=4) from 2 under step 1: the iterates stay below THETA_CAP
     # until their F = x**4 overflows float64 on the record grid; the records
-    # are read inside run_trajectory's errstate, so a library caller sees no
-    # numpy warning (pytest turns one into an error)
+    # are read under run_trajectory's errors.numeric_policy, so a library
+    # caller sees no numpy warning (pytest turns one into an error)
     spec = EnsembleSpec(objective=ObjectiveSpec("power-q", q=4.0), noise=NoiseSpec("zero"),
                         schedule=Schedule.scalar(1.0, 0.0), theta0=(2.0,), horizon=1000,
                         n_trajectories=2, master_seed=0)
@@ -600,8 +600,9 @@ def test_report_json_survives_dead_checkpoints():
                  id="exp-abs-from-400"),
 ])
 def test_overflowing_ensemble_statistics_emit_no_warnings(spec):
-    # outside cli.main's errstate: an overflowed run is counted, and its
-    # statistics are inf or NaN (null in the report), without a numpy warning
+    # outside cli.main, under run_ensemble's own errors.numeric_policy: an
+    # overflowed run is counted, and its statistics are inf or NaN (null in
+    # the report), without a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = run_ensemble(spec)

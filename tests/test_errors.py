@@ -1,0 +1,127 @@
+"""errors.numeric_policy at the library boundary: every entry point returns or
+refuses an overflowing input without a numpy warning.
+
+The suite turns every warning into an error (`filterwarnings = error`), so a
+RuntimeWarning that leaks from an entry point fails the call that caused it.
+"""
+
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import sgdlab
+from sgdlab import (
+    NoiseModel,
+    Schedule,
+    StochasticOracle,
+    catalog_lookup,
+    check_descent_inequality,
+    check_expected_smoothness,
+    check_grad_bound,
+    check_variance_control,
+    classify_dichotomy,
+    compute_stopping_times,
+    estimate_local_holder,
+    find_eigenvalue_threshold,
+    gradient_convergence_stats,
+    holder_sup_on_box,
+    probe_radial_conditions,
+    run_ensemble,
+    run_trajectory,
+    split_seed,
+    validate_schedule,
+)
+from sgdlab.checkers import sample_gradient_norms
+from sgdlab.diagnostics import EnsembleSpec, envelope_sup_over_ball
+from sgdlab.errors import SgdLabError
+from sgdlab.objectives import NoiseSpec, ObjectiveSpec
+
+# power-q(4)'s gradient 4 x^3 passes the float range near 3.56e102
+P4 = catalog_lookup("power-q", q=4.0)
+BOX = (1e102, 3.6e102)
+QUADRATIC = catalog_lookup("quadratic")
+QUADRATIC2 = catalog_lookup("quadratic", 2)
+# c = 2.5, zero noise: each step multiplies theta by -1.5, past THETA_CAP
+# after about 850 steps
+DIVERGING = dict(schedule=Schedule.scalar(2.5, 0.0), theta0=(1.0,), horizon=2000)
+
+
+def _diverging_run():
+    return run_trajectory(StochasticOracle(QUADRATIC, NoiseModel("zero", 1)),
+                          DIVERGING["schedule"], DIVERGING["theta0"], DIVERGING["horizon"], 7)
+
+
+CALLS = {
+    # these nine warned before the policy sat on every entry point
+    "holder_sup_on_box": lambda: holder_sup_on_box(P4, BOX, 1.0),
+    "check_descent_inequality": lambda: check_descent_inequality(P4, 50, 1.0, 1.0, BOX),
+    "check_grad_bound": lambda: check_grad_bound(P4, 1.0, 1.0, 50, BOX),
+    "check_expected_smoothness": lambda: check_expected_smoothness(
+        StochasticOracle(P4, NoiseModel("additive-gaussian", 1, sigma=1.0)),
+        1.0, 1.0, 1.0, 4, 20, BOX),
+    "probe_radial_conditions": lambda: probe_radial_conditions(
+        P4, NoiseModel("zero", 1).envelope(P4), 1.0, 1.0, [2e102, 3e102], 1.0),
+    "check_variance_control": lambda: check_variance_control([1e200, 1e201], 1.0),
+    "validate_schedule": lambda: validate_schedule(Schedule.scalar(1e300, 0.0), 1.0, 10),
+    "NoiseModel.second_moment": lambda: NoiseModel("zero", 1).second_moment(
+        np.array([1e200]), np.array([1e200])),
+    "Schedule.rotated": lambda: Schedule.rotated([1.0, 1.0], [0.6, 0.6],
+                                                 q=np.full((2, 2), 1e200)),
+    # one overflowing call for each other export and method, and for the
+    # two public functions outside the exports that cli.main calls
+    "estimate_local_holder": lambda: estimate_local_holder(P4, [3e102], 1e102, 1.0, 16),
+    # lambda_max / lambda_min is 1e310
+    "find_eigenvalue_threshold": lambda: find_eigenvalue_threshold(
+        Schedule.diagonal([1e300, 1e-10], [0.0, 0.0]), 4.0, 1.0, 10),
+    "run_trajectory": _diverging_run,
+    "run_ensemble": lambda: run_ensemble(EnsembleSpec(
+        ObjectiveSpec("quadratic"), NoiseSpec("zero"), n_trajectories=3, master_seed=1,
+        **DIVERGING)),
+    "gradient_convergence_stats": lambda: gradient_convergence_stats(
+        np.array([0, 1]), np.array([[1e300, 1e300], [1e300, np.nan]]),
+        np.array([[1e200, 1e200], [1e200, np.nan]]), [1e300, 1e300], gammas=[0.5]),
+    "classify_dichotomy": lambda: classify_dichotomy(_diverging_run(), 10, 1e-3, 1e3),
+    "compute_stopping_times": lambda: compute_stopping_times(_diverging_run()),
+    "split_seed": lambda: split_seed(2**64 - 1, 2**63),
+    "catalog_lookup": lambda: catalog_lookup("power-q", q=4.0, r0=1e200),
+    "NoiseModel.__post_init__": lambda: NoiseModel("rademacher-radial", 2,
+                                                   direction=np.array([1e200, 1e200])),
+    # 1/0 at the origin: the inf sigma is refused by name
+    "NoiseModel.sigma_at": lambda: NoiseModel(
+        "additive-gaussian-statedep", 2, sigma_expr="1/norm(theta)").sigma_at(np.zeros(2)),
+    "sample_gradient_norms": lambda: sample_gradient_norms(
+        StochasticOracle(QUADRATIC2, NoiseModel("zero", 2)),
+        [1e200, 1e200], np.random.default_rng(1), 8),
+    # the 1-D grid's width hi - lo overflows
+    "envelope_sup_over_ball": lambda: envelope_sup_over_ball(EnsembleSpec(
+        ObjectiveSpec("quadratic"), NoiseSpec("zero"), n_trajectories=1, master_seed=1,
+        **DIVERGING), (0.0,), 1e308),
+    "NoiseModel.envelope_batch": lambda: NoiseModel(
+        "additive-gaussian-statedep", 2, sigma_expr="norm(theta)**2").envelope_batch(
+            QUADRATIC2, np.full((3, 2), 1e200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_an_overflowing_call_returns_or_refuses_without_a_warning(name):
+    before = np.geterr()
+    try:
+        CALLS[name]()
+    except SgdLabError:
+        pass
+    assert np.geterr() == before  # the policy leaves the caller's state as it was
+
+
+def test_the_gate_calls_every_exported_function():
+    exported = {name for name, value in vars(sgdlab).items() if inspect.isfunction(value)}
+    assert exported - set(CALLS) == set()
+
+
+def test_np_errstate_is_entered_in_errors_py_alone():
+    # a new inner block fails here by its file's name: put the entry point
+    # under @numeric_policy instead
+    package = Path(sgdlab.__file__).parent
+    assert sorted(path.name for path in package.glob("*.py")
+                  if "np.errstate(" in path.read_text(encoding="utf-8")) == ["errors.py"]

@@ -345,7 +345,9 @@ def check_variance_control(norm_samples, alpha: float,
     The chain holds for every nonnegative sample set and alpha in (0, 1].
     Links can be mathematical equalities (alpha = 1, or a single sample), so
     the tolerance is applied relative to the link magnitude: pow rounding on
-    large samples would otherwise register as a violation.
+    large samples would otherwise register as a violation.  A link that
+    overflows cannot be compared, so such a chain reads inconclusive, with
+    the chain as its witness.
     """
     s = np.asarray(norm_samples, dtype=float)
     if s.size == 0:
@@ -362,12 +364,15 @@ def check_variance_control(norm_samples, alpha: float,
         (m_low - m_mid) / max(1.0, abs(m_mid)),
         (m_mid - m_young) / max(1.0, abs(m_young)),
     )
-    witness = {"chain": [m_low, m_mid, m_young], "alpha": alpha}
+    chain = [m_low, m_mid, m_young]
+    verdict = "pass" if worst <= tol else "fail"
+    if not all(map(math.isfinite, chain)):
+        verdict = "inconclusive"
     return AssumptionReport(
         assumption_id="variance",
-        verdict="pass" if worst <= tol else "fail",
+        verdict=verdict,
         worst_violation=worst,
-        witness=witness,
+        witness={"chain": chain, "alpha": alpha},
         tolerance=tol,
     )
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import queue
 import sys
 import threading
 from pathlib import Path
@@ -228,56 +227,15 @@ def _run_lane(config: ExperimentConfig, oracle: StochasticOracle, names, results
             return
 
 
-# The schedule lane's worker, (thread, job queue): started by the first
-# `check` that runs both lanes and kept, idle, for the next one.  A daemon,
-# so that an interrupt of the calling thread does not wait for the rest of a
-# long scan.  A thread started per command made glibc's allocator now and
-# then place the command's 16 MB bounds table above the last command's
-# freed one instead of in its place: check-suite's peak RSS read 77 MB
-# instead of 64 in 4 of 20 harness runs of 20 s on 2 vCPU, and in none of
-# 20 with one worker.
-_LANE: list[tuple[threading.Thread, queue.SimpleQueue]] = []
-_LANE_LOCK = threading.Lock()
-
-
-def _lane_jobs() -> queue.SimpleQueue:
-    """The job queue of the lane worker, started here if it is not running
-    (first use, or a process forked from one that ran it)."""
-    with _LANE_LOCK:
-        if not _LANE or not _LANE[0][0].is_alive():
-            jobs = queue.SimpleQueue()
-            worker = threading.Thread(target=_serve_lanes, args=(jobs,), daemon=True)
-            worker.start()
-            _LANE[:] = [(worker, jobs)]
-        return _LANE[0][1]
-
-
-def _serve_lanes(jobs: queue.SimpleQueue) -> None:
-    """Run each job (run, args, done): run(*args), then drop the job's
-    arguments, so that an idle worker holds no config or table, and set done."""
-    while True:
-        run, args, done = jobs.get()
-        try:
-            run(*args)
-        finally:
-            del run, args
-            done.set()
-
-
 def _cmd_check(config: ExperimentConfig, which) -> int:
     """Run the selected checks in two lanes at once: the schedule scans
-    (SCHEDULE_LANE) and the sampled checkers.
-
-    The lanes share no mutable state: each sampled check seeds its own
-    Generator from checks.seed, and the bounds table is built and read on the
-    schedule lane alone, so a new check that reads Schedule.bounds joins
-    SCHEDULE_LANE.  The schedule lane runs on the lane worker (_lane_jobs),
-    where its two checks, validate_schedule and find_eigenvalue_threshold,
-    carry errors.numeric_policy themselves; the worker is not used when a
-    lane is empty, and --jobs does not govern the lanes.
-    Each lane stops at its own first exception; the results are read in
-    `which` order and the first exception in that order is raised, as a
-    serial run would raise it.
+    (SCHEDULE_LANE) on the calling thread, the sampled checkers on a daemon
+    thread of this command (an interrupt does not wait for it), joined before
+    the results are read.  The lanes share no mutable state: each sampled
+    check seeds its own Generator and carries errors.numeric_policy itself,
+    and only SCHEDULE_LANE reads Schedule.bounds.  A single lane starts no
+    thread.  Each lane stops at its first exception; the first exception in
+    `which` order is raised, as a serial run would raise it.
     """
     stems = {check: CHECK_REPORTS[check] for check in which}
     paths = _report_paths(config, [f"{stem}.json" for stem in stems.values()]
@@ -287,10 +245,14 @@ def _cmd_check(config: ExperimentConfig, which) -> int:
     sampled = [check for check in which if check not in SCHEDULE_LANE]
     results = {}
     if schedule and sampled:
-        done = threading.Event()
-        _lane_jobs().put((_run_lane, (config, oracle, schedule, results), done))
-        _run_lane(config, oracle, sampled, results)
-        done.wait()
+        # The 16 MB bounds table is built on the calling thread: on a thread
+        # started per command, glibc now and then placed it above the last
+        # command's freed table (check-suite peak RSS 77 MB instead of 64).
+        lane = threading.Thread(target=_run_lane, args=(config, oracle, sampled, results),
+                                daemon=True)
+        lane.start()
+        _run_lane(config, oracle, schedule, results)
+        lane.join()
     else:
         _run_lane(config, oracle, which, results)
     writers = {}

@@ -458,7 +458,12 @@ def envelope_sup_over_ball(spec: EnsembleSpec, theta_bar, R: float) -> float:
             if xs.size == 0:
                 raise ContractViolation("ball lies entirely inside the forbidden region")
         pts = xs[:, None]
-    elif getattr(obj, "radial", False) and noise.kind != "additive-gaussian-statedep":
+    elif obj.radial and noise.kind == "additive-gaussian-statedep":
+        raise ContractViolation(
+            f"envelope maximization does not support additive-gaussian-statedep noise "
+            f"on the radial objective {obj.id!r} at p = {obj.dim} (only in 1-D)"
+        )
+    elif obj.radial:
         nb = float(np.linalg.norm(tb))
         lo = max(obj.r0, max(0.0, nb - R))
         hi = nb + R

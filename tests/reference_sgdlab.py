@@ -488,8 +488,11 @@ def _variance(config, objective, noise) -> tuple[dict, bool]:
     m_young = float((1.0 + alpha) / 2.0 * np.mean(s ** 2) + (1.0 - alpha) / 2.0)
     worst = max((m_low - m_mid) / max(1.0, abs(m_mid)),
                 (m_mid - m_young) / max(1.0, abs(m_young)))
-    return _assumption("variance", [worst], 1e-12, [{"chain": [m_low, m_mid, m_young],
-                                                     "alpha": alpha}])
+    chain = [m_low, m_mid, m_young]
+    body, failed = _assumption("variance", [worst], 1e-12, [{"chain": chain, "alpha": alpha}])
+    if not all(math.isfinite(m) for m in chain):  # an overflowed link compares nothing
+        body["report"]["verdict"], failed = "inconclusive", False
+    return body, failed
 
 
 def _gradbound(config, objective, noise) -> tuple[dict, bool]:

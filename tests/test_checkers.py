@@ -235,14 +235,25 @@ def test_variance_contract_violations():
         check_variance_control([1.0], 0.0)
 
 
+def test_variance_chain_whose_links_overflow_is_inconclusive():
+    # finite samples whose powers overflow: an inf link compares with nothing,
+    # so the chain is no violation, and it stays the witness
+    for alpha, finite in ((1.0, [False, False, False]), (0.5, [True, False, False])):
+        report = check_variance_control([1e200, 1e201], alpha)
+        assert report.verdict == "inconclusive"
+        assert [math.isfinite(m) for m in report.witness["chain"]] == finite
+        assert report.witness["alpha"] == alpha
+
+
 @given(
-    samples=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40),
+    samples=st.lists(st.floats(min_value=0.0, max_value=1e308), min_size=1, max_size=40),
     alpha=st.floats(min_value=1e-6, max_value=1.0),
 )
 @settings(max_examples=300, deadline=None)
 def test_variance_chain_is_unconditional(samples, alpha):
     report = check_variance_control(np.array(samples), alpha)
-    assert report.verdict == "pass"
+    finite = all(map(math.isfinite, report.witness["chain"]))
+    assert report.verdict == ("pass" if finite else "inconclusive")
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,16 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def _in_a_fresh_process(code: str, *args: str) -> list[str]:
+    """The stdout lines of `python -c code *args`, with this sgdlab importable."""
+    src = str(Path(sgdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    return out.stdout.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -467,6 +477,22 @@ def test_capture_theta_bar_of_another_dimension_is_rejected(tmp_path, theta_bar)
         config_from_dict(cfg)
 
 
+def test_capture_on_a_radial_objective_with_statedep_noise_names_the_pairing(tmp_path, capsys):
+    # the envelope grid supports radial objectives, but not this noise on them
+    cfg = base_config(tmp_path / "out", objective={"name": "log1p-abs", "dimension": 2},
+                      noise={"kind": "additive-gaussian-statedep",
+                             "sigma_expr": "0.1*(1+norm(theta))"})
+    cfg["schedule"]["p"] = 2
+    cfg["run"]["theta0"] = [3.0, 1.0]
+    cfg["diagnostics"]["capture"]["theta_bar"] = [2.0, 0.0]
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "sgdlab: config error: envelope maximization does not support "
+        "additive-gaussian-statedep noise on the radial objective 'log1p-abs' at p = 2 "
+        "(only in 1-D)\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "check", "probe-radial", "validate-schedule",
                                      "stopping-times"])
 def test_objective_schedule_dimension_mismatch_exits_2(tmp_path, capsys, command):
@@ -698,8 +724,9 @@ def test_nonpositive_gradbound_constant_exits_2(tmp_path, capsys, L, alpha):
     assert not (tmp_path / "out").exists()
 
 
-# `check` runs the schedule scans (cli.SCHEDULE_LANE) on a thread beside the
-# sampled checkers; these tests pin that the lanes change no byte and no exit.
+# `check` runs the schedule scans (cli.SCHEDULE_LANE) on the calling thread and
+# the sampled checkers on a thread of the command beside them; these tests pin
+# that the lanes change no byte and no exit, and that no thread outlives `main`.
 
 ALL_CHECKS = ["p1p2p3p4", "descent", "variance", "gradbound", "smoothness", "radial",
               "lemma4"]
@@ -713,9 +740,7 @@ def small_checks(which):
 
 @pytest.fixture
 def started_threads(monkeypatch):
-    """The threads that start while the test runs, from a process whose
-    schedule-lane worker has not started."""
-    monkeypatch.setattr(cli, "_LANE", [])
+    """The threads that start while the test runs."""
     started = []
 
     class Counted(threading.Thread):
@@ -728,8 +753,8 @@ def started_threads(monkeypatch):
 
 
 @pytest.mark.parametrize("objective,schedule,which,checks,digests", [
-    # c = 1e200 overflows (k + k0)**-beta * c in the schedule scans: the lane
-    # thread must keep main's np.errstate, or the overflow warning raises here
+    # c = 1e200 overflows (k + k0)**-beta * c in the schedule scans, on the
+    # calling thread: main's np.errstate must cover them, or the warning raises
     pytest.param(
         {"name": "quadratic"}, {"c": 1e200}, ["p1p2p3p4", "descent", "lemma4"],
         {"lemma4": {"K_max": 1000}},
@@ -740,7 +765,8 @@ def started_threads(monkeypatch):
          "lemma4_report.json":
          "6dafa91122100c5cd24567690ab71090ed7ff517ecf974717009dff35dfc393e"},
         id="schedule-lane-overflow"),
-    # exp(700)^2 overflows in the sampled lane, whichever thread runs it
+    # exp(700)^2 overflows in the sampled lane, on the command's thread: the
+    # checkers' own np.errstate must cover it there
     pytest.param(
         {"name": "exp-abs"}, {}, ["smoothness", "p1p2p3p4"],
         {"smoothness": {"box": [700.0, 710.0], "n_draws": 100}},
@@ -783,12 +809,12 @@ def test_check_over_every_check_writes_the_bytes_of_single_check_runs(
         cfg["checks"] = small_checks([check])
         assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
     assert len(started_threads) == 1  # a single check runs on one lane: no thread
-    # the lane worker stays, idle, and the next two-lane check reuses it
-    assert threading.active_count() == before + 1
+    assert threading.active_count() == before
+    # each two-lane check starts its own lane thread and joins it
     cfg = base_config(tmp_path / "again")
     cfg["checks"] = small_checks(ALL_CHECKS)
     assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
-    assert len(started_threads) == 1 and threading.active_count() == before + 1
+    assert len(started_threads) == 2 and threading.active_count() == before
     together = sorted((tmp_path / "all").iterdir())
     assert len(together) == 8  # seven JSON reports and the radial CSV
     assert [path.name for path in together] == sorted(
@@ -821,9 +847,10 @@ def test_a_repeated_check_runs_once(tmp_path, monkeypatch):
     assert sorted(outputs[0]) == ["descent_report.json", "lemma4_report.json"]
 
 
-def test_the_idle_lane_worker_holds_no_bounds_table(tmp_path, monkeypatch, started_threads):
-    # the worker drops each job's arguments before it waits for the next, so
-    # a command's schedule and its 16 MB table die with the command
+def test_check_leaves_no_lane_thread_and_no_bounds_table(tmp_path, monkeypatch,
+                                                          started_threads):
+    # the lane thread ends before main returns, so nothing holds the
+    # command's schedule and its 16 MB table after it
     schedules = []
 
     def loaded(*args, _load=cli.load_config):
@@ -835,8 +862,22 @@ def test_the_idle_lane_worker_holds_no_bounds_table(tmp_path, monkeypatch, start
     cfg = base_config(tmp_path / "out")
     cfg["checks"] = small_checks(ALL_CHECKS)
     assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
-    assert len(started_threads) == 1 and started_threads[0].is_alive()
+    assert len(started_threads) == 1 and not started_threads[0].is_alive()
     assert len(schedules) == 1 and schedules[0]() is None
+
+
+def test_a_two_lane_check_leaves_the_thread_count_as_it_was(tmp_path):
+    # in a fresh process, so that no earlier command in this one hides a
+    # thread that the first check of a process would leave
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(["p1p2p3p4", "variance"])
+    code = ("import sys, threading\n"
+            "import sgdlab.cli\n"
+            "before = threading.active_count()\n"
+            "assert sgdlab.cli.main(['check', '--config', sys.argv[1]]) == 0\n"
+            "print(threading.active_count() - before)\n")
+    assert _in_a_fresh_process(code, write_config(tmp_path, cfg)) == ["0"]
+    assert (tmp_path / "out" / "variance_report.json").exists()
 
 
 @pytest.mark.parametrize("which,code", [
@@ -856,7 +897,7 @@ def test_first_failure_in_which_order_decides_as_in_a_serial_run(
     before = threading.active_count()
     assert main(["check", "--config", cfg_path]) == code
     assert len(started_threads) == 1
-    assert threading.active_count() == before + 1  # the lane worker, kept idle
+    assert threading.active_count() == before  # the lane thread was joined
     lanes = capsys.readouterr().err
     assert len(lanes.splitlines()) == 1
     assert not (tmp_path / "out").exists()
@@ -1100,12 +1141,7 @@ def test_a_run_that_starts_no_pool_imports_no_pool(tmp_path):
             "print(sorted(pool & set(sys.modules)))\n"
             "assert sgdlab.cli.main(['run', '--config', sys.argv[1], '--jobs', '1']) == 0\n"
             "print(sorted(pool & set(sys.modules)))\n")
-    src = str(Path(sgdlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code, cfg_path], capture_output=True,
-                         text=True, env=env, timeout=120, check=True)
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert _in_a_fresh_process(code, cfg_path) == ["[]", "[]"]
     assert (tmp_path / "out" / "ensemble_report.json").exists()
 
 

@@ -487,6 +487,9 @@ def test_check_reports_have_the_bytes_of_the_reference():
                            "diagnostics": {"radii": [4.0, 2.5]}}))
     @example(_check_edge(2, {"which": ["variance", "smoothness"],
                              "smoothness": {"constants": [0.0, 0.0, 0.5]}}))
+    # squared norms of 1.3e308 whose mean overflows: the chain is inconclusive
+    @example(((2, 16, 5), {**_check_edge(2, {"which": ["variance"], "variance": {"n_samples": 3}})[1],
+                           "run": {"theta0": [1.3e154]}}))
     def check(setup):
         (rows, grid, ball), config = setup
         seen = []

@@ -358,8 +358,9 @@ def check_variance_control(norm_samples, alpha: float,
     _finite(tol=tol)
 
     m_low = float(np.mean(s ** (1.0 + alpha)))
-    m_mid = float(np.mean(s ** 2) ** ((1.0 + alpha) / 2.0))
-    m_young = float((1.0 + alpha) / 2.0 * np.mean(s ** 2) + (1.0 - alpha) / 2.0)
+    m_sq = np.mean(s ** 2)
+    m_mid = float(m_sq ** ((1.0 + alpha) / 2.0))
+    m_young = float((1.0 + alpha) / 2.0 * m_sq + (1.0 - alpha) / 2.0)
     worst = max(
         (m_low - m_mid) / max(1.0, abs(m_mid)),
         (m_mid - m_young) / max(1.0, abs(m_young)),

@@ -216,45 +216,73 @@ def _run_check(config: ExperimentConfig, oracle: StochasticOracle, name: str):
 SCHEDULE_LANE = ("p1p2p3p4", "lemma4")
 
 
-def _run_lane(config: ExperimentConfig, oracle: StochasticOracle, names, results: dict):
-    """Run the named checks in order into results[name], as (body, failed) or as
-    the exception that stopped the lane there."""
-    for name in names:
-        try:
-            results[name] = _run_check(config, oracle, name)
-        except Exception as exc:
-            results[name] = exc
-            return
+def _queue(config: ExperimentConfig, names) -> list[str]:
+    """The sampled checks in names, largest first by the points or draws that
+    their config blocks declare; ties keep their order in names."""
+    checks = config.checks
+    size = {"smoothness": checks.smoothness.n_points * checks.smoothness.n_draws,
+            "descent": checks.descent.n_pairs, "variance": checks.variance.n_samples,
+            "gradbound": checks.gradbound.n_points,
+            "radial": len(config.diagnostics.radii) * checkers.PROBE_HOLDER_SAMPLES}
+    return sorted(names, key=lambda name: -size[name])
 
 
 def _cmd_check(config: ExperimentConfig, which) -> int:
-    """Run the selected checks in two lanes at once: the schedule scans
-    (SCHEDULE_LANE) on the calling thread, the sampled checkers on a daemon
-    thread of this command (an interrupt does not wait for it), joined before
-    the results are read.  The lanes share no mutable state: each sampled
-    check seeds its own Generator and carries errors.numeric_policy itself,
-    and only SCHEDULE_LANE reads Schedule.bounds.  A single lane starts no
-    thread.  Each lane stops at its first exception; the first exception in
-    `which` order is raised, as a serial run would raise it.
+    """Run the selected checks on the calling thread and, when both kinds are
+    selected, on a daemon thread of this command (an interrupt does not wait
+    for it), joined before the results are read.  The calling thread runs the
+    schedule scans (SCHEDULE_LANE) first, then drops the bounds table, which
+    nothing reads after them; the sampled checks wait in one queue, largest
+    first (`_queue`), that the daemon thread drains from the start and the
+    calling thread once its scans return.  A check of sampled checks alone
+    runs them in `which` order on the calling thread.  The threads share no other mutable
+    state: each sampled check seeds its own Generator and carries
+    errors.numeric_policy itself.  One kind alone starts no thread.  No check
+    later in `which` than the earliest exception so far starts, and the
+    earliest exception in `which` order is raised, as a serial run would raise
+    it.  The report bytes depend on neither the order nor the threads.
     """
     stems = {check: CHECK_REPORTS[check] for check in which}
     paths = _report_paths(config, [f"{stem}.json" for stem in stems.values()]
                           + (["radial_probe.csv"] if "radial" in which else []))
     oracle = config.run.build()
-    schedule = [check for check in which if check in SCHEDULE_LANE]
-    sampled = [check for check in which if check not in SCHEDULE_LANE]
+    rank = {check: i for i, check in enumerate(which)}
     results = {}
-    if schedule and sampled:
-        # The 16 MB bounds table is built on the calling thread: on a thread
-        # started per command, glibc now and then placed it above the last
-        # command's freed table (check-suite peak RSS 77 MB instead of 64).
-        lane = threading.Thread(target=_run_lane, args=(config, oracle, sampled, results),
-                                daemon=True)
+    lock = threading.Lock()
+    first_error = len(which)  # the `which` rank of the earliest exception so far
+
+    def drain(queue: list[str]) -> None:
+        """Run the checks that queue holds into results[name], as (body,
+        failed) or as the exception that the check raised."""
+        nonlocal first_error
+        while True:
+            with lock:
+                if not queue:
+                    return
+                name = queue.pop(0)
+                if rank[name] > first_error:
+                    continue
+            try:
+                results[name] = _run_check(config, oracle, name)
+            except Exception as exc:
+                results[name] = exc
+                with lock:
+                    first_error = min(first_error, rank[name])
+
+    sampled = [check for check in which if check not in SCHEDULE_LANE]
+    lane = None
+    if 0 < len(sampled) < len(which):
+        sampled = _queue(config, sampled)  # one thread alone keeps `which` order
+        lane = threading.Thread(target=drain, args=(sampled,), daemon=True)
         lane.start()
-        _run_lane(config, oracle, schedule, results)
+    # The 16 MB table is built on the calling thread: on a thread started per
+    # command, glibc now and then placed it above the last command's freed
+    # table (check-suite peak RSS 77 MB instead of 64).
+    drain([check for check in which if check in SCHEDULE_LANE])
+    config.schedule.drop_bounds()
+    drain(sampled)
+    if lane is not None:
         lane.join()
-    else:
-        _run_lane(config, oracle, which, results)
     writers = {}
     any_failed = False
     for check, stem in stems.items():

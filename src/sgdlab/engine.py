@@ -160,40 +160,51 @@ class Schedule:
         extra = f",rot={self._rotation}" if self.family == "rotated-diagonal-power" else ""
         return f"{self.family}(c={c},beta={b},k0={self.k0:g},p={self.dim}{extra})"
 
-    def eigenvalues(self, ks) -> np.ndarray:
-        """d_i(k) = c_i * (k + k0)^(-beta_i) at each step index in ks, shape (n, p).
+    def eigenvalues(self, ks, out=None) -> np.ndarray:
+        """d_i(k) = c_i * (k + k0)^(-beta_i) at each step index in ks, shape (n, p),
+        into out when given (an (n, p) float array), else into a new array.
 
         The one definition of the step sizes: the p > 1 steps read it
         directly; the 1-D steps (the one column), the summability sums, the
-        capture tail and the eigenvalue threshold read it through `bounds`.
+        capture tail and the eigenvalue threshold read it through `bounds`,
+        which passes each block of its table as out.
         """
         ks = np.asarray(ks, dtype=float)
-        return self.c[None, :] * (ks[:, None] + self.k0) ** (-self.beta[None, :])
+        d = np.add(ks[:, None], self.k0, out=np.empty((len(ks), self.dim)) if out is None else out)
+        np.power(d, -self.beta[None, :], out=d)
+        return np.multiply(self.c, d, out=d)
 
     def bounds(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(lambda_max, lambda_min) of M_k for k = 0..n-1, as read-only arrays.
 
         The row max and min of `eigenvalues`, computed once in _CHUNK blocks
-        and kept on the schedule (8 bytes per index, 16 for p > 1); a later
-        call with n no larger returns a prefix of the same table.  For p = 1
-        both are the one column, the same array.
+        and kept on the schedule (8 bytes per index, 16 for p > 1) until
+        `drop_bounds`; a later call with n no larger returns a prefix of the
+        same table.  For p = 1 both are the one column, the same array,
+        which `eigenvalues` fills in place; for p > 1 it fills one block buffer.
         """
         table = self._bounds
         if table is None or len(table[0]) < n:
             lmax = np.empty(n)
             lmin = lmax if self.dim == 1 else np.empty(n)
+            block = None if self.dim == 1 else np.empty((min(n, _CHUNK), self.dim))
             for start in range(0, n, _CHUNK):
                 stop = min(start + _CHUNK, n)
-                d = self.eigenvalues(np.arange(start, stop))
+                ks = np.arange(start, stop, dtype=float)
                 if self.dim == 1:
-                    lmax[start:stop] = d[:, 0]
+                    self.eigenvalues(ks, out=lmax[start:stop, None])
                 else:
+                    d = self.eigenvalues(ks, out=block[:stop - start])
                     d.max(axis=1, out=lmax[start:stop])
                     d.min(axis=1, out=lmin[start:stop])
             lmax.flags.writeable = False
             lmin.flags.writeable = False
             table = self._bounds = (lmax, lmin)
         return table[0][:n], table[1][:n]
+
+    def drop_bounds(self) -> None:
+        """Forget the table of `bounds`; the next call builds it again."""
+        self._bounds = None
 
 
 @dataclass

@@ -541,9 +541,9 @@ def test_output_directory_that_is_or_sits_below_a_file_exits_2(tmp_path, capsys,
     cfg = base_config(blocker / below)
     cfg["checks"] = small_checks(["p1p2p3p4", "variance"])
     with mock.patch.object(diagnostics, "run_ensemble", wraps=diagnostics.run_ensemble) as ens, \
-            mock.patch.object(cli, "_run_lane", wraps=cli._run_lane) as lane:
+            mock.patch.object(cli, "_run_check", wraps=cli._run_check) as check:
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
-    assert ens.call_count == lane.call_count == 0  # refused before any compute
+    assert ens.call_count == check.call_count == 0  # refused before any compute
     assert blocker.read_bytes() == b"keep"
     err = capsys.readouterr().err
     assert err == f"sgdlab: config error: output.directory {str(blocker / below)!r}: " \
@@ -724,9 +724,11 @@ def test_nonpositive_gradbound_constant_exits_2(tmp_path, capsys, L, alpha):
     assert not (tmp_path / "out").exists()
 
 
-# `check` runs the schedule scans (cli.SCHEDULE_LANE) on the calling thread and
-# the sampled checkers on a thread of the command beside them; these tests pin
-# that the lanes change no byte and no exit, and that no thread outlives `main`.
+# `check` runs the schedule scans (cli.SCHEDULE_LANE) on the calling thread
+# while a thread of the command takes the sampled checks from one queue,
+# largest first; the calling thread joins the drain once its scans return.
+# These tests pin that the threads and the order change no byte and no exit,
+# that a failure decides as in a serial run, and that no thread outlives `main`.
 
 ALL_CHECKS = ["p1p2p3p4", "descent", "variance", "gradbound", "smoothness", "radial",
               "lemma4"]
@@ -765,8 +767,8 @@ def started_threads(monkeypatch):
          "lemma4_report.json":
          "6dafa91122100c5cd24567690ab71090ed7ff517ecf974717009dff35dfc393e"},
         id="schedule-lane-overflow"),
-    # exp(700)^2 overflows in the sampled lane, on the command's thread: the
-    # checkers' own np.errstate must cover it there
+    # exp(700)^2 overflows in the sampled check, which the command's thread
+    # takes from the queue at once: the checkers' own np.errstate must cover it
     pytest.param(
         {"name": "exp-abs"}, {}, ["smoothness", "p1p2p3p4"],
         {"smoothness": {"box": [700.0, 710.0], "n_draws": 100}},
@@ -808,9 +810,9 @@ def test_check_over_every_check_writes_the_bytes_of_single_check_runs(
         cfg = base_config(tmp_path / "one")
         cfg["checks"] = small_checks([check])
         assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
-    assert len(started_threads) == 1  # a single check runs on one lane: no thread
+    assert len(started_threads) == 1  # a single check starts no thread
     assert threading.active_count() == before
-    # each two-lane check starts its own lane thread and joins it
+    # each check of both kinds starts its own thread and joins it
     cfg = base_config(tmp_path / "again")
     cfg["checks"] = small_checks(ALL_CHECKS)
     assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
@@ -881,9 +883,9 @@ def test_a_two_lane_check_leaves_the_thread_count_as_it_was(tmp_path):
 
 
 @pytest.mark.parametrize("which,code", [
-    # the schedule lane fails first in `which` order: MemoryError, exit 2
+    # a schedule scan fails first in `which` order: MemoryError, exit 2
     (["p1p2p3p4", "descent", "lemma4", "variance"], 2),
-    # the sampled lane fails first: descent samples below the floor, exit 3
+    # a sampled check fails first: descent samples below the floor, exit 3
     (["variance", "descent", "p1p2p3p4", "lemma4"], 3),
 ])
 def test_first_failure_in_which_order_decides_as_in_a_serial_run(
@@ -901,11 +903,128 @@ def test_first_failure_in_which_order_decides_as_in_a_serial_run(
     lanes = capsys.readouterr().err
     assert len(lanes.splitlines()) == 1
     assert not (tmp_path / "out").exists()
-    monkeypatch.setattr(cli, "SCHEDULE_LANE", ())  # every check on one lane, in order
+    # every check on the calling thread, in `which` order: a serial run
+    monkeypatch.setattr(cli, "SCHEDULE_LANE", tuple(ALL_CHECKS))
     assert main(["check", "--config", cfg_path]) == code
     assert len(started_threads) == 1
     assert capsys.readouterr().err == lanes
     assert not (tmp_path / "out").exists()
+
+
+def test_the_queue_is_largest_declared_size_first_ties_in_which_order(tmp_path):
+    cfg = base_config(tmp_path / "out")
+    cfg["diagnostics"]["radii"] = [1.0, 2.0]  # 2 * PROBE_HOLDER_SAMPLES = 1024
+    cfg["checks"] = {"descent": {"n_pairs": 300}, "variance": {"n_samples": 1000},
+                     "gradbound": {"n_points": 300}, "smoothness": {"n_points": 2, "n_draws": 150}}
+    config = load_config(write_config(tmp_path, cfg))
+    assert cli._queue(config, ["gradbound", "smoothness", "variance", "descent", "radial"]) == [
+        "radial", "variance", "gradbound", "smoothness", "descent"]
+    assert cli._queue(config, ["descent", "radial", "smoothness", "gradbound"]) == [
+        "radial", "descent", "smoothness", "gradbound"]
+    # every sampled check has a declared size, so none can miss the queue
+    sampled = [check for check in cli.CHECK_REPORTS if check not in cli.SCHEDULE_LANE]
+    assert sorted(cli._queue(config, sampled)) == sorted(sampled)
+
+
+def _raising_checks(raisers):
+    """A _run_check that raises ConfigError(name) for each name in raisers,
+    once raisers[name] (a callable) returns; and the lists of the names that
+    it was called with and that it raised for, in the order of the events."""
+    calls, raised = [], []
+
+    def run_check(config, oracle, name, _run=cli._run_check):
+        calls.append(name)
+        if name in raisers:
+            raisers[name]()
+            raised.append(name)
+            raise ConfigError(name)
+        return _run(config, oracle, name)
+
+    return run_check, calls, raised
+
+
+def test_sampled_checks_alone_run_in_which_order_on_the_calling_thread(
+        tmp_path, capsys, monkeypatch, started_threads):
+    # no second thread drains the queue, so the size order could not shorten
+    # the run: descent raises before smoothness, larger and later in `which`,
+    # starts
+    run_check, calls, _ = _raising_checks({"descent": lambda: None})
+    monkeypatch.setattr(cli, "_run_check", run_check)
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(["variance", "descent", "smoothness"])
+    cfg["checks"]["smoothness"]["n_draws"] = 1000
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+    assert calls == ["variance", "descent"]
+    assert started_threads == []
+    assert capsys.readouterr().err == "sgdlab: config error: descent\n"
+
+
+def test_the_earliest_exception_in_which_order_is_raised_not_the_first_in_time(
+        tmp_path, capsys, monkeypatch):
+    # smoothness, later in `which` but larger, is taken first and raises
+    # first; variance raises after it, and its exception is the one raised
+    smoothness_raised = threading.Event()
+    run_check, calls, raised = _raising_checks({
+        "smoothness": smoothness_raised.set,
+        "variance": lambda: smoothness_raised.wait(5)})
+    monkeypatch.setattr(cli, "_run_check", run_check)
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(["p1p2p3p4", "variance", "smoothness"])
+    cfg["checks"]["smoothness"]["n_draws"] = 1000
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+    assert raised == ["smoothness", "variance"]
+    assert sorted(calls) == ["p1p2p3p4", "smoothness", "variance"]
+    assert capsys.readouterr().err == "sgdlab: config error: variance\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_check_after_the_earliest_exception_starts(tmp_path, capsys, monkeypatch):
+    # smoothness, the largest, raises at once; the schedule scan waits for it,
+    # so lemma4 and every queued check later in `which` than smoothness comes
+    # after the exception and must not start, while descent, earlier, runs
+    smoothness_raised = threading.Event()
+    run_check, calls, _ = _raising_checks({"smoothness": smoothness_raised.set})
+
+    def scan_after_smoothness(config, oracle, name):
+        if name == "p1p2p3p4":
+            assert smoothness_raised.wait(5)
+        return run_check(config, oracle, name)
+
+    monkeypatch.setattr(cli, "_run_check", scan_after_smoothness)
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(["p1p2p3p4", "descent", "smoothness", "variance",
+                                  "gradbound", "radial", "lemma4"])
+    cfg["checks"]["smoothness"]["n_draws"] = 1000
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+    assert sorted(calls) == ["descent", "p1p2p3p4", "smoothness"]
+    assert capsys.readouterr().err == "sgdlab: config error: smoothness\n"
+
+
+def test_the_bounds_table_is_dropped_before_the_calling_thread_samples(tmp_path, monkeypatch):
+    # the command's thread waits in its first check until the calling thread
+    # has taken one from the queue, which it does only after the scans
+    caller = threading.current_thread()
+    caller_took = threading.Event()
+    tables = {}
+
+    def run_check(config, oracle, name, _run=cli._run_check):
+        if name in cli.SCHEDULE_LANE:
+            result = _run(config, oracle, name)
+            tables[name] = config.schedule._bounds
+            return result
+        if threading.current_thread() is caller:
+            tables.setdefault("first sampled", config.schedule._bounds)
+            caller_took.set()
+        else:
+            assert caller_took.wait(5)
+        return _run(config, oracle, name)
+
+    monkeypatch.setattr(cli, "_run_check", run_check)
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(ALL_CHECKS)
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    assert tables["p1p2p3p4"] is not None and tables["lemma4"] is not None
+    assert "first sampled" in tables and tables["first sampled"] is None
 
 
 def test_check_with_nan_smoothness_margins_fails(tmp_path):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sgdlab import objectives
+from sgdlab import engine, objectives
 from sgdlab.diagnostics import split_seed
 from sgdlab.engine import (
     _FLOAT_P,
@@ -244,6 +244,27 @@ def test_bounds_table_is_reused_and_extended(schedule):
     table = schedule.bounds(70000)[0]
     assert np.shares_memory(schedule.bounds(50)[0], table)
     assert np.shares_memory(*schedule.bounds(10)) == (schedule.dim == 1)
+
+
+@pytest.mark.parametrize("family", ["scalar-power", "diagonal-power", "rotated-diagonal-power"])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.75, 1.0, 2.0])
+def test_bounds_filled_in_blocks_are_bit_equal_to_eigenvalues(monkeypatch, family, p, beta):
+    # `bounds` has `eigenvalues` fill each block in place (the table itself
+    # for p = 1); its row max and min equal those of one fresh call, in
+    # blocks that end inside the table and at its end, also at the exponents
+    # that numpy's scalar `**` special-cases (0, -0.5, -1, -2)
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    scalar = family == "scalar-power"
+    c = np.full(p, 0.7) if scalar else np.linspace(0.3, 1.7, p)
+    betas = np.full(p, beta) if scalar else np.array([beta, 0.6, beta][:p])
+    s = Schedule(family, c, betas, 1.5, p)
+    for n in (21, 23, 5):  # three whole blocks; and a part block; one part block
+        s.drop_bounds()
+        lmax, lmin = s.bounds(n)
+        d = s.eigenvalues(np.arange(n))
+        assert lmax.tobytes() == d.max(axis=1).tobytes()
+        assert lmin.tobytes() == d.min(axis=1).tobytes()
 
 
 def test_schedule_parameter_validation():

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import _CHUNK, Schedule, Verdict, _check_alpha
+from .engine import _CHUNK, Schedule, Verdict, _check_alpha, _check_seed
 from .errors import ContractViolation, DomainError, numeric_policy
 from .objectives import Objective, StochasticOracle, _norms
 
@@ -109,6 +109,12 @@ def _finite(**values) -> None:
             raise ContractViolation(f"{name} must be finite, got {value!r}")
 
 
+def _check_size(name: str, n) -> None:
+    """Raise ContractViolation naming a sample size below 1."""
+    if not n >= 1:
+        raise ContractViolation(f"{name} must be >= 1, got {n!r}")
+
+
 def _box_bounds(box: tuple[float, float]) -> tuple[float, float]:
     """(lo, hi) of a box, refused unless its width hi - lo is finite (so are
     lo and hi) and hi > lo."""
@@ -185,6 +191,7 @@ def estimate_local_holder(
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     _finite(phi=phi.tolist(), r=r)
     _check_alpha(alpha)
+    _check_seed("seed", seed)
     if r <= 0.0:
         raise ContractViolation("radius r must be > 0")
     if n_samples < 2:
@@ -221,6 +228,7 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
     sup either way, and NaN if any ratio is NaN.
     """
     _check_alpha(alpha)
+    _check_seed("seed", seed)
     if obj.dim == 1:
         # the distinct grid points: a box narrower than the grid repeats
         # points, and a pair at distance 0 has no ratio
@@ -315,6 +323,8 @@ def check_descent_inequality(
     _check_alpha(alpha)
     if L_tilde <= 0.0:
         raise ContractViolation("L_tilde must be > 0")
+    _check_size("n_pairs", n_pairs)
+    _check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     thetas = _uniform_box(rng, n_pairs, box, obj.dim)
     phis = _uniform_box(rng, n_pairs, box, obj.dim)
@@ -398,6 +408,8 @@ def check_grad_bound(
     temporaries.  Without a global constant the verdict is inconclusive.
     """
     _check_alpha(alpha)
+    _check_size("n_points", n_points)
+    _check_seed("seed", seed)
     if L is None:
         return AssumptionReport(
             assumption_id="gradbound",
@@ -451,6 +463,7 @@ def _sample_sq_norms(oracle: StochasticOracle, theta: np.ndarray,
 def sample_gradient_norms(oracle: StochasticOracle, theta, rng: np.random.Generator,
                           n: int) -> np.ndarray:
     """n draws of ||sample|| at theta (input for the variance-control check)."""
+    _check_size("n", n)
     theta = np.ascontiguousarray(theta, dtype=float)  # at least 1-D
     oracle.objective.check_domain(theta)
     return np.sqrt(_sample_sq_norms(oracle, theta, rng, n))
@@ -481,6 +494,8 @@ def check_expected_smoothness(
         raise ContractViolation("C3 must be >= 1")
     if n_draws < 2:
         raise ContractViolation("n_draws must be >= 2")
+    _check_size("n_points", n_points)
+    _check_seed("seed", seed)
     obj = oracle.objective
     rng = np.random.default_rng(seed)
     pts = _uniform_box(rng, n_points, box, obj.dim)
@@ -531,6 +546,7 @@ def probe_radial_conditions(
         raise ContractViolation("b_threshold must be > 0")
     if any(rho < obj.r0 + r for rho in radii):
         raise ContractViolation(f"all radii must be >= r0 + r = {obj.r0 + r}")
+    _check_seed("seed", seed)
 
     u = np.zeros(obj.dim)
     u[0] = 1.0

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .engine import Schedule, Trajectory, record_points, run_trajectory
+from .engine import Schedule, Trajectory, _check_seed, record_points, run_trajectory
 from .errors import ContractViolation, numeric_policy
 from .objectives import NoiseSpec, ObjectiveSpec, StochasticOracle, _norms
 
@@ -51,6 +51,8 @@ STATISTICS = ("mean", "se", "median", "q25", "q75")
 def split_seed(master_seed: int, index: int) -> int:
     """Hash-split the master seed: trajectory seeds are reproducible and do
     not change when the ensemble is extended."""
+    _check_seed("master_seed", master_seed)
+    _check_seed("index", index)
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -83,9 +85,7 @@ class EnsembleSpec:
             raise ContractViolation("theta0 dimension does not match the objective")
         if not np.isfinite(np.asarray(self.theta0, dtype=float)).all():
             raise ContractViolation(f"theta0 entries must be finite, got {self.theta0!r}")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ContractViolation(f"master_seed must be an integer >= 0, got {seed!r}")
+        _check_seed("master_seed", self.master_seed)
 
     def build(self) -> StochasticOracle:
         obj = self.objective.build()

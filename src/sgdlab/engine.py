@@ -59,6 +59,13 @@ def _as_vector(x, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _check_seed(name: str, seed) -> None:
+    """Raise ContractViolation naming the parameter unless seed is an integer
+    >= 0 (numpy's too, but not a bool), the one seed rule of the library."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ContractViolation(f"{name} must be an integer >= 0, got {seed!r}")
+
+
 def random_orthogonal(dim: int, seed: int) -> np.ndarray:
     """Deterministic random orthogonal matrix (QR of a Gaussian, signs fixed)."""
     rng = np.random.default_rng(seed)
@@ -112,6 +119,7 @@ class Schedule:
             if not explicit:
                 if self.rotation_seed is None:  # seed 0 builds it, so seed 0 names it
                     self.rotation_seed = 0
+                _check_seed("rotation_seed", self.rotation_seed)
                 self.q = random_orthogonal(self.dim, int(self.rotation_seed))
             # C order: the label hashes these bytes, and the gemvs of a step
             # sum in the order of q's layout, so one layout for one label
@@ -485,6 +493,7 @@ def run_trajectory(
         raise ContractViolation("K must be >= 1")
     if record_stride < 1:
         raise ContractViolation("record_stride must be >= 1")
+    _check_seed("seed", seed)
     if objective.dim != schedule.dim:
         raise ContractViolation(
             f"objective dimension {objective.dim} != schedule dimension {schedule.dim}"

@@ -150,12 +150,15 @@ class Objective:
     def check_domain(self, thetas: np.ndarray) -> None:
         """Raise DomainError at the first point below the floor r0.
 
-        thetas is one point of shape (p,) or a stack of shape (n, p).
+        thetas is one point of shape (p,) or a stack of shape (n, p).  The
+        size is the steps' accept test's: abs(x) in 1-D, else the sqrt of a
+        contiguous row's vecdot, the bits of math.sqrt(theta.dot(theta)).
         """
         if self.r0 <= 0.0:
             return
-        pts = np.asarray(thetas, dtype=float).reshape(-1, self.dim)
-        bad = _norms(pts) < self.r0
+        pts = np.ascontiguousarray(thetas, dtype=float).reshape(-1, self.dim)
+        size = np.abs(pts[:, 0]) if self.dim == 1 else np.sqrt(np.vecdot(pts, pts))
+        bad = size < self.r0
         if np.any(bad):
             theta = pts[int(np.argmax(bad))]
             raise DomainError(
@@ -166,6 +169,9 @@ class Objective:
 
 
 def _norms(thetas: np.ndarray) -> np.ndarray:
+    """Row norms by einsum, for the pinned report statistics only: the batch
+    forms, Trajectory.norms, the capture distances and the checkers' ratios
+    (the domain test reads the step's norm, Objective.check_domain)."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas[:, None]
@@ -499,15 +505,12 @@ _BINDS = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
 class _ShareNorm(ast.NodeTransformer):
     """Rewrite each norm(theta) call (one bare argument) as the name nrm."""
 
-    shared = False
-
     def visit_Call(self, node):
         self.generic_visit(node)
         func, args = node.func, node.args
         if (isinstance(func, ast.Name) and func.id == "norm" and not node.keywords
                 and len(args) == 1 and isinstance(args[0], ast.Name)
                 and args[0].id == "theta"):
-            self.shared = True
             return ast.copy_location(ast.Name("nrm", ast.Load()), node)
         return node
 
@@ -554,7 +557,7 @@ def sigma(nrm, theta):
             return s
     except (ZeroDivisionError, ValueError, OverflowError):
         pass
-    return hand_back(nrm, theta)
+    return fn(nrm, theta)
 """
 
 
@@ -568,20 +571,19 @@ def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., 
     Available names: theta (array), norm, abs, exp, log, log1p, sqrt, pi, e;
     the code nested in the expression may read no other name either.
     Once its names are checked, the expression is compiled again as the
-    body of a function fn(theta, nrm=None), which is cheaper to call than
-    eval.  Each norm(theta) in it reads nrm, the step's own norm
-    sqrt(theta.dot(theta)) as the engine computes it, or _sigma_norm(theta)
-    when nrm is None: the same bits for a contiguous theta, one call fewer
-    per step.  An expression that binds a name (a lambda, a comprehension,
-    :=) is compiled as it is, every norm going to _sigma_norm.
+    body of a lambda of (nrm, theta), cheaper to call than eval, in which
+    each norm(theta) reads nrm: the norm that every caller passes, the
+    step's sqrt(theta.dot(theta)) or sigma_at's _sigma_norm(theta).  An
+    expression that binds a name (a lambda, a comprehension, :=) is compiled
+    as it is, every norm going to _sigma_norm.
 
-    Returns (fn, of_norm, of_norms).  of_norm(nrm, theta) is sigma at theta
-    given its norm, with theta one point or a 1-D float; of_norms(nrms,
-    thetas) is sigma of each row of thetas given the row norms.  For an
-    expression in the exact grammar (_exact) they evaluate it on Python
-    floats and on the norm array, and pass a case that raises or leaves
-    [0, inf) back to fn, so both have fn's bits or raise what fn raises; for
-    any other expression they call fn.
+    Returns (fn, of_norm, of_norms).  fn(nrm, theta) is the numpy evaluator
+    at one point or a 1-D float, which it wraps; of_norms(nrms, thetas) is
+    sigma of each row.  For an expression in the exact grammar (_exact),
+    which reads no theta, of_norm evaluates it on Python floats and of_norms
+    runs fn's lambda on the norm array, each passing a case that raises or
+    leaves [0, inf) back to fn, so both have fn's bits or raise its error;
+    for any other expression of_norm is fn and of_norms calls it per row.
     """
     try:
         tree = ast.parse(expr, "<sigma-expr>", "eval")
@@ -602,50 +604,40 @@ def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., 
         if name not in base and name != "theta":
             raise ContractViolation(f"sigma expression uses disallowed name {name!r}")
 
-    share = _ShareNorm()
     if not any(isinstance(node, _BINDS) for node in ast.walk(tree)):
-        tree = share.visit(tree)
-    shared = share.shared
-    function = ast.parse("lambda theta, nrm: 0", mode="eval")
+        tree = _ShareNorm().visit(tree)
+    function = ast.parse("lambda nrm, theta: 0", mode="eval")
     function.body.body = tree.body
     sigma_of = eval(compile(function, "<sigma-expr>", "eval"), {"__builtins__": {}, **base})
 
-    def fn(theta: np.ndarray, nrm: float | None = None) -> float:
-        if shared:
-            nrm = _sigma_norm(theta) if nrm is None else np.float64(nrm)
-        sigma = float(sigma_of(theta, nrm))
+    def fn(nrm: float, theta: np.ndarray | float) -> float:
+        if type(theta) is not np.ndarray:
+            theta = np.array([theta])
+        sigma = float(sigma_of(np.float64(nrm), theta))
         if not 0.0 <= sigma < math.inf:
             raise ContractViolation(
                 f"sigma expression {expr!r} gave {sigma!r} at theta={theta.tolist()}; "
                 "sigma must be finite and >= 0")
         return sigma
 
-    def hand_back(nrm, theta):
-        return fn(theta if type(theta) is np.ndarray else np.array([theta]), nrm)
-
-    def rows_back(nrms, thetas):
-        return np.array([fn(theta) for theta in thetas])
+    def rows(nrms, thetas):
+        return np.array([fn(nrm, theta) for nrm, theta in zip(nrms, thetas)])
 
     if not (_exact(tree.body) and _reads_nrm(tree.body)):
-        return fn, hand_back, rows_back
-    body = ast.unparse(tree.body)
+        return fn, fn, rows
     # the float form's abs and exception types are the builtins: the exact
     # grammar lets the expression itself read no name but nrm, pi, e, abs, sqrt
-    scope = {"pi": math.pi, "e": math.e, "sqrt": math.sqrt, "inf": math.inf,
-             "hand_back": hand_back}
-    exec(compile(_FLOAT_FORM.format(body), "<sigma-expr>", "exec"), scope)
-    of_rows = eval(compile(f"lambda nrm: {body}", "<sigma-expr>", "eval"),
-                   {"__builtins__": {}, "pi": math.pi, "e": math.e, "abs": np.abs,
-                    "sqrt": np.sqrt})
+    scope = {"pi": math.pi, "e": math.e, "sqrt": math.sqrt, "inf": math.inf, "fn": fn}
+    exec(compile(_FLOAT_FORM.format(ast.unparse(tree.body)), "<sigma-expr>", "exec"), scope)
 
     def of_norms(nrms, thetas):
         try:
-            sigma = of_rows(nrms)
+            sigma = sigma_of(nrms, None)
             if ((0.0 <= sigma) & (sigma < math.inf)).all():
                 return sigma
         except (ZeroDivisionError, ValueError, OverflowError):
             pass
-        return rows_back(nrms, thetas)
+        return rows(nrms, thetas)
 
     return fn, scope["sigma"], of_norms
 
@@ -672,7 +664,6 @@ class NoiseModel:
     sigma_expr: str | None = None
     direction: np.ndarray | None = None
     constants: tuple[float, float, float] | None = field(default=None)
-    _sigma_fn: Callable[..., float] | None = field(default=None, repr=False)
     _sigma_of_norm: Callable[..., float] | None = field(default=None, repr=False)
     _sigma_of_norms: Callable[..., np.ndarray] | None = field(default=None, repr=False)
 
@@ -709,8 +700,7 @@ class NoiseModel:
         if self.kind == "additive-gaussian-statedep":
             if not self.sigma_expr:
                 raise ContractViolation("statedep noise requires sigma_expr")
-            self._sigma_fn, self._sigma_of_norm, self._sigma_of_norms = (
-                _compile_sigma_expr(self.sigma_expr))
+            _, self._sigma_of_norm, self._sigma_of_norms = _compile_sigma_expr(self.sigma_expr)
         if self.constants is not None:
             c = tuple(self.constants)
             if not (len(c) == 3 and all(map(math.isfinite, c))
@@ -728,7 +718,8 @@ class NoiseModel:
         if self.kind == "additive-gaussian":
             return self.sigma
         if self.kind == "additive-gaussian-statedep":
-            return self._sigma_fn(np.asarray(theta, dtype=float))
+            theta = np.asarray(theta, dtype=float)
+            return self._sigma_of_norm(float(_sigma_norm(theta)), theta)
         return 0.0
 
     @numeric_policy

@@ -27,7 +27,8 @@ It reads the configs through `config.config_from_dict` and otherwise uses the
 catalog objectives, NoiseModel, Schedule, split_seed, the spec labels and the
 constants (the checkers' sample counts and tolerances among them); no
 stepper, ensemble worker, aggregation, checker or report writer of the
-package.  `main` returns the exit code and the bytes of every report file.
+package, and no sigma form: a state-dependent sigma is its sigma_expr
+evaluated by eval.  `main` returns the exit code and the bytes of every report file.
 """
 
 from __future__ import annotations
@@ -83,7 +84,22 @@ def _step_1d(g1, noise, eta: float, x: float, w: float | None) -> float:
         return x - eta * (g1(x) + w)
     if noise.kind == "rademacher-radial":  # w is the sign
         return x - eta * (g1(x) + abs(x) * w)
-    return x - eta * (g1(x) + noise.sigma_at(np.array([x])) * w)
+    return x - eta * (g1(x) + _sigma(noise, np.array([x])) * w)
+
+
+_SIGMA_NAMES = {"__builtins__": {}, "norm": np.linalg.norm, "abs": np.abs, "exp": np.exp,
+                "log": np.log, "log1p": np.log1p, "sqrt": np.sqrt, "pi": math.pi, "e": math.e}
+
+
+def _sigma(noise, theta: np.ndarray) -> float:
+    """sigma_expr at theta by eval, with numpy's norm; a sigma outside [0, inf)
+    is refused with NoiseModel's message."""
+    sigma = float(eval(noise.sigma_expr, dict(_SIGMA_NAMES, theta=theta)))
+    if not 0.0 <= sigma < math.inf:
+        raise ContractViolation(
+            f"sigma expression {noise.sigma_expr!r} gave {sigma!r} at theta={theta.tolist()}; "
+            "sigma must be finite and >= 0")
+    return sigma
 
 
 def _sample(grad, noise, theta, w):
@@ -94,7 +110,7 @@ def _sample(grad, noise, theta, w):
     elif noise.kind == "rademacher-radial":
         g = g + np.linalg.norm(theta) * w * noise.direction
     elif noise.kind == "additive-gaussian-statedep":
-        g = g + noise.sigma_at(theta) * w
+        g = g + _sigma(noise, theta) * w
     return g
 
 

@@ -373,6 +373,51 @@ def test_smoothness_contracts():
         check_expected_smoothness(oracle, 0.0, 0.0, 0.5, 4, 100, (-1.0, 1.0))
 
 
+_QUAD = catalog_lookup("quadratic")
+_QUAD_ORACLE = StochasticOracle(_QUAD, NoiseModel("additive-gaussian", 1, sigma=1.0))
+_BOX = (-1.0, 1.0)
+# each seeded checker as a function of its seed
+_SEEDED = {
+    "estimate_local_holder": lambda seed: estimate_local_holder(
+        catalog_lookup("quadratic", 2), [0.0, 0.0], 0.5, 1.0, 16, seed=seed),
+    "holder_sup_on_box": lambda seed: holder_sup_on_box(_QUAD, _BOX, 1.0, seed=seed),
+    "check_descent_inequality": lambda seed: check_descent_inequality(
+        _QUAD, 8, 1.0, 1.0, _BOX, seed=seed),
+    "check_grad_bound": lambda seed: check_grad_bound(_QUAD, 1.0, 1.0, 8, _BOX, seed=seed),
+    "check_expected_smoothness": lambda seed: check_expected_smoothness(
+        _QUAD_ORACLE, 1.0, 0.0, 1.0, 2, 8, _BOX, seed=seed),
+    "probe_radial_conditions": lambda seed: probe_radial_conditions(
+        _QUAD, lambda theta: 1.0, 1.0, 0.5, [1.0, 2.0], 0.1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True])
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_checker_refuses_a_seed_that_is_not_an_integer_at_least_0(name, seed):
+    # -1 raised numpy's ValueError and 1.5 its TypeError, or ran as seed 1
+    with pytest.raises(ContractViolation, match=r"^seed must be an integer >= 0, got "):
+        _SEEDED[name](seed)
+    _SEEDED[name](np.int64(3))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name,call", [
+    pytest.param("n_pairs", lambda n: check_descent_inequality(_QUAD, n, 1.0, 1.0, _BOX),
+                 id="descent"),
+    pytest.param("n_points", lambda n: check_grad_bound(_QUAD, 1.0, 1.0, n, _BOX),
+                 id="gradbound"),
+    pytest.param("n_points", lambda n: check_expected_smoothness(
+        _QUAD_ORACLE, 1.0, 0.0, 1.0, n, 8, _BOX), id="smoothness"),
+    pytest.param("n", lambda n: sample_gradient_norms(
+        _QUAD_ORACLE, [1.0], np.random.default_rng(0), n), id="sample_gradient_norms"),
+])
+def test_sampled_checker_refuses_a_sample_size_below_1(name, call, n):
+    # 0 raised a TypeError from _worst_point's comparison with None, -1
+    # numpy's ValueError (sample_gradient_norms returned an empty array at 0)
+    with pytest.raises(ContractViolation, match=rf"^{name} must be >= 1, got {n}$"):
+        call(n)
+
+
 def test_sample_gradient_norms_shape_and_domain():
     obj = catalog_lookup("loglog1p-abs")
     oracle = StochasticOracle(obj, NoiseModel("rademacher-radial", 1))

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,9 @@ import sgdlab
 from sgdlab import cli, diagnostics
 from sgdlab.cli import build_parser, main
 from sgdlab.config import REQUIRED, SCHEMA, config_from_dict, load_config
-from sgdlab.errors import ConfigError
+from sgdlab.engine import Schedule, run_trajectory
+from sgdlab.errors import ConfigError, DomainError
+from sgdlab.objectives import NoiseModel, StochasticOracle, catalog_lookup
 
 
 def base_config(outdir, **overrides):
@@ -391,6 +394,38 @@ def test_noise_constants_outside_their_ranges_exit_2(tmp_path, capsys, command, 
     assert err.startswith("sgdlab: config error:") and "noise constants must be" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("r0,theta0,kept", [
+    # the step's size sqrt(theta.dot(theta)) is 1.0 here and 0.9999999999999999
+    # below; an einsum row norm reads the two the other way round
+    pytest.param(1.0, [0.07588125693371493, 0.9971168611783473], True, id="p2-norm-1"),
+    pytest.param(1.0, [0.6894137976242852, -0.7243677350940343], False, id="p2-norm-below-1"),
+    # the 1-D size is abs(x); sqrt(x * x) underflows to 0 here
+    pytest.param(1e-170, [1e-170], True, id="p1-at-1e-170"),
+    pytest.param(1e-170, [-9.999999999999998e-171], False, id="p1-below-1e-170"),
+])
+def test_domain_test_agrees_with_the_step_at_the_floor(tmp_path, r0, theta0, kept):
+    theta, p = np.array(theta0), len(theta0)
+    size = abs(theta0[0]) if p == 1 else math.sqrt(theta.dot(theta))
+    assert (r0 <= size) == kept  # the steppers' accept test
+    obj = catalog_lookup("log1p-abs", p, r0=r0)
+    oracle = StochasticOracle(obj, NoiseModel("zero", p))
+    schedule = Schedule.scalar(0.1, 0.75, dim=p)
+    if kept:
+        obj.check_domain(theta)
+        assert run_trajectory(oracle, schedule, theta0, 5, seed=0).trace[0].tolist() == theta0
+    else:
+        with pytest.raises(DomainError):
+            obj.check_domain(theta)
+        with pytest.raises(DomainError):
+            run_trajectory(oracle, schedule, theta0, 5, seed=0)
+    cfg = base_config(tmp_path / "out",
+                      objective={"name": "log1p-abs", "dimension": p, "r0": r0},
+                      schedule={"family": "scalar-power", "c": 0.1, "beta": 0.75, "p": p},
+                      diagnostics={})
+    cfg["run"]["theta0"] = theta0
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == (0 if kept else 3)
 
 
 def test_domain_violating_theta0_exits_3(tmp_path, capsys):

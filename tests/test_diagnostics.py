@@ -322,6 +322,19 @@ def test_split_seed_is_stable():
     assert split_seed(20250808, 7) == 6254504508572951081
 
 
+@pytest.mark.parametrize("args,name", [
+    ((1.5, 0), "master_seed"),   # split as seed 1
+    ((-1, 0), "master_seed"),    # numpy's ValueError
+    ((True, 0), "master_seed"),  # split as seed 1
+    ((0, -1), "index"),
+    ((0, 2.5), "index"),         # split as index 2
+])
+def test_split_seed_refuses_a_seed_or_index_that_is_not_an_integer_at_least_0(args, name):
+    with pytest.raises(ContractViolation, match=rf"^{name} must be an integer >= 0, got "):
+        split_seed(*args)
+    assert split_seed(np.int64(3), np.uint8(2)) == split_seed(3, 2)
+
+
 # ---------------------------------------------------------------------------
 # capture / escape
 # ---------------------------------------------------------------------------

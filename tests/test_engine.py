@@ -515,6 +515,25 @@ def test_run_trajectory_contract_checks():
         run_trajectory(oracle, Schedule.scalar(0.5, 0.75, dim=2), [1.0], 10, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True])
+def test_run_trajectory_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # 1.5 ran as seed 1 and recorded seed 1; -1 died in numpy's default_rng
+    oracle = make_oracle("quadratic", "additive-gaussian", sigma=1.0)
+    with pytest.raises(ContractViolation, match=r"^seed must be an integer >= 0, got "):
+        run_trajectory(oracle, Schedule.scalar(0.5, 0.75), [1.0], 10, seed=seed)
+    assert run_trajectory(oracle, Schedule.scalar(0.5, 0.75), [1.0], 10,
+                          seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True])
+def test_rotation_seed_that_is_not_an_integer_at_least_0_is_refused(seed):
+    # 1.5 was labelled rot=1.5 and built seed 1's factor
+    with pytest.raises(ContractViolation, match=r"^rotation_seed must be an integer >= 0"):
+        Schedule.rotated([1.0, 0.5], [0.75, 0.75], rotation_seed=seed)
+    assert Schedule.rotated([1.0, 0.5], [0.75, 0.75], rotation_seed=np.int64(3)).q.tobytes() == (
+        random_orthogonal(2, 3).tobytes())
+
+
 def test_rotated_schedule_trajectory_matches_dense_iteration():
     obj = catalog_lookup("quadratic", dimension=2)
     oracle = StochasticOracle(obj, NoiseModel("zero", 2))

@@ -139,6 +139,30 @@ def test_domain_error_below_floor():
     catalog_lookup("log1p-abs", dimension=2).check_domain(np.array([[1.0, 0.0], [0.0, -1.5]]))
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 8, 16])
+def test_domain_test_refuses_exactly_what_the_step_refuses(p):
+    # points on the unit sphere, where about 1 in 20 norms rounds below 1.0
+    # under one row-norm summation and not under another
+    obj = catalog_lookup("log1p-abs", p, r0=1.0)
+    points = np.random.default_rng(p).standard_normal((400, p))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    refused = []
+    for theta in points:
+        try:
+            obj.check_domain(theta)
+        except DomainError:
+            refused.append(True)
+        else:
+            refused.append(False)
+    step = [not 1.0 <= math.sqrt(theta.dot(theta)) for theta in points]  # the accept test
+    assert refused == step and any(step) and not all(step)
+    # a stack is refused at its first point that the step refuses
+    if any(step):
+        with pytest.raises(DomainError) as err:
+            obj.check_domain(points)
+        assert err.value.theta.tolist() == points[step.index(True)].tolist()
+
+
 def test_softplus_stability():
     assert softplus(np.array([-800.0]))[0] == 0.0
     assert softplus(np.array([800.0]))[0] == 800.0
@@ -258,14 +282,29 @@ def test_shared_norm_has_the_bits_of_norm_theta(expr):
     fn = _compile_sigma_expr(expr)[0]
     with np.errstate(divide="ignore", over="ignore"):  # 1/0; the square of 1e200
         for theta in _sigma_points():
-            shared = _sigma_or_error(fn, theta, math.sqrt(theta.dot(theta)))
-            assert shared == _sigma_or_error(fn, theta), (expr, theta)
+            shared = _sigma_or_error(fn, math.sqrt(theta.dot(theta)), theta)
+            assert shared == _sigma_or_error(fn, np.linalg.norm(theta), theta), (expr, theta)
         # the norm passed in is what norm(theta) reads, and only norm(theta)
         theta = np.array([3.0, -4.0, 1e-3, 12.5])
-        assert (fn(theta, 7.0) == fn(np.array([7.0, 0.0, 0.0, 0.0]))) == (expr in SHARED_NORM)
+        assert (fn(7.0, theta) == fn(7.0, np.array([7.0, 0.0, 0.0, 0.0]))) == (
+            expr in SHARED_NORM)
     if expr == "1/norm(theta)":  # numpy's 1/0 is inf, still refused
         with pytest.raises(ContractViolation, match="gave inf"), np.errstate(divide="ignore"):
-            fn(np.zeros(4), 0.0)
+            fn(0.0, np.zeros(4))
+
+
+@pytest.mark.parametrize("expr", SHARED_NORM + OWN_NORM + list(BINDING))
+def test_sigma_at_takes_numpy_norm_of_a_strided_theta_or_a_list(expr):
+    # sigma_at is the one caller that takes sigma's norm itself: a strided
+    # theta's own sqrt(theta.dot(theta)) sums in another order (other bits here)
+    noise = NoiseModel("additive-gaussian-statedep", 100, sigma_expr=expr)
+    strided = np.random.default_rng(4).standard_normal(300)[::3]
+    assert math.sqrt(strided.dot(strided)) != np.linalg.norm(strided)
+    names = {"__builtins__": {}, "norm": np.linalg.norm, "abs": np.abs, "exp": np.exp}
+    for theta in (strided, np.full(100, 1e-3)):
+        want = float(eval(expr, {**names, "theta": theta}))
+        assert float.hex(noise.sigma_at(theta)) == float.hex(want)
+        assert float.hex(noise.sigma_at(theta.tolist())) == float.hex(want)
 
 
 @pytest.mark.parametrize("expr", BINDING)
@@ -273,8 +312,8 @@ def test_expression_that_binds_theta_is_not_rewritten(expr):
     fn = _compile_sigma_expr(expr)[0]
     for theta in _sigma_points()[:50]:
         want = float(np.linalg.norm(BINDING[expr] * theta))
-        assert float.hex(fn(theta)) == float.hex(want)
-        assert float.hex(fn(theta, 7.0)) == float.hex(want)
+        assert float.hex(fn(np.linalg.norm(theta), theta)) == float.hex(want)
+        assert float.hex(fn(7.0, theta)) == float.hex(want)
 
 
 def test_sigma_expression_compiles_to_the_same_floats():
@@ -285,10 +324,10 @@ def test_sigma_expression_compiles_to_the_same_floats():
         for theta in rng.standard_normal((50, 4)):
             want = float(eval(expr, {"__builtins__": {}, "norm": np.linalg.norm,
                                      "sqrt": np.sqrt, "exp": np.exp}, {"theta": theta}))
-            assert fn(theta) == want
+            assert fn(np.linalg.norm(theta), theta) == want
     with pytest.raises(ContractViolation, match="gave inf"):  # numpy's 1/0, not Python's
         with np.errstate(divide="ignore"):
-            _compile_sigma_expr("1/norm(theta)")[0](np.zeros(3))
+            _compile_sigma_expr("1/norm(theta)")[0](0.0, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +376,13 @@ def _check_forms(noise, thetas):
     """Assert that the float form, the sampler and the 1-D step have fn's bits,
     or raise fn's error, at each row of thetas; returns (on floats, p = 1,
     fn raised) for each row."""
-    p, expr, fn = noise.dim, noise.sigma_expr, noise._sigma_fn
+    p, expr = noise.dim, noise.sigma_expr
+    fn = _compile_sigma_expr(expr)[0]
     sampler = noise.sampler(lambda theta: np.full(p, -0.0))  # -0.0 + s * 1.0 is s
     seen = set()
     for theta in thetas:
         nrm = math.sqrt(theta.dot(theta))
-        want = _outcome(fn, theta, nrm)
+        want = _outcome(fn, nrm, theta)
         assert _outcome(noise._sigma_of_norm, nrm, theta) == want, (expr, theta)
         assert _outcome(lambda: sampler(theta, nrm, np.ones(p))[-1]) == want, (expr, theta)
         if p == 1:
@@ -353,7 +393,9 @@ def _check_forms(noise, thetas):
             path = list(engine._scalar_path(lambda v: -0.0, noise, [1.0], x, [1.0], raised))
             got = _outcome(lambda: path[0]) if path else (
                 type(raised[0]).__name__, str(raised[0]))
-            assert got == _outcome(lambda: x - 1.0 * (-0.0 + fn(np.array([x])) * 1.0)), (expr, x)
+            one = np.array([x])
+            assert got == _outcome(lambda: x - 1.0 * (-0.0 + fn(_sigma_norm(one), one) * 1.0)), (
+                expr, x)
         seen.add((_on_floats(noise), p == 1, isinstance(want, tuple)))
     return seen
 

@@ -206,18 +206,17 @@ def _spied_sigma_forms(reached):
         fn, of_norm, of_norms = compile_forms(expr)
         if of_norm.__name__ != "sigma":  # outside the exact grammar: fn alone
             return fn, of_norm, of_norms
-        scope = of_norm.__globals__  # the float form reads hand_back from it per call
-        hand_back = scope["hand_back"]
+        scope = of_norm.__globals__  # the float form reads fn from it per call
 
         def passed_back(nrm, theta):
             reached.add(("statedep float form", "passed back to fn"))
-            return hand_back(nrm, theta)
+            return fn(nrm, theta)
 
         def float_form(nrm, theta):
             reached.add(("statedep float form", "p = 1" if type(theta) is float else "p > 1"))
             return of_norm(nrm, theta)
 
-        scope["hand_back"] = passed_back
+        scope["fn"] = passed_back
         return fn, float_form, of_norms
 
     return mock.patch.object(objectives, "_compile_sigma_expr", spied)

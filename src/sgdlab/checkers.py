@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import _CHUNK, Schedule, Verdict, _check_alpha, _check_seed
+from .engine import Schedule, Verdict, _check_alpha, _check_int, _check_seed
 from .errors import ContractViolation, DomainError, numeric_policy
 from .objectives import Objective, StochasticOracle, _norms
 
@@ -600,22 +600,21 @@ def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
     k in [K, K_max]; None when the condition never settles by K_max.
 
     The returned K is exactly the index from which the eigenvalue lower bound
-    lambda_min - (C/2) lambda_max^(1+alpha) >= lambda_min/2 holds.
+    lambda_min - (C/2) lambda_max^(1+alpha) >= lambda_min/2 holds.  The
+    block peaks of `Schedule.scan` find the top-most block that breaks it
+    (a NaN peak, where lambda_max underflows to 0, breaks it), and only that
+    block is read again for its last bad index.
     """
     _finite(C=C)
     _check_alpha(alpha)
     if C <= 0.0:
         raise ContractViolation("C must be > 0")
-    if K_max < 1:
-        raise ContractViolation("K_max must be >= 1")
+    _check_int("K_max", K_max, 1)
     target = 1.0 / C
-    lmax, lmin = schedule.bounds(K_max + 1)
-    for hi in range(K_max, -1, -_CHUNK):
-        lo = max(0, hi - _CHUNK + 1)
-        top = lmax[lo:hi + 1]
-        h = top ** alpha * (top / lmin[lo:hi + 1])
-        ok = h <= target
-        if not np.all(ok):
-            last_bad = lo + int(np.nonzero(~ok)[0][-1])
-            return None if last_bad == K_max else last_bad + 1
-    return 0
+    peaks = schedule.scan(K_max + 1, alpha)[1]
+    bad = [i for i, peak in enumerate(peaks) if not peak <= target]
+    if not bad:
+        return 0
+    start, h = schedule.peaks_of_block(bad[-1], K_max + 1, alpha)
+    last_bad = start + int(np.nonzero(~(h <= target))[0][-1])
+    return None if last_bad == K_max else last_bad + 1

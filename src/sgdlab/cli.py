@@ -212,7 +212,8 @@ def _run_check(config: ExperimentConfig, oracle: StochasticOracle, name: str):
     return body, report.verdict == "fail"
 
 
-# The checks that read Schedule.bounds, the one table that two checks share.
+# The schedule scans.  They share the schedule's memo of block sums
+# (Schedule.scan), so they run one after the other on the calling thread.
 SCHEDULE_LANE = ("p1p2p3p4", "lemma4")
 
 
@@ -231,10 +232,9 @@ def _cmd_check(config: ExperimentConfig, which) -> int:
     """Run the selected checks on the calling thread and, when both kinds are
     selected, on a daemon thread of this command (an interrupt does not wait
     for it), joined before the results are read.  The calling thread runs the
-    schedule scans (SCHEDULE_LANE) first, then drops the bounds table, which
-    nothing reads after them; the sampled checks wait in one queue, largest
-    first (`_queue`), that the daemon thread drains from the start and the
-    calling thread once its scans return.  A check of sampled checks alone
+    schedule scans (SCHEDULE_LANE) first; the sampled checks wait in one
+    queue, largest first (`_queue`), that the daemon thread drains from the
+    start and the calling thread once its scans return.  A check of sampled checks alone
     runs them in `which` order on the calling thread.  The threads share no other mutable
     state: each sampled check seeds its own Generator and carries
     errors.numeric_policy itself.  One kind alone starts no thread.  No check
@@ -275,11 +275,7 @@ def _cmd_check(config: ExperimentConfig, which) -> int:
         sampled = _queue(config, sampled)  # one thread alone keeps `which` order
         lane = threading.Thread(target=drain, args=(sampled,), daemon=True)
         lane.start()
-    # The 16 MB table is built on the calling thread: on a thread started per
-    # command, glibc now and then placed it above the last command's freed
-    # table (check-suite peak RSS 77 MB instead of 64).
     drain([check for check in which if check in SCHEDULE_LANE])
-    config.schedule.drop_bounds()
     drain(sampled)
     if lane is not None:
         lane.join()

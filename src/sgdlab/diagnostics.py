@@ -541,7 +541,7 @@ def run_ensemble(
     if capture is not None:
         counts = sum(block_counts)
         empirical = counts / n
-        lmax = spec.schedule.bounds(spec.horizon)[0]
+        lmax = spec.schedule.bounds(spec.horizon)
         tail = (capture.epsilon ** -2) * lmax ** 2 * g_r
         se = np.sqrt(empirical * (1.0 - empirical) / n)
         margin = empirical - tail - 4.0 * se

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdlab import checkers, reports
+from sgdlab import checkers, engine, reports
 from sgdlab.checkers import (
     _van_der_corput,
     _worst_point,
@@ -542,6 +542,12 @@ def test_threshold_trivial_and_never_cases():
     assert find_eigenvalue_threshold(sched, 0.5, 1.0, 1000) == 0  # 1/C = 2 >= 1
     const = Schedule.scalar(2.0, 0.0, k0=1)  # lambda^alpha * kappa = 2 forever
     assert find_eigenvalue_threshold(const, 1.0, 1.0, 1000) is None
+    # lambda_max = (k + 1)^-400 is 0 from k = 6, where kappa = 0/0 is NaN,
+    # which breaks the bound up to K_max
+    tiny = Schedule.scalar(1.0, 400.0)
+    assert tiny.eigenvalues([5, 6]).tolist() == [[6.0 ** -400], [0.0]]
+    assert find_eigenvalue_threshold(tiny, 1.0, 1.0, 5) == 0
+    assert find_eigenvalue_threshold(tiny, 1.0, 1.0, 6) is None
 
 
 def test_threshold_satisfies_eigenvalue_lower_bound_inequality():
@@ -564,6 +570,40 @@ def test_threshold_contracts():
         find_eigenvalue_threshold(sched, 0.0, 1.0, 100)
     with pytest.raises(ContractViolation):
         find_eigenvalue_threshold(sched, 1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("K_max", [True, 10.5, 0, -3])
+def test_threshold_K_max_is_an_integer_at_least_1(K_max):
+    # True ran as K_max 1 and returned None, 10.5 raised numpy's TypeError
+    with pytest.raises(ContractViolation,
+                       match=rf"^K_max must be an integer >= 1, got {K_max!r}$"):
+        find_eigenvalue_threshold(Schedule.scalar(1.0, 0.75), 4.0, 1.0, K_max)
+    assert find_eigenvalue_threshold(Schedule.scalar(1.0, 0.75), 4.0, 1.0, np.int64(10)) == 6
+
+
+@pytest.mark.parametrize("chunk", [5, 6, 7])
+def test_threshold_reads_again_the_top_most_bad_block(monkeypatch, chunk):
+    # the last bad index 5 is the first (chunk 5), last (6) and an inner (7)
+    # index of its block; the blocks above it are good
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    assert find_eigenvalue_threshold(Schedule.scalar(1.0, 0.75), 4.0, 1.0, 40) == 6
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Schedule.scalar(1.0, 0.75),
+    lambda: Schedule.rotated([0.5, 0.4, 0.3], [0.6, 0.7, 0.8], rotation_seed=1)],
+    ids=["scalar", "rotated-p3"])
+def test_the_schedule_scans_hold_memory_flat_in_the_size(build):
+    # the two scans at 2,000,000 indices stream their blocks; a table of
+    # lambda_max and lambda_min peaked at 17.6 MB (p = 1) and 34.6 MB (p = 3)
+    n = 2_000_000
+
+    def scans():
+        schedule = build()
+        validate_schedule(schedule, 1.0, n)
+        find_eigenvalue_threshold(schedule, 4.0, 1.0, n)
+
+    assert _peak_bytes(scans) < 8e6
 
 
 # ---------------------------------------------------------------------------

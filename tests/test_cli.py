@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgdlab
-from sgdlab import cli, diagnostics
+from sgdlab import cli, diagnostics, engine
 from sgdlab.cli import build_parser, main
 from sgdlab.config import REQUIRED, SCHEMA, config_from_dict, load_config
 from sgdlab.engine import Schedule, run_trajectory
@@ -205,18 +205,6 @@ def test_unallocatable_size_exits_2(tmp_path, capsys, K, flags):
     cfg = base_config(tmp_path / "out")
     cfg["run"]["K"] = K
     assert main(["run", "--config", write_config(tmp_path, cfg), *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("sgdlab: config error:")
-    assert len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("checks", [{"which": ["p1p2p3p4"], "horizon": 2**53},
-                                    {"which": ["lemma4"], "lemma4": {"K_max": 2**53}}])
-def test_unallocatable_schedule_table_exits_2(tmp_path, capsys, checks):
-    # the schedule table for 2**53 indices needs 64 PB, so numpy refuses it at once
-    cfg = base_config(tmp_path / "out")
-    cfg["checks"] = checks
-    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sgdlab: config error:")
     assert len(err.splitlines()) == 1
@@ -887,7 +875,7 @@ def test_a_repeated_check_runs_once(tmp_path, monkeypatch):
 def test_check_leaves_no_lane_thread_and_no_bounds_table(tmp_path, monkeypatch,
                                                           started_threads):
     # the lane thread ends before main returns, so nothing holds the
-    # command's schedule and its 16 MB table after it
+    # command's schedule and its scan memo after it
     schedules = []
 
     def loaded(*args, _load=cli.load_config):
@@ -901,6 +889,27 @@ def test_check_leaves_no_lane_thread_and_no_bounds_table(tmp_path, monkeypatch,
     assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
     assert len(started_threads) == 1 and not started_threads[0].is_alive()
     assert len(schedules) == 1 and schedules[0]() is None
+
+
+@pytest.mark.parametrize("C,reread", [(1.0, None), (4.0, 0)])
+def test_the_two_schedule_scans_share_one_pass(tmp_path, monkeypatch, C, reread):
+    # a check of both scans at equal sizes and alpha reads each of the
+    # horizon + 1 indices once; with C = 4 the last bad index is 5, so block
+    # 0 is read again, once, and with C = 1 no block breaks the bound
+    rows = []
+
+    def eigenvalues(self, ks, out=None, _eigenvalues=Schedule.eigenvalues):
+        rows.append((int(ks[0]), len(ks)))
+        return _eigenvalues(self, ks, out)
+
+    monkeypatch.setattr(Schedule, "eigenvalues", eigenvalues)
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = {"which": ["p1p2p3p4", "lemma4"], "horizon": 200000,
+                     "lemma4": {"C": C, "K_max": 200000}}
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    chunk = engine._CHUNK
+    blocks = [(start, min(chunk, 200001 - start)) for start in range(0, 200001, chunk)]
+    assert rows == blocks + ([] if reread is None else [blocks[reread]])
 
 
 def test_a_two_lane_check_leaves_the_thread_count_as_it_was(tmp_path):
@@ -925,10 +934,14 @@ def test_a_two_lane_check_leaves_the_thread_count_as_it_was(tmp_path):
 ])
 def test_first_failure_in_which_order_decides_as_in_a_serial_run(
         tmp_path, capsys, monkeypatch, started_threads, which, code):
+    def scan(*args):
+        raise MemoryError("the schedule scan")
+
+    monkeypatch.setattr(cli.engine, "validate_schedule", scan)
     cfg = base_config(tmp_path / "out")
     cfg["objective"] = {"name": "loglog1p-abs"}
     cfg["run"]["theta0"] = [3.0]
-    cfg["checks"] = {"which": which, "horizon": 2**53, "lemma4": {"K_max": 1000},
+    cfg["checks"] = {"which": which, "lemma4": {"K_max": 1000},
                      "descent": {"box": [-10.0, 10.0]}}
     cfg_path = write_config(tmp_path, cfg)
     before = threading.active_count()
@@ -1033,33 +1046,6 @@ def test_no_check_after_the_earliest_exception_starts(tmp_path, capsys, monkeypa
     assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
     assert sorted(calls) == ["descent", "p1p2p3p4", "smoothness"]
     assert capsys.readouterr().err == "sgdlab: config error: smoothness\n"
-
-
-def test_the_bounds_table_is_dropped_before_the_calling_thread_samples(tmp_path, monkeypatch):
-    # the command's thread waits in its first check until the calling thread
-    # has taken one from the queue, which it does only after the scans
-    caller = threading.current_thread()
-    caller_took = threading.Event()
-    tables = {}
-
-    def run_check(config, oracle, name, _run=cli._run_check):
-        if name in cli.SCHEDULE_LANE:
-            result = _run(config, oracle, name)
-            tables[name] = config.schedule._bounds
-            return result
-        if threading.current_thread() is caller:
-            tables.setdefault("first sampled", config.schedule._bounds)
-            caller_took.set()
-        else:
-            assert caller_took.wait(5)
-        return _run(config, oracle, name)
-
-    monkeypatch.setattr(cli, "_run_check", run_check)
-    cfg = base_config(tmp_path / "out")
-    cfg["checks"] = small_checks(ALL_CHECKS)
-    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
-    assert tables["p1p2p3p4"] is not None and tables["lemma4"] is not None
-    assert "first sampled" in tables and tables["first sampled"] is None
 
 
 def test_check_with_nan_smoothness_margins_fails(tmp_path):

@@ -237,13 +237,11 @@ def test_eigenvalues_bit_equal_to_the_formulas_they_replace(n, k0):
 def test_bounds_table_is_reused_and_extended(schedule):
     d = schedule.eigenvalues(np.arange(70000))
     for n in (100, 70000, 50):  # shorter, then longer (rebuilt), then shorter (reused)
-        lmax, lmin = schedule.bounds(n)
+        lmax = schedule.bounds(n)
         assert np.array_equal(lmax, d[:n].max(axis=1))
-        assert np.array_equal(lmin, d[:n].min(axis=1))
-        assert not lmax.flags.writeable and not lmin.flags.writeable
-    table = schedule.bounds(70000)[0]
-    assert np.shares_memory(schedule.bounds(50)[0], table)
-    assert np.shares_memory(*schedule.bounds(10)) == (schedule.dim == 1)
+        assert not lmax.flags.writeable
+    table = schedule.bounds(70000)
+    assert np.shares_memory(schedule.bounds(50), table)
 
 
 @pytest.mark.parametrize("family", ["scalar-power", "diagonal-power", "rotated-diagonal-power"])
@@ -251,20 +249,17 @@ def test_bounds_table_is_reused_and_extended(schedule):
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.75, 1.0, 2.0])
 def test_bounds_filled_in_blocks_are_bit_equal_to_eigenvalues(monkeypatch, family, p, beta):
     # `bounds` has `eigenvalues` fill each block in place (the table itself
-    # for p = 1); its row max and min equal those of one fresh call, in
-    # blocks that end inside the table and at its end, also at the exponents
-    # that numpy's scalar `**` special-cases (0, -0.5, -1, -2)
+    # for p = 1); its row max equals that of one fresh call, in blocks that
+    # end inside the table and at its end, also at the exponents that
+    # numpy's scalar `**` special-cases (0, -0.5, -1, -2)
     monkeypatch.setattr(engine, "_CHUNK", 7)
     scalar = family == "scalar-power"
     c = np.full(p, 0.7) if scalar else np.linspace(0.3, 1.7, p)
     betas = np.full(p, beta) if scalar else np.array([beta, 0.6, beta][:p])
-    s = Schedule(family, c, betas, 1.5, p)
     for n in (21, 23, 5):  # three whole blocks; and a part block; one part block
-        s.drop_bounds()
-        lmax, lmin = s.bounds(n)
-        d = s.eigenvalues(np.arange(n))
-        assert lmax.tobytes() == d.max(axis=1).tobytes()
-        assert lmin.tobytes() == d.min(axis=1).tobytes()
+        lmax = Schedule(family, c, betas, 1.5, p).bounds(n)
+        assert lmax.tobytes() == Schedule(family, c, betas, 1.5, p).eigenvalues(
+            np.arange(n)).max(axis=1).tobytes()
 
 
 def test_schedule_parameter_validation():
@@ -370,6 +365,17 @@ def test_validate_schedule_contract():
         validate_schedule(s, 1.5, 10)
     with pytest.raises(ContractViolation):
         validate_schedule(s, 1.0, 0)
+
+
+@pytest.mark.parametrize("horizon", [True, 10.5, 0, -3])
+def test_validate_schedule_horizon_is_an_integer_at_least_1(horizon):
+    # True ran as horizon 1 and reported horizon_used True, 10.5 raised
+    # numpy's TypeError
+    s = Schedule.scalar(1.0, 0.75)
+    with pytest.raises(ContractViolation,
+                       match=rf"^horizon must be an integer >= 1, got {horizon!r}$"):
+        validate_schedule(s, 1.0, horizon)
+    assert validate_schedule(s, 1.0, np.int64(10)).horizon_used == 10
 
 
 # ---------------------------------------------------------------------------

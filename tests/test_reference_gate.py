@@ -307,6 +307,13 @@ def test_cli_reports_have_the_bytes_of_the_reference():
                    {"family": "diagonal-power", "c": [0.5] * 8, "beta": [0.6] * 8, "p": 8},
                    [0.5, -0.5, 1.0, 0.0, -800.0, 2.0, -1.0, 0.25], 20,
                    {"kind": "rademacher-radial"}))
+    # lambda_max = (k + 1)^-400 underflows to 0 from k = 6: the Lemma-4
+    # peak 0^alpha * (0 / 0) is NaN, so the threshold is None
+    @example(_edge({"name": "quadratic"}, {"c": 1.0, "beta": 400.0}, [1.0], 12))
+    # lambda_max = (k + 1)^-0.75 <= 1/4 from k = 6: the last bad index, 5, is
+    # the last of the first block of 6, and the two blocks above it are good
+    @example(((6, 1, 3), {**_edge({"name": "quadratic"}, {"c": 1.0, "beta": 0.75}, [1.0], 13)[1],
+                          "checks": {"horizon": 13, "lemma4": {"C": 4.0, "K_max": 13}}}))
     # x_{k+1} = -w_k, iid N(0, 0.49): escapes at one- and two-digit steps
     @example(((5, 1, 3), {"objective": {"name": "quadratic"},
                           "noise": {"kind": "additive-gaussian", "sigma": 0.7},
@@ -319,7 +326,7 @@ def test_cli_reports_have_the_bytes_of_the_reference():
         config = {**config, "checks": {**config.get("checks", {}),
                                        "which": ["p1p2p3p4", "lemma4"]}}
         with mock.patch.multiple(engine, _CHUNK=chunk, _FIRST_BLOCK=first_block, _BLOCK=block), \
-                mock.patch.object(checkers, "_CHUNK", chunk), _spied_sigma_forms(reached):
+                _spied_sigma_forms(reached):
             for command in COMMANDS:
                 want = reference.main(command, config)
                 assert _cli(command, config) == want, command
@@ -834,7 +841,7 @@ def test_g1_raising_at_an_accepted_iterate_raises_at_the_same_step():
     # raise at another x.
     sched = Schedule.scalar(0.5, 0.5)
     xs = [8.0]
-    for eta in sched.bounds(19)[0].tolist():
+    for eta in sched.bounds(19).tolist():
         xs.append(xs[-1] - eta * xs[-1])
     limit = 0.5 * (xs[18] + xs[19])
 
@@ -915,7 +922,7 @@ def test_run_steps_at_most_its_own_length_past_its_exit(growth, j_about):
 
     n = 2 ** 17
     noise = NoiseModel("zero", 1)
-    etas = Schedule.scalar(2.0 + growth, 0.0).bounds(n)[0]
+    etas = Schedule.scalar(2.0 + growth, 0.0).bounds(n)
     step = partial(_scalar_block, g1, noise, etas, 0.0)
     trace, overflow, viol = _drive(step, 1.0, n, noise, np.random.default_rng(0))
     j = len(trace)  # the step that made the rejected iterate

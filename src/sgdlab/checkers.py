@@ -109,12 +109,6 @@ def _finite(**values) -> None:
             raise ContractViolation(f"{name} must be finite, got {value!r}")
 
 
-def _check_size(name: str, n) -> None:
-    """Raise ContractViolation naming a sample size below 1."""
-    if not n >= 1:
-        raise ContractViolation(f"{name} must be >= 1, got {n!r}")
-
-
 def _box_bounds(box: tuple[float, float]) -> tuple[float, float]:
     """(lo, hi) of a box, refused unless its width hi - lo is finite (so are
     lo and hi) and hi > lo."""
@@ -323,7 +317,7 @@ def check_descent_inequality(
     _check_alpha(alpha)
     if L_tilde <= 0.0:
         raise ContractViolation("L_tilde must be > 0")
-    _check_size("n_pairs", n_pairs)
+    _check_int("n_pairs", n_pairs, 1)
     _check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     thetas = _uniform_box(rng, n_pairs, box, obj.dim)
@@ -408,7 +402,7 @@ def check_grad_bound(
     temporaries.  Without a global constant the verdict is inconclusive.
     """
     _check_alpha(alpha)
-    _check_size("n_points", n_points)
+    _check_int("n_points", n_points, 1)
     _check_seed("seed", seed)
     if L is None:
         return AssumptionReport(
@@ -463,7 +457,7 @@ def _sample_sq_norms(oracle: StochasticOracle, theta: np.ndarray,
 def sample_gradient_norms(oracle: StochasticOracle, theta, rng: np.random.Generator,
                           n: int) -> np.ndarray:
     """n draws of ||sample|| at theta (input for the variance-control check)."""
-    _check_size("n", n)
+    _check_int("n", n, 1)
     theta = np.ascontiguousarray(theta, dtype=float)  # at least 1-D
     oracle.objective.check_domain(theta)
     return np.sqrt(_sample_sq_norms(oracle, theta, rng, n))
@@ -492,9 +486,8 @@ def check_expected_smoothness(
         raise ContractViolation("C1 and C2 must be >= 0")
     if C3 < 1.0:
         raise ContractViolation("C3 must be >= 1")
-    if n_draws < 2:
-        raise ContractViolation("n_draws must be >= 2")
-    _check_size("n_points", n_points)
+    _check_int("n_draws", n_draws, 2)
+    _check_int("n_points", n_points, 1)
     _check_seed("seed", seed)
     obj = oracle.objective
     rng = np.random.default_rng(seed)

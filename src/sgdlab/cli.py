@@ -94,20 +94,23 @@ def _report_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]
 
     A path that exists is refused here, before any compute, unless force is on;
     so is, even with force, a path that is a directory, and so is an output
-    directory that is, or sits below, a file.
+    directory that is or sits below a file, or that the system cannot stat.
     """
     outdir = Path(config.output.directory)
     paths = {}
-    for name in names:
-        path = outdir / name
-        if path.suffix[1:] not in config.output.formats:
-            continue
-        if path.exists() and not config.output.force:
-            raise ConfigError(f"refusing to overwrite {path}; pass --force to allow")
-        if path.is_dir():
-            raise ConfigError(f"cannot write {path}: it is a directory")
-        paths[name] = path
-    files = [p for p in (outdir, *outdir.parents) if p.exists() and not p.is_dir()]
+    try:
+        for name in names:
+            path = outdir / name
+            if path.suffix[1:] not in config.output.formats:
+                continue
+            if path.exists() and not config.output.force:
+                raise ConfigError(f"refusing to overwrite {path}; pass --force to allow")
+            if path.is_dir():
+                raise ConfigError(f"cannot write {path}: it is a directory")
+            paths[name] = path
+        files = [p for p in (outdir, *outdir.parents) if p.exists() and not p.is_dir()]
+    except OSError as error:
+        raise ConfigError(f"output.directory {str(outdir)!r}: {error.strerror}") from error
     if paths and files:
         raise ConfigError(f"output.directory {str(outdir)!r}: {files[0]} is not a directory")
     return paths

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .engine import Schedule, Trajectory, _check_seed, record_points, run_trajectory
+from .engine import Schedule, Trajectory, _check_int, _check_seed, record_points, run_trajectory
 from .errors import ContractViolation, numeric_policy
 from .objectives import NoiseSpec, ObjectiveSpec, StochasticOracle, _norms
 
@@ -71,12 +71,8 @@ class EnsembleSpec:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ContractViolation("horizon must be >= 1")
-        if self.n_trajectories < 1:
-            raise ContractViolation("n_trajectories must be >= 1")
-        if self.record_stride < 1:
-            raise ContractViolation("record_stride must be >= 1")
+        for name in ("horizon", "n_trajectories", "record_stride"):
+            _check_int(name, getattr(self, name), 1)
         if self.schedule.dim != self.objective.dimension:
             raise ContractViolation(
                 f"schedule dimension {self.schedule.dim} != objective dimension "
@@ -262,7 +258,8 @@ def default_r_div(theta0) -> float:
 def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
                        R_div: float) -> DichotomyClassification:
     """Classify a trajectory from its per-step norms over its final W steps."""
-    if W < 1 or W > traj.horizon:
+    _check_int("W", W, 1)
+    if W > traj.horizon:
         raise ContractViolation("window W must satisfy 1 <= W <= horizon")
     if traj.domain_violation or traj.last_k + 1 < W:
         return DichotomyClassification(
@@ -495,12 +492,13 @@ def run_ensemble(
     Deterministic given the spec: identical specs yield identical results,
     independent of the jobs level.
     """
-    W = default_window(spec.horizon) if W is None else int(W)
+    W = default_window(spec.horizon) if W is None else W
     epsilon_conv = default_epsilon_conv(spec.theta0) if epsilon_conv is None else float(epsilon_conv)
     R_div = default_r_div(spec.theta0) if R_div is None else float(R_div)
     # Before any trajectory runs: a bad window, verdict constant or gamma, or
     # a capture block the envelope cannot handle, is a config error that
     # should cost nothing.
+    _check_int("W", W, 1)
     if W > spec.horizon:
         raise ContractViolation("window W must be <= horizon")
     if not (0.0 < epsilon_conv < np.inf and 0.0 < R_div < np.inf):

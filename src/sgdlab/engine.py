@@ -23,7 +23,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ContractViolation, numeric_policy
-from .objectives import OVERFLOW_CAP, StochasticOracle, _norms
+from .objectives import OVERFLOW_CAP, StochasticOracle, _frozen_copy, _norms, _set_frozen_state
 
 # Iterates at or beyond this magnitude are treated as numeric overflow;
 # squared norms then still fit in a float64.
@@ -51,12 +51,13 @@ POWER_FAMILIES = ("scalar-power", "diagonal-power", "rotated-diagonal-power")
 
 
 def _as_vector(x, dim: int, name: str) -> np.ndarray:
+    """x, or its one value repeated, as a read-only float copy of shape (dim,)."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape == (1,) and dim > 1:
         arr = np.full(dim, arr[0])
     if arr.shape != (dim,):
         raise ContractViolation(f"{name} must have shape ({dim},), got {arr.shape}")
-    return arr
+    return _frozen_copy(arr)
 
 
 def _check_int(name: str, value, least: int) -> None:
@@ -80,7 +81,7 @@ def random_orthogonal(dim: int, seed: int) -> np.ndarray:
     return q
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
     """Power-law learning-rate schedule d_i(k) = c_i * (k + k0)^(-beta_i).
 
@@ -89,7 +90,8 @@ class Schedule:
     explicitly), which changes eigenvectors but not eigenvalues.  No seed
     means seed 0, and is recorded as 0.  An explicit factor sets rotation_seed
     to None, and the label names it by the first 12 hex digits of the sha256
-    of its bytes (`rot=q:<hex>`).
+    of its bytes (`rot=q:<hex>`).  A frozen value: c, beta and q are its own
+    read-only copies.
     """
 
     family: str
@@ -98,16 +100,20 @@ class Schedule:
     k0: float
     dim: int
     rotation_seed: int | None = None
-    q: np.ndarray | None = field(default=None)
+    q: np.ndarray | None = None
+    # bounds' lambda_max table and scan's ((n, alpha), P2 terms, Lemma-4 peaks)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __setstate__ = _set_frozen_state
+
+    def __getstate__(self):  # not the memo: its table would come back writeable
+        return {**self.__dict__, "_memo": {}}
 
     @numeric_policy
     def __post_init__(self):
-        self._lmax = None  # the lambda_max table of `bounds`
-        self._scan = None  # ((n, alpha), P2 terms, Lemma-4 peaks) of `scan`
         if self.family not in POWER_FAMILIES:
             raise ContractViolation(f"unknown schedule family {self.family!r}")
-        self.c = _as_vector(self.c, self.dim, "c")
-        self.beta = _as_vector(self.beta, self.dim, "beta")
+        for name in ("c", "beta"):
+            object.__setattr__(self, name, _as_vector(getattr(self, name), self.dim, name))
         for name, value in (("c", self.c), ("beta", self.beta), ("k0", self.k0)):
             if not np.all(np.isfinite(value)):
                 raise ContractViolation(f"schedule {name} must be finite, got {value}")
@@ -121,30 +127,23 @@ class Schedule:
             if not (np.all(self.c == self.c[0]) and np.all(self.beta == self.beta[0])):
                 raise ContractViolation("scalar-power requires one (c, beta) pair")
         if self.family == "rotated-diagonal-power":
-            explicit = self.q is not None
-            if not explicit:
-                if self.rotation_seed is None:  # seed 0 builds it, so seed 0 names it
-                    self.rotation_seed = 0
-                _check_seed("rotation_seed", self.rotation_seed)
-                self.q = random_orthogonal(self.dim, int(self.rotation_seed))
+            seed, q = None, self.q  # an explicit factor: no seed produced it
+            if q is None:  # seed 0 builds it when none is given, so seed 0 names it
+                seed = 0 if self.rotation_seed is None else self.rotation_seed
+                _check_seed("rotation_seed", seed)
+                q = random_orthogonal(self.dim, int(seed))
             # C order: the label hashes these bytes, and the gemvs of a step
             # sum in the order of q's layout, so one layout for one label
-            self.q = np.ascontiguousarray(self.q, dtype=float)
-            if self.q.shape != (self.dim, self.dim):
+            q = _frozen_copy(q)
+            if q.shape != (self.dim, self.dim):
                 raise ContractViolation(
                     f"orthogonal factor must have shape ({self.dim}, {self.dim}), "
-                    f"got {self.q.shape}")
-            err = float(np.max(np.abs(self.q.T @ self.q - np.eye(self.dim))))
+                    f"got {q.shape}")
+            err = float(np.max(np.abs(q.T @ q - np.eye(self.dim))))
             if not err <= ORTHO_TOL:
                 raise ContractViolation(f"factor is not orthogonal (|Q^T Q - I| = {err:g})")
-            # An explicit factor is named by its bytes; no seed produced it.
-            if explicit:
-                import hashlib  # here, not at the top: it adds ~7 ms to every CLI start
-
-                self.rotation_seed = None
-                self._rotation = "q:" + hashlib.sha256(self.q.tobytes()).hexdigest()[:12]
-            else:
-                self._rotation = str(self.rotation_seed)
+            object.__setattr__(self, "rotation_seed", seed)
+            object.__setattr__(self, "q", q)
         elif self.q is not None:
             raise ContractViolation(f"{self.family} does not take an orthogonal factor")
 
@@ -171,7 +170,11 @@ class Schedule:
     def label(self) -> str:
         c = ",".join(f"{v:g}" for v in self.c)
         b = ",".join(f"{v:g}" for v in self.beta)
-        extra = f",rot={self._rotation}" if self.family == "rotated-diagonal-power" else ""
+        extra = "" if self.q is None else f",rot={self.rotation_seed}"  # rotated family
+        if self.q is not None and self.rotation_seed is None:  # an explicit factor
+            import hashlib  # here, not at the top: it adds ~7 ms to every CLI start
+
+            extra = ",rot=q:" + hashlib.sha256(self.q.tobytes()).hexdigest()[:12]
         return f"{self.family}(c={c},beta={b},k0={self.k0:g},p={self.dim}{extra})"
 
     def eigenvalues(self, ks, out=None) -> np.ndarray:
@@ -196,7 +199,7 @@ class Schedule:
         returns a prefix of the same table.  For p = 1 `eigenvalues` fills
         the table in place, for p > 1 one block buffer.
         """
-        table = self._lmax
+        table = self._memo.get("bounds")
         if table is None or len(table) < n:
             table = np.empty(n)
             block = None if self.dim == 1 else np.empty((min(n, _CHUNK), self.dim))
@@ -209,7 +212,7 @@ class Schedule:
                     d = self.eigenvalues(ks, out=block[:stop - start])
                     d.max(axis=1, out=table[start:stop])
             table.flags.writeable = False
-            self._lmax = table
+            self._memo["bounds"] = table
         return table[:n]
 
     def _blocks(self, n: int, alpha: float, first: int = 0):
@@ -249,13 +252,13 @@ class Schedule:
         of a `check` at equal sizes and alpha share one pass.  A peak is NaN
         where a block's lambda_max underflows to 0.
         """
-        if self._scan is None or self._scan[0] != (n, alpha):
+        if self._memo.get("scan", ((),))[0] != (n, alpha):
             terms, peaks = [], []
             for _, lmax, h in self._blocks(n, alpha):
                 terms.append(float(np.sum(lmax ** (1.0 + alpha))))
                 peaks.append(float(np.max(h)))
-            self._scan = ((n, alpha), terms, peaks)
-        return self._scan[1], self._scan[2]
+            self._memo["scan"] = ((n, alpha), terms, peaks)
+        return self._memo["scan"][1:]
 
     def peaks_of_block(self, i: int, n: int, alpha: float) -> tuple[int, np.ndarray]:
         """(first index, lambda_max^alpha * kappa per index) of block i of
@@ -537,18 +540,16 @@ def run_trajectory(
     """
     objective = oracle.objective
     noise = oracle.noise
-    if K < 1:
-        raise ContractViolation("K must be >= 1")
-    if record_stride < 1:
-        raise ContractViolation("record_stride must be >= 1")
+    _check_int("K", K, 1)
+    _check_int("record_stride", record_stride, 1)
     _check_seed("seed", seed)
     if objective.dim != schedule.dim:
         raise ContractViolation(
             f"objective dimension {objective.dim} != schedule dimension {schedule.dim}"
         )
-    # contiguous: the first step's norm sqrt(theta.dot(theta)) sums a strided
-    # view in another order, and sigma_expr's norm(theta) reads that norm
-    theta0 = np.ascontiguousarray(_as_vector(theta0, objective.dim, "theta0"))
+    # a contiguous copy: the first step's norm sqrt(theta.dot(theta)) sums a
+    # strided view in another order, and sigma_expr's norm(theta) reads it
+    theta0 = _as_vector(theta0, objective.dim, "theta0")
     if not np.all(np.isfinite(theta0)):
         raise ContractViolation("theta0 must be finite")
     objective.check_domain(theta0)

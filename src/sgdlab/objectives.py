@@ -178,6 +178,21 @@ def _norms(thetas: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", thetas, thetas))
 
 
+def _frozen_copy(x) -> np.ndarray:
+    """x as a new read-only C-order float array, shared with no caller."""
+    a = np.array(x, dtype=float, order="C")
+    a.flags.writeable = False
+    return a
+
+
+def _set_frozen_state(value, state: dict) -> None:
+    """The __setstate__ of a frozen value: pickle restores arrays writeable."""
+    for array in state.values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    value.__dict__.update(state)
+
+
 def _scaled_plus(c: float, theta: np.ndarray, s: float, v: list) -> np.ndarray:
     """c * theta + s * v as one list of Python floats made into a float64
     array: numpy's elementwise c * theta, then its + s * w, each correctly
@@ -642,7 +657,7 @@ def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., 
     return fn, scope["sigma"], of_norms
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
     """Zero-mean gradient noise with a declared second-moment envelope.
 
@@ -655,7 +670,8 @@ class NoiseModel:
     The envelope G(theta) = E||sample||^2 is exact for all four kinds:
     ||grad||^2 plus p*sigma^2, ||theta||^2, or p*sigma(theta)^2 respectively.
     ``constants`` holds declared expected-smoothness coefficients (C1, C2, C3)
-    when they are declarable independently of the objective.
+    when they are declarable independently of the objective.  A frozen
+    value: direction is its own read-only copy.
     """
 
     kind: str
@@ -663,9 +679,11 @@ class NoiseModel:
     sigma: float = 0.0
     sigma_expr: str | None = None
     direction: np.ndarray | None = None
-    constants: tuple[float, float, float] | None = field(default=None)
-    _sigma_of_norm: Callable[..., float] | None = field(default=None, repr=False)
-    _sigma_of_norms: Callable[..., np.ndarray] | None = field(default=None, repr=False)
+    constants: tuple[float, float, float] | None = None
+    # sigma_expr's float and row forms (_compile_sigma_expr), statedep only
+    _sigma_of_norm: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    _sigma_of_norms: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    __setstate__ = _set_frozen_state
 
     @numeric_policy
     def __post_init__(self):
@@ -678,10 +696,7 @@ class NoiseModel:
             raise ContractViolation(
                 f"sigma must have a finite second moment dim * sigma**2, got {self.sigma!r}")
         if self.kind == "rademacher-radial":
-            u = self.direction
-            if u is None:
-                u = np.zeros(self.dim)
-                u[0] = 1.0
+            u = np.arange(self.dim) == 0 if self.direction is None else self.direction  # e_1
             u = np.asarray(u, dtype=float)
             if u.shape != (self.dim,):
                 raise ContractViolation(f"rademacher direction must have p = {self.dim} "
@@ -696,22 +711,27 @@ class NoiseModel:
                 nu = float(np.linalg.norm(u))
             if nu == 0.0:
                 raise ContractViolation("rademacher direction must be nonzero")
-            self.direction = u / nu
+            object.__setattr__(self, "direction", u / nu)
+        if self.direction is not None:
+            object.__setattr__(self, "direction", _frozen_copy(self.direction))
         if self.kind == "additive-gaussian-statedep":
             if not self.sigma_expr:
                 raise ContractViolation("statedep noise requires sigma_expr")
-            _, self._sigma_of_norm, self._sigma_of_norms = _compile_sigma_expr(self.sigma_expr)
-        if self.constants is not None:
-            c = tuple(self.constants)
+            _, of_norm, of_norms = _compile_sigma_expr(self.sigma_expr)
+            object.__setattr__(self, "_sigma_of_norm", of_norm)
+            object.__setattr__(self, "_sigma_of_norms", of_norms)
+        c = None if self.constants is None else tuple(self.constants)
+        if c is not None:
             if not (len(c) == 3 and all(map(math.isfinite, c))
                     and c[0] >= 0.0 and c[1] >= 0.0 and c[2] >= 1.0):
                 raise ContractViolation(
                     "noise constants must be three finite numbers (C1, C2, C3) with "
                     f"C1 >= 0, C2 >= 0 and C3 >= 1, got {self.constants!r}")
         elif self.kind == "zero":
-            self.constants = (0.0, 0.0, 1.0)
+            c = (0.0, 0.0, 1.0)
         elif self.kind == "additive-gaussian":
-            self.constants = (self.dim * self.sigma ** 2, 0.0, 1.0)
+            c = (self.dim * self.sigma ** 2, 0.0, 1.0)
+        object.__setattr__(self, "constants", c)
 
     @numeric_policy
     def sigma_at(self, theta: np.ndarray) -> float:
@@ -828,13 +848,12 @@ class NoiseSpec:
     constants: tuple[float, float, float] | None = None
 
     def build(self, dim: int) -> NoiseModel:
-        direction = None if self.direction is None else np.asarray(self.direction, dtype=float)
         return NoiseModel(
             kind=self.kind,
             dim=dim,
             sigma=self.sigma,
             sigma_expr=self.sigma_expr,
-            direction=direction,
+            direction=self.direction,
             constants=self.constants,
         )
 
@@ -847,7 +866,7 @@ class NoiseSpec:
         return self.kind
 
 
-@dataclass
+@dataclass(frozen=True)
 class StochasticOracle:
     """An objective paired with a noise model: an unbiased stochastic-gradient oracle."""
 

@@ -400,7 +400,7 @@ def test_checker_refuses_a_seed_that_is_not_an_integer_at_least_0(name, seed):
     _SEEDED[name](np.int64(3))
 
 
-@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("n", [0, -1, 2.5])
 @pytest.mark.parametrize("name,call", [
     pytest.param("n_pairs", lambda n: check_descent_inequality(_QUAD, n, 1.0, 1.0, _BOX),
                  id="descent"),
@@ -411,10 +411,11 @@ def test_checker_refuses_a_seed_that_is_not_an_integer_at_least_0(name, seed):
     pytest.param("n", lambda n: sample_gradient_norms(
         _QUAD_ORACLE, [1.0], np.random.default_rng(0), n), id="sample_gradient_norms"),
 ])
-def test_sampled_checker_refuses_a_sample_size_below_1(name, call, n):
+def test_sampled_checker_refuses_a_sample_size_that_is_not_an_integer_at_least_1(name, call, n):
     # 0 raised a TypeError from _worst_point's comparison with None, -1
-    # numpy's ValueError (sample_gradient_norms returned an empty array at 0)
-    with pytest.raises(ContractViolation, match=rf"^{name} must be >= 1, got {n}$"):
+    # numpy's ValueError (sample_gradient_norms returned an empty array at 0),
+    # 2.5 numpy's TypeError
+    with pytest.raises(ContractViolation, match=rf"^{name} must be an integer >= 1, got {n}$"):
         call(n)
 
 

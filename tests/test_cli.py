@@ -2,6 +2,8 @@
 
 import argparse
 import contextlib
+import errno
+import functools
 import hashlib
 import io
 import json
@@ -384,16 +386,38 @@ def test_noise_constants_outside_their_ranges_exit_2(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+@functools.cache
+def _unit_vectors_at_the_floor() -> dict[str, list[float]]:
+    """Two unit vectors of the first p = 2, 3, ... that has both on the running
+    BLAS core: the step's size sqrt(theta.dot(theta)) is 1.0 at "norm-1" and
+    below 1.0 at "norm-below-1", and an einsum row norm reads the two the
+    other way round.  A p = 2 dot rounds like the einsum on AVX2 and older
+    cores, and differs from it at about 6% of unit vectors on AVX-512 ones."""
+    rng = np.random.default_rng(0)
+    for p in range(2, 17):
+        thetas = rng.standard_normal((20000, p))
+        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        rows = thetas.tolist()
+        step = np.array([math.sqrt(t.dot(t)) for t in map(np.array, rows)])
+        einsum = np.sqrt(np.einsum("ij,ij->i", thetas, thetas))
+        kept = np.flatnonzero((step == 1.0) & (einsum < 1.0))
+        dropped = np.flatnonzero((step < 1.0) & (einsum >= 1.0))
+        if len(kept) and len(dropped):
+            return {"norm-1": rows[kept[0]], "norm-below-1": rows[dropped[0]]}
+    raise AssertionError("no p up to 16 has unit vectors whose two norms straddle 1.0")
+
+
 @pytest.mark.parametrize("r0,theta0,kept", [
-    # the step's size sqrt(theta.dot(theta)) is 1.0 here and 0.9999999999999999
-    # below; an einsum row norm reads the two the other way round
-    pytest.param(1.0, [0.07588125693371493, 0.9971168611783473], True, id="p2-norm-1"),
-    pytest.param(1.0, [0.6894137976242852, -0.7243677350940343], False, id="p2-norm-below-1"),
+    # the step's norm and the einsum's fall on opposite sides of 1.0 here
+    pytest.param(1.0, "norm-1", True, id="norm-1"),
+    pytest.param(1.0, "norm-below-1", False, id="norm-below-1"),
     # the 1-D size is abs(x); sqrt(x * x) underflows to 0 here
     pytest.param(1e-170, [1e-170], True, id="p1-at-1e-170"),
     pytest.param(1e-170, [-9.999999999999998e-171], False, id="p1-below-1e-170"),
 ])
 def test_domain_test_agrees_with_the_step_at_the_floor(tmp_path, r0, theta0, kept):
+    if isinstance(theta0, str):
+        theta0 = _unit_vectors_at_the_floor()[theta0]
     theta, p = np.array(theta0), len(theta0)
     size = abs(theta0[0]) if p == 1 else math.sqrt(theta.dot(theta))
     assert (r0 <= size) == kept  # the steppers' accept test
@@ -571,6 +595,23 @@ def test_output_directory_that_is_or_sits_below_a_file_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"sgdlab: config error: output.directory {str(blocker / below)!r}: " \
                   f"{blocker} is not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_output_directory_the_system_cannot_stat_exits_2(tmp_path, capsys, command):
+    # a 300-byte name (above NAME_MAX) exited 1 with an ENAMETOOLONG traceback
+    outdir = tmp_path / ("x" * 300)
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(["p1p2p3p4", "variance"])
+    cfg_path = write_config(tmp_path, cfg)
+    with mock.patch.object(diagnostics, "run_ensemble", wraps=diagnostics.run_ensemble) as ens, \
+            mock.patch.object(cli, "_run_check", wraps=cli._run_check) as check:
+        assert main([command, "--config", cfg_path, "--output-dir", str(outdir)]) == 2
+    assert ens.call_count == check.call_count == 0  # refused before any compute
+    assert os.listdir(tmp_path) == ["config.json"]
+    err = capsys.readouterr().err
+    assert err == f"sgdlab: config error: output.directory {str(outdir)!r}: " \
+                  f"{os.strerror(errno.ENAMETOOLONG)}\n"
 
 
 # ---------------------------------------------------------------------------

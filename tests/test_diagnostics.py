@@ -638,6 +638,35 @@ def test_ensemble_spec_validation():
         run_ensemble(quad_spec(K=10), W=100)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    pytest.param({"K": 10.5}, "horizon", id="horizon"),
+    # built, then failed in range with a TypeError
+    pytest.param({"n": 2.5}, "n_trajectories", id="n_trajectories"),
+    pytest.param({"stride": 2.5}, "record_stride", id="record_stride"),
+    pytest.param({"stride": True}, "record_stride", id="record_stride-bool"),
+])
+def test_ensemble_spec_refuses_a_size_that_is_not_an_integer_at_least_1(kwargs, name):
+    with pytest.raises(ContractViolation, match=rf"^{name} must be an integer >= 1, got "):
+        quad_spec(**kwargs)
+
+
+@pytest.mark.parametrize("W", [2.5, 0, True])
+def test_run_ensemble_refuses_a_window_that_is_not_an_integer_at_least_1(monkeypatch, W):
+    # 2.5 ran quietly as W = 2
+    def no_run(*args, **kw):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(diagnostics, "run_trajectory", no_run)
+    with pytest.raises(ContractViolation, match=rf"^W must be an integer >= 1, got {W!r}$"):
+        run_ensemble(quad_spec(K=50, n=2), W=W)
+
+
+def test_classify_dichotomy_refuses_a_window_that_is_not_an_integer():
+    # 2.5 raised a TypeError from the window's slice
+    with pytest.raises(ContractViolation, match=r"^W must be an integer >= 1, got 2.5$"):
+        classify_dichotomy(synthetic_trajectory(np.ones(20)), 2.5, 0.5, 10.0)
+
+
 @pytest.mark.parametrize("kwargs,message", [
     ({"theta0": (math.nan,)}, "theta0 entries must be finite"),
     ({"theta0": (math.inf,)}, "theta0 entries must be finite"),

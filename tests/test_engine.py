@@ -540,6 +540,97 @@ def test_rotation_seed_that_is_not_an_integer_at_least_0_is_refused(seed):
         random_orthogonal(2, 3).tobytes())
 
 
+@pytest.mark.parametrize("name,value", [
+    ("K", 10.5),              # numpy's TypeError
+    ("K", True),
+    ("record_stride", 2.5),   # an IndexError
+    ("record_stride", 0),
+])
+def test_run_trajectory_refuses_a_size_that_is_not_an_integer_at_least_1(name, value):
+    oracle = make_oracle("quadratic", "additive-gaussian", sigma=1.0)
+    kwargs = {"K": 10, "record_stride": 1, name: value}
+    with pytest.raises(ContractViolation, match=rf"^{name} must be an integer >= 1, got "):
+        run_trajectory(oracle, Schedule.scalar(0.5, 0.75), [1.0], seed=0, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# immutable values
+# ---------------------------------------------------------------------------
+
+VALUES = {
+    "scalar": lambda: Schedule.scalar(0.5, 0.75),
+    "rotated": lambda: Schedule.rotated([0.5, 0.9], [0.6, 0.7], rotation_seed=3),
+    "rademacher": lambda: NoiseModel("rademacher-radial", 2, direction=[1.0, 1.0]),
+    "statedep": lambda: NoiseModel("additive-gaussian-statedep", 1, sigma_expr="0.1"),
+    "oracle": lambda: make_oracle("quadratic", "additive-gaussian", sigma=1.0),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
+def test_no_field_of_a_schedule_noise_model_or_oracle_can_be_assigned(make):
+    value = make()
+    for f in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
+
+
+def test_the_array_fields_are_read_only():
+    s, noise = VALUES["rotated"](), VALUES["rademacher"]()
+    for array in (s.c, s.beta, s.q, noise.direction):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_a_callers_write_into_its_arrays_does_not_reach_the_schedule():
+    # the schedule kept the caller's arrays: after c[0] = 50 its label read
+    # c=50,2 and its steps used 50, and validate_schedule still returned the
+    # memoised P2 sum 11.79 (a schedule built with c = 50, 2 reads 10840)
+    c, beta = np.array([1.0, 2.0]), np.array([0.6, 0.7])
+    s = Schedule.diagonal(c, beta)
+    steps, p2 = s.eigenvalues(np.arange(100)), validate_schedule(s, 1.0, 1000).p2_partial_sum
+    c[0], beta[0] = 50.0, 0.1
+    assert s.label == "diagonal-power(c=1,2,beta=0.6,0.7,k0=1,p=2)"
+    assert s.eigenvalues(np.arange(100)).tobytes() == steps.tobytes()
+    assert validate_schedule(s, 1.0, 1000).p2_partial_sum == p2 == validate_schedule(
+        Schedule.diagonal([1.0, 2.0], [0.6, 0.7]), 1.0, 1000).p2_partial_sum
+
+
+def test_a_callers_write_into_an_explicit_factor_does_not_reach_the_schedule():
+    # the schedule kept the caller's q: a write left it no longer orthogonal
+    # under a label that still hashed the old bytes
+    q = random_orthogonal(2, 5)
+    s = Schedule.rotated([1.0, 0.5], [0.75, 0.75], q=q)
+    label, before = s.label, one_step(s, [1.0, -2.0])
+    q[:] = 7.0 * np.eye(2)
+    assert s.q.tobytes() == random_orthogonal(2, 5).tobytes()
+    assert s.label == label and one_step(s, [1.0, -2.0]).tobytes() == before.tobytes()
+
+
+def test_a_schedule_cannot_be_changed_under_its_memo():
+    # beta = 0.1 was accepted after a check, and the next validate_schedule
+    # returned the memoised P2 sum 2.549; a schedule built with beta 0.1
+    # reads 313.6
+    s = Schedule.scalar(1.0, 0.75)
+    p2 = validate_schedule(s, 1.0, 1000).p2_partial_sum
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.beta = np.array([0.1])
+    assert validate_schedule(s, 1.0, 1000).p2_partial_sum == p2 == pytest.approx(2.549, abs=1e-3)
+    changed = validate_schedule(Schedule.scalar(1.0, 0.1), 1.0, 1000).p2_partial_sum
+    assert changed == pytest.approx(313.6, abs=0.1)
+
+
+def test_a_pickled_schedule_is_the_same_immutable_value():
+    # the --jobs pool sends the ensemble's schedule to its workers by pickle
+    import pickle
+
+    s = VALUES["rotated"]()
+    validate_schedule(s, 1.0, 100)
+    t = pickle.loads(pickle.dumps(s))
+    assert t.label == s.label and t.q.tobytes() == s.q.tobytes()
+    assert not (t.c.flags.writeable or t.beta.flags.writeable or t.q.flags.writeable)
+    assert validate_schedule(t, 1.0, 100) == validate_schedule(s, 1.0, 100)
+
+
 def test_rotated_schedule_trajectory_matches_dense_iteration():
     obj = catalog_lookup("quadratic", dimension=2)
     oracle = StochasticOracle(obj, NoiseModel("zero", 2))

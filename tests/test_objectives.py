@@ -4,8 +4,10 @@ Gradients are validated against central finite differences, noise samplers
 against their declared means and second-moment envelopes.
 """
 
+import dataclasses
 import itertools
 import math
+import pickle
 import warnings
 
 import hypothesis
@@ -746,6 +748,48 @@ def test_noise_declared_constants():
     nm = NoiseModel("additive-gaussian", 3, sigma=2.0)
     assert nm.constants == (12.0, 0.0, 1.0)  # p * sigma^2
     assert NoiseModel("rademacher-radial", 2).constants is None
+
+
+@pytest.mark.parametrize("name", ["_sigma_of_norm", "_sigma_of_norms"])
+def test_the_compiled_sigma_forms_are_not_constructor_arguments(name):
+    # they were init fields: a model that is not state-dependent kept
+    # whatever was passed
+    with pytest.raises(TypeError, match=name):
+        NoiseModel("additive-gaussian", 1, sigma=1.0, **{name: lambda *args: 5.0})
+
+
+def test_a_noise_model_cannot_be_changed_under_its_compiled_sigma():
+    # sigma_expr = "5.0" was accepted, and sigma_at still read 0.1; sigma =
+    # -3.0 was accepted, and constants kept the value of sigma 1
+    statedep = NoiseModel("additive-gaussian-statedep", 1, sigma_expr="0.1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        statedep.sigma_expr = "5.0"
+    assert statedep.sigma_at(np.array([2.0])) == 0.1
+    assert NoiseModel("additive-gaussian-statedep", 1,
+                      sigma_expr="5.0").sigma_at(np.array([2.0])) == 5.0
+    additive = NoiseModel("additive-gaussian", 2, sigma=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        additive.sigma = -3.0
+    assert additive.sigma == 1.0 and additive.constants == (2.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["rademacher-radial", "zero"])
+def test_a_noise_model_keeps_its_own_direction_and_constants(kind):
+    # a given direction and a constants list were the caller's own objects
+    direction, constants = np.array([0.0, 2.0]), [1.0, 0.0, 1.0]
+    noise = NoiseModel(kind, 2, direction=direction, constants=constants)
+    direction[:], constants[0] = 7.0, 9.0
+    assert noise.direction.tolist() == [0.0, 1.0 if kind == "rademacher-radial" else 2.0]
+    assert noise.constants == (1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        noise.direction[0] = 1.0
+
+
+def test_a_pickled_noise_model_is_the_same_frozen_value():
+    noise = NoiseModel("rademacher-radial", 2, direction=[3.0, 4.0])
+    copy = pickle.loads(pickle.dumps(noise))
+    assert copy.direction.tobytes() == noise.direction.tobytes()
+    assert not copy.direction.flags.writeable
 
 
 # A fixed seed for the generator and the splits, as the reference gate's

@@ -6,7 +6,8 @@ set by flags, and SGDLAB_SEED sets the master seed; both are laid over the
 file's JSON before the config is validated (flag wins over the environment,
 which wins over the file).
 
-Exit codes: 0 success, 1 a selected check failed, 2 configuration problem,
+Exit codes: 0 success, 1 a selected check failed, 2 configuration problem
+or a report that could not be written (the set is written all or nothing),
 3 a theta0 or sample point below the objective's domain floor (the offending
 point is printed to stderr).
 """
@@ -117,18 +118,33 @@ def _report_paths(config: ExperimentConfig, names: list[str]) -> dict[str, Path]
 
 
 def _write_reports(config: ExperimentConfig, paths: dict[str, Path], writers: dict) -> None:
-    """Make the output directory and call writer(path, payload) for each path.
+    """Make the output directory and write the set of reports all or nothing.
 
-    Each command calls this once, after all of its compute, so a command that
+    writer(temporary, payload) writes each report to a temporary file beside
+    it; only once every write has returned does os.replace move each
+    temporary onto its path, which replaces a symlink there instead of
+    writing through it.  An OSError removes the temporaries and is a config
+    error, so a failed set leaves the earlier reports as they were.  Each
+    command calls this once, after all of its compute, so a command that
     fails leaves neither a directory nor a partial set of reports behind, and
     one whose formats select no report leaves no directory.
     """
     if not paths:
         return
-    Path(config.output.directory).mkdir(parents=True, exist_ok=True)
-    for name, path in paths.items():
-        writer, payload = writers[name]
-        writer(path, payload)
+    # path is the one an error names: the directory, then each report in turn
+    path, staged = Path(config.output.directory), {}
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for name, path in paths.items():
+            writer, payload = writers[name]
+            staged[path] = path.with_name(f".{name}.{os.getpid()}.tmp")
+            writer(staged[path], payload)
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
+    except OSError as error:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write {path}: {error.strerror or error}") from error
 
 
 def _cmd_run(config: ExperimentConfig) -> int:

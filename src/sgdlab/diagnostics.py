@@ -445,8 +445,10 @@ def envelope_sup_over_ball(spec: EnsembleSpec, theta_bar, R: float) -> float:
     obj = oracle.objective
     noise = oracle.noise
     tb = np.atleast_1d(np.asarray(theta_bar, dtype=float))
-    if R < 0:
-        raise ContractViolation("R must be >= 0")
+    if not 0.0 <= R < np.inf:
+        raise ContractViolation(f"R must be finite and >= 0, got {R!r}")
+    if not np.isfinite(tb).all():
+        raise ContractViolation(f"theta_bar entries must be finite, got {tb.tolist()!r}")
     if obj.dim == 1:
         lo, hi = tb[0] - R, tb[0] + R
         xs = np.linspace(lo, hi, ENVELOPE_GRID)

@@ -177,6 +177,7 @@ class Schedule:
             extra = ",rot=q:" + hashlib.sha256(self.q.tobytes()).hexdigest()[:12]
         return f"{self.family}(c={c},beta={b},k0={self.k0:g},p={self.dim}{extra})"
 
+    @numeric_policy
     def eigenvalues(self, ks, out=None) -> np.ndarray:
         """d_i(k) = c_i * (k + k0)^(-beta_i) at each step index in ks, shape (n, p),
         into out when given (an (n, p) float array), else into a new array.
@@ -445,7 +446,7 @@ def _scalar_path(g1, noise, etas, x, w, raised):
                 x = x - eta * (g1(x) + abs(x) * wj)
                 yield x
         else:
-            sigma, sqrt = noise._sigma_of_norm, math.sqrt
+            sigma, sqrt = noise.sigma_of_norm, math.sqrt
             for eta, wj in zip(etas, w):
                 x = x - eta * (g1(x) + sigma(sqrt(x * x), x) * wj)
                 yield x

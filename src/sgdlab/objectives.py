@@ -32,7 +32,7 @@ import ast
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import CodeType
 from typing import Callable
 
@@ -576,9 +576,11 @@ def sigma(nrm, theta):
 """
 
 
-# Cached: one command builds its noise model several times (the config, the
-# ensemble, each block), and the three forms are pure functions of expr.
-@functools.lru_cache(maxsize=64)
+# Cached without a bound: a NoiseModel compiles its expression once, at
+# construction, and looks its forms up here wherever it uses them, so a
+# process never compiles one expression twice; the three forms are pure
+# functions of expr.
+@functools.cache
 def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., float],
                                              Callable[..., np.ndarray]]:
     """Compile a sigma(theta) expression over a tiny whitelisted namespace.
@@ -680,9 +682,6 @@ class NoiseModel:
     sigma_expr: str | None = None
     direction: np.ndarray | None = None
     constants: tuple[float, float, float] | None = None
-    # sigma_expr's float and row forms (_compile_sigma_expr), statedep only
-    _sigma_of_norm: Callable | None = field(default=None, init=False, repr=False, compare=False)
-    _sigma_of_norms: Callable | None = field(default=None, init=False, repr=False, compare=False)
     __setstate__ = _set_frozen_state
 
     @numeric_policy
@@ -717,9 +716,7 @@ class NoiseModel:
         if self.kind == "additive-gaussian-statedep":
             if not self.sigma_expr:
                 raise ContractViolation("statedep noise requires sigma_expr")
-            _, of_norm, of_norms = _compile_sigma_expr(self.sigma_expr)
-            object.__setattr__(self, "_sigma_of_norm", of_norm)
-            object.__setattr__(self, "_sigma_of_norms", of_norms)
+            _compile_sigma_expr(self.sigma_expr)  # a bad expression is refused here
         c = None if self.constants is None else tuple(self.constants)
         if c is not None:
             if not (len(c) == 3 and all(map(math.isfinite, c))
@@ -733,13 +730,18 @@ class NoiseModel:
             c = (self.dim * self.sigma ** 2, 0.0, 1.0)
         object.__setattr__(self, "constants", c)
 
+    @property
+    def sigma_of_norm(self) -> Callable[[float, np.ndarray | float], float] | None:
+        """sigma(nrm, theta) as a float, nrm the norm of theta; None without sigma_expr."""
+        return None if self.sigma_expr is None else _compile_sigma_expr(self.sigma_expr)[1]
+
     @numeric_policy
     def sigma_at(self, theta: np.ndarray) -> float:
         if self.kind == "additive-gaussian":
             return self.sigma
         if self.kind == "additive-gaussian-statedep":
             theta = np.asarray(theta, dtype=float)
-            return self._sigma_of_norm(float(_sigma_norm(theta)), theta)
+            return self.sigma_of_norm(float(_sigma_norm(theta)), theta)
         return 0.0
 
     @numeric_policy
@@ -779,7 +781,7 @@ class NoiseModel:
         # a norm that overflows reaches sigma as inf, as in _sigma_norm
         thetas = np.ascontiguousarray(thetas)
         nrms = np.sqrt(np.vecdot(thetas, thetas))
-        sig = self._sigma_of_norms(nrms, thetas)
+        sig = _compile_sigma_expr(self.sigma_expr)[2](nrms, thetas)
         return g2 + self.dim * sig ** 2
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray | None:
@@ -824,7 +826,7 @@ class NoiseModel:
             if self.kind == "rademacher-radial":
                 u = self.direction.tolist()
                 return lambda theta, nrm, w: grad_plus(theta, nrm, nrm * w[0], u)
-            sigma = self._sigma_of_norm
+            sigma = self.sigma_of_norm
             return lambda theta, nrm, w: grad_plus(theta, nrm, sigma(nrm, theta), w)
         if self.kind == "zero":
             return lambda theta, nrm, w: grad(theta)
@@ -833,7 +835,7 @@ class NoiseModel:
         if self.kind == "rademacher-radial":
             u = self.direction
             return lambda theta, nrm, w: grad(theta) + nrm * w * u
-        sigma = self._sigma_of_norm
+        sigma = self.sigma_of_norm
         return lambda theta, nrm, w: grad(theta) + sigma(nrm, theta) * w
 
 

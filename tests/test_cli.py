@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgdlab
-from sgdlab import cli, diagnostics, engine
+from sgdlab import cli, diagnostics, engine, reports
 from sgdlab.cli import build_parser, main
 from sgdlab.config import REQUIRED, SCHEMA, config_from_dict, load_config
 from sgdlab.engine import Schedule, run_trajectory
@@ -53,10 +53,11 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
-def _in_a_fresh_process(code: str, *args: str) -> list[str]:
-    """The stdout lines of `python -c code *args`, with this sgdlab importable."""
+def _in_a_fresh_process(code: str, *args: str, env: dict | None = None) -> list[str]:
+    """The stdout lines of `python -c code *args`, with this sgdlab importable
+    and env laid over this process's environment."""
     src = str(Path(sgdlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                          text=True, env=env, timeout=120, check=True)
@@ -115,6 +116,48 @@ def test_run_is_byte_deterministic(tmp_path):
     assert main(["run", "--config", cfg_path, "--force"]) == 0
     assert (tmp_path / "out" / "ensemble_report.json").read_bytes() == first
     assert (tmp_path / "out" / "checkpoints.csv").read_bytes() == first_csv
+
+
+@pytest.mark.parametrize("target", ["missing/checkpoints.csv", "elsewhere.csv"],
+                         ids=["dangling", "to-a-file"])
+def test_run_replaces_a_symlinked_report_instead_of_writing_through_it(tmp_path, target):
+    # a link into a missing directory: the run wrote ensemble_report.json and
+    # then raised FileNotFoundError through the link, leaving half a set
+    (tmp_path / "elsewhere.csv").write_bytes(b"keep")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "checkpoints.csv").symlink_to(tmp_path / target)
+    assert main(["run", "--config", write_config(tmp_path, base_config(out)), "--force"]) == 0
+    assert main(["run", "--config", write_config(
+        tmp_path, base_config(tmp_path / "fresh"), "fresh.json")]) == 0
+    assert sorted(os.listdir(out)) == ["checkpoints.csv", "ensemble_report.json"]
+    assert not (out / "checkpoints.csv").is_symlink()
+    for name in os.listdir(out):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert (tmp_path / "elsewhere.csv").read_bytes() == b"keep"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_report_set_whose_second_write_fails_leaves_the_earlier_set(
+        tmp_path, capsys, monkeypatch):
+    # the rerun wrote its ensemble_report.json in place, then the disk-full
+    # OSError from checkpoints.csv left the run with a traceback and a mixed set
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, base_config(out))
+    assert main(["run", "--config", cfg_path]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    def disk_full(path, payload):
+        Path(path).write_bytes(b"k,stat")  # part of the file, then no space
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(reports, "write_checkpoints_csv", disk_full)
+    # another seed: a report that the rerun replaced would have other bytes
+    assert main(["run", "--config", cfg_path, "--force", "--master-seed", "12"]) == 2
+    assert capsys.readouterr().err == (
+        f"sgdlab: config error: cannot write {out / 'checkpoints.csv'}: "
+        f"{os.strerror(errno.ENOSPC)}\n")
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
 def test_malformed_json_exits_2(tmp_path):
@@ -485,6 +528,53 @@ def test_overflow_before_the_window_filled_is_reported_truncated(tmp_path):
 
 
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+
+# Prints the process's OpenBLAS core, and on Haswell the workloads whose
+# exit code or report hashes at their pinned seeds differ from
+# bench/pinned.json, as a JSON list.
+WORKLOADS_ON_THE_CORE = """\
+import ctypes, glob, hashlib, json, os, sys, tempfile
+from pathlib import Path
+import numpy
+from sgdlab.cli import main
+
+try:
+    lib, = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*"))
+    corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+except (ValueError, AttributeError):
+    sys.exit(print("no scipy-openblas"))
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+print(corename().decode())
+if corename() != b"Haswell":
+    sys.exit()
+bench, differ = Path(sys.argv[1]), []
+with tempfile.TemporaryDirectory() as tmp:
+    for name, pin in json.loads((bench / "pinned.json").read_text()).items():
+        cfg = json.loads((bench / "configs" / f"{name}.json").read_text())
+        cfg["output"]["directory"] = out = os.path.join(tmp, name)
+        command, block, seed = (("run", "run", "master_seed")
+                                if "ensemble_report.json" in pin["sha256"]
+                                else ("check", "checks", "seed"))
+        cfg[block][seed] = pin["seed"]
+        Path(out + ".json").write_text(json.dumps(cfg))
+        code = main([command, "--config", out + ".json"])
+        got = {report: hashlib.sha256(Path(out, report).read_bytes()).hexdigest()
+               for report in pin["sha256"]}
+        if (code, got) != (pin["exit_code"], pin["sha256"]):
+            differ.append(name)
+print(json.dumps(differ))
+"""
+
+
+def test_on_the_haswell_core_only_the_p4_workload_moves_its_pinned_bytes():
+    # the p > 1 gemvs and accept norm round by the BLAS core; a p = 1 report
+    # that came to depend on it would be named here
+    lines = _in_a_fresh_process(WORKLOADS_ON_THE_CORE, str(BENCH_CONFIGS.parent),
+                                env={"OPENBLAS_CORETYPE": "Haswell"})
+    if lines[0] != "Haswell":
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell loaded {lines[0]!r}")
+    assert set(json.loads(lines[1])) == {"rotated-p4"}
 
 
 @pytest.mark.parametrize("workload,block", [

@@ -423,6 +423,25 @@ def test_envelope_sup_radial_reduction_matches_grid():
     assert val == pytest.approx(9.0 + 2.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("theta_bar,R,message", [
+    ([0.0], math.nan, "R must be finite and >= 0, got nan"),
+    ([1.0, 0.0], math.inf, "R must be finite and >= 0, got inf"),
+    ([1.0, 0.0], -math.inf, "R must be finite and >= 0, got -inf"),
+    ([math.nan], 2.0, r"theta_bar entries must be finite, got \[nan\]"),
+    ([1.0, math.inf], 2.0, r"theta_bar entries must be finite, got \[1.0, inf\]"),
+])
+def test_envelope_sup_refuses_a_ball_that_is_not_finite(theta_bar, R, message):
+    # only R < 0 was refused: each of these returned NaN
+    p = len(theta_bar)
+    spec = EnsembleSpec(
+        objective=ObjectiveSpec("quadratic", dimension=p),
+        noise=NoiseSpec("additive-gaussian", sigma=1.0),
+        schedule=Schedule.scalar(1.0, 0.75, dim=p), theta0=(1.0,) * p, horizon=10,
+        n_trajectories=1, master_seed=0)
+    with pytest.raises(ContractViolation, match=message):
+        envelope_sup_over_ball(spec, theta_bar, R)
+
+
 # ---------------------------------------------------------------------------
 # convergence statistics
 # ---------------------------------------------------------------------------

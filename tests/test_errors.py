@@ -69,6 +69,8 @@ CALLS = {
         np.array([1e200]), np.array([1e200])),
     "Schedule.rotated": lambda: Schedule.rotated([1.0, 1.0], [0.6, 0.6],
                                                  q=np.full((2, 2), 1e200)),
+    # a step index below -k0: numpy's power of a negative base is NaN
+    "Schedule.eigenvalues": lambda: Schedule.scalar(1.0, 0.75).eigenvalues([-5.0]),
     # one overflowing call for each other export and method, and for the
     # two public functions outside the exports that cli.main calls
     "estimate_local_holder": lambda: estimate_local_holder(P4, [3e102], 1e102, 1.0, 16),

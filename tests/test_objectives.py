@@ -4,11 +4,14 @@ Gradients are validated against central finite differences, noise samplers
 against their declared means and second-moment envelopes.
 """
 
+import ast
 import dataclasses
 import itertools
 import math
 import pickle
 import warnings
+from copy import deepcopy
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgdlab import engine
+from sgdlab import engine, objectives
 from sgdlab.errors import ContractViolation, DomainError, UnknownObjectiveError
 from sgdlab.objectives import (
     CATALOG_NAMES,
@@ -371,7 +374,7 @@ def _outcome(f, *args):
 
 
 def _on_floats(noise):
-    return noise._sigma_of_norm.__name__ == "sigma"
+    return noise.sigma_of_norm.__name__ == "sigma"
 
 
 def _check_forms(noise, thetas):
@@ -385,12 +388,12 @@ def _check_forms(noise, thetas):
     for theta in thetas:
         nrm = math.sqrt(theta.dot(theta))
         want = _outcome(fn, nrm, theta)
-        assert _outcome(noise._sigma_of_norm, nrm, theta) == want, (expr, theta)
+        assert _outcome(noise.sigma_of_norm, nrm, theta) == want, (expr, theta)
         assert _outcome(lambda: sampler(theta, nrm, np.ones(p))[-1]) == want, (expr, theta)
         if p == 1:
             # the 1-D step takes sigma of (sqrt(x * x), x): one step of it from x
             x = float(theta[0])
-            assert _outcome(noise._sigma_of_norm, math.sqrt(x * x), x) == want, (expr, x)
+            assert _outcome(noise.sigma_of_norm, math.sqrt(x * x), x) == want, (expr, x)
             raised = []
             path = list(engine._scalar_path(lambda v: -0.0, noise, [1.0], x, [1.0], raised))
             got = _outcome(lambda: path[0]) if path else (
@@ -406,8 +409,8 @@ def _check_rows(noise, thetas):
     """Assert that the array form on envelope_batch's norms, and envelope_batch,
     have the bits of sigma_at row by row, or raise its first error."""
     wants = [_outcome(noise.sigma_at, theta) for theta in thetas]
-    got = _outcome(lambda: noise._sigma_of_norms(np.sqrt(np.vecdot(thetas, thetas)),
-                                                 thetas).tobytes().hex())
+    of_norms = _compile_sigma_expr(noise.sigma_expr)[2]
+    got = _outcome(lambda: of_norms(np.sqrt(np.vecdot(thetas, thetas)), thetas).tobytes().hex())
     errors = [want for want in wants if isinstance(want, tuple)]
     if errors:
         assert got == errors[0], noise.sigma_expr
@@ -456,8 +459,8 @@ def test_expression_outside_the_exact_grammar_keeps_the_numpy_form(expr):
     assert not _on_floats(noise)
     theta = np.array([3.0, -4.0])
     want = float.hex(noise.sigma_at(theta))
-    assert float.hex(noise._sigma_of_norm(5.0, theta)) == want
-    assert noise._sigma_of_norms(np.array([5.0]), theta[None]).tobytes() == (
+    assert float.hex(noise.sigma_of_norm(5.0, theta)) == want
+    assert _compile_sigma_expr(noise.sigma_expr)[2](np.array([5.0]), theta[None]).tobytes() == (
         np.array([noise.sigma_at(theta)]).tobytes())
 
 
@@ -752,10 +755,37 @@ def test_noise_declared_constants():
 
 @pytest.mark.parametrize("name", ["_sigma_of_norm", "_sigma_of_norms"])
 def test_the_compiled_sigma_forms_are_not_constructor_arguments(name):
-    # they were init fields: a model that is not state-dependent kept
-    # whatever was passed
+    # they were init fields, where a model that is not state-dependent kept
+    # whatever was passed, and then init=False fields: now they are no field
+    # at all, and a state-dependent model holds no compiled form
     with pytest.raises(TypeError, match=name):
         NoiseModel("additive-gaussian", 1, sigma=1.0, **{name: lambda *args: 5.0})
+    assert name not in {f.name for f in dataclasses.fields(NoiseModel)}
+    assert name not in vars(NoiseModel("additive-gaussian-statedep", 1, sigma_expr="0.1"))
+
+
+def test_a_noise_model_is_its_six_declared_fields():
+    assert [f.name for f in dataclasses.fields(NoiseModel)] == [
+        "kind", "dim", "sigma", "sigma_expr", "direction", "constants"]
+    assert NoiseModel("zero", 1).sigma_of_norm is None  # as the stored form was
+
+
+def test_no_module_but_objectives_py_reads_a_private_noise_model_name():
+    # engine._scalar_path read noise._sigma_of_norm: a read outside
+    # objectives.py fails here by file and line; give it a public name instead
+    model = NoiseModel("additive-gaussian-statedep", 1, sigma_expr="0.1")
+    private = {name for name in [*dir(NoiseModel), *vars(model)]
+               if name.startswith("_") and not name.startswith("__")}
+    reads = []
+    for path in sorted(Path(objectives.__file__).parent.glob("*.py")):
+        if path.name == "objectives.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and (node.attr in private or ast.unparse(node.value).endswith("noise"))):
+                reads.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert reads == []
 
 
 def test_a_noise_model_cannot_be_changed_under_its_compiled_sigma():
@@ -790,6 +820,37 @@ def test_a_pickled_noise_model_is_the_same_frozen_value():
     copy = pickle.loads(pickle.dumps(noise))
     assert copy.direction.tobytes() == noise.direction.tobytes()
     assert not copy.direction.flags.writeable
+
+
+COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepcopy": deepcopy}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("noise", [
+    NoiseModel("zero", 3),
+    NoiseModel("additive-gaussian", 3, sigma=0.7),
+    NoiseModel("rademacher-radial", 3, direction=[3.0, 0.0, 4.0]),
+    NoiseModel("additive-gaussian-statedep", 3, sigma_expr="0.3*(1+norm(theta))"),
+], ids=lambda noise: noise.kind)
+def test_every_noise_model_pickles_and_copies_to_the_same_value(noise, how):
+    # a state-dependent model held its compiled sigma forms, closures that
+    # pickle refused: Can't pickle local object '_compile_sigma_expr.<locals>.fn'
+    twin = COPIES[how](noise)
+    assert vars(twin).keys() == vars(noise).keys() and repr(twin) == repr(noise)
+    obj = catalog_lookup("smooth-rectifier", 3)
+    thetas = np.random.default_rng(5).uniform(-2.0, 2.0, (16, 3))
+    assert [twin.sigma_at(t) for t in thetas] == [noise.sigma_at(t) for t in thetas]
+    assert twin.envelope_batch(obj, thetas).tobytes() == noise.envelope_batch(obj, thetas).tobytes()
+    # the array form on a block of draws, and the float form through a run
+    w, nrm = noise.draw(np.random.default_rng(6), 16), math.sqrt(thetas[0].dot(thetas[0]))
+    assert twin.sampler(obj.grad)(thetas[0], nrm, w).tobytes() == (
+        noise.sampler(obj.grad)(thetas[0], nrm, w).tobytes())
+    schedule = engine.Schedule.diagonal([0.5, 0.5, 0.5], [0.6, 0.7, 0.8])
+
+    def run(model):
+        return engine.run_trajectory(StochasticOracle(obj, model), schedule, thetas[0], 200, 7)
+
+    assert run(twin).thetas.tobytes() == run(noise).thetas.tobytes()
 
 
 # A fixed seed for the generator and the splits, as the reference gate's

@@ -188,8 +188,7 @@ def estimate_local_holder(
     _check_seed("seed", seed)
     if r <= 0.0:
         raise ContractViolation("radius r must be > 0")
-    if n_samples < 2:
-        raise ContractViolation("need at least 2 samples")
+    _check_int("n_samples", n_samples, 2)
     if obj.r0 > 0.0 and float(np.linalg.norm(phi)) - r < obj.r0:
         raise DomainError(
             f"ball of radius {r} around phi={phi.tolist()} intersects the "

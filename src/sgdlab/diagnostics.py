@@ -97,6 +97,18 @@ class EnsembleSpec:
         return record_points(self.horizon, self.record_stride)
 
 
+def _check_ball(theta_bar, R, dim: int, prefix: str = "") -> None:
+    """Raise ContractViolation, its message led by prefix, unless theta_bar
+    is a finite point of dimension dim and R is finite and >= 0."""
+    if len(theta_bar) != dim:
+        raise ContractViolation(
+            f"{prefix}theta_bar must have p = {dim} entries, got {len(theta_bar)}")
+    if not np.isfinite(np.asarray(theta_bar, dtype=float)).all():
+        raise ContractViolation(f"{prefix}theta_bar entries must be finite, got {theta_bar!r}")
+    if not 0.0 <= R < np.inf:
+        raise ContractViolation(f"{prefix}R must be finite and >= 0, got {R!r}")
+
+
 @dataclass(frozen=True)
 class CaptureConfig:
     """Ball and jump size for escape-event tracking."""
@@ -106,16 +118,9 @@ class CaptureConfig:
     epsilon: float
 
     def check(self, dim: int) -> None:
-        """Raise ContractViolation unless theta_bar is a finite point of
-        dimension dim, R is finite and >= 0 and epsilon is finite and > 0."""
-        if len(self.theta_bar) != dim:
-            raise ContractViolation(f"capture theta_bar must have p = {dim} entries, "
-                                    f"got {len(self.theta_bar)}")
-        if not np.isfinite(np.asarray(self.theta_bar, dtype=float)).all():
-            raise ContractViolation(
-                f"capture theta_bar entries must be finite, got {self.theta_bar!r}")
-        if not 0.0 <= self.R < np.inf:
-            raise ContractViolation(f"capture R must be finite and >= 0, got {self.R!r}")
+        """Raise ContractViolation unless the ball passes _check_ball and
+        epsilon is finite and > 0."""
+        _check_ball(self.theta_bar, self.R, dim, "capture ")
         if not 0.0 < self.epsilon < np.inf:
             raise ContractViolation(
                 f"capture epsilon must be finite and > 0, got {self.epsilon!r}")
@@ -254,6 +259,13 @@ def default_r_div(theta0) -> float:
     return 1e3 * (1.0 + float(np.linalg.norm(theta0)))
 
 
+def _check_verdict_constants(epsilon_conv: float, R_div: float) -> None:
+    """Raise ContractViolation unless epsilon_conv and R_div are finite and > 0."""
+    if not (0.0 < epsilon_conv < np.inf and 0.0 < R_div < np.inf):
+        raise ContractViolation(f"epsilon_conv and R_div must be finite and > 0, got "
+                                f"{epsilon_conv!r} and {R_div!r}")
+
+
 @numeric_policy
 def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
                        R_div: float) -> DichotomyClassification:
@@ -261,6 +273,7 @@ def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
     _check_int("W", W, 1)
     if W > traj.horizon:
         raise ContractViolation("window W must satisfy 1 <= W <= horizon")
+    _check_verdict_constants(epsilon_conv, R_div)
     if traj.domain_violation or traj.last_k + 1 < W:
         return DichotomyClassification(
             verdict="truncated", window_length=W, epsilon_conv=epsilon_conv, R_div=R_div,
@@ -445,10 +458,7 @@ def envelope_sup_over_ball(spec: EnsembleSpec, theta_bar, R: float) -> float:
     obj = oracle.objective
     noise = oracle.noise
     tb = np.atleast_1d(np.asarray(theta_bar, dtype=float))
-    if not 0.0 <= R < np.inf:
-        raise ContractViolation(f"R must be finite and >= 0, got {R!r}")
-    if not np.isfinite(tb).all():
-        raise ContractViolation(f"theta_bar entries must be finite, got {tb.tolist()!r}")
+    _check_ball(tb.tolist(), R, obj.dim)
     if obj.dim == 1:
         lo, hi = tb[0] - R, tb[0] + R
         xs = np.linspace(lo, hi, ENVELOPE_GRID)
@@ -503,9 +513,8 @@ def run_ensemble(
     _check_int("W", W, 1)
     if W > spec.horizon:
         raise ContractViolation("window W must be <= horizon")
-    if not (0.0 < epsilon_conv < np.inf and 0.0 < R_div < np.inf):
-        raise ContractViolation(f"epsilon_conv and R_div must be finite and > 0, got "
-                                f"{epsilon_conv!r} and {R_div!r}")
+    _check_verdict_constants(epsilon_conv, R_div)
+    _check_int("jobs", jobs, 1)
     _check_gammas(gammas)
     g_r = None
     if capture is not None:
@@ -515,7 +524,7 @@ def run_ensemble(
     # Contiguous blocks by one rule for every jobs level; at most one worker
     # per CPU and per block starts.  The results depend on neither.
     n = spec.n_trajectories
-    size = max(1, n // (4 * max(jobs, 1)))
+    size = max(1, n // (4 * jobs))
     blocks = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
     work = partial(_run_block, spec, W=W, epsilon_conv=epsilon_conv, R_div=R_div,
                    capture=capture)

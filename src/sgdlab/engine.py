@@ -183,9 +183,9 @@ class Schedule:
         into out when given (an (n, p) float array), else into a new array.
 
         The one definition of the step sizes: the p > 1 steps read it
-        directly; the 1-D steps (the one column) and the capture tail read
-        it through `bounds`, the summability sum and the eigenvalue threshold
-        through `scan`, both of which pass it each block's buffer as out.
+        directly, the rest through the walk `_blocks`, which passes it each
+        block's buffer as out (`bounds`: the 1-D steps and the capture tail;
+        `scan` and `peaks_of_block`: the P2 sum and the eigenvalue threshold).
         """
         ks = np.asarray(ks, dtype=float)
         d = np.add(ks[:, None], self.k0, out=np.empty((len(ks), self.dim)) if out is None else out)
@@ -193,55 +193,48 @@ class Schedule:
         return np.multiply(self.c, d, out=d)
 
     def bounds(self, n: int) -> np.ndarray:
-        """lambda_max of M_k for k = 0..n-1, as a read-only array.
-
-        The row max of `eigenvalues`, computed once in _CHUNK blocks and kept
-        on the schedule (8 bytes per index); a later call with n no larger
-        returns a prefix of the same table.  For p = 1 `eigenvalues` fills
-        the table in place, for p > 1 one block buffer.
-        """
+        """lambda_max of M_k for k = 0..n-1, as a read-only array: filled
+        once from the walk (`_blocks`) and kept on the schedule (8 bytes per
+        index); a later call with n no larger returns a prefix of it."""
         table = self._memo.get("bounds")
         if table is None or len(table) < n:
             table = np.empty(n)
-            block = None if self.dim == 1 else np.empty((min(n, _CHUNK), self.dim))
-            for start in range(0, n, _CHUNK):
-                stop = min(start + _CHUNK, n)
-                ks = np.arange(start, stop, dtype=float)
-                if self.dim == 1:
-                    self.eigenvalues(ks, out=table[start:stop, None])
-                else:
-                    d = self.eigenvalues(ks, out=block[:stop - start])
-                    d.max(axis=1, out=table[start:stop])
+            for start, lmax, _ in self._blocks(n):
+                table[start:start + len(lmax)] = lmax
             table.flags.writeable = False
             self._memo["bounds"] = table
         return table[:n]
 
-    def _blocks(self, n: int, alpha: float, first: int = 0):
-        """Yield (start, lambda_max, lambda_max^alpha * kappa) for each
-        0-anchored _CHUNK block of k = 0..n-1 from block `first` on.
-
-        `eigenvalues` fills one block buffer, and the row max and min, the
-        ratio and the product go to buffers made once per pass (a fresh
-        512 KB ratio and product per block ran 2,000,000 indices at p = 1
-        in 18 ms instead of 14.5 on 2 vCPUs: glibc trimmed and re-faulted
-        them at every block), so each yielded array holds until the next
-        block.  `**` stays the operator, as numpy's
-        scalar-power fast paths set its bits.  For p = 1 lambda_min is
-        lambda_max, and kappa is 1, or NaN where lambda_max underflows to 0.
-        """
+    def _blocks(self, n: int, first: int = 0):
+        """Yield (start, lambda_max, lambda_min) for each 0-anchored _CHUNK
+        block of k = 0..n-1 from block `first` on: the one walk over the step
+        sizes.  `eigenvalues` fills one block buffer from one index buffer
+        shifted per block (exact below 2**53, as np.arange is), and the row
+        max and min go to buffers made once per pass (fresh 512 KB temporaries
+        per block ran 2,000,000 p = 1 indices in 18 ms, not 14.5, on 2 vCPUs), so
+        each yielded array holds until the next block.  For p = 1 lambda_min
+        is None: the one column is lambda_max."""
         m = min(n - first * _CHUNK, _CHUNK)
-        block = np.empty((m, self.dim))
-        rows = (None, None) if self.dim == 1 else (np.empty(m), np.empty(m))
-        ratio, peak = np.empty(m), np.empty(m)
+        base, ks, block = np.arange(m, dtype=float), np.empty(m), np.empty((m, self.dim))
+        rows = None if self.dim == 1 else (np.empty(m), np.empty(m))
         for start in range(first * _CHUNK, n, _CHUNK):
             j = min(n - start, _CHUNK)
-            d = self.eigenvalues(np.arange(start, start + j, dtype=float), out=block[:j])
-            if self.dim == 1:
-                lmax = lmin = d[:, 0]
-            else:
-                lmax, lmin = d.max(axis=1, out=rows[0][:j]), d.min(axis=1, out=rows[1][:j])
-            kappa = np.divide(lmax, lmin, out=ratio[:j])
-            yield start, lmax, np.multiply(lmax ** alpha, kappa, out=peak[:j])
+            d = self.eigenvalues(np.add(base[:j], start, out=ks[:j]), out=block[:j])
+            lmax = d[:, 0] if rows is None else d.max(axis=1, out=rows[0][:j])
+            yield start, lmax, None if rows is None else d.min(axis=1, out=rows[1][:j])
+
+    @staticmethod
+    def _peaks(lmax, lmin, alpha: float, out=None) -> np.ndarray:
+        """lambda_max^alpha * kappa per index of a block of the walk (for
+        p > 1 into out, when given).  `**` stays the operator, as numpy's
+        scalar-power fast paths set its bits; at alpha = 1 that path is a
+        copy (`positive`), so it is skipped.  For p = 1 (lmin None) kappa is
+        1, or NaN where lambda_max underflows to 0, which the caller marks."""
+        h = lmax if alpha == 1.0 else lmax ** alpha
+        if lmin is not None:
+            kappa = np.divide(lmax, lmin, out=None if out is None else out[:len(lmax)])
+            h = np.multiply(h, kappa, out=kappa)
+        return h
 
     def scan(self, n: int, alpha: float) -> tuple[list[float], list[float]]:
         """The P2 term sum(lambda_max^(1+alpha)) and the Lemma-4 peak
@@ -255,16 +248,22 @@ class Schedule:
         """
         if self._memo.get("scan", ((),))[0] != (n, alpha):
             terms, peaks = [], []
-            for _, lmax, h in self._blocks(n, alpha):
+            out = None if self.dim == 1 else np.empty(min(n, _CHUNK))
+            for _, lmax, lmin in self._blocks(n):
                 terms.append(float(np.sum(lmax ** (1.0 + alpha))))
-                peaks.append(float(np.max(h)))
+                peaks.append(float(np.max(self._peaks(lmax, lmin, alpha, out)))
+                             if lmin is not None or lmax.all() else math.nan)
             self._memo["scan"] = ((n, alpha), terms, peaks)
         return self._memo["scan"][1:]
 
     def peaks_of_block(self, i: int, n: int, alpha: float) -> tuple[int, np.ndarray]:
         """(first index, lambda_max^alpha * kappa per index) of block i of
-        `scan`'s grid over k = 0..n-1, read again."""
-        start, _, h = next(self._blocks(n, alpha, i))
+        `scan`'s grid over k = 0..n-1, read again; NaN where lambda_max
+        underflows to 0."""
+        start, lmax, lmin = next(self._blocks(n, i))
+        h = self._peaks(lmax, lmin, alpha)
+        if lmin is None:
+            h[lmax == 0.0] = math.nan
         return start, h
 
 

@@ -139,6 +139,15 @@ def test_holder_contracts():
         estimate_local_holder(obj, [0.0], 0.5, 1.0, 1)
 
 
+@pytest.mark.parametrize("n_samples", [2.5, True, 1])
+def test_holder_refuses_a_sample_count_that_is_not_an_integer_at_least_2(n_samples):
+    # 2.5 raised numpy's TypeError where the ball was drawn
+    obj = catalog_lookup("quadratic")
+    with pytest.raises(ContractViolation,
+                       match=rf"^n_samples must be an integer >= 2, got {n_samples!r}$"):
+        estimate_local_holder(obj, [0.0], 0.5, 1.0, n_samples)
+
+
 @pytest.mark.parametrize("phi", [[math.nan], [math.inf], [1.0, -math.inf]])
 def test_holder_refuses_a_non_finite_center(phi):
     # no pair of the ball keeps a positive distance: the estimate read 0.0

@@ -686,6 +686,42 @@ def test_classify_dichotomy_refuses_a_window_that_is_not_an_integer():
         classify_dichotomy(synthetic_trajectory(np.ones(20)), 2.5, 0.5, 10.0)
 
 
+@pytest.mark.parametrize("epsilon_conv,R_div", [
+    (math.nan, 10.0), (-1.0, 10.0), (0.5, math.nan), (0.5, math.inf)])
+def test_classify_dichotomy_refuses_bad_verdict_constants(epsilon_conv, R_div):
+    # each returned a verdict, where run_ensemble refuses the same values
+    with pytest.raises(ContractViolation, match=rf"^epsilon_conv and R_div must be finite "
+                       rf"and > 0, got {epsilon_conv!r} and {R_div!r}$"):
+        classify_dichotomy(synthetic_trajectory(np.ones(20)), 5, epsilon_conv, R_div)
+
+
+@pytest.mark.parametrize("jobs", [2.5, True, 0, -1])
+def test_run_ensemble_refuses_a_jobs_level_that_is_not_an_integer_at_least_1(monkeypatch,
+                                                                            jobs):
+    # 2.5 raised numpy's TypeError at 100 trajectories; True, 0 and -1 ran
+    # as one worker
+    def no_run(*args, **kw):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(diagnostics, "run_trajectory", no_run)
+    with pytest.raises(ContractViolation, match=rf"^jobs must be an integer >= 1, got {jobs!r}$"):
+        run_ensemble(quad_spec(K=50, n=100), jobs=jobs)
+
+
+@pytest.mark.parametrize("p,theta_bar", [(2, [1.0]), (2, [1.0, 0.0, 0.0]), (1, [1.0, 5.0])])
+def test_envelope_sup_refuses_a_centre_of_another_dimension(p, theta_bar):
+    # each returned a value: 11.0 at p = 2, and at p = 1 the grid read the
+    # first entry alone
+    spec = EnsembleSpec(
+        objective=ObjectiveSpec("quadratic", dimension=p),
+        noise=NoiseSpec("additive-gaussian", sigma=1.0),
+        schedule=Schedule.scalar(1.0, 0.75, dim=p), theta0=(1.0,) * p, horizon=10,
+        n_trajectories=1, master_seed=0)
+    with pytest.raises(ContractViolation,
+                       match=rf"^theta_bar must have p = {p} entries, got {len(theta_bar)}$"):
+        envelope_sup_over_ball(spec, theta_bar, 2.0)
+
+
 @pytest.mark.parametrize("kwargs,message", [
     ({"theta0": (math.nan,)}, "theta0 entries must be finite"),
     ({"theta0": (math.inf,)}, "theta0 entries must be finite"),

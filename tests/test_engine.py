@@ -248,10 +248,10 @@ def test_bounds_table_is_reused_and_extended(schedule):
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.75, 1.0, 2.0])
 def test_bounds_filled_in_blocks_are_bit_equal_to_eigenvalues(monkeypatch, family, p, beta):
-    # `bounds` has `eigenvalues` fill each block in place (the table itself
-    # for p = 1); its row max equals that of one fresh call, in blocks that
-    # end inside the table and at its end, also at the exponents that
-    # numpy's scalar `**` special-cases (0, -0.5, -1, -2)
+    # `bounds` copies the walk's lambda_max of each block (`eigenvalues` fills
+    # one block buffer in place); its row max equals that of one fresh call,
+    # in blocks that end inside the table and at its end, also at the
+    # exponents that numpy's scalar `**` special-cases (0, -0.5, -1, -2)
     monkeypatch.setattr(engine, "_CHUNK", 7)
     scalar = family == "scalar-power"
     c = np.full(p, 0.7) if scalar else np.linspace(0.3, 1.7, p)
@@ -260,6 +260,59 @@ def test_bounds_filled_in_blocks_are_bit_equal_to_eigenvalues(monkeypatch, famil
         lmax = Schedule(family, c, betas, 1.5, p).bounds(n)
         assert lmax.tobytes() == Schedule(family, c, betas, 1.5, p).eigenvalues(
             np.arange(n)).max(axis=1).tobytes()
+
+
+def _same(a, b) -> bool:
+    """a and b hold NaN at the same indices and the same bits elsewhere."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and \
+        a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _drawn_schedule(rng) -> Schedule:
+    """A random schedule of p 1-5 in any family, with rows that underflow to 0
+    (c 1e-300 or beta 400) among its draws."""
+    p = int(rng.integers(1, 6))
+    family = str(rng.choice(engine.POWER_FAMILIES))
+    size = 1 if family == "scalar-power" else p
+    c = rng.choice([1e-300, 0.5, 1.0, 2.0], size) * rng.uniform(0.5, 2.0, size)
+    beta = rng.choice([0.0, 0.5, 0.75, 1.0, 2.0, 400.0], size) * rng.choice(
+        [1.0, rng.uniform(0.5, 1.5)], size)
+    k0 = float(rng.choice([1.0, 1.5, rng.uniform(1.0, 10.0)]))
+    return Schedule(family, np.resize(c, p), np.resize(beta, p), k0, p,
+                    rotation_seed=int(rng.integers(10)) if family.startswith("rotated") else None)
+
+
+def test_the_walk_has_the_bits_of_a_per_index_evaluation(monkeypatch):
+    # scan's terms and peaks, every block that peaks_of_block reads again and
+    # the bounds table, against one eigenvalues(np.arange(n)) call: its row
+    # max and min, lmax ** alpha * (lmax / lmin) per index, and np.sum and
+    # np.max per block in block order; small blocks give every draw block
+    # edges, and underflowing rows a NaN peak (0^alpha * 0 / 0)
+    rng = np.random.default_rng(2021)
+    zero_rows = nan_peaks = 0
+    for _ in range(300):
+        schedule = _drawn_schedule(rng)
+        chunk, n = int(rng.choice([1, 3, 7, 64])), int(rng.integers(1, 200))
+        alpha = float(rng.choice([1.0, 0.5, rng.uniform(0.01, 1.0)]))
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        with np.errstate(all="ignore"):
+            d = schedule.eigenvalues(np.arange(n))
+            lmax, lmin = d.max(axis=1), d.min(axis=1)
+            h = lmax ** alpha * (lmax / lmin)
+            starts = range(0, n, chunk)
+            terms = [np.sum(lmax[a:a + chunk] ** (1.0 + alpha)) for a in starts]
+            peaks = [np.max(h[a:a + chunk]) for a in starts]
+            walk_terms, walk_peaks = schedule.scan(n, alpha)
+            assert _same(walk_terms, terms) and _same(walk_peaks, peaks), schedule.label
+            for i, a in enumerate(starts):
+                start, block = schedule.peaks_of_block(i, n, alpha)
+                assert start == a and _same(block, h[a:a + chunk]), (schedule.label, i)
+        assert lmax.tobytes() == schedule.bounds(n).tobytes(), schedule.label
+        zero_rows += not lmax.all()
+        nan_peaks += bool(np.isnan(peaks).any())
+    assert zero_rows >= 20 and nan_peaks >= 20
 
 
 def test_schedule_parameter_validation():

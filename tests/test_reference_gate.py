@@ -310,6 +310,11 @@ def test_cli_reports_have_the_bytes_of_the_reference():
     # lambda_max = (k + 1)^-400 underflows to 0 from k = 6: the Lemma-4
     # peak 0^alpha * (0 / 0) is NaN, so the threshold is None
     @example(_edge({"name": "quadratic"}, {"c": 1.0, "beta": 400.0}, [1.0], 12))
+    # the same at checks.alpha 0.5: both p = 1 peak forms (lambda_max itself at
+    # alpha 1, its power otherwise) meet the zero rows
+    @example(((5, 1, 3), {**_edge({"name": "quadratic"}, {"c": 1.0, "beta": 400.0}, [1.0],
+                                  12)[1],
+                          "checks": {"horizon": 12, "alpha": 0.5, "lemma4": {"K_max": 12}}}))
     # lambda_max = (k + 1)^-0.75 <= 1/4 from k = 6: the last bad index, 5, is
     # the last of the first block of 6, and the two blocks above it are good
     @example(((6, 1, 3), {**_edge({"name": "quadratic"}, {"c": 1.0, "beta": 0.75}, [1.0], 13)[1],

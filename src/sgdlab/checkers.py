@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import Schedule, Verdict, _check_alpha, _check_int, _check_seed
 from .errors import ContractViolation, DomainError, numeric_policy
-from .objectives import Objective, StochasticOracle, _norms
+from .objectives import Objective, StochasticOracle, _norms, smoothness_constants
 
 ZERO_CLAMP = 1e-300
 DEFAULT_TOL = 1e-9
@@ -481,10 +481,7 @@ def check_expected_smoothness(
     norms must not exceed the bound plus a 4-sigma statistical margin.
     """
     _finite(C1=C1, C2=C2, C3=C3)
-    if C1 < 0.0 or C2 < 0.0:
-        raise ContractViolation("C1 and C2 must be >= 0")
-    if C3 < 1.0:
-        raise ContractViolation("C3 must be >= 1")
+    smoothness_constants((C1, C2, C3), "smoothness constants")
     _check_int("n_draws", n_draws, 2)
     _check_int("n_points", n_points, 1)
     _check_seed("seed", seed)
@@ -592,21 +589,14 @@ def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
     k in [K, K_max]; None when the condition never settles by K_max.
 
     The returned K is exactly the index from which the eigenvalue lower bound
-    lambda_min - (C/2) lambda_max^(1+alpha) >= lambda_min/2 holds.  The
-    block peaks of `Schedule.scan` find the top-most block that breaks it
-    (a NaN peak, where lambda_max underflows to 0, breaks it), and only that
-    block is read again for its last bad index.
+    lambda_min - (C/2) lambda_max^(1+alpha) >= lambda_min/2 holds: one past
+    the last index that breaks it (`Schedule.last_peak_above`, where a NaN
+    product, lambda_max underflowed to 0, breaks it).
     """
     _finite(C=C)
     _check_alpha(alpha)
     if C <= 0.0:
         raise ContractViolation("C must be > 0")
     _check_int("K_max", K_max, 1)
-    target = 1.0 / C
-    peaks = schedule.scan(K_max + 1, alpha)[1]
-    bad = [i for i, peak in enumerate(peaks) if not peak <= target]
-    if not bad:
-        return 0
-    start, h = schedule.peaks_of_block(bad[-1], K_max + 1, alpha)
-    last_bad = start + int(np.nonzero(~(h <= target))[0][-1])
-    return None if last_bad == K_max else last_bad + 1
+    last_bad = schedule.last_peak_above(1.0 / C, K_max + 1, alpha)
+    return 0 if last_bad is None else None if last_bad == K_max else last_bad + 1

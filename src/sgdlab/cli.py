@@ -231,8 +231,9 @@ def _run_check(config: ExperimentConfig, oracle: StochasticOracle, name: str):
     return body, report.verdict == "fail"
 
 
-# The schedule scans.  They share the schedule's memo of block sums
-# (Schedule.scan), so they run one after the other on the calling thread.
+# The schedule scans.  They share the schedule's memo of block sums (the
+# P2 sum and Schedule.last_peak_above read one pass), so they run one after
+# the other on the calling thread.
 SCHEDULE_LANE = ("p1p2p3p4", "lemma4")
 
 

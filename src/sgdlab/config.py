@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import CaptureConfig, EnsembleSpec
 from .engine import POWER_FAMILIES, Schedule
 from .errors import ConfigError, ContractViolation
-from .objectives import CATALOG_NAMES, NOISE_KINDS, NoiseSpec, ObjectiveSpec
+from .objectives import CATALOG_NAMES, NOISE_KINDS, NoiseSpec, ObjectiveSpec, smoothness_constants
 
 # Above 2**53 a JSON number is no longer an exact integer, and no array of
 # that many elements can be allocated.
@@ -70,7 +70,7 @@ SCHEMA = {
                      "R": ("number", 1.0),
                      "epsilon": ("number", None)}, None),  # 0.1 R
         "gammas": ("vector", None), "radii": ("vector", [1e1, 1e2, 1e3, 1e4, 1e5, 1e6]),
-        "alpha": ("unit", 1.0), "r": ("number", 0.5), "b_threshold": ("number", 0.25),
+        "alpha": ("unit", 1.0), "r": ("positive", 0.5), "b_threshold": ("positive", 0.25),
     }, {}),
     "checks": ({  # a null box is derived from the objective's domain floor r0
         "alpha": ("unit", 1.0), "horizon": ("size", 100000), "seed": ("seed", 0),
@@ -82,7 +82,7 @@ SCHEMA = {
                        "L": ("positive", None)}, {}),
         "smoothness": ({"constants": ("triple", None), "n_points": ("size", 10),
                         "n_draws": ("size", 10000), "box": ("box", None)}, {}),
-        "lemma4": ({"C": ("number", 1.0), "K_max": ("size", 100000)}, {}),
+        "lemma4": ({"C": ("positive", 1.0), "K_max": ("size", 100000)}, {}),
     }, {}),
     "output": ({"directory": ("string", "sgdlab-out"), "formats": (_ALL_FORMATS, _ALL_FORMATS),
                 "force": ("bool", False)}, {}),
@@ -220,6 +220,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             db["capture"].check(p)
         except ContractViolation as exc:
             raise ConfigError(f"invalid diagnostics.capture block: {exc}") from exc
+
+    radii, sm = db["radii"], blocks["checks"]["smoothness"]
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError(f"diagnostics.radii must be strictly increasing, got {list(radii)}")
+    if sm["n_draws"] < 2:
+        raise ConfigError(f"checks.smoothness.n_draws must be >= 2, got {sm['n_draws']}")
+    if sm["constants"] is not None:
+        try:
+            smoothness_constants(sm["constants"], "checks.smoothness.constants")
+        except ContractViolation as exc:
+            raise ConfigError(str(exc)) from exc
 
     box = (r0, r0 + 9.0) if r0 > 0.0 else (-10.0, 10.0)  # above the domain floor, if any
     for check in ("descent", "gradbound", "smoothness"):

@@ -101,7 +101,7 @@ class Schedule:
     dim: int
     rotation_seed: int | None = None
     q: np.ndarray | None = None
-    # bounds' lambda_max table and scan's ((n, alpha), P2 terms, Lemma-4 peaks)
+    # bounds' lambda_max table and _scan's ((n, alpha), P2 terms, Lemma-4 peaks)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     __setstate__ = _set_frozen_state
 
@@ -185,86 +185,81 @@ class Schedule:
         The one definition of the step sizes: the p > 1 steps read it
         directly, the rest through the walk `_blocks`, which passes it each
         block's buffer as out (`bounds`: the 1-D steps and the capture tail;
-        `scan` and `peaks_of_block`: the P2 sum and the eigenvalue threshold).
+        `_peaks`: the P2 sum and the Lemma-4 threshold).
         """
         ks = np.asarray(ks, dtype=float)
         d = np.add(ks[:, None], self.k0, out=np.empty((len(ks), self.dim)) if out is None else out)
         np.power(d, -self.beta[None, :], out=d)
         return np.multiply(self.c, d, out=d)
 
+    @numeric_policy
     def bounds(self, n: int) -> np.ndarray:
-        """lambda_max of M_k for k = 0..n-1, as a read-only array: filled
-        once from the walk (`_blocks`) and kept on the schedule (8 bytes per
-        index); a later call with n no larger returns a prefix of it."""
+        """lambda_max of M_k for k = 0..n-1, as a read-only array: the row max
+        of each block of the walk, kept on the schedule (8 bytes per index);
+        a later call with n no larger returns a prefix of it."""
         table = self._memo.get("bounds")
         if table is None or len(table) < n:
             table = np.empty(n)
-            for start, lmax, _ in self._blocks(n):
-                table[start:start + len(lmax)] = lmax
+            for start, d in self._blocks(n):
+                d.max(axis=1, out=table[start:start + len(d)])
             table.flags.writeable = False
             self._memo["bounds"] = table
         return table[:n]
 
+    @numeric_policy
+    def last_peak_above(self, t: float, n: int, alpha: float) -> int | None:
+        """The last k < n whose lambda_max^alpha * kappa is not <= t (NaN is
+        not), or None: the block peaks of `_scan` find the top-most block
+        that breaks t, and only that block is read again."""
+        bad = [i for i, peak in enumerate(self._scan(n, alpha)[1]) if not peak <= t]
+        if not bad:
+            return None
+        start, _, h = next(self._peaks(n, alpha, bad[-1]))
+        return start + int(np.flatnonzero(~(h <= t))[-1])
+
     def _blocks(self, n: int, first: int = 0):
-        """Yield (start, lambda_max, lambda_min) for each 0-anchored _CHUNK
-        block of k = 0..n-1 from block `first` on: the one walk over the step
-        sizes.  `eigenvalues` fills one block buffer from one index buffer
-        shifted per block (exact below 2**53, as np.arange is), and the row
-        max and min go to buffers made once per pass (fresh 512 KB temporaries
-        per block ran 2,000,000 p = 1 indices in 18 ms, not 14.5, on 2 vCPUs), so
-        each yielded array holds until the next block.  For p = 1 lambda_min
-        is None: the one column is lambda_max."""
+        """Yield (start, eigenvalues) for each 0-anchored _CHUNK block of
+        k = 0..n-1 from block `first` on: the one walk over the step sizes,
+        into one block buffer from one index buffer shifted per block (exact
+        below 2**53, as np.arange is), so each block holds until the next
+        (fresh 512 KB temporaries per block ran 2,000,000 p = 1 indices in
+        18 ms, not 14.5, on 2 vCPUs)."""
         m = min(n - first * _CHUNK, _CHUNK)
         base, ks, block = np.arange(m, dtype=float), np.empty(m), np.empty((m, self.dim))
-        rows = None if self.dim == 1 else (np.empty(m), np.empty(m))
         for start in range(first * _CHUNK, n, _CHUNK):
             j = min(n - start, _CHUNK)
-            d = self.eigenvalues(np.add(base[:j], start, out=ks[:j]), out=block[:j])
-            lmax = d[:, 0] if rows is None else d.max(axis=1, out=rows[0][:j])
-            yield start, lmax, None if rows is None else d.min(axis=1, out=rows[1][:j])
+            yield start, self.eigenvalues(np.add(base[:j], start, out=ks[:j]), out=block[:j])
 
-    @staticmethod
-    def _peaks(lmax, lmin, alpha: float, out=None) -> np.ndarray:
-        """lambda_max^alpha * kappa per index of a block of the walk (for
-        p > 1 into out, when given).  `**` stays the operator, as numpy's
-        scalar-power fast paths set its bits; at alpha = 1 that path is a
-        copy (`positive`), so it is skipped.  For p = 1 (lmin None) kappa is
-        1, or NaN where lambda_max underflows to 0, which the caller marks."""
-        h = lmax if alpha == 1.0 else lmax ** alpha
-        if lmin is not None:
-            kappa = np.divide(lmax, lmin, out=None if out is None else out[:len(lmax)])
-            h = np.multiply(h, kappa, out=kappa)
-        return h
+    def _peaks(self, n: int, alpha: float, first: int = 0):
+        """Yield (start, lambda_max, lambda_max^alpha * kappa) per block of
+        the walk, `**` skipped at alpha = 1, where numpy's fast path copies.
+        p > 1 takes the row max, min and kappa into two buffers per pass.
+        p = 1 takes no kappa (1, or NaN where lambda_max underflows to 0)
+        and no buffer: two per pass cost check-suite 2-9% of its wall time."""
+        m = min(n - first * _CHUNK, _CHUNK)
+        rows = None if self.dim == 1 else (np.empty(m), np.empty(m))
+        for start, d in self._blocks(n, first):
+            if rows is None:
+                lmax = d[:, 0]
+                h = lmax if alpha == 1.0 else lmax ** alpha
+                h = h if lmax.all() else np.where(lmax == 0.0, math.nan, h)
+            else:
+                lmax = d.max(axis=1, out=rows[0][:len(d)])
+                kappa = np.divide(lmax, d.min(axis=1, out=rows[1][:len(d)]), out=rows[1][:len(d)])
+                h = np.multiply(lmax if alpha == 1.0 else lmax ** alpha, kappa, out=kappa)
+            yield start, lmax, h
 
-    def scan(self, n: int, alpha: float) -> tuple[list[float], list[float]]:
-        """The P2 term sum(lambda_max^(1+alpha)) and the Lemma-4 peak
-        max(lambda_max^alpha * kappa) of each 0-anchored _CHUNK block of
-        k = 0..n-1, from one streamed pass (`_blocks`).
-
-        The pass holds a few block buffers whatever n, and keeps two floats
-        per block: the lists of the last (n, alpha) asked, so the two scans
-        of a `check` at equal sizes and alpha share one pass.  A peak is NaN
-        where a block's lambda_max underflows to 0.
-        """
+    def _scan(self, n: int, alpha: float) -> tuple[list[float], list[float]]:
+        """The P2 term sum(lambda_max^(1+alpha)) and the Lemma-4 peak of each
+        block of k = 0..n-1 from one streamed pass (`_peaks`), kept for the
+        last (n, alpha), so the two scans of a `check` share the pass."""
         if self._memo.get("scan", ((),))[0] != (n, alpha):
             terms, peaks = [], []
-            out = None if self.dim == 1 else np.empty(min(n, _CHUNK))
-            for _, lmax, lmin in self._blocks(n):
+            for _, lmax, h in self._peaks(n, alpha):
                 terms.append(float(np.sum(lmax ** (1.0 + alpha))))
-                peaks.append(float(np.max(self._peaks(lmax, lmin, alpha, out)))
-                             if lmin is not None or lmax.all() else math.nan)
+                peaks.append(float(np.max(h)))
             self._memo["scan"] = ((n, alpha), terms, peaks)
         return self._memo["scan"][1:]
-
-    def peaks_of_block(self, i: int, n: int, alpha: float) -> tuple[int, np.ndarray]:
-        """(first index, lambda_max^alpha * kappa per index) of block i of
-        `scan`'s grid over k = 0..n-1, read again; NaN where lambda_max
-        underflows to 0."""
-        start, lmax, lmin = next(self._blocks(n, i))
-        h = self._peaks(lmax, lmin, alpha)
-        if lmin is None:
-            h[lmax == 0.0] = math.nan
-        return start, h
 
 
 @dataclass
@@ -301,13 +296,13 @@ def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> Schedul
     P4: lambda_max(M_k)^alpha * kappa(M_k) -> 0 <=>  max(beta) < (1+alpha)*min(beta).
 
     The partial sum is accumulated to the horizon: the block terms of
-    `Schedule.scan`, added in block order.
+    `Schedule._scan`, added in block order.
     """
     _check_alpha(alpha)
     _check_int("horizon", horizon, 1)
 
     total = 0.0
-    for term in schedule.scan(horizon + 1, alpha)[0]:  # not sum(): from Python 3.12 it compensates
+    for term in schedule._scan(horizon + 1, alpha)[0]:  # not sum(): from Python 3.12 it compensates
         total += term
 
     bmin = float(np.min(schedule.beta))

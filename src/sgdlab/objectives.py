@@ -147,6 +147,7 @@ class Objective:
     radial: bool = False
     grad_plus: Callable[..., np.ndarray] | None = None
 
+    @numeric_policy
     def check_domain(self, thetas: np.ndarray) -> None:
         """Raise DomainError at the first point below the floor r0.
 
@@ -493,6 +494,20 @@ class ObjectiveSpec:
 NOISE_KINDS = ("zero", "additive-gaussian", "rademacher-radial", "additive-gaussian-statedep")
 
 
+def smoothness_constants(constants, name: str) -> tuple[float, float, float]:
+    """constants as a tuple, refused under name unless they are three finite
+    numbers (C1, C2, C3) with C1 >= 0, C2 >= 0 and C3 >= 1: the one rule of
+    the expected-smoothness constants, declared on a NoiseModel, passed to
+    check_expected_smoothness or given as checks.smoothness.constants."""
+    c = tuple(constants)
+    if not (len(c) == 3 and all(map(math.isfinite, c))
+            and c[0] >= 0.0 and c[1] >= 0.0 and c[2] >= 1.0):
+        raise ContractViolation(
+            f"{name} must be three finite numbers (C1, C2, C3) with "
+            f"C1 >= 0, C2 >= 0 and C3 >= 1, got {constants!r}")
+    return c
+
+
 def _sigma_norm(x, *args, **kwargs):
     """np.linalg.norm in fewer calls: for a contiguous 1-D float64 x alone,
     numpy's own sqrt(x.dot(x)), as a numpy float64 so the expression's
@@ -717,13 +732,9 @@ class NoiseModel:
             if not self.sigma_expr:
                 raise ContractViolation("statedep noise requires sigma_expr")
             _compile_sigma_expr(self.sigma_expr)  # a bad expression is refused here
-        c = None if self.constants is None else tuple(self.constants)
+        c = self.constants
         if c is not None:
-            if not (len(c) == 3 and all(map(math.isfinite, c))
-                    and c[0] >= 0.0 and c[1] >= 0.0 and c[2] >= 1.0):
-                raise ContractViolation(
-                    "noise constants must be three finite numbers (C1, C2, C3) with "
-                    f"C1 >= 0, C2 >= 0 and C3 >= 1, got {self.constants!r}")
+            c = smoothness_constants(c, "noise constants")
         elif self.kind == "zero":
             c = (0.0, 0.0, 1.0)
         elif self.kind == "additive-gaussian":

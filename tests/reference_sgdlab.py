@@ -45,7 +45,7 @@ from sgdlab import checkers, engine
 from sgdlab.config import CHECK_REPORTS, config_from_dict
 from sgdlab.diagnostics import ENVELOPE_GRID, split_seed
 from sgdlab.engine import THETA_CAP
-from sgdlab.errors import ContractViolation, DomainError
+from sgdlab.errors import ConfigError, ContractViolation, DomainError
 from sgdlab.objectives import OVERFLOW_CAP, _norms
 
 # ---------------------------------------------------------------------------
@@ -673,7 +673,10 @@ COMMANDS = {"run": _run, "stopping-times": _stopping_times, "check": _check}
 def main(command: str, raw: dict) -> tuple[int, dict[str, bytes]]:
     """The exit code and the report files {name: bytes} of `sgdlab <command>`
     on the config dict raw (`check` runs the checks of checks.which)."""
-    config = config_from_dict(raw)
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:  # a refused value exits 2 before anything runs
+        return 2, {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as cli.main
         code, files = COMMANDS[command](config)
     return code, {name: text.encode("utf-8") for name, text in files.items()

@@ -762,3 +762,12 @@ def test_alpha_outside_unit_interval_is_refused_by_name(checker, alpha):
     kwargs = _CHECKERS[checker][0]
     with pytest.raises(ContractViolation, match=rf"^alpha must be in \(0, 1\], got {alpha!r}$"):
         checker(**{**kwargs, "alpha": alpha})
+
+
+@pytest.mark.parametrize("constants", [(-1.0, 0.0, 1.0), (0.0, -1e-300, 1.0), (0.0, 0.0, 0.5)])
+def test_smoothness_constants_outside_their_ranges_are_refused_by_the_noise_models_rule(
+        constants):
+    # the checker spelt its own copy of objectives.smoothness_constants' rule
+    kwargs = _CHECKERS[check_expected_smoothness][0]
+    with pytest.raises(ContractViolation, match=r"^smoothness constants must be three finite"):
+        check_expected_smoothness(**{**kwargs, **dict(zip(("C1", "C2", "C3"), constants))})

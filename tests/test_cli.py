@@ -704,6 +704,33 @@ def test_output_directory_the_system_cannot_stat_exits_2(tmp_path, capsys, comma
                   f"{os.strerror(errno.ENAMETOOLONG)}\n"
 
 
+@pytest.mark.parametrize("key,value,which", [
+    ("checks.lemma4.C", -1.0, ["p1p2p3p4", "lemma4"]),
+    ("diagnostics.r", -0.5, ["variance", "radial"]),
+    ("diagnostics.b_threshold", 0.0, ["variance", "radial"]),
+    ("diagnostics.radii", [100.0, 10.0], ["variance", "radial"]),
+    ("checks.smoothness.n_draws", 1, ["variance", "smoothness"]),
+    ("checks.smoothness.constants", [-1.0, 0.0, 1.0], ["variance", "smoothness"]),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_a_refused_check_constant_exits_2_before_any_check_runs(tmp_path, capsys, key, value,
+                                                                which):
+    # each exited 2 only after the checks before it in `which` had run (a
+    # P2 scan at horizon 2e8 for 1.14 s before a lemma4 C of -1)
+    cfg = base_config(tmp_path / "out")
+    cfg["checks"] = small_checks(which)
+    *path, last = key.split(".")
+    block = cfg
+    for name in path:
+        block = block.setdefault(name, {})
+    block[last] = value
+    with mock.patch.object(cli, "_run_check", wraps=cli._run_check) as check:
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+    assert check.call_count == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"sgdlab: config error: {key} must be") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # overrides and environment
 # ---------------------------------------------------------------------------

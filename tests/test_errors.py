@@ -34,7 +34,8 @@ from sgdlab import (
     validate_schedule,
 )
 from sgdlab.checkers import sample_gradient_norms
-from sgdlab.diagnostics import EnsembleSpec, envelope_sup_over_ball
+from sgdlab.diagnostics import CaptureConfig, EnsembleSpec, envelope_sup_over_ball
+from sgdlab.engine import Trajectory
 from sgdlab.errors import SgdLabError
 from sgdlab.objectives import NoiseSpec, ObjectiveSpec
 
@@ -43,6 +44,7 @@ P4 = catalog_lookup("power-q", q=4.0)
 BOX = (1e102, 3.6e102)
 QUADRATIC = catalog_lookup("quadratic")
 QUADRATIC2 = catalog_lookup("quadratic", 2)
+UNDERFLOWING = Schedule.diagonal([1.0, 1.0], [0.5, 400.0])
 # c = 2.5, zero noise: each step multiplies theta by -1.5, past THETA_CAP
 # after about 850 steps
 DIVERGING = dict(schedule=Schedule.scalar(2.5, 0.0), theta0=(1.0,), horizon=2000)
@@ -103,6 +105,31 @@ CALLS = {
     "NoiseModel.envelope_batch": lambda: NoiseModel(
         "additive-gaussian-statedep", 2, sigma_expr="norm(theta)**2").envelope_batch(
             QUADRATIC2, np.full((3, 2), 1e200)),
+    # lambda_min underflows to 0 from k = 6: kappa is 1/0 there
+    "Schedule.bounds": lambda: UNDERFLOWING.bounds(10),
+    "Schedule.last_peak_above": lambda: UNDERFLOWING.last_peak_above(4.0, 10, 1.0),
+    "Schedule.scalar": lambda: Schedule.scalar(1e300, 0.0).eigenvalues([0.0]),
+    "Schedule.diagonal": lambda: Schedule.diagonal([np.inf, 1.0], [0.0, 0.0]),
+    # the squared norm of a row of 1e200 overflows
+    "Trajectory.norms": lambda: Trajectory(np.array([0]), np.full((1, 2), 1e200),
+                                           np.zeros(1), np.zeros(1), 0, 1).norms(),
+    "Objective.check_domain": lambda: catalog_lookup("log1p-abs", 2).check_domain(
+        np.full((2, 2), 1e200)),
+    "NoiseModel.draw": lambda: NoiseModel("additive-gaussian", 1, sigma=1e154).draw(
+        np.random.default_rng(1), 4),
+    "NoiseSpec.build": lambda: NoiseSpec("rademacher-radial", direction=(1e200, 1e200)).build(2),
+    "ObjectiveSpec.build": lambda: ObjectiveSpec("power-q", q=4.0, r0=1e200).build(),
+    "EnsembleSpec.build": lambda: EnsembleSpec(
+        ObjectiveSpec("power-q", q=4.0, r0=1e200), NoiseSpec("zero"), **DIVERGING,
+        n_trajectories=1, master_seed=1).build(),
+    "EnsembleSpec.checkpoints": lambda: EnsembleSpec(
+        ObjectiveSpec("quadratic"), NoiseSpec("zero"), Schedule.scalar(1.0, 0.75), (1.0,),
+        2**53, 1, 1, record_stride=2**52).checkpoints(),
+    "CaptureConfig.check": lambda: CaptureConfig((1e308, 1e308), 1e308, 1e308).check(2),
+    # these two return the per-point callables that the steps and the
+    # radial probe call, which are left bare
+    "NoiseModel.envelope": lambda: NoiseModel("zero", 1).envelope(P4),
+    "NoiseModel.sampler": lambda: NoiseModel("zero", 1).sampler(P4.grad),
 }
 
 
@@ -119,6 +146,15 @@ def test_an_overflowing_call_returns_or_refuses_without_a_warning(name):
 def test_the_gate_calls_every_exported_function():
     exported = {name for name, value in vars(sgdlab).items() if inspect.isfunction(value)}
     assert exported - set(CALLS) == set()
+
+
+def test_the_gate_calls_every_public_method_of_the_exported_classes():
+    # Schedule.scan and peaks_of_block, with no entry here, warned on a
+    # schedule whose lambda_min underflows; a new method fails here by name
+    methods = {f"{name}.{attr}" for name, cls in vars(sgdlab).items() if inspect.isclass(cls)
+               for attr, member in vars(cls).items() if not attr.startswith("_")
+               and (inspect.isfunction(member) or isinstance(member, staticmethod))}
+    assert methods - set(CALLS) == set()
 
 
 def test_np_errstate_is_entered_in_errors_py_alone():

@@ -361,8 +361,8 @@ def test_the_reference_reads_only_the_definitions_of_the_spec():
                 and isinstance(node.value, ast.Name) and node.value.id == module}
 
     assert imported == {"engine", "checkers", "CHECK_REPORTS", "config_from_dict",
-                        "ENVELOPE_GRID", "split_seed", "THETA_CAP", "ContractViolation",
-                        "DomainError", "OVERFLOW_CAP", "_norms"}
+                        "ENVELOPE_GRID", "split_seed", "THETA_CAP", "ConfigError",
+                        "ContractViolation", "DomainError", "OVERFLOW_CAP", "_norms"}
     assert attributes("engine") == {"_CHUNK"}
     assert attributes("checkers") == {"HOLDER_BOX_SAMPLES", "PROBE_HOLDER_SAMPLES",
                                       "DEFAULT_TOL", "ZERO_CLAMP"}

@@ -381,6 +381,21 @@ def check_variance_control(norm_samples, alpha: float,
     )
 
 
+def grad_bound_scale(L: float, alpha: float, name: str = "L") -> float:
+    """L^(1/alpha) * (1 + alpha) / alpha, the scale of check_grad_bound's
+    bound, refused under name unless L > 0 and L^(1/alpha) is in float range
+    (Python's float power raises OverflowError beyond it): the one rule of
+    the constant passed to check_grad_bound or given as checks.gradbound.L."""
+    if not L > 0.0:
+        raise ContractViolation(f"{name} must be > 0")
+    try:
+        power = float(L) ** (1.0 / alpha)
+    except OverflowError:
+        raise ContractViolation(
+            f"{name} must have a finite L ** (1/alpha), got {L!r} at alpha {alpha!r}") from None
+    return power * (1.0 + alpha) / alpha
+
+
 @numeric_policy
 def check_grad_bound(
     obj: Objective,
@@ -412,12 +427,10 @@ def check_grad_bound(
             tolerance=tol,
         )
     _finite(L=L, tol=tol)
-    if L <= 0.0:
-        raise ContractViolation("L must be > 0")
+    scale = grad_bound_scale(L, alpha)
     rng = np.random.default_rng(seed)
     pts = _uniform_box(rng, n_points, box, obj.dim)
     obj.check_domain(pts)
-    scale = L ** (1.0 / alpha) * (1.0 + alpha) / alpha
 
     def block(rows: slice):
         phi = pts[rows]

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .checkers import grad_bound_scale
 from .diagnostics import CaptureConfig, EnsembleSpec
 from .engine import POWER_FAMILIES, Schedule
 from .errors import ConfigError, ContractViolation
@@ -182,9 +183,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     blocks = _read(raw, SCHEMA, "")
     objective = ObjectiveSpec(**blocks["objective"])
     try:
-        r0 = objective.build().r0  # also fails fast on bad objective parameters
+        built = objective.build()  # fails fast on bad objective parameters
     except ContractViolation as exc:
         raise ConfigError(f"invalid objective: {exc}") from exc
+    r0 = built.r0
     noise = NoiseSpec(**blocks["noise"])
 
     sb = blocks["schedule"]
@@ -226,11 +228,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"diagnostics.radii must be strictly increasing, got {list(radii)}")
     if sm["n_draws"] < 2:
         raise ConfigError(f"checks.smoothness.n_draws must be >= 2, got {sm['n_draws']}")
-    if sm["constants"] is not None:
-        try:
+    gb = blocks["checks"]["gradbound"]
+    try:
+        if sm["constants"] is not None:
             smoothness_constants(sm["constants"], "checks.smoothness.constants")
-        except ContractViolation as exc:
-            raise ConfigError(str(exc)) from exc
+        if gb["L"] is not None:
+            grad_bound_scale(gb["L"], blocks["checks"]["alpha"], "checks.gradbound.L")
+        elif built.l_global is not None:  # the constant that a null L checks with
+            grad_bound_scale(built.l_global, blocks["checks"]["alpha"],
+                             "the objective's l_global (checks.gradbound.L null)")
+    except ContractViolation as exc:
+        raise ConfigError(str(exc)) from exc
 
     box = (r0, r0 + 9.0) if r0 > 0.0 else (-10.0, 10.0)  # above the domain floor, if any
     for check in ("descent", "gradbound", "smoothness"):

@@ -10,6 +10,7 @@ order, so results do not depend on execution interleaving.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -119,11 +120,17 @@ class CaptureConfig:
 
     def check(self, dim: int) -> None:
         """Raise ContractViolation unless the ball passes _check_ball and
-        epsilon is finite and > 0."""
+        epsilon is finite and > 0 with a finite epsilon**-2, the factor of
+        the capture tail bound."""
         _check_ball(self.theta_bar, self.R, dim, "capture ")
         if not 0.0 < self.epsilon < np.inf:
             raise ContractViolation(
                 f"capture epsilon must be finite and > 0, got {self.epsilon!r}")
+        try:
+            float(self.epsilon) ** -2
+        except OverflowError:  # Python's float power, epsilon below about 1.5e-154
+            raise ContractViolation(
+                f"capture epsilon must have a finite epsilon**-2, got {self.epsilon!r}") from None
 
 
 @dataclass
@@ -278,9 +285,9 @@ def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
         return DichotomyClassification(
             verdict="truncated", window_length=W, epsilon_conv=epsilon_conv, R_div=R_div,
             evidence={"last_k": traj.last_k})
-    window = traj.norms()[-W:]
-    wmin = float(np.min(window))
-    wmax = float(np.max(window))
+    window = traj.norms(W)
+    wmin = float(window.min())
+    wmax = float(window.max())
     wrange = wmax - wmin
     if wrange < epsilon_conv and wmax < R_div and not traj.overflow:
         verdict = "converged-like"
@@ -340,7 +347,8 @@ def _run_block(spec: EnsembleSpec, indices: range, W: int, epsilon_conv: float,
             dist = _norms(traj.trace - theta_bar)
             counts[:traj.last_k] += ((dist[:-1] <= capture.R)
                                      & (dist[1:] >= capture.R + capture.epsilon))
-        f_lim = float(np.mean(traj.f_values[traj.ks > traj.last_k - W]))
+        tail = traj.f_values[traj.ks > traj.last_k - W]
+        f_lim = float(np.add.reduce(tail) / len(tail))  # np.mean's own sum and divide
         rows.append((classify_dichotomy(traj, W, epsilon_conv, R_div), f_lim,
                      traj.overflow, traj.domain_violation, traj.last_k, traj.seed))
     return f_gap, grad_norm, counts, rows
@@ -350,17 +358,36 @@ def _run_block(spec: EnsembleSpec, indices: range, W: int, epsilon_conv: float,
 # aggregation
 # ---------------------------------------------------------------------------
 
+def _linear_quantile(s: np.ndarray, q: float) -> np.ndarray:
+    """np.quantile(s, q, axis=1) of rows s sorted along axis 1, in numpy's
+    own 'linear' (Hyndman-Fan 7) arithmetic: its virtual index with
+    alpha = beta = 1, both neighbours the last entry from index n - 1 on,
+    and its two-sided lerp."""
+    n, alpha, beta = s.shape[1], 1, 1
+    vi = n * q + (alpha + q * (1 - alpha - beta)) - 1
+    prev = -1 if vi >= n - 1 else math.floor(vi)
+    t = vi - prev
+    a, b = s[:, prev], s[:, prev + 1 if prev >= 0 else -1]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def _column_stats(matrix: np.ndarray):
     """n_alive and the per-column STATISTICS, ignoring NaN entries.
 
     Each run of neighbouring columns with the same alive (non-NaN) rows is
     reduced along the rows of a contiguous transpose, which gives the bits
     of the per-column calls; NaN suffixes make at most n_rows + 1 runs.
+    One np.sort of the run gives the median (np.median's mean of the middle
+    pair or element) and both quartiles (_linear_quantile).  A -0.0 beside
+    a +0.0 may sort to the other side of it than under np.quantile's
+    partition; no report series holds -0.0 (F - f_lb, norms, their squares
+    and powers of max(f_gap, 0.0) are >= +0.0 or nonzero).
     """
     alive = ~np.isnan(matrix)
-    n_alive = np.sum(alive, axis=0)
+    n_alive = alive.sum(axis=0)
     stats = np.full((len(STATISTICS), matrix.shape[1]), np.nan)
-    edges = np.nonzero(np.any(alive[:, 1:] != alive[:, :-1], axis=0))[0] + 1
+    edges = np.nonzero((alive[:, 1:] != alive[:, :-1]).any(axis=0))[0] + 1
     for lo, hi in zip([0, *edges], [*edges, matrix.shape[1]]):
         n = int(n_alive[lo])
         if n:
@@ -368,8 +395,10 @@ def _column_stats(matrix: np.ndarray):
             mean, se, med, q25, q75 = stats[:, lo:hi]
             mean[:] = np.mean(rows, axis=1)
             se[:] = np.std(rows, axis=1, ddof=1) / np.sqrt(n) if n > 1 else 0.0
-            med[:] = np.median(rows, axis=1)
-            q25[:], q75[:] = np.quantile(rows, [0.25, 0.75], axis=1)
+            s = np.sort(rows, axis=1)
+            h = n // 2
+            med[:] = s[:, h] if n % 2 else (s[:, h - 1] + s[:, h]) / 2
+            q25[:], q75[:] = _linear_quantile(s, 0.25), _linear_quantile(s, 0.75)
     return (n_alive, *stats)
 
 

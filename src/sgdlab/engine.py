@@ -371,11 +371,17 @@ class Trajectory:
     def domain_violation(self) -> bool:
         return self.violation_theta is not None
 
-    def norms(self) -> np.ndarray:
-        """||theta_k|| for k = 0..last_k: |theta| in 1-D, row norms for p > 1."""
-        if self.trace.shape[1] == 1:
-            return np.abs(self.trace[:, 0])
-        return _norms(self.trace)
+    def norms(self, W: int | None = None) -> np.ndarray:
+        """||theta_k|| for k = 0..last_k, or for its last W >= 1 iterates only:
+        |theta| in 1-D, row norms for p > 1 (each row's bits do not depend
+        on the rows beside it)."""
+        trace = self.trace
+        if W is not None:
+            _check_int("W", W, 1)  # trace[-0:] is the whole trace
+            trace = trace[-W:]
+        if trace.shape[1] == 1:
+            return np.abs(trace[:, 0])
+        return _norms(trace)
 
 
 def _drive(step, x0, K: int, noise, rng):
@@ -545,7 +551,7 @@ def run_trajectory(
     # a contiguous copy: the first step's norm sqrt(theta.dot(theta)) sums a
     # strided view in another order, and sigma_expr's norm(theta) reads it
     theta0 = _as_vector(theta0, objective.dim, "theta0")
-    if not np.all(np.isfinite(theta0)):
+    if not np.isfinite(theta0).all():
         raise ContractViolation("theta0 must be finite")
     objective.check_domain(theta0)
 
@@ -563,7 +569,7 @@ def run_trajectory(
     grad_norms = np.asarray(objective.grad_norm_batch(thetas), dtype=float)
     # F at or beyond the cap is numeric overflow: truncate at the last good record.
     bad = ~np.isfinite(f_values) | (f_values >= OVERFLOW_CAP)
-    if np.any(bad):
+    if bad.any():
         cut = max(int(np.argmax(bad)), 1)
         ks, f_values, grad_norms = ks[:cut], f_values[:cut], grad_norms[:cut]
         trace = trace[: int(ks[-1]) + 1]

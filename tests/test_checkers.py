@@ -306,6 +306,14 @@ def test_gradbound_refuses_a_nonpositive_constant(L, alpha):
         check_grad_bound(obj, L, alpha, 100, (-10.0, 10.0))
 
 
+def test_gradbound_refuses_a_constant_whose_power_overflows():
+    # Python's float L ** (1 / alpha) raised OverflowError, not ContractViolation
+    obj = catalog_lookup("quadratic")
+    with pytest.raises(ContractViolation,
+                       match=r"^L must have a finite L \*\* \(1/alpha\), got 1e\+300 at alpha 0.5$"):
+        check_grad_bound(obj, 1e300, 0.5, 100, (-10.0, 10.0))
+
+
 def test_gradbound_missing_constant_is_inconclusive():
     obj = catalog_lookup("log1p-abs")  # no declared global constant
     report = check_grad_bound(obj, obj.l_global, 1.0, 100, (1.0, 5.0))

@@ -589,6 +589,8 @@ def test_on_the_haswell_core_only_the_p4_workload_moves_its_pinned_bytes():
     ("capture-1d", {"capture": {"theta_bar": [0.0], "R": 1.0, "epsilon": -0.5}}),
     ("capture-1d", {"capture": {"theta_bar": [0.0], "R": 0.0}}),
     ("capture-1d", {"capture": {"theta_bar": [0.0], "R": -1.0, "epsilon": 0.5}}),
+    # finite and > 0, but Python's epsilon ** -2 overflowed after every trajectory
+    ("capture-1d", {"capture": {"theta_bar": [0.0], "R": 1.0, "epsilon": 1e-160}}),
 ])
 def test_late_config_error_leaves_no_directory(tmp_path, capsys, workload, block):
     cfg = json.loads((BENCH_CONFIGS / f"{workload}.json").read_text(encoding="utf-8"))
@@ -902,6 +904,28 @@ def test_nonpositive_gradbound_constant_exits_2(tmp_path, capsys, L, alpha):
         assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == (
         f"sgdlab: config error: checks.gradbound.L must be > 0, got {L!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("objective, gradbound, alpha, message", [
+    # Python's L ** (1 / alpha) raised OverflowError in the check: exit 1, a traceback
+    pytest.param("quadratic", {"L": 1e300}, 0.5,
+                 "checks.gradbound.L must have a finite L ** (1/alpha), got 1e+300 at alpha 0.5",
+                 id="given-L"),
+    # a null L checks with the objective's l_global, 2.0 for gauss-bump
+    pytest.param("gauss-bump", {}, 0.0005,
+                 "the objective's l_global (checks.gradbound.L null) must have a "
+                 "finite L ** (1/alpha), got 2.0 at alpha 0.0005", id="null-L"),
+])
+def test_gradbound_constant_whose_power_overflows_exits_2(tmp_path, capsys, objective,
+                                                          gradbound, alpha, message):
+    cfg = base_config(tmp_path / "out", objective={"name": objective})
+    cfg["checks"] = {"which": ["p1p2p3p4", "gradbound"], "alpha": alpha, "gradbound": gradbound}
+    with mock.patch.object(cli.checkers, "check_grad_bound") as check, \
+            mock.patch.object(cli.engine, "validate_schedule") as scan:
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+    assert check.call_count == scan.call_count == 0  # refused before any check ran
+    assert capsys.readouterr().err == f"sgdlab: config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1507,7 +1531,7 @@ _bad_ints = st.sampled_from([0, -1, -(10**30), 2**53 + 1, 10**30])
 _bad_captures = st.one_of(
     st.tuples(st.just("theta_bar"), st.sampled_from([-1, 1, 2])),
     st.tuples(st.just("R"), st.sampled_from([-1.0, -1e-300, -(10**6)])),
-    st.tuples(st.just("epsilon"), st.sampled_from([0, 0.0, -0.0, -0.5, -(10**6)])),
+    st.tuples(st.just("epsilon"), st.sampled_from([0, 0.0, -0.0, -0.5, -(10**6), 1e-160])),
     st.tuples(st.just("R"), st.just(0.0)),  # with the default epsilon 0.1 R = 0
 )
 

@@ -139,6 +139,57 @@ def test_f_that_overflows_on_the_record_grid_warns_nothing():
     assert result.n_overflow == 2 and result.n_domain_violation == 0
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_window_norms_keep_the_bits_of_the_full_norms(p):
+    # classify_dichotomy reads only the last W rows; each row's norm (an
+    # einsum row for p > 1) does not depend on the rows beside it
+    rng = np.random.default_rng(p)
+    trace = rng.standard_normal((300, p)) * 10.0 ** rng.integers(-150, 150, (300, 1))
+    traj = Trajectory(ks=np.arange(300), trace=trace, f_values=np.zeros(300),
+                      grad_norms=np.zeros(300), seed=0, horizon=299)
+    full = traj.norms()
+    for W in (1, 2, 7, 64, 299, 300):
+        assert traj.norms(W).tobytes() == full[-W:].tobytes()
+    for W in (0, -1, 2.5):
+        with pytest.raises(ContractViolation, match=r"^W must be an integer >= 1"):
+            traj.norms(W)
+
+
+def _classify_from_full_norms(traj, W, epsilon_conv, R_div):
+    """classify_dichotomy's verdict and evidence from the whole norms() array."""
+    if traj.domain_violation or traj.last_k + 1 < W:
+        return "truncated", {"last_k": traj.last_k}
+    window = traj.norms()[-W:]
+    wmin, wmax = float(np.min(window)), float(np.max(window))
+    if wmax - wmin < epsilon_conv and wmax < R_div and not traj.overflow:
+        return "converged-like", {"window_range": wmax - wmin, "window_min": wmin}
+    verdict = "diverging-like" if wmin > R_div else "undecided"
+    return verdict, {"window_range": wmax - wmin, "window_min": wmin}
+
+
+@pytest.mark.parametrize("spec, W, holds", [
+    pytest.param(EnsembleSpec(ObjectiveSpec("log1p-abs"), NoiseSpec("additive-gaussian", sigma=0.3),
+                              Schedule.scalar(0.5, 0.75), (3.0,), 200, 8, 3, 10), 20,
+                 lambda rows: any(r[0].verdict == "truncated" for r in rows), id="truncated"),
+    # F = x**4 overflows on the record grid with a window of W = 1 still full
+    pytest.param(EnsembleSpec(ObjectiveSpec("power-q", q=4.0), NoiseSpec("zero"),
+                              Schedule.scalar(1.0, 0.0), (2.0,), 1000, 2, 0), 1,
+                 lambda rows: all(r[2] and r[0].verdict != "truncated" for r in rows),
+                 id="overflowed"),
+    pytest.param(EnsembleSpec(ObjectiveSpec("quadratic", 3), NoiseSpec("additive-gaussian", sigma=0.5),
+                              Schedule.scalar(0.5, 0.75, dim=3), (1.0, -2.0, 0.5), 300, 4, 5),
+                 30, lambda rows: all(r[4] == 300 for r in rows), id="full-p3"),
+])
+def test_classification_and_f_lim_unchanged_by_the_window_read(spec, W, holds):
+    oracle = spec.build()
+    *_, rows = diagnostics._run_block(spec, range(spec.n_trajectories), W, 1e-3, 1e3, None)
+    assert holds(rows)
+    for index, row in enumerate(rows):
+        traj = diagnostics.run_member(spec, oracle, index)
+        assert (row[0].verdict, row[0].evidence) == _classify_from_full_norms(traj, W, 1e-3, 1e3)
+        assert row[1] == float(np.mean(traj.f_values[traj.ks > traj.last_k - W]))
+
+
 @pytest.mark.parametrize("flags", [{"overflow": True}, {"violation_theta": np.array([0.5])}])
 def test_run_stopped_before_its_window_filled_is_truncated(flags):
     # a window of W - 1 iterates is not read, whichever way the run stopped;
@@ -215,6 +266,8 @@ def test_ensemble_bitwise_determinism():
 @pytest.mark.parametrize("capture,message", [
     (CaptureConfig((0.0,), 1.0, 0.0), "epsilon must be finite and > 0"),
     (CaptureConfig((0.0,), 1.0, -0.5), "epsilon must be finite and > 0"),
+    # Python's float epsilon ** -2 overflowed after every trajectory had run
+    (CaptureConfig((0.0,), 1.0, 1e-160), r"epsilon must have a finite epsilon\*\*-2, got 1e-160"),
     (CaptureConfig((0.0, 5.0), 1.0, 0.5), "theta_bar must have p = 1 entries"),
     (CaptureConfig((0.0,), -1.0, 0.5), "R must be finite and >= 0"),
     # a NaN centre ran and reported 0 escapes with G_R and bound_margin_max NaN
@@ -761,8 +814,43 @@ def _reference_column_stats(matrix):
     return (n_alive, *out)
 
 
-@pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 7, 50, 201])
+# Entries at the edges of the order statistics' arithmetic: infinities (a
+# lerp between them is NaN), ties of +0.0, subnormals and +-1e308 (a middle
+# pair's sum overflows); no -0.0 (see the test's docstring).
+_EDGE_POOL = np.array([np.inf, -np.inf, 0.0, 0.0, 5e-324, 2.2e-308, 1e-310, 1e308, -1e308,
+                       1.0, 1.0, -2.5, 3.0])
+
+
+def _numpy_2d_order_stats(matrix):
+    """np.median and np.quantile(..., [0.25, 0.75]) of each run of
+    neighbouring columns with the same alive rows, each called once on the
+    run's contiguous transpose: numpy's own 2-D calls that _column_stats
+    replaced."""
+    alive = ~np.isnan(matrix)
+    out = np.full((3, matrix.shape[1]), np.nan)
+    lo = 0
+    for hi in range(1, matrix.shape[1] + 1):
+        if hi < matrix.shape[1] and (alive[:, hi] == alive[:, lo]).all():
+            continue
+        if alive[:, lo].any():
+            rows = np.ascontiguousarray(matrix[alive[:, lo], lo:hi].T)
+            out[0, lo:hi] = np.median(rows, axis=1)
+            out[1:, lo:hi] = np.quantile(rows, [0.25, 0.75], axis=1)
+        lo = hi
+    return out
+
+
+@pytest.mark.parametrize("n_rows", [*range(1, 41), 50, 201])
 def test_column_stats_bit_equal_to_per_column_loop(n_rows):
+    """_column_stats has the bits of the per-column loop, and its median
+    and quartiles those of numpy's own 2-D calls, so a numpy whose quantile
+    arithmetic changes fails here by name.
+
+    The draws hold no -0.0: no report series holds one (F - f_lb, norms,
+    their squares and powers of max(f_gap, 0.0) are >= +0.0 or nonzero),
+    and np.quantile's partition and np.sort may leave -0.0 and +0.0 in
+    either order, so a statistic between them may differ in its sign bit.
+    """
     rng = np.random.default_rng(n_rows)
     matrix = np.exp(3.0 * rng.standard_normal((n_rows, 40)))
     matrix[:, 5] = matrix[0, 5]  # constant column: se is exactly 0
@@ -786,22 +874,51 @@ def test_column_stats_bit_equal_to_per_column_loop(n_rows):
     assert got[0][14] == got[0][20] == 0 and np.isnan(got[1][15]) and any(got[0][16:20])
 
     # more shapes and magnitudes: 1 to 61 columns, scales near
-    # both ends of float64, both signs, and small integers (ties at the
-    # quantile interpolation points), each with random NaN suffixes
+    # both ends of float64, both signs, small integers (ties at the
+    # quantile interpolation points) and _EDGE_POOL, each with random NaN
+    # suffixes; the order statistics also equal numpy's own 2-D calls
     draws = (
         lambda size: 1e-300 * rng.standard_normal(size),
         lambda size: 1e300 * rng.standard_normal(size),
         lambda size: rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size),
         lambda size: rng.integers(-3, 4, size).astype(float),
+        lambda size: rng.choice(_EDGE_POOL, size),
     )
     for n_cols in (1, 2, 13, 61):
         for draw in draws:
             matrix = draw((n_rows, n_cols))
             for i in rng.choice(n_rows, size=n_rows // 2, replace=False):
                 matrix[i, rng.integers(0, n_cols + 1):] = np.nan
-            with np.errstate(over="ignore"):  # 1e300 squared: se is inf on both sides
+            # 1e300 squared: se is inf on both sides; inf - inf is NaN
+            with np.errstate(over="ignore", invalid="ignore"):
                 got, want = _column_stats(matrix), _reference_column_stats(matrix)
+                numpy_2d = _numpy_2d_order_stats(matrix)
             _assert_column_stats_equal(got, want)
+            for g, w, name in zip(got[3:], numpy_2d, ("median", "q25", "q75")):
+                assert g.tobytes() == w.tobytes(), name
+
+
+def test_column_stats_sorts_each_run_once_and_calls_no_median_or_quantile(monkeypatch):
+    sorts = []
+
+    def spy_sort(a, *args, **kwargs):
+        sorts.append(a.shape)
+        return sort(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.median or np.quantile called")
+
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", spy_sort)
+    monkeypatch.setattr(np, "median", refuse)
+    monkeypatch.setattr(np, "quantile", refuse)
+    matrix = np.arange(1.0, 51.0).reshape(5, 10)
+    matrix[0, 4:] = matrix[1, 7:] = np.nan  # alive runs of 5, 4 and 3 rows
+    matrix[:, 9] = np.nan  # and a run of none, which sorts nothing
+    n_alive, *stats = _column_stats(matrix)
+    assert sorts == [(4, 5), (3, 4), (2, 3)]
+    assert n_alive.tolist() == [5, 5, 5, 5, 4, 4, 4, 3, 3, 0]
+    assert stats[2][:4].tolist() == [21.0, 22.0, 23.0, 24.0]  # the middle of 5 rows
 
 
 def test_convergence_report_declares_the_derived_columns():

@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Schedule, Verdict, _check_alpha, _check_int, _check_seed
-from .errors import ContractViolation, DomainError, numeric_policy
+from .engine import Schedule, Verdict
+from .errors import (ContractViolation, DomainError, check_alpha, check_box, check_finite,
+                     check_increasing, check_int, check_positive, numeric_policy)
 from .objectives import Objective, StochasticOracle, _norms, smoothness_constants
 
 ZERO_CLAMP = 1e-300
@@ -101,25 +102,6 @@ class RadialProbe:
     a6_verdict: str
 
 
-def _finite(**values) -> None:
-    """Raise ContractViolation naming the first value (a number, or a point or
-    list of numbers) that is or holds a NaN or an infinity."""
-    for name, value in values.items():
-        if not np.isfinite(value).all():
-            raise ContractViolation(f"{name} must be finite, got {value!r}")
-
-
-def _box_bounds(box: tuple[float, float]) -> tuple[float, float]:
-    """(lo, hi) of a box, refused unless its width hi - lo is finite (so are
-    lo and hi) and hi > lo."""
-    lo, hi = float(box[0]), float(box[1])
-    if not math.isfinite(hi - lo):
-        raise ContractViolation(f"box must be finite, with a finite hi - lo, got {tuple(box)!r}")
-    if not hi > lo:
-        raise ContractViolation("box must satisfy hi > lo")
-    return lo, hi
-
-
 def _van_der_corput(n: int) -> np.ndarray:
     """First n points of the base-2 bit-reversal sequence in (0, 1).
 
@@ -183,12 +165,11 @@ def estimate_local_holder(
     (_ball_points).
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    _finite(phi=phi.tolist(), r=r)
-    _check_alpha(alpha)
-    _check_seed("seed", seed)
-    if r <= 0.0:
-        raise ContractViolation("radius r must be > 0")
-    _check_int("n_samples", n_samples, 2)
+    check_finite(phi=phi.tolist())
+    check_positive(r=r)
+    check_alpha("alpha", alpha)
+    check_int("seed", seed)
+    check_int("n_samples", n_samples, 2)
     if obj.r0 > 0.0 and float(np.linalg.norm(phi)) - r < obj.r0:
         raise DomainError(
             f"ball of radius {r} around phi={phi.tolist()} intersects the "
@@ -220,12 +201,13 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
     p > 1 it falls back to seeded random pairs.  A lower bound of the true
     sup either way, and NaN if any ratio is NaN.
     """
-    _check_alpha(alpha)
-    _check_seed("seed", seed)
+    lo, hi = check_box("box", box)
+    check_alpha("alpha", alpha)
+    check_int("seed", seed)
     if obj.dim == 1:
         # the distinct grid points: a box narrower than the grid repeats
         # points, and a pair at distance 0 has no ratio
-        xs = np.unique(np.linspace(*_box_bounds(box), HOLDER_BOX_SAMPLES))
+        xs = np.unique(np.linspace(lo, hi, HOLDER_BOX_SAMPLES))
         obj.check_domain(xs[:, None])
         g = obj.grad_batch(xs[:, None])[:, 0]
         n = len(xs)
@@ -243,8 +225,8 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
             sups.append(np.max(dg / dx ** alpha))
         return float(np.max(sups))
     rng = np.random.default_rng(seed)
-    a = _uniform_box(rng, HOLDER_BOX_SAMPLES, box, obj.dim)
-    b = _uniform_box(rng, HOLDER_BOX_SAMPLES, box, obj.dim)
+    a = rng.uniform(lo, hi, size=(HOLDER_BOX_SAMPLES, obj.dim))
+    b = rng.uniform(lo, hi, size=(HOLDER_BOX_SAMPLES, obj.dim))
     obj.check_domain(a)
     obj.check_domain(b)
     diff = b - a
@@ -253,12 +235,6 @@ def holder_sup_on_box(obj: Objective, box: tuple[float, float], alpha: float,
     gd = obj.grad_batch(b[keep]) - obj.grad_batch(a[keep])
     num = _norms(gd)
     return float(np.max(num / dist[keep] ** alpha))
-
-
-def _uniform_box(rng: np.random.Generator, n: int, box: tuple[float, float],
-                 dim: int) -> np.ndarray:
-    lo, hi = _box_bounds(box)
-    return rng.uniform(lo, hi, size=(n, dim))
 
 
 def _worst_point(assumption_id: str, n: int, tol: float,
@@ -312,15 +288,15 @@ def check_descent_inequality(
     the pairs are evaluated _ROWS at a time, so beside the pairs the check
     holds a few blocks of temporaries.
     """
-    _finite(L_tilde=L_tilde, tol=tol)
-    _check_alpha(alpha)
-    if L_tilde <= 0.0:
-        raise ContractViolation("L_tilde must be > 0")
-    _check_int("n_pairs", n_pairs, 1)
-    _check_seed("seed", seed)
+    check_positive(L_tilde=L_tilde)
+    check_finite(tol=tol)
+    check_alpha("alpha", alpha)
+    lo, hi = check_box("box", box)
+    check_int("n_pairs", n_pairs, 1)
+    check_int("seed", seed)
     rng = np.random.default_rng(seed)
-    thetas = _uniform_box(rng, n_pairs, box, obj.dim)
-    phis = _uniform_box(rng, n_pairs, box, obj.dim)
+    thetas = rng.uniform(lo, hi, size=(n_pairs, obj.dim))
+    phis = rng.uniform(lo, hi, size=(n_pairs, obj.dim))
     obj.check_domain(thetas)
     obj.check_domain(phis)
     scale = L_tilde / (1.0 + alpha)
@@ -357,8 +333,8 @@ def check_variance_control(norm_samples, alpha: float,
         raise ContractViolation("sample set must be nonempty")
     if np.any(s < 0.0) or not np.all(np.isfinite(s)):
         raise ContractViolation("samples must be finite and >= 0")
-    _check_alpha(alpha)
-    _finite(tol=tol)
+    check_alpha("alpha", alpha)
+    check_finite(tol=tol)
 
     m_low = float(np.mean(s ** (1.0 + alpha)))
     m_sq = np.mean(s ** 2)
@@ -386,8 +362,7 @@ def grad_bound_scale(L: float, alpha: float, name: str = "L") -> float:
     bound, refused under name unless L > 0 and L^(1/alpha) is in float range
     (Python's float power raises OverflowError beyond it): the one rule of
     the constant passed to check_grad_bound or given as checks.gradbound.L."""
-    if not L > 0.0:
-        raise ContractViolation(f"{name} must be > 0")
+    check_positive(**{name: L})
     try:
         power = float(L) ** (1.0 / alpha)
     except OverflowError:
@@ -415,9 +390,10 @@ def check_grad_bound(
     _ROWS at a time, so beside them the check holds a few blocks of
     temporaries.  Without a global constant the verdict is inconclusive.
     """
-    _check_alpha(alpha)
-    _check_int("n_points", n_points, 1)
-    _check_seed("seed", seed)
+    check_alpha("alpha", alpha)
+    lo, hi = check_box("box", box)
+    check_int("n_points", n_points, 1)
+    check_int("seed", seed)
     if L is None:
         return AssumptionReport(
             assumption_id="gradbound",
@@ -426,10 +402,10 @@ def check_grad_bound(
             witness=None,
             tolerance=tol,
         )
-    _finite(L=L, tol=tol)
+    check_finite(tol=tol)
     scale = grad_bound_scale(L, alpha)
     rng = np.random.default_rng(seed)
-    pts = _uniform_box(rng, n_points, box, obj.dim)
+    pts = rng.uniform(lo, hi, size=(n_points, obj.dim))
     obj.check_domain(pts)
 
     def block(rows: slice):
@@ -469,7 +445,7 @@ def _sample_sq_norms(oracle: StochasticOracle, theta: np.ndarray,
 def sample_gradient_norms(oracle: StochasticOracle, theta, rng: np.random.Generator,
                           n: int) -> np.ndarray:
     """n draws of ||sample|| at theta (input for the variance-control check)."""
-    _check_int("n", n, 1)
+    check_int("n", n, 1)
     theta = np.ascontiguousarray(theta, dtype=float)  # at least 1-D
     oracle.objective.check_domain(theta)
     return np.sqrt(_sample_sq_norms(oracle, theta, rng, n))
@@ -493,14 +469,15 @@ def check_expected_smoothness(
     empirically: at each sampled theta, the mean of n_draws squared sample
     norms must not exceed the bound plus a 4-sigma statistical margin.
     """
-    _finite(C1=C1, C2=C2, C3=C3)
+    check_finite(C1=C1, C2=C2, C3=C3)
     smoothness_constants((C1, C2, C3), "smoothness constants")
-    _check_int("n_draws", n_draws, 2)
-    _check_int("n_points", n_points, 1)
-    _check_seed("seed", seed)
+    lo, hi = check_box("box", box)
+    check_int("n_draws", n_draws, 2)
+    check_int("n_points", n_points, 1)
+    check_int("seed", seed)
     obj = oracle.objective
     rng = np.random.default_rng(seed)
-    pts = _uniform_box(rng, n_points, box, obj.dim)
+    pts = rng.uniform(lo, hi, size=(n_points, obj.dim))
     obj.check_domain(pts)
 
     m_hat = np.empty(n_points)
@@ -540,15 +517,11 @@ def probe_radial_conditions(
     decreasing and below the threshold there; no claim about the true limit.
     """
     radii = [float(x) for x in radii]
-    _finite(r=r, b_threshold=b_threshold, radii=radii)
-    _check_alpha(alpha)
-    if len(radii) == 0 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ContractViolation("radii must be strictly increasing")
-    if b_threshold <= 0.0:
-        raise ContractViolation("b_threshold must be > 0")
-    if any(rho < obj.r0 + r for rho in radii):
-        raise ContractViolation(f"all radii must be >= r0 + r = {obj.r0 + r}")
-    _check_seed("seed", seed)
+    check_positive(r=r, b_threshold=b_threshold)
+    check_finite(radii=radii)
+    check_alpha("alpha", alpha)
+    check_increasing("radii", radii, obj.r0 + r)  # each ball lies above the floor
+    check_int("seed", seed)
 
     u = np.zeros(obj.dim)
     u[0] = 1.0
@@ -606,10 +579,8 @@ def find_eigenvalue_threshold(schedule: Schedule, C: float, alpha: float,
     the last index that breaks it (`Schedule.last_peak_above`, where a NaN
     product, lambda_max underflowed to 0, breaks it).
     """
-    _finite(C=C)
-    _check_alpha(alpha)
-    if C <= 0.0:
-        raise ContractViolation("C must be > 0")
-    _check_int("K_max", K_max, 1)
+    check_positive(C=C)
+    check_alpha("alpha", alpha)
+    check_int("K_max", K_max, 1)
     last_bad = schedule.last_peak_above(1.0 / C, K_max + 1, alpha)
     return 0 if last_bad is None else None if last_bad == K_max else last_bad + 1

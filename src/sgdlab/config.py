@@ -9,7 +9,7 @@ always typos).
 from __future__ import annotations
 
 import json
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +19,8 @@ import numpy as np
 from .checkers import grad_bound_scale
 from .diagnostics import CaptureConfig, EnsembleSpec
 from .engine import POWER_FAMILIES, Schedule
-from .errors import ConfigError, ContractViolation
+from .errors import (ConfigError, ContractViolation, check_alpha, check_box, check_finite,
+                     check_increasing, check_int, check_positive)
 from .objectives import CATALOG_NAMES, NOISE_KINDS, NoiseSpec, ObjectiveSpec, smoothness_constants
 
 # Above 2**53 a JSON number is no longer an exact integer, and no array of
@@ -43,12 +44,11 @@ _ALL_CHECKS = list(CHECK_NAMES)
 _ALL_FORMATS = ["json", "csv"]
 # Every key once, as key: (kind, default); a block is ({key: ...}, value when
 # absent).  The kinds are "size" (an integer from 1 to MAX_SIZE), "seed" (an
-# integer >= 0), "number" (finite), "positive", "unit" (in (0, 1]), "vector"
-# (a nonempty list of numbers), "triple", "box" ([lo, hi] with hi > lo and a
-# finite hi - lo), "numbers" (a number or a vector), "string" and "bool"; a
-# tuple of strings is an enum and a list of strings a nonempty subset.  A
-# null default is derived from other values by config_from_dict, or means
-# "not set".
+# integer >= 0), "number" (finite), "positive", "unit" (an alpha), "vector"
+# (a nonempty list of numbers), "triple", "box", "numbers" (a number or a
+# vector), "string" and "bool"; a tuple of strings is an enum and a list of
+# strings a nonempty subset.  The ranges are the rules of errors.py.  A null
+# default is derived from other values by config_from_dict, or means "not set".
 SCHEMA = {
     "objective": ({"name": (CATALOG_NAMES, REQUIRED), "dimension": ("size", 1),
                    "q": ("number", None), "r0": ("number", None)}, {}),
@@ -88,14 +88,13 @@ SCHEMA = {
     "output": ({"directory": ("string", "sgdlab-out"), "formats": (_ALL_FORMATS, _ALL_FORMATS),
                 "force": ("bool", False)}, {}),
 }
-# Each number kind: whether it is an integer, its range and the words of its message.
-_NUMBERS = {
-    "number": (False, lambda v: True, "finite"),
-    "size": (True, lambda v: 1 <= v <= MAX_SIZE, "an integer from 1 to 2**53"),
-    "seed": (True, lambda v: v >= 0, "an integer >= 0"),
-    "positive": (False, lambda v: v > 0.0, "> 0"),
-    "unit": (False, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-}
+@contextmanager
+def _refused(prefix: str = ""):
+    """A ContractViolation of the block as a ConfigError, its message led by prefix."""
+    try:
+        yield
+    except ContractViolation as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _number(value, where: str, kind: str = "number") -> float | int:
@@ -103,15 +102,22 @@ def _number(value, where: str, kind: str = "number") -> float | int:
     seed, else a float (JSON reads 1e400 as inf; an integer may be beyond float64)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    integer, test, bound = _NUMBERS[kind]
+    if isinstance(value, float):
+        check_finite(**{where: value})
+    if kind in ("size", "seed"):
+        number = int(value) if isinstance(value, float) and value.is_integer() else value
+        check_int(where, number, 1 if kind == "size" else 0)
+        if number > MAX_SIZE and kind == "size":
+            raise ConfigError(f"{where} must be an integer from 1 to 2**53, got {value!r}")
+        return number
     try:
-        number = int(value) if integer and int(value) == value else float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigError(f"{where} is beyond the float64 range") from None
-    if (integer and isinstance(number, float)) or not test(number):
-        raise ConfigError(f"{where} must be {bound}, got {value!r}")
+    if kind == "positive":
+        check_positive(**{where: number})
+    elif kind == "unit":
+        check_alpha(where, number)
     return number
 
 
@@ -153,10 +159,8 @@ def _read(value, kind, where: str):
         vector = tuple(_number(v, f"{where} entry") for v in value)
         if kind == "triple" and len(vector) != 3:
             raise ConfigError(f"{where} must be [C1, C2, C3]")
-        if kind == "box" and not (len(vector) == 2 and vector[1] > vector[0]):
-            raise ConfigError(f"{where} must be [lo, hi] with hi > lo")
-        if kind == "box" and not math.isfinite(vector[1] - vector[0]):
-            raise ConfigError(f"{where} must have a finite width hi - lo, got {list(vector)}")
+        if kind == "box":
+            check_box(where, value)
         return vector
     return _number(value, where, kind)
 
@@ -180,12 +184,11 @@ class ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    blocks = _read(raw, SCHEMA, "")
+    with _refused():
+        blocks = _read(raw, SCHEMA, "")
     objective = ObjectiveSpec(**blocks["objective"])
-    try:
+    with _refused("invalid objective: "):
         built = objective.build()  # fails fast on bad objective parameters
-    except ContractViolation as exc:
-        raise ConfigError(f"invalid objective: {exc}") from exc
     r0 = built.r0
     noise = NoiseSpec(**blocks["noise"])
 
@@ -199,18 +202,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     c, beta = (v if isinstance(v, tuple) else (v,) * p for v in (sb.pop("c"), sb.pop("beta")))
     if len(c) != p or len(beta) != p:
         raise ConfigError("schedule.c and schedule.beta must have length p")
-    try:
+    with _refused("invalid schedule: "):
         schedule = Schedule(c=np.asarray(c), beta=np.asarray(beta), dim=p, **sb)
-    except ContractViolation as exc:
-        raise ConfigError(f"invalid schedule: {exc}") from exc
 
     rb = blocks["run"]
     jobs = rb.pop("jobs")
-    try:
+    with _refused("invalid run block: "):
         run = EnsembleSpec(objective=objective, noise=noise, schedule=schedule,
                            theta0=rb.pop("theta0") or (1.0,) * p, horizon=rb.pop("K"), **rb)
-    except ContractViolation as exc:
-        raise ConfigError(f"invalid run block: {exc}") from exc
 
     db = blocks["diagnostics"]
     cap = db["capture"]
@@ -218,18 +217,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         db["capture"] = CaptureConfig(
             theta_bar=cap["theta_bar"] or (0.0,) * p, R=cap["R"],
             epsilon=0.1 * cap["R"] if cap["epsilon"] is None else cap["epsilon"])
-        try:
+        with _refused("invalid diagnostics.capture block: "):
             db["capture"].check(p)
-        except ContractViolation as exc:
-            raise ConfigError(f"invalid diagnostics.capture block: {exc}") from exc
 
-    radii, sm = db["radii"], blocks["checks"]["smoothness"]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError(f"diagnostics.radii must be strictly increasing, got {list(radii)}")
-    if sm["n_draws"] < 2:
-        raise ConfigError(f"checks.smoothness.n_draws must be >= 2, got {sm['n_draws']}")
-    gb = blocks["checks"]["gradbound"]
-    try:
+    sm, gb = blocks["checks"]["smoothness"], blocks["checks"]["gradbound"]
+    with _refused():  # the rules of probe_radial_conditions and of the checkers
+        check_increasing("diagnostics.radii", list(db["radii"]), r0 + db["r"])
+        check_int("checks.smoothness.n_draws", sm["n_draws"], 2)
         if sm["constants"] is not None:
             smoothness_constants(sm["constants"], "checks.smoothness.constants")
         if gb["L"] is not None:
@@ -237,17 +231,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         elif built.l_global is not None:  # the constant that a null L checks with
             grad_bound_scale(built.l_global, blocks["checks"]["alpha"],
                              "the objective's l_global (checks.gradbound.L null)")
-    except ContractViolation as exc:
-        raise ConfigError(str(exc)) from exc
 
     box = (r0, r0 + 9.0) if r0 > 0.0 else (-10.0, 10.0)  # above the domain floor, if any
     for check in ("descent", "gradbound", "smoothness"):
         blocks["checks"][check]["box"] = blocks["checks"][check]["box"] or box
 
-    try:
+    with _refused("invalid noise: "):
         noise.build(objective.dimension)  # compiles and checks sigma_expr
-    except ContractViolation as exc:
-        raise ConfigError(f"invalid noise: {exc}") from exc
 
     return ExperimentConfig(
         objective=objective, noise=noise, schedule=schedule, run=run, jobs=jobs,

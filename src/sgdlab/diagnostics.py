@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .engine import Schedule, Trajectory, _check_int, _check_seed, record_points, run_trajectory
-from .errors import ContractViolation, numeric_policy
+from .engine import Schedule, Trajectory, record_points, run_trajectory
+from .errors import ContractViolation, check_finite, check_int, check_positive, numeric_policy
 from .objectives import NoiseSpec, ObjectiveSpec, StochasticOracle, _norms
 
 __all__ = [
@@ -52,8 +52,8 @@ STATISTICS = ("mean", "se", "median", "q25", "q75")
 def split_seed(master_seed: int, index: int) -> int:
     """Hash-split the master seed: trajectory seeds are reproducible and do
     not change when the ensemble is extended."""
-    _check_seed("master_seed", master_seed)
-    _check_seed("index", index)
+    check_int("master_seed", master_seed)
+    check_int("index", index)
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -73,16 +73,15 @@ class EnsembleSpec:
 
     def __post_init__(self):
         for name in ("horizon", "n_trajectories", "record_stride"):
-            _check_int(name, getattr(self, name), 1)
+            check_int(name, getattr(self, name), 1)
         if self.schedule.dim != self.objective.dimension:
             raise ContractViolation(
                 f"schedule dimension {self.schedule.dim} != objective dimension "
                 f"{self.objective.dimension}")
         if len(self.theta0) != self.objective.dimension:
             raise ContractViolation("theta0 dimension does not match the objective")
-        if not np.isfinite(np.asarray(self.theta0, dtype=float)).all():
-            raise ContractViolation(f"theta0 entries must be finite, got {self.theta0!r}")
-        _check_seed("master_seed", self.master_seed)
+        check_finite(theta0=self.theta0)
+        check_int("master_seed", self.master_seed)
 
     def build(self) -> StochasticOracle:
         obj = self.objective.build()
@@ -104,8 +103,7 @@ def _check_ball(theta_bar, R, dim: int, prefix: str = "") -> None:
     if len(theta_bar) != dim:
         raise ContractViolation(
             f"{prefix}theta_bar must have p = {dim} entries, got {len(theta_bar)}")
-    if not np.isfinite(np.asarray(theta_bar, dtype=float)).all():
-        raise ContractViolation(f"{prefix}theta_bar entries must be finite, got {theta_bar!r}")
+    check_finite(**{f"{prefix}theta_bar": theta_bar})
     if not 0.0 <= R < np.inf:
         raise ContractViolation(f"{prefix}R must be finite and >= 0, got {R!r}")
 
@@ -123,9 +121,7 @@ class CaptureConfig:
         epsilon is finite and > 0 with a finite epsilon**-2, the factor of
         the capture tail bound."""
         _check_ball(self.theta_bar, self.R, dim, "capture ")
-        if not 0.0 < self.epsilon < np.inf:
-            raise ContractViolation(
-                f"capture epsilon must be finite and > 0, got {self.epsilon!r}")
+        check_positive(**{"capture epsilon": self.epsilon})
         try:
             float(self.epsilon) ** -2
         except OverflowError:  # Python's float power, epsilon below about 1.5e-154
@@ -266,21 +262,14 @@ def default_r_div(theta0) -> float:
     return 1e3 * (1.0 + float(np.linalg.norm(theta0)))
 
 
-def _check_verdict_constants(epsilon_conv: float, R_div: float) -> None:
-    """Raise ContractViolation unless epsilon_conv and R_div are finite and > 0."""
-    if not (0.0 < epsilon_conv < np.inf and 0.0 < R_div < np.inf):
-        raise ContractViolation(f"epsilon_conv and R_div must be finite and > 0, got "
-                                f"{epsilon_conv!r} and {R_div!r}")
-
-
 @numeric_policy
 def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
                        R_div: float) -> DichotomyClassification:
     """Classify a trajectory from its per-step norms over its final W steps."""
-    _check_int("W", W, 1)
+    check_int("W", W, 1)
     if W > traj.horizon:
         raise ContractViolation("window W must satisfy 1 <= W <= horizon")
-    _check_verdict_constants(epsilon_conv, R_div)
+    check_positive(epsilon_conv=epsilon_conv, R_div=R_div)
     if traj.domain_violation or traj.last_k + 1 < W:
         return DichotomyClassification(
             verdict="truncated", window_length=W, epsilon_conv=epsilon_conv, R_div=R_div,
@@ -539,11 +528,11 @@ def run_ensemble(
     # Before any trajectory runs: a bad window, verdict constant or gamma, or
     # a capture block the envelope cannot handle, is a config error that
     # should cost nothing.
-    _check_int("W", W, 1)
+    check_int("W", W, 1)
     if W > spec.horizon:
         raise ContractViolation("window W must be <= horizon")
-    _check_verdict_constants(epsilon_conv, R_div)
-    _check_int("jobs", jobs, 1)
+    check_positive(epsilon_conv=epsilon_conv, R_div=R_div)
+    check_int("jobs", jobs, 1)
     _check_gammas(gammas)
     g_r = None
     if capture is not None:

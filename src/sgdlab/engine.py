@@ -22,7 +22,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ContractViolation, numeric_policy
+from .errors import (ContractViolation, check_alpha, check_finite, check_int, check_positive,
+                     numeric_policy)
 from .objectives import OVERFLOW_CAP, StochasticOracle, _frozen_copy, _norms, _set_frozen_state
 
 # Iterates at or beyond this magnitude are treated as numeric overflow;
@@ -58,18 +59,6 @@ def _as_vector(x, dim: int, name: str) -> np.ndarray:
     if arr.shape != (dim,):
         raise ContractViolation(f"{name} must have shape ({dim},), got {arr.shape}")
     return _frozen_copy(arr)
-
-
-def _check_int(name: str, value, least: int) -> None:
-    """Raise ContractViolation naming the parameter unless value is an integer
-    >= least (numpy's too, but not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_seed(name: str, seed) -> None:
-    """The one seed rule of the library: an integer >= 0 (_check_int)."""
-    _check_int(name, seed, 0)
 
 
 def random_orthogonal(dim: int, seed: int) -> np.ndarray:
@@ -114,11 +103,8 @@ class Schedule:
             raise ContractViolation(f"unknown schedule family {self.family!r}")
         for name in ("c", "beta"):
             object.__setattr__(self, name, _as_vector(getattr(self, name), self.dim, name))
-        for name, value in (("c", self.c), ("beta", self.beta), ("k0", self.k0)):
-            if not np.all(np.isfinite(value)):
-                raise ContractViolation(f"schedule {name} must be finite, got {value}")
-        if np.any(self.c <= 0.0):
-            raise ContractViolation("coefficients c must be > 0")
+        check_positive(c=self.c.tolist())
+        check_finite(beta=self.beta.tolist(), k0=self.k0)
         if np.any(self.beta < 0.0):
             raise ContractViolation("exponents beta must be >= 0")
         if self.k0 < 1.0:
@@ -130,7 +116,7 @@ class Schedule:
             seed, q = None, self.q  # an explicit factor: no seed produced it
             if q is None:  # seed 0 builds it when none is given, so seed 0 names it
                 seed = 0 if self.rotation_seed is None else self.rotation_seed
-                _check_seed("rotation_seed", seed)
+                check_int("rotation_seed", seed)
                 q = random_orthogonal(self.dim, int(seed))
             # C order: the label hashes these bytes, and the gemvs of a step
             # sum in the order of q's layout, so one layout for one label
@@ -280,13 +266,6 @@ class ScheduleReport:
     horizon_used: int
 
 
-def _check_alpha(alpha: float) -> None:
-    """Raise ContractViolation unless the Hölder exponent alpha is in (0, 1]
-    (which refuses NaN and inf too)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ContractViolation(f"alpha must be in (0, 1], got {alpha!r}")
-
-
 @numeric_policy
 def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> ScheduleReport:
     """Check the schedule against the three eigenvalue-sequence requirements.
@@ -298,8 +277,8 @@ def validate_schedule(schedule: Schedule, alpha: float, horizon: int) -> Schedul
     The partial sum is accumulated to the horizon: the block terms of
     `Schedule._scan`, added in block order.
     """
-    _check_alpha(alpha)
-    _check_int("horizon", horizon, 1)
+    check_alpha("alpha", alpha)
+    check_int("horizon", horizon, 1)
 
     total = 0.0
     for term in schedule._scan(horizon + 1, alpha)[0]:  # not sum(): from Python 3.12 it compensates
@@ -377,7 +356,7 @@ class Trajectory:
         on the rows beside it)."""
         trace = self.trace
         if W is not None:
-            _check_int("W", W, 1)  # trace[-0:] is the whole trace
+            check_int("W", W, 1)  # trace[-0:] is the whole trace
             trace = trace[-W:]
         if trace.shape[1] == 1:
             return np.abs(trace[:, 0])
@@ -541,9 +520,9 @@ def run_trajectory(
     """
     objective = oracle.objective
     noise = oracle.noise
-    _check_int("K", K, 1)
-    _check_int("record_stride", record_stride, 1)
-    _check_seed("seed", seed)
+    check_int("K", K, 1)
+    check_int("record_stride", record_stride, 1)
+    check_int("seed", seed)
     if objective.dim != schedule.dim:
         raise ContractViolation(
             f"objective dimension {objective.dim} != schedule dimension {schedule.dim}"
@@ -551,8 +530,7 @@ def run_trajectory(
     # a contiguous copy: the first step's norm sqrt(theta.dot(theta)) sums a
     # strided view in another order, and sigma_expr's norm(theta) reads it
     theta0 = _as_vector(theta0, objective.dim, "theta0")
-    if not np.isfinite(theta0).all():
-        raise ContractViolation("theta0 must be finite")
+    check_finite(theta0=theta0)
     objective.check_domain(theta0)
 
     rng = np.random.default_rng(int(seed))

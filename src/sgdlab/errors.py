@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one numeric-error policy.
+"""Exception types shared across the package, its one numeric-error policy,
+and the argument rules that every module applies.
 
 Every entry point (the functions that `sgdlab/__init__.py` exports and
 `sample_gradient_norms`, `envelope_sup_over_ball`, `cli.main`, the pool worker
@@ -6,6 +7,9 @@ Every entry point (the functions that `sgdlab/__init__.py` exports and
 on caller input) carries `@numeric_policy`; no other code enters an
 `np.errstate`, and per-step callables are left bare.
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -43,3 +47,54 @@ class UnknownObjectiveError(SgdLabError, KeyError):
 
 class ConfigError(SgdLabError):
     """Experiment configuration is malformed or inconsistent."""
+
+
+# The argument rules: one function per rule, each raising ContractViolation
+# with a message led by the parameter's name (the config passes its dotted
+# key and turns the exception into a ConfigError).
+
+def check_int(name: str, value, least: int = 0) -> None:
+    """An integer >= least (numpy's too, but not a bool); least 0 is the seed rule."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_alpha(name: str, value) -> None:
+    """A Hölder exponent in (0, 1] (which refuses NaN and inf too)."""
+    if not 0.0 < value <= 1.0:
+        raise ContractViolation(f"{name} must be in (0, 1], got {value!r}")
+
+
+def check_finite(**values) -> None:
+    """Each value not None (not given), a number or a point or list of
+    numbers, holds no NaN and no infinity."""
+    for name, value in values.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ContractViolation(f"{name} must be finite, got {value!r}")
+
+
+def check_positive(**values) -> None:
+    """Each value, a number or an array of numbers, is finite and > 0."""
+    for name, value in values.items():
+        v = np.asarray(value, dtype=float)  # None is NaN: refused
+        if not ((0.0 < v) & (v < math.inf)).all():
+            raise ContractViolation(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_box(name: str, box) -> tuple[float, float]:
+    """(lo, hi) of a box given as exactly two real numbers with hi > lo and a
+    finite width hi - lo (so lo and hi are finite too)."""
+    pair = tuple(box) if isinstance(box, (tuple, list, np.ndarray)) else ()
+    if len(pair) == 2 and all(isinstance(v, numbers.Real) for v in pair):
+        lo, hi = float(pair[0]), float(pair[1])
+        if hi > lo and math.isfinite(hi - lo):
+            return lo, hi
+    raise ContractViolation(
+        f"{name} must be two numbers [lo, hi] with hi > lo and a finite hi - lo, got {box!r}")
+
+
+def check_increasing(name: str, values, least: float) -> None:
+    """A nonempty list of numbers, strictly increasing, whose first is >= least."""
+    if not values or not values[0] >= least or any(not b > a for a, b in zip(values, values[1:])):
+        raise ContractViolation(
+            f"{name} must be strictly increasing and at least {least!r}, got {values!r}")

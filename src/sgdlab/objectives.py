@@ -38,7 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, UnknownObjectiveError, numeric_policy
+from .errors import (ContractViolation, DomainError, UnknownObjectiveError, check_finite,
+                     check_int, check_positive, numeric_policy)
 
 # Values are capped here instead of overflowing to inf; the trajectory runner
 # treats any F at or above the cap as overflow.
@@ -337,8 +338,7 @@ def _make_radial(
     domain, and ||grad|| = |g'(rho)|.  f_lb = g(r0): every g in the catalog
     is nondecreasing on [r0, inf).
     """
-    if r0 <= 0.0:
-        raise ContractViolation(f"radial objective {name!r} needs a domain floor r0 > 0")
+    check_positive(r0=r0)
 
     def value(theta):
         return g1(math.sqrt(theta.dot(theta)))
@@ -409,11 +409,8 @@ def catalog_lookup(
     (1.0) of the restricted entries and is ignored for the unrestricted ones.
     Either one, when given, must be finite.
     """
-    if dimension < 1:
-        raise ContractViolation("dimension must be >= 1")
-    for param, value in (("q", q), ("r0", r0)):
-        if value is not None and not math.isfinite(value):
-            raise ContractViolation(f"{param} must be finite, got {value!r}")
+    check_int("dimension", dimension, 1)
+    check_finite(q=q, r0=r0)
     if name == "quadratic":
         return _make_quadratic(dimension)
     if name == "smooth-rectifier":
@@ -431,8 +428,7 @@ def catalog_lookup(
             gp_vec=_exp_capped_vec,
         )
     if name == "power-q":
-        if q is None or q <= 0:
-            raise ContractViolation("power-q requires parameter q > 0")
+        check_positive(q=q)
         qf = float(q)
         return _make_radial(
             f"power-q(q={qf:g})", dimension, floor,
@@ -450,8 +446,6 @@ def catalog_lookup(
             gp_vec=lambda rho: 1.0 / (1.0 + rho),
         )
     if name == "loglog1p-abs":
-        if floor <= 0.0:
-            raise ContractViolation("loglog1p-abs needs r0 > 0 so F is real")
         return _make_radial(
             "loglog1p-abs", dimension, floor,
             g1=lambda rho: math.log(math.log1p(rho)),
@@ -715,8 +709,7 @@ class NoiseModel:
             if u.shape != (self.dim,):
                 raise ContractViolation(f"rademacher direction must have p = {self.dim} "
                                         f"entries, got {u.size}")
-            if not np.all(np.isfinite(u)):
-                raise ContractViolation("rademacher direction must be finite")
+            check_finite(direction=u.tolist())
             nu = float(np.linalg.norm(u))
             if not 1e-150 <= nu < math.inf and np.any(u):
                 # the squared norm overflowed, or underflowed to 0 or to a

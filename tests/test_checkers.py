@@ -3,6 +3,7 @@ from an independent brute-force oracle that the test re-runs."""
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -302,7 +303,7 @@ def test_gradbound_understated_constant_fails():
 def test_gradbound_refuses_a_nonpositive_constant(L, alpha):
     # L = -100 at alpha 0.5 passed; L = -2 at alpha 0.7 made the bound complex
     obj = catalog_lookup("quadratic")
-    with pytest.raises(ContractViolation, match=r"^L must be > 0$"):
+    with pytest.raises(ContractViolation, match=rf"^L must be finite and > 0, got {L!r}$"):
         check_grad_bound(obj, L, alpha, 100, (-10.0, 10.0))
 
 
@@ -757,6 +758,20 @@ def test_nonfinite_checker_constant_is_refused_by_name(checker, parameter, value
     checker(**kwargs)
     with pytest.raises(ContractViolation, match=rf"^{parameter} must be"):
         checker(**{**kwargs, parameter: value})
+
+
+@pytest.mark.parametrize("checker", [
+    checker for checker, (_, parameters) in _CHECKERS.items() if "box" in parameters],
+    ids=lambda checker: checker.__name__)
+@pytest.mark.parametrize("box", [(0.0, 1.0, 5.0), (0.0,), "01"],
+                         ids=["three-entries", "one-entry", "string"])
+def test_a_box_that_is_not_two_numbers_is_refused_by_name(checker, box):
+    # descent over (0.0, 1.0, 5.0) passed on its first two entries, a 1-entry
+    # box raised IndexError, and a string box ran on its characters' values
+    kwargs = _CHECKERS[checker][0]
+    with pytest.raises(ContractViolation, match=r"^box must be two numbers \[lo, hi\] with hi > lo "
+                       rf"and a finite hi - lo, got {re.escape(repr(box))}$"):
+        checker(**{**kwargs, "box": box})
 
 
 @pytest.mark.parametrize("checker", [

@@ -20,6 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -289,11 +290,11 @@ LONG_INT = "1" + "0" * 399  # beyond float64, so math.isfinite would overflow on
     # verdict constants and alphas that make a verdict meaningless: with
     # epsilon_conv -1 and R_div -5 every run read diverging-like, and checks.alpha 7
     # ran descent and gradbound to two fail reports
-    pytest.param("diagnostics.epsilon_conv", "-1", "diagnostics.epsilon_conv must be > 0",
+    pytest.param("diagnostics.epsilon_conv", "-1", "diagnostics.epsilon_conv must be finite and > 0",
                  id="diagnostics.epsilon_conv-negative"),
-    pytest.param("diagnostics.epsilon_conv", "0", "diagnostics.epsilon_conv must be > 0",
+    pytest.param("diagnostics.epsilon_conv", "0", "diagnostics.epsilon_conv must be finite and > 0",
                  id="diagnostics.epsilon_conv-0"),
-    pytest.param("diagnostics.R_div", "-5", "diagnostics.R_div must be > 0",
+    pytest.param("diagnostics.R_div", "-5", "diagnostics.R_div must be finite and > 0",
                  id="diagnostics.R_div-negative"),
     pytest.param("checks.alpha", "7", "checks.alpha must be in (0, 1]", id="checks.alpha-7"),
     pytest.param("checks.alpha", "0", "checks.alpha must be in (0, 1]", id="checks.alpha-0"),
@@ -320,6 +321,50 @@ def test_malformed_config_block_exits_2(tmp_path, capsys, where, literal, messag
     assert len(err.splitlines()) == 1
     with pytest.raises(ConfigError):
         load_config(path)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ({"objective": {"dimension": 1}}, "config needs objective.name"),
+    ({"objective": {"name": "power-q"}}, "invalid objective: q must be finite and > 0, got None"),
+    ({"objective": {"name": "loglog1p-abs", "r0": 0.0}},
+     "invalid objective: r0 must be finite and > 0, got 0.0"),
+    ({"objective": {"name": "exp-abs", "r0": 0.0}},
+     "invalid objective: r0 must be finite and > 0, got 0.0"),
+    ({"schedule": {"family": "diagonal-power", "p": 2, "c": [1.0, 1.0, 1.0]}},
+     "schedule.c and schedule.beta must have length p"),
+    ({"schedule": {"family": "scalar-power", "p": 2, "c": [1.0, 2.0]}},
+     "invalid schedule: scalar-power requires one (c, beta) pair"),
+    ({"noise": {"kind": "rademacher-radial", "direction": [0.0]}},
+     "invalid noise: rademacher direction must be nonzero"),
+], ids=["objective-name", "power-q-without-q", "loglog1p-abs-r0-0", "exp-abs-r0-0",
+        "schedule-length", "scalar-power-two-pairs", "rademacher-zero-direction"])
+def test_each_config_refusal_that_no_other_test_reaches_exits_2(tmp_path, capsys, blocks,
+                                                                 message):
+    cfg = base_config(tmp_path / "out", **blocks)
+    p = cfg["schedule"]["p"]
+    cfg["run"]["theta0"] = [1.0] * p
+    cfg["diagnostics"]["capture"]["theta_bar"] = [0.0] * p
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"sgdlab: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check", "probe-radial", "validate-schedule",
+                                     "stopping-times"])
+def test_radii_below_the_probe_floor_exit_2_for_every_command(tmp_path, capsys, command):
+    # log1p-abs's floor r0 = 1 and r = 0.5 put the ball of radius 1.2 across
+    # the floor: `check` exited 2 only after the checks before radial had
+    # run, and every other command ran
+    cfg = base_config(tmp_path / "out", objective={"name": "log1p-abs"})
+    cfg["diagnostics"].update(r=0.5, radii=[1.2, 10.0, 100.0])
+    cfg["checks"] = small_checks(["p1p2p3p4", "descent", "radial"])
+    with mock.patch.object(cli, "_run_check", wraps=cli._run_check) as check, \
+            mock.patch.object(diagnostics, "run_trajectory", wraps=diagnostics.run_trajectory) as run:
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert check.call_count == run.call_count == 0
+    assert capsys.readouterr().err == ("sgdlab: config error: diagnostics.radii must be strictly "
+                                       "increasing and at least 1.5, got [1.2, 10.0, 100.0]\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -529,9 +574,9 @@ def test_overflow_before_the_window_filled_is_reported_truncated(tmp_path):
 
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
-# Prints the process's OpenBLAS core, and on Haswell the workloads whose
-# exit code or report hashes at their pinned seeds differ from
-# bench/pinned.json, as a JSON list.
+# Prints the process's OpenBLAS core, then the workloads whose exit code or
+# report hashes at their pinned seeds differ from bench/pinned.json, as a
+# JSON list.
 WORKLOADS_ON_THE_CORE = """\
 import ctypes, glob, hashlib, json, os, sys, tempfile
 from pathlib import Path
@@ -542,12 +587,10 @@ try:
     lib, = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
                                   "numpy.libs", "libscipy_openblas*"))
     corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    print(corename().decode())
 except (ValueError, AttributeError):
-    sys.exit(print("no scipy-openblas"))
-corename.argtypes, corename.restype = [], ctypes.c_char_p
-print(corename().decode())
-if corename() != b"Haswell":
-    sys.exit()
+    print("no scipy-openblas")
 bench, differ = Path(sys.argv[1]), []
 with tempfile.TemporaryDirectory() as tmp:
     for name, pin in json.loads((bench / "pinned.json").read_text()).items():
@@ -567,14 +610,32 @@ print(json.dumps(differ))
 """
 
 
+# The pinned bytes were taken with numpy's AVX-512 (X86_V4) kernels, whose
+# float64 power, exp, log and log1p round differently from its AVX2 ones: the
+# step sizes and the rectifier move the three run workloads' reports without
+# them, and check-suite's do not.
+HAS_X86_V4 = __cpu_features__.get("X86_V4", False)
+MOVED_WITHOUT_X86_V4 = {"capture-1d", "dense-checkpoints", "rotated-p4"}
+
+
 def test_on_the_haswell_core_only_the_p4_workload_moves_its_pinned_bytes():
     # the p > 1 gemvs and accept norm round by the BLAS core; a p = 1 report
-    # that came to depend on it would be named here
+    # that came to depend on it would be named here (the child inherits this
+    # process's numpy dispatch, which without X86_V4 moves all three)
     lines = _in_a_fresh_process(WORKLOADS_ON_THE_CORE, str(BENCH_CONFIGS.parent),
                                 env={"OPENBLAS_CORETYPE": "Haswell"})
     if lines[0] != "Haswell":
         pytest.skip(f"OPENBLAS_CORETYPE=Haswell loaded {lines[0]!r}")
-    assert set(json.loads(lines[1])) == {"rotated-p4"}
+    assert set(json.loads(lines[1])) == ({"rotated-p4"} if HAS_X86_V4 else MOVED_WITHOUT_X86_V4)
+
+
+@pytest.mark.skipif(not HAS_X86_V4, reason="numpy's X86_V4 kernels are not enabled here")
+def test_without_numpys_avx512_kernels_exactly_the_three_run_workloads_move_their_bytes():
+    # a workload whose bytes came to depend on numpy's dispatch, or stopped
+    # depending on it, would be named here
+    lines = _in_a_fresh_process(WORKLOADS_ON_THE_CORE, str(BENCH_CONFIGS.parent), env={
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+    assert set(json.loads(lines[1])) == MOVED_WITHOUT_X86_V4
 
 
 @pytest.mark.parametrize("workload,block", [
@@ -713,12 +774,15 @@ def test_output_directory_the_system_cannot_stat_exits_2(tmp_path, capsys, comma
     ("diagnostics.radii", [100.0, 10.0], ["variance", "radial"]),
     ("checks.smoothness.n_draws", 1, ["variance", "smoothness"]),
     ("checks.smoothness.constants", [-1.0, 0.0, 1.0], ["variance", "smoothness"]),
+    # below log1p-abs's r0 + r = 1.5: cli._run_check ran 3 times before the exit
+    ("diagnostics.radii", [1.2, 10.0, 100.0], ["p1p2p3p4", "descent", "radial"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_a_refused_check_constant_exits_2_before_any_check_runs(tmp_path, capsys, key, value,
                                                                 which):
     # each exited 2 only after the checks before it in `which` had run (a
-    # P2 scan at horizon 2e8 for 1.14 s before a lemma4 C of -1)
-    cfg = base_config(tmp_path / "out")
+    # P2 scan at horizon 2e8 for 1.14 s before a lemma4 C of -1); log1p-abs
+    # has a domain floor, which the radii are held above
+    cfg = base_config(tmp_path / "out", objective={"name": "log1p-abs"})
     cfg["checks"] = small_checks(which)
     *path, last = key.split(".")
     block = cfg
@@ -874,8 +938,8 @@ def test_check_box_whose_width_overflows_exits_2(tmp_path, capsys, check, block,
         cfg["noise"]["constants"] = [0.0, 0.0, 1.0]
     assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
-    assert err == (f"sgdlab: config error: checks.{check}.box must have a finite width "
-                   "hi - lo, got [-1e+308, 1e+308]\n")
+    assert err == (f"sgdlab: config error: checks.{check}.box must be two numbers [lo, hi] "
+                   "with hi > lo and a finite hi - lo, got [-1e+308, 1e+308]\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -903,7 +967,7 @@ def test_nonpositive_gradbound_constant_exits_2(tmp_path, capsys, L, alpha):
         warnings.simplefilter("error")
         assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == (
-        f"sgdlab: config error: checks.gradbound.L must be > 0, got {L!r}\n")
+        f"sgdlab: config error: checks.gradbound.L must be finite and > 0, got {L!r}\n")
     assert not (tmp_path / "out").exists()
 
 

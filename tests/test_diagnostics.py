@@ -271,8 +271,8 @@ def test_ensemble_bitwise_determinism():
     (CaptureConfig((0.0, 5.0), 1.0, 0.5), "theta_bar must have p = 1 entries"),
     (CaptureConfig((0.0,), -1.0, 0.5), "R must be finite and >= 0"),
     # a NaN centre ran and reported 0 escapes with G_R and bound_margin_max NaN
-    (CaptureConfig((math.nan,), 1.0, 0.5), "theta_bar entries must be finite"),
-    (CaptureConfig((-math.inf,), 1.0, 0.5), "theta_bar entries must be finite"),
+    (CaptureConfig((math.nan,), 1.0, 0.5), "capture theta_bar must be finite"),
+    (CaptureConfig((-math.inf,), 1.0, 0.5), "capture theta_bar must be finite"),
 ])
 def test_bad_capture_block_fails_before_any_trajectory(monkeypatch, capture, message):
     def no_run(*args, **kwargs):
@@ -296,7 +296,7 @@ def test_bad_verdict_constants_fail_before_any_trajectory(monkeypatch, kwargs):
         raise AssertionError("a trajectory ran")
 
     monkeypatch.setattr(diagnostics, "run_trajectory", no_run)
-    with pytest.raises(ContractViolation, match="epsilon_conv and R_div must be finite"):
+    with pytest.raises(ContractViolation, match="(epsilon_conv|R_div) must be finite and > 0"):
         run_ensemble(quad_spec(theta0=(0.5,), K=50, n=2), **kwargs)
 
 
@@ -480,8 +480,8 @@ def test_envelope_sup_radial_reduction_matches_grid():
     ([0.0], math.nan, "R must be finite and >= 0, got nan"),
     ([1.0, 0.0], math.inf, "R must be finite and >= 0, got inf"),
     ([1.0, 0.0], -math.inf, "R must be finite and >= 0, got -inf"),
-    ([math.nan], 2.0, r"theta_bar entries must be finite, got \[nan\]"),
-    ([1.0, math.inf], 2.0, r"theta_bar entries must be finite, got \[1.0, inf\]"),
+    ([math.nan], 2.0, r"^theta_bar must be finite, got \[nan\]$"),
+    ([1.0, math.inf], 2.0, r"^theta_bar must be finite, got \[1.0, inf\]$"),
 ])
 def test_envelope_sup_refuses_a_ball_that_is_not_finite(theta_bar, R, message):
     # only R < 0 was refused: each of these returned NaN
@@ -743,8 +743,9 @@ def test_classify_dichotomy_refuses_a_window_that_is_not_an_integer():
     (math.nan, 10.0), (-1.0, 10.0), (0.5, math.nan), (0.5, math.inf)])
 def test_classify_dichotomy_refuses_bad_verdict_constants(epsilon_conv, R_div):
     # each returned a verdict, where run_ensemble refuses the same values
-    with pytest.raises(ContractViolation, match=rf"^epsilon_conv and R_div must be finite "
-                       rf"and > 0, got {epsilon_conv!r} and {R_div!r}$"):
+    name, value = ("R_div", R_div) if 0.0 < epsilon_conv < math.inf else ("epsilon_conv",
+                                                                           epsilon_conv)
+    with pytest.raises(ContractViolation, match=rf"^{name} must be finite and > 0, got {value!r}$"):
         classify_dichotomy(synthetic_trajectory(np.ones(20)), 5, epsilon_conv, R_div)
 
 
@@ -776,8 +777,8 @@ def test_envelope_sup_refuses_a_centre_of_another_dimension(p, theta_bar):
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    ({"theta0": (math.nan,)}, "theta0 entries must be finite"),
-    ({"theta0": (math.inf,)}, "theta0 entries must be finite"),
+    ({"theta0": (math.nan,)}, "theta0 must be finite"),
+    ({"theta0": (math.inf,)}, "theta0 must be finite"),
     # a negative seed built, and run_ensemble then died in numpy's SeedSequence
     ({"seed": -1}, "master_seed must be an integer >= 0"),
     ({"seed": 1.5}, "master_seed must be an integer >= 0"),

@@ -1,11 +1,14 @@
-"""errors.numeric_policy at the library boundary: every entry point returns or
-refuses an overflowing input without a numpy warning.
+"""errors.py at the library boundary: every entry point returns or refuses an
+overflowing input without a numpy warning, and the argument rules are raised
+from errors.py alone.
 
 The suite turns every warning into an error (`filterwarnings = error`), so a
 RuntimeWarning that leaks from an entry point fails the call that caused it.
 """
 
+import ast
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ from sgdlab import (
 from sgdlab.checkers import sample_gradient_norms
 from sgdlab.diagnostics import CaptureConfig, EnsembleSpec, envelope_sup_over_ball
 from sgdlab.engine import Trajectory
-from sgdlab.errors import SgdLabError
+from sgdlab.errors import ContractViolation, SgdLabError
 from sgdlab.objectives import NoiseSpec, ObjectiveSpec
 
 # power-q(4)'s gradient 4 x^3 passes the float range near 3.56e102
@@ -163,3 +166,61 @@ def test_np_errstate_is_entered_in_errors_py_alone():
     package = Path(sgdlab.__file__).parent
     assert sorted(path.name for path in package.glob("*.py")
                   if "np.errstate(" in path.read_text(encoding="utf-8")) == ["errors.py"]
+
+
+# The words of each shared argument rule's message, as errors.py raises it;
+# an older wording that a restated copy used ("L_tilde must be > 0") too.
+SHARED_RULES = {
+    "check_int": r"must be an integer >=",
+    "check_alpha": r"must be in \(0, 1\]",
+    "check_finite": r"must be finite(?! and >)",
+    "check_positive": r"must be (finite and )?> 0",
+    "check_box": r"with hi > lo",
+    "check_increasing": r"must be strictly increasing",
+}
+
+
+def _raised_rules(path: Path) -> set[str]:
+    """The shared rules whose words a raise statement of the module spells."""
+    words = [node.value for raise_ in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(raise_, ast.Raise) for node in ast.walk(raise_)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return {rule for rule, pattern in SHARED_RULES.items()
+            if any(re.search(pattern, text) for text in words)}
+
+
+def test_the_shared_argument_rules_are_raised_in_errors_py_alone():
+    # a restated rule fails here by its module's name and the rule's: call
+    # the rule of errors.py instead
+    package = Path(sgdlab.__file__).parent
+    assert _raised_rules(package / "errors.py") == set(SHARED_RULES)
+    assert {(path.name, rule) for path in package.glob("*.py") if path.name != "errors.py"
+            for rule in _raised_rules(path)} == set()
+
+
+LOG1P_1D = EnsembleSpec(ObjectiveSpec("log1p-abs"), NoiseSpec("zero"), Schedule.scalar(1.0, 0.75),
+                        (2.0,), 10, 1, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Schedule("weekly-power", [1.0], [0.75], 1.0, 1),
+     r"^unknown schedule family 'weekly-power'$"),
+    (lambda: Schedule("diagonal-power", [1.0, 1.0], [0.75, 0.75], 1.0, 2, q=np.eye(2)),
+     r"^diagonal-power does not take an orthogonal factor$"),
+    (lambda: NoiseModel("pink", 1), r"^unknown noise kind 'pink'$"),
+    (lambda: catalog_lookup("quadratic", 0), r"^dimension must be an integer >= 1, got 0$"),
+    # log1p-abs's floor is 1: the ball [-0.5, 0.5] lies below it
+    (lambda: envelope_sup_over_ball(LOG1P_1D, (0.0,), 0.5),
+     r"^ball lies entirely inside the forbidden region$"),
+    (lambda: check_descent_inequality(QUADRATIC, 10, 1.0, 1.0, (1.0, 0.0)),
+     r"^box must be two numbers \[lo, hi\] with hi > lo and a finite hi - lo, got \(1.0, 0.0\)$"),
+    (lambda: holder_sup_on_box(QUADRATIC, (0.0, 0.0), 1.0),
+     r"^box must be two numbers \[lo, hi\] with hi > lo and a finite hi - lo, got \(0.0, 0.0\)$"),
+    (lambda: check_descent_inequality(QUADRATIC, 10, 0.0, 1.0, (0.0, 1.0)),
+     r"^L_tilde must be finite and > 0, got 0.0$"),
+], ids=["schedule-family", "schedule-factor", "noise-kind", "catalog-dimension",
+        "envelope-ball-below-floor", "descent-box-hi-below-lo", "holder-box-empty",
+        "descent-L_tilde-0"])
+def test_each_library_refusal_that_no_command_reaches_is_refused_by_name(call, message):
+    with pytest.raises(ContractViolation, match=message):
+        call()

@@ -18,7 +18,8 @@ import numpy as np
 
 from .engine import Schedule, Verdict
 from .errors import (ContractViolation, DomainError, check_alpha, check_box, check_finite,
-                     check_increasing, check_int, check_positive, numeric_policy)
+                     check_increasing, check_int, check_nonnegative, check_positive,
+                     numeric_policy)
 from .objectives import Objective, StochasticOracle, _norms, smoothness_constants
 
 ZERO_CLAMP = 1e-300
@@ -328,11 +329,10 @@ def check_variance_control(norm_samples, alpha: float,
     overflows cannot be compared, so such a chain reads inconclusive, with
     the chain as its witness.
     """
+    check_nonnegative(samples=norm_samples)
     s = np.asarray(norm_samples, dtype=float)
     if s.size == 0:
         raise ContractViolation("sample set must be nonempty")
-    if np.any(s < 0.0) or not np.all(np.isfinite(s)):
-        raise ContractViolation("samples must be finite and >= 0")
     check_alpha("alpha", alpha)
     check_finite(tol=tol)
 

@@ -18,7 +18,8 @@ from functools import partial
 import numpy as np
 
 from .engine import Schedule, Trajectory, record_points, run_trajectory
-from .errors import ContractViolation, check_finite, check_int, check_positive, numeric_policy
+from .errors import (ContractViolation, check_finite, check_int, check_nonnegative, check_positive,
+                     check_window, numeric_policy)
 from .objectives import NoiseSpec, ObjectiveSpec, StochasticOracle, _norms
 
 __all__ = [
@@ -104,8 +105,7 @@ def _check_ball(theta_bar, R, dim: int, prefix: str = "") -> None:
         raise ContractViolation(
             f"{prefix}theta_bar must have p = {dim} entries, got {len(theta_bar)}")
     check_finite(**{f"{prefix}theta_bar": theta_bar})
-    if not 0.0 <= R < np.inf:
-        raise ContractViolation(f"{prefix}R must be finite and >= 0, got {R!r}")
+    check_nonnegative(**{f"{prefix}R": R})
 
 
 @dataclass(frozen=True)
@@ -266,9 +266,7 @@ def default_r_div(theta0) -> float:
 def classify_dichotomy(traj: Trajectory, W: int, epsilon_conv: float,
                        R_div: float) -> DichotomyClassification:
     """Classify a trajectory from its per-step norms over its final W steps."""
-    check_int("W", W, 1)
-    if W > traj.horizon:
-        raise ContractViolation("window W must satisfy 1 <= W <= horizon")
+    check_window(W, traj.horizon)
     check_positive(epsilon_conv=epsilon_conv, R_div=R_div)
     if traj.domain_violation or traj.last_k + 1 < W:
         return DichotomyClassification(
@@ -528,9 +526,7 @@ def run_ensemble(
     # Before any trajectory runs: a bad window, verdict constant or gamma, or
     # a capture block the envelope cannot handle, is a config error that
     # should cost nothing.
-    check_int("W", W, 1)
-    if W > spec.horizon:
-        raise ContractViolation("window W must be <= horizon")
+    check_window(W, spec.horizon)
     check_positive(epsilon_conv=epsilon_conv, R_div=R_div)
     check_int("jobs", jobs, 1)
     _check_gammas(gammas)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import (ContractViolation, check_alpha, check_finite, check_int, check_positive,
                      numeric_policy)
-from .objectives import OVERFLOW_CAP, StochasticOracle, _frozen_copy, _norms, _set_frozen_state
+from .objectives import (OVERFLOW_CAP, STATE_SCALED_KINDS, StochasticOracle, _frozen_copy, _norms,
+                         _set_frozen_state)
 
 # Iterates at or beyond this magnitude are treated as numeric overflow;
 # squared norms then still fit in a float64.
@@ -39,11 +40,12 @@ _CHUNK = 65536
 _FIRST_BLOCK = 64
 _BLOCK = 4096
 
-# Below this dimension the p > 1 step forms its stochastic gradient on Python
-# floats (Objective.grad_plus), from it up with length-p numpy calls: the float
-# form's cost grows with p, the array form's barely.  A rotated rectifier step
-# with state-dependent noise took 6.5 / 6.6 us (float / array) at p = 7,
-# 6.7 / 6.7 at p = 8 and 7.8 / 7.3 at p = 12 on a 2-vCPU host.
+# Below this dimension the p > 1 step of a state-scaled noise kind forms its
+# stochastic gradient on Python floats (Objective.grad_plus), from it up with
+# length-p numpy calls: the float form's cost grows with p, the array form's
+# barely.  A rotated rectifier step with state-dependent noise took 6.5 / 6.6
+# us (float / array) at p = 7, 6.7 / 6.7 at p = 8 and 7.8 / 7.3 at p = 12 on
+# a 2-vCPU host.
 _FLOAT_P = 8
 
 Verdict = Literal["pass", "fail", "inconclusive"]
@@ -52,7 +54,8 @@ POWER_FAMILIES = ("scalar-power", "diagonal-power", "rotated-diagonal-power")
 
 
 def _as_vector(x, dim: int, name: str) -> np.ndarray:
-    """x, or its one value repeated, as a read-only float copy of shape (dim,)."""
+    """x, or its one value repeated, as a read-only finite float copy of shape (dim,)."""
+    check_finite(**{name: x})
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape == (1,) and dim > 1:
         arr = np.full(dim, arr[0])
@@ -104,7 +107,7 @@ class Schedule:
         for name in ("c", "beta"):
             object.__setattr__(self, name, _as_vector(getattr(self, name), self.dim, name))
         check_positive(c=self.c.tolist())
-        check_finite(beta=self.beta.tolist(), k0=self.k0)
+        check_finite(k0=self.k0)
         if np.any(self.beta < 0.0):
             raise ContractViolation("exponents beta must be >= 0")
         if self.k0 < 1.0:
@@ -137,7 +140,7 @@ class Schedule:
 
     @staticmethod
     def scalar(c: float, beta: float, k0: float = 1.0, dim: int = 1) -> "Schedule":
-        return Schedule("scalar-power", np.full(dim, float(c)), np.full(dim, float(beta)), k0, dim)
+        return Schedule("scalar-power", c, beta, k0, dim)
 
     @staticmethod
     def diagonal(c, beta, k0: float = 1.0) -> "Schedule":
@@ -489,16 +492,15 @@ def _vector_block(sample, schedule: Schedule, r0, theta, k, n, w, lists=False):
 def _stepper(objective, noise, schedule: Schedule, K: int) -> partial:
     """The block stepper that run_trajectory drives for K steps of objective:
     the 1-D one on g1, else the p-dimensional one, which samples with the
-    objective's float form grad_plus for 1 < p < _FLOAT_P and with the array
-    form (grad) otherwise, or where the objective has no float form."""
+    objective's float form grad_plus for 1 < p < _FLOAT_P under a
+    state-scaled noise kind, its noise rows as lists, and with the array form
+    (grad) otherwise, or where the objective has no float form."""
     if objective.dim == 1 and objective.g1 is not None:
         return partial(_scalar_block, objective.g1, noise, schedule.bounds(K), objective.r0)
-    floats = 1 < objective.dim < _FLOAT_P and objective.grad_plus is not None
+    floats = (1 < objective.dim < _FLOAT_P and objective.grad_plus is not None
+              and noise.kind in STATE_SCALED_KINDS)
     sample = noise.sampler(objective.grad, objective.grad_plus if floats else None)
-    # the float form reads its noise as list rows, but for additive noise,
-    # which numpy adds (NoiseModel.sampler)
-    lists = floats and noise.kind != "additive-gaussian"
-    return partial(_vector_block, sample, schedule, objective.r0, lists=lists)
+    return partial(_vector_block, sample, schedule, objective.r0, lists=floats)
 
 
 @numeric_policy
@@ -530,7 +532,6 @@ def run_trajectory(
     # a contiguous copy: the first step's norm sqrt(theta.dot(theta)) sums a
     # strided view in another order, and sigma_expr's norm(theta) reads it
     theta0 = _as_vector(theta0, objective.dim, "theta0")
-    check_finite(theta0=theta0)
     objective.check_domain(theta0)
 
     rng = np.random.default_rng(int(seed))

@@ -65,20 +65,45 @@ def check_alpha(name: str, value) -> None:
         raise ContractViolation(f"{name} must be in (0, 1], got {value!r}")
 
 
+def check_window(W, horizon: int) -> None:
+    """A final window of W steps of a run of horizon steps: 1 <= W <= horizon."""
+    check_int("W", W, 1)
+    if W > horizon:
+        raise ContractViolation(f"window W must be <= horizon {horizon}, got {W!r}")
+
+
+def _floats(value) -> np.ndarray:
+    """value as a float array, or NaN where it holds an integer beyond
+    float64 (Python's int, which numpy's conversion refuses with
+    OverflowError): each rule below refuses NaN under its own message."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        return np.array(math.nan)
+
+
 def check_finite(**values) -> None:
     """Each value not None (not given), a number or a point or list of
     numbers, holds no NaN and no infinity."""
     for name, value in values.items():
-        if value is not None and not np.isfinite(value).all():
+        if value is not None and not np.isfinite(_floats(value)).all():
             raise ContractViolation(f"{name} must be finite, got {value!r}")
 
 
 def check_positive(**values) -> None:
     """Each value, a number or an array of numbers, is finite and > 0."""
     for name, value in values.items():
-        v = np.asarray(value, dtype=float)  # None is NaN: refused
+        v = _floats(value)  # None is NaN: refused
         if not ((0.0 < v) & (v < math.inf)).all():
             raise ContractViolation(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_nonnegative(**values) -> None:
+    """Each value, a number or an array of numbers, is finite and >= 0."""
+    for name, value in values.items():
+        v = _floats(value)
+        if not ((0.0 <= v) & (v < math.inf)).all():
+            raise ContractViolation(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def check_box(name: str, box) -> tuple[float, float]:
@@ -86,7 +111,7 @@ def check_box(name: str, box) -> tuple[float, float]:
     finite width hi - lo (so lo and hi are finite too)."""
     pair = tuple(box) if isinstance(box, (tuple, list, np.ndarray)) else ()
     if len(pair) == 2 and all(isinstance(v, numbers.Real) for v in pair):
-        lo, hi = float(pair[0]), float(pair[1])
+        lo, hi = float(_floats(pair[0])), float(_floats(pair[1]))
         if hi > lo and math.isfinite(hi - lo):
             return lo, hi
     raise ContractViolation(

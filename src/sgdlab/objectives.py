@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ContractViolation, DomainError, UnknownObjectiveError, check_finite,
-                     check_int, check_positive, numeric_policy)
+                     check_int, check_nonnegative, check_positive, numeric_policy)
 
 # Values are capped here instead of overflowing to inf; the trajectory runner
 # treats any F at or above the cap as overflow.
@@ -84,26 +84,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, np.sign(x)) / (_ONE + e)
 
 
-# From this p up, sigmoid's array calls cost less than _sigmoid_plus's list
-# without a noise term: at p = 6 the list made rectifier steps with zero and
-# additive noise 3-5% slower (in-process A/B, least per-step CPU time).
-_SIGMOID_LIST_P = 5
-
-
-def _sigmoid_plus(theta: np.ndarray, nrm: float, s: float, v: list | None) -> np.ndarray:
-    """sigmoid(theta) + s * v, or sigmoid(theta) for v None, on Python floats
-    (sigmoid itself for v None from p = _SIGMOID_LIST_P).
+def _sigmoid_plus(theta: np.ndarray, nrm: float, s: float, v: list) -> np.ndarray:
+    """sigmoid(theta) + s * v on Python floats.
 
     e is sigmoid's own np.exp(np.minimum(x, -x)), and its numerator
     max(e, sign(x)) is 1.0 for x > 0 and e otherwise (1 at +-0, e below 0,
     e's NaN for a NaN), so each coordinate has sigmoid's bits.
     """
-    if v is None and theta.shape[0] >= _SIGMOID_LIST_P:
-        return sigmoid(theta)
     e = np.exp(np.minimum(theta, -theta)).tolist()
-    if v is None:
-        return np.array([(1.0 if t > 0 else ei) / (1.0 + ei)
-                         for t, ei in zip(theta.tolist(), e)])
     return np.array([(1.0 if t > 0 else ei) / (1.0 + ei) + s * vi
                      for t, ei, vi in zip(theta.tolist(), e, v)])
 
@@ -125,13 +113,12 @@ class Objective:
     ``grad_plus(theta, nrm, s, v)`` is the affine float form of the
     stochastic gradient, ``grad(theta) + s * v`` at one contiguous point
     given its norm ``nrm = math.sqrt(theta.dot(theta))``, with ``v`` a list
-    of p floats or None (no noise term, ``grad(theta)``).  It computes each
-    coordinate on Python floats with the operations ``grad`` does
-    elementwise, in the same order, so its array has ``grad``'s bits.  Every
-    catalog objective but the quadratic has one (its ``grad`` is one copy,
-    and a list of its noisy gradient costs more than numpy's two or three
-    calls from p = 6 up), and an objective without it (None) is sampled
-    through ``grad`` alone (see ``NoiseModel.sampler``).
+    of p floats.  It computes each coordinate on Python floats with the
+    operations ``grad`` does elementwise, in the same order, so its array
+    has ``grad``'s bits.  Every catalog objective but the quadratic has one
+    (its ``grad`` is one copy, and a list of its noisy gradient costs more
+    than numpy's two or three calls from p = 6 up), and an objective without
+    it (None) is sampled through ``grad`` alone (see ``NoiseModel.sampler``).
     """
 
     id: str
@@ -199,8 +186,7 @@ def _scaled_plus(c: float, theta: np.ndarray, s: float, v: list) -> np.ndarray:
     """c * theta + s * v as one list of Python floats made into a float64
     array: numpy's elementwise c * theta, then its + s * w, each correctly
     rounded, in one pass over the coordinates.  The float form of a gradient
-    c * theta (gauss-bump, the radial objectives); with no noise term their
-    array c * theta is cheaper than a list."""
+    c * theta (gauss-bump, the radial objectives)."""
     return np.array([c * t + s * vi for t, vi in zip(theta.tolist(), v)])
 
 
@@ -290,8 +276,7 @@ def _make_gauss_bump(dim: int) -> Objective:
         return -2.0 * math.exp(-theta.dot(theta)) * np.asarray(theta, dtype=float)
 
     def grad_plus(theta, nrm, s, v):
-        c = -2.0 * math.exp(-theta.dot(theta))
-        return c * theta if v is None else _scaled_plus(c, theta, s, v)
+        return _scaled_plus(-2.0 * math.exp(-theta.dot(theta)), theta, s, v)
 
     def value_batch(thetas):
         rho = _norms(thetas)
@@ -348,8 +333,8 @@ def _make_radial(
         return (gp1(rho) / rho) * np.asarray(theta, dtype=float)
 
     def grad_plus(theta, nrm, s, v):
-        c = gp1(nrm) / nrm  # grad's factor: nrm is its rho, the same sqrt of the same dot
-        return c * theta if v is None else _scaled_plus(c, theta, s, v)
+        # grad's factor: nrm is its rho, the same sqrt of the same dot
+        return _scaled_plus(gp1(nrm) / nrm, theta, s, v)
 
     def value_batch(thetas):
         return g_vec(_norms(thetas))
@@ -487,6 +472,11 @@ class ObjectiveSpec:
 
 NOISE_KINDS = ("zero", "additive-gaussian", "rademacher-radial", "additive-gaussian-statedep")
 
+# The kinds whose noise term scales with theta: the p > 1 steps sample them
+# with an objective's float form (Objective.grad_plus), 1.05-1.35x faster
+# than the array form; zero and additive noise step the array form.
+STATE_SCALED_KINDS = ("rademacher-radial", "additive-gaussian-statedep")
+
 
 def smoothness_constants(constants, name: str) -> tuple[float, float, float]:
     """constants as a tuple, refused under name unless they are three finite
@@ -500,17 +490,6 @@ def smoothness_constants(constants, name: str) -> tuple[float, float, float]:
             f"{name} must be three finite numbers (C1, C2, C3) with "
             f"C1 >= 0, C2 >= 0 and C3 >= 1, got {constants!r}")
     return c
-
-
-def _sigma_norm(x, *args, **kwargs):
-    """np.linalg.norm in fewer calls: for a contiguous 1-D float64 x alone,
-    numpy's own sqrt(x.dot(x)), as a numpy float64 so the expression's
-    arithmetic on it (1/0, overflow) stays numpy's.  A strided x would be
-    summed in another order, so it goes to np.linalg.norm like any other."""
-    if (not args and not kwargs and type(x) is np.ndarray and x.ndim == 1
-            and x.dtype == _F64 and x.flags.c_contiguous):
-        return np.float64(math.sqrt(x.dot(x)))
-    return np.linalg.norm(x, *args, **kwargs)
 
 
 def _code_names(code: CodeType):
@@ -587,11 +566,10 @@ def sigma(nrm, theta):
 
 # Cached without a bound: a NoiseModel compiles its expression once, at
 # construction, and looks its forms up here wherever it uses them, so a
-# process never compiles one expression twice; the three forms are pure
+# process never compiles one expression twice; the two forms are pure
 # functions of expr.
 @functools.cache
-def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., float],
-                                             Callable[..., np.ndarray]]:
+def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., float]]:
     """Compile a sigma(theta) expression over a tiny whitelisted namespace.
 
     Available names: theta (array), norm, abs, exp, log, log1p, sqrt, pi, e;
@@ -599,17 +577,15 @@ def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., 
     Once its names are checked, the expression is compiled again as the
     body of a lambda of (nrm, theta), cheaper to call than eval, in which
     each norm(theta) reads nrm: the norm that every caller passes, the
-    step's sqrt(theta.dot(theta)) or sigma_at's _sigma_norm(theta).  An
+    step's sqrt(theta.dot(theta)) or sigma_at's np.linalg.norm(theta).  An
     expression that binds a name (a lambda, a comprehension, :=) is compiled
-    as it is, every norm going to _sigma_norm.
+    as it is, every norm going to np.linalg.norm.
 
-    Returns (fn, of_norm, of_norms).  fn(nrm, theta) is the numpy evaluator
-    at one point or a 1-D float, which it wraps; of_norms(nrms, thetas) is
-    sigma of each row.  For an expression in the exact grammar (_exact),
-    which reads no theta, of_norm evaluates it on Python floats and of_norms
-    runs fn's lambda on the norm array, each passing a case that raises or
-    leaves [0, inf) back to fn, so both have fn's bits or raise its error;
-    for any other expression of_norm is fn and of_norms calls it per row.
+    Returns (fn, of_norm).  fn(nrm, theta) is the numpy evaluator at one
+    point or a 1-D float, which it wraps.  For an expression in the exact
+    grammar (_exact), which reads no theta, of_norm evaluates it on Python
+    floats, passing a case that raises or leaves [0, inf) back to fn, so it
+    has fn's bits or raises its error; for any other expression of_norm is fn.
     """
     try:
         tree = ast.parse(expr, "<sigma-expr>", "eval")
@@ -617,7 +593,7 @@ def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., 
     except (SyntaxError, ValueError) as exc:
         raise ContractViolation(f"sigma expression {expr!r} does not parse: {exc}") from exc
     base = {
-        "norm": _sigma_norm,
+        "norm": np.linalg.norm,
         "abs": np.abs,
         "exp": np.exp,
         "log": np.log,
@@ -646,26 +622,13 @@ def _compile_sigma_expr(expr: str) -> tuple[Callable[..., float], Callable[..., 
                 "sigma must be finite and >= 0")
         return sigma
 
-    def rows(nrms, thetas):
-        return np.array([fn(nrm, theta) for nrm, theta in zip(nrms, thetas)])
-
     if not (_exact(tree.body) and _reads_nrm(tree.body)):
-        return fn, fn, rows
+        return fn, fn
     # the float form's abs and exception types are the builtins: the exact
     # grammar lets the expression itself read no name but nrm, pi, e, abs, sqrt
     scope = {"pi": math.pi, "e": math.e, "sqrt": math.sqrt, "inf": math.inf, "fn": fn}
     exec(compile(_FLOAT_FORM.format(ast.unparse(tree.body)), "<sigma-expr>", "exec"), scope)
-
-    def of_norms(nrms, thetas):
-        try:
-            sigma = sigma_of(nrms, None)
-            if ((0.0 <= sigma) & (sigma < math.inf)).all():
-                return sigma
-        except (ZeroDivisionError, ValueError, OverflowError):
-            pass
-        return rows(nrms, thetas)
-
-    return fn, scope["sigma"], of_norms
+    return fn, scope["sigma"]
 
 
 @dataclass(frozen=True)
@@ -697,8 +660,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ContractViolation(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ContractViolation(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        check_nonnegative(sigma=self.sigma)
         if self.dim * (self.sigma * self.sigma) == math.inf:
             # Python's sigma ** 2 raises OverflowError here (sigma above about 1.34e154)
             raise ContractViolation(
@@ -745,7 +707,7 @@ class NoiseModel:
             return self.sigma
         if self.kind == "additive-gaussian-statedep":
             theta = np.asarray(theta, dtype=float)
-            return self.sigma_of_norm(float(_sigma_norm(theta)), theta)
+            return self.sigma_of_norm(float(np.linalg.norm(theta)), theta)
         return 0.0
 
     @numeric_policy
@@ -781,11 +743,12 @@ class NoiseModel:
             return g2 + self.dim * self.sigma ** 2
         if self.kind == "rademacher-radial":
             return g2 + np.einsum("ij,ij->i", thetas, thetas)
-        # contiguous rows: each row norm then has the bits of _sigma_norm's;
-        # a norm that overflows reaches sigma as inf, as in _sigma_norm
+        # contiguous rows: each row norm then has the bits of np.linalg.norm's;
+        # a norm that overflows reaches sigma as inf, as in np.linalg.norm
         thetas = np.ascontiguousarray(thetas)
-        nrms = np.sqrt(np.vecdot(thetas, thetas))
-        sig = _compile_sigma_expr(self.sigma_expr)[2](nrms, thetas)
+        sigma = self.sigma_of_norm
+        sig = np.array([sigma(nrm, theta) for nrm, theta
+                        in zip(np.sqrt(np.vecdot(thetas, thetas)).tolist(), thetas)])
         return g2 + self.dim * sig ** 2
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray | None:
@@ -810,23 +773,17 @@ class NoiseModel:
         Two forms, with the same bits.  Given only grad (the array form), w
         is one step's row of draw or a whole block (one sample per row):
         the expected-smoothness checker samples blocks, and the engine
-        steps this form at p >= engine._FLOAT_P or for an objective without
-        grad_plus.  Given an objective's grad_plus (the float form, which
-        the engine steps for 1 < p < _FLOAT_P), w is one step's row, and
+        steps this form at p >= engine._FLOAT_P, for an objective without
+        grad_plus, and for the kinds outside STATE_SCALED_KINDS, zero and
+        additive noise, whatever is given.  Given an objective's grad_plus
+        under a state-scaled kind (the float form, which the engine steps
+        for 1 < p < _FLOAT_P), w is one step's row, a list of floats, and
         the noise term goes to grad_plus as (s, v): (nrm * w[0], u) for
         rademacher-radial (numpy's (nrm * w) * u) and (sigma(theta), w) for
-        the state-dependent kind, with sigma read before the gradient and w
-        a list of floats.  Zero noise passes no term, and additive-gaussian
-        adds its row, an array, to that gradient with numpy, as the array
-        form does (the noise in the list cost gauss-bump, whose array
-        gradient is two calls, 6-26% per step at p = 2-6).  The kind is
-        chosen here, once, so a step loop carries no kind test.
+        the state-dependent kind, with sigma read before the gradient.  The
+        kind is chosen here, once, so a step loop carries no kind test.
         """
-        if grad_plus is not None:
-            if self.kind == "zero":
-                return lambda theta, nrm, w: grad_plus(theta, nrm, 0.0, None)
-            if self.kind == "additive-gaussian":
-                return lambda theta, nrm, w: grad_plus(theta, nrm, 0.0, None) + w
+        if grad_plus is not None and self.kind in STATE_SCALED_KINDS:
             if self.kind == "rademacher-radial":
                 u = self.direction.tolist()
                 return lambda theta, nrm, w: grad_plus(theta, nrm, nrm * w[0], u)

@@ -739,6 +739,14 @@ def test_classify_dichotomy_refuses_a_window_that_is_not_an_integer():
         classify_dichotomy(synthetic_trajectory(np.ones(20)), 2.5, 0.5, 10.0)
 
 
+def test_a_window_past_the_horizon_is_refused_with_the_horizon_by_both_entry_points():
+    # each wrote the rule itself, and neither message named the horizon
+    with pytest.raises(ContractViolation, match=r"^window W must be <= horizon 19, got 20$"):
+        classify_dichotomy(synthetic_trajectory(np.ones(20)), 20, 0.5, 10.0)
+    with pytest.raises(ContractViolation, match=r"^window W must be <= horizon 50, got 51$"):
+        run_ensemble(quad_spec(K=50, n=2), W=51)
+
+
 @pytest.mark.parametrize("epsilon_conv,R_div", [
     (math.nan, 10.0), (-1.0, 10.0), (0.5, math.nan), (0.5, math.inf)])
 def test_classify_dichotomy_refuses_bad_verdict_constants(epsilon_conv, R_div):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgdlab import engine, objectives
+from sgdlab import engine
 from sgdlab.diagnostics import split_seed
 from sgdlab.engine import (
     _FLOAT_P,
@@ -772,42 +772,33 @@ def _spied(obj):
 
 
 @pytest.mark.parametrize("make, p, form", [
-    (lambda p: catalog_lookup("smooth-rectifier", p), objectives._SIGMOID_LIST_P - 1,
-     "grad_plus"),
-    (lambda p: catalog_lookup("smooth-rectifier", p), objectives._SIGMOID_LIST_P,
-     "grad_plus"),
     (lambda p: catalog_lookup("smooth-rectifier", p), _FLOAT_P - 1, "grad_plus"),
     (lambda p: catalog_lookup("smooth-rectifier", p), _FLOAT_P, "grad"),
+    (lambda p: catalog_lookup("gauss-bump", p), 2, "grad_plus"),
+    (lambda p: catalog_lookup("gauss-bump", p), _FLOAT_P - 1, "grad_plus"),
+    (lambda p: catalog_lookup("log1p-abs", p), 2, "grad_plus"),
+    (lambda p: catalog_lookup("log1p-abs", p), _FLOAT_P - 1, "grad_plus"),
     (lambda p: dataclasses.replace(catalog_lookup("power-q", p, q=1.5), grad_plus=None),
      3, "grad"),
     (lambda p: catalog_lookup("quadratic", p), 3, "grad"),
-], ids=["float-form-below-the-sigmoid-crossover", "float-form-at-the-sigmoid-crossover",
-        "float-form-below-crossover", "array-form-at-crossover", "no-float-form",
-        "quadratic"])
+], ids=["float-form-below-crossover", "array-form-at-crossover", "gauss-bump-float-form-at-p2",
+        "gauss-bump-float-form-below-crossover", "radial-float-form-at-p2",
+        "radial-float-form-below-crossover", "no-float-form", "quadratic"])
 @pytest.mark.parametrize("kind", ["zero", "additive-gaussian", "rademacher-radial",
                                   "additive-gaussian-statedep"])
-def test_each_step_samples_with_the_form_of_its_dimension(monkeypatch, make, p, form, kind):
+def test_each_step_samples_with_the_form_of_its_dimension(make, p, form, kind):
+    # the float form serves the state-scaled kinds alone: zero and additive
+    # noise step the array form at every p
     K = 50
     noise = NoiseModel(kind, p, sigma=0.1, sigma_expr="0.1*(1+norm(theta))")
     obj, calls = _spied(make(p))
-    sigmoid = objectives.sigmoid  # the rectifier's float form hands back to it
-
-    def counted(x):
-        if np.ndim(x) == 1:  # a point, not the records' grad_batch
-            calls["sigmoid"] = calls.get("sigmoid", 0) + 1
-        return sigmoid(x)
-
-    monkeypatch.setattr(objectives, "sigmoid", counted)
     sched = Schedule.rotated(np.full(p, 0.05), np.full(p, 0.7))
     theta0 = np.linspace(1.0, 2.0, p)
     traj = run_trajectory(StochasticOracle(obj, noise), sched, theta0, K, seed=4)
     assert traj.last_k == K
-    want = {"grad": 0, "grad_plus": 0, form: K}
-    # without a noise term the rectifier's float form is sigmoid from p = 5
-    if (form == "grad_plus" and obj.id == "smooth-rectifier"
-            and kind in ("zero", "additive-gaussian") and p >= objectives._SIGMOID_LIST_P):
-        want["sigmoid"] = K
-    assert calls == want
+    if kind not in ("rademacher-radial", "additive-gaussian-statedep"):
+        form = "grad"
+    assert calls == {"grad": 0, "grad_plus": 0, form: K}
     # and the array form alone runs the same bytes
     plain = run_trajectory(StochasticOracle(dataclasses.replace(obj, grad_plus=None), noise),
                            sched, theta0, K, seed=4)

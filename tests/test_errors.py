@@ -177,6 +177,8 @@ SHARED_RULES = {
     "check_positive": r"must be (finite and )?> 0",
     "check_box": r"with hi > lo",
     "check_increasing": r"must be strictly increasing",
+    "check_nonnegative": r"must be finite and >= 0, got",
+    "check_window": r"must be <= horizon",
 }
 
 
@@ -223,4 +225,31 @@ LOG1P_1D = EnsembleSpec(ObjectiveSpec("log1p-abs"), NoiseSpec("zero"), Schedule.
         "descent-L_tilde-0"])
 def test_each_library_refusal_that_no_command_reaches_is_refused_by_name(call, message):
     with pytest.raises(ContractViolation, match=message):
+        call()
+
+
+# An integer beyond float64 (10**400): numpy's float conversion raises
+# OverflowError, which each rule reads as NaN and refuses by its name.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: holder_sup_on_box(QUADRATIC, (0, HUGE), 1.0), "box"),
+    (lambda: check_descent_inequality(QUADRATIC, 10, HUGE, 1.0, (0, 1)), "L_tilde"),
+    (lambda: check_grad_bound(QUADRATIC, HUGE, 1.0, 10, (0, 1)), "L"),
+    (lambda: find_eigenvalue_threshold(Schedule.scalar(1.0, 0.75), HUGE, 1.0, 10), "C"),
+    (lambda: check_variance_control([1.0, HUGE], 1.0), "samples"),
+    (lambda: Schedule("scalar-power", [1.0], [0.75], HUGE, 1), "k0"),
+    (lambda: Schedule.scalar(HUGE, 0.75), "c"),
+    (lambda: catalog_lookup("power-q", q=HUGE), "q"),
+    (lambda: classify_dichotomy(_diverging_run(), 5, HUGE, 1.0), "epsilon_conv"),
+    (lambda: run_trajectory(StochasticOracle(QUADRATIC, NoiseModel("zero", 1)),
+                            Schedule.scalar(1.0, 0.75), [HUGE], 10, 1), "theta0"),
+    (lambda: NoiseModel("additive-gaussian", 1, sigma=HUGE), "sigma"),
+    (lambda: CaptureConfig((0.0,), HUGE, 0.1).check(1), "capture R"),
+], ids=["holder-box", "descent-L_tilde", "grad-bound-L", "threshold-C", "variance-samples",
+        "schedule-k0", "scalar-schedule-c", "catalog-q", "dichotomy-epsilon", "theta0",
+        "noise-sigma", "capture-R"])
+def test_an_integer_beyond_float64_is_refused_by_name(call, name):
+    with pytest.raises(ContractViolation, match=rf"^{name} must be "):
         call()

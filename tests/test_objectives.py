@@ -28,7 +28,6 @@ from sgdlab.objectives import (
     NoiseSpec,
     StochasticOracle,
     _compile_sigma_expr,
-    _sigma_norm,
     catalog_lookup,
     sigmoid,
     softplus,
@@ -228,7 +227,9 @@ def test_sigmoid_bit_equal_to_where_form_on_stacks_and_points():
         assert sigmoid(np.array([v])).tobytes() == _where_sigmoid(np.array([v])).tobytes()
 
 
-def test_sigma_norm_is_numpy_norm_for_1d_floats():
+def test_the_step_norm_has_the_bits_of_numpy_norm_for_1d_floats():
+    # a step passes sigma math.sqrt(theta.dot(theta)) for its norm(theta);
+    # sigma_at and a norm(theta) that is not rewritten read np.linalg.norm
     rng = np.random.default_rng(5)
     points = [rng.standard_normal(p) * 10.0 ** rng.uniform(-150.0, 150.0)
               for p in (1, 2, 3, 4, 5, 8, 17, 33, 100) for _ in range(200)]
@@ -236,30 +237,10 @@ def test_sigma_norm_is_numpy_norm_for_1d_floats():
                np.array([np.inf, 1.0]), np.array([np.nan, 1.0]), np.array([-0.0])]
     with np.errstate(over="ignore"):
         for theta in points:
-            got, want = _sigma_norm(theta), np.linalg.norm(theta)
-            assert type(got) is type(want) is np.float64
-            assert got.tobytes() == want.tobytes(), theta
-        assert _sigma_norm(np.full(4, 1e200)) == np.inf
-
-
-_THETA = np.array([3.0, -4.0, 1e-3, 12.5])
-
-
-@pytest.mark.parametrize("arg,args,kwargs", [
-    (_THETA, (1,), {}), (_THETA, (), {"ord": 1}), (_THETA, (), {"ord": np.inf}),
-    (_THETA, (2,), {}), (_THETA, (), {"keepdims": True}),
-    (np.array([3, -4, 12]), (), {}),                        # integers
-    (np.array([3.0, -4.0], dtype=np.float32), (), {}),      # another float type
-    (np.array([[3.0, -4.0], [1.0, 2.0]]), (), {}),          # 2-D
-    # strided; sqrt(x.dot(x)) has other bits than np.linalg.norm on this one
-    (np.random.default_rng(4).standard_normal(300)[::3], (), {}),
-    ((np.arange(40.0) * 1.1)[::-1], (), {}),                # reversed
-    ([3.0, -4.0], (), {}),                                  # a list
-])
-def test_sigma_norm_falls_back_to_numpy_for_other_calls(arg, args, kwargs):
-    got, want = _sigma_norm(arg, *args, **kwargs), np.linalg.norm(arg, *args, **kwargs)
-    assert type(got) is type(want) and np.shape(got) == np.shape(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            want = np.linalg.norm(theta)
+            assert type(want) is np.float64
+            assert np.float64(math.sqrt(theta.dot(theta))).tobytes() == want.tobytes(), theta
+        assert np.linalg.norm(np.full(4, 1e200)) == np.inf
 
 
 # sigma expressions with a norm(theta) that reads the step's norm, and with
@@ -341,7 +322,7 @@ def test_sigma_expression_compiles_to_the_same_floats():
 
 
 # ---------------------------------------------------------------------------
-# the exact grammar of sigma_expr: float and array forms with fn's bits
+# the exact grammar of sigma_expr: the float form and envelope_batch with fn's bits
 # ---------------------------------------------------------------------------
 
 # literals that round, overflow or underflow at the norms below, an int that
@@ -404,27 +385,25 @@ def _check_forms(noise, thetas):
             got = _outcome(lambda: path[0]) if path else (
                 type(raised[0]).__name__, str(raised[0]))
             one = np.array([x])
-            assert got == _outcome(lambda: x - 1.0 * (-0.0 + fn(_sigma_norm(one), one) * 1.0)), (
-                expr, x)
+            assert got == _outcome(
+                lambda: x - 1.0 * (-0.0 + fn(np.linalg.norm(one), one) * 1.0)), (expr, x)
         seen.add((_on_floats(noise), p == 1, isinstance(want, tuple)))
     return seen
 
 
 def _check_rows(noise, thetas):
-    """Assert that the array form on envelope_batch's norms, and envelope_batch,
-    have the bits of sigma_at row by row, or raise its first error."""
+    """Assert that envelope_batch has the bits of sigma_at row by row, or
+    raises its first error."""
     wants = [_outcome(noise.sigma_at, theta) for theta in thetas]
-    of_norms = _compile_sigma_expr(noise.sigma_expr)[2]
-    got = _outcome(lambda: of_norms(np.sqrt(np.vecdot(thetas, thetas)), thetas).tobytes().hex())
+    obj = catalog_lookup("quadratic", noise.dim)
+    got = _outcome(lambda: noise.envelope_batch(obj, thetas).tobytes().hex())
     errors = [want for want in wants if isinstance(want, tuple)]
     if errors:
         assert got == errors[0], noise.sigma_expr
         return
-    assert got == np.array([float.fromhex(want) for want in wants]).tobytes().hex()
-    obj = catalog_lookup("quadratic", noise.dim)
     old = obj.grad_norm_batch(thetas) ** 2 + noise.dim * np.array(
-        [noise.sigma_at(t) for t in thetas]) ** 2
-    assert noise.envelope_batch(obj, thetas).tobytes() == old.tobytes(), noise.sigma_expr
+        [float.fromhex(want) for want in wants]) ** 2
+    assert got == old.tobytes().hex(), noise.sigma_expr
 
 
 def test_float_and_array_forms_of_sigma_have_the_bits_of_fn():
@@ -465,8 +444,9 @@ def test_expression_outside_the_exact_grammar_keeps_the_numpy_form(expr):
     theta = np.array([3.0, -4.0])
     want = float.hex(noise.sigma_at(theta))
     assert float.hex(noise.sigma_of_norm(5.0, theta)) == want
-    assert _compile_sigma_expr(noise.sigma_expr)[2](np.array([5.0]), theta[None]).tobytes() == (
-        np.array([noise.sigma_at(theta)]).tobytes())
+    obj = catalog_lookup("quadratic", 2)
+    assert noise.envelope_batch(obj, theta[None]).tobytes() == (
+        obj.grad_norm_batch(theta[None]) ** 2 + 2 * noise.sigma_at(theta) ** 2).tobytes()
 
 
 def test_exp_abs_value_is_capped():
@@ -597,10 +577,10 @@ def test_float_form_of_the_sampler_has_the_bits_of_the_array_form():
                 # any float, not a draw's: the sign of a rademacher draw, 1 or
                 # -1, multiplies exactly, so only other values tell the orders apart
                 w = rng.standard_normal(w.shape)
-            # the float form's row as the engine gives it: a list, or the
-            # array row that additive noise adds in numpy
-            row = None if w is None else w[0] if noise.kind == "additive-gaussian" else (
-                w.tolist()[0])
+            # the row as the engine gives it: a list to the float form of a
+            # state-scaled kind, else the array form's row
+            row = w.tolist()[0] if noise.kind in objectives.STATE_SCALED_KINDS else (
+                None if w is None else w[0])
             with np.errstate(all="ignore"):  # numpy's sigma warns where it gives NaN
                 want = _sample_outcome(noise.sampler(obj.grad), theta, nrm,
                                        None if w is None else w[0])

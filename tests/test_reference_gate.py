@@ -60,7 +60,6 @@ from sgdlab.objectives import (
     NoiseSpec,
     ObjectiveSpec,
     StochasticOracle,
-    _sigma_norm,
     catalog_lookup,
 )
 
@@ -203,9 +202,9 @@ def _spied_sigma_forms(reached):
     compile_forms = objectives._compile_sigma_expr.__wrapped__
 
     def spied(expr):
-        fn, of_norm, of_norms = compile_forms(expr)
+        fn, of_norm = compile_forms(expr)
         if of_norm.__name__ != "sigma":  # outside the exact grammar: fn alone
-            return fn, of_norm, of_norms
+            return fn, of_norm
         scope = of_norm.__globals__  # the float form reads fn from it per call
 
         def passed_back(nrm, theta):
@@ -217,7 +216,7 @@ def _spied_sigma_forms(reached):
             return of_norm(nrm, theta)
 
         scope["fn"] = passed_back
-        return fn, float_form, of_norms
+        return fn, float_form
 
     return mock.patch.object(objectives, "_compile_sigma_expr", spied)
 
@@ -1114,14 +1113,14 @@ _NORM_FLOATS = [0.0, -0.0, SUBNORMAL, -SUBNORMAL, 1e-160, -1e-160,
 
 def test_the_1d_norm_has_the_bits_of_the_norm_of_a_one_element_array():
     # the 1-D statedep step passes sigma the norm sqrt(v * v); the reference
-    # and every other caller take _sigma_norm(np.array([v])), sqrt(a.dot(a))
+    # and every other caller take np.linalg.norm(np.array([v])), sqrt(a.dot(a))
     bits = np.random.default_rng(11).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
     # Python floats, as the step reads them from its buffers
     values = [*map(float, _NORM_FLOATS), float(NAN_PAYLOAD), *bits.view(np.float64).tolist()]
     assert len(values) == 200_015 and math.sqrt(1e-160 * 1e-160) != 1e-160
     with np.errstate(over="ignore", invalid="ignore"):
         mismatched = [v for v in values if np.float64(math.sqrt(v * v)).tobytes()
-                      != _sigma_norm(np.array([v])).tobytes()]
+                      != np.linalg.norm(np.array([v])).tobytes()]
     assert mismatched == []
 
 

@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .engine import Schedule, Verdict
-from .errors import (ContractViolation, DomainError, check_alpha, check_box, check_finite,
-                     check_increasing, check_int, check_nonnegative, check_positive,
-                     numeric_policy)
+from .errors import (ContractViolation, DomainError, check_alpha, check_box, check_dim,
+                     check_finite, check_increasing, check_int, check_nonnegative,
+                     check_positive, numeric_policy)
 from .objectives import Objective, StochasticOracle, _norms, smoothness_constants
 
 ZERO_CLAMP = 1e-300
@@ -166,6 +166,7 @@ def estimate_local_holder(
     (_ball_points).
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    check_dim("phi", phi, obj.dim)
     check_finite(phi=phi.tolist())
     check_positive(r=r)
     check_alpha("alpha", alpha)
@@ -447,6 +448,7 @@ def sample_gradient_norms(oracle: StochasticOracle, theta, rng: np.random.Genera
     """n draws of ||sample|| at theta (input for the variance-control check)."""
     check_int("n", n, 1)
     theta = np.ascontiguousarray(theta, dtype=float)  # at least 1-D
+    check_dim("theta", theta, oracle.objective.dim)
     oracle.objective.check_domain(theta)
     return np.sqrt(_sample_sq_norms(oracle, theta, rng, n))
 

@@ -19,8 +19,8 @@ import numpy as np
 from .checkers import grad_bound_scale
 from .diagnostics import CaptureConfig, EnsembleSpec
 from .engine import POWER_FAMILIES, Schedule
-from .errors import (ConfigError, ContractViolation, check_alpha, check_box, check_finite,
-                     check_increasing, check_int, check_positive)
+from .errors import (ConfigError, ContractViolation, check_alpha, check_box, check_dim,
+                     check_finite, check_increasing, check_int, check_positive)
 from .objectives import CATALOG_NAMES, NOISE_KINDS, NoiseSpec, ObjectiveSpec, smoothness_constants
 
 # Above 2**53 a JSON number is no longer an exact integer, and no array of
@@ -200,9 +200,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sb["rotation_seed"] = q_seed
     p = sb.pop("p")
     c, beta = (v if isinstance(v, tuple) else (v,) * p for v in (sb.pop("c"), sb.pop("beta")))
-    if len(c) != p or len(beta) != p:
-        raise ConfigError("schedule.c and schedule.beta must have length p")
     with _refused("invalid schedule: "):
+        check_dim("c", c, p)  # Schedule would repeat a one-entry c or beta p times
+        check_dim("beta", beta, p)
         schedule = Schedule(c=np.asarray(c), beta=np.asarray(beta), dim=p, **sb)
 
     rb = blocks["run"]

@@ -18,26 +18,9 @@ from functools import partial
 import numpy as np
 
 from .engine import Schedule, Trajectory, record_points, run_trajectory
-from .errors import (ContractViolation, check_finite, check_int, check_nonnegative, check_positive,
-                     check_window, numeric_policy)
+from .errors import (ContractViolation, check_dim, check_finite, check_int, check_nonnegative,
+                     check_positive, check_window, numeric_policy)
 from .objectives import NoiseSpec, ObjectiveSpec, StochasticOracle, _norms
-
-__all__ = [
-    "EnsembleSpec",
-    "CaptureConfig",
-    "CaptureReport",
-    "DichotomyClassification",
-    "ConvergenceReport",
-    "EnsembleResult",
-    "StoppingTimes",
-    "split_seed",
-    "run_member",
-    "classify_dichotomy",
-    "run_ensemble",
-    "gradient_convergence_stats",
-    "compute_stopping_times",
-    "envelope_sup_over_ball",
-]
 
 
 # Points of the grid that envelope_sup_over_ball maximizes over.
@@ -75,12 +58,8 @@ class EnsembleSpec:
     def __post_init__(self):
         for name in ("horizon", "n_trajectories", "record_stride"):
             check_int(name, getattr(self, name), 1)
-        if self.schedule.dim != self.objective.dimension:
-            raise ContractViolation(
-                f"schedule dimension {self.schedule.dim} != objective dimension "
-                f"{self.objective.dimension}")
-        if len(self.theta0) != self.objective.dimension:
-            raise ContractViolation("theta0 dimension does not match the objective")
+        check_dim("schedule", self.schedule.dim, self.objective.dimension)
+        check_dim("theta0", self.theta0, self.objective.dimension)
         check_finite(theta0=self.theta0)
         check_int("master_seed", self.master_seed)
 
@@ -101,9 +80,7 @@ class EnsembleSpec:
 def _check_ball(theta_bar, R, dim: int, prefix: str = "") -> None:
     """Raise ContractViolation, its message led by prefix, unless theta_bar
     is a finite point of dimension dim and R is finite and >= 0."""
-    if len(theta_bar) != dim:
-        raise ContractViolation(
-            f"{prefix}theta_bar must have p = {dim} entries, got {len(theta_bar)}")
+    check_dim(f"{prefix}theta_bar", theta_bar, dim)
     check_finite(**{f"{prefix}theta_bar": theta_bar})
     check_nonnegative(**{f"{prefix}R": R})
 
@@ -409,6 +386,11 @@ def gradient_convergence_stats(
     trajectory's truncation point.
     """
     ks = np.asarray(ks)
+    shape = np.shape(f_gap)
+    for name, got, want in (("ks", ks.shape, shape[1:]), ("grad_norm", np.shape(grad_norm), shape),
+                            ("f_lim_estimates", np.shape(f_lim_estimates), shape[:1])):
+        if got != want:
+            raise ContractViolation(f"{name} must have shape {want} beside f_gap, got {got}")
     _check_gammas(gammas)
     # An overflowed run's inf or NaN entries give inf or NaN statistics (a
     # null se in the report).

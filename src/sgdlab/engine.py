@@ -22,8 +22,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (ContractViolation, check_alpha, check_finite, check_int, check_positive,
-                     numeric_policy)
+from .errors import (ContractViolation, check_alpha, check_dim, check_finite, check_int,
+                     check_positive, numeric_policy)
 from .objectives import (OVERFLOW_CAP, STATE_SCALED_KINDS, StochasticOracle, _frozen_copy, _norms,
                          _set_frozen_state)
 
@@ -59,8 +59,7 @@ def _as_vector(x, dim: int, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape == (1,) and dim > 1:
         arr = np.full(dim, arr[0])
-    if arr.shape != (dim,):
-        raise ContractViolation(f"{name} must have shape ({dim},), got {arr.shape}")
+    check_dim(name, arr, dim)
     return _frozen_copy(arr)
 
 
@@ -525,10 +524,7 @@ def run_trajectory(
     check_int("K", K, 1)
     check_int("record_stride", record_stride, 1)
     check_int("seed", seed)
-    if objective.dim != schedule.dim:
-        raise ContractViolation(
-            f"objective dimension {objective.dim} != schedule dimension {schedule.dim}"
-        )
+    check_dim("schedule", schedule.dim, objective.dim)
     # a contiguous copy: the first step's norm sqrt(theta.dot(theta)) sums a
     # strided view in another order, and sigma_expr's norm(theta) reads it
     theta0 = _as_vector(theta0, objective.dim, "theta0")

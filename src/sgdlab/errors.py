@@ -59,6 +59,15 @@ def check_int(name: str, value, least: int = 0) -> None:
         raise ContractViolation(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_dim(name: str, value, p: int) -> None:
+    """value, a dimension (an integer) or a vector, is p or of shape (p,); the
+    message gives a 1-D vector's length, or the shape of anything else."""
+    n = value if isinstance(value, (int, np.integer)) else np.shape(value)
+    n = n[0] if isinstance(n, tuple) and len(n) == 1 else n
+    if n != p:
+        raise ContractViolation(f"{name} must have dimension p = {p}, got {n}")
+
+
 def check_alpha(name: str, value) -> None:
     """A Hölder exponent in (0, 1] (which refuses NaN and inf too)."""
     if not 0.0 < value <= 1.0:

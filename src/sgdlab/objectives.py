@@ -38,8 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ContractViolation, DomainError, UnknownObjectiveError, check_finite,
-                     check_int, check_nonnegative, check_positive, numeric_policy)
+from .errors import (ContractViolation, DomainError, UnknownObjectiveError, check_dim,
+                     check_finite, check_int, check_nonnegative, check_positive, numeric_policy)
 
 # Values are capped here instead of overflowing to inf; the trajectory runner
 # treats any F at or above the cap as overflow.
@@ -143,9 +143,10 @@ class Objective:
         size is the steps' accept test's: abs(x) in 1-D, else the sqrt of a
         contiguous row's vecdot, the bits of math.sqrt(theta.dot(theta)).
         """
+        pts = np.atleast_2d(np.ascontiguousarray(thetas, dtype=float))
+        check_dim("theta", pts.shape[-1], self.dim)
         if self.r0 <= 0.0:
             return
-        pts = np.ascontiguousarray(thetas, dtype=float).reshape(-1, self.dim)
         size = np.abs(pts[:, 0]) if self.dim == 1 else np.sqrt(np.vecdot(pts, pts))
         bad = size < self.r0
         if np.any(bad):
@@ -668,9 +669,7 @@ class NoiseModel:
         if self.kind == "rademacher-radial":
             u = np.arange(self.dim) == 0 if self.direction is None else self.direction  # e_1
             u = np.asarray(u, dtype=float)
-            if u.shape != (self.dim,):
-                raise ContractViolation(f"rademacher direction must have p = {self.dim} "
-                                        f"entries, got {u.size}")
+            check_dim("rademacher direction", u, self.dim)
             check_finite(direction=u.tolist())
             nu = float(np.linalg.norm(u))
             if not 1e-150 <= nu < math.inf and np.any(u):
@@ -703,6 +702,7 @@ class NoiseModel:
 
     @numeric_policy
     def sigma_at(self, theta: np.ndarray) -> float:
+        check_dim("theta", theta, self.dim)
         if self.kind == "additive-gaussian":
             return self.sigma
         if self.kind == "additive-gaussian-statedep":
@@ -713,6 +713,8 @@ class NoiseModel:
     @numeric_policy
     def second_moment(self, theta: np.ndarray, grad: np.ndarray) -> float:
         """Exact E||sample||^2 at theta given grad = gradF(theta)."""
+        check_dim("theta", theta, self.dim)
+        check_dim("grad", grad, self.dim)
         g2 = float(grad @ grad)
         if self.kind == "zero":
             return g2
@@ -725,6 +727,7 @@ class NoiseModel:
 
     def envelope(self, objective: Objective) -> Callable[[np.ndarray], float]:
         """The declared envelope G as a function of theta alone."""
+        check_dim("objective", objective.dim, self.dim)
 
         def G(theta: np.ndarray) -> float:
             theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -735,7 +738,9 @@ class NoiseModel:
     @numeric_policy
     def envelope_batch(self, objective: Objective, thetas: np.ndarray) -> np.ndarray:
         """Vectorized declared envelope over a stack of points."""
+        check_dim("objective", objective.dim, self.dim)
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        check_dim("thetas", thetas.shape[-1], self.dim)
         g2 = objective.grad_norm_batch(thetas) ** 2
         if self.kind == "zero":
             return g2
@@ -837,7 +842,4 @@ class StochasticOracle:
     noise: NoiseModel
 
     def __post_init__(self):
-        if self.objective.dim != self.noise.dim:
-            raise ContractViolation(
-                f"objective dimension {self.objective.dim} != noise dimension {self.noise.dim}"
-            )
+        check_dim("noise", self.noise.dim, self.objective.dim)

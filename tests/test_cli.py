@@ -332,7 +332,7 @@ def test_malformed_config_block_exits_2(tmp_path, capsys, where, literal, messag
     ({"objective": {"name": "exp-abs", "r0": 0.0}},
      "invalid objective: r0 must be finite and > 0, got 0.0"),
     ({"schedule": {"family": "diagonal-power", "p": 2, "c": [1.0, 1.0, 1.0]}},
-     "schedule.c and schedule.beta must have length p"),
+     "invalid schedule: c must have dimension p = 2, got 3"),
     ({"schedule": {"family": "scalar-power", "p": 2, "c": [1.0, 2.0]}},
      "invalid schedule: scalar-power requires one (c, beta) pair"),
     ({"noise": {"kind": "rademacher-radial", "direction": [0.0]}},
@@ -433,7 +433,7 @@ def test_noise_direction_of_another_length_exits_2(tmp_path, capsys, direction):
     cfg["run"]["theta0"] = [1.0, 1.0]
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("sgdlab: config error:") and "must have p = 2 entries" in err
+    assert err.startswith("sgdlab: config error:") and f"must have dimension p = 2, got {len(direction)}" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
@@ -673,7 +673,7 @@ def test_capture_theta_bar_of_another_dimension_is_rejected(tmp_path, theta_bar)
     cfg["schedule"]["p"] = 2
     cfg["run"]["theta0"] = [1.0, 1.0]
     cfg["diagnostics"]["capture"]["theta_bar"] = theta_bar
-    with pytest.raises(ConfigError, match=f"must have p = 2 entries, got {len(theta_bar)}"):
+    with pytest.raises(ConfigError, match=f"must have dimension p = 2, got {len(theta_bar)}"):
         config_from_dict(cfg)
 
 
@@ -701,7 +701,7 @@ def test_objective_schedule_dimension_mismatch_exits_2(tmp_path, capsys, command
     cfg["run"]["theta0"] = [1.0, 1.0]
     assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
     assert not (tmp_path / "out").exists()
-    assert "schedule dimension 1 != objective dimension 2" in capsys.readouterr().err
+    assert "schedule must have dimension p = 2, got 1" in capsys.readouterr().err
 
 
 def test_jobs_flag_produces_identical_output(tmp_path):

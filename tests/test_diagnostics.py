@@ -268,7 +268,7 @@ def test_ensemble_bitwise_determinism():
     (CaptureConfig((0.0,), 1.0, -0.5), "epsilon must be finite and > 0"),
     # Python's float epsilon ** -2 overflowed after every trajectory had run
     (CaptureConfig((0.0,), 1.0, 1e-160), r"epsilon must have a finite epsilon\*\*-2, got 1e-160"),
-    (CaptureConfig((0.0, 5.0), 1.0, 0.5), "theta_bar must have p = 1 entries"),
+    (CaptureConfig((0.0, 5.0), 1.0, 0.5), "theta_bar must have dimension p = 1, got 2"),
     (CaptureConfig((0.0,), -1.0, 0.5), "R must be finite and >= 0"),
     # a NaN centre ran and reported 0 escapes with G_R and bound_margin_max NaN
     (CaptureConfig((math.nan,), 1.0, 0.5), "capture theta_bar must be finite"),
@@ -780,7 +780,7 @@ def test_envelope_sup_refuses_a_centre_of_another_dimension(p, theta_bar):
         schedule=Schedule.scalar(1.0, 0.75, dim=p), theta0=(1.0,) * p, horizon=10,
         n_trajectories=1, master_seed=0)
     with pytest.raises(ContractViolation,
-                       match=rf"^theta_bar must have p = {p} entries, got {len(theta_bar)}$"):
+                       match=rf"^theta_bar must have dimension p = {p}, got {len(theta_bar)}$"):
         envelope_sup_over_ball(spec, theta_bar, 2.0)
 
 

@@ -179,7 +179,17 @@ SHARED_RULES = {
     "check_increasing": r"must be strictly increasing",
     "check_nonnegative": r"must be finite and >= 0, got",
     "check_window": r"must be <= horizon",
+    "check_dim": r"must have dimension p = ",
 }
+# The wordings of the inline dimension tests that check_dim replaced: none
+# may come back anywhere in the package.
+RETIRED_DIMENSION_WORDINGS = [
+    r"must have shape \(\{\w+\},\)",
+    r"!= (objective|schedule|noise) dimension",
+    r"dimension does not match",
+    r"must have p = ",
+    r"must have length p",
+]
 
 
 def _raised_rules(path: Path) -> set[str]:
@@ -198,6 +208,60 @@ def test_the_shared_argument_rules_are_raised_in_errors_py_alone():
     assert _raised_rules(package / "errors.py") == set(SHARED_RULES)
     assert {(path.name, rule) for path in package.glob("*.py") if path.name != "errors.py"
             for rule in _raised_rules(path)} == set()
+    assert {(path.name, pattern) for path in package.glob("*.py")
+            for pattern in RETIRED_DIMENSION_WORDINGS
+            if re.search(pattern, path.read_text(encoding="utf-8"))} == set()
+
+
+QUADRATIC3 = catalog_lookup("quadratic", 3)
+ADDITIVE2 = NoiseModel("additive-gaussian", 2, sigma=1.0)
+
+
+def _stats(n_ks=5, grad_norm_shape=(3, 5), n_f_lim=3):
+    """gradient_convergence_stats on an f_gap of 3 rows and 5 checkpoints."""
+    return gradient_convergence_stats(np.arange(n_ks), np.ones((3, 5)),
+                                      np.ones(grad_norm_shape), [0.0] * n_f_lim)
+
+
+# Each call used to return a value computed on the wrong points, or to die
+# in a numpy ValueError; p = 2 throughout but for the objective of a 2-D noise.
+@pytest.mark.parametrize("call, message", [
+    (lambda: estimate_local_holder(QUADRATIC2, [1.0, 2.0, 3.0], 0.5, 1.0, 8),
+     r"^phi must have dimension p = 2, got 3$"),
+    (lambda: estimate_local_holder(QUADRATIC2, [1.0], 0.5, 1.0, 8),
+     r"^phi must have dimension p = 2, got 1$"),
+    (lambda: estimate_local_holder(QUADRATIC2, [[1.0, 2.0]], 0.5, 1.0, 8),
+     r"^phi must have dimension p = 2, got \(1, 2\)$"),
+    (lambda: sample_gradient_norms(StochasticOracle(QUADRATIC2, ADDITIVE2), [1.0, 2.0, 3.0],
+                                   np.random.default_rng(1), 5),
+     r"^theta must have dimension p = 2, got 3$"),
+    (lambda: sample_gradient_norms(StochasticOracle(QUADRATIC2, ADDITIVE2), [1.0],
+                                   np.random.default_rng(1), 5),
+     r"^theta must have dimension p = 2, got 1$"),
+    (lambda: catalog_lookup("log1p-abs", 2).check_domain(np.ones(3)),
+     r"^theta must have dimension p = 2, got 3$"),
+    (lambda: catalog_lookup("log1p-abs", 2).check_domain(np.ones(4)),
+     r"^theta must have dimension p = 2, got 4$"),
+    (lambda: ADDITIVE2.second_moment(np.ones(3), np.ones(3)),
+     r"^theta must have dimension p = 2, got 3$"),
+    (lambda: NoiseModel("additive-gaussian-statedep", 2, sigma_expr="norm(theta)").sigma_at(
+        np.ones(3)), r"^theta must have dimension p = 2, got 3$"),
+    (lambda: ADDITIVE2.envelope(QUADRATIC3)(np.ones(3)),
+     r"^objective must have dimension p = 2, got 3$"),
+    (lambda: ADDITIVE2.envelope_batch(QUADRATIC3, np.ones((2, 3))),
+     r"^objective must have dimension p = 2, got 3$"),
+    (lambda: ADDITIVE2.envelope_batch(QUADRATIC2, np.ones((4, 3))),
+     r"^thetas must have dimension p = 2, got 3$"),
+    (lambda: _stats(n_ks=2), r"^ks must have shape \(5,\) beside f_gap, got \(2,\)$"),
+    (lambda: _stats(grad_norm_shape=(3, 4)), r"^grad_norm must have shape \(3, 5\) "),
+    (lambda: _stats(n_f_lim=7), r"^f_lim_estimates must have shape \(3,\) "),
+], ids=["holder-phi-3", "holder-phi-1", "holder-phi-row", "gradient-norms-theta-3",
+        "gradient-norms-theta-1", "check-domain-3", "check-domain-4", "second-moment-theta",
+        "sigma-at-theta", "envelope-objective", "envelope-batch-objective",
+        "envelope-batch-rows", "stats-ks", "stats-grad-norm", "stats-f-lim"])
+def test_an_argument_of_another_dimension_is_refused_by_name(call, message):
+    with pytest.raises(ContractViolation, match=message):
+        call()
 
 
 LOG1P_1D = EnsembleSpec(ObjectiveSpec("log1p-abs"), NoiseSpec("zero"), Schedule.scalar(1.0, 0.75),

@@ -875,9 +875,9 @@ def test_a_split_draw_has_the_bytes_and_the_stream_of_one_draw(noise):
 @pytest.mark.parametrize("direction", [(1.0,), (1.0, 0.0, 0.0)])
 def test_rademacher_direction_must_have_p_entries(direction):
     # [1.0] at p = 2 broadcast onto both coordinates; three entries crashed a step
-    with pytest.raises(ContractViolation, match="must have p = 2 entries"):
+    with pytest.raises(ContractViolation, match="must have dimension p = 2"):
         NoiseModel("rademacher-radial", 2, direction=np.array(direction))
-    with pytest.raises(ContractViolation, match="must have p = 2 entries"):
+    with pytest.raises(ContractViolation, match="must have dimension p = 2"):
         NoiseSpec("rademacher-radial", direction=direction).build(2)
 
 

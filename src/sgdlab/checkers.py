@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import Schedule, Verdict
-from .errors import (ContractViolation, DomainError, check_alpha, check_box, check_dim,
+from .errors import (ContractViolation, DomainError, as_floats, check_alpha, check_box, check_dim,
                      check_finite, check_increasing, check_int, check_nonnegative,
                      check_positive, numeric_policy)
 from .objectives import Objective, StochasticOracle, _norms, smoothness_constants
@@ -165,7 +165,7 @@ def estimate_local_holder(
     The ball is sampled on a grid in 1-D and by pair-sampling for p > 1
     (_ball_points).
     """
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    phi = np.atleast_1d(as_floats("phi", phi, obj.dim))
     check_dim("phi", phi, obj.dim)
     check_finite(phi=phi.tolist())
     check_positive(r=r)
@@ -447,7 +447,7 @@ def sample_gradient_norms(oracle: StochasticOracle, theta, rng: np.random.Genera
                           n: int) -> np.ndarray:
     """n draws of ||sample|| at theta (input for the variance-control check)."""
     check_int("n", n, 1)
-    theta = np.ascontiguousarray(theta, dtype=float)  # at least 1-D
+    theta = np.ascontiguousarray(as_floats("theta", theta, oracle.objective.dim))  # at least 1-D
     check_dim("theta", theta, oracle.objective.dim)
     oracle.objective.check_domain(theta)
     return np.sqrt(_sample_sq_norms(oracle, theta, rng, n))

@@ -212,9 +212,8 @@ def _run_check(config: ExperimentConfig, oracle: StochasticOracle, name: str):
             checks.variance.n_samples)
         report = checkers.check_variance_control(samples, checks.alpha)
     elif name == "gradbound":
-        l_const = checks.gradbound.L if checks.gradbound.L is not None else obj.l_global
         report = checkers.check_grad_bound(
-            obj, l_const, checks.alpha, checks.gradbound.n_points,
+            obj, checks.gradbound.L, checks.alpha, checks.gradbound.n_points,
             checks.gradbound.box, seed=checks.seed)
     else:  # smoothness
         constants = checks.smoothness.constants or oracle.noise.constants

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 from .checkers import grad_bound_scale
 from .diagnostics import CaptureConfig, EnsembleSpec
 from .engine import POWER_FAMILIES, Schedule
-from .errors import (ConfigError, ContractViolation, check_alpha, check_box, check_dim,
-                     check_finite, check_increasing, check_int, check_positive)
+from .errors import (ConfigError, ContractViolation, check_alpha, check_box, check_finite,
+                     check_increasing, check_int, check_positive)
 from .objectives import CATALOG_NAMES, NOISE_KINDS, NoiseSpec, ObjectiveSpec, smoothness_constants
 
 # Above 2**53 a JSON number is no longer an exact integer, and no array of
@@ -199,11 +197,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("give schedule.rotation_seed or its alias schedule.q_seed, not both")
         sb["rotation_seed"] = q_seed
     p = sb.pop("p")
-    c, beta = (v if isinstance(v, tuple) else (v,) * p for v in (sb.pop("c"), sb.pop("beta")))
     with _refused("invalid schedule: "):
-        check_dim("c", c, p)  # Schedule would repeat a one-entry c or beta p times
-        check_dim("beta", beta, p)
-        schedule = Schedule(c=np.asarray(c), beta=np.asarray(beta), dim=p, **sb)
+        schedule = Schedule(dim=p, **sb)
 
     rb = blocks["run"]
     jobs = rb.pop("jobs")
@@ -226,11 +221,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         check_int("checks.smoothness.n_draws", sm["n_draws"], 2)
         if sm["constants"] is not None:
             smoothness_constants(sm["constants"], "checks.smoothness.constants")
+        name = "checks.gradbound.L"
+        if gb["L"] is None:  # the constant that a null L checks with
+            gb["L"], name = built.l_global, "the objective's l_global (checks.gradbound.L null)"
         if gb["L"] is not None:
-            grad_bound_scale(gb["L"], blocks["checks"]["alpha"], "checks.gradbound.L")
-        elif built.l_global is not None:  # the constant that a null L checks with
-            grad_bound_scale(built.l_global, blocks["checks"]["alpha"],
-                             "the objective's l_global (checks.gradbound.L null)")
+            grad_bound_scale(gb["L"], blocks["checks"]["alpha"], name)
 
     box = (r0, r0 + 9.0) if r0 > 0.0 else (-10.0, 10.0)  # above the domain floor, if any
     for check in ("descent", "gradbound", "smoothness"):

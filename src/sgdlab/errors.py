@@ -61,11 +61,24 @@ def check_int(name: str, value, least: int = 0) -> None:
 
 def check_dim(name: str, value, p: int) -> None:
     """value, a dimension (an integer) or a vector, is p or of shape (p,); the
-    message gives a 1-D vector's length, or the shape of anything else."""
-    n = value if isinstance(value, (int, np.integer)) else np.shape(value)
+    message gives a 1-D vector's length, another value's shape, or a ragged one."""
+    try:
+        n = value if isinstance(value, (int, np.integer)) else np.shape(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        n = f"a ragged sequence {value!r}"
     n = n[0] if isinstance(n, tuple) and len(n) == 1 else n
     if n != p:
         raise ContractViolation(f"{name} must have dimension p = {p}, got {n}")
+
+
+def as_floats(name: str, value, p: int) -> np.ndarray:
+    """value (a number, a point or a stack of points) as a float array; a
+    ragged one, which numpy cannot convert, is refused by check_dim under name."""
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        check_dim(name, value, p)
+        raise
 
 
 def check_alpha(name: str, value) -> None:

@@ -38,8 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ContractViolation, DomainError, UnknownObjectiveError, check_dim,
-                     check_finite, check_int, check_nonnegative, check_positive, numeric_policy)
+from .errors import (ContractViolation, DomainError, UnknownObjectiveError, as_floats,
+                     check_dim, check_finite, check_int, check_nonnegative, check_positive,
+                     numeric_policy)
 
 # Values are capped here instead of overflowing to inf; the trajectory runner
 # treats any F at or above the cap as overflow.
@@ -118,7 +119,7 @@ class Objective:
     has ``grad``'s bits.  Every catalog objective but the quadratic has one
     (its ``grad`` is one copy, and a list of its noisy gradient costs more
     than numpy's two or three calls from p = 6 up), and an objective without
-    it (None) is sampled through ``grad`` alone (see ``NoiseModel.sampler``).
+    it (None) is sampled through ``grad`` alone (see ``engine._stepper``).
     """
 
     id: str
@@ -143,7 +144,7 @@ class Objective:
         size is the steps' accept test's: abs(x) in 1-D, else the sqrt of a
         contiguous row's vecdot, the bits of math.sqrt(theta.dot(theta)).
         """
-        pts = np.atleast_2d(np.ascontiguousarray(thetas, dtype=float))
+        pts = np.atleast_2d(np.ascontiguousarray(as_floats("theta", thetas, self.dim)))
         check_dim("theta", pts.shape[-1], self.dim)
         if self.r0 <= 0.0:
             return
@@ -473,11 +474,6 @@ class ObjectiveSpec:
 
 NOISE_KINDS = ("zero", "additive-gaussian", "rademacher-radial", "additive-gaussian-statedep")
 
-# The kinds whose noise term scales with theta: the p > 1 steps sample them
-# with an objective's float form (Objective.grad_plus), 1.05-1.35x faster
-# than the array form; zero and additive noise step the array form.
-STATE_SCALED_KINDS = ("rademacher-radial", "additive-gaussian-statedep")
-
 
 def smoothness_constants(constants, name: str) -> tuple[float, float, float]:
     """constants as a tuple, refused under name unless they are three finite
@@ -668,8 +664,8 @@ class NoiseModel:
                 f"sigma must have a finite second moment dim * sigma**2, got {self.sigma!r}")
         if self.kind == "rademacher-radial":
             u = np.arange(self.dim) == 0 if self.direction is None else self.direction  # e_1
-            u = np.asarray(u, dtype=float)
             check_dim("rademacher direction", u, self.dim)
+            u = np.asarray(u, dtype=float)
             check_finite(direction=u.tolist())
             nu = float(np.linalg.norm(u))
             if not 1e-150 <= nu < math.inf and np.any(u):
@@ -703,6 +699,10 @@ class NoiseModel:
     @numeric_policy
     def sigma_at(self, theta: np.ndarray) -> float:
         check_dim("theta", theta, self.dim)
+        return self._sigma(theta)
+
+    def _sigma(self, theta) -> float:
+        """sigma_at of a theta that has passed its dimension test."""
         if self.kind == "additive-gaussian":
             return self.sigma
         if self.kind == "additive-gaussian-statedep":
@@ -722,7 +722,7 @@ class NoiseModel:
             return g2 + self.dim * self.sigma ** 2
         if self.kind == "rademacher-radial":
             return g2 + float(theta @ theta)
-        s = self.sigma_at(theta)
+        s = self._sigma(theta)
         return g2 + self.dim * s * s
 
     def envelope(self, objective: Objective) -> Callable[[np.ndarray], float]:
@@ -739,7 +739,7 @@ class NoiseModel:
     def envelope_batch(self, objective: Objective, thetas: np.ndarray) -> np.ndarray:
         """Vectorized declared envelope over a stack of points."""
         check_dim("objective", objective.dim, self.dim)
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        thetas = np.atleast_2d(as_floats("thetas", thetas, self.dim))
         check_dim("thetas", thetas.shape[-1], self.dim)
         g2 = objective.grad_norm_batch(thetas) ** 2
         if self.kind == "zero":
@@ -771,29 +771,10 @@ class NoiseModel:
             return (rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0)[:, None]
         return None
 
-    def sampler(self, grad: Callable[[np.ndarray], np.ndarray],
-                grad_plus: Callable[..., np.ndarray] | None = None) -> Callable[..., np.ndarray]:
-        """The stochastic gradient as f(theta, norm(theta), w) for noise w from draw.
-
-        Two forms, with the same bits.  Given only grad (the array form), w
-        is one step's row of draw or a whole block (one sample per row):
-        the expected-smoothness checker samples blocks, and the engine
-        steps this form at p >= engine._FLOAT_P, for an objective without
-        grad_plus, and for the kinds outside STATE_SCALED_KINDS, zero and
-        additive noise, whatever is given.  Given an objective's grad_plus
-        under a state-scaled kind (the float form, which the engine steps
-        for 1 < p < _FLOAT_P), w is one step's row, a list of floats, and
-        the noise term goes to grad_plus as (s, v): (nrm * w[0], u) for
-        rademacher-radial (numpy's (nrm * w) * u) and (sigma(theta), w) for
-        the state-dependent kind, with sigma read before the gradient.  The
-        kind is chosen here, once, so a step loop carries no kind test.
-        """
-        if grad_plus is not None and self.kind in STATE_SCALED_KINDS:
-            if self.kind == "rademacher-radial":
-                u = self.direction.tolist()
-                return lambda theta, nrm, w: grad_plus(theta, nrm, nrm * w[0], u)
-            sigma = self.sigma_of_norm
-            return lambda theta, nrm, w: grad_plus(theta, nrm, sigma(nrm, theta), w)
+    def sampler(self, grad: Callable[[np.ndarray], np.ndarray]) -> Callable[..., np.ndarray]:
+        """The stochastic gradient as f(theta, norm(theta), w) for noise w from
+        draw, one step's row or a block (one sample per row): its array form,
+        the kind chosen here, once, so that a step loop carries no kind test."""
         if self.kind == "zero":
             return lambda theta, nrm, w: grad(theta)
         if self.kind == "additive-gaussian":

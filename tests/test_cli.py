@@ -333,12 +333,18 @@ def test_malformed_config_block_exits_2(tmp_path, capsys, where, literal, messag
      "invalid objective: r0 must be finite and > 0, got 0.0"),
     ({"schedule": {"family": "diagonal-power", "p": 2, "c": [1.0, 1.0, 1.0]}},
      "invalid schedule: c must have dimension p = 2, got 3"),
+    # Schedule repeats a single number, not a one-entry list
+    ({"schedule": {"family": "diagonal-power", "p": 2, "c": [1.0]}},
+     "invalid schedule: c must have dimension p = 2, got 1"),
+    ({"schedule": {"family": "diagonal-power", "p": 2, "beta": [0.6, 0.7, 0.8]}},
+     "invalid schedule: beta must have dimension p = 2, got 3"),
     ({"schedule": {"family": "scalar-power", "p": 2, "c": [1.0, 2.0]}},
      "invalid schedule: scalar-power requires one (c, beta) pair"),
     ({"noise": {"kind": "rademacher-radial", "direction": [0.0]}},
      "invalid noise: rademacher direction must be nonzero"),
 ], ids=["objective-name", "power-q-without-q", "loglog1p-abs-r0-0", "exp-abs-r0-0",
-        "schedule-length", "scalar-power-two-pairs", "rademacher-zero-direction"])
+        "schedule-length", "schedule-one-entry-c", "schedule-beta-length",
+        "scalar-power-two-pairs", "rademacher-zero-direction"])
 def test_each_config_refusal_that_no_other_test_reaches_exits_2(tmp_path, capsys, blocks,
                                                                  message):
     cfg = base_config(tmp_path / "out", **blocks)
@@ -991,6 +997,19 @@ def test_gradbound_constant_whose_power_overflows_exits_2(tmp_path, capsys, obje
     assert check.call_count == scan.call_count == 0  # refused before any check ran
     assert capsys.readouterr().err == f"sgdlab: config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gradbound, L", [({}, 2.0), ({"L": 4.0}, 4.0)])
+def test_the_config_fills_a_null_gradbound_constant_from_the_objective(tmp_path, gradbound,
+                                                                       L):
+    # gauss-bump declares l_global 2.0; the check reads the filled constant
+    cfg = base_config(tmp_path / "out", objective={"name": "gauss-bump"})
+    cfg["checks"] = {"which": ["gradbound"], "gradbound": gradbound}
+    assert config_from_dict(cfg).checks.gradbound.L == L
+    with mock.patch.object(cli.checkers, "check_grad_bound",
+                           side_effect=ConfigError("stop")) as check:
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+    assert check.call_args.args[1] == L
 
 
 # `check` runs the schedule scans (cli.SCHEDULE_LANE) on the calling thread

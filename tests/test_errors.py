@@ -181,14 +181,15 @@ SHARED_RULES = {
     "check_window": r"must be <= horizon",
     "check_dim": r"must have dimension p = ",
 }
-# The wordings of the inline dimension tests that check_dim replaced: none
-# may come back anywhere in the package.
-RETIRED_DIMENSION_WORDINGS = [
+# The wordings of the inline tests that check_dim and check_nonnegative
+# replaced: none may come back anywhere in the package.
+RETIRED_WORDINGS = [
     r"must have shape \(\{\w+\},\)",
     r"!= (objective|schedule|noise) dimension",
     r"dimension does not match",
     r"must have p = ",
     r"must have length p",
+    r"exponents beta must be >= 0",
 ]
 
 
@@ -209,7 +210,7 @@ def test_the_shared_argument_rules_are_raised_in_errors_py_alone():
     assert {(path.name, rule) for path in package.glob("*.py") if path.name != "errors.py"
             for rule in _raised_rules(path)} == set()
     assert {(path.name, pattern) for path in package.glob("*.py")
-            for pattern in RETIRED_DIMENSION_WORDINGS
+            for pattern in RETIRED_WORDINGS
             if re.search(pattern, path.read_text(encoding="utf-8"))} == set()
 
 
@@ -252,15 +253,53 @@ def _stats(n_ks=5, grad_norm_shape=(3, 5), n_f_lim=3):
      r"^objective must have dimension p = 2, got 3$"),
     (lambda: ADDITIVE2.envelope_batch(QUADRATIC2, np.ones((4, 3))),
      r"^thetas must have dimension p = 2, got 3$"),
+    # a one-entry vector at p > 1 is refused, not repeated p times
+    (lambda: Schedule.rotated([0.5, 0.2], [0.75]), r"^beta must have dimension p = 2, got 1$"),
+    (lambda: Schedule("diagonal-power", [1.0], [0.5, 0.6], 1.0, 2),
+     r"^c must have dimension p = 2, got 1$"),
+    (lambda: run_trajectory(StochasticOracle(QUADRATIC3, NoiseModel("zero", 3)),
+                            Schedule.scalar(0.5, 0.75, dim=3), [0.5], 10, 1),
+     r"^theta0 must have dimension p = 3, got 1$"),
     (lambda: _stats(n_ks=2), r"^ks must have shape \(5,\) beside f_gap, got \(2,\)$"),
     (lambda: _stats(grad_norm_shape=(3, 4)), r"^grad_norm must have shape \(3, 5\) "),
     (lambda: _stats(n_f_lim=7), r"^f_lim_estimates must have shape \(3,\) "),
 ], ids=["holder-phi-3", "holder-phi-1", "holder-phi-row", "gradient-norms-theta-3",
         "gradient-norms-theta-1", "check-domain-3", "check-domain-4", "second-moment-theta",
         "sigma-at-theta", "envelope-objective", "envelope-batch-objective",
-        "envelope-batch-rows", "stats-ks", "stats-grad-norm", "stats-f-lim"])
+        "envelope-batch-rows", "rotated-one-entry-beta", "schedule-one-entry-c",
+        "run-trajectory-one-entry-theta0", "stats-ks", "stats-grad-norm", "stats-f-lim"])
 def test_an_argument_of_another_dimension_is_refused_by_name(call, message):
     with pytest.raises(ContractViolation, match=message):
+        call()
+
+
+# A ragged point, which numpy gives no shape, at p = 2: each call raised
+# numpy's "inhomogeneous shape" ValueError.
+RAGGED = ((1.0, 2.0), 3.0)
+STATEDEP2 = NoiseModel("additive-gaussian-statedep", 2, sigma_expr="norm(theta)")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: EnsembleSpec(ObjectiveSpec("quadratic", 2), NoiseSpec("zero"),
+                          Schedule.diagonal([1.0, 1.0], 0.75), RAGGED, 10, 1, 1), "theta0"),
+    (lambda: CaptureConfig(RAGGED, 1.0, 0.1).check(2), "capture theta_bar"),
+    (lambda: run_trajectory(StochasticOracle(QUADRATIC2, ADDITIVE2),
+                            Schedule.diagonal([1.0, 1.0], 0.75), RAGGED, 10, 1), "theta0"),
+    (lambda: NoiseModel("rademacher-radial", 2, direction=RAGGED), "rademacher direction"),
+    (lambda: QUADRATIC2.check_domain(RAGGED), "theta"),
+    (lambda: STATEDEP2.sigma_at(RAGGED), "theta"),
+    (lambda: estimate_local_holder(QUADRATIC2, RAGGED, 0.5, 1.0, 8), "phi"),
+    (lambda: Schedule.rotated([0.5, 0.2], RAGGED), "beta"),
+    (lambda: sample_gradient_norms(StochasticOracle(QUADRATIC2, ADDITIVE2), RAGGED,
+                                   np.random.default_rng(1), 5), "theta"),
+    (lambda: ADDITIVE2.envelope_batch(QUADRATIC2, RAGGED), "thetas"),
+], ids=["ensemble-theta0", "capture-theta_bar", "run-trajectory-theta0", "direction",
+        "check-domain", "sigma-at", "holder-phi", "rotated-beta", "gradient-norms-theta",
+        "envelope-batch-thetas"])
+def test_a_ragged_point_is_refused_by_name(call, name):
+    with pytest.raises(ContractViolation,
+                       match=rf"^{name} must have dimension p = 2, got a ragged sequence "
+                             r"\(\(1\.0, 2\.0\), 3\.0\)$"):
         call()
 
 

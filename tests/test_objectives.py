@@ -12,6 +12,7 @@ import pickle
 import warnings
 from copy import deepcopy
 from pathlib import Path
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -508,7 +509,7 @@ def test_f_lb_holds_on_dense_grid():
 
 
 # ---------------------------------------------------------------------------
-# the sampler's float form (Objective.grad_plus) against its array form
+# the engine's float sampler (Objective.grad_plus) against the array form
 # ---------------------------------------------------------------------------
 
 # every catalog objective with a float form: all but the quadratic, whose
@@ -550,6 +551,8 @@ def _sample_outcome(sample, theta, nrm, w):
 
 
 def test_float_form_of_the_sampler_has_the_bits_of_the_array_form():
+    # the sampler that engine._stepper picks for each kind at 1 < p < _FLOAT_P
+    # (the float form for a state-scaled kind) against NoiseModel.sampler(grad)
     seen = set()
 
     @hypothesis.seed(2029)
@@ -577,22 +580,25 @@ def test_float_form_of_the_sampler_has_the_bits_of_the_array_form():
                 # any float, not a draw's: the sign of a rademacher draw, 1 or
                 # -1, multiplies exactly, so only other values tell the orders apart
                 w = rng.standard_normal(w.shape)
-            # the row as the engine gives it: a list to the float form of a
-            # state-scaled kind, else the array form's row
-            row = w.tolist()[0] if noise.kind in objectives.STATE_SCALED_KINDS else (
-                None if w is None else w[0])
+            step = engine._stepper(obj, noise, engine.Schedule.scalar(0.1, 0.5, dim=p), 1)
+            lists = step.keywords.get("lists", False)
+            # the row as the engine gives it: a list to the float form, else
+            # the array form's row
+            row = None if w is None else w.tolist()[0] if lists else w[0]
             with np.errstate(all="ignore"):  # numpy's sigma warns where it gives NaN
                 want = _sample_outcome(noise.sampler(obj.grad), theta, nrm,
                                        None if w is None else w[0])
-                got = _sample_outcome(noise.sampler(obj.grad, obj.grad_plus), theta, nrm, row)
+                got = _sample_outcome(step.args[0], theta, nrm, row)
             assert got == want, (obj.id, noise_spec, theta.tolist())
-            seen.add((name, noise.kind, len(want) == 2))
+            seen.add((name, noise.kind, len(want) == 2, lists))
 
     check()
-    # each objective under each kind gave a sample, and a raising sigma raised
+    # each objective under each kind gave a sample, with the float form
+    # under the state-scaled kinds alone, and a raising sigma raised
     kinds = {spec["kind"] for spec in GATE_NOISES}
-    assert {(name, kind, False) for name, _ in FLOAT_FORM_SPECS for kind in kinds} <= seen
-    assert any(raised for _, _, raised in seen)
+    assert {(name, kind, False, kind in engine.STATE_SCALED_KINDS)
+            for name, _ in FLOAT_FORM_SPECS for kind in kinds} <= seen
+    assert any(raised for _, _, raised, _ in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +705,17 @@ def test_rademacher_envelope_exact_two_outcome_expectation():
         exact = 0.5 * float(plus @ plus) + 0.5 * float(minus @ minus)
         assert abs(exact - G(theta)) <= 1e-9
         assert abs(G(theta) - (grad @ grad + rho * rho)) <= 1e-9
+
+
+def test_statedep_second_moment_tests_theta_once_and_has_sigma_ats_bits():
+    noise = NoiseModel("additive-gaussian-statedep", 3,
+                       sigma_expr="0.3*(1+norm(theta))*exp(-0.1*norm(theta))")
+    theta, grad = np.array([0.1, -2.5, 1e-3]), np.array([1.5, 0.25, -3.0])
+    with mock.patch.object(objectives, "check_dim", wraps=objectives.check_dim) as spy:
+        moment = noise.second_moment(theta, grad)
+    assert [call.args[0] for call in spy.call_args_list] == ["theta", "grad"]
+    s = noise.sigma_at(theta)
+    assert float.hex(moment) == float.hex(float(grad @ grad) + 3 * s * s) == "0x1.aa3e2d1421399p+3"
 
 
 def test_statedep_sigma_expression_whitelist():
